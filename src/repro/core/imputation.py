@@ -29,13 +29,25 @@ from typing import Optional, Sequence
 from repro.core.config import KamelConfig
 from repro.core.constraints import GapContext, SpatialConstraints
 from repro.core.tokenization import Tokenizer
-from repro.mlm.base import MaskedModel, TokenProb
+from repro.mlm.base import MaskQuery, MaskedModel, TokenProb
 from repro.obs import instrument as obs
 from repro.obs.logging import get_logger
 from repro.obs.tracing import span
 from repro.resilience.deadline import Deadline
 
 _log = get_logger("core.imputation")
+
+Gap = tuple[tuple[int, ...], int]
+"""A question to the model: ``(segment so far, gap position in it)``."""
+
+CandidateMemo = dict[Gap, list[TokenProb]]
+"""Constrained candidates already computed for one segment, by gap.
+
+An answer depends on the gap, the :class:`GapContext`, the model and
+``top_k`` only — not on beam width or call budget — so one memo serves
+every imputer run over the same segment with the same model (the ladder's
+full and reduced-beam rungs), and within a run it answers the partial
+segments that different insertion orders reach twice."""
 
 
 @dataclass(frozen=True)
@@ -113,9 +125,7 @@ class SegmentImputer(abc.ABC):
 
     # -- model interaction ---------------------------------------------------
 
-    def _query(
-        self, seg: Sequence[int], i: int, ctx: GapContext
-    ) -> tuple[list[int], int]:
+    def _query(self, seg: Sequence[int], i: int, ctx: GapContext) -> MaskQuery:
         """The model input for predicting a token between seg[i], seg[i+1].
 
         The trajectory tokens surrounding the segment (t1 before S, t2
@@ -133,7 +143,9 @@ class SegmentImputer(abc.ABC):
         The configured limit covers a ~1 km gap; longer gaps need
         proportionally more beam rounds, so the budget scales with the
         straight-line span (the paper's hard limit exists to bound cost,
-        not to punish long gaps specifically).
+        not to punish long gaps specifically). It counts *queries asked*:
+        a row of a batch and a row served from the memo each cost one, so
+        the same search spends the same budget however it is executed.
         """
         span = self.tokenizer.token_distance_m(ctx.source, ctx.dest)
         scale = max(1.0, span / 1000.0)
@@ -141,29 +153,45 @@ class SegmentImputer(abc.ABC):
 
     def _candidates(
         self,
-        seg: Sequence[int],
-        i: int,
+        gaps: Sequence[Gap],
         ctx: GapContext,
-        deadline: Optional[Deadline] = None,
-    ) -> list[TokenProb]:
-        """One constrained model call for the gap after position ``i``.
+        remaining: int,
+        deadline: Optional[Deadline],
+        memo: CandidateMemo,
+    ) -> list[list[TokenProb]]:
+        """One constrained model round: the first ``remaining`` of ``gaps``.
 
-        The deadline is checked *before* the model call — the expensive
+        This slice is the one place the call budget is applied: a round
+        the budget cannot cover is cut mid-way, and a strategy notices by
+        getting fewer answers than it asked for. Gaps the memo has not
+        seen go to the model as a single ``predict_masked_batch``.
+
+        The deadline is checked once, *before* the round — the expensive
         unit of work — so an overrun raises
-        :class:`repro.errors.DeadlineExceeded` at most one model call
-        past the budget, never mid-search with unbounded slack.
+        :class:`repro.errors.DeadlineExceeded` at most one round past the
+        budget, never mid-search with unbounded slack.
         """
+        gaps = gaps[:remaining]  # never negative: calls grow by answers given
+        if not gaps:
+            return []
         if deadline is not None:
             deadline.check("segment imputation")
-        tokens, position = self._query(seg, i, ctx)
-        # Attribute-free spans: this runs once per model call, so the
-        # disabled-tracing cost must stay at one branch, no kwargs dict.
-        with span("model.predict"):
-            raw = self.model.predict_masked(
-                tokens, position, top_k=self.config.top_k_candidates
-            )
-        with span("constraints.filter"):
-            return self.constraints.filter(raw, ctx, seg, i)
+        missing = list(dict.fromkeys(gap for gap in gaps if gap not in memo))
+        if len(missing) < len(gaps):
+            obs.count("repro.imputation.memo_hits_total", len(gaps) - len(missing))
+        if missing:
+            # Attribute-free spans: this runs once per round, so the
+            # disabled-tracing cost must stay at one branch, no kwargs dict.
+            with span("model.predict"):
+                raw = self.model.predict_masked_batch(
+                    [self._query(seg, i, ctx) for seg, i in missing],
+                    top_k=self.config.top_k_candidates,
+                )
+            obs.count("repro.imputation.model_invocations_total")
+            with span("constraints.filter"):
+                for gap, candidates in zip(missing, raw):
+                    memo[gap] = self.constraints.filter(candidates, ctx, *gap)
+        return [memo[gap] for gap in gaps]
 
     # -- the instrumented front door ---------------------------------------
 
@@ -171,7 +199,10 @@ class SegmentImputer(abc.ABC):
     """Short id used in metric names and span attributes."""
 
     def impute_segment(
-        self, ctx: GapContext, deadline: Optional[Deadline] = None
+        self,
+        ctx: GapContext,
+        deadline: Optional[Deadline] = None,
+        memo: Optional[CandidateMemo] = None,
     ) -> SegmentImputation:
         """Fill the gap between ``ctx.source`` and ``ctx.dest``.
 
@@ -179,13 +210,18 @@ class SegmentImputer(abc.ABC):
         ``impute.segment`` span and records the per-segment metrics
         (strategy, model calls, budget consumption, failure) so every
         strategy is measured identically. ``deadline`` (when given) is
-        checked between model calls; an overrun propagates
+        checked between model rounds; an overrun propagates
         :class:`repro.errors.DeadlineExceeded` to the caller, whose
-        degradation ladder converts it into a fallback.
+        degradation ladder converts it into a fallback. ``memo`` carries
+        answers over from an earlier run on the same ``ctx`` with the
+        same model (see :data:`CandidateMemo`); without one, answers are
+        shared within this run only.
         """
         budget = self._call_budget(ctx)
+        if memo is None:
+            memo = {}
         with span("impute.segment", strategy=self.strategy_name) as sp:
-            result = self._impute(ctx, deadline)
+            result = self._impute(ctx, budget, deadline, memo)
             sp.set(
                 model_calls=result.model_calls,
                 budget=budget,
@@ -222,9 +258,17 @@ class SegmentImputer(abc.ABC):
 
     @abc.abstractmethod
     def _impute(
-        self, ctx: GapContext, deadline: Optional[Deadline] = None
+        self,
+        ctx: GapContext,
+        budget: int,
+        deadline: Optional[Deadline],
+        memo: CandidateMemo,
     ) -> SegmentImputation:
-        """The strategy body (metrics and spans handled by the caller)."""
+        """The strategy body (metrics and spans handled by the caller).
+
+        Every model question goes through :meth:`_candidates` with
+        ``budget - calls`` as its ``remaining``.
+        """
 
 
 class IterativeImputer(SegmentImputer):
@@ -233,22 +277,25 @@ class IterativeImputer(SegmentImputer):
     strategy_name = "iterative"
 
     def _impute(
-        self, ctx: GapContext, deadline: Optional[Deadline] = None
+        self,
+        ctx: GapContext,
+        budget: int,
+        deadline: Optional[Deadline],
+        memo: CandidateMemo,
     ) -> SegmentImputation:
         seg: list[int] = [ctx.source, ctx.dest]
         probs: list[float] = []
         calls = 0
         probability = 1.0
-        budget = self._call_budget(ctx)
         pointer = self.find_first_gap(seg)
         while pointer is not None:
-            if calls >= budget:
+            answered = self._candidates(
+                [(tuple(seg), pointer)], ctx, budget - calls, deadline, memo
+            )
+            calls += len(answered)
+            if not answered or not answered[0]:  # out of budget, or no candidate
                 return SegmentImputation(None, calls)
-            candidates = self._candidates(seg, pointer, ctx, deadline)
-            calls += 1
-            if not candidates:
-                return SegmentImputation(None, calls)
-            best_token, best_prob = candidates[0]
+            best_token, best_prob = answered[0][0]
             probability *= best_prob
             # seg position pointer+1 holds interior index pointer (the
             # source endpoint occupies seg[0]), so probs tracks interior.
@@ -287,7 +334,11 @@ class BeamSearchImputer(SegmentImputer):
         return prob * interior**self.config.length_norm_alpha
 
     def _impute(
-        self, ctx: GapContext, deadline: Optional[Deadline] = None
+        self,
+        ctx: GapContext,
+        budget: int,
+        deadline: Optional[Deadline],
+        memo: CandidateMemo,
     ) -> SegmentImputation:
         cfg = self.config
         initial = (ctx.source, ctx.dest)
@@ -299,15 +350,18 @@ class BeamSearchImputer(SegmentImputer):
         answers: list[tuple[tuple[int, ...], float, tuple[float, ...]]] = []
         prob_limit = float("-inf")
         calls = 0
-        budget = self._call_budget(ctx)
 
+        # A round asks about every open gap of every surviving beam at
+        # once. When the budget cuts it short (or to nothing), the search
+        # keeps what the answered beams produce and then runs dry.
         while all_gaps:
+            answered = self._candidates(
+                [(beam.seg, beam.pointer) for beam in all_gaps],
+                ctx, budget - calls, deadline, memo,
+            )
+            calls += len(answered)
             new_segments: list[tuple[tuple[int, ...], float, tuple[float, ...]]] = []
-            for beam in all_gaps:
-                if calls >= budget:
-                    break
-                candidates = self._candidates(beam.seg, beam.pointer, ctx, deadline)
-                calls += 1
+            for beam, candidates in zip(all_gaps, answered):
                 for token, p in candidates[: cfg.beam_size]:
                     seg = (
                         beam.seg[: beam.pointer + 1]
@@ -321,8 +375,6 @@ class BeamSearchImputer(SegmentImputer):
                         + beam.probs[beam.pointer :]
                     )
                     new_segments.append((seg, beam.prob * p, probs))
-            if calls >= budget and not new_segments:
-                break
 
             # Keep the global top-B segments, pruned against the best
             # completed normalized score so far.
@@ -343,8 +395,6 @@ class BeamSearchImputer(SegmentImputer):
                 else:
                     for g in gaps:
                         all_gaps.append(_Beam(seg, prob, g, probs))
-            if calls >= budget:
-                break
 
         if not answers:
             return SegmentImputation(None, calls)
@@ -370,12 +420,18 @@ class SinglePointImputer(SegmentImputer):
     strategy_name = "single_point"
 
     def _impute(
-        self, ctx: GapContext, deadline: Optional[Deadline] = None
+        self,
+        ctx: GapContext,
+        budget: int,
+        deadline: Optional[Deadline],
+        memo: CandidateMemo,
     ) -> SegmentImputation:
         seg = (ctx.source, ctx.dest)
         if self.find_first_gap(seg) is None:
             return SegmentImputation((), 0, confidence=1.0)
-        candidates = self._candidates(seg, 0, ctx, deadline)
+        # The budget is at least one call (config validation), so the
+        # single question is always answered.
+        [candidates] = self._candidates([(seg, 0)], ctx, budget, deadline, memo)
         if not candidates:
             return SegmentImputation(None, 1)
         return SegmentImputation(

@@ -34,6 +34,7 @@ from repro.core.config import KamelConfig
 from repro.core.constraints import GapContext, PassthroughConstraints, SpatialConstraints
 from repro.core.detokenization import Detokenizer
 from repro.core.imputation import (
+    CandidateMemo,
     IterativeImputer,
     SegmentImputation,
     make_segment_imputer,
@@ -465,6 +466,9 @@ class Kamel(Imputer):
         # dropped or left hanging.
         calls_spent = 0
         reason: Optional[str] = None
+        # The full and reduced-beam rungs put the same questions to the
+        # same model, so what the first has answered the second reads back.
+        memo: CandidateMemo = {}
         for rung in self.ladder.rungs:
             if rung == RUNG_LINEAR:
                 break
@@ -479,7 +483,9 @@ class Kamel(Imputer):
                 reason = "deadline"
                 break
             try:
-                result = self._run_rung(rung, ctx, a, b, trajectory_model, deadline)
+                result = self._run_rung(
+                    rung, ctx, a, b, trajectory_model, deadline, memo
+                )
             except DeadlineExceeded:
                 obs.count("repro.resilience.deadline_exceeded_total")
                 reason = "deadline"
@@ -544,8 +550,16 @@ class Kamel(Imputer):
         b: Point,
         trajectory_model: Optional[MaskedModel],
         deadline: Optional[Deadline],
+        memo: CandidateMemo,
     ) -> Optional[SegmentImputation]:
-        """Attempt one ladder rung; ``None`` when its model is unavailable."""
+        """Attempt one ladder rung; ``None`` when its model is unavailable.
+
+        ``memo`` is the segment's candidate memo, used by the two rungs
+        that query the repository model (the model lookup is a function
+        of the same box on both, and the rung configs differ in beam
+        width and budget only). The counting rung asks another model and
+        never sees it.
+        """
         assert self.tokenizer and self.constraints
         cfg = self.config
         if rung in (RUNG_FULL, RUNG_REDUCED_BEAM):
@@ -568,7 +582,8 @@ class Kamel(Imputer):
                 rung_cfg,
                 self._gap_threshold_m,
             )
-        elif rung == RUNG_COUNTING:
+            return imputer.impute_segment(ctx, deadline, memo)
+        if rung == RUNG_COUNTING:
             model = self._fallback_model
             if model is None or not model.is_fitted:
                 return None
@@ -581,9 +596,8 @@ class Kamel(Imputer):
             imputer = IterativeImputer(
                 model, self.tokenizer, self.constraints, rung_cfg, self._gap_threshold_m
             )
-        else:  # pragma: no cover - ladder construction forbids unknown rungs
-            return None
-        return imputer.impute_segment(ctx, deadline)
+            return imputer.impute_segment(ctx, deadline)
+        return None  # pragma: no cover - ladder construction forbids unknown rungs
 
     # -- batch and streaming fronts ------------------------------------------------
 

@@ -20,6 +20,9 @@ class SegmentOutcome:
     """True when the segment fell back to a straight line (paper's
     "failure" definition in Section 8's metrics)."""
     model_calls: int = 0
+    """Model queries asked across every ladder rung tried — what the call
+    budget counts, however the queries were executed (batched rounds and
+    candidate-memo hits included)."""
     imputed_points: int = 0
     confidence: Optional[float] = None
     """The imputer's own score for this segment: the length-normalized

@@ -8,6 +8,9 @@ from typing import Sequence
 TokenProb = tuple[int, float]
 """A candidate token id with its predicted probability."""
 
+MaskQuery = tuple[Sequence[int], int]
+"""One masked-token question: ``(tokens, position)``."""
+
 
 class MaskedModel(abc.ABC):
     """Predicts the token at a masked position of a token sequence.
@@ -18,6 +21,14 @@ class MaskedModel(abc.ABC):
     segments. Sequences are plain token-id lists *without* special tokens;
     the position being predicted is identified by index (implementations
     substitute their own mask sentinel internally).
+
+    There are two prediction methods and one contract. A backend must
+    implement :meth:`predict_masked`; :meth:`predict_masked_batch` is what
+    the imputation module calls, and by default it asks the scalar method
+    once per query. A backend whose cost is dominated by a fixed per-call
+    overhead (the BERT forward pass) overrides the batch method and
+    reduces the scalar one to a one-element batch. Either way the answer
+    to a query must not depend on which other queries share its batch.
     """
 
     @abc.abstractmethod
@@ -35,6 +46,20 @@ class MaskedModel(abc.ABC):
         probabilities are a proper distribution over the vocabulary (so
         they can be multiplied along a beam-search path).
         """
+
+    def predict_masked_batch(
+        self, queries: Sequence[MaskQuery], top_k: int = 10
+    ) -> list[list[TokenProb]]:
+        """Candidates for every ``(tokens, position)`` query, in order.
+
+        ``result[i]`` equals ``predict_masked(*queries[i], top_k)`` exactly
+        (the same floats, not merely close ones): batching is a cost
+        optimisation that never changes an answer.
+        """
+        return [
+            self.predict_masked(tokens, position, top_k)
+            for tokens, position in queries
+        ]
 
     @property
     @abc.abstractmethod

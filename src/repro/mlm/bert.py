@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigError, NotFittedError
-from repro.mlm.base import MaskedModel, TokenProb, validate_mask_query
+from repro.mlm.base import MaskQuery, MaskedModel, TokenProb, validate_mask_query
 from repro.nn import Adam, Dropout, Embedding, LayerNorm, Linear, Module, clip_grad_norm, no_grad
 from repro.nn.functional import cross_entropy
 from repro.nn.tensor import Tensor
@@ -320,30 +320,51 @@ class BertMaskedLM(MaskedModel):
     def predict_masked(
         self, tokens: Sequence[int], position: int, top_k: int = 10
     ) -> list[TokenProb]:
-        validate_mask_query(tokens, position)
+        return self.predict_masked_batch([(tokens, position)], top_k)[0]
+
+    def predict_masked_batch(
+        self, queries: Sequence[MaskQuery], top_k: int = 10
+    ) -> list[list[TokenProb]]:
+        """One ``no_grad`` forward per group of equal-length queries.
+
+        Rows are stacked, never padded: a padded row attends over a longer
+        (masked) sequence and sums in another order, which moves the last
+        bits of its logits, while stacking B same-shape rows runs the same
+        per-row GEMMs and reductions as B single forwards. The queries of
+        one beam round all have the same length, so a round is one forward.
+        """
+        for tokens, position in queries:
+            validate_mask_query(tokens, position)
         if not self.is_fitted:
             raise NotFittedError("BertMaskedLM.predict_masked before fit")
         assert self.model is not None and self._config is not None
-        obs.count("repro.bert.predictions_total")
+        obs.count("repro.bert.predictions_total", len(queries))
 
         # Clip a context window around the masked position when the
         # sequence exceeds the model's maximum length.
         max_len = self._config.max_seq_len
-        tokens = list(tokens)
-        start = 0
-        if len(tokens) > max_len:
-            start = min(max(0, position - max_len // 2), len(tokens) - max_len)
-            tokens = tokens[start : start + max_len]
-        local = position - start
-        tokens[local] = _MASK_ID
+        by_length: dict[int, list[tuple[int, list[int], int]]] = {}
+        for index, (tokens, position) in enumerate(queries):
+            tokens = list(tokens)
+            start = 0
+            if len(tokens) > max_len:
+                start = min(max(0, position - max_len // 2), len(tokens) - max_len)
+                tokens = tokens[start : start + max_len]
+            local = position - start
+            tokens[local] = _MASK_ID
+            by_length.setdefault(len(tokens), []).append((index, tokens, local))
 
-        ids = np.asarray([tokens], dtype=np.int64)
-        with no_grad():
-            logits = self.model(ids)
-        row = logits.data[0, local]
-        row = row - row.max()
-        probs = np.exp(row)
-        probs /= probs.sum()
-        probs[:_NUM_SPECIAL] = 0.0  # never propose special tokens
-        order = np.argsort(-probs)[:top_k]
-        return [(int(i), float(probs[i])) for i in order if probs[i] > 0.0]
+        out: list[list[TokenProb]] = [[] for _ in queries]
+        for group in by_length.values():
+            ids = np.asarray([tokens for _, tokens, _ in group], dtype=np.int64)
+            with no_grad():
+                logits = self.model(ids)
+            for row_index, (index, _, local) in enumerate(group):
+                row = logits.data[row_index, local]
+                row = row - row.max()
+                probs = np.exp(row)
+                probs /= probs.sum()
+                probs[:_NUM_SPECIAL] = 0.0  # never propose special tokens
+                order = np.argsort(-probs)[:top_k]
+                out[index] = [(int(i), float(probs[i])) for i in order if probs[i] > 0.0]
+        return out

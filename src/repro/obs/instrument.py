@@ -77,7 +77,9 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.imputation.beam.segments_total": "Segments run by Algorithm 2 (beam search).",
     "repro.imputation.single_point.segments_total": "Segments run by the single-point ablation.",
     "repro.imputation.failures_total": "Segment searches that returned no token sequence.",
-    "repro.imputation.model_calls_total": "Exact masked-model calls across segment searches (the calls_per_segment quantiles are P² estimates; use this counter for totals).",
+    "repro.imputation.model_calls_total": "Exact masked-model queries asked across segment searches — rows of a batch and memo hits included, so it is what the budget counts (the calls_per_segment quantiles are P² estimates; use this counter for totals).",
+    "repro.imputation.model_invocations_total": "predict_masked_batch invocations issued by segment searches: one per beam round with a query the memo could not answer.",
+    "repro.imputation.memo_hits_total": "Queries answered from the per-segment candidate memo (asked before in this segment, by this or the previous ladder rung) instead of the model.",
     "repro.imputation.budget_exhausted_total": "Segment searches stopped by the model-call budget.",
     "repro.imputation.calls_per_segment": "Model calls spent on one segment.",
     "repro.imputation.budget_consumed_ratio": "Fraction of the per-segment call budget spent.",
@@ -107,8 +109,8 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.detokenization.mode.largest_cluster_total": "Outcome: largest cluster (no direction context).",
     # -- BERT backend (mlm.bert) ------------------------------------------
     "repro.bert.forward_seconds": "One BertModel forward pass.",
-    "repro.bert.forward_batch_size": "Sequences per forward pass.",
-    "repro.bert.predictions_total": "predict_masked calls served.",
+    "repro.bert.forward_batch_size": "Sequences per forward pass (training batches, and at inference the distinct queries of one beam round).",
+    "repro.bert.predictions_total": "Masked-token queries served (rows, not forward passes).",
     "repro.bert.train_steps_total": "Optimizer steps taken across fits.",
     "repro.bert.fit_seconds": "Wall time of one BertMaskedLM.fit.",
     # -- streaming service (core.streaming) -------------------------------

@@ -28,7 +28,7 @@ import time
 from typing import Callable, Optional, Sequence, TypeVar
 
 from repro.errors import CircuitOpenError
-from repro.mlm.base import MaskedModel, TokenProb
+from repro.mlm.base import MaskQuery, MaskedModel, TokenProb
 from repro.obs import instrument as obs
 from repro.obs.logging import get_logger
 
@@ -203,10 +203,13 @@ class RetryPolicy:
 class GuardedModel(MaskedModel):
     """A :class:`MaskedModel` proxy: inference under retry + breaker + chaos.
 
-    Wraps the model chosen for a segment so every ``predict_masked`` call
-    runs through the inference guards.  The chaos hook fires *inside* the
+    Wraps the model chosen for a segment so every model *invocation* —
+    one ``predict_masked_batch`` of any size, or one ``predict_masked`` —
+    is one guarded attempt: one chaos-hook firing, one retry budget, one
+    breaker success or failure.  The chaos hook fires *inside* the
     retried callable — an injected transient fault can be absorbed by a
-    retry, which is exactly the behavior the harness needs to prove.
+    retry (which re-runs the whole batch), which is exactly the behavior
+    the harness needs to prove.
     """
 
     def __init__(self, inner: MaskedModel, guards: "PipelineGuards") -> None:
@@ -219,9 +222,17 @@ class GuardedModel(MaskedModel):
     def predict_masked(
         self, tokens: Sequence[int], position: int, top_k: int = 10
     ) -> list[TokenProb]:
-        def attempt() -> list[TokenProb]:
+        return self._guarded(lambda: self.inner.predict_masked(tokens, position, top_k))
+
+    def predict_masked_batch(
+        self, queries: Sequence[MaskQuery], top_k: int = 10
+    ) -> list[list[TokenProb]]:
+        return self._guarded(lambda: self.inner.predict_masked_batch(queries, top_k))
+
+    def _guarded(self, invoke: Callable[[], T]) -> T:
+        def attempt() -> T:
             self.guards.chaos_hook("model.predict")
-            return self.inner.predict_masked(tokens, position, top_k)
+            return invoke()
 
         return self.guards.inference_breaker.call(
             lambda: self.guards.inference_retry.call(attempt)

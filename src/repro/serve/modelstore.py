@@ -4,7 +4,7 @@
 evaluation, wrong for a sharded worker that will only ever be asked about
 its own partition. :func:`load_kamel_lazy` restores the same system with
 every repository slot holding a :class:`LazyModel` proxy instead: the
-first ``predict_masked`` pulls the real model out of the
+first prediction (either method) pulls the real model out of the
 :class:`~repro.io.serialize.ModelStore` through a bounded
 :class:`ModelLRU`, and models that fall out of the working set are
 evicted. A worker's resident memory is then O(LRU capacity), not
@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 from repro.core.kamel import Kamel
 from repro.io.serialize import ModelStore, load_kamel
-from repro.mlm.base import MaskedModel, TokenProb
+from repro.mlm.base import MaskQuery, MaskedModel, TokenProb
 from repro.obs import instrument as obs
 from repro.obs.tracing import span
 
@@ -113,6 +113,11 @@ class LazyModel(MaskedModel):
         self, tokens: Sequence[int], position: int, top_k: int = 10
     ) -> list[TokenProb]:
         return self._cache.get(self.file_name).predict_masked(tokens, position, top_k)
+
+    def predict_masked_batch(
+        self, queries: Sequence[MaskQuery], top_k: int = 10
+    ) -> list[list[TokenProb]]:
+        return self._cache.get(self.file_name).predict_masked_batch(queries, top_k)
 
     @property
     def is_fitted(self) -> bool:

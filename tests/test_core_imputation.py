@@ -6,14 +6,17 @@ cell's east/west neighbours with configurable probabilities.
 """
 
 import dataclasses
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import KamelConfig
 from repro.core.constraints import GapContext, SpatialConstraints
 from repro.core.imputation import (
     BeamSearchImputer,
     IterativeImputer,
+    SegmentImputation,
     SinglePointImputer,
     make_segment_imputer,
 )
@@ -21,6 +24,7 @@ from repro.core.tokenization import Tokenizer
 from repro.geo import Point
 from repro.grid import HexGrid
 from repro.mlm.base import MaskedModel, validate_mask_query
+from repro.resilience.deadline import Deadline
 
 
 class CorridorModel(MaskedModel):
@@ -280,3 +284,271 @@ class TestFactory:
             make_segment_imputer(model, tokenizer, constraints, cfg),
             SinglePointImputer,
         )
+
+
+# -- batched rounds + candidate memo vs the scalar loops they replaced ---------
+
+
+class SeededModel(MaskedModel):
+    """Arbitrary but reproducible answers over a tiny vocabulary: up to
+    ``top_k`` neighbours of the masked position's two anchors, weighted by
+    a generator seeded from (seed, left, right). ``queries`` counts rows
+    reaching the model, ``invocations`` calls of either method, and
+    ``batch_lengths`` keeps the query lengths of each batch."""
+
+    def __init__(self, tokenizer: Tokenizer, seed: int):
+        self.tokenizer = tokenizer
+        self.seed = seed
+        self.queries = 0
+        self.invocations = 0
+        self.batch_lengths: list[set[int]] = []
+
+    def fit(self, sequences, vocab_size):
+        return self
+
+    @property
+    def is_fitted(self):
+        return True
+
+    @property
+    def num_training_tokens(self):
+        return 1
+
+    def predict_masked(self, tokens, position, top_k=10):
+        self.invocations += 1
+        return self._answer(tokens, position, top_k)
+
+    def predict_masked_batch(self, queries, top_k=10):
+        self.invocations += 1
+        self.batch_lengths.append({len(tokens) for tokens, _ in queries})
+        return [self._answer(tokens, position, top_k) for tokens, position in queries]
+
+    def _answer(self, tokens, position, top_k):
+        validate_mask_query(tokens, position)
+        self.queries += 1
+        vocab, grid = self.tokenizer.vocabulary, self.tokenizer.grid
+        left = tokens[position - 1] if position >= 1 else None
+        right = tokens[position + 1] if position + 1 < len(tokens) else None
+        rng = random.Random(f"{self.seed}/{left}/{right}")
+        pool = sorted({
+            vocab.encode(cell)
+            for anchor in (left, right)
+            if anchor is not None and not vocab.is_special(anchor)
+            for cell in grid.neighbors(self.tokenizer.cell_of_token(anchor))
+            if cell in vocab
+        })
+        chosen = rng.sample(pool, min(len(pool), top_k))
+        weights = [rng.random() + 0.05 for _ in chosen]
+        total = sum(weights) * (1.0 + rng.random())  # leave some mass unassigned
+        return sorted(
+            ((t, w / total) for t, w in zip(chosen, weights)), key=lambda tp: (-tp[1], tp[0])
+        )
+
+
+def _patch_world(model_seed, **config):
+    """An 8 x 3 patch of hexagon cells, every one in the vocabulary."""
+    tokenizer = Tokenizer(HexGrid(75.0))
+    tokens = {
+        (q, r): tokenizer.vocabulary.add((q, r)) for q in range(8) for r in range(3)
+    }
+    cfg = KamelConfig(max_speed_mps=30.0, top_k_candidates=5, **config)
+    constraints = SpatialConstraints(tokenizer, cfg, max_speed_mps=30.0)
+    return tokenizer, cfg, constraints, SeededModel(tokenizer, model_seed), tokens
+
+
+def _scalar_candidates(imputer, seg, i, ctx):
+    tokens, position = imputer._query(seg, i, ctx)
+    raw = imputer.model.predict_masked(
+        tokens, position, top_k=imputer.config.top_k_candidates
+    )
+    return imputer.constraints.filter(raw, ctx, seg, i)
+
+
+def _scalar_iterative(imputer, ctx):
+    """Algorithm 1 as it ran before rounds: one model call per step."""
+    seg = [ctx.source, ctx.dest]
+    probs = []
+    calls = 0
+    probability = 1.0
+    budget = imputer._call_budget(ctx)
+    pointer = imputer.find_first_gap(seg)
+    while pointer is not None:
+        if calls >= budget:
+            return SegmentImputation(None, calls)
+        candidates = _scalar_candidates(imputer, seg, pointer, ctx)
+        calls += 1
+        if not candidates:
+            return SegmentImputation(None, calls)
+        best_token, best_prob = candidates[0]
+        probability *= best_prob
+        seg.insert(pointer + 1, best_token)
+        probs.insert(pointer, best_prob)
+        pointer = imputer.find_first_gap(seg)
+    interior = tuple(seg[1:-1])
+    normalized = probability * max(1, len(interior)) ** imputer.config.length_norm_alpha
+    return SegmentImputation(
+        interior, calls, confidence=min(1.0, normalized), point_confidences=tuple(probs)
+    )
+
+
+def _scalar_beam(imputer, ctx):
+    """Algorithm 2 as it ran before rounds: one model call per (beam, gap),
+    the budget tested before each."""
+    cfg = imputer.config
+    initial = (ctx.source, ctx.dest)
+    first_gap = imputer.find_first_gap(initial)
+    if first_gap is None:
+        return SegmentImputation((), 0, confidence=1.0)
+    all_gaps = [(initial, 1.0, first_gap, ())]
+    answers = []
+    prob_limit = float("-inf")
+    calls = 0
+    budget = imputer._call_budget(ctx)
+    while all_gaps:
+        new_segments = []
+        for beam_seg, beam_prob, pointer, beam_probs in all_gaps:
+            if calls >= budget:
+                break
+            candidates = _scalar_candidates(imputer, beam_seg, pointer, ctx)
+            calls += 1
+            for token, p in candidates[: cfg.beam_size]:
+                seg = beam_seg[: pointer + 1] + (token,) + beam_seg[pointer + 1 :]
+                probs = beam_probs[:pointer] + (p,) + beam_probs[pointer:]
+                new_segments.append((seg, beam_prob * p, probs))
+        if calls >= budget and not new_segments:
+            break
+        new_segments.sort(key=lambda sp: -sp[1])
+        survivors = [
+            (seg, prob, probs)
+            for seg, prob, probs in new_segments
+            if imputer._normalized(seg, prob) >= prob_limit
+        ][: cfg.beam_size]
+        all_gaps = []
+        for seg, prob, probs in survivors:
+            gaps = imputer.find_gaps(seg)
+            if not gaps:
+                score = imputer._normalized(seg, prob)
+                answers.append((seg, score, probs))
+                prob_limit = max(prob_limit, score)
+            else:
+                for g in gaps:
+                    all_gaps.append((seg, prob, g, probs))
+        if calls >= budget:
+            break
+    if not answers:
+        return SegmentImputation(None, calls)
+    best_seg, best_score, best_probs = max(answers, key=lambda sp: sp[1])
+    return SegmentImputation(
+        best_seg[1:-1], calls, confidence=min(1.0, best_score), point_confidences=best_probs
+    )
+
+
+class TestRoundsMatchScalarLoops:
+    """One model invocation per round and a candidate memo change how the
+    search is executed, never what it returns or what it is charged."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        model_seed=st.integers(0, 10_000),
+        beam_size=st.integers(1, 10),
+        budget=st.integers(1, 60),
+        end=st.integers(3, 7),
+        with_context=st.booleans(),
+    )
+    def test_beam_search(self, model_seed, beam_size, budget, end, with_context):
+        tokenizer, cfg, constraints, model, tokens = _patch_world(
+            model_seed, beam_size=beam_size, max_model_calls=budget
+        )
+        ctx = GapContext(
+            tokens[(0, 1)], tokens[(end, 1)], source_time=0.0, dest_time=60.0,
+            next_token=tokens[(end, 0)] if with_context else None,
+        )
+        imputer = BeamSearchImputer(model, tokenizer, constraints, cfg)
+        expected = _scalar_beam(imputer, ctx)
+        scalar_queries = model.queries
+        model.queries = model.invocations = 0
+
+        got = imputer.impute_segment(ctx)
+
+        assert got == expected  # interior, model_calls, confidence, point_confidences
+        assert got.model_calls <= budget
+        # Fewer rows reach the model (repeats come from the memo) ...
+        assert model.queries <= scalar_queries == expected.model_calls
+        # ... one invocation per round: a round inserts one token into every
+        # beam, so a batch has one query length (what lets BERT stack it
+        # unpadded) and each batch is one token longer than the last.
+        assert model.invocations == len(model.batch_lengths)
+        assert all(len(lengths) == 1 for lengths in model.batch_lengths)
+        ordered = [min(lengths) for lengths in model.batch_lengths]
+        assert ordered == sorted(set(ordered))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model_seed=st.integers(0, 10_000),
+        budget=st.integers(1, 12),
+        end=st.integers(3, 7),
+    )
+    def test_iterative_and_single_point(self, model_seed, budget, end):
+        tokenizer, cfg, constraints, model, tokens = _patch_world(
+            model_seed, max_model_calls=budget
+        )
+        ctx = GapContext(tokens[(0, 1)], tokens[(end, 1)], source_time=0.0, dest_time=60.0)
+        imputer = IterativeImputer(model, tokenizer, constraints, cfg)
+        assert imputer.impute_segment(ctx) == _scalar_iterative(imputer, ctx)
+
+        single = SinglePointImputer(model, tokenizer, constraints, cfg).impute_segment(ctx)
+        first = _scalar_candidates(imputer, (ctx.source, ctx.dest), 0, ctx)
+        assert single.model_calls == 1
+        assert single.interior == ((first[0][0],) if first else None)
+
+    def test_budget_cuts_a_round_in_the_middle(self):
+        """Budget 7, beam 4: the first round asks 1 question and later rounds
+        several, so the 7th falls inside a round and the rest of it is cut."""
+        tokenizer, cfg, constraints, model, tokens = _patch_world(
+            11, beam_size=4, max_model_calls=7
+        )
+        ctx = GapContext(tokens[(0, 1)], tokens[(7, 1)], source_time=0.0, dest_time=60.0)
+        imputer = BeamSearchImputer(model, tokenizer, constraints, cfg)
+        expected = _scalar_beam(imputer, ctx)
+        assert expected.failed and expected.model_calls == 7  # the cut happened
+        model.invocations = 0
+        assert imputer.impute_segment(ctx) == expected
+        assert model.invocations < 7
+
+    def test_shared_memo_serves_a_second_run(self):
+        tokenizer, cfg, constraints, model, tokens = _patch_world(3, beam_size=6)
+        ctx = GapContext(tokens[(0, 1)], tokens[(6, 1)], source_time=0.0, dest_time=60.0)
+        memo = {}
+        wide = BeamSearchImputer(model, tokenizer, constraints, cfg)
+        first = wide.impute_segment(ctx, memo=memo)
+        asked = model.queries
+        narrow_cfg = dataclasses.replace(cfg, beam_size=2)
+        narrow = BeamSearchImputer(model, tokenizer, constraints, narrow_cfg)
+        second = narrow.impute_segment(ctx, memo=memo)
+        # The narrow search walks a subset of the wide one's partial segments.
+        assert model.queries == asked
+        assert second.model_calls > 0
+        assert second == _scalar_beam(narrow, ctx)
+        assert first == _scalar_beam(wide, ctx)
+
+    def test_memo_holds_filtered_candidates(self):
+        tokenizer, cfg, constraints, model, tokens = _patch_world(3)
+        ctx = GapContext(tokens[(0, 1)], tokens[(5, 1)], source_time=0.0, dest_time=60.0)
+        memo = {}
+        imputer = BeamSearchImputer(model, tokenizer, constraints, cfg)
+        imputer.impute_segment(ctx, memo=memo)
+        assert memo
+        for (seg, i), stored in memo.items():
+            assert stored == _scalar_candidates(imputer, seg, i, ctx)
+
+    def test_deadline_checked_once_per_round(self):
+        tokenizer, cfg, constraints, model, tokens = _patch_world(3, beam_size=5)
+        ctx = GapContext(tokens[(0, 1)], tokens[(6, 1)], source_time=0.0, dest_time=60.0)
+
+        checks = []
+        deadline = Deadline(1e9, 1e9, clock=lambda: checks.append(1) or 0.0)
+        result = BeamSearchImputer(model, tokenizer, constraints, cfg).impute_segment(
+            ctx, deadline
+        )
+        # One clock read per round, memo-only rounds included.
+        assert model.invocations <= len(checks) < result.model_calls

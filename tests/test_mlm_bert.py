@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigError, NotFittedError
 from repro.mlm import BertConfig, BertMaskedLM, BertModel, TrainingConfig
 from repro.mlm.bert import _mask_batch
+from repro.nn import no_grad
 
 
 def tiny_config(**overrides) -> BertConfig:
@@ -169,3 +170,101 @@ class TestTraining:
         model = BertMaskedLM(tiny_config(), TrainingConfig(epochs=1))
         model.fit([], vocab_size=24)
         assert not model.is_fitted
+
+
+def _single_forward_reference(model: BertMaskedLM, tokens, position, top_k):
+    """The scalar ``predict_masked`` body as it was before batching: one
+    ``(1, T)`` forward. Kept as the reference the batch is held equal to."""
+    max_len = model.model.config.max_seq_len
+    tokens = list(tokens)
+    start = 0
+    if len(tokens) > max_len:
+        start = min(max(0, position - max_len // 2), len(tokens) - max_len)
+        tokens = tokens[start : start + max_len]
+    local = position - start
+    tokens[local] = 1  # [MASK]
+    with no_grad():
+        logits = model.model(np.asarray([tokens], dtype=np.int64))
+    row = logits.data[0, local]
+    row = row - row.max()
+    probs = np.exp(row)
+    probs /= probs.sum()
+    probs[:3] = 0.0
+    order = np.argsort(-probs)[:top_k]
+    return [(int(i), float(probs[i])) for i in order if probs[i] > 0.0]
+
+
+class TestBatchPrediction:
+    """``predict_masked_batch`` returns the very floats of single forwards."""
+
+    VOCAB = 300
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        # The default architecture (48 wide, 2 layers, 64 positions): GEMM
+        # kernels are picked by shape, so equality is checked at the shapes
+        # the system runs, with briefly trained (non-degenerate) weights.
+        rng = np.random.default_rng(5)
+        corpus = [
+            [int(t) for t in rng.integers(3, self.VOCAB, size=rng.integers(4, 30))]
+            for _ in range(64)
+        ]
+        model = BertMaskedLM(training=TrainingConfig(epochs=1, max_steps=4, seed=2))
+        return model.fit(corpus, vocab_size=self.VOCAB)
+
+    def _queries(self, rng, lengths):
+        return [
+            ([int(t) for t in rng.integers(3, self.VOCAB, size=n)], int(rng.integers(0, n)))
+            for n in lengths
+        ]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 10, 25])
+    def test_same_length_rows_equal_single_forwards(self, model, rows):
+        rng = np.random.default_rng(rows)
+        for length in (3, 6, 11, 24):
+            queries = self._queries(rng, [length] * rows)
+            batch = model.predict_masked_batch(queries, top_k=10)
+            assert batch == [
+                _single_forward_reference(model, tokens, position, 10)
+                for tokens, position in queries
+            ]
+            assert batch == [model.predict_masked(t, p, top_k=10) for t, p in queries]
+
+    def test_mixed_lengths_and_overlong_sequence(self, model):
+        rng = np.random.default_rng(9)
+        # 90 > max_seq_len 64: clipped to a window, which then shares a
+        # forward with the genuine 64-token row.
+        queries = self._queries(rng, [5, 9, 5, 90, 64, 3, 9, 5])
+        queries[3] = (queries[3][0], 80)
+        batch = model.predict_masked_batch(queries, top_k=7)
+        assert batch == [
+            _single_forward_reference(model, tokens, position, 7)
+            for tokens, position in queries
+        ]
+
+    def test_one_forward_per_length_group(self, model, monkeypatch):
+        shapes = []
+        forward = model.model.forward
+        monkeypatch.setattr(
+            model.model, "forward",
+            lambda ids, *a, **k: shapes.append(np.shape(ids)) or forward(ids, *a, **k),
+        )
+        rng = np.random.default_rng(3)
+        model.predict_masked_batch(self._queries(rng, [6, 6, 8, 6, 8]), top_k=5)
+        assert sorted(shapes) == [(2, 8), (3, 6)]
+
+    def test_does_not_mutate_queries(self, model):
+        tokens = [5, 6, 7, 8]
+        model.predict_masked_batch([(tokens, 2)], top_k=3)
+        assert tokens == [5, 6, 7, 8]
+
+    def test_empty_batch(self, model):
+        assert model.predict_masked_batch([], top_k=10) == []
+
+    def test_invalid_query_rejected_before_any_forward(self, model):
+        with pytest.raises(ValueError):
+            model.predict_masked_batch([([5, 6, 7], 1), ([5, 6], 2)], top_k=3)
+
+    def test_batch_before_fit_raises(self):
+        with pytest.raises(NotFittedError):
+            BertMaskedLM(tiny_config()).predict_masked_batch([([3, 4, 5], 1)])

@@ -180,3 +180,29 @@ class TestPredictionProperties:
 
         with _pytest.raises(ValueError):
             CountingMaskedLM(scoring="magic")
+
+
+class TestBatchPrediction:
+    """The counting backend answers a batch through the base-class loop."""
+
+    @pytest.mark.parametrize("scoring", ["policy_value", "interpolation"])
+    def test_batch_equals_scalar(self, scoring):
+        model = CountingMaskedLM(scoring=scoring).fit(BRANCHING + BACKWARD, VOCAB)
+        queries = [
+            ([4, 0, 6], 1),
+            ([3, 4, 5, 0, 21, 22], 3),  # another length in the same call
+            ([0, 4, 5], 0),
+            ([30, 0, 31], 1),  # unseen context: unigram back-off
+            ([4, 0, 6], 1),  # a repeated query
+        ]
+        assert model.predict_masked_batch(queries, top_k=4) == [
+            model.predict_masked(tokens, position, top_k=4)
+            for tokens, position in queries
+        ]
+
+    def test_empty_batch(self):
+        assert fitted().predict_masked_batch([], top_k=3) == []
+
+    def test_batch_before_fit_raises(self):
+        with pytest.raises(NotFittedError):
+            CountingMaskedLM().predict_masked_batch([([3, 0, 5], 1)])

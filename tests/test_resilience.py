@@ -3,8 +3,12 @@ journal, quarantine, and input validation — all with injected clocks and
 sleeps, so nothing here waits on real time."""
 
 import math
+import random
 
 import pytest
+
+from repro import Kamel, KamelConfig
+from repro.core.imputation import BeamSearchImputer, IterativeImputer, SegmentImputer
 
 from repro.errors import (
     CircuitOpenError,
@@ -13,8 +17,12 @@ from repro.errors import (
     QuarantinedInputError,
 )
 from repro.geo import Point, Trajectory
+from repro.mlm.base import MaskedModel
+from repro.obs import MetricsRegistry, get_registry, set_registry
 from repro.resilience import (
     ALL_RUNGS,
+    ChaosConfig,
+    ChaosMonkey,
     CircuitBreaker,
     Deadline,
     DegradationLadder,
@@ -32,6 +40,7 @@ from repro.resilience import (
     trajectory_from_payload,
     trajectory_to_payload,
     validate_trajectory,
+    chaos_scope,
 )
 
 
@@ -426,3 +435,230 @@ class TestKamelDeadlineIntegration:
             assert segment.rung in ALL_RUNGS
             assert segment.failed == (segment.rung == RUNG_LINEAR)
         assert sum(result.rung_counts.values()) == result.num_segments
+
+
+class _RowCountingModel(MaskedModel):
+    """Forwards to ``inner``, counting invocations and the rows in them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.invocations = 0
+        self.rows = 0
+
+    def fit(self, sequences, vocab_size):
+        raise NotImplementedError
+
+    def predict_masked(self, tokens, position, top_k=10):
+        return self.predict_masked_batch([(tokens, position)], top_k)[0]
+
+    def predict_masked_batch(self, queries, top_k=10):
+        self.invocations += 1
+        self.rows += len(queries)
+        return self.inner.predict_masked_batch(queries, top_k)
+
+    @property
+    def is_fitted(self):
+        return self.inner.is_fitted
+
+    @property
+    def num_training_tokens(self):
+        return self.inner.num_training_tokens
+
+
+class _FlakyBackend(MaskedModel):
+    """:class:`_FlakyModel` as a real backend: scalar method only, so a
+    batch runs through the inherited loop and fails with its first row."""
+
+    def __init__(self, failures: int = 0) -> None:
+        self.failures = failures
+        self.calls = 0
+
+    def fit(self, sequences, vocab_size):
+        raise NotImplementedError
+
+    def predict_masked(self, tokens, position, top_k=10):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise InjectedFault("flaky")
+        return [(7, 1.0)]
+
+    is_fitted = True
+    num_training_tokens = 0
+
+
+class TestGuardedBatch:
+    """One ``predict_masked_batch`` is one guarded attempt, whatever its size."""
+
+    QUERIES = [([3, 0, 5], 1), ([3, 4, 0, 6], 2), ([0, 4], 0)]
+
+    def _fault_then_pass_seed(self, rate=0.5):
+        for seed in range(100):
+            rng = random.Random(seed)
+            if rng.random() < rate <= rng.random():
+                return seed
+        raise AssertionError("no seed with a fault-then-pass opening")
+
+    def test_one_injected_fault_is_absorbed_by_one_retry(self):
+        guards = PipelineGuards(retry_attempts=2, sleep=lambda _: None)
+        guards.chaos = ChaosMonkey(ChaosConfig(
+            seed=self._fault_then_pass_seed(), failure_rate=0.5,
+            failure_sites=("model.predict",),
+        ))
+        inner = _RowCountingModel(_FlakyBackend())
+        answers = guards.guard_model(inner).predict_masked_batch(self.QUERIES, top_k=4)
+        assert answers == [[(7, 1.0)]] * 3
+        # The hook fired once per attempt — not once per row — and the fault
+        # struck before the batch reached the model, which then ran it once.
+        assert guards.chaos.report.calls == {"model.predict": 2}
+        assert guards.chaos.report.faults == {"model.predict": 1}
+        assert guards.inference_retry.total_retries == 1
+        assert (inner.invocations, inner.rows) == (1, 3)
+        assert guards.inference_breaker.state == "closed"
+
+    def test_a_retried_fault_reruns_the_whole_batch(self):
+        guards = PipelineGuards(retry_attempts=2, sleep=lambda _: None)
+        flaky = _FlakyBackend(failures=1)
+        inner = _RowCountingModel(flaky)
+        answers = guards.guard_model(inner).predict_masked_batch(self.QUERIES)
+        assert answers == [[(7, 1.0)]] * 3
+        assert (inner.invocations, inner.rows) == (2, 6)
+
+    def test_repeated_faults_open_the_breaker_per_invocation(self):
+        clock = FakeClock()
+        guards = PipelineGuards(
+            failure_threshold=2, retry_attempts=0, clock=clock, sleep=lambda _: None
+        )
+        inner = _RowCountingModel(_FlakyBackend(failures=10 ** 6))
+        guarded = guards.guard_model(inner)
+        for _ in range(2):  # two failed invocations of three rows: threshold 2
+            with pytest.raises(InjectedFault):
+                guarded.predict_masked_batch(self.QUERIES)
+        with pytest.raises(CircuitOpenError):
+            guarded.predict_masked_batch(self.QUERIES)
+        assert inner.invocations == 2  # short-circuited, not called
+
+
+@pytest.fixture(scope="module")
+def starved_kamel(small_dataset):
+    """A system whose budget of 5 queries fails both beam rungs on any
+    real gap, so every segment walks the ladder down to the counting rung."""
+    train, _ = small_dataset.split(seed=1)
+    return Kamel(KamelConfig(max_model_calls=5)).fit(train)
+
+
+class TestLadderCandidateMemo:
+    def _spy(self, system, monkeypatch):
+        """Route repository models through row counters and log each rung's
+        ``impute_segment`` (strategy, model, memo, queries charged)."""
+        counters = {}
+        guard_model = system.guards.guard_model
+
+        def counted(model):
+            counter = counters.setdefault(id(model), _RowCountingModel(model))
+            return guard_model(counter)
+
+        monkeypatch.setattr(system.guards, "guard_model", counted)
+        runs = []
+        impute_segment = SegmentImputer.impute_segment
+
+        def logged(self, ctx, deadline=None, memo=None):
+            before = sum(c.rows for c in counters.values())
+            result = impute_segment(self, ctx, deadline, memo)
+            rows = sum(c.rows for c in counters.values()) - before
+            if not runs or runs[-1][0] is not ctx:  # a new segment: its rungs share ctx
+                runs.append((ctx, []))
+            runs[-1][1].append((self, memo, result, rows))
+            return result
+
+        monkeypatch.setattr(SegmentImputer, "impute_segment", logged)
+        return counters, runs
+
+    def test_reduced_beam_rung_reads_what_the_full_rung_asked(
+        self, starved_kamel, small_split, monkeypatch
+    ):
+        counters, runs = self._spy(starved_kamel, monkeypatch)
+        _, test = small_split
+        result = starved_kamel.impute(test[0].sparsify(600.0))
+        assert len(runs) == result.num_segments
+
+        descended = [
+            (rungs, outcome)
+            for (_, rungs), outcome in zip(runs, result.segments)
+            if rungs[0][2].failed
+        ]
+        assert descended  # the budget of 5 starves the longer gaps
+        for (full, reduced, counting), outcome in descended:
+            assert isinstance(full[0], BeamSearchImputer)
+            assert isinstance(reduced[0], BeamSearchImputer)
+            assert reduced[0].config.beam_size < full[0].config.beam_size
+            # One memo per segment, shared by the two beam rungs only.
+            assert full[1] is not None and reduced[1] is full[1]
+            assert isinstance(counting[0], IterativeImputer) and counting[1] is None
+            assert not isinstance(counting[0].model, GuardedModel)
+            # The narrow beam re-walks the wide beam's partial segments: it
+            # is charged its five queries and sends none to the model ...
+            assert full[2].model_calls == reduced[2].model_calls == 5
+            assert 0 < full[3] <= 5 and reduced[3] == 0
+            # ... and the segment is still billed for every query asked.
+            assert outcome.model_calls == 10 + counting[2].model_calls
+            assert outcome.rung in (RUNG_COUNTING, RUNG_LINEAR)
+        memos = [rungs[0][1] for _, rungs in runs]
+        assert len({id(m) for m in memos}) == len(memos)  # never shared across segments
+        assert sum(c.rows for c in counters.values()) < sum(
+            run[2].model_calls for _, rungs in runs for run in rungs[:2]
+        )
+
+    def test_memo_counters(self, starved_kamel, small_split):
+        previous = set_registry(MetricsRegistry())
+        try:
+            _, test = small_split
+            result = starved_kamel.impute(test[0].sparsify(600.0))
+            registry = get_registry()
+            calls = registry.get("repro.imputation.model_calls_total").value
+            hits = registry.get("repro.imputation.memo_hits_total").value
+            invocations = registry.get("repro.imputation.model_invocations_total").value
+        finally:
+            set_registry(previous)
+        assert calls == result.total_model_calls
+        reduced_runs = sum(s.rung in (RUNG_COUNTING, RUNG_LINEAR) for s in result.segments)
+        assert reduced_runs and hits >= 5 * reduced_runs  # each reduced-beam rung, whole
+        assert 0 < invocations <= calls - hits
+
+    def test_repeated_inference_faults_descend_to_the_counting_rung(
+        self, starved_kamel, small_split
+    ):
+        """Chaos at ``model.predict`` fails every batched round: after
+        ``threshold`` failed invocations the circuit opens and segments are
+        served by the (unguarded, memo-less) counting rung."""
+        system = starved_kamel
+        system.guards.reset()
+        monkey = ChaosMonkey(
+            ChaosConfig(seed=1, failure_rate=1.0, failure_sites=("model.predict",)),
+            sleep=lambda _: None,
+        )
+        _, test = small_split
+        try:
+            with chaos_scope(monkey, system=system):
+                results = [system.impute(t.sparsify(600.0)) for t in test[:4]]
+            assert system.guards.inference_breaker.state == "open"
+        finally:
+            system.guards.reset()
+        # Segments that got as far as asking the repository model (others
+        # have adjacent or unseen endpoint cells): its rungs fail while the
+        # circuit counts up to its threshold, then are refused.
+        segments = [
+            s for r in results for s in r.segments
+            if s.fallback_reason in ("rung_error", "circuit_open")
+        ]
+        reasons = [s.fallback_reason for s in segments]
+        assert set(reasons) == {"rung_error", "circuit_open"}
+        assert reasons == sorted(reasons, reverse=True)
+        assert {s.rung for s in segments} <= {RUNG_COUNTING, RUNG_LINEAR}
+        # One hook firing per guarded attempt, and the circuit opened after
+        # `threshold` failed invocations of (1 + retries) attempts each.
+        attempts = 1 + system.config.retry_attempts
+        assert monkey.report.calls["model.predict"] == (
+            system.config.breaker_failure_threshold * attempts
+        )
+        # Nothing reached a guarded model, so only counting-rung queries are billed.
+        assert all(s.model_calls <= 5 for s in segments)
