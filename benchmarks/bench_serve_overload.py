@@ -21,6 +21,7 @@ from repro.serve.overload import (
     BrownoutController,
     rung_cap_for,
 )
+from repro.serve.protocol import result_message
 
 from conftest import run_once, show
 
@@ -43,24 +44,16 @@ class _SteppingClock:
 
 
 def _shed_message(traj_id, shard, policy):
-    """The pool's synthesized OverloadError result, field for field."""
+    """The pool's synthesized OverloadError result, built as
+    ``ServingPool._shed`` builds it."""
     why = "shard queue full"
-    return {
-        "kind": "result",
-        "worker_id": shard,
-        "shard": shard,
-        "traj_id": traj_id,
-        "shed": True,
-        "policy": policy,
-        "trips": [],
-        "segments": 0,
-        "failed": 0,
-        "degraded": 0,
-        "model_calls": 0,
-        "rungs": {},
-        "error": f"OverloadError: {why} (shard {shard}, policy {policy})",
-        "error_type": "OverloadError",
-    }
+    return result_message(
+        shard, None, traj_id, None,
+        shed=True,
+        policy=policy,
+        error=f"OverloadError: {why} (shard {shard}, policy {policy})",
+        error_type="OverloadError",
+    )
 
 
 def _run():

@@ -993,7 +993,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if pool.metrics_server is not None:
                 print(
                     f"pool telemetry on {pool.metrics_server.url} "
-                    f"(/metrics, /healthz)",
+                    f"({', '.join(pool.metrics_server.routes)})",
                     file=sys.stderr,
                 )
             results = pool.process_all(feed, timeout=args.timeout)
@@ -1365,7 +1365,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve aggregated /metrics + /healthz here (0 = ephemeral)",
+        help="serve aggregated /metrics + /healthz + /slow here (0 = ephemeral)",
     )
     p_serve.add_argument(
         "--timeout", type=float, default=None, metavar="S",

@@ -27,10 +27,10 @@ lands in ``inference``.
 :class:`FlightRecorder` is the bounded memory of the slowest-N requests:
 full (clock-aligned) span trees, routing context, and the stage
 breakdown, plus per-stage worst-case **exemplar** trace ids — the
-request you would pull up first. Exposed over HTTP as ``/slow`` (both
-:class:`~repro.obs.server.ObservabilityServer` and the pool's
-:class:`~repro.serve.aggregate.PoolMetricsServer`) and on the command
-line as ``kamel tail``.
+request you would pull up first. Exposed over HTTP as ``/slow``
+(:class:`~repro.obs.server.ObservabilityServer`, over the process
+default recorder or — via :func:`~repro.serve.aggregate.pool_routes` —
+the pool's) and on the command line as ``kamel tail``.
 """
 
 from __future__ import annotations

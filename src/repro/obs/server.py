@@ -1,7 +1,9 @@
 """A background HTTP endpoint exposing live telemetry.
 
-:class:`ObservabilityServer` serves four read-only routes off a daemon
-thread, stdlib ``http.server`` only:
+:class:`ObservabilityServer` serves a table of read-only routes
+(``path -> query -> (body, content type)``) off a daemon thread, stdlib
+``http.server`` only. The default table, :func:`registry_routes`, is one
+process's registry:
 
 * ``GET /metrics``  — the registry in Prometheus text exposition format
   (scrape it with ``curl`` or point a Prometheus job at it);
@@ -21,6 +23,10 @@ thread, stdlib ``http.server`` only:
   attribution with exemplar trace ids plus the slowest-N requests'
   retained span trees (what ``kamel tail`` renders).
 
+The serving pool passes its own table
+(:func:`repro.serve.aggregate.pool_routes`: fleet-merged ``/metrics``,
+aggregated ``/healthz``, the pool's ``/slow``) to the same server.
+
 The server binds ``127.0.0.1`` by default (telemetry is not
 authenticated; bind a public interface only behind something that is)
 and ``port=0`` picks a free ephemeral port — what
@@ -35,7 +41,7 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Callable, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs import instrument as obs
@@ -45,23 +51,74 @@ from repro.obs.export import (
     render_prometheus,
     spans_to_jsonl,
 )
+from repro.obs.flight import get_flight_recorder
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.quality import quality_report
 from repro.obs.tracing import finished_spans
 
-__all__ = ["ObservabilityServer"]
+__all__ = ["ObservabilityServer", "Route", "json_body", "registry_routes"]
 
 _log = get_logger("obs.server")
 
+Route = Callable[[dict[str, list[str]]], tuple[str, str]]
+"""One GET route: parsed query string -> ``(body, content type)``."""
+
+_JSON = "application/json; charset=utf-8"
+
+
+def json_body(payload) -> tuple[str, str]:
+    """A route's return value for a JSON document."""
+    return json.dumps(payload, default=float), _JSON
+
+
+def registry_routes(
+    registry: MetricsRegistry, started_monotonic: float
+) -> dict[str, Route]:
+    """The single-process route table over ``registry``."""
+
+    def metrics(query) -> tuple[str, str]:
+        obs.count("repro.obs.scrapes_total")
+        return render_prometheus(registry), CONTENT_TYPE_PROMETHEUS
+
+    def healthz(query) -> tuple[str, str]:
+        breached = sorted(
+            name
+            for name, monitor in registry.monitors.all().items()
+            if getattr(monitor, "breached", False)
+        )
+        return json_body(
+            {
+                # "degraded" (not unhealthy): the ladder is still
+                # serving every request, just below full strength.
+                "status": "degraded" if breached else "ok",
+                "breached_monitors": breached,
+                "uptime_s": round(time.monotonic() - started_monotonic, 3),
+                "metrics": len(registry),
+                "monitors": registry.monitors.to_dict(),
+            }
+        )
+
+    def spans(query) -> tuple[str, str]:
+        roots = finished_spans()
+        if (query.get("format") or ["chrome"])[0] == "jsonl":
+            return spans_to_jsonl(roots), "application/x-ndjson"
+        return chrome_trace_json(roots), _JSON
+
+    return {
+        "/metrics": metrics,
+        "/healthz": healthz,
+        "/quality": lambda query: json_body(quality_report(registry)),
+        "/spans": spans,
+        "/slow": lambda query: json_body(get_flight_recorder().to_dict()),
+    }
+
 
 class _Handler(BaseHTTPRequestHandler):
-    """Routes one request against the owning server's registry."""
+    """Routes one request through the owning server's route table."""
 
     server: "_ObsHTTPServer"
     protocol_version = "HTTP/1.1"
-
-    # -- plumbing ----------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 — stdlib signature
         _log.debug(
@@ -77,66 +134,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    # -- routes ------------------------------------------------------------
-
     def do_GET(self) -> None:  # noqa: N802 — stdlib dispatch name
         parsed = urlparse(self.path)
-        route = parsed.path.rstrip("/") or "/"
-        if route == "/metrics":
-            obs.count("repro.obs.scrapes_total")
+        routes = self.server.routes
+        route = routes.get(parsed.path.rstrip("/") or "/")
+        if route is None:
             self._respond(
-                200, render_prometheus(self.server.registry), CONTENT_TYPE_PROMETHEUS
+                404, f"not found: try {', '.join(routes)}\n", "text/plain"
             )
-        elif route == "/healthz":
-            hub = self.server.registry.monitors
-            breached = sorted(
-                name
-                for name, monitor in hub.all().items()
-                if getattr(monitor, "breached", False)
-            )
-            body = json.dumps(
-                {
-                    # "degraded" (not unhealthy): the ladder is still
-                    # serving every request, just below full strength.
-                    "status": "degraded" if breached else "ok",
-                    "breached_monitors": breached,
-                    "uptime_s": round(time.monotonic() - self.server.started_monotonic, 3),
-                    "metrics": len(self.server.registry),
-                    "monitors": self.server.registry.monitors.to_dict(),
-                },
-                default=float,
-            )
-            self._respond(200, body, "application/json; charset=utf-8")
-        elif route == "/quality":
-            body = json.dumps(quality_report(self.server.registry), default=float)
-            self._respond(200, body, "application/json; charset=utf-8")
-        elif route == "/spans":
-            query = parse_qs(parsed.query)
-            fmt = (query.get("format") or ["chrome"])[0]
-            roots = finished_spans()
-            if fmt == "jsonl":
-                self._respond(200, spans_to_jsonl(roots), "application/x-ndjson")
-            else:
-                self._respond(
-                    200, chrome_trace_json(roots), "application/json; charset=utf-8"
-                )
-        elif route == "/slow":
-            from repro.obs.flight import get_flight_recorder
-
-            body = json.dumps(get_flight_recorder().to_dict(), default=float)
-            self._respond(200, body, "application/json; charset=utf-8")
-        else:
-            self._respond(
-                404,
-                "not found: try /metrics, /healthz, /quality, /spans, /slow\n",
-                "text/plain",
-            )
+            return
+        self._respond(200, *route(parse_qs(parsed.query)))
 
 
 class _ObsHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
-    registry: MetricsRegistry
-    started_monotonic: float
+    routes: dict[str, Route]
 
 
 class ObservabilityServer:
@@ -152,6 +164,10 @@ class ObservabilityServer:
     Also a context manager. ``registry=None`` serves the process-default
     registry, re-read on every request — so a registry swapped in later
     is *not* picked up; pass the registry explicitly to pin one.
+    ``routes`` replaces the default :func:`registry_routes` table (which
+    is built at each ``start``; ``registry`` is then unused). Reads are
+    approximate by design: a handler thread renders whatever the process
+    has at that instant, the contract of any Prometheus scrape.
     """
 
     def __init__(
@@ -159,10 +175,12 @@ class ObservabilityServer:
         port: int = 0,
         host: str = "127.0.0.1",
         registry: Optional[MetricsRegistry] = None,
+        routes: Optional[dict[str, Route]] = None,
     ) -> None:
         self._requested_port = port
         self.host = host
         self._registry = registry
+        self.routes = routes
         self._httpd: Optional[_ObsHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
@@ -172,9 +190,11 @@ class ObservabilityServer:
         if self._httpd is not None:
             return self
         httpd = _ObsHTTPServer((self.host, self._requested_port), _Handler)
-        # Explicit None check: an empty registry is falsy (it has __len__).
-        httpd.registry = get_registry() if self._registry is None else self._registry
-        httpd.started_monotonic = time.monotonic()
+        httpd.routes = self.routes
+        if httpd.routes is None:
+            # Explicit None check: an empty registry is falsy (it has __len__).
+            registry = get_registry() if self._registry is None else self._registry
+            httpd.routes = registry_routes(registry, time.monotonic())
         self._httpd = httpd
         self._thread = threading.Thread(
             target=httpd.serve_forever,

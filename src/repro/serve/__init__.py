@@ -12,12 +12,16 @@ of the pyramid, behind a deterministic router.
 * :mod:`repro.serve.modelstore` — per-worker bounded model LRU over the
   read-only :class:`~repro.io.serialize.ModelStore`; a worker's memory
   is O(cache capacity), not O(pyramid).
+* :mod:`repro.serve.protocol` — what crosses the process boundary,
+  said once: ``ServeConfig``, ``WorkerSpec``, the ``TaskEnvelope`` a
+  task queue carries, and the one ``result_message`` constructor.
 * :mod:`repro.serve.worker` / :mod:`repro.serve.pool` — the worker
-  protocol and the parent-side pool: spawn, route, dedupe,
+  loop and the parent-side pool: spawn, route, dedupe,
   detect-death-and-respawn with per-shard journal replay.
 * :mod:`repro.serve.aggregate` — fleet-wide ``/metrics`` + ``/healthz``
   from merged per-worker registries, plus ``/slow`` — the pool's
-  slow-request flight recorder (:mod:`repro.obs.flight`).
+  slow-request flight recorder (:mod:`repro.obs.flight`): the route
+  table :class:`~repro.obs.server.ObservabilityServer` serves.
 * :mod:`repro.serve.loadtest` — ``kamel loadtest``: synthetic traffic,
   p50/p99 latency, sustained throughput, bit-for-bit verification
   against the single-process baseline, schema-v2 bench snapshots, and
@@ -47,7 +51,8 @@ from repro.serve.overload import (
     BrownoutConfig,
     BrownoutController,
 )
-from repro.serve.pool import PoolStats, ServeConfig, ServingPool
+from repro.serve.pool import PoolStats, ServingPool
+from repro.serve.protocol import ServeConfig, WorkerSpec
 from repro.serve.strategies import (
     STRATEGIES,
     HashCellStrategy,
@@ -57,7 +62,7 @@ from repro.serve.strategies import (
     make_strategy,
     stable_shard,
 )
-from repro.serve.worker import WorkerSpec, worker_main
+from repro.serve.worker import worker_main
 
 __all__ = [
     "ADMISSION_POLICIES",

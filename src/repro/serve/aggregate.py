@@ -9,21 +9,15 @@ keeping ``repro.serve.worker.trajectories_total`` out of the merged
 samples instead — so one scrape shows both the fleet totals and the
 per-shard load split.
 
-:class:`PoolMetricsServer` hangs that exposition plus the pool's
-aggregated health document on ``/metrics`` and ``/healthz``, same
-stdlib-only shape as :class:`~repro.obs.server.ObservabilityServer` —
-plus ``/slow``, the pool's :class:`~repro.obs.flight.FlightRecorder`
-payload: per-stage p50/p99 attribution with exemplar trace ids and the
-slowest-N requests' full span trees (see ``kamel tail``).
+:func:`pool_routes` hangs that exposition plus the pool's aggregated
+health document on ``/metrics`` and ``/healthz`` of an
+:class:`~repro.obs.server.ObservabilityServer` — plus ``/slow``, the
+pool's :class:`~repro.obs.flight.FlightRecorder` payload: per-stage
+p50/p99 attribution with exemplar trace ids and the slowest-N requests'
+full span trees (see ``kamel tail``).
 """
 
 from __future__ import annotations
-
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
-from urllib.parse import urlparse
 
 from repro.obs.export import (
     CONTENT_TYPE_PROMETHEUS,
@@ -31,11 +25,9 @@ from repro.obs.export import (
     render_prometheus_snapshot,
 )
 from repro.obs.instrument import catalog_description
-from repro.obs.logging import get_logger
+from repro.obs.server import Route, json_body
 
-__all__ = ["PoolMetricsServer", "render_pool_metrics"]
-
-_log = get_logger("serve.aggregate")
+__all__ = ["pool_routes", "render_pool_metrics"]
 
 _PER_WORKER_COUNTER = "repro.serve.worker.trajectories_total"
 
@@ -64,105 +56,12 @@ def render_pool_metrics(pool) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server: "_PoolHTTPServer"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 — stdlib signature
-        _log.debug(
-            "http request",
-            extra={"data": {"client": self.address_string(), "line": format % args}},
-        )
-
-    def _respond(self, status: int, body: str, content_type: str) -> None:
-        payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def do_GET(self) -> None:  # noqa: N802 — stdlib dispatch name
-        route = urlparse(self.path).path.rstrip("/") or "/"
-        if route == "/metrics":
-            self._respond(
-                200, render_pool_metrics(self.server.pool), CONTENT_TYPE_PROMETHEUS
-            )
-        elif route == "/healthz":
-            body = json.dumps(self.server.pool.healthz(), default=float)
-            self._respond(200, body, "application/json; charset=utf-8")
-        elif route == "/slow":
-            recorder = getattr(self.server.pool, "flight", None)
-            payload = recorder.to_dict() if recorder is not None else {}
-            body = json.dumps(payload, default=float)
-            self._respond(200, body, "application/json; charset=utf-8")
-        else:
-            self._respond(
-                404, "not found: try /metrics, /healthz, /slow\n", "text/plain"
-            )
-
-
-class _PoolHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    pool: object
-
-
-class PoolMetricsServer:
-    """Background /metrics + /healthz endpoint over a serving pool.
-
-    Reads are approximate by design: the handler thread renders whatever
-    snapshots and counters the pool has at that instant, the same
-    monitoring contract as a Prometheus scrape of any live process.
-    """
-
-    def __init__(self, pool, port: int = 0, host: str = "127.0.0.1") -> None:
-        self.pool = pool
-        self._requested_port = port
-        self.host = host
-        self._httpd: Optional[_PoolHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> "PoolMetricsServer":
-        if self._httpd is not None:
-            return self
-        httpd = _PoolHTTPServer((self.host, self._requested_port), _Handler)
-        httpd.pool = self.pool
-        self._httpd = httpd
-        self._thread = threading.Thread(
-            target=httpd.serve_forever,
-            name=f"serve-metrics:{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
-        _log.info("pool metrics endpoint up", extra={"data": {"url": self.url}})
-        return self
-
-    def stop(self) -> None:
-        if self._httpd is None:
-            return
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._httpd = None
-        self._thread = None
-
-    def __enter__(self) -> "PoolMetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    @property
-    def running(self) -> bool:
-        return self._httpd is not None
-
-    @property
-    def port(self) -> int:
-        if self._httpd is None:
-            return self._requested_port
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+def pool_routes(pool) -> dict[str, Route]:
+    """The fleet route table over ``pool`` (a
+    :class:`~repro.serve.pool.ServingPool`, or a stub with the attributes
+    the requested route reads)."""
+    return {
+        "/metrics": lambda query: (render_pool_metrics(pool), CONTENT_TYPE_PROMETHEUS),
+        "/healthz": lambda query: json_body(pool.healthz()),
+        "/slow": lambda query: json_body(pool.flight.to_dict()),
+    }

@@ -18,9 +18,9 @@ single-process service, lifted to a fleet.
 The pool is also the fleet's observability point: per-worker registry
 snapshots arriving on the result queue are merged
 (:func:`~repro.obs.metrics.merge_snapshots`) with the parent's own
-``repro.serve.*`` metrics into one ``/metrics`` view, served by
-:class:`~repro.serve.aggregate.PoolMetricsServer` when
-``metrics_port`` is set.
+``repro.serve.*`` metrics into one ``/metrics`` view, served by an
+:class:`~repro.obs.server.ObservabilityServer` over
+:func:`~repro.serve.aggregate.pool_routes` when ``metrics_port`` is set.
 
 Every request is additionally **attributed**: ``submit`` stamps each
 task envelope with a fresh trace id and the submit wall clock, the
@@ -56,22 +56,35 @@ from repro.obs import instrument as obs
 from repro.obs.flight import FlightRecord, FlightRecorder, stage_breakdown
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry, merge_snapshots
+from repro.obs.server import ObservabilityServer
 from repro.obs.tracing import Span, clock_offset, new_trace_id
-from repro.resilience.chaos import ChaosConfig
+from repro.serve.aggregate import pool_routes
 from repro.serve.overload import (
-    ADMISSION_BLOCK,
-    ADMISSION_POLICIES,
     ADMISSION_SHED,
     ADMISSION_SHED_OLDEST,
-    BrownoutConfig,
     BrownoutController,
 )
+from repro.serve.protocol import (
+    TRACE_MAX_ROOTS,
+    ServeConfig,
+    TaskEnvelope,
+    WorkerSpec,
+    result_message,
+)
 from repro.serve.strategies import PartitionStrategy, make_strategy
-from repro.serve.worker import WorkerSpec, worker_main
+from repro.serve.worker import worker_main
 
 __all__ = ["PoolStats", "ServeConfig", "ServingPool"]
 
 _log = get_logger("serve.pool")
+
+MAX_REVIVES_PER_SHARD = 3
+"""Backstop against a poisoned shard crash-looping: after this many
+respawns, the shard is left dead and drain() reports its work lost."""
+
+SUBMIT_BLOCK_TIMEOUT_S = 30.0
+"""How long the ``block`` admission policy backpressures ``submit`` on a
+full shard before shedding the newcomer after all."""
 
 
 class _SyncQueue:
@@ -99,108 +112,9 @@ class _SyncQueue:
             raise queue_mod.Empty
         return self._reader.recv()
 
-    def get_nowait(self):
-        return self.get(timeout=0)
-
     def close(self) -> None:
         self._reader.close()
         self._writer.close()
-
-
-@dataclass(frozen=True)
-class ServeConfig:
-    """How the pool shards, recovers, and reports."""
-
-    workers: int = 2
-    strategy: str = "hash"
-    """Partition strategy name (see :data:`repro.serve.strategies.STRATEGIES`)."""
-    strategy_seed: int = 0
-    lru_capacity: int = 64
-    """Resident models per worker."""
-    journal_dir: Optional[str] = None
-    """Per-shard write-ahead journals (``worker-<shard>.jsonl``) live
-    here. None disables durability: a worker death then loses its
-    in-flight trajectory (drain times out instead of replaying it)."""
-    metrics_port: Optional[int] = None
-    """Serve aggregated /metrics + /healthz on this localhost port
-    (0 picks a free ephemeral port); None starts no endpoint."""
-    start_method: str = "spawn"
-    drain_timeout_s: float = 300.0
-    """Overall bound on one drain() call — the backstop against a lost
-    task wedging the pool forever."""
-    revive_dead_workers: bool = True
-    max_revives_per_shard: int = 3
-    """Backstop against a poisoned shard crash-looping: after this many
-    respawns, the shard is left dead and drain() reports its work lost."""
-    metrics_every: int = 25
-    """Workers ship a registry snapshot every this many tasks."""
-    crash_worker_after: Optional[int] = None
-    """Chaos: shard 0's first incarnation dies on its Nth task."""
-    chaos_seed: int = 0
-    trip_gap_s: float = 600.0
-    max_speed_mps: float = 60.0
-    trace: bool = False
-    """Workers collect span trees and ship them with every result; the
-    pool merges them (clock-aligned) into ``trace_roots``. Stage
-    attribution and the flight recorder work with this off — only the
-    span trees need it."""
-    trace_max_roots: int = 1000
-    """Bound on both the worker tracer's root buffer and the pool's
-    merged ``trace_roots``."""
-    span_batch: int = 64
-    """Root spans a worker ships per result (overflow dropped+counted)."""
-    flight_capacity: int = 32
-    """Slowest requests the pool's flight recorder retains."""
-    max_queue_depth: Optional[int] = None
-    """Per-shard bound on *queued* work (submitted, not yet dequeued).
-    None (the default) keeps the legacy unbounded queue; with it set,
-    ``submit`` applies ``admission_policy`` when the shard is full."""
-    admission_policy: str = ADMISSION_SHED
-    """What a full shard does to a new request: ``block`` (wait up to
-    ``submit_block_timeout_s``, then shed), ``shed`` (refuse the
-    newcomer), or ``shed-oldest`` (evict the oldest queued request)."""
-    submit_block_timeout_s: float = 30.0
-    queue_prefetch: int = 2
-    """With admission control on, envelopes kept in the OS-level task
-    queue per shard; the rest wait pool-side where ``shed-oldest`` can
-    still evict them. Irrelevant when ``max_queue_depth`` is None."""
-    request_deadline_s: Optional[float] = None
-    """Absolute per-request deadline stamped on every envelope at
-    submit. Workers drop tasks whose deadline passed in the queue
-    (counted ``expired``) and thread the remaining budget into the
-    degradation ladder."""
-    late_degrade: bool = True
-    """Workers cap the ladder for requests whose deadline budget is
-    mostly gone (see :class:`repro.serve.worker.WorkerSpec`)."""
-    brownout: Optional[BrownoutConfig] = None
-    """Enable the pool-side brownout controller: under sustained queue
-    pressure every shard's ladder is capped (full → reduced beam →
-    counting), stepping back up with hysteresis. None disables it."""
-    worker_chaos: Optional[ChaosConfig] = None
-    """Chaos injected into every worker (IPC delays, stalls); shard 0's
-    ``crash_worker_after`` (when set) is merged on top."""
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
-        if self.admission_policy not in ADMISSION_POLICIES:
-            raise ConfigError(
-                f"admission_policy must be one of {ADMISSION_POLICIES}, "
-                f"got {self.admission_policy!r}"
-            )
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ConfigError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth!r}"
-            )
-        if self.queue_prefetch < 1:
-            raise ConfigError(
-                f"queue_prefetch must be >= 1, got {self.queue_prefetch!r}"
-            )
-        if self.request_deadline_s is not None and self.request_deadline_s <= 0:
-            raise ConfigError(
-                "request_deadline_s must be positive, got "
-                f"{self.request_deadline_s!r}"
-            )
 
 
 @dataclass
@@ -249,7 +163,6 @@ class _Pending:
     shard: int
     submitted_pc: float
     """Submit time on this process's perf_counter clock (latency base)."""
-    trace_id: str
     submit_epoch: float
     """Submit wall clock (the cross-process queue-wait base)."""
 
@@ -306,7 +219,6 @@ class ServingPool:
             self.config.workers,
             grid=grid,
             region=region,
-            seed=self.config.strategy_seed,
         )
         self.stats = PoolStats()
         self.results: dict[str, dict] = {}
@@ -315,7 +227,8 @@ class ServingPool:
         }
         self.worker_snapshots: dict[int, dict] = {}
         self.worker_lru: dict[int, dict] = {}
-        self._ctx = mp.get_context(self.config.start_method)
+        # spawn: no inherited state, the same behavior on every platform.
+        self._ctx = mp.get_context("spawn")
         self._task_queues: list = []
         self._result_queue = None
         self._procs: dict[int, mp.process.BaseProcess] = {}
@@ -353,7 +266,7 @@ class ServingPool:
         )
         self.trace_roots: list[Span] = []
         """Merged, clock-aligned ``serve.request`` trees (tracing on),
-        one Chrome-trace lane per shard; bounded by ``trace_max_roots``."""
+        one Chrome-trace lane per shard; bounded by ``TRACE_MAX_ROOTS``."""
         self.trace_lanes: dict[int, str] = {}
         """Synthetic thread id -> lane name for the merged trace."""
 
@@ -373,10 +286,8 @@ class ServingPool:
             self._spawn(shard, recover=False)
         self._started = True
         if self.config.metrics_port is not None:
-            from repro.serve.aggregate import PoolMetricsServer
-
-            self.metrics_server = PoolMetricsServer(
-                self, port=self.config.metrics_port
+            self.metrics_server = ObservabilityServer(
+                port=self.config.metrics_port, routes=pool_routes(self)
             ).start()
         _log.info(
             "serving pool started",
@@ -388,32 +299,18 @@ class ServingPool:
         )
         return self
 
-    def _spec(self, shard: int, recover: bool) -> WorkerSpec:
+    def _spawn(self, shard: int, recover: bool) -> None:
         self._incarnations += 1
-        crash_after = None
-        if self.config.crash_worker_after is not None and shard == 0 and not recover:
-            crash_after = self.config.crash_worker_after
-        return WorkerSpec(
+        # Chaos: only shard 0's first incarnation gets the injected crash.
+        crash_first = shard == 0 and not recover
+        spec = WorkerSpec(
             worker_id=self._incarnations,
             shard=shard,
             model_dir=self.model_dir,
-            lru_capacity=self.config.lru_capacity,
-            journal_dir=self.config.journal_dir,
             recover=recover,
-            crash_after=crash_after,
-            chaos_seed=self.config.chaos_seed,
-            metrics_every=self.config.metrics_every,
-            trip_gap_s=self.config.trip_gap_s,
-            max_speed_mps=self.config.max_speed_mps,
-            trace=self.config.trace,
-            trace_max_roots=self.config.trace_max_roots,
-            span_batch=self.config.span_batch,
-            late_degrade=self.config.late_degrade,
-            worker_chaos=self.config.worker_chaos,
+            crash_after=self.config.crash_worker_after if crash_first else None,
+            config=self.config,
         )
-
-    def _spawn(self, shard: int, recover: bool) -> None:
-        spec = self._spec(shard, recover)
         proc = self._ctx.Process(
             target=worker_main,
             args=(spec, self._task_queues[shard], self._result_queue, self._control),
@@ -458,22 +355,19 @@ class ServingPool:
                 self._pump(0.0)
                 return shard
         submit_epoch = time.time()
-        trace_id = new_trace_id()
         self._outstanding[trajectory.traj_id] = _Pending(
             shard=shard,
             submitted_pc=time.perf_counter(),
-            trace_id=trace_id,
             submit_epoch=submit_epoch,
         )
-        envelope = {
-            "trajectory": trajectory,
-            "trace_id": trace_id,
-            "submit_epoch": submit_epoch,
-        }
-        if self.config.request_deadline_s is not None:
-            envelope["deadline_epoch"] = submit_epoch + self.config.request_deadline_s
-            envelope["deadline_budget_s"] = self.config.request_deadline_s
-        self._buffers[shard].append(envelope)
+        budget_s = self.config.request_deadline_s
+        self._buffers[shard].append(
+            TaskEnvelope(
+                trajectory, new_trace_id(), submit_epoch,
+                deadline_epoch=None if budget_s is None else submit_epoch + budget_s,
+                deadline_budget_s=budget_s,
+            )
+        )
         self._feed(shard)
         self._note_depth()
         self._brownout_tick()
@@ -503,14 +397,14 @@ class ServingPool:
                 # it can't be recalled — shed the newcomer instead.
                 return False
             victim = buffer.popleft()
-            victim_id = victim["trajectory"].traj_id
+            victim_id = victim.trajectory.traj_id
             self._outstanding.pop(victim_id, None)
             self._shed(victim_id, shard, "evicted by a newer request")
             return True
         # block: pump results until the shard has room or the timeout
         # passes (then shed — blocking forever is the failure mode this
         # whole layer exists to remove).
-        wait_until = time.monotonic() + self.config.submit_block_timeout_s
+        wait_until = time.monotonic() + SUBMIT_BLOCK_TIMEOUT_S
         assert self.config.max_queue_depth is not None
         obs.count("repro.serve.submit_blocked_total")
         while self._depth(shard) >= self.config.max_queue_depth:
@@ -526,26 +420,14 @@ class ServingPool:
         policy = self.config.admission_policy
         self.stats.shed += 1
         obs.count("repro.serve.shed_total")
-        self.results[traj_id] = {
-            "kind": "result",
-            "traj_id": traj_id,
-            "shard": shard,
-            "worker_id": None,
-            "shed": True,
-            "policy": policy,
-            "error": f"OverloadError: {why} (shard {shard}, policy {policy})",
-            "error_type": "OverloadError",
-            "start_epoch": None,
-            "process_s": 0.0,
-            "trips": [],
-            "segments": 0,
-            "failed": 0,
-            "degraded": 0,
-            "model_calls": 0,
-            "rungs": {},
-            "quarantined": False,
-            "replayed": False,
-        }
+        # Never reached a worker: no worker id, no dequeue time.
+        self.results[traj_id] = result_message(
+            shard, None, traj_id, None,
+            shed=True,
+            policy=policy,
+            error=f"OverloadError: {why} (shard {shard}, policy {policy})",
+            error_type="OverloadError",
+        )
         _log.warning(
             "request shed by admission control",
             extra={"data": {"traj_id": traj_id, "shard": shard,
@@ -563,7 +445,7 @@ class ServingPool:
             envelope = buffer.popleft()
             self._task_queues[shard].put(envelope)
             self._in_queue[shard] += 1
-            self._in_queue_ids.add(envelope["trajectory"].traj_id)
+            self._in_queue_ids.add(envelope.trajectory.traj_id)
 
     def _note_depth(self) -> None:
         """Refresh the queued/inflight gauges and the peak-depth stat."""
@@ -579,14 +461,8 @@ class ServingPool:
     # -- brownout ------------------------------------------------------------
 
     def _queue_wait_p99(self) -> Optional[float]:
-        try:
-            summary = self.flight.stage_summary()
-        except Exception:
-            return None
-        stage = summary.get("queue_wait")
-        if not stage:
-            return None
-        return stage.get("p99")
+        """None until a first request has been attributed."""
+        return self.flight.stage_summary()["queue_wait"]["p99"]
 
     def _brownout_tick(self) -> None:
         """Feed the brownout controller one pressure sample (rate-limited
@@ -669,10 +545,7 @@ class ServingPool:
     def _pump(self, timeout: float) -> bool:
         """Handle at most one worker message; True if one was handled."""
         try:
-            if timeout > 0:
-                message = self._result_queue.get(timeout=timeout)
-            else:
-                message = self._result_queue.get_nowait()
+            message = self._result_queue.get(timeout=timeout)
         except queue_mod.Empty:
             return False
         self._handle(message)
@@ -688,8 +561,7 @@ class ServingPool:
             self.worker_snapshots[message["shard"]] = message["snapshot"]
             if kind == "bye":
                 self._byes.add(message["shard"])
-                self.worker_lru[message["shard"]] = message.get("lru", {})
-        # "ready" needs no bookkeeping beyond existing process state.
+                self.worker_lru[message["shard"]] = message["lru"]
 
     def _handle_dequeued(self, message: dict) -> None:
         """A worker pulled a task off its queue: move it from queued to
@@ -746,18 +618,18 @@ class ServingPool:
         self._note_depth()
         self._brownout_tick()
         self.worker_processed[shard] = self.worker_processed.get(shard, 0) + 1
-        if message.get("replayed"):
+        if message["replayed"]:
             self.stats.journal_replayed += 1
-        if message.get("error") and not expired:
+        if message["error"] and not expired:
             self.stats.errors += 1
-        if message.get("quarantined"):
+        if message["quarantined"]:
             self.stats.quarantined += 1
-        self.stats.trips += len(message.get("trips", ()))
-        self.stats.segments += message.get("segments", 0)
-        self.stats.failed_segments += message.get("failed", 0)
-        self.stats.degraded_segments += message.get("degraded", 0)
-        self.stats.model_calls += message.get("model_calls", 0)
-        for rung, count in message.get("rungs", {}).items():
+        self.stats.trips += len(message["trips"])
+        self.stats.segments += message["segments"]
+        self.stats.failed_segments += message["failed"]
+        self.stats.degraded_segments += message["degraded"]
+        self.stats.model_calls += message["model_calls"]
+        for rung, count in message["rungs"].items():
             self.stats.rungs[rung] = self.stats.rungs.get(rung, 0) + count
         if pending is not None and latency_s is not None:
             self._attribute(message, pending, latency_s, handle_epoch)
@@ -773,36 +645,30 @@ class ServingPool:
     ) -> None:
         """Derive the request's stage breakdown, feed the flight recorder,
         and (tracing on) merge the shipped span tree into ``trace_roots``."""
-        process_s = float(message.get("process_s") or 0.0)
-        start_epoch = message.get("start_epoch")
-        if start_epoch is None:
-            # A worker that never reported its dequeue time: the best
-            # split available is processing vs everything-else.
-            queue_wait = 0.0
-            transit = latency_s - process_s
-        else:
-            queue_wait = start_epoch - pending.submit_epoch
-            transit = handle_epoch - start_epoch - process_s
+        process_s = message["process_s"]
+        start_epoch = message["start_epoch"]
+        queue_wait = start_epoch - pending.submit_epoch
+        transit = handle_epoch - start_epoch - process_s
         roots: list[Span] = []
         if message.get("spans"):
-            offset = float(message.get("clock_offset") or 0.0) - self._clock_offset
+            offset = message["clock_offset"] - self._clock_offset
             roots = [Span.from_dict(d).shift(offset) for d in message["spans"]]
             obs.count("repro.serve.traced_requests_total")
         record = FlightRecord(
-            trace_id=message.get("trace_id") or pending.trace_id,
+            trace_id=message["trace_id"],
             traj_id=message["traj_id"],
             latency_s=latency_s,
             stages=stage_breakdown(process_s, queue_wait, transit, roots),
             shard=pending.shard,
-            worker_id=message.get("worker_id"),
-            replayed=bool(message.get("replayed")),
-            error=message.get("error"),
+            worker_id=message["worker_id"],
+            replayed=message["replayed"],
+            error=message["error"],
             context={
                 "strategy": self.strategy.name,
-                "trips": len(message.get("trips", ())),
-                "segments": message.get("segments", 0),
-                "model_calls": message.get("model_calls", 0),
-                "rungs": dict(message.get("rungs", {})),
+                "trips": len(message["trips"]),
+                "segments": message["segments"],
+                "model_calls": message["model_calls"],
+                "rungs": dict(message["rungs"]),
             },
         )
         if roots:
@@ -811,10 +677,7 @@ class ServingPool:
             )
             record.roots = [request_root]
             self.trace_roots.append(request_root)
-            if len(self.trace_roots) > self.config.trace_max_roots:
-                del self.trace_roots[
-                    : len(self.trace_roots) - self.config.trace_max_roots
-                ]
+            del self.trace_roots[:-TRACE_MAX_ROOTS]  # keep the newest
         self.flight.record(record)
 
     def _request_tree(
@@ -823,7 +686,7 @@ class ServingPool:
         pending: _Pending,
         roots: list[Span],
         process_s: float,
-        start_epoch: Optional[float],
+        start_epoch: float,
         handle_epoch: float,
     ) -> Span:
         """Graft the worker's (rebased) span trees under one synthetic
@@ -846,19 +709,16 @@ class ServingPool:
         )
         request.start_s = submit_pc
         request.end_s = max(submit_pc, handle_pc)
-        if start_epoch is not None:
-            start_pc = start_epoch - self._clock_offset
-            wait = Span("serve.queue_wait", trace_id=record.trace_id)
-            wait.start_s = submit_pc
-            wait.end_s = max(submit_pc, start_pc)
-            request.children.append(wait)
-            request.children.extend(roots)
-            transit = Span("serve.result_transit", trace_id=record.trace_id)
-            transit.end_s = handle_pc
-            transit.start_s = min(max(submit_pc, start_pc + process_s), handle_pc)
-            request.children.append(transit)
-        else:
-            request.children.extend(roots)
+        start_pc = start_epoch - self._clock_offset
+        wait = Span("serve.queue_wait", trace_id=record.trace_id)
+        wait.start_s = submit_pc
+        wait.end_s = max(submit_pc, start_pc)
+        request.children.append(wait)
+        request.children.extend(roots)
+        transit = Span("serve.result_transit", trace_id=record.trace_id)
+        transit.end_s = handle_pc
+        transit.start_s = min(max(submit_pc, start_pc + process_s), handle_pc)
+        request.children.append(transit)
         for span_obj in request.walk():
             span_obj.thread_id = lane
         return request
@@ -884,7 +744,7 @@ class ServingPool:
             if (
                 self.config.revive_dead_workers
                 and not self._stopping
-                and revives < self.config.max_revives_per_shard
+                and revives < MAX_REVIVES_PER_SHARD
             ):
                 # Same task queue (undrained work survives), recover=True
                 # (the replacement replays the shard journal first).

@@ -20,8 +20,9 @@ Everything the worker measures lands in its own process-local
 queue (periodically and in the final ``bye`` message) for the pool to
 merge into the fleet-wide ``/metrics`` view.
 
-With tracing on (``WorkerSpec.trace``), the worker also ships each
-request's span trees: tasks arrive as envelopes carrying the pool's
+With tracing on (``ServeConfig.trace``), the worker also ships each
+request's span trees: tasks arrive as
+:class:`~repro.serve.protocol.TaskEnvelope` objects carrying the pool's
 ``trace_id`` and submit timestamp, the worker processes inside
 ``trace_scope(trace_id)``, and the result message adds the serialized
 trees (bounded by ``span_batch``; overflow counts
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 from repro.core.streaming import StreamingConfig, StreamingImputationService
@@ -61,10 +62,16 @@ from repro.resilience.ladder import (
     RUNG_COUNTING,
     RUNG_REDUCED_BEAM,
 )
-from repro.serve.modelstore import DEFAULT_LRU_CAPACITY, load_kamel_lazy
+from repro.serve.modelstore import load_kamel_lazy
 from repro.serve.overload import rung_cap_for
+from repro.serve.protocol import (
+    TRACE_MAX_ROOTS,
+    TaskEnvelope,
+    WorkerSpec,
+    result_message,
+)
 
-__all__ = ["CRASH_EXIT_CODE", "WorkerSpec", "worker_main"]
+__all__ = ["CRASH_EXIT_CODE", "worker_main"]
 
 _log = get_logger("serve.worker")
 
@@ -72,63 +79,18 @@ CRASH_EXIT_CODE = 13
 """Exit status of an injected worker crash (distinguishable from bugs)."""
 
 
-@dataclass(frozen=True)
-class WorkerSpec:
-    """Everything a spawned worker needs (must stay picklable)."""
-
-    worker_id: int
-    """Incarnation-unique id (a respawn on the same shard gets a new one)."""
-    shard: int
-    """The partition this worker owns; stable across respawns."""
-    model_dir: str
-    """Directory written by :func:`repro.io.save_kamel`."""
-    lru_capacity: int = DEFAULT_LRU_CAPACITY
-    journal_dir: Optional[str] = None
-    """Per-shard write-ahead journals live here; None disables durability."""
-    recover: bool = False
-    """Replay the shard journal's pending entries before new traffic."""
-    crash_after: Optional[int] = None
-    """Chaos: die (``os._exit``) on the Nth task taken from the queue."""
-    chaos_seed: int = 0
-    metrics_every: int = 25
-    """Ship a registry snapshot to the pool every this many tasks."""
-    trip_gap_s: float = 600.0
-    max_speed_mps: float = 60.0
-    trace: bool = False
-    """Collect span trees and ship them back with each result."""
-    trace_max_roots: int = 1000
-    """Bound on the worker tracer's finished-root buffer."""
-    span_batch: int = 64
-    """Root spans shipped per result; overflow is dropped (and counted)."""
-    late_degrade: bool = True
-    """With a request deadline present, cap the ladder for requests whose
-    remaining budget is already thin (<50% left: reduced beam at most,
-    <25%: counting at most) — finish late requests cheaper instead of
-    missing them entirely."""
-    worker_chaos: Optional[ChaosConfig] = None
-    """Pool-level chaos (IPC delays, stalls) injected into this worker;
-    ``crash_after`` (when set) is merged on top of it."""
-
-    def journal_path(self) -> Optional[str]:
-        if self.journal_dir is None:
-            return None
-        return os.path.join(self.journal_dir, f"worker-{self.shard}.jsonl")
-
-    def quarantine_path(self) -> Optional[str]:
-        if self.journal_dir is None:
-            return None
-        return os.path.join(
-            self.journal_dir, f"worker-{self.shard}.quarantine.jsonl"
-        )
-
-
-def _snapshot_message(spec: WorkerSpec, processed: int) -> dict:
+def _snapshot_message(
+    spec: WorkerSpec, processed: int, kind: str = "metrics", **extra
+) -> dict:
+    """A registry snapshot for the pool to merge; the final one is the
+    ``bye`` that also carries the model-LRU counters."""
     return {
-        "kind": "metrics",
+        "kind": kind,
         "shard": spec.shard,
         "worker_id": spec.worker_id,
         "processed": processed,
         "snapshot": get_registry().snapshot(),
+        **extra,
     }
 
 
@@ -158,15 +120,10 @@ def _process_one(
         # One request, one batch of roots: anything finished before this
         # task belongs to a result already shipped (or to startup).
         clear_spans()
-    message = {
-        "kind": "result",
-        "shard": spec.shard,
-        "worker_id": spec.worker_id,
-        "traj_id": trajectory.traj_id,
-        "replayed": replayed,
-        "error": None,
-        "start_epoch": start_epoch,
-    }
+    message = result_message(
+        spec.shard, spec.worker_id, trajectory.traj_id, start_epoch,
+        replayed=replayed,
+    )
     try:
         with trace_scope(trace_id) as active_id:
             message["trace_id"] = active_id
@@ -194,26 +151,16 @@ def _process_one(
             "worker processing error",
             extra={"data": {"trajectory": trajectory.traj_id, "error": repr(exc)}},
         )
-        message.update(
-            {
-                "trips": [],
-                "segments": 0,
-                "failed": 0,
-                "degraded": 0,
-                "model_calls": 0,
-                "rungs": {},
-                "quarantined": False,
-                "error": repr(exc),
-            }
-        )
+        # The update above is all-or-nothing, so the message still holds
+        # result_message's "no work done" defaults.
+        message["error"] = repr(exc)
     message["process_s"] = time.perf_counter() - started
     if tracing:
         roots = finished_spans()
-        if len(roots) > spec.span_batch:
-            obs.count(
-                "repro.serve.spans_dropped_total", len(roots) - spec.span_batch
-            )
-            roots = roots[: spec.span_batch]
+        batch = spec.config.span_batch
+        if len(roots) > batch:
+            obs.count("repro.serve.spans_dropped_total", len(roots) - batch)
+            roots = roots[:batch]
         message["spans"] = [root.to_dict() for root in roots]
         message["clock_offset"] = clock_offset()
         clear_spans()
@@ -225,16 +172,7 @@ def _process_one(
         journal.done(trajectory.traj_id)
 
 
-def _unpack_task(task) -> tuple[Trajectory, dict]:
-    """A task is either an envelope dict or a bare trajectory (journal
-    replay, older producers). Returns ``(trajectory, envelope)`` — the
-    envelope is ``{}`` for bare trajectories."""
-    if isinstance(task, dict):
-        return task["trajectory"], task
-    return task, {}
-
-
-def _rebased_deadline(envelope: dict) -> Optional[Deadline]:
+def _rebased_deadline(envelope: TaskEnvelope) -> Optional[Deadline]:
     """The request deadline on *this* process's clock, if the envelope
     carries one.
 
@@ -244,51 +182,22 @@ def _rebased_deadline(envelope: dict) -> Optional[Deadline]:
     the local ``perf_counter`` timeline — the monotonic clock
     :class:`Deadline` budgets are measured on.
     """
-    deadline_epoch = envelope.get("deadline_epoch")
-    if deadline_epoch is None:
+    if envelope.deadline_epoch is None:
         return None
-    budget_s = float(envelope.get("deadline_budget_s") or 0.0)
-    expires_pc = float(deadline_epoch) - clock_offset()
-    return Deadline(expires_pc, budget_s, clock=time.perf_counter)
+    expires_pc = envelope.deadline_epoch - clock_offset()
+    return Deadline(expires_pc, envelope.deadline_budget_s, clock=time.perf_counter)
 
 
-def _expired_message(spec: WorkerSpec, trajectory: Trajectory, trace_id) -> dict:
-    """The result sent for a task whose deadline passed while queued:
-    fully accounted (the pool counts it ``expired``), no work done."""
-    return {
-        "kind": "result",
-        "shard": spec.shard,
-        "worker_id": spec.worker_id,
-        "traj_id": trajectory.traj_id,
-        "trace_id": trace_id,
-        "replayed": False,
-        "expired": True,
-        "error": "DeadlineExceeded: request expired in queue",
-        "error_type": "DeadlineExceeded",
-        "start_epoch": time.time(),
-        "process_s": 0.0,
-        "trips": [],
-        "segments": 0,
-        "failed": 0,
-        "degraded": 0,
-        "model_calls": 0,
-        "rungs": {},
-        "quarantined": False,
-    }
-
-
-def _rung_cap(spec: WorkerSpec, control, deadline: Optional[Deadline]) -> Optional[str]:
+def _rung_cap(control, deadline: Optional[Deadline]) -> Optional[str]:
     """The ladder cap for one task: pool brownout level (shared
-    ``control`` Value) tightened by local deadline pressure."""
+    ``control`` Value) tightened by local deadline pressure — a request
+    whose remaining budget is already thin (<50% left: reduced beam at
+    most, <25%: counting at most) finishes late but cheaper instead of
+    missing its deadline entirely."""
     cap: Optional[str] = None
     if control is not None:
         cap = rung_cap_for(int(control.value))
-    if (
-        spec.late_degrade
-        and deadline is not None
-        and not deadline.is_unlimited
-        and deadline.budget_s > 0
-    ):
+    if deadline is not None and not deadline.is_unlimited and deadline.budget_s > 0:
         frac = max(0.0, deadline.remaining()) / deadline.budget_s
         if frac < 0.25:
             cap = DegradationLadder.tighter_cap(cap, RUNG_COUNTING)
@@ -303,35 +212,31 @@ def worker_main(spec: WorkerSpec, task_queue, result_queue, control=None) -> Non
     ``control`` (optional) is a shared ``multiprocessing.Value('i')``
     holding the pool's current brownout level; the worker reads it per
     task and caps the degradation ladder accordingly."""
-    if spec.trace:
-        get_tracer().max_roots = spec.trace_max_roots
+    config = spec.config
+    if config.trace:
+        get_tracer().max_roots = TRACE_MAX_ROOTS
         enable_tracing()
-    system, cache = load_kamel_lazy(spec.model_dir, lru_capacity=spec.lru_capacity)
+    system, cache = load_kamel_lazy(spec.model_dir, lru_capacity=config.lru_capacity)
     # The worker journals at loop level (so delivery is part of the
-    # transaction); the inner service runs journal-less.
+    # transaction); the inner service runs journal-less. Cleaning and
+    # trip splitting use the StreamingConfig defaults — the same ones the
+    # single-process baseline the pool is verified against runs with.
     service = StreamingImputationService(
         system,
-        StreamingConfig(
-            max_speed_mps=spec.max_speed_mps,
-            trip_gap_s=spec.trip_gap_s,
-            quarantine_path=spec.quarantine_path(),
-        ),
+        StreamingConfig(quarantine_path=spec.shard_file(".quarantine.jsonl")),
     )
     journal: Optional[StreamJournal] = None
-    path = spec.journal_path()
+    path = spec.shard_file(".jsonl")
     if path is not None:
         journal = StreamJournal(path)
     monkey: Optional[ChaosMonkey] = None
-    chaos_cfg = spec.worker_chaos
+    chaos_cfg = config.worker_chaos
     if spec.crash_after is not None:
-        base = chaos_cfg or ChaosConfig(seed=spec.chaos_seed)
+        base = chaos_cfg or ChaosConfig(seed=config.chaos_seed)
         chaos_cfg = replace(base, crash_after=spec.crash_after)
     if chaos_cfg is not None:
         monkey = ChaosMonkey(chaos_cfg)
 
-    result_queue.put(
-        {"kind": "ready", "shard": spec.shard, "worker_id": spec.worker_id}
-    )
     processed = 0
 
     if spec.recover and journal is not None:
@@ -341,11 +246,10 @@ def worker_main(spec: WorkerSpec, task_queue, result_queue, control=None) -> Non
             processed += 1
 
     while True:
-        task = task_queue.get()
-        if task is None:
+        envelope: Optional[TaskEnvelope] = task_queue.get()
+        if envelope is None:
             break
-        trajectory, envelope = _unpack_task(task)
-        trace_id = envelope.get("trace_id")
+        trajectory = envelope.trajectory
         if monkey is not None:
             # Chaos: a stalled worker wedges *here* — after the dequeue,
             # before any durability work — so its shard's queue backs up
@@ -381,34 +285,39 @@ def worker_main(spec: WorkerSpec, task_queue, result_queue, control=None) -> Non
             # spend the remaining capacity on requests that can still
             # make their deadline.
             obs.count("repro.serve.expired_in_queue_total")
-            result_queue.put(_expired_message(spec, trajectory, trace_id))
+            result_queue.put(
+                result_message(
+                    spec.shard, spec.worker_id, trajectory.traj_id, time.time(),
+                    trace_id=envelope.trace_id,
+                    expired=True,
+                    error="DeadlineExceeded: request expired in queue",
+                    error_type="DeadlineExceeded",
+                )
+            )
             if journal is not None:
                 journal.done(trajectory.traj_id)
             processed += 1
             continue
         _process_one(
-            spec, service, journal, result_queue, trajectory, False, trace_id,
+            spec, service, journal, result_queue, trajectory, False,
+            envelope.trace_id,
             deadline=deadline,
-            max_rung=_rung_cap(spec, control, deadline),
+            max_rung=_rung_cap(control, deadline),
             monkey=monkey,
         )
         processed += 1
-        if spec.metrics_every and processed % spec.metrics_every == 0:
+        if config.metrics_every and processed % config.metrics_every == 0:
             result_queue.put(_snapshot_message(spec, processed))
 
     result_queue.put(
-        {
-            "kind": "bye",
-            "shard": spec.shard,
-            "worker_id": spec.worker_id,
-            "processed": processed,
-            "snapshot": get_registry().snapshot(),
-            "lru": {
+        _snapshot_message(
+            spec, processed, "bye",
+            lru={
                 "capacity": cache.capacity,
                 "resident": len(cache),
                 "hits": cache.hits,
                 "misses": cache.misses,
                 "evictions": cache.evictions,
             },
-        }
+        )
     )

@@ -137,3 +137,48 @@ class TestPaperMapping:
         mapping = (ROOT / "docs" / "paper_mapping.md").read_text()
         for example in set(re.findall(r"examples/([a-z0-9_]+\.py)", mapping)):
             assert (ROOT / "examples" / example).exists(), example
+
+
+class TestServeKnobs:
+    """Knob-creep guard for the pool↔worker contract: a field nobody
+    reads, or a documented knob that does not exist, fails here."""
+
+    @staticmethod
+    def _fields(cls) -> list[str]:
+        import dataclasses
+
+        return [f.name for f in dataclasses.fields(cls)]
+
+    def test_every_contract_field_is_read_by_the_serve_tier(self):
+        from repro.serve.protocol import ServeConfig, WorkerSpec
+
+        source = "\n".join(
+            p.read_text() for p in sorted((ROOT / "src/repro/serve").glob("*.py"))
+        )
+        for cls in (ServeConfig, WorkerSpec):
+            for name in self._fields(cls):
+                assert re.search(rf"\.{name}\b", source), (
+                    f"{cls.__name__}.{name} is declared but never read under "
+                    "src/repro/serve/ — use it or delete it"
+                )
+
+    def test_worker_spec_copies_no_serve_config_field(self):
+        from repro.serve.protocol import ServeConfig, WorkerSpec
+
+        assert not set(self._fields(ServeConfig)) & set(self._fields(WorkerSpec))
+
+    def test_serving_doc_reference_table_lists_every_knob(self):
+        from repro.serve.protocol import ServeConfig
+
+        serving = (ROOT / "docs" / "serving.md").read_text()
+        table = serving.split("### `ServeConfig` reference", 1)[1].split("\n\n", 2)[1]
+        documented = re.findall(r"^\| `([a-z_]+)` \|", table, flags=re.MULTILINE)
+        assert documented == self._fields(ServeConfig)
+
+    def test_docs_name_only_existing_knobs(self):
+        from repro.serve.protocol import ServeConfig
+
+        known = set(self._fields(ServeConfig))
+        for doc in sorted((ROOT / "docs").glob("*.md")):
+            for name in re.findall(r"`ServeConfig\.([A-Za-z_]+)`", doc.read_text()):
+                assert name in known, f"{doc.name} names ServeConfig.{name}"

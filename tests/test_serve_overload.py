@@ -512,6 +512,21 @@ class TestBrownoutOnPool:
         pool, results, _ = run
         _accounted(pool, sparse_feed, results)
 
+    def test_broken_recorder_is_not_swallowed(self, saved_dir):
+        """A recorder that cannot summarise its stages used to silently
+        disable the brownout latency trigger; now the tick fails loudly."""
+
+        class _BrokenRecorder:
+            def stage_summary(self):
+                raise RuntimeError("recorder broke")
+
+        pool = ServingPool(  # never started: the tick needs no workers
+            str(saved_dir), ServeConfig(workers=1, brownout=BrownoutConfig())
+        )
+        pool.flight = _BrokenRecorder()
+        with pytest.raises(RuntimeError, match="recorder broke"):
+            pool._brownout_tick()
+
 
 @pytest.mark.chaos
 class TestWorkerKillDuringOverload:

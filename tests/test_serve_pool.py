@@ -19,9 +19,10 @@ from repro.errors import ConfigError
 from repro.io.serialize import load_kamel, save_kamel
 from repro.obs.metrics import MetricsRegistry, get_registry, merge_snapshots
 from repro.obs.export import render_prometheus_snapshot
+from repro.obs.server import ObservabilityServer
 from repro.resilience.journal import trajectory_to_payload
 from repro.serve import ServeConfig, ServingPool
-from repro.serve.aggregate import PoolMetricsServer, render_pool_metrics
+from repro.serve.aggregate import pool_routes, render_pool_metrics
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +278,7 @@ class TestPoolMetricsServerStub:
             return {"status": "ok", "workers": []}
 
     def test_routes(self):
-        with PoolMetricsServer(self._StubPool(), port=0) as server:
+        with ObservabilityServer(routes=pool_routes(self._StubPool())) as server:
             body = (
                 urllib.request.urlopen(server.url + "/metrics", timeout=5)
                 .read()
@@ -289,11 +290,18 @@ class TestPoolMetricsServerStub:
                 urllib.request.urlopen(server.url + "/healthz", timeout=5).read()
             )
             assert health["status"] == "ok"
-            with pytest.raises(urllib.error.HTTPError):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(server.url + "/nope", timeout=5)
+            # The 404 names the table actually being served, not the
+            # single-process default.
+            assert excinfo.value.code == 404
+            assert (
+                excinfo.value.read().decode()
+                == "not found: try /metrics, /healthz, /slow\n"
+            )
 
     def test_lifecycle(self):
-        server = PoolMetricsServer(self._StubPool(), port=0)
+        server = ObservabilityServer(routes=pool_routes(self._StubPool()))
         assert not server.running
         server.start()
         assert server.running and server.port > 0

@@ -10,7 +10,9 @@ the Chrome export.
 """
 
 import json
+import pickle
 import queue
+import time
 import urllib.request
 from types import SimpleNamespace
 
@@ -34,9 +36,11 @@ from repro.obs.tracing import (
     enable_tracing,
     span,
 )
+from repro.resilience.chaos import ChaosConfig
 from repro.resilience.journal import trajectory_to_payload
-from repro.serve import ServeConfig, ServingPool
-from repro.serve.worker import WorkerSpec, _process_one, _unpack_task
+from repro.serve import BrownoutConfig, ServeConfig, ServingPool, WorkerSpec
+from repro.serve.protocol import TaskEnvelope, result_message
+from repro.serve.worker import _process_one, _rebased_deadline, worker_main
 
 
 @pytest.fixture(scope="module")
@@ -189,19 +193,117 @@ class TestFlightRecorder:
         assert recorder.exemplars() == {}
 
 
-class TestWorkerEnvelope:
-    def test_envelope_unpacks_trajectory_and_trace_id(self):
-        marker = object()
-        task = {"trajectory": marker, "trace_id": "f" * 16, "submit_epoch": 1.0}
-        trajectory, envelope = _unpack_task(task)
-        assert trajectory is marker
-        assert envelope is task
-        assert envelope.get("trace_id") == "f" * 16
+class _FailingService:
+    stats = SimpleNamespace(quarantined=0)
 
-    def test_bare_trajectory_tolerated(self):
-        # Journal replay feeds bare trajectories; they mint a fresh id.
-        marker = object()
-        assert _unpack_task(marker) == (marker, {})
+    def process(self, trajectory, deadline=None, max_rung=None):
+        raise RuntimeError("boom")
+
+
+@pytest.fixture(scope="module")
+def result_kinds(saved_dir, sparse_feed):
+    """One result message of each kind, each built by the code path that
+    builds it in production (the worker loop run in-process on plain
+    queues, and the pool's admission refusal)."""
+    spec = WorkerSpec(worker_id=1, shard=0, model_dir=str(saved_dir))
+    now = time.time()
+    tasks, sent = queue.Queue(), queue.Queue()
+    tasks.put(TaskEnvelope(sparse_feed[0], "a" * 16, now))
+    tasks.put(
+        TaskEnvelope(
+            sparse_feed[1], "b" * 16, now - 10.0,
+            deadline_epoch=now - 5.0, deadline_budget_s=5.0,
+        )
+    )
+    tasks.put(None)
+    worker_main(spec, tasks, sent)
+    messages = []
+    while not sent.empty():
+        messages.append(sent.get_nowait())
+    assert [m["kind"] for m in messages] == [
+        "dequeued", "result", "dequeued", "result", "bye",
+    ]
+    served, expired = (m for m in messages if m["kind"] == "result")
+    assert served["trips"] and not served.get("expired")
+    assert expired["expired"] is True
+
+    _process_one(
+        spec, _FailingService(), None, sent, sparse_feed[2], False, "c" * 16
+    )
+    worker_error = sent.get_nowait()
+    assert worker_error["error"] == "RuntimeError('boom')"
+
+    pool = ServingPool(str(saved_dir), ServeConfig(workers=1))  # never started
+    pool._shed("t-shed", 0, "shard queue full")
+    shed = pool.results["t-shed"]
+    assert shed["shed"] is True
+    return {
+        "served": served,
+        "worker_error": worker_error,
+        "expired": expired,
+        "shed": shed,
+    }
+
+
+class TestWorkerEnvelope:
+    @pytest.mark.parametrize("kind", ["served", "worker_error", "expired", "shed"])
+    def test_every_result_kind_honours_the_contract(self, result_kinds, kind):
+        """Readers (PoolStats accounting, ``kamel serve --output``, the
+        loadtest verifier, perf/) index result dicts without ``.get``:
+        whatever produced the result, the base keys are there with the
+        base types, and the message survives both wires it travels on."""
+        message = result_kinds[kind]
+        base = result_message(0, 1, "t", 0.0, error="")
+        assert set(base) <= set(message)
+        assert message["kind"] == "result"
+        for key, exemplar in base.items():
+            if message[key] is None:
+                # Only a shed result never reached a worker.
+                assert key == "error" or (
+                    kind == "shed" and key in ("worker_id", "start_epoch")
+                ), key
+            else:
+                assert type(message[key]) is type(exemplar), key
+        assert (message["error"] is None) == (kind == "served")
+        assert json.loads(json.dumps(message)) == message
+        assert pickle.loads(pickle.dumps(message)) == message
+
+    def test_envelope_without_deadline_has_no_budget(self, sparse_feed):
+        envelope = TaskEnvelope(sparse_feed[0], "f" * 16, time.time())
+        assert _rebased_deadline(envelope) is None
+
+    def test_envelope_deadline_is_rebased_onto_the_local_clock(self, sparse_feed):
+        now = time.time()
+        live = _rebased_deadline(
+            TaskEnvelope(
+                sparse_feed[0], "f" * 16, now,
+                deadline_epoch=now + 30.0, deadline_budget_s=30.0,
+            )
+        )
+        assert live.budget_s == 30.0
+        assert not live.expired
+        assert live.remaining() == pytest.approx(30.0, abs=1.0)
+        stale = _rebased_deadline(
+            TaskEnvelope(
+                sparse_feed[0], "f" * 16, now - 40.0,
+                deadline_epoch=now - 10.0, deadline_budget_s=30.0,
+            )
+        )
+        assert stale.expired
+
+    def test_worker_spec_survives_the_spawn_pickle(self):
+        """``spawn`` ships the spec — and the whole ServeConfig inside it,
+        nested configs included — through pickle."""
+        spec = WorkerSpec(
+            worker_id=3, shard=1, model_dir="unused", recover=True, crash_after=2,
+            config=ServeConfig(
+                workers=2,
+                journal_dir="journals",
+                brownout=BrownoutConfig(),
+                worker_chaos=ChaosConfig(seed=5, stall_after=2, stall_s=0.1),
+            ),
+        )
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_span_batch_bounds_shipped_spans(self):
         """Overflow roots are dropped and counted, never shipped."""
@@ -220,7 +322,7 @@ class TestWorkerEnvelope:
 
             spec = WorkerSpec(
                 worker_id=0, shard=0, model_dir="unused",
-                trace=True, span_batch=2,
+                config=ServeConfig(trace=True, span_batch=2),
             )
             results = queue.Queue()
             _process_one(
