@@ -90,6 +90,16 @@ class OverloadError(KamelError):
         self.policy = policy
 
 
+class PoolReceiverError(KamelError):
+    """The serving pool's receiver thread died handling a worker message.
+
+    Raised by :class:`repro.serve.pool.ServingPool` from the next
+    ``submit`` / ``drain`` / ``stop`` after the failure (the original
+    exception is ``__cause__``). With no receiver, no result can be
+    accepted any more — the pool says so instead of looking slow.
+    """
+
+
 class QuarantinedInputError(KamelError):
     """An input was rejected as malformed and belongs in quarantine.
 

@@ -17,7 +17,9 @@ of the pyramid, behind a deterministic router.
   task queue carries, and the one ``result_message`` constructor.
 * :mod:`repro.serve.worker` / :mod:`repro.serve.pool` — the worker
   loop and the parent-side pool: spawn, route, dedupe,
-  detect-death-and-respawn with per-shard journal replay.
+  detect-death-and-respawn with per-shard journal replay. One
+  pool-owned receiver thread accepts results as they arrive, so none of
+  that waits for the caller's next call.
 * :mod:`repro.serve.aggregate` — fleet-wide ``/metrics`` + ``/healthz``
   from merged per-worker registries, plus ``/slow`` — the pool's
   slow-request flight recorder (:mod:`repro.obs.flight`): the route

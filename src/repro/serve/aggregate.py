@@ -63,5 +63,5 @@ def pool_routes(pool) -> dict[str, Route]:
     return {
         "/metrics": lambda query: (render_pool_metrics(pool), CONTENT_TYPE_PROMETHEUS),
         "/healthz": lambda query: json_body(pool.healthz()),
-        "/slow": lambda query: json_body(pool.flight.to_dict()),
+        "/slow": lambda query: json_body(pool.slow()),
     }

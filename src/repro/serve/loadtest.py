@@ -456,9 +456,10 @@ def run_loadtest(
             results = pool.drain()
             wall = time.perf_counter() - started
             if pool.brownout is not None:
-                # Let the controller observe the drained queues and walk
-                # back to level 0 — the recovery half of the hysteresis
-                # cycle the report asserts on. Excluded from the wall.
+                # Wait while the pool's receiver tick feeds the controller
+                # the drained queues and it walks back to level 0 — the
+                # recovery half of the hysteresis cycle the report asserts
+                # on. Excluded from the wall.
                 pool.brownout_settle()
 
         latency = obs.histogram("repro.serve.latency_seconds")

@@ -10,10 +10,19 @@ from a shared queue.
 Delivery semantics are **at-least-once from workers, exactly-once to the
 caller**: a worker journals each task and may re-send results after a
 crash-and-replay, and the pool deduplicates by trajectory id. A worker
-that dies (detected via ``Process.is_alive`` while draining) is replaced
-by a new incarnation on the *same* task queue with ``recover=True``, so
-it first replays its shard journal — the failure-handling story of the
-single-process service, lifted to a fleet.
+that dies (detected via ``Process.is_alive`` on the receiver's tick) is
+replaced by a new incarnation on the *same* task queue with
+``recover=True``, so it first replays its shard journal — the
+failure-handling story of the single-process service, lifted to a fleet.
+
+Results are accepted **when they arrive**, not when the client next
+calls in: one pool-owned receiver thread (``start()`` to ``stop()``)
+blocks on the result pipe and handles every message under the pool lock
+it shares with ``submit``; ``drain()``, ``stop()`` and ``block``
+admission sleep on that lock's condition. Worker liveness and brownout
+run on the receiver too, so a dead worker is revived and the telemetry
+stays current while the client is idle (docs/serving.md, "Threading
+model").
 
 The pool is also the fleet's observability point: per-worker registry
 snapshots arriving on the result queue are merged
@@ -42,15 +51,16 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import pathlib
-import queue as queue_mod
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from multiprocessing.connection import wait as wait_readable
+from typing import Callable, Iterator, Optional, Union
 
 from repro.core.partitioning import PyramidIndex
 from repro.core.tokenization import make_grid
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PoolReceiverError
 from repro.geo import BoundingBox, Trajectory
 from repro.obs import instrument as obs
 from repro.obs.flight import FlightRecord, FlightRecorder, stage_breakdown
@@ -86,6 +96,11 @@ SUBMIT_BLOCK_TIMEOUT_S = 30.0
 """How long the ``block`` admission policy backpressures ``submit`` on a
 full shard before shedding the newcomer after all."""
 
+RECEIVER_TICK_S = 0.25
+"""How often the receiver thread, traffic or not, wakes to check worker
+liveness and feed the brownout controller — how long a dead worker can
+go unnoticed, and the wake-up rate an idle pool costs."""
+
 
 class _SyncQueue:
     """A synchronous many-writers/one-reader message channel.
@@ -100,20 +115,21 @@ class _SyncQueue:
     """
 
     def __init__(self, ctx) -> None:
-        self._reader, self._writer = ctx.Pipe(duplex=False)
+        # Public: the pool's receiver waits on it next to its wake pipe.
+        self.reader, self._writer = ctx.Pipe(duplex=False)
         self._lock = ctx.Lock()
 
     def put(self, obj) -> None:
         with self._lock:
             self._writer.send(obj)
 
-    def get(self, timeout: Optional[float] = None):
-        if not self._reader.poll(timeout):
-            raise queue_mod.Empty
-        return self._reader.recv()
+    def ready(self) -> Iterator:
+        """Every message readable right now; never blocks for the next."""
+        while self.reader.poll(0):
+            yield self.reader.recv()
 
     def close(self) -> None:
-        self._reader.close()
+        self.reader.close()
         self._writer.close()
 
 
@@ -259,6 +275,15 @@ class ServingPool:
         )
         self._started = False
         self._stopping = False
+        # One lock for all pool state: the receiver thread holds it while
+        # it handles messages, callers while they submit or read; waiters
+        # (drain, stop, block admission) sleep on its condition, which
+        # the receiver notifies after every wake-up.
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
+        self._receiver: Optional[threading.Thread] = None
+        self._receiver_error: Optional[BaseException] = None
+        self._wake_reader = self._wake_writer = None
         self.metrics_server = None
         self._clock_offset = clock_offset()
         self.flight = FlightRecorder(
@@ -284,6 +309,14 @@ class ServingPool:
         for shard in range(self.config.workers):
             self._task_queues.append(self._ctx.Queue())
             self._spawn(shard, recover=False)
+        # stop() ends the receiver's blocking wait through this pipe, not
+        # through the result pipe: a one-byte write to it can neither
+        # block on a full pipe nor interleave with a worker's message.
+        self._wake_reader, self._wake_writer = self._ctx.Pipe(duplex=False)
+        self._receiver = threading.Thread(
+            target=self._receive, name="kamel-serve-receiver", daemon=True
+        )
+        self._receiver.start()
         self._started = True
         if self.config.metrics_port is not None:
             self.metrics_server = ObservabilityServer(
@@ -345,34 +378,35 @@ class ServingPool:
         """
         if not self._started:
             raise ConfigError("pool not started (use start() or a with-block)")
-        shard = self.strategy.shard_for(trajectory)
-        self.stats.submitted += 1
-        obs.count("repro.serve.submitted_total")
-        max_depth = self.config.max_queue_depth
-        if max_depth is not None and self._depth(shard) >= max_depth:
-            if not self._make_room(shard):
-                self._shed(trajectory.traj_id, shard, "shard queue full")
-                self._pump(0.0)
-                return shard
-        submit_epoch = time.time()
-        self._outstanding[trajectory.traj_id] = _Pending(
-            shard=shard,
-            submitted_pc=time.perf_counter(),
-            submit_epoch=submit_epoch,
-        )
-        budget_s = self.config.request_deadline_s
-        self._buffers[shard].append(
-            TaskEnvelope(
-                trajectory, new_trace_id(), submit_epoch,
-                deadline_epoch=None if budget_s is None else submit_epoch + budget_s,
-                deadline_budget_s=budget_s,
+        with self._lock:
+            self._raise_if_receiver_failed()
+            shard = self.strategy.shard_for(trajectory)
+            self.stats.submitted += 1
+            obs.count("repro.serve.submitted_total")
+            max_depth = self.config.max_queue_depth
+            if max_depth is not None and self._depth(shard) >= max_depth:
+                if not self._make_room(shard):
+                    self._shed(trajectory.traj_id, shard, "shard queue full")
+                    return shard
+            submit_epoch = time.time()
+            self._outstanding[trajectory.traj_id] = _Pending(
+                shard=shard,
+                submitted_pc=time.perf_counter(),
+                submit_epoch=submit_epoch,
             )
-        )
-        self._feed(shard)
-        self._note_depth()
-        self._brownout_tick()
-        self._pump(0.0)
-        return shard
+            budget_s = self.config.request_deadline_s
+            self._buffers[shard].append(
+                TaskEnvelope(
+                    trajectory, new_trace_id(), submit_epoch,
+                    deadline_epoch=(
+                        None if budget_s is None else submit_epoch + budget_s
+                    ),
+                    deadline_budget_s=budget_s,
+                )
+            )
+            self._feed(shard)
+            self._note_depth()
+            return shard
 
     # -- admission control ---------------------------------------------------
 
@@ -401,19 +435,14 @@ class ServingPool:
             self._outstanding.pop(victim_id, None)
             self._shed(victim_id, shard, "evicted by a newer request")
             return True
-        # block: pump results until the shard has room or the timeout
-        # passes (then shed — blocking forever is the failure mode this
-        # whole layer exists to remove).
-        wait_until = time.monotonic() + SUBMIT_BLOCK_TIMEOUT_S
-        assert self.config.max_queue_depth is not None
+        # block: sleep until the receiver has made room on the shard or
+        # the timeout passes (then shed — blocking forever is the failure
+        # mode this whole layer exists to remove).
+        max_depth = self.config.max_queue_depth
         obs.count("repro.serve.submit_blocked_total")
-        while self._depth(shard) >= self.config.max_queue_depth:
-            if not self._pump(0.05):
-                self._check_workers()
-            self._brownout_tick()
-            if time.monotonic() > wait_until:
-                return False
-        return True
+        return self._wait_for(
+            lambda: self._depth(shard) < max_depth, SUBMIT_BLOCK_TIMEOUT_S
+        )
 
     def _shed(self, traj_id: str, shard: int, why: str) -> None:
         """Refuse one request: account it and surface a typed error result."""
@@ -478,17 +507,16 @@ class ServingPool:
             self._control.value = new_level
 
     def brownout_settle(self, timeout_s: float = 10.0) -> int:
-        """Tick the controller on an idle pool until it steps back to
-        level 0 (or the timeout passes); returns the final level. The
-        overload loadtest calls this after draining so a clean run shows
-        the full step-down/step-up cycle."""
+        """Wait for the controller to step back to level 0 on an idle
+        pool (or for the timeout); returns the final level. The
+        receiver's tick keeps feeding it; the overload loadtest calls
+        this after draining so a clean run shows the full
+        step-down/step-up cycle."""
         if self.brownout is None:
             return 0
-        wait_until = time.monotonic() + timeout_s
-        while self.brownout.level > 0 and time.monotonic() < wait_until:
-            self._brownout_tick()
-            time.sleep(max(0.01, self.brownout.config.interval_s / 2))
-        return self.brownout.level
+        with self._lock:
+            self._wait_for(lambda: self.brownout.level == 0, timeout_s)
+            return self.brownout.level
 
     @property
     def outstanding(self) -> int:
@@ -497,31 +525,16 @@ class ServingPool:
     def drain(self, timeout: Optional[float] = None) -> dict[str, dict]:
         """Wait until every submitted trajectory has a result (or timeout).
 
-        Returns the accumulated ``traj_id -> result message`` map. While
-        idle, checks worker liveness and revives dead shards; on overall
-        timeout it logs the unaccounted ids and returns what arrived —
-        ``stats.lost`` then says how many never came back.
+        Returns a copy of the accumulated ``traj_id -> result message``
+        map. The receiver thread does the accepting (and revives dead
+        shards, or writes their work off) whether or not anyone waits
+        here; on timeout this logs the unaccounted ids and returns what
+        arrived — ``stats.lost`` then says how many never came back.
         """
-        deadline = time.monotonic() + (
-            timeout if timeout is not None else self.config.drain_timeout_s
-        )
-        while self._outstanding:
-            if self._pump(0.25):
-                continue
-            self._check_workers()
-            self._brownout_tick()
-            if not any(p.is_alive() for p in self._procs.values()):
-                # Every shard is dead (revive cap hit or revival off) —
-                # drain the queue's stragglers and give up early rather
-                # than sleeping out the full timeout.
-                if not self._pump(1.0):
-                    _log.error(
-                        "all workers dead with outstanding work",
-                        extra={"data": {"outstanding": len(self._outstanding)}},
-                    )
-                    break
-                continue
-            if time.monotonic() > deadline:
+        if timeout is None:
+            timeout = self.config.drain_timeout_s
+        with self._lock:
+            if not self._wait_for(lambda: not self._outstanding, timeout):
                 _log.error(
                     "drain timed out with unaccounted trajectories",
                     extra={"data": {
@@ -529,8 +542,7 @@ class ServingPool:
                         "ids": sorted(self._outstanding)[:10],
                     }},
                 )
-                break
-        return self.results
+            return dict(self.results)
 
     def process_all(
         self, trajectories, timeout: Optional[float] = None
@@ -542,14 +554,63 @@ class ServingPool:
 
     # -- message handling --------------------------------------------------
 
-    def _pump(self, timeout: float) -> bool:
-        """Handle at most one worker message; True if one was handled."""
+    def _receive(self) -> None:
+        """The receiver thread: accept every worker message as it
+        arrives, check worker liveness every ``RECEIVER_TICK_S``, and
+        wake whoever sleeps on the pool condition.
+
+        Each wake-up — a batch of messages, or the tick on an idle pool
+        — handles everything already readable in one lock hold and
+        feeds the brownout controller once (it rate-limits itself). A
+        failure here is stored for the next ``submit`` / ``drain`` /
+        ``stop`` to raise: a dead receiver must never look like a slow
+        pool.
+        """
+        channel = self._result_queue
+        next_tick = time.monotonic() + RECEIVER_TICK_S
         try:
-            message = self._result_queue.get(timeout=timeout)
-        except queue_mod.Empty:
-            return False
-        self._handle(message)
-        return True
+            while True:
+                woken = wait_readable(
+                    [channel.reader, self._wake_reader],
+                    max(0.0, next_tick - time.monotonic()),
+                )
+                with self._lock:
+                    for message in channel.ready():
+                        self._handle(message)
+                    if time.monotonic() >= next_tick:
+                        self._check_workers()
+                        next_tick = time.monotonic() + RECEIVER_TICK_S
+                    self._brownout_tick()
+                    self._note_depth()
+                    self._cond.notify_all()
+                if self._wake_reader in woken:
+                    return
+        except Exception as exc:  # noqa: BLE001 - stored, re-raised to the caller
+            _log.error(
+                "receiver thread failed; the pool can accept no more results",
+                extra={"data": {"error": repr(exc)}},
+                exc_info=True,
+            )
+            with self._lock:
+                self._receiver_error = exc
+                self._cond.notify_all()
+
+    def _raise_if_receiver_failed(self) -> None:
+        if self._receiver_error is not None:
+            raise PoolReceiverError(
+                f"receiver thread failed: {self._receiver_error!r}"
+            ) from self._receiver_error
+
+    def _wait_for(self, predicate: Callable[[], bool], timeout: float) -> bool:
+        """Sleep on the pool condition (lock held by the caller) until
+        the receiver has made ``predicate`` true or ``timeout`` passes;
+        returns whether it holds. Raises if the receiver failed — then
+        nothing would ever make it true."""
+        held = self._cond.wait_for(
+            lambda: self._receiver_error is not None or predicate(), timeout
+        )
+        self._raise_if_receiver_failed()
+        return held
 
     def _handle(self, message: dict) -> None:
         kind = message.get("kind")
@@ -575,8 +636,6 @@ class ServingPool:
             self._dequeued_ids.add(traj_id)
             self._inflight[shard] = self._inflight.get(shard, 0) + 1
         self._feed(shard)
-        self._note_depth()
-        self._brownout_tick()
 
     def _handle_result(self, message: dict) -> None:
         traj_id = message["traj_id"]
@@ -615,8 +674,6 @@ class ServingPool:
             latency_s = time.perf_counter() - pending.submitted_pc
             obs.observe("repro.serve.latency_seconds", latency_s)
         self._feed(shard)
-        self._note_depth()
-        self._brownout_tick()
         self.worker_processed[shard] = self.worker_processed.get(shard, 0) + 1
         if message["replayed"]:
             self.stats.journal_replayed += 1
@@ -726,8 +783,15 @@ class ServingPool:
     # -- worker liveness ---------------------------------------------------
 
     def _check_workers(self) -> None:
+        """Revive (or retire) every shard whose worker died; runs on the
+        receiver's tick, so it needs no caller to be waiting."""
         for shard, proc in list(self._procs.items()):
-            if proc.is_alive() or shard in self._byes:
+            if proc.is_alive():
+                continue
+            if shard in self._byes:
+                # Retired: whatever was routed here since can't complete
+                # either, and must not keep drain() waiting.
+                self._declare_lost(shard)
                 continue
             proc.join(timeout=1.0)
             self.stats.worker_deaths += 1
@@ -799,37 +863,46 @@ class ServingPool:
         ``terminate()`` (SIGTERM), then ``kill()`` (SIGKILL) — Ctrl-C or
         a supervisor's SIGTERM must never leave orphan workers behind.
         """
-        if not self._started or self._stopping:
-            return
-        self._stopping = True
-        for task_queue in self._task_queues:
-            task_queue.put(None)
-        deadline = time.monotonic() + timeout
-        while len(self._byes) < len(self._procs) and time.monotonic() < deadline:
-            if self._pump(0.25):
-                continue
-            if not any(p.is_alive() for p in self._procs.values()):
-                break
-        for proc in self._procs.values():
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
+        with self._lock:
+            if not self._started or self._stopping:
+                return
+            self._stopping = True
+            for task_queue in self._task_queues:
+                task_queue.put(None)
+            # A shard that dies instead of saying goodbye is added to
+            # _byes by the receiver's tick (no revival while stopping).
+            try:
+                self._wait_for(lambda: len(self._byes) >= len(self._procs), timeout)
+            except PoolReceiverError:
+                pass  # raised below, once the workers are reaped
+            # Still under the lock: the receiver's tick polls these
+            # processes too, and two threads must not reap one pid.
+            for proc in self._procs.values():
                 proc.join(timeout=5.0)
-            if proc.is_alive():
-                # A worker wedged through SIGTERM (stalled in C code, or
-                # chaos-stalled): SIGKILL is the no-orphans backstop.
-                _log.error(
-                    "worker ignored terminate; killing it",
-                    extra={"data": {"pid": proc.pid}},
-                )
-                proc.kill()
-                proc.join(timeout=5.0)
-        while self._pump(0.0):
-            pass
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join(timeout=5.0)
+                if proc.is_alive():
+                    # A worker wedged through SIGTERM (stalled in C code,
+                    # or chaos-stalled): SIGKILL is the no-orphans backstop.
+                    _log.error(
+                        "worker ignored terminate; killing it",
+                        extra={"data": {"pid": proc.pid}},
+                    )
+                    proc.kill()
+                    proc.join(timeout=5.0)
+        # Wake the receiver; its last pass accepts whatever the reaped
+        # workers left in the pipe, then the thread ends.
+        self._wake_writer.send_bytes(b"\0")
+        self._receiver.join(timeout=5.0)
+        if self._receiver.is_alive():
+            _log.error("receiver thread did not stop; abandoning it")
         for task_queue in self._task_queues:
             task_queue.close()
             task_queue.cancel_join_thread()
         self._result_queue.close()
+        self._wake_reader.close()
+        self._wake_writer.close()
         if self.metrics_server is not None:
             self.metrics_server.stop()
             self.metrics_server = None
@@ -842,6 +915,7 @@ class ServingPool:
                 "worker_deaths": self.stats.worker_deaths,
             }},
         )
+        self._raise_if_receiver_failed()
 
     def close(self, timeout: float = 20.0) -> None:
         """Graceful-shutdown alias for :meth:`stop` (idempotent)."""
@@ -852,45 +926,56 @@ class ServingPool:
     def merged_snapshot(self) -> dict[str, dict]:
         """One fleet-wide metrics snapshot: the parent's ``repro.serve.*``
         metrics merged with the latest snapshot from every worker."""
-        parent = get_registry().snapshot(prefix="repro.serve")
-        return merge_snapshots([parent, *self.worker_snapshots.values()])
+        with self._lock:
+            parent = get_registry().snapshot(prefix="repro.serve")
+            # Replaced whole, never edited: safe to merge outside the lock.
+            workers = list(self.worker_snapshots.values())
+        return merge_snapshots([parent, *workers])
+
+    def slow(self) -> dict:
+        """The flight recorder's ``/slow`` payload, read under the pool
+        lock so its stage table and its slowest-N list describe the same
+        set of requests."""
+        with self._lock:
+            return self.flight.to_dict()
 
     def healthz(self) -> dict:
         """The aggregated health document behind ``/healthz``."""
-        workers = []
-        for shard in sorted(self._procs):
-            proc = self._procs[shard]
-            workers.append(
-                {
-                    "shard": shard,
-                    "alive": proc.is_alive(),
-                    "pid": proc.pid,
-                    "processed": self.worker_processed.get(shard, 0),
-                    "queue_depth": self._depth(shard),
-                    "inflight": self._inflight.get(shard, 0),
-                }
-            )
-        alive = all(w["alive"] for w in workers) if workers else False
-        doc = {
-            "status": "ok" if alive and self.stats.lost == 0 else "degraded",
-            "strategy": self.strategy.name,
-            "submitted": self.stats.submitted,
-            "completed": self.stats.completed,
-            "outstanding": len(self._outstanding),
-            "duplicates": self.stats.duplicates,
-            "worker_deaths": self.stats.worker_deaths,
-            "journal_replayed": self.stats.journal_replayed,
-            "declared_lost": self.stats.declared_lost,
-            "shed": self.stats.shed,
-            "expired": self.stats.expired,
-            "peak_queue_depth": self.stats.peak_queue_depth,
-            "admission": {
-                "max_queue_depth": self.config.max_queue_depth,
-                "policy": self.config.admission_policy,
-                "request_deadline_s": self.config.request_deadline_s,
-            },
-            "workers": workers,
-        }
-        if self.brownout is not None:
-            doc["brownout"] = self.brownout.to_dict()
-        return doc
+        with self._lock:
+            workers = []
+            for shard in sorted(self._procs):
+                proc = self._procs[shard]
+                workers.append(
+                    {
+                        "shard": shard,
+                        "alive": proc.is_alive(),
+                        "pid": proc.pid,
+                        "processed": self.worker_processed.get(shard, 0),
+                        "queue_depth": self._depth(shard),
+                        "inflight": self._inflight.get(shard, 0),
+                    }
+                )
+            alive = all(w["alive"] for w in workers) if workers else False
+            doc = {
+                "status": "ok" if alive and self.stats.lost == 0 else "degraded",
+                "strategy": self.strategy.name,
+                "submitted": self.stats.submitted,
+                "completed": self.stats.completed,
+                "outstanding": len(self._outstanding),
+                "duplicates": self.stats.duplicates,
+                "worker_deaths": self.stats.worker_deaths,
+                "journal_replayed": self.stats.journal_replayed,
+                "declared_lost": self.stats.declared_lost,
+                "shed": self.stats.shed,
+                "expired": self.stats.expired,
+                "peak_queue_depth": self.stats.peak_queue_depth,
+                "admission": {
+                    "max_queue_depth": self.config.max_queue_depth,
+                    "policy": self.config.admission_policy,
+                    "request_deadline_s": self.config.request_deadline_s,
+                },
+                "workers": workers,
+            }
+            if self.brownout is not None:
+                doc["brownout"] = self.brownout.to_dict()
+            return doc
