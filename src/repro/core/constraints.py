@@ -55,18 +55,30 @@ def creates_cycle(tokens: Sequence[int], insert_pos: int, candidate: int, window
     tokens are repeated" test, applied locally around the insertion point
     (tokens elsewhere are unchanged, so no new cycle can appear there).
     """
-    new = list(tokens[: insert_pos + 1]) + [candidate] + list(tokens[insert_pos + 1 :])
     inserted_at = insert_pos + 1
-    n = len(new)
+    n = len(tokens) + 1
+
+    def would_be(i: int) -> int:
+        """Index ``i`` of the sequence after insertion, read in place."""
+        if i == inserted_at:
+            return candidate
+        return tokens[i] if i < inserted_at else tokens[i - 1]
+
     for block in range(1, window + 1):
+        # In any placement covering the inserted token, it is compared
+        # with the token one block before or one block after it: unless
+        # one of those two equals the candidate, no placement can match.
+        if not (
+            (inserted_at >= block and tokens[inserted_at - block] == candidate)
+            or (inserted_at + block < n and tokens[inserted_at + block - 1] == candidate)
+        ):
+            continue
         # Two adjacent blocks occupy [start, start+2*block); consider every
         # placement that covers the inserted index.
         lo = max(0, inserted_at - 2 * block + 1)
         hi = min(inserted_at, n - 2 * block)
         for start in range(lo, hi + 1):
-            first = new[start : start + block]
-            second = new[start + block : start + 2 * block]
-            if first == second:
+            if all(would_be(i) == would_be(i + block) for i in range(start, start + block)):
                 return True
     return False
 
@@ -79,19 +91,56 @@ _REJECTION_COUNTERS = (
     "direction_cone",
     "cycle",
 )
+_REJECTION_METRICS = tuple(
+    f"repro.constraints.rejected.{reason}_total" for reason in _REJECTION_COUNTERS
+)
 
 
-def _record_filter(n_in: int, n_out: int, rejected: dict[str, int]) -> None:
-    """Flush one filter call's tallies into the metrics registry."""
+def _record_filter(n_in: int, n_out: int, rejected: Sequence[int]) -> None:
+    """Flush one filter call's tallies into the metrics registry.
+
+    ``rejected`` holds one count per reason, in ``_REJECTION_COUNTERS`` order.
+    """
     obs.count("repro.constraints.candidates_in_total", n_in)
     obs.count("repro.constraints.candidates_out_total", n_out)
-    for reason, n in rejected.items():
+    for metric, n in zip(_REJECTION_METRICS, rejected):
         if n:
-            obs.count(f"repro.constraints.rejected.{reason}_total", n)
+            obs.count(metric, n)
     # Windowed rejection ratio for the rolling quality monitors: each
     # candidate contributes one 0/1 bit, so the window weights filter
     # calls by how many candidates they actually saw.
     obs.monitors().rejection.extend(n_in - n_out, n_in)
+
+
+@dataclass(slots=True)
+class _SegmentFrame:
+    """What the Section 5 tests need of one :class:`GapContext` that no
+    candidate changes: the ellipse foci and bound, and each active
+    direction cone as its apex and the bearing of its axis.
+
+    Built once per :meth:`SpatialConstraints.filter` call (and per call of
+    a single-candidate predicate), so a candidate costs only the distances
+    and bearings from its own centroid.
+    """
+
+    source: Point
+    dest: Point
+    distance_sum: float
+    cones: list[tuple[Point, float]]
+    cone_half_angle_rad: float
+
+    def within_speed_ellipse(self, c: Point) -> bool:
+        return c.distance_to(self.source) + c.distance_to(self.dest) <= self.distance_sum
+
+    def violates_direction(self, c: Point) -> bool:
+        for apex, axis in self.cones:
+            # The apex itself has no bearing, hence is in no cone.
+            if (
+                apex.distance_to(c) != 0.0
+                and angle_difference(apex.bearing_to(c), axis) <= self.cone_half_angle_rad
+            ):
+                return True
+        return False
 
 
 class SpatialConstraints:
@@ -118,9 +167,7 @@ class SpatialConstraints:
         and a geometric floor (the straight-line distance plus a couple of
         cells) so zero/short time differences never exclude everything.
         """
-        s_pt = self.tokenizer.centroid_of_token(ctx.source)
-        d_pt = self.tokenizer.centroid_of_token(ctx.dest)
-        straight = s_pt.distance_to(d_pt)
+        straight = self.tokenizer.token_distance_m(ctx.source, ctx.dest)
         floor = max(
             self.config.ellipse_min_sum_m,
             straight + 2.0 * self.tokenizer.grid.centroid_spacing_m,
@@ -143,35 +190,30 @@ class SpatialConstraints:
             )
         return max(floor, speed_bound * time_diff * self.config.speed_slack)
 
+    def _frame(self, ctx: GapContext) -> _SegmentFrame:
+        centroid = self.tokenizer.centroid_of_token
+        source, dest = centroid(ctx.source), centroid(ctx.dest)
+        cones: list[tuple[Point, float]] = []
+        # Forbidden: back from S toward the token before it, and on from D
+        # toward the token after it. A neighbour in the apex's own cell
+        # gives no direction and so no cone.
+        for apex, toward_token in ((source, ctx.prev_token), (dest, ctx.next_token)):
+            if toward_token is not None:
+                toward = centroid(toward_token)
+                if apex.distance_to(toward) > 0:
+                    cones.append((apex, apex.bearing_to(toward)))
+        return _SegmentFrame(
+            source, dest, self.ellipse_distance_sum(ctx), cones, self.config.cone_half_angle_rad
+        )
+
     def within_speed_ellipse(self, candidate: int, ctx: GapContext) -> bool:
         c = self.tokenizer.centroid_of_token(candidate)
-        s_pt = self.tokenizer.centroid_of_token(ctx.source)
-        d_pt = self.tokenizer.centroid_of_token(ctx.dest)
-        return c.distance_to(s_pt) + c.distance_to(d_pt) <= self.ellipse_distance_sum(ctx)
-
-    def _in_cone(self, apex: Point, toward: Point, candidate_pt: Point) -> bool:
-        d = apex.distance_to(candidate_pt)
-        if d == 0.0:
-            return False
-        return (
-            angle_difference(apex.bearing_to(candidate_pt), apex.bearing_to(toward))
-            <= self.config.cone_half_angle_rad
-        )
+        return self._frame(ctx).within_speed_ellipse(c)
 
     def violates_direction(self, candidate: int, ctx: GapContext) -> bool:
         """True when the candidate falls in a forbidden direction cone."""
         c = self.tokenizer.centroid_of_token(candidate)
-        if ctx.prev_token is not None:
-            apex = self.tokenizer.centroid_of_token(ctx.source)
-            toward = self.tokenizer.centroid_of_token(ctx.prev_token)
-            if apex.distance_to(toward) > 0 and self._in_cone(apex, toward, c):
-                return True
-        if ctx.next_token is not None:
-            apex = self.tokenizer.centroid_of_token(ctx.dest)
-            toward = self.tokenizer.centroid_of_token(ctx.next_token)
-            if apex.distance_to(toward) > 0 and self._in_cone(apex, toward, c):
-                return True
-        return False
+        return self._frame(ctx).violates_direction(c)
 
     # -- the combined filter ---------------------------------------------------
 
@@ -187,50 +229,57 @@ class SpatialConstraints:
         ``segment`` is the segment token list built so far (S .. D) and
         ``insert_pos`` the index after which the candidate would go.
         """
-        vocab = self.tokenizer.vocabulary
-        gap_left = self.tokenizer.centroid_of_token(segment[insert_pos])
-        gap_right = self.tokenizer.centroid_of_token(segment[insert_pos + 1])
-        local_budget = gap_left.distance_to(gap_right) + self.config.local_detour_slack_m
+        # Everything the candidate does not change is worked out here,
+        # once per call; the loop below does only the candidate's own
+        # distances and bearings (this runs inside the beam loop).
+        centroid = self.tokenizer.centroid_of_token
+        num_special = self.tokenizer.vocabulary.num_special
+        cycle_window = self.config.cycle_window
+        frame = self._frame(ctx)
+        gap_left = centroid(segment[insert_pos])
+        gap_right = centroid(segment[insert_pos + 1])
+        gap_len = gap_left.distance_to(gap_right)
+        local_budget = gap_len + self.config.local_detour_slack_m
         # Travel-distance budget: the whole imputed path may not be longer
         # than the maximum speed allows within the segment's time span —
         # the same bound as the position ellipse, applied to arc length.
         # Without it, the search can zig-zag arbitrarily inside the
         # ellipse and "close" a gap with a physically impossible path.
-        length_budget = self.ellipse_distance_sum(ctx)
-        current_length = self._segment_length(segment)
+        length_budget = frame.distance_sum
+        length_without_gap = self._segment_length(segment) - gap_len
         # Rejections are tallied locally and flushed as one counter update
         # per filter call, keeping the per-candidate loop free of registry
-        # traffic (this runs once per model call, inside the beam loop).
-        rejected = dict.fromkeys(_REJECTION_COUNTERS, 0)
+        # traffic.
+        n_special = n_ellipse = n_detour = n_length = n_cone = n_cycle = 0
         out: list[TokenProb] = []
         for token, prob in candidates:
-            if vocab.is_special(token):
-                rejected["special"] += 1
+            if 0 <= token < num_special:  # Vocabulary.is_special, inlined
+                n_special += 1
                 continue
-            if not self.within_speed_ellipse(token, ctx):
-                rejected["speed_ellipse"] += 1
+            c = centroid(token)
+            if not frame.within_speed_ellipse(c):
+                n_ellipse += 1
                 continue
-            c = self.tokenizer.centroid_of_token(token)
-            if c.distance_to(gap_left) + c.distance_to(gap_right) > local_budget:
-                rejected["local_detour"] += 1
+            to_left = c.distance_to(gap_left)
+            to_right = c.distance_to(gap_right)
+            if to_left + to_right > local_budget:
+                n_detour += 1
                 continue
-            new_length = (
-                current_length
-                - gap_left.distance_to(gap_right)
-                + c.distance_to(gap_left)
-                + c.distance_to(gap_right)
-            )
-            if new_length > length_budget:
-                rejected["length_budget"] += 1
+            if length_without_gap + to_left + to_right > length_budget:
+                n_length += 1
                 continue
-            if self.violates_direction(token, ctx):
-                rejected["direction_cone"] += 1
+            if frame.violates_direction(c):
+                n_cone += 1
                 continue
-            if creates_cycle(segment, insert_pos, token, self.config.cycle_window):
-                rejected["cycle"] += 1
+            if creates_cycle(segment, insert_pos, token, cycle_window):
+                n_cycle += 1
                 continue
             out.append((token, prob))
-        _record_filter(len(candidates), len(out), rejected)
+        _record_filter(
+            len(candidates),
+            len(out),
+            (n_special, n_ellipse, n_detour, n_length, n_cone, n_cycle),
+        )
         return out
 
     def _segment_length(self, segment: Sequence[int]) -> float:
@@ -255,16 +304,16 @@ class PassthroughConstraints(SpatialConstraints):
         segment: Sequence[int],
         insert_pos: int,
     ) -> list[TokenProb]:
-        vocab = self.tokenizer.vocabulary
-        rejected = dict.fromkeys(_REJECTION_COUNTERS, 0)
+        num_special = self.tokenizer.vocabulary.num_special
+        n_special = n_cycle = 0
         out: list[TokenProb] = []
         for token, prob in candidates:
-            if vocab.is_special(token):
-                rejected["special"] += 1
+            if 0 <= token < num_special:
+                n_special += 1
                 continue
             if creates_cycle(segment, insert_pos, token, 1):
-                rejected["cycle"] += 1
+                n_cycle += 1
                 continue
             out.append((token, prob))
-        _record_filter(len(candidates), len(out), rejected)
+        _record_filter(len(candidates), len(out), (n_special, 0, 0, 0, 0, n_cycle))
         return out

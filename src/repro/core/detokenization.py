@@ -148,7 +148,7 @@ class Detokenizer:
         procedure; the best-aligned cluster centroid wins.
         """
         cell = self.tokenizer.cell_of_token(token_id)
-        hexagon_centroid = self.tokenizer.grid.centroid(cell)
+        hexagon_centroid = self.tokenizer.centroid_of_token(token_id)
         obs.count("repro.detokenization.tokens_total")
         info = self._cells.get(cell)
         if info is None or info.data_centroid is None:

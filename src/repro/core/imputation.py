@@ -85,28 +85,24 @@ class SegmentImputer(abc.ABC):
         self.tokenizer = tokenizer
         self.constraints = constraints
         self.config = config
-        self._gap_threshold_m = gap_threshold_m
+        # The distance above which two consecutive tokens form a gap:
+        # ``maxgap`` from the config, floored at the grid's centroid
+        # spacing. Two *adjacent* cells are never a gap (the paper's
+        # Figure 6 counts gaps in token steps, and with 75 m hexagons the
+        # 130 m centroid spacing already exceeds the 100 m default maxgap —
+        # a literal meters-only test could never terminate).
+        # :class:`repro.core.kamel` additionally floors this at the
+        # training data's own token spacing: the model cannot produce
+        # transitions finer than it ever observed, and the paper's metrics
+        # measure distance to the imputed *polyline*, which is insensitive
+        # to the spacing of points along it. Config and grid are fixed per
+        # imputer, so it is worked out once, here, not per gap test.
+        floor = max(config.maxgap_m, tokenizer.grid.centroid_spacing_m + 1e-6)
+        self.gap_threshold_m = (
+            floor if gap_threshold_m is None else max(floor, gap_threshold_m)
+        )
 
     # -- gap geometry -----------------------------------------------------
-
-    @property
-    def gap_threshold_m(self) -> float:
-        """The distance above which two consecutive tokens form a gap.
-
-        ``maxgap`` from the config, floored at the grid's centroid spacing:
-        two *adjacent* cells are never a gap (the paper's Figure 6 counts
-        gaps in token steps, and with 75 m hexagons the 130 m centroid
-        spacing already exceeds the 100 m default maxgap — a literal
-        meters-only test could never terminate). :class:`repro.core.kamel`
-        additionally floors this at the training data's own token spacing:
-        the model cannot produce transitions finer than it ever observed,
-        and the paper's metrics measure distance to the imputed *polyline*,
-        which is insensitive to the spacing of points along it.
-        """
-        floor = max(self.config.maxgap_m, self.tokenizer.grid.centroid_spacing_m + 1e-6)
-        if self._gap_threshold_m is not None:
-            return max(floor, self._gap_threshold_m)
-        return floor
 
     def _gap_after(self, seg: Sequence[int], i: int) -> bool:
         """Whether the distance between seg[i] and seg[i+1] exceeds maxgap."""

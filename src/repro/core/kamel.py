@@ -53,6 +53,7 @@ from repro.geo import BoundingBox, Point, Trajectory, interpolate
 from repro.mlm.base import MaskedModel
 from repro.mlm.bert import BertMaskedLM, TrainingConfig
 from repro.mlm.counting import CountingMaskedLM
+from repro.mlm.vocab import Vocabulary
 from repro.obs import instrument as obs
 from repro.obs.drift import (
     DEFAULT_DRIFT_LIMIT,
@@ -138,10 +139,14 @@ class Kamel(Imputer):
             )
         return CountingMaskedLM()
 
-    def _build_components(self, cell_edge_m: float) -> None:
+    def _build_components(
+        self, cell_edge_m: float, vocabulary: Optional[Vocabulary] = None
+    ) -> None:
+        """Wire tokenizer, store, repository and detokenizer around one
+        grid and one vocabulary (a restored one when loading, else new)."""
         cfg = self.config
         grid = make_grid(cfg.grid_type, cell_edge_m)
-        self.tokenizer = Tokenizer(grid)
+        self.tokenizer = Tokenizer(grid, vocabulary)
         self.store = TrajectoryStore(self.tokenizer)
         self.repository = ModelRepository(
             self.tokenizer, self.store, cfg, self._model_factory

@@ -50,11 +50,21 @@ def make_grid(grid_type: str, cell_edge_m: float) -> Grid:
 
 
 class Tokenizer:
-    """Maps trajectories to token sequences over a shared vocabulary."""
+    """Maps trajectories to token sequences over a shared vocabulary.
+
+    ``grid`` and ``vocabulary`` are fixed for the tokenizer's lifetime
+    (the vocabulary may *grow*; it is never replaced): token geometry is
+    computed once per token id and kept.
+    """
 
     def __init__(self, grid: Grid, vocabulary: Optional[Vocabulary] = None) -> None:
         self.grid = grid
         self.vocabulary = vocabulary if vocabulary is not None else Vocabulary()
+        # Token id -> cell centroid, filled on first use. Ids are
+        # append-only and the grid never moves, so an entry cannot go
+        # stale; a racing thread stores an equal Point (an idempotent
+        # dict store under the GIL), so streaming threads share it unlocked.
+        self._centroids: dict[int, Point] = {}
 
     # -- encoding -----------------------------------------------------------
 
@@ -100,11 +110,16 @@ class Tokenizer:
         return self.vocabulary.encode(self.grid.cell_of(p))
 
     def centroid_of_token(self, token_id: int) -> Point:
-        return self.grid.centroid(self.cell_of_token(token_id))
+        """Centroid of the token's cell (special / unknown ids raise)."""
+        point = self._centroids.get(token_id)
+        if point is None:
+            point = self.grid.centroid(self.cell_of_token(token_id))
+            self._centroids[token_id] = point
+        return point
 
     def token_distance_m(self, a: int, b: int) -> float:
         """Centroid distance between two tokens in meters."""
-        return self.grid.cell_distance_m(self.cell_of_token(a), self.cell_of_token(b))
+        return self.centroid_of_token(a).distance_to(self.centroid_of_token(b))
 
     def sequence_bbox(self, seq: TokenSequence) -> BoundingBox:
         """Bounding box of a token sequence's cell centroids."""

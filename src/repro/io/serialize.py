@@ -279,14 +279,16 @@ def load_kamel(
     config_payload["cell_size_candidates"] = tuple(config_payload["cell_size_candidates"])
     config = KamelConfig(**config_payload)
 
+    meta = json.loads(root.joinpath("system.json").read_text())
     system = Kamel(config)
-    system._build_components(config.cell_edge_m)
+    # The store and repository share the tokenizer, and a tokenizer keeps
+    # its vocabulary for life: restore the vocabulary first, build around it.
+    system._build_components(
+        config.cell_edge_m, Vocabulary.from_list(meta["vocabulary"])
+    )
     assert system.tokenizer is not None and system.store is not None
     assert system.repository is not None and system.detokenizer is not None
 
-    meta = json.loads(root.joinpath("system.json").read_text())
-    system.tokenizer.vocabulary = Vocabulary.from_list(meta["vocabulary"])
-    # The store and repository share the tokenizer; rebuild vocab first.
     system.max_speed_mps = meta["max_speed_mps"]
     system._gap_threshold_m = meta["gap_threshold_m"]
 

@@ -52,6 +52,24 @@ class TestRoundTrip:
             assert a.y == pytest.approx(b.y)
         assert original.num_failed == recovered.num_failed
 
+    def test_token_geometry_restored(self, saved, trained_kamel, small_split):
+        """The restored tokenizer is built around the restored vocabulary, so
+        no centroid can have been looked up under another one."""
+        from repro.serve.modelstore import load_kamel_lazy
+
+        original = trained_kamel.tokenizer
+        feed = [t.sparsify(500.0) for t in small_split[1][:8]]
+        expected = [trained_kamel.impute(t) for t in feed]
+        for restored in (load_kamel(saved), load_kamel_lazy(saved)[0]):
+            tokenizer = restored.tokenizer
+            assert tokenizer.vocabulary.to_list() == original.vocabulary.to_list()
+            assert restored.constraints.tokenizer is tokenizer
+            for t in tokenizer.vocabulary.real_token_ids():
+                fresh = tokenizer.grid.centroid(tokenizer.cell_of_token(t))
+                assert tokenizer.centroid_of_token(t) == fresh
+                assert original.centroid_of_token(t) == fresh
+            assert [restored.impute(t) for t in feed] == expected  # bit for bit
+
     def test_save_via_method(self, trained_kamel, tmp_path):
         trained_kamel.save(tmp_path / "via_method")
         restored = Kamel.load(tmp_path / "via_method")
