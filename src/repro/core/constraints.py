@@ -11,11 +11,16 @@ masked model before the multipoint-imputation module may use them:
   the direction from D onward toward its next token (Section 5.1);
 * **cycle prevention** — inserting the candidate must not create a
   repeated consecutive token block of length up to ``x`` (Section 5.2).
+
+What the filters work out that is fixed for a whole segment — and what
+they tally — lives in the segment's :class:`SegmentSearch`, never on the
+shared :class:`SpatialConstraints`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot
 from typing import Optional, Sequence
 
 from repro.core.config import KamelConfig
@@ -96,30 +101,14 @@ _REJECTION_METRICS = tuple(
 )
 
 
-def _record_filter(n_in: int, n_out: int, rejected: Sequence[int]) -> None:
-    """Flush one filter call's tallies into the metrics registry.
-
-    ``rejected`` holds one count per reason, in ``_REJECTION_COUNTERS`` order.
-    """
-    obs.count("repro.constraints.candidates_in_total", n_in)
-    obs.count("repro.constraints.candidates_out_total", n_out)
-    for metric, n in zip(_REJECTION_METRICS, rejected):
-        if n:
-            obs.count(metric, n)
-    # Windowed rejection ratio for the rolling quality monitors: each
-    # candidate contributes one 0/1 bit, so the window weights filter
-    # calls by how many candidates they actually saw.
-    obs.monitors().rejection.extend(n_in - n_out, n_in)
-
-
 @dataclass(slots=True)
 class _SegmentFrame:
     """What the Section 5 tests need of one :class:`GapContext` that no
     candidate changes: the ellipse foci and bound, and each active
     direction cone as its apex and the bearing of its axis.
 
-    Built once per :meth:`SpatialConstraints.filter` call (and per call of
-    a single-candidate predicate), so a candidate costs only the distances
+    Built once per :class:`SegmentSearch` (and per call of a
+    single-candidate predicate), so a candidate costs only the distances
     and bearings from its own centroid.
     """
 
@@ -141,6 +130,159 @@ class _SegmentFrame:
             ):
                 return True
         return False
+
+
+@dataclass(slots=True)
+class _Verdict:
+    """What the tests that depend on ``(token, GapContext)`` alone say of
+    one token, filled in the order :meth:`SpatialConstraints.filter` runs
+    them: the ellipse test on first sight, the cone test the first time a
+    gap lets the token reach it."""
+
+    centroid: Point
+    in_ellipse: bool
+    in_cone: Optional[bool] = None
+
+
+@dataclass(slots=True, eq=False)
+class SegmentPath:
+    """A partial segment (S .. D) with its polyline measured.
+
+    ``hops[i]`` is the centroid distance from ``tokens[i]`` to
+    ``tokens[i + 1]`` and ``length`` is ``sum(hops)``: the one expression
+    every reader of the arc length uses, so a path extended hop by hop and
+    a path measured from scratch hold the same floats. One instance per
+    token tuple per :class:`SegmentSearch`, compared and hashed by
+    identity.
+    """
+
+    tokens: tuple[int, ...]
+    hops: tuple[float, ...]
+    length: float
+
+
+Gap = tuple[SegmentPath, int]
+"""A question to the model: ``(partial segment, gap position in it)``."""
+
+
+class SegmentSearch:
+    """Everything the search over one segment has worked out so far.
+
+    Created by whoever owns the segment (``Kamel._impute_segment`` for a
+    ladder walk, ``impute_segment`` / ``filter`` for a call made without
+    one), handed down to every strategy run and every ``filter`` call of
+    that segment, and flushed by its creator — it is a context manager,
+    and leaving the block is the flush. Nothing in it is ever stored on
+    the shared :class:`SpatialConstraints` or tokenizer.
+
+    * ``answers`` — constrained candidates by :data:`Gap`. An answer
+      depends on the gap, the context, the model and ``top_k`` only, so
+      runs that ask the same model share them (the ladder's full and
+      reduced-beam rungs) and :meth:`asking` drops them when the model
+      changes.
+    * ``frame`` / ``verdicts`` / ``paths`` — geometry of the one
+      :class:`GapContext`: the frame of the position tests, their verdict
+      per token, and every partial segment measured so far. Model-free,
+      hence shared by all runs.
+    * the rejection tallies of every ``filter`` call, kept until
+      :meth:`flush`.
+    """
+
+    __slots__ = (
+        "ctx", "answers", "frame", "verdicts", "paths",
+        "_centroid", "_model", "_rejected", "_calls",
+    )
+
+    def __init__(self, ctx: GapContext, tokenizer: Tokenizer) -> None:
+        self.ctx = ctx
+        self.answers: dict[Gap, list[TokenProb]] = {}
+        self.frame: Optional[_SegmentFrame] = None
+        self.verdicts: dict[int, _Verdict] = {}
+        self.paths: dict[tuple[int, ...], SegmentPath] = {}
+        self._centroid = tokenizer.centroid_of_token
+        self._model: object = None
+        self._rejected = [0] * len(_REJECTION_COUNTERS)
+        self._calls: list[tuple[int, int]] = []
+
+    def asking(self, model: object) -> "SegmentSearch":
+        """Name the model the next run queries; answers of another model
+        are dropped, geometry and tallies stay."""
+        if model is not self._model:
+            self._model = model
+            self.answers = {}
+        return self
+
+    # -- partial segments -----------------------------------------------------
+
+    def path(self, tokens: Sequence[int]) -> SegmentPath:
+        """The measured path over ``tokens`` (measured whole when new)."""
+        tokens = tuple(tokens)
+        path = self.paths.get(tokens)
+        if path is None:
+            centroids = [self._centroid(t) for t in tokens]
+            hops = tuple(a.distance_to(b) for a, b in zip(centroids, centroids[1:]))
+            path = self.paths[tokens] = SegmentPath(tokens, hops, sum(hops))
+        return path
+
+    def extend(self, path: SegmentPath, insert_pos: int, token: int) -> SegmentPath:
+        """``path`` with ``token`` inserted after position ``insert_pos``.
+
+        Only the two hops the insertion creates are measured, each in the
+        path's own direction (as :meth:`path` would); the length is summed
+        anew rather than adjusted, because ``length - gap + left + right``
+        is a different float from ``sum(hops)``.
+        """
+        tokens = path.tokens[: insert_pos + 1] + (token,) + path.tokens[insert_pos + 1 :]
+        child = self.paths.get(tokens)
+        if child is None:
+            c = self._centroid(token)
+            to_left = self._centroid(tokens[insert_pos]).distance_to(c)
+            to_right = c.distance_to(self._centroid(tokens[insert_pos + 2]))
+            hops = path.hops[:insert_pos] + (to_left, to_right) + path.hops[insert_pos + 1 :]
+            child = self.paths[tokens] = SegmentPath(tokens, hops, sum(hops))
+        return child
+
+    # -- rejection tallies ------------------------------------------------------
+
+    def tally(self, n_in: int, rejected: Sequence[int]) -> None:
+        """Keep one filter call's counts: ``n_in`` candidates seen, and of
+        them ``rejected`` per reason, in ``_REJECTION_COUNTERS`` order."""
+        totals = self._rejected
+        for i, n in enumerate(rejected):
+            if n:
+                totals[i] += n
+        self._calls.append((sum(rejected), n_in))
+
+    def flush(self) -> None:
+        """Move the tallies kept since the last flush into the metrics
+        registry and the rolling ``rejection`` monitor.
+
+        Counter totals are what per-call updates would have added up to.
+        The monitor gets one ``extend`` per filter call, in call order —
+        each candidate one 0/1 bit, so the window weights calls by how
+        many candidates they saw, and its thresholds are evaluated after
+        each call's bits exactly as if the call had reported itself.
+        """
+        calls, rejected = self._calls, self._rejected
+        if not calls:
+            return
+        self._calls = []
+        self._rejected = [0] * len(_REJECTION_COUNTERS)
+        n_in = sum(total for _, total in calls)
+        obs.count("repro.constraints.candidates_in_total", n_in)
+        obs.count("repro.constraints.candidates_out_total", n_in - sum(rejected))
+        for metric, n in zip(_REJECTION_METRICS, rejected):
+            if n:
+                obs.count(metric, n)
+        extend = obs.monitors().rejection.extend
+        for dropped, total in calls:
+            extend(dropped, total)
+
+    def __enter__(self) -> "SegmentSearch":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.flush()
 
 
 class SpatialConstraints:
@@ -223,22 +365,48 @@ class SpatialConstraints:
         ctx: GapContext,
         segment: Sequence[int],
         insert_pos: int,
+        state: Optional[SegmentSearch] = None,
     ) -> list[TokenProb]:
         """Drop candidates violating any constraint (order preserved).
 
         ``segment`` is the segment token list built so far (S .. D) and
         ``insert_pos`` the index after which the candidate would go.
+        ``state`` is the segment's :class:`SegmentSearch`: what earlier
+        calls for the same ``ctx`` worked out is read from it, and this
+        call's tallies wait in it for the owner's flush. A call without
+        one runs on a state of its own, flushed on the way out.
         """
-        # Everything the candidate does not change is worked out here,
-        # once per call; the loop below does only the candidate's own
-        # distances and bearings (this runs inside the beam loop).
+        if state is None:
+            with SegmentSearch(ctx, self.tokenizer) as one_off:
+                return self._apply(candidates, segment, insert_pos, one_off)
+        if state.ctx is not ctx and state.ctx != ctx:
+            raise ValueError("filter state belongs to another GapContext")
+        return self._apply(candidates, segment, insert_pos, state)
+
+    def _apply(
+        self,
+        candidates: Sequence[TokenProb],
+        segment: Sequence[int],
+        insert_pos: int,
+        state: SegmentSearch,
+    ) -> list[TokenProb]:
+        # Everything the candidate does not change is read from the state
+        # or worked out here, once per call; the loop below does only the
+        # candidate's own distances to this gap (it runs inside the beam
+        # loop) and, the first time a token is seen, its position tests.
         centroid = self.tokenizer.centroid_of_token
         num_special = self.tokenizer.vocabulary.num_special
         cycle_window = self.config.cycle_window
-        frame = self._frame(ctx)
+        frame = state.frame
+        if frame is None:
+            frame = state.frame = self._frame(state.ctx)
+        verdicts = state.verdicts
+        path = state.path(segment)
         gap_left = centroid(segment[insert_pos])
         gap_right = centroid(segment[insert_pos + 1])
-        gap_len = gap_left.distance_to(gap_right)
+        left_x, left_y = gap_left.x, gap_left.y
+        right_x, right_y = gap_right.x, gap_right.y
+        gap_len = path.hops[insert_pos]
         local_budget = gap_len + self.config.local_detour_slack_m
         # Travel-distance budget: the whole imputed path may not be longer
         # than the maximum speed allows within the segment's time span —
@@ -246,46 +414,47 @@ class SpatialConstraints:
         # Without it, the search can zig-zag arbitrarily inside the
         # ellipse and "close" a gap with a physically impossible path.
         length_budget = frame.distance_sum
-        length_without_gap = self._segment_length(segment) - gap_len
-        # Rejections are tallied locally and flushed as one counter update
-        # per filter call, keeping the per-candidate loop free of registry
-        # traffic.
+        length_without_gap = path.length - gap_len
+        # Rejections are tallied locally and handed to the state once per
+        # call, keeping the per-candidate loop free of shared writes.
         n_special = n_ellipse = n_detour = n_length = n_cone = n_cycle = 0
         out: list[TokenProb] = []
         for token, prob in candidates:
             if 0 <= token < num_special:  # Vocabulary.is_special, inlined
                 n_special += 1
                 continue
-            c = centroid(token)
-            if not frame.within_speed_ellipse(c):
+            verdict = verdicts.get(token)
+            if verdict is None:
+                c = centroid(token)
+                verdict = verdicts[token] = _Verdict(c, frame.within_speed_ellipse(c))
+            if not verdict.in_ellipse:
                 n_ellipse += 1
                 continue
-            to_left = c.distance_to(gap_left)
-            to_right = c.distance_to(gap_right)
+            c = verdict.centroid
+            x, y = c.x, c.y
+            # c.distance_to(gap_left) / c.distance_to(gap_right), inlined.
+            to_left = hypot(x - left_x, y - left_y)
+            to_right = hypot(x - right_x, y - right_y)
             if to_left + to_right > local_budget:
                 n_detour += 1
                 continue
             if length_without_gap + to_left + to_right > length_budget:
                 n_length += 1
                 continue
-            if frame.violates_direction(c):
+            in_cone = verdict.in_cone
+            if in_cone is None:
+                in_cone = verdict.in_cone = frame.violates_direction(c)
+            if in_cone:
                 n_cone += 1
                 continue
             if creates_cycle(segment, insert_pos, token, cycle_window):
                 n_cycle += 1
                 continue
             out.append((token, prob))
-        _record_filter(
-            len(candidates),
-            len(out),
-            (n_special, n_ellipse, n_detour, n_length, n_cone, n_cycle),
+        state.tally(
+            len(candidates), (n_special, n_ellipse, n_detour, n_length, n_cone, n_cycle)
         )
         return out
-
-    def _segment_length(self, segment: Sequence[int]) -> float:
-        """Arc length of a segment's token-centroid polyline."""
-        centroids = [self.tokenizer.centroid_of_token(t) for t in segment]
-        return sum(a.distance_to(b) for a, b in zip(centroids, centroids[1:]))
 
 
 class PassthroughConstraints(SpatialConstraints):
@@ -297,12 +466,12 @@ class PassthroughConstraints(SpatialConstraints):
     even in the ablated system.
     """
 
-    def filter(
+    def _apply(
         self,
         candidates: Sequence[TokenProb],
-        ctx: GapContext,
         segment: Sequence[int],
         insert_pos: int,
+        state: SegmentSearch,
     ) -> list[TokenProb]:
         num_special = self.tokenizer.vocabulary.num_special
         n_special = n_cycle = 0
@@ -315,5 +484,5 @@ class PassthroughConstraints(SpatialConstraints):
                 n_cycle += 1
                 continue
             out.append((token, prob))
-        _record_filter(len(candidates), len(out), (n_special, 0, 0, 0, 0, n_cycle))
+        state.tally(len(candidates), (n_special, 0, 0, 0, 0, n_cycle))
         return out

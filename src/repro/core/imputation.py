@@ -27,7 +27,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.config import KamelConfig
-from repro.core.constraints import GapContext, SpatialConstraints
+from repro.core.constraints import (
+    Gap,
+    GapContext,
+    SegmentPath,
+    SegmentSearch,
+    SpatialConstraints,
+)
 from repro.core.tokenization import Tokenizer
 from repro.mlm.base import MaskQuery, MaskedModel, TokenProb
 from repro.obs import instrument as obs
@@ -36,18 +42,6 @@ from repro.obs.tracing import span
 from repro.resilience.deadline import Deadline
 
 _log = get_logger("core.imputation")
-
-Gap = tuple[tuple[int, ...], int]
-"""A question to the model: ``(segment so far, gap position in it)``."""
-
-CandidateMemo = dict[Gap, list[TokenProb]]
-"""Constrained candidates already computed for one segment, by gap.
-
-An answer depends on the gap, the :class:`GapContext`, the model and
-``top_k`` only — not on beam width or call budget — so one memo serves
-every imputer run over the same segment with the same model (the ladder's
-full and reduced-beam rungs), and within a run it answers the partial
-segments that different insertion orders reach twice."""
 
 
 @dataclass(frozen=True)
@@ -104,20 +98,21 @@ class SegmentImputer(abc.ABC):
 
     # -- gap geometry -----------------------------------------------------
 
-    def _gap_after(self, seg: Sequence[int], i: int) -> bool:
-        """Whether the distance between seg[i] and seg[i+1] exceeds maxgap."""
-        return self.tokenizer.token_distance_m(seg[i], seg[i + 1]) > self.gap_threshold_m
+    def open_gaps(self, hops: Sequence[float]) -> tuple[int, ...]:
+        """Every position ``i`` whose hop (seg[i] to seg[i+1]) exceeds maxgap."""
+        threshold = self.gap_threshold_m
+        return tuple(i for i, hop in enumerate(hops) if hop > threshold)
 
-    def find_first_gap(self, seg: Sequence[int]) -> Optional[int]:
-        """Index ``i`` of the first pair (i, i+1) further apart than maxgap."""
-        for i in range(len(seg) - 1):
-            if self._gap_after(seg, i):
-                return i
-        return None
-
-    def find_gaps(self, seg: Sequence[int]) -> list[int]:
-        """All gap positions in ``seg``."""
-        return [i for i in range(len(seg) - 1) if self._gap_after(seg, i)]
+    def _gaps_after_insert(
+        self, gaps: tuple[int, ...], pointer: int, hops: Sequence[float]
+    ) -> tuple[int, ...]:
+        """``open_gaps(hops)`` for a segment that had ``gaps`` until a token
+        went into its gap at ``pointer``: only the two hops that replaced
+        that gap are tested, the gaps behind them move up by one."""
+        threshold = self.gap_threshold_m
+        at = gaps.index(pointer)
+        new = tuple(i for i in (pointer, pointer + 1) if hops[i] > threshold)
+        return gaps[:at] + new + tuple(g + 1 for g in gaps[at + 1 :])
 
     # -- model interaction ---------------------------------------------------
 
@@ -153,14 +148,16 @@ class SegmentImputer(abc.ABC):
         ctx: GapContext,
         remaining: int,
         deadline: Optional[Deadline],
-        memo: CandidateMemo,
+        search: SegmentSearch,
     ) -> list[list[TokenProb]]:
         """One constrained model round: the first ``remaining`` of ``gaps``.
 
         This slice is the one place the call budget is applied: a round
         the budget cannot cover is cut mid-way, and a strategy notices by
-        getting fewer answers than it asked for. Gaps the memo has not
-        seen go to the model as a single ``predict_masked_batch``.
+        getting fewer answers than it asked for. Gaps ``search.answers``
+        has not seen go to the model as a single ``predict_masked_batch``,
+        and each raw answer through ``constraints.filter`` — the one way
+        candidates reach a strategy.
 
         The deadline is checked once, *before* the round — the expensive
         unit of work — so an overrun raises
@@ -172,7 +169,8 @@ class SegmentImputer(abc.ABC):
             return []
         if deadline is not None:
             deadline.check("segment imputation")
-        missing = list(dict.fromkeys(gap for gap in gaps if gap not in memo))
+        answers = search.answers
+        missing = list(dict.fromkeys(gap for gap in gaps if gap not in answers))
         if len(missing) < len(gaps):
             obs.count("repro.imputation.memo_hits_total", len(gaps) - len(missing))
         if missing:
@@ -180,14 +178,17 @@ class SegmentImputer(abc.ABC):
             # disabled-tracing cost must stay at one branch, no kwargs dict.
             with span("model.predict"):
                 raw = self.model.predict_masked_batch(
-                    [self._query(seg, i, ctx) for seg, i in missing],
+                    [self._query(path.tokens, i, ctx) for path, i in missing],
                     top_k=self.config.top_k_candidates,
                 )
             obs.count("repro.imputation.model_invocations_total")
             with span("constraints.filter"):
                 for gap, candidates in zip(missing, raw):
-                    memo[gap] = self.constraints.filter(candidates, ctx, *gap)
-        return [memo[gap] for gap in gaps]
+                    path, i = gap
+                    answers[gap] = self.constraints.filter(
+                        candidates, ctx, path.tokens, i, search
+                    )
+        return [answers[gap] for gap in gaps]
 
     # -- the instrumented front door ---------------------------------------
 
@@ -198,7 +199,7 @@ class SegmentImputer(abc.ABC):
         self,
         ctx: GapContext,
         deadline: Optional[Deadline] = None,
-        memo: Optional[CandidateMemo] = None,
+        search: Optional[SegmentSearch] = None,
     ) -> SegmentImputation:
         """Fill the gap between ``ctx.source`` and ``ctx.dest``.
 
@@ -208,16 +209,19 @@ class SegmentImputer(abc.ABC):
         strategy is measured identically. ``deadline`` (when given) is
         checked between model rounds; an overrun propagates
         :class:`repro.errors.DeadlineExceeded` to the caller, whose
-        degradation ladder converts it into a fallback. ``memo`` carries
-        answers over from an earlier run on the same ``ctx`` with the
-        same model (see :data:`CandidateMemo`); without one, answers are
-        shared within this run only.
+        degradation ladder converts it into a fallback. ``search`` is
+        the segment's :class:`~repro.core.constraints.SegmentSearch` when
+        the caller owns one — it carries geometry over from earlier runs
+        on the same ``ctx``, and answers from those that asked the same
+        model; without one, this run works on its own and flushes it,
+        however the run ends.
         """
+        if search is None:
+            with SegmentSearch(ctx, self.tokenizer) as own:
+                return self.impute_segment(ctx, deadline, own)
         budget = self._call_budget(ctx)
-        if memo is None:
-            memo = {}
         with span("impute.segment", strategy=self.strategy_name) as sp:
-            result = self._impute(ctx, budget, deadline, memo)
+            result = self._impute(ctx, budget, deadline, search)
             sp.set(
                 model_calls=result.model_calls,
                 budget=budget,
@@ -258,12 +262,14 @@ class SegmentImputer(abc.ABC):
         ctx: GapContext,
         budget: int,
         deadline: Optional[Deadline],
-        memo: CandidateMemo,
+        search: SegmentSearch,
     ) -> SegmentImputation:
         """The strategy body (metrics and spans handled by the caller).
 
         Every model question goes through :meth:`_candidates` with
-        ``budget - calls`` as its ``remaining``.
+        ``budget - calls`` as its ``remaining``; every partial segment is
+        a :class:`~repro.core.constraints.SegmentPath` of ``search``, and
+        its open gaps follow from the parent's by the one insertion.
         """
 
 
@@ -277,28 +283,29 @@ class IterativeImputer(SegmentImputer):
         ctx: GapContext,
         budget: int,
         deadline: Optional[Deadline],
-        memo: CandidateMemo,
+        search: SegmentSearch,
     ) -> SegmentImputation:
-        seg: list[int] = [ctx.source, ctx.dest]
+        path = search.path((ctx.source, ctx.dest))
+        gaps = self.open_gaps(path.hops)
         probs: list[float] = []
         calls = 0
         probability = 1.0
-        pointer = self.find_first_gap(seg)
-        while pointer is not None:
+        while gaps:
+            pointer = gaps[0]
             answered = self._candidates(
-                [(tuple(seg), pointer)], ctx, budget - calls, deadline, memo
+                [(path, pointer)], ctx, budget - calls, deadline, search
             )
             calls += len(answered)
             if not answered or not answered[0]:  # out of budget, or no candidate
                 return SegmentImputation(None, calls)
             best_token, best_prob = answered[0][0]
             probability *= best_prob
-            # seg position pointer+1 holds interior index pointer (the
-            # source endpoint occupies seg[0]), so probs tracks interior.
-            seg.insert(pointer + 1, best_token)
+            # Token position pointer+1 holds interior index pointer (the
+            # source endpoint occupies position 0), so probs tracks interior.
+            path = search.extend(path, pointer, best_token)
             probs.insert(pointer, best_prob)
-            pointer = self.find_first_gap(seg)
-        interior = tuple(seg[1:-1])
+            gaps = self._gaps_after_insert(gaps, pointer, path.hops)
+        interior = path.tokens[1:-1]
         normalized = probability * max(1, len(interior)) ** self.config.length_norm_alpha
         return SegmentImputation(
             interior,
@@ -308,16 +315,16 @@ class IterativeImputer(SegmentImputer):
         )
 
 
-@dataclass(frozen=True)
-class _Beam:
-    """One partial segment under beam search."""
+@dataclass(slots=True)
+class _Partial:
+    """One partial segment under beam search, with what is known of it."""
 
-    seg: tuple[int, ...]
+    path: SegmentPath
+    gaps: tuple[int, ...]
+    """Its open gap positions; the next round asks about each."""
     prob: float
-    pointer: int
-    """The gap position this beam entry will expand next."""
-    probs: tuple[float, ...] = ()
-    """Per-interior-token probabilities, aligned with ``seg[1:-1]``."""
+    probs: tuple[float, ...]
+    """Per-interior-token probabilities, aligned with ``path.tokens[1:-1]``."""
 
 
 class BeamSearchImputer(SegmentImputer):
@@ -325,72 +332,68 @@ class BeamSearchImputer(SegmentImputer):
 
     strategy_name = "beam"
 
+    def _length_norm(self, n_tokens: int) -> float:
+        """``|S|^alpha`` for a segment of ``n_tokens`` tokens, ends included."""
+        return max(1, n_tokens - 2) ** self.config.length_norm_alpha
+
     def _normalized(self, seg: Sequence[int], prob: float) -> float:
-        interior = max(1, len(seg) - 2)
-        return prob * interior**self.config.length_norm_alpha
+        return prob * self._length_norm(len(seg))
 
     def _impute(
         self,
         ctx: GapContext,
         budget: int,
         deadline: Optional[Deadline],
-        memo: CandidateMemo,
+        search: SegmentSearch,
     ) -> SegmentImputation:
-        cfg = self.config
-        initial = (ctx.source, ctx.dest)
-        first_gap = self.find_first_gap(initial)
-        if first_gap is None:
+        beam_size = self.config.beam_size
+        root = search.path((ctx.source, ctx.dest))
+        root_gaps = self.open_gaps(root.hops)
+        if not root_gaps:
             return SegmentImputation((), 0, confidence=1.0)
 
-        all_gaps: list[_Beam] = [_Beam(initial, 1.0, first_gap)]
+        frontier: list[_Partial] = [_Partial(root, root_gaps, 1.0, ())]
         answers: list[tuple[tuple[int, ...], float, tuple[float, ...]]] = []
         prob_limit = float("-inf")
         calls = 0
 
-        # A round asks about every open gap of every surviving beam at
-        # once. When the budget cuts it short (or to nothing), the search
-        # keeps what the answered beams produce and then runs dry.
-        while all_gaps:
+        # A round asks about every open gap of every surviving partial
+        # segment at once. When the budget cuts it short (or to nothing),
+        # the search keeps what the answered gaps produce and then runs dry.
+        while frontier:
+            beams = [(partial, g) for partial in frontier for g in partial.gaps]
             answered = self._candidates(
-                [(beam.seg, beam.pointer) for beam in all_gaps],
-                ctx, budget - calls, deadline, memo,
+                [(partial.path, g) for partial, g in beams],
+                ctx, budget - calls, deadline, search,
             )
             calls += len(answered)
-            new_segments: list[tuple[tuple[int, ...], float, tuple[float, ...]]] = []
-            for beam, candidates in zip(all_gaps, answered):
-                for token, p in candidates[: cfg.beam_size]:
-                    seg = (
-                        beam.seg[: beam.pointer + 1]
-                        + (token,)
-                        + beam.seg[beam.pointer + 1 :]
-                    )
-                    # seg position pointer+1 is interior index pointer.
-                    probs = (
-                        beam.probs[: beam.pointer]
-                        + (p,)
-                        + beam.probs[beam.pointer :]
-                    )
-                    new_segments.append((seg, beam.prob * p, probs))
+            # A child is its parent plus one token: kept as that until it
+            # has survived the round, so only survivors are ever built.
+            children: list[tuple[float, _Partial, int, int, float]] = []
+            for (partial, pointer), candidates in zip(beams, answered):
+                prob = partial.prob
+                for token, p in candidates[:beam_size]:
+                    children.append((prob * p, partial, pointer, token, p))
 
-            # Keep the global top-B segments, pruned against the best
-            # completed normalized score so far.
-            new_segments.sort(key=lambda sp: -sp[1])
-            survivors = [
-                (seg, prob, probs)
-                for seg, prob, probs in new_segments
-                if self._normalized(seg, prob) >= prob_limit
-            ][: cfg.beam_size]
+            # Keep the global top-B children, pruned against the best
+            # completed normalized score so far. Every round inserts one
+            # token into every survivor, so all children are equally long.
+            children.sort(key=lambda child: -child[0])
+            norm = self._length_norm(len(frontier[0].path.tokens) + 1)
+            survivors = [child for child in children if child[0] * norm >= prob_limit]
 
-            all_gaps = []
-            for seg, prob, probs in survivors:
-                gaps = self.find_gaps(seg)
+            frontier = []
+            for prob, partial, pointer, token, p in survivors[:beam_size]:
+                path = search.extend(partial.path, pointer, token)
+                gaps = self._gaps_after_insert(partial.gaps, pointer, path.hops)
+                # Token position pointer+1 is interior index pointer.
+                probs = partial.probs[:pointer] + (p,) + partial.probs[pointer:]
                 if not gaps:
-                    score = self._normalized(seg, prob)
-                    answers.append((seg, score, probs))
+                    score = self._normalized(path.tokens, prob)
+                    answers.append((path.tokens, score, probs))
                     prob_limit = max(prob_limit, score)
                 else:
-                    for g in gaps:
-                        all_gaps.append(_Beam(seg, prob, g, probs))
+                    frontier.append(_Partial(path, gaps, prob, probs))
 
         if not answers:
             return SegmentImputation(None, calls)
@@ -420,14 +423,14 @@ class SinglePointImputer(SegmentImputer):
         ctx: GapContext,
         budget: int,
         deadline: Optional[Deadline],
-        memo: CandidateMemo,
+        search: SegmentSearch,
     ) -> SegmentImputation:
-        seg = (ctx.source, ctx.dest)
-        if self.find_first_gap(seg) is None:
+        path = search.path((ctx.source, ctx.dest))
+        if not self.open_gaps(path.hops):
             return SegmentImputation((), 0, confidence=1.0)
         # The budget is at least one call (config validation), so the
         # single question is always answered.
-        [candidates] = self._candidates([(seg, 0)], ctx, budget, deadline, memo)
+        [candidates] = self._candidates([(path, 0)], ctx, budget, deadline, search)
         if not candidates:
             return SegmentImputation(None, 1)
         return SegmentImputation(

@@ -31,10 +31,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.core.config import KamelConfig
-from repro.core.constraints import GapContext, PassthroughConstraints, SpatialConstraints
+from repro.core.constraints import (
+    GapContext,
+    PassthroughConstraints,
+    SegmentSearch,
+    SpatialConstraints,
+)
 from repro.core.detokenization import Detokenizer
 from repro.core.imputation import (
-    CandidateMemo,
     IterativeImputer,
     SegmentImputation,
     make_segment_imputer,
@@ -471,81 +475,82 @@ class Kamel(Imputer):
         # dropped or left hanging.
         calls_spent = 0
         reason: Optional[str] = None
-        # The full and reduced-beam rungs put the same questions to the
-        # same model, so what the first has answered the second reads back.
-        memo: CandidateMemo = {}
-        for rung in self.ladder.rungs:
-            if rung == RUNG_LINEAR:
-                break
-            if not DegradationLadder.allows(rung, max_rung):
-                # Brownout cap: the pool told us to skip the expensive
-                # rungs; the segment starts lower on the ladder instead.
-                obs.count("repro.resilience.brownout_skips_total")
-                reason = reason or "brownout"
-                continue
-            if deadline is not None and deadline.expired:
-                obs.count("repro.resilience.deadline_exceeded_total")
-                reason = "deadline"
-                break
-            try:
-                result = self._run_rung(
-                    rung, ctx, a, b, trajectory_model, deadline, memo
-                )
-            except DeadlineExceeded:
-                obs.count("repro.resilience.deadline_exceeded_total")
-                reason = "deadline"
-                break
-            except CircuitOpenError:
-                reason = reason or "circuit_open"
-                continue
-            except Exception as exc:
-                # An infrastructure fault (injected or real) that outlived
-                # the retries. Degrade, never propagate past the ladder.
-                obs.count("repro.resilience.rung_errors_total")
-                _log.warning(
-                    "ladder rung raised; descending",
-                    extra={"data": {
-                        "rung": rung, "segment": index,
-                        "error": type(exc).__name__,
-                    }},
-                )
-                reason = reason or "rung_error"
-                continue
-            if result is None:  # rung has no usable model here
-                reason = reason or "no_model"
-                continue
-            calls_spent += result.model_calls
-            if result.failed:
-                reason = reason or "search_failed"
-                continue
+        # One search state per segment, shared by the rungs: what the full
+        # rung has measured and been answered the lower rungs read back,
+        # and however the ladder ends the tallies it holds are flushed.
+        with SegmentSearch(ctx, self.tokenizer) as search:
+            for rung in self.ladder.rungs:
+                if rung == RUNG_LINEAR:
+                    break
+                if not DegradationLadder.allows(rung, max_rung):
+                    # Brownout cap: the pool told us to skip the expensive
+                    # rungs; the segment starts lower on the ladder instead.
+                    obs.count("repro.resilience.brownout_skips_total")
+                    reason = reason or "brownout"
+                    continue
+                if deadline is not None and deadline.expired:
+                    obs.count("repro.resilience.deadline_exceeded_total")
+                    reason = "deadline"
+                    break
+                try:
+                    result = self._run_rung(
+                        rung, ctx, a, b, trajectory_model, deadline, search
+                    )
+                except DeadlineExceeded:
+                    obs.count("repro.resilience.deadline_exceeded_total")
+                    reason = "deadline"
+                    break
+                except CircuitOpenError:
+                    reason = reason or "circuit_open"
+                    continue
+                except Exception as exc:
+                    # An infrastructure fault (injected or real) that outlived
+                    # the retries. Degrade, never propagate past the ladder.
+                    obs.count("repro.resilience.rung_errors_total")
+                    _log.warning(
+                        "ladder rung raised; descending",
+                        extra={"data": {
+                            "rung": rung, "segment": index,
+                            "error": type(exc).__name__,
+                        }},
+                    )
+                    reason = reason or "rung_error"
+                    continue
+                if result is None:  # rung has no usable model here
+                    reason = reason or "no_model"
+                    continue
+                calls_spent += result.model_calls
+                if result.failed:
+                    reason = reason or "search_failed"
+                    continue
 
-            with span("detokenize"):
-                interior_points = self.detokenizer.detokenize_interior(
-                    result.interior or (), a, b
+                with span("detokenize"):
+                    interior_points = self.detokenizer.detokenize_interior(
+                        result.interior or (), a, b
+                    )
+                interior_points = _assign_times(a, b, interior_points)
+                DegradationLadder.record(rung)
+                # Detokenization is 1:1 token -> point, so the per-token
+                # scores carry over; the length check guards the invariant.
+                point_confs = result.point_confidences
+                if len(point_confs) != len(interior_points):
+                    point_confs = ()
+                outcome = SegmentOutcome(
+                    index,
+                    False,
+                    calls_spent,
+                    len(interior_points),
+                    confidence=result.confidence,
+                    rung=rung,
+                    fallback_reason=reason if rung != RUNG_FULL else None,
+                    point_confidences=point_confs,
                 )
-            interior_points = _assign_times(a, b, interior_points)
-            DegradationLadder.record(rung)
-            # Detokenization is 1:1 token -> point, so the per-token
-            # scores carry over; the length check guards the invariant.
-            point_confs = result.point_confidences
-            if len(point_confs) != len(interior_points):
-                point_confs = ()
-            outcome = SegmentOutcome(
-                index,
-                False,
-                calls_spent,
-                len(interior_points),
-                confidence=result.confidence,
-                rung=rung,
-                fallback_reason=reason if rung != RUNG_FULL else None,
-                point_confidences=point_confs,
-            )
-            if self._quality is not None:
-                self._observe_segment_quality(
-                    outcome, result.interior or (), interior_points
-                )
-            return interior_points, outcome
-        return linear(reason or "search_failed", calls_spent)
+                if self._quality is not None:
+                    self._observe_segment_quality(
+                        outcome, result.interior or (), interior_points
+                    )
+                return interior_points, outcome
+            return linear(reason or "search_failed", calls_spent)
 
     def _run_rung(
         self,
@@ -555,15 +560,16 @@ class Kamel(Imputer):
         b: Point,
         trajectory_model: Optional[MaskedModel],
         deadline: Optional[Deadline],
-        memo: CandidateMemo,
+        search: SegmentSearch,
     ) -> Optional[SegmentImputation]:
         """Attempt one ladder rung; ``None`` when its model is unavailable.
 
-        ``memo`` is the segment's candidate memo, used by the two rungs
-        that query the repository model (the model lookup is a function
-        of the same box on both, and the rung configs differ in beam
-        width and budget only). The counting rung asks another model and
-        never sees it.
+        ``search`` is the segment's search state. Each rung names the
+        model it is about to ask: the two rungs that query the repository
+        model (the lookup is a function of the same box on both, and the
+        rung configs differ in beam width and budget only) share answers,
+        the counting rung asks another model and starts without any; the
+        segment's geometry serves all three.
         """
         assert self.tokenizer and self.constraints
         cfg = self.config
@@ -587,7 +593,7 @@ class Kamel(Imputer):
                 rung_cfg,
                 self._gap_threshold_m,
             )
-            return imputer.impute_segment(ctx, deadline, memo)
+            return imputer.impute_segment(ctx, deadline, search.asking(model))
         if rung == RUNG_COUNTING:
             model = self._fallback_model
             if model is None or not model.is_fitted:
@@ -601,7 +607,7 @@ class Kamel(Imputer):
             imputer = IterativeImputer(
                 model, self.tokenizer, self.constraints, rung_cfg, self._gap_threshold_m
             )
-            return imputer.impute_segment(ctx, deadline)
+            return imputer.impute_segment(ctx, deadline, search.asking(model))
         return None  # pragma: no cover - ladder construction forbids unknown rungs
 
     # -- batch and streaming fronts ------------------------------------------------

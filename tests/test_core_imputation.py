@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import KamelConfig
-from repro.core.constraints import GapContext, SpatialConstraints
+from repro.core.constraints import (
+    GapContext,
+    PassthroughConstraints,
+    SegmentSearch,
+    SpatialConstraints,
+)
 from repro.core.imputation import (
     BeamSearchImputer,
     IterativeImputer,
@@ -20,7 +25,7 @@ from repro.core.imputation import (
     SinglePointImputer,
     make_segment_imputer,
 )
-from repro.core.tokenization import Tokenizer
+from repro.core.tokenization import Tokenizer, make_grid
 from repro.geo import Point
 from repro.grid import HexGrid
 from repro.mlm.base import MaskedModel, validate_mask_query
@@ -90,6 +95,30 @@ def world():
     return tokenizer, config, constraints, model, corridor, spacing
 
 
+# -- gap finding as it stood before the beam carried its gaps, the reference ---
+
+
+def parent_gap_after(imputer, seg, i):
+    return imputer.tokenizer.token_distance_m(seg[i], seg[i + 1]) > imputer.gap_threshold_m
+
+
+def parent_find_first_gap(imputer, seg):
+    for i in range(len(seg) - 1):
+        if parent_gap_after(imputer, seg, i):
+            return i
+    return None
+
+
+def parent_find_gaps(imputer, seg):
+    return [i for i in range(len(seg) - 1) if parent_gap_after(imputer, seg, i)]
+
+
+def open_gaps_of(imputer, seg):
+    """What the imputer reads off a freshly measured path over ``seg``."""
+    search = SegmentSearch(GapContext(seg[0], seg[-1]), imputer.tokenizer)
+    return imputer.open_gaps(search.path(seg).hops)
+
+
 def corridor_ctx(tokenizer, corridor, spacing, start=0, end=8):
     return GapContext(
         source=corridor[start],
@@ -103,18 +132,19 @@ class TestGapGeometry:
     def test_adjacent_cells_not_a_gap(self, world):
         tokenizer, config, constraints, model, corridor, _ = world
         imputer = IterativeImputer(model, tokenizer, constraints, config)
-        assert imputer.find_first_gap([corridor[0], corridor[1]]) is None
+        assert open_gaps_of(imputer, [corridor[0], corridor[1]]) == ()
 
     def test_distant_cells_are_a_gap(self, world):
         tokenizer, config, constraints, model, corridor, _ = world
         imputer = IterativeImputer(model, tokenizer, constraints, config)
-        assert imputer.find_first_gap([corridor[0], corridor[8]]) == 0
+        assert open_gaps_of(imputer, [corridor[0], corridor[8]]) == (0,)
 
     def test_find_gaps_multiple(self, world):
         tokenizer, config, constraints, model, corridor, _ = world
         imputer = IterativeImputer(model, tokenizer, constraints, config)
         seg = [corridor[0], corridor[5], corridor[6], corridor[11]]
-        assert imputer.find_gaps(seg) == [0, 2]
+        assert open_gaps_of(imputer, seg) == (0, 2)
+        assert parent_find_gaps(imputer, seg) == [0, 2]
 
     def test_gap_threshold_override(self, world):
         tokenizer, config, constraints, model, corridor, _ = world
@@ -122,7 +152,7 @@ class TestGapGeometry:
             model, tokenizer, constraints, config, gap_threshold_m=400.0
         )
         # Cells three apart (~390 m) are no longer a gap.
-        assert imputer.find_first_gap([corridor[0], corridor[3]]) is None
+        assert open_gaps_of(imputer, [corridor[0], corridor[3]]) == ()
 
     def test_query_embeds_context_tokens(self, world):
         tokenizer, config, constraints, model, corridor, _ = world
@@ -219,7 +249,7 @@ class TestBeamSearch:
         # The answer must be a *valid* chain: every consecutive pair within
         # the gap threshold (the trap's pull cannot leave an open gap).
         full = [corridor[0], *beam_result.interior, corridor[6]]
-        assert beam.find_gaps(full) == []
+        assert open_gaps_of(beam, full) == ()
         del greedy_result
 
     def test_length_normalization_monotone_in_alpha(self, world):
@@ -371,7 +401,7 @@ def _scalar_iterative(imputer, ctx):
     calls = 0
     probability = 1.0
     budget = imputer._call_budget(ctx)
-    pointer = imputer.find_first_gap(seg)
+    pointer = parent_find_first_gap(imputer, seg)
     while pointer is not None:
         if calls >= budget:
             return SegmentImputation(None, calls)
@@ -383,7 +413,7 @@ def _scalar_iterative(imputer, ctx):
         probability *= best_prob
         seg.insert(pointer + 1, best_token)
         probs.insert(pointer, best_prob)
-        pointer = imputer.find_first_gap(seg)
+        pointer = parent_find_first_gap(imputer, seg)
     interior = tuple(seg[1:-1])
     normalized = probability * max(1, len(interior)) ** imputer.config.length_norm_alpha
     return SegmentImputation(
@@ -391,12 +421,17 @@ def _scalar_iterative(imputer, ctx):
     )
 
 
+def parent_normalized(imputer, seg, prob):
+    interior = max(1, len(seg) - 2)
+    return prob * interior**imputer.config.length_norm_alpha
+
+
 def _scalar_beam(imputer, ctx):
     """Algorithm 2 as it ran before rounds: one model call per (beam, gap),
     the budget tested before each."""
     cfg = imputer.config
     initial = (ctx.source, ctx.dest)
-    first_gap = imputer.find_first_gap(initial)
+    first_gap = parent_find_first_gap(imputer, initial)
     if first_gap is None:
         return SegmentImputation((), 0, confidence=1.0)
     all_gaps = [(initial, 1.0, first_gap, ())]
@@ -421,13 +456,13 @@ def _scalar_beam(imputer, ctx):
         survivors = [
             (seg, prob, probs)
             for seg, prob, probs in new_segments
-            if imputer._normalized(seg, prob) >= prob_limit
+            if parent_normalized(imputer, seg, prob) >= prob_limit
         ][: cfg.beam_size]
         all_gaps = []
         for seg, prob, probs in survivors:
-            gaps = imputer.find_gaps(seg)
+            gaps = parent_find_gaps(imputer, seg)
             if not gaps:
-                score = imputer._normalized(seg, prob)
+                score = parent_normalized(imputer, seg, prob)
                 answers.append((seg, score, probs))
                 prob_limit = max(prob_limit, score)
             else:
@@ -518,13 +553,13 @@ class TestRoundsMatchScalarLoops:
     def test_shared_memo_serves_a_second_run(self):
         tokenizer, cfg, constraints, model, tokens = _patch_world(3, beam_size=6)
         ctx = GapContext(tokens[(0, 1)], tokens[(6, 1)], source_time=0.0, dest_time=60.0)
-        memo = {}
+        search = SegmentSearch(ctx, tokenizer)
         wide = BeamSearchImputer(model, tokenizer, constraints, cfg)
-        first = wide.impute_segment(ctx, memo=memo)
+        first = wide.impute_segment(ctx, search=search)
         asked = model.queries
         narrow_cfg = dataclasses.replace(cfg, beam_size=2)
         narrow = BeamSearchImputer(model, tokenizer, constraints, narrow_cfg)
-        second = narrow.impute_segment(ctx, memo=memo)
+        second = narrow.impute_segment(ctx, search=search)
         # The narrow search walks a subset of the wide one's partial segments.
         assert model.queries == asked
         assert second.model_calls > 0
@@ -534,12 +569,34 @@ class TestRoundsMatchScalarLoops:
     def test_memo_holds_filtered_candidates(self):
         tokenizer, cfg, constraints, model, tokens = _patch_world(3)
         ctx = GapContext(tokens[(0, 1)], tokens[(5, 1)], source_time=0.0, dest_time=60.0)
-        memo = {}
+        search = SegmentSearch(ctx, tokenizer)
         imputer = BeamSearchImputer(model, tokenizer, constraints, cfg)
-        imputer.impute_segment(ctx, memo=memo)
-        assert memo
-        for (seg, i), stored in memo.items():
-            assert stored == _scalar_candidates(imputer, seg, i, ctx)
+        imputer.impute_segment(ctx, search=search)
+        assert search.answers
+        for (path, i), stored in search.answers.items():
+            assert search.paths[path.tokens] is path  # one path per token tuple
+            assert stored == _scalar_candidates(imputer, path.tokens, i, ctx)
+
+    def test_answers_are_dropped_when_the_model_changes(self):
+        """Geometry outlives a change of model, answers do not: the second
+        model is asked every question again and gets its own answers."""
+        tokenizer, cfg, constraints, model, tokens = _patch_world(3, beam_size=3)
+        other = SeededModel(tokenizer, 4)
+        ctx = GapContext(tokens[(0, 1)], tokens[(6, 1)], source_time=0.0, dest_time=60.0)
+        search = SegmentSearch(ctx, tokenizer)
+        first = BeamSearchImputer(model, tokenizer, constraints, cfg).impute_segment(
+            ctx, search=search.asking(model)
+        )
+        answered, measured = search.answers, dict(search.paths)
+        second_imputer = BeamSearchImputer(other, tokenizer, constraints, cfg)
+        second = second_imputer.impute_segment(ctx, search=search.asking(other))
+        assert search.answers is not answered and other.queries == second.model_calls
+        assert second == _scalar_beam(second_imputer, ctx)
+        assert first == _scalar_beam(BeamSearchImputer(model, tokenizer, constraints, cfg), ctx)
+        # Asking the first model again is a new conversation too.
+        assert search.asking(model).answers == {}
+        for seg, path in measured.items():
+            assert search.paths[seg] is path
 
     def test_deadline_checked_once_per_round(self):
         tokenizer, cfg, constraints, model, tokens = _patch_world(3, beam_size=5)
@@ -552,3 +609,120 @@ class TestRoundsMatchScalarLoops:
         )
         # One clock read per round, memo-only rounds included.
         assert model.invocations <= len(checks) < result.model_calls
+
+
+# -- what the beam carries vs measuring every partial segment whole ------------
+
+
+def parent_segment_length(tokenizer, segment):
+    """``SpatialConstraints._segment_length`` as ``filter`` called it per call."""
+    centroids = [tokenizer.centroid_of_token(t) for t in segment]
+    return sum(a.distance_to(b) for a, b in zip(centroids, centroids[1:]))
+
+
+@st.composite
+def insertion_walks(draw):
+    """A grid, a vocabulary of scattered cells, a gap threshold, end tokens
+    and a script of (which open gap, which token) insertions."""
+    grid_type = draw(st.sampled_from(["hex", "square"]))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+            min_size=3, max_size=20, unique=True,
+        )
+    )
+    tokenizer = Tokenizer(make_grid(grid_type, 75.0))
+    real = [tokenizer.vocabulary.add(cell) for cell in cells]
+    token = st.sampled_from(real)
+    threshold = draw(st.floats(80.0, 600.0))
+    script = draw(st.lists(st.tuples(st.integers(0, 50), token), min_size=1, max_size=14))
+    return tokenizer, threshold, draw(token), draw(token), script
+
+
+class TestCarriedGeometryMatchesRecomputation:
+    """Hops, arc length and open gaps are carried from parent to child by
+    the one insertion; each must be the *same float* (``==``, no tolerance)
+    and the same positions a whole re-measurement gives, at every step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(walk=insertion_walks())
+    def test_random_insertion_walks(self, walk):
+        tokenizer, threshold, source, dest, script = walk
+        config = KamelConfig()
+        constraints = SpatialConstraints(tokenizer, config, max_speed_mps=20.0)
+        imputer = BeamSearchImputer(
+            CorridorModel(tokenizer), tokenizer, constraints, config, gap_threshold_m=threshold
+        )
+        search = SegmentSearch(GapContext(source, dest), tokenizer)
+        path = search.path((source, dest))
+        gaps = imputer.open_gaps(path.hops)
+        for pick, token in script:
+            assert list(gaps) == parent_find_gaps(imputer, path.tokens)
+            assert path.length == parent_segment_length(tokenizer, path.tokens)
+            assert path.hops == tuple(
+                tokenizer.token_distance_m(a, b)
+                for a, b in zip(path.tokens, path.tokens[1:])
+            )
+            # A state that never saw the parent measures the same path whole.
+            fresh = SegmentSearch(search.ctx, tokenizer).path(path.tokens)
+            assert (fresh.hops, fresh.length) == (path.hops, path.length)
+            assert search.path(list(path.tokens)) is path
+            if not gaps:
+                break
+            pointer = gaps[pick % len(gaps)]
+            expected = path.tokens[: pointer + 1] + (token,) + path.tokens[pointer + 1 :]
+            path = search.extend(path, pointer, token)
+            assert path.tokens == expected
+            gaps = imputer._gaps_after_insert(gaps, pointer, path.hops)
+            assert gaps == imputer.open_gaps(path.hops)
+
+    def test_insertion_orders_meet_in_one_path(self):
+        tokenizer, cfg, constraints, model, tokens = _patch_world(1)
+        s, a, b, d = tokens[(0, 1)], tokens[(2, 1)], tokens[(4, 1)], tokens[(6, 1)]
+        search = SegmentSearch(GapContext(s, d), tokenizer)
+        root = search.path((s, d))
+        a_first = search.extend(search.extend(root, 0, a), 1, b)
+        b_first = search.extend(search.extend(root, 0, b), 0, a)
+        assert a_first is b_first and a_first.tokens == (s, a, b, d)
+
+
+class TestAblationsGoThroughTheState:
+    """The "No Const." / "No Multi." / iterative variants run on the same
+    per-segment state as the default, with the results they always had."""
+
+    @pytest.mark.parametrize("constraints_cls", [SpatialConstraints, PassthroughConstraints])
+    @pytest.mark.parametrize("strategy", ["beam", "iterative", "single_point"])
+    @pytest.mark.parametrize("model_seed", [3, 11, 29])
+    def test_same_results_one_filter_call_per_query(self, constraints_cls, strategy, model_seed):
+        tokenizer, cfg, _, model, tokens = _patch_world(
+            model_seed, beam_size=3, max_model_calls=25,
+            imputer="iterative" if strategy == "iterative" else "beam",
+            use_multipoint=strategy != "single_point",
+        )
+        constraints = constraints_cls(tokenizer, cfg, max_speed_mps=30.0)
+        ctx = GapContext(tokens[(0, 1)], tokens[(6, 1)], source_time=0.0, dest_time=60.0)
+        imputer = make_segment_imputer(model, tokenizer, constraints, cfg)
+        assert imputer.strategy_name == strategy
+        if strategy == "beam":
+            expected = _scalar_beam(imputer, ctx)
+        elif strategy == "iterative":
+            expected = _scalar_iterative(imputer, ctx)
+        else:
+            first = _scalar_candidates(imputer, (ctx.source, ctx.dest), 0, ctx)
+            expected = SegmentImputation(
+                (first[0][0],), 1, confidence=first[0][1], point_confidences=(first[0][1],)
+            )
+        model.queries = 0
+
+        seen = []
+        real_filter = constraints.filter
+
+        def spying_filter(candidates, ctx, segment, insert_pos, state=None):
+            seen.append(state)
+            return real_filter(candidates, ctx, segment, insert_pos, state)
+
+        constraints.filter = spying_filter
+        search = SegmentSearch(ctx, tokenizer)
+        assert imputer.impute_segment(ctx, search=search) == expected
+        assert len(seen) == model.queries > 0
+        assert all(state is search for state in seen)

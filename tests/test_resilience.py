@@ -549,7 +549,8 @@ def starved_kamel(small_dataset):
 class TestLadderCandidateMemo:
     def _spy(self, system, monkeypatch):
         """Route repository models through row counters and log each rung's
-        ``impute_segment`` (strategy, model, memo, queries charged)."""
+        ``impute_segment`` (strategy, search state, result, rows the model
+        saw, answers the state held when the run began)."""
         counters = {}
         guard_model = system.guards.guard_model
 
@@ -561,13 +562,14 @@ class TestLadderCandidateMemo:
         runs = []
         impute_segment = SegmentImputer.impute_segment
 
-        def logged(self, ctx, deadline=None, memo=None):
+        def logged(self, ctx, deadline=None, search=None):
             before = sum(c.rows for c in counters.values())
-            result = impute_segment(self, ctx, deadline, memo)
+            held = len(search.answers)
+            result = impute_segment(self, ctx, deadline, search)
             rows = sum(c.rows for c in counters.values()) - before
             if not runs or runs[-1][0] is not ctx:  # a new segment: its rungs share ctx
                 runs.append((ctx, []))
-            runs[-1][1].append((self, memo, result, rows))
+            runs[-1][1].append((self, search, result, rows, held))
             return result
 
         monkeypatch.setattr(SegmentImputer, "impute_segment", logged)
@@ -582,18 +584,21 @@ class TestLadderCandidateMemo:
         assert len(runs) == result.num_segments
 
         descended = [
-            (rungs, outcome)
-            for (_, rungs), outcome in zip(runs, result.segments)
+            (ctx, rungs, outcome)
+            for (ctx, rungs), outcome in zip(runs, result.segments)
             if rungs[0][2].failed
         ]
         assert descended  # the budget of 5 starves the longer gaps
-        for (full, reduced, counting), outcome in descended:
+        for outcome_ctx, (full, reduced, counting), outcome in descended:
             assert isinstance(full[0], BeamSearchImputer)
             assert isinstance(reduced[0], BeamSearchImputer)
             assert reduced[0].config.beam_size < full[0].config.beam_size
-            # One memo per segment, shared by the two beam rungs only.
-            assert full[1] is not None and reduced[1] is full[1]
-            assert isinstance(counting[0], IterativeImputer) and counting[1] is None
+            # One search state per segment for all three rungs; the answers
+            # in it pass between the two beam rungs only.
+            assert full[1] is not None and reduced[1] is full[1] is counting[1]
+            assert full[1].ctx is outcome_ctx
+            assert full[4] == 0 and reduced[4] == full[3] and counting[4] == 0
+            assert isinstance(counting[0], IterativeImputer)
             assert not isinstance(counting[0].model, GuardedModel)
             # The narrow beam re-walks the wide beam's partial segments: it
             # is charged its five queries and sends none to the model ...
@@ -602,8 +607,8 @@ class TestLadderCandidateMemo:
             # ... and the segment is still billed for every query asked.
             assert outcome.model_calls == 10 + counting[2].model_calls
             assert outcome.rung in (RUNG_COUNTING, RUNG_LINEAR)
-        memos = [rungs[0][1] for _, rungs in runs]
-        assert len({id(m) for m in memos}) == len(memos)  # never shared across segments
+        searches = [rungs[0][1] for _, rungs in runs]
+        assert len({id(s) for s in searches}) == len(searches)  # never shared across segments
         assert sum(c.rows for c in counters.values()) < sum(
             run[2].model_calls for _, rungs in runs for run in rungs[:2]
         )

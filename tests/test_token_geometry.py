@@ -1,11 +1,13 @@
 """Token geometry is computed once — and comes out the same floats.
 
-The tokenizer keeps a token-id -> centroid table and ``filter`` works out
-what no candidate changes once per call. Neither may alter a decision, so
-the bodies they replaced are kept here as the reference: every surviving
-``(token, prob)``, every rejection tally and every ``creates_cycle`` answer
-must be *identical* (``==`` on floats, no tolerance — the arithmetic is
-unchanged, only how often it runs).
+The tokenizer keeps a token-id -> centroid table, ``filter`` works out
+what no candidate changes once per segment (the ``SegmentSearch`` it is
+handed) and reports its tallies once per segment too. None of it may
+alter a decision or a count, so the bodies they replaced are kept here as
+the reference: every surviving ``(token, prob)``, every rejection tally,
+every bit pushed into the rolling ``rejection`` window and every
+``creates_cycle`` answer must be *identical* (``==`` on floats, no
+tolerance — the arithmetic is unchanged, only how often it runs).
 """
 
 import sys
@@ -18,7 +20,9 @@ from repro.core.constraints import (
     _REJECTION_COUNTERS,
     GapContext,
     PassthroughConstraints,
+    SegmentSearch,
     SpatialConstraints,
+    _SegmentFrame,
     creates_cycle,
 )
 from repro.core import tokenization
@@ -176,6 +180,42 @@ def parent_passthrough_filter(tokenizer, candidates, segment, insert_pos):
     return out, rejected
 
 
+def parent_record_filter(registry, n_in, n_out, rejected):
+    """``_record_filter`` as every filter call ran it before the tallies
+    moved into the per-segment state: five registry round trips and one
+    monitor ``extend`` per call. ``rejected`` is keyed by reason."""
+    registry.counter("repro.constraints.candidates_in_total").inc(n_in)
+    registry.counter("repro.constraints.candidates_out_total").inc(n_out)
+    for reason in _REJECTION_COUNTERS:
+        if rejected[reason]:
+            registry.counter(f"repro.constraints.rejected.{reason}_total").inc(rejected[reason])
+    registry.monitors.rejection.extend(n_in - n_out, n_in)
+
+
+def recording_registry():
+    """A registry whose ``rejection`` monitor logs every threshold edge."""
+    registry = MetricsRegistry()
+    edges = []
+    registry.monitors.rejection.add_threshold(
+        0.5,
+        lambda monitor, value: edges.append(("alert", value, monitor.count)),
+        min_count=1,
+        on_clear=lambda monitor, value: edges.append(("clear", value, monitor.count)),
+    )
+    return registry, edges
+
+
+def constraint_books(registry):
+    """Every ``repro.constraints.*`` counter that exists, and the window."""
+    counters = {
+        name: registry.get(name).value
+        for name in registry.names()
+        if name.startswith("repro.constraints.")
+    }
+    window = registry.monitors.rejection.window
+    return counters, list(window._values), window.sum
+
+
 def filter_with_tallies(constraints, candidates, ctx, segment, insert_pos):
     """Run the real ``filter`` against a registry of its own and read back
     what it flushed: (survivors, per-reason tallies, in, out)."""
@@ -327,6 +367,141 @@ class TestFilterMatchesParent:
         assert out == [(good, 0.3)]
         assert tallies == dict.fromkeys(_REJECTION_COUNTERS, 1)
         assert (n_in, n_out) == (7, 1)
+
+
+@st.composite
+def search_cases(draw):
+    """One context and a run of filter calls under it: other partial
+    segments, other gaps, other windows of one candidate pool — what the
+    calls of one segment's search look like to ``filter``."""
+    tokenizer, config, ctx, segment, candidates = draw(filter_cases())
+    real = list(tokenizer.vocabulary.real_token_ids())
+    calls = [(segment, 0, candidates)]
+    for _ in range(draw(st.integers(1, 8))):
+        interior = draw(st.lists(st.sampled_from(real), min_size=0, max_size=8))
+        seg = (ctx.source, *interior, ctx.dest)
+        insert_pos = draw(st.integers(0, len(seg) - 2))
+        lo = draw(st.integers(0, len(candidates)))
+        hi = draw(st.integers(lo, len(candidates)))
+        calls.append((seg, insert_pos, candidates[lo:hi]))
+    return tokenizer, config, ctx, calls
+
+
+def run_both_ways(constraints, reference_filter, ctx, calls):
+    """Every call through one ``SegmentSearch`` flushed at the end, against
+    ``reference_filter`` reporting itself call by call the parent's way.
+    Returns ((books, edges) of the state's flush, the same of the parent)."""
+    registry, edges = recording_registry()
+    expected_registry, expected_edges = recording_registry()
+    previous = set_registry(registry)
+    try:
+        with SegmentSearch(ctx, constraints.tokenizer) as search:
+            for segment, insert_pos, candidates in calls:
+                got = constraints.filter(candidates, ctx, segment, insert_pos, search)
+                out, rejected = reference_filter(candidates, segment, insert_pos)
+                assert got == out
+                parent_record_filter(expected_registry, len(candidates), len(out), rejected)
+            assert constraint_books(registry) == ({}, [], 0.0)  # nothing before the flush
+    finally:
+        set_registry(previous)
+    return (constraint_books(registry), edges), (
+        constraint_books(expected_registry), expected_edges
+    )
+
+
+class TestSegmentStateMatchesParentPerCall:
+    """A whole segment's calls through one state: survivors call by call,
+    then — once flushed — counter totals, which counters exist at all, the
+    window's bits in order and every threshold edge, as the parent's
+    per-call body left them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=search_cases())
+    def test_spatial(self, case):
+        tokenizer, config, ctx, calls = case
+        constraints = SpatialConstraints(tokenizer, config, MAX_SPEED_MPS)
+        parent = ParentConstraints(tokenizer, config, MAX_SPEED_MPS)
+
+        def reference(candidates, segment, insert_pos):
+            return parent_filter(
+                parent, parent_creates_cycle, candidates, ctx, segment, insert_pos
+            )
+
+        got, expected = run_both_ways(constraints, reference, ctx, calls)
+        assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=search_cases())
+    def test_passthrough(self, case):
+        tokenizer, config, ctx, calls = case
+        constraints = PassthroughConstraints(tokenizer, config, MAX_SPEED_MPS)
+
+        def reference(candidates, segment, insert_pos):
+            return parent_passthrough_filter(tokenizer, candidates, segment, insert_pos)
+
+        got, expected = run_both_ways(constraints, reference, ctx, calls)
+        assert got == expected
+
+    def test_cone_verdict_waits_for_a_gap_that_reaches_it(self, monkeypatch):
+        """The corridor of ``test_one_call_hits_every_reason``: a token in
+        the cone behind S is first offered at the far gap, where the detour
+        test turns it away before the cone test runs; offered at the near
+        gap it reaches the cone test, and from then on the verdict stands."""
+        tokenizer = Tokenizer(make_grid("hex", 75.0))
+
+        def at(x, y):
+            return tokenizer.vocabulary.add(tokenizer.grid.cell_of(Point(x, y)))
+
+        s, bend, d = at(0.0, 0.0), at(600.0, 300.0), at(1200.0, 0.0)
+        came_from, toward_north = at(0.0, 300.0), at(65.0, 112.0)
+        config = KamelConfig()
+        constraints = SpatialConstraints(tokenizer, config, MAX_SPEED_MPS)
+        parent = ParentConstraints(tokenizer, config, MAX_SPEED_MPS)
+        ctx = GapContext(s, d, 0.0, 80.0, prev_token=came_from)
+        segment = (s, bend, d)
+        candidates = [(toward_north, 0.5)]
+        cone_tests = []
+        real_cone_test = _SegmentFrame.violates_direction
+        monkeypatch.setattr(
+            _SegmentFrame,
+            "violates_direction",
+            lambda frame, c: cone_tests.append(c) or real_cone_test(frame, c),
+        )
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            with SegmentSearch(ctx, tokenizer) as search:
+                steps = ((1, "local_detour", None, 0), (0, "direction_cone", True, 1),
+                         (0, "direction_cone", True, 1), (1, "local_detour", True, 1))
+                for insert_pos, reason, in_cone, tested in steps:
+                    assert constraints.filter(candidates, ctx, segment, insert_pos, search) == []
+                    _, rejected = parent_filter(
+                        parent, parent_creates_cycle, candidates, ctx, segment, insert_pos
+                    )
+                    assert rejected == {**dict.fromkeys(_REJECTION_COUNTERS, 0), reason: 1}
+                    verdict = search.verdicts[toward_north]
+                    assert verdict.in_ellipse and verdict.in_cone is in_cone
+                    assert len(cone_tests) == tested
+        finally:
+            set_registry(previous)
+        counters, bits, _ = constraint_books(registry)
+        assert counters == {
+            "repro.constraints.candidates_in_total": 4,
+            "repro.constraints.candidates_out_total": 0,
+            "repro.constraints.rejected.local_detour_total": 2,
+            "repro.constraints.rejected.direction_cone_total": 2,
+        }
+        assert bits == [1.0] * 4
+
+    def test_state_of_another_context_is_refused(self):
+        tokenizer = Tokenizer(make_grid("hex", 75.0))
+        a, b, c = (tokenizer.vocabulary.add((q, 0)) for q in range(3))
+        constraints = SpatialConstraints(tokenizer, KamelConfig(), MAX_SPEED_MPS)
+        search = SegmentSearch(GapContext(a, c), tokenizer)
+        with pytest.raises(ValueError):
+            constraints.filter([(b, 0.5)], GapContext(a, b), (a, b), 0, search)
+        # An equal context built separately is the same segment.
+        assert constraints.filter([(b, 0.5)], GapContext(a, c), (a, c), 0, search) == [(b, 0.5)]
 
 
 class TestCreatesCycleMatchesParent:
