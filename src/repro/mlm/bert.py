@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.errors import ConfigError, NotFittedError
 from repro.mlm.base import MaskQuery, MaskedModel, TokenProb, validate_mask_query
-from repro.nn import Adam, Dropout, Embedding, LayerNorm, Linear, Module, clip_grad_norm, no_grad
-from repro.nn.functional import cross_entropy
+from repro.nn import Adam, Dropout, Embedding, LayerNorm, Linear, Module, clip_grad_norm
+from repro.nn.functional import cross_entropy, gelu, layernorm, softmax
 from repro.nn.tensor import Tensor
 from repro.obs import instrument as obs
 from repro.obs.logging import get_logger
@@ -84,6 +84,20 @@ class TrainingConfig:
     > 0; training progress is otherwise logged at DEBUG."""
 
 
+# The inference forward (the ``infer`` methods below) runs on bare arrays:
+# no Tensor, no tape, no dropout. Each step reads ``Parameter.data`` when
+# it runs and keeps nothing, so ``load_state_dict`` and a refit, which
+# rebind ``data``, are seen by the next call.
+
+
+def _affine(layer: Linear, x: np.ndarray) -> np.ndarray:
+    return x @ layer.weight.data + layer.bias.data
+
+
+def _norm(layer: LayerNorm, x: np.ndarray) -> np.ndarray:
+    return layernorm(x, layer.weight.data, layer.bias.data, layer.eps)
+
+
 class MultiHeadSelfAttention(Module):
     """Scaled dot-product attention with ``num_heads`` heads."""
 
@@ -114,6 +128,18 @@ class MultiHeadSelfAttention(Module):
         merged = context.transpose(1, 2).reshape(batch, seq, self.num_heads * self.head_dim)
         return self.output(merged)
 
+    def infer(self, x: np.ndarray, queries: np.ndarray, attn_bias: np.ndarray) -> np.ndarray:
+        """``forward`` for the rows ``queries`` (B, Tq, D) attending over ``x`` (B, T, D)."""
+        batch = x.shape[0]
+        heads = (batch, -1, self.num_heads, self.head_dim)
+        q = _affine(self.query, queries).reshape(heads).transpose(0, 2, 1, 3)
+        k = _affine(self.key, x).reshape(heads).transpose(0, 2, 3, 1)
+        v = _affine(self.value, x).reshape(heads).transpose(0, 2, 1, 3)
+        scores = (q @ k) * (1.0 / math.sqrt(self.head_dim)) + attn_bias
+        context = softmax(scores) @ v  # (B, H, Tq, dh)
+        merged = context.transpose(0, 2, 1, 3).reshape(batch, -1, self.num_heads * self.head_dim)
+        return _affine(self.output, merged)
+
 
 class TransformerLayer(Module):
     """Post-LN encoder block: attention + FFN, each with residual."""
@@ -132,6 +158,12 @@ class TransformerLayer(Module):
         x = self.attn_norm(x + self.dropout(self.attention(x, attn_bias)))
         hidden = self.ffn_out(self.ffn_in(x).gelu())
         return self.ffn_norm(x + self.dropout(hidden))
+
+    def infer(self, x: np.ndarray, queries: np.ndarray, attn_bias: np.ndarray) -> np.ndarray:
+        """The block's output for the rows ``queries`` of ``x`` (all of them: pass ``x``)."""
+        h = _norm(self.attn_norm, queries + self.attention.infer(x, queries, attn_bias))
+        hidden = _affine(self.ffn_out, gelu(_affine(self.ffn_in, h)))
+        return _norm(self.ffn_norm, h + hidden)
 
 
 class BertModel(Module):
@@ -159,10 +191,7 @@ class BertModel(Module):
         """``ids``: (B, T) int array. Returns logits of shape (B, T, V)."""
         ids = np.asarray(ids, dtype=np.int64)
         batch, seq = ids.shape
-        if seq > self.config.max_seq_len:
-            raise ConfigError(
-                f"sequence length {seq} exceeds max_seq_len {self.config.max_seq_len}"
-            )
+        self._check_length(seq)
         with obs.stopwatch("repro.bert.forward_seconds"):
             if attention_mask is None:
                 attention_mask = (ids != _PAD_ID).astype(np.float64)
@@ -177,6 +206,40 @@ class BertModel(Module):
             logits = self.mlm_decoder(x)
         obs.observe("repro.bert.forward_batch_size", batch)
         return logits
+
+    def infer(self, ids: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+        """Inference forward: the logits at ``positions[b]`` of row ``b``, (B, V).
+
+        Eval semantics on bare arrays (see ``_affine``). Every layer but
+        the last runs on all rows; the last needs every row's key and
+        value but only the asked row's query, so its attention output,
+        FFN and the MLM head are computed for that one row. The asked rows
+        stay ``(B, 1, D)``: numpy then issues one BLAS call per row, so a
+        row's floats do not depend on what is stacked with it. Against
+        :meth:`forward` the values agree to ~1e-15, not bit for bit (one
+        row goes through ``gemv`` where all rows go through ``gemm``).
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        batch, seq = ids.shape
+        self._check_length(seq)
+        with obs.stopwatch("repro.bert.forward_seconds"):
+            attn_bias = (ids == _PAD_ID)[:, None, None, :] * _ATTN_NEG
+            x = self.token_embedding.weight.data[ids] + self.position_embedding.weight.data[:seq]
+            x = _norm(self.embed_norm, x)
+            for layer in self.layers[:-1]:
+                x = layer.infer(x, x, attn_bias)
+            asked = x[np.arange(batch), positions][:, None, :]
+            h = self.layers[-1].infer(x, asked, attn_bias)
+            h = _norm(self.mlm_norm, gelu(_affine(self.mlm_dense, h)))
+            logits = _affine(self.mlm_decoder, h)[:, 0, :]
+        obs.observe("repro.bert.forward_batch_size", batch)
+        return logits
+
+    def _check_length(self, seq: int) -> None:
+        if seq > self.config.max_seq_len:
+            raise ConfigError(
+                f"sequence length {seq} exceeds max_seq_len {self.config.max_seq_len}"
+            )
 
 
 def _mask_batch(
@@ -325,13 +388,14 @@ class BertMaskedLM(MaskedModel):
     def predict_masked_batch(
         self, queries: Sequence[MaskQuery], top_k: int = 10
     ) -> list[list[TokenProb]]:
-        """One ``no_grad`` forward per group of equal-length queries.
+        """One :meth:`BertModel.infer` per group of equal-length queries.
 
         Rows are stacked, never padded: a padded row attends over a longer
         (masked) sequence and sums in another order, which moves the last
         bits of its logits, while stacking B same-shape rows runs the same
-        per-row GEMMs and reductions as B single forwards. The queries of
-        one beam round all have the same length, so a round is one forward.
+        per-row BLAS calls and reductions as B single forwards. The queries
+        of one beam round all have the same length, so a round is one
+        forward.
         """
         for tokens, position in queries:
             validate_mask_query(tokens, position)
@@ -356,15 +420,12 @@ class BertMaskedLM(MaskedModel):
 
         out: list[list[TokenProb]] = [[] for _ in queries]
         for group in by_length.values():
-            ids = np.asarray([tokens for _, tokens, _ in group], dtype=np.int64)
-            with no_grad():
-                logits = self.model(ids)
-            for row_index, (index, _, local) in enumerate(group):
-                row = logits.data[row_index, local]
-                row = row - row.max()
-                probs = np.exp(row)
-                probs /= probs.sum()
-                probs[:_NUM_SPECIAL] = 0.0  # never propose special tokens
-                order = np.argsort(-probs)[:top_k]
-                out[index] = [(int(i), float(probs[i])) for i in order if probs[i] > 0.0]
+            logits = self.model.infer(
+                [tokens for _, tokens, _ in group], [local for _, _, local in group]
+            )
+            probs = softmax(logits)
+            probs[:, :_NUM_SPECIAL] = 0.0  # never propose special tokens
+            best = np.argsort(-probs, axis=-1)[:, :top_k]
+            for (index, _, _), row, order in zip(group, probs, best):
+                out[index] = [(int(i), float(row[i])) for i in order if row[i] > 0.0]
         return out

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import contextlib
-import math
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
+
+from repro.nn import functional as F
 
 _GRAD_ENABLED = [True]
 
@@ -305,9 +306,7 @@ class Tensor:
 
     def softmax(self, axis: int = -1) -> "Tensor":
         a = self
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        out_data = exp / exp.sum(axis=axis, keepdims=True)
+        out_data = F.softmax(a.data, axis)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
@@ -319,15 +318,12 @@ class Tensor:
     def gelu(self) -> "Tensor":
         """GELU activation (tanh approximation, as used by BERT)."""
         a = self
-        c = math.sqrt(2.0 / math.pi)
         x = a.data
-        inner = c * (x + 0.044715 * x**3)
-        t = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + t)
+        out_data, t = F.gelu_with_tanh(x)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
-                dinner = c * (1.0 + 3 * 0.044715 * x**2)
+                dinner = F.GELU_C * (1.0 + 3 * F.GELU_CUBIC * x**2)
                 dgelu = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
                 a._accumulate(grad * dgelu)
 
@@ -347,11 +343,7 @@ class Tensor:
     def layernorm(self, weight: "Tensor", bias: "Tensor", eps: float = 1e-5) -> "Tensor":
         """Layer normalization over the last axis with affine parameters."""
         a = self
-        mu = a.data.mean(axis=-1, keepdims=True)
-        var = a.data.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (a.data - mu) * inv
-        out_data = xhat * weight.data + bias.data
+        out_data, xhat, inv = F.layernorm_with_stats(a.data, weight.data, bias.data, eps)
 
         def backward(grad: np.ndarray) -> None:
             if weight.requires_grad:

@@ -108,7 +108,7 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.detokenization.mode.direction_match_total": "Outcome: best direction-aligned cluster.",
     "repro.detokenization.mode.largest_cluster_total": "Outcome: largest cluster (no direction context).",
     # -- BERT backend (mlm.bert) ------------------------------------------
-    "repro.bert.forward_seconds": "One BertModel forward pass.",
+    "repro.bert.forward_seconds": "One BertModel pass: infer (tape-free, masked row only) at inference, forward in training.",
     "repro.bert.forward_batch_size": "Sequences per forward pass (training batches, and at inference the distinct queries of one beam round).",
     "repro.bert.predictions_total": "Masked-token queries served (rows, not forward passes).",
     "repro.bert.train_steps_total": "Optimizer steps taken across fits.",

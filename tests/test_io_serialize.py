@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import Kamel, KamelConfig
@@ -91,8 +92,9 @@ class TestErrors:
 
 
 class TestBertPersistence:
-    def test_bert_backend_round_trip(self, small_split, tmp_path):
-        train, test = small_split
+    @pytest.fixture(scope="class")
+    def round_trip(self, small_split, tmp_path_factory):
+        train, _ = small_split
         config = KamelConfig(
             model_backend="bert",
             bert_epochs=8,
@@ -100,10 +102,29 @@ class TestBertPersistence:
             max_model_calls=200,
         )
         system = Kamel(config).fit(train[:20])
-        save_kamel(system, tmp_path)
-        restored = load_kamel(tmp_path)
+        directory = tmp_path_factory.mktemp("kamel_bert")
+        save_kamel(system, directory)
+        return system, load_kamel(directory)
+
+    def test_bert_backend_round_trip(self, round_trip, small_split):
+        system, restored = round_trip
         assert restored._global_model is not None
-        sparse = test[0].sparsify(500.0)
+        sparse = small_split[1][0].sparsify(500.0)
         original = system.impute(sparse)
         recovered = restored.impute(sparse)
         assert len(original.trajectory) == len(recovered.trajectory)
+
+    def test_loaded_bert_answers_with_the_saved_weights(self, round_trip):
+        """``load_kamel`` builds a randomly initialised ``BertModel`` and
+        only then ``load_state_dict``s into it: an inference path that kept
+        its own copy of the weights would answer from the random ones."""
+        system, restored = round_trip
+        vocab = len(system.tokenizer.vocabulary)
+        rng = np.random.default_rng(0)
+        queries = [
+            ([int(t) for t in rng.integers(3, vocab, size=n)], int(rng.integers(0, n)))
+            for n in (4, 4, 7, 4, 12, 7)
+        ]
+        expected = system._global_model.predict_masked_batch(queries, top_k=10)
+        assert all(expected)
+        assert restored._global_model.predict_masked_batch(queries, top_k=10) == expected

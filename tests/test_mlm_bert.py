@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigError, NotFittedError
 from repro.mlm import BertConfig, BertMaskedLM, BertModel, TrainingConfig
 from repro.mlm.bert import _mask_batch
-from repro.nn import no_grad
+from repro.nn import Tensor, no_grad
 
 
 def tiny_config(**overrides) -> BertConfig:
@@ -194,27 +194,55 @@ def _single_forward_reference(model: BertMaskedLM, tokens, position, top_k):
     return [(int(i), float(probs[i])) for i in order if probs[i] > 0.0]
 
 
+def _assert_matches_tape(answers, references):
+    """The tape forward's tokens in its order, probabilities within 1e-12.
+
+    ``infer`` is not held to ``==`` here: the kernels are the same on both
+    sides, but the masked row alone goes through ``gemv`` where the tape's
+    all-rows forward goes through ``gemm``.
+    """
+    assert len(answers) == len(references)
+    for got, ref in zip(answers, references):
+        assert [token for token, _ in got] == [token for token, _ in ref]
+        assert all(abs(p - q) <= 1e-12 for (_, p), (_, q) in zip(got, ref))
+
+
+def _assert_contract(model, queries, top_k):
+    """Batch ``==`` one-query calls; both match the tape forward."""
+    batch = model.predict_masked_batch(queries, top_k=top_k)
+    assert batch == [model.predict_masked(t, p, top_k=top_k) for t, p in queries]
+    _assert_matches_tape(
+        batch, [_single_forward_reference(model, t, p, top_k) for t, p in queries]
+    )
+    return batch
+
+
+def _briefly_trained(vocab_size, config=None, seed=5):
+    rng = np.random.default_rng(seed)
+    corpus = [
+        [int(t) for t in rng.integers(3, vocab_size, size=rng.integers(4, 30))]
+        for _ in range(64)
+    ]
+    model = BertMaskedLM(config, TrainingConfig(epochs=1, max_steps=4, seed=2))
+    return model.fit(corpus, vocab_size=vocab_size)
+
+
 class TestBatchPrediction:
-    """``predict_masked_batch`` returns the very floats of single forwards."""
+    """``predict_masked_batch`` returns the very floats of one-query calls,
+    and the tape forward's answer to within rounding."""
 
     VOCAB = 300
 
     @pytest.fixture(scope="class")
     def model(self):
-        # The default architecture (48 wide, 2 layers, 64 positions): GEMM
+        # The default architecture (48 wide, 2 layers, 64 positions): BLAS
         # kernels are picked by shape, so equality is checked at the shapes
         # the system runs, with briefly trained (non-degenerate) weights.
-        rng = np.random.default_rng(5)
-        corpus = [
-            [int(t) for t in rng.integers(3, self.VOCAB, size=rng.integers(4, 30))]
-            for _ in range(64)
-        ]
-        model = BertMaskedLM(training=TrainingConfig(epochs=1, max_steps=4, seed=2))
-        return model.fit(corpus, vocab_size=self.VOCAB)
+        return _briefly_trained(self.VOCAB)
 
-    def _queries(self, rng, lengths):
+    def _queries(self, rng, lengths, vocab=VOCAB):
         return [
-            ([int(t) for t in rng.integers(3, self.VOCAB, size=n)], int(rng.integers(0, n)))
+            ([int(t) for t in rng.integers(3, vocab, size=n)], int(rng.integers(0, n)))
             for n in lengths
         ]
 
@@ -222,13 +250,7 @@ class TestBatchPrediction:
     def test_same_length_rows_equal_single_forwards(self, model, rows):
         rng = np.random.default_rng(rows)
         for length in (3, 6, 11, 24):
-            queries = self._queries(rng, [length] * rows)
-            batch = model.predict_masked_batch(queries, top_k=10)
-            assert batch == [
-                _single_forward_reference(model, tokens, position, 10)
-                for tokens, position in queries
-            ]
-            assert batch == [model.predict_masked(t, p, top_k=10) for t, p in queries]
+            _assert_contract(model, self._queries(rng, [length] * rows), 10)
 
     def test_mixed_lengths_and_overlong_sequence(self, model):
         rng = np.random.default_rng(9)
@@ -236,22 +258,69 @@ class TestBatchPrediction:
         # forward with the genuine 64-token row.
         queries = self._queries(rng, [5, 9, 5, 90, 64, 3, 9, 5])
         queries[3] = (queries[3][0], 80)
-        batch = model.predict_masked_batch(queries, top_k=7)
-        assert batch == [
-            _single_forward_reference(model, tokens, position, 7)
-            for tokens, position in queries
-        ]
+        _assert_contract(model, queries, 7)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(share_layers=True),
+            dict(num_layers=1),
+            dict(num_heads=1),
+            dict(num_heads=4),
+            dict(num_layers=3, share_layers=True, num_heads=4),
+        ],
+        ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_infer_matches_tape_on_other_architectures(self, overrides):
+        vocab = 60
+        model = _briefly_trained(vocab, BertConfig(vocab_size=vocab, **overrides))
+        rng = np.random.default_rng(4)
+        for length in (3, 6, 11, 24):
+            _assert_contract(model, self._queries(rng, [length] * 3, vocab), 10)
+
+    def test_infer_matches_tape_at_the_ends_and_next_to_padding(self, model):
+        rng = np.random.default_rng(6)
+        (a, _), (b, _), (c, _), (d, _) = self._queries(rng, [9, 9, 9, 9])
+        c[3] = c[7] = d[8] = 0  # [PAD] inside a row: its key is masked out
+        batch = _assert_contract(model, [(a, 0), (b, 8), (c, 4), (d, 0)], 10)
+        # The padding really took part: without it the answer differs.
+        assert batch[2] != model.predict_masked([t or 5 for t in c], 4, top_k=10)
+
+    def test_a_layer_over_all_rows_equals_the_tape_bit_for_bit(self, model):
+        """Dropping the tape alone moves nothing: only asking the last layer
+        for one row does."""
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(4, 9, 48))
+        bias = (rng.random((4, 9)) < 0.2)[:, None, None, :] * -1e9
+        for layer in model.model.layers:
+            with no_grad():
+                taped = layer(Tensor(x), bias).data
+            assert (layer.infer(x, x, bias) == taped).all()
 
     def test_one_forward_per_length_group(self, model, monkeypatch):
         shapes = []
-        forward = model.model.forward
+        infer = model.model.infer
         monkeypatch.setattr(
-            model.model, "forward",
-            lambda ids, *a, **k: shapes.append(np.shape(ids)) or forward(ids, *a, **k),
+            model.model, "infer",
+            lambda ids, positions: shapes.append(np.shape(ids)) or infer(ids, positions),
         )
         rng = np.random.default_rng(3)
         model.predict_masked_batch(self._queries(rng, [6, 6, 8, 6, 8]), top_k=5)
         assert sorted(shapes) == [(2, 8), (3, 6)]
+
+    def test_batch_builds_no_tape(self, model, monkeypatch):
+        """A quiet return to ``no_grad(): model(ids)`` fails here, not in a
+        benchmark: inference constructs no ``Tensor`` at all."""
+        built = []
+        init = Tensor.__init__
+        monkeypatch.setattr(
+            Tensor, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+        )
+        rng = np.random.default_rng(8)
+        answers = model.predict_masked_batch(self._queries(rng, [6, 6, 8, 70]), top_k=5)
+        assert all(answers) and not built
+        Tensor(np.zeros(2))
+        assert built  # the counter does count
 
     def test_does_not_mutate_queries(self, model):
         tokens = [5, 6, 7, 8]
@@ -268,3 +337,37 @@ class TestBatchPrediction:
     def test_batch_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             BertMaskedLM(tiny_config()).predict_masked_batch([([3, 4, 5], 1)])
+
+
+class TestInferReadsLiveWeights:
+    """``infer`` keeps no copy of a weight: whatever rebinds ``Parameter.data``
+    (``load_state_dict``, a refit) is what the next answer comes from."""
+
+    QUERIES = [([5, 9, 14, 20, 7], 2), ([11, 4, 8], 0), ([6, 7, 8, 9, 10, 12, 3], 6)]
+
+    def test_load_state_dict_after_a_forward_is_seen(self):
+        first = _briefly_trained(24, tiny_config(), seed=1)
+        second = _briefly_trained(24, tiny_config(seed=3), seed=2)
+        expected = second.predict_masked_batch(self.QUERIES, top_k=5)
+        assert first.predict_masked_batch(self.QUERIES, top_k=5) != expected
+        first.model.load_state_dict(second.model.state_dict())
+        assert first.predict_masked_batch(self.QUERIES, top_k=5) == expected
+
+    def test_second_fit_answers_from_the_new_weights(self):
+        model = _briefly_trained(24, tiny_config(), seed=1)
+        before = model.predict_masked_batch(self.QUERIES, top_k=5)
+        corpus = corridor_corpus(40, seed=3)
+        model.fit(corpus, vocab_size=24)
+        fresh = BertMaskedLM(tiny_config(), model.training_config).fit(corpus, vocab_size=24)
+        after = model.predict_masked_batch(self.QUERIES, top_k=5)
+        assert after == fresh.predict_masked_batch(self.QUERIES, top_k=5)
+        assert after != before
+
+    def test_infer_rejects_overlong_rows_like_forward(self):
+        model = BertModel(tiny_config(max_seq_len=4))
+        ids = np.full((1, 5), 3)
+        with pytest.raises(ConfigError, match="exceeds max_seq_len 4") as tape:
+            model(ids)
+        with pytest.raises(ConfigError, match="exceeds max_seq_len 4") as bare:
+            model.infer(ids, [2])
+        assert str(bare.value) == str(tape.value)

@@ -4,10 +4,12 @@ Every operator's analytic gradient is compared against central finite
 differences; the tolerances are tight because everything runs in float64.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor, functional as F, no_grad
 from repro.nn.functional import cross_entropy, log_softmax, mse
 
 RNG = np.random.default_rng(42)
@@ -210,6 +212,58 @@ class TestLayerNorm:
         np.testing.assert_allclose(
             b.grad, numeric_grad(lambda v: forward(x_data, w_data, v), b_data.copy()), atol=1e-5
         )
+
+
+class TestArrayKernels:
+    """``functional.gelu`` / ``layernorm`` on bare arrays: the one spelling
+    of each formula, shared by the Tensor ops and inference (that the ops
+    return the kernels' very floats is a property in test_nn_property.py)."""
+
+    def test_gelu_against_scalar_reference(self):
+        c = math.sqrt(2.0 / math.pi)
+        grid = [0.0, -0.0, 1e-300, -1e-300, 1e-8, 0.1, -0.1, 0.5, 1.0, -1.0, 2.5, -2.5,
+                5.0, -5.0, 9.0, -9.0, 40.0, -40.0]
+        grid += list(RNG.uniform(-6.0, 6.0, size=200))
+        x = np.array(grid)
+        got = F.gelu(x)
+        for xi, gi in zip(grid, got):
+            ref = 0.5 * xi * (1.0 + math.tanh(c * (xi + 0.044715 * xi**3)))
+            # Measured against |x|, the scale of the output: the left tail is
+            # the cancellation 1 + tanh, so its last bits are tanh's own, and
+            # numpy's SIMD tanh is not libm's on every CPU.
+            assert abs(gi - ref) <= 1e-15 * abs(xi), (xi, gi, ref)
+        assert math.copysign(1.0, got[1]) == -1.0  # gelu(-0.0) is -0.0
+        assert got[16] == 40.0 and got[17] == 0.0 and math.copysign(1.0, got[17]) == -1.0
+
+    def test_gelu_where_the_cube_overflows(self):
+        # x * x * x reaches +-inf here exactly as pow did, with numpy's
+        # overflow warning; tanh saturates and the result is still exact.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = F.gelu(np.array([1e103, -1e103]))
+        assert got[0] == 1e103
+        assert got[1] == 0.0 and math.copysign(1.0, got[1]) == -1.0
+
+    def test_layernorm_one_pass_equals_mean_then_var(self):
+        """The two-pass body this kernel replaced (``np.var`` recomputes the
+        mean it was just given), kept as the reference: the same floats."""
+
+        def two_pass(x, weight, bias, eps):
+            mu = x.mean(axis=-1, keepdims=True)
+            var = x.var(axis=-1, keepdims=True)
+            inv = 1.0 / np.sqrt(var + eps)
+            return (x - mu) * inv * weight + bias
+
+        rng = np.random.default_rng(17)
+        for _ in range(1000):
+            shape = tuple(rng.integers(1, 9, size=rng.integers(1, 4))) + (
+                int(rng.choice([1, 2, 7, 16, 48, 192])),
+            )
+            scale = 10.0 ** rng.integers(-8, 9)
+            x = rng.normal(rng.normal() * scale, scale, size=shape)
+            weight = rng.uniform(0.5, 1.5, size=shape[-1])
+            bias = rng.normal(size=shape[-1])
+            eps = float(rng.choice([1e-5, 1e-12]))
+            assert (F.layernorm(x, weight, bias, eps) == two_pass(x, weight, bias, eps)).all()
 
 
 class TestEmbedding:

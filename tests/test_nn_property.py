@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import Tensor
+from repro.nn import Tensor, functional as F
 from repro.nn.functional import log_softmax
 
 
@@ -148,3 +148,24 @@ def test_broadcast_add_any_shape(seed, rows, cols):
     ((a + b) * (a + b)).sum().backward()
     np.testing.assert_allclose(a.grad, 2 * (a_data + b_data), atol=1e-9)
     np.testing.assert_allclose(b.grad, (2 * (a_data + b_data)).sum(axis=0), atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    shape=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+    scale=st.sampled_from([1e-6, 1.0, 30.0, 1e6]),
+)
+def test_tensor_ops_and_array_kernels_are_one_formula(seed, shape, scale):
+    """Training (Tensor ops) and inference (bare arrays) share each kernel:
+    the very same floats, whatever the shape or magnitude."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape) * scale
+    weight = rng.uniform(0.5, 1.5, size=shape[-1])
+    bias = rng.normal(size=shape[-1])
+    assert (Tensor(x).gelu().data == F.gelu(x)).all()
+    for axis in (0, -1):
+        assert (Tensor(x).softmax(axis=axis).data == F.softmax(x, axis=axis)).all()
+    for eps in (1e-5, 1e-12):
+        normed = Tensor(x).layernorm(Tensor(weight), Tensor(bias), eps)
+        assert (normed.data == F.layernorm(x, weight, bias, eps)).all()
