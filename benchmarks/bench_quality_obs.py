@@ -1,15 +1,15 @@
 """Quality-observability overhead and signal quality.
 
 Quality observability is off by default, and the impute hot loop then
-pays exactly one ``is None`` branch per hook — the committed perf-gate
-baseline holds the disabled-path cost honest via its exact model-call
-counters. This benchmark covers the *enabled* side: what drift tracking
+pays exactly one ``is None`` branch per hook —
+``tests/test_golden_counters.py`` holds the disabled path honest via its
+exact model-call counters. This benchmark covers the *enabled* side: what drift tracking
 and calibration bookkeeping cost per imputed batch, and whether the
 signals behave on an in-distribution workload (serving traffic drawn
 from the training city must stay under the drift limit, and the
 ground-truth ECE must be a sane probability-scale number). The
-``repro.drift.*`` / ``repro.quality.*`` gauges it records flow into the
-continuous snapshot like every other bench module's metrics.
+``repro.drift.*`` / ``repro.quality.*`` gauges it records land in the
+module's ``--metrics-out`` snapshot like every other bench module's.
 """
 
 import time

@@ -21,23 +21,12 @@ from repro.eval.report import render_series
 from repro.obs import get_registry
 
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-MERGED_SNAPSHOT_NAME = "BENCH_observability.json"
-"""The merged snapshot: one schema-v2 document holding every bench
-module's metrics from a ``--metrics-out`` run. It is written *into* the
-``--metrics-out`` directory (never the repo root — ``kamel bench``
-subprocesses must not clobber the committed baseline); promote it with
-``kamel bench --update-baseline``."""
-
-
 def pytest_addoption(parser):
     parser.addoption(
         "--metrics-out",
         default=None,
         metavar="DIR",
-        help="dump a BENCH_<module>.json metrics snapshot per benchmark module "
-        "plus the merged schema-v2 BENCH_observability.json into DIR",
+        help="dump a BENCH_<module>.json metrics snapshot per benchmark module into DIR",
     )
 
 
@@ -46,8 +35,8 @@ def bench_metrics_snapshot(request):
     """Write each module's metrics (BENCH_<module>.json) when requested.
 
     The registry is reset before every benchmark module either way, so a
-    snapshot holds exactly what that module's figures recorded. Snapshots
-    also accumulate on the session for the merged repo-root document.
+    snapshot holds exactly what that module's figures recorded; two of
+    them diff with ``kamel stats A B``.
     """
     get_registry().reset()
     yield
@@ -58,37 +47,6 @@ def bench_metrics_snapshot(request):
     directory.mkdir(parents=True, exist_ok=True)
     name = request.module.__name__.removeprefix("bench_")
     get_registry().write_json(directory / f"BENCH_{name}.json")
-    snapshots = getattr(request.config, "_bench_obs_snapshots", None)
-    if snapshots is None:
-        snapshots = request.config._bench_obs_snapshots = {}
-    snapshots[name] = get_registry().snapshot()
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Merge the per-module snapshots into a schema-v2 document.
-
-    A single pytest session is one repeat, so every stdev is 0.0; the
-    environment fingerprint (python/platform/numpy/commit/seed) still
-    makes the document comparable across machines. ``kamel bench``
-    aggregates several of these runs into a multi-repeat snapshot.
-    """
-    from repro.bench.snapshot import (
-        flatten_summary,
-        make_snapshot,
-        scalar_summary,
-        write_snapshot,
-    )
-
-    snapshots = getattr(session.config, "_bench_obs_snapshots", None)
-    if not snapshots:
-        return
-    out_dir = pathlib.Path(session.config.getoption("--metrics-out"))
-    module_runs = {
-        name: [flatten_summary(scalar_summary(snapshot))]
-        for name, snapshot in sorted(snapshots.items())
-    }
-    doc = make_snapshot(module_runs, seed=0, repo_root=REPO_ROOT)
-    write_snapshot(out_dir / MERGED_SNAPSHOT_NAME, doc)
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -20,13 +20,12 @@ Telemetry export::
     kamel trace --export chrome -o trace.json -- compare --dataset porto
     kamel trace --export jsonl -- figure fig9  # one span tree per line
 
-Profiling and continuous benchmarking (see docs/observability.md)::
+Profiling (see docs/observability.md; timings are compared by
+``perf/run.py``, see perf/README.md)::
 
     kamel profile -- compare --dataset porto   # stage table + cost ledger
     kamel profile --format svg -o flame.svg -- figure fig9
-    kamel bench counting --repeats 3 --compare BENCH_observability.json
-    kamel bench counting --update-baseline     # refresh the committed snapshot
-    kamel stats before.json after.json         # side-by-side delta table
+    kamel stats before.json after.json         # delta of two --metrics-out snapshots
 
 Fault injection (see docs/resilience.md)::
 
@@ -37,7 +36,7 @@ Sharded serving (see docs/serving.md)::
 
     kamel serve --demo --workers 4 --metrics-port 9101
     kamel serve --model-dir saved/ --input sparse.jsonl --output dense.jsonl
-    kamel loadtest --workers 4 --trajectories 200 --output BENCH_serve.json
+    kamel loadtest --workers 4 --trajectories 200 --json
     kamel loadtest --workers 2 --kill-worker-after 5   # exercises recovery
 
 Overload protection (see docs/serving.md)::
@@ -222,22 +221,77 @@ def render_stats(snapshot: dict) -> str:
     return "\n\n".join(sections)
 
 
+def _is_metric(entry) -> bool:
+    if not isinstance(entry, dict):
+        return False
+    if entry.get("type") in ("counter", "gauge"):
+        return isinstance(entry.get("value"), (int, float))
+    return entry.get("type") == "histogram"
+
+
 def _load_snapshot_or_fail(path: str):
-    """Read a snapshot file, or print why it can't be used and return None.
+    """Read a ``--metrics-out`` snapshot, or print why it can't be used and
+    return None.
 
-    Both ``kamel stats`` and ``kamel bench --compare`` funnel user-supplied
-    files through here so a missing file or malformed JSON is a one-line
-    error and a non-zero exit, not a traceback.
+    ``kamel stats`` funnels every user-supplied file through here, so a
+    missing file, malformed JSON, or JSON of some other shape (a perf run
+    record, ``BENCHMARK.json``) is a one-line error and a non-zero exit,
+    not a traceback.
     """
-    from repro.bench import load_snapshot
-
     try:
-        return load_snapshot(path)
+        with open(path) as handle:
+            doc = json.load(handle)
     except OSError as exc:
         print(f"error: cannot read snapshot {path!r}: {exc}", file=sys.stderr)
+        return None
     except ValueError as exc:  # includes json.JSONDecodeError
         print(f"error: {path!r} is not a valid snapshot: {exc}", file=sys.stderr)
-    return None
+        return None
+    if not (isinstance(doc, dict) and all(map(_is_metric, doc.values()))):
+        print(
+            f"error: {path!r} is not a valid snapshot: expected the "
+            "--metrics-out document, {name: {\"type\": counter|gauge|histogram, ...}}",
+            file=sys.stderr,
+        )
+        return None
+    return doc
+
+
+def _flat_values(snapshot: dict) -> dict[str, float]:
+    """Counters and gauges by name; a histogram that observed anything as
+    dotted ``.count`` / ``.mean`` / ``.p50`` / ``.p90`` / ``.p99`` leaves."""
+    flat: dict[str, float] = {}
+    for name, data in snapshot.items():
+        if data["type"] != "histogram":
+            flat[name] = data["value"]
+        elif data.get("count"):
+            leaves = {"count": data["count"], "mean": data.get("mean")}
+            leaves.update(data.get("quantiles") or {})
+            for leaf, value in leaves.items():
+                if isinstance(value, (int, float)):
+                    flat[f"{name}.{leaf}"] = value
+    return flat
+
+
+def render_delta(a: dict, b: dict) -> str:
+    """Every metric of two snapshots side by side (see ``kamel stats A B``);
+    a name only one side recorded reads ``added`` / ``removed``."""
+    left, right = _flat_values(a), _flat_values(b)
+    rows = []
+    for name in sorted(left.keys() | right.keys()):
+        if name not in left:
+            rows.append([name, "-", f"{right[name]:.6g}", "added", "-"])
+        elif name not in right:
+            rows.append([name, f"{left[name]:.6g}", "-", "removed", "-"])
+        else:
+            delta = right[name] - left[name]
+            pct = f"{delta / abs(left[name]) * 100.0:+.1f}%" if left[name] else "-"
+            rows.append(
+                [name, f"{left[name]:.6g}", f"{right[name]:.6g}", f"{delta:+.6g}", pct]
+            )
+    if not rows:
+        return "(no metrics recorded)"
+    return render_table(["metric", "a", "b", "delta", "delta %"], rows)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -245,29 +299,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if len(files) > 2:
         print("kamel stats takes at most two snapshot files", file=sys.stderr)
         return 2
-    if len(files) == 2:
-        # Side-by-side delta of two snapshots (registry --metrics-out
-        # documents or bench snapshots), via the bench comparator.
-        from repro.bench import compare_snapshots, render_deltas
-
-        docs = []
-        for path in files:
-            doc = _load_snapshot_or_fail(path)
-            if doc is None:
-                return 2
-            docs.append(doc)
-        try:
-            deltas = compare_snapshots(docs[0], docs[1])
-        except ValueError as exc:  # JSON, but not a snapshot document
-            print(f"error: {exc}", file=sys.stderr)
+    docs = []
+    for path in files:
+        doc = _load_snapshot_or_fail(path)
+        if doc is None:
             return 2
-        print(render_deltas(deltas))
-        return 0
-    if len(files) == 1:
-        snapshot = _load_snapshot_or_fail(files[0])
-        if snapshot is None:
-            return 2
-        print(render_stats(snapshot))
+        docs.append(doc)
+    if docs:
+        print(render_delta(*docs) if len(docs) == 2 else render_stats(docs[0]))
         return 0
     if args.catalog:
         from repro.obs import METRIC_CATALOG
@@ -653,83 +692,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return rc
 
 
-def _render_environment(doc: dict) -> str:
-    env = doc.get("environment") or {}
-    parts = [f"{k}={v}" for k, v in env.items() if v is not None]
-    repeats = doc.get("repeats")
-    if repeats:
-        parts.append(f"repeats={repeats}")
-    return ", ".join(parts) if parts else "(no environment recorded)"
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run a benchmark suite N times; snapshot, compare, maybe re-baseline."""
-    from repro.bench import (
-        SUITES,
-        BenchRunner,
-        CompareConfig,
-        compare_snapshots,
-        has_regressions,
-        render_deltas,
-        write_snapshot,
-    )
-    from repro.bench.runner import repo_root
-
-    if args.list:
-        for name, suite in sorted(SUITES.items()):
-            print(f"{name:12s} {suite.description}")
-        return 0
-    baseline = None
-    if args.compare:
-        # Validate the baseline *before* spending minutes on the suite.
-        from repro.bench.compare import stats_modules
-
-        baseline = _load_snapshot_or_fail(args.compare)
-        if baseline is None:
-            return 2
-        try:
-            stats_modules(baseline)
-        except ValueError as exc:
-            print(f"error: {args.compare!r}: {exc}", file=sys.stderr)
-            return 2
-    runner = BenchRunner(suite=args.suite, repeats=args.repeats, seed=args.seed)
-    print(
-        f"running bench suite {args.suite!r} x{args.repeats} "
-        f"(each repeat is a fresh pytest subprocess) ...",
-        file=sys.stderr,
-    )
-    doc = runner.run()
-    if args.output:
-        write_snapshot(args.output, doc)
-        print(f"wrote bench snapshot to {args.output}", file=sys.stderr)
-    rc = 0
-    if baseline is not None:
-        config = CompareConfig(
-            timing_rel_tol=args.timing_tol, count_rel_tol=args.count_tol
-        )
-        deltas = compare_snapshots(baseline, doc, config)
-        print(f"baseline: {_render_environment(baseline)}")
-        print(f"current:  {_render_environment(doc)}")
-        print()
-        print(render_deltas(deltas, include_unchanged=args.verbose))
-        if has_regressions(deltas):
-            regressed = [d for d in deltas if d.classification == "regressed"]
-            print(
-                f"PERF GATE FAILED: {len(regressed)} regressed metric(s)",
-                file=sys.stderr,
-            )
-            rc = 1
-        else:
-            print("perf gate passed: no regressions", file=sys.stderr)
-    if args.update_baseline:
-        baseline_path = repo_root() / "BENCH_observability.json"
-        write_snapshot(baseline_path, doc)
-        print(f"updated baseline {baseline_path}", file=sys.stderr)
-    if not (args.compare or args.update_baseline or args.output):
-        print(json.dumps(doc, indent=2, default=float))
-    return rc
-
-
 def _cmd_quality(args: argparse.Namespace) -> int:
     """Measure confidence calibration on a porto-like workload."""
     from repro.core.config import KamelConfig
@@ -1069,7 +1031,7 @@ def _parse_offered(value: Optional[str]) -> tuple[float, Optional[float]]:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    """Drive synthetic load through the pool; verify, measure, snapshot."""
+    """Drive synthetic load through the pool; verify and measure."""
     from repro.serve import LoadtestConfig, run_loadtest
 
     offered_tps, offered_multiplier = _parse_offered(args.offered_tps)
@@ -1115,12 +1077,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             f"(inspect with: kamel tail {report.flight_out})",
             file=sys.stderr,
         )
-    if args.output:
-        from repro.bench import make_snapshot, write_snapshot
-
-        doc = make_snapshot({"serve": [report.bench_metrics()]}, seed=args.seed)
-        write_snapshot(args.output, doc)
-        print(f"wrote bench snapshot to {args.output}", file=sys.stderr)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, default=float))
     else:
@@ -1402,7 +1358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_load = sub.add_parser(
         "loadtest",
-        help="drive synthetic load through the pool; verify + measure + snapshot",
+        help="drive synthetic load through the pool; verify + measure",
     )
     p_load.add_argument(
         "--workers", type=int, default=4, help="worker processes (default 4)"
@@ -1445,10 +1401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument(
         "--workdir", default=None,
         help="keep the saved model + journals here (default: temp dir)",
-    )
-    p_load.add_argument(
-        "--output", "-o", default=None, metavar="PATH",
-        help="write a schema-v2 bench snapshot here (e.g. BENCH_serve.json)",
     )
     p_load.add_argument(
         "--trace",
@@ -1690,57 +1642,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_drift.add_argument("--json", action="store_true", help="machine-readable report")
     p_drift.set_defaults(func=_cmd_drift)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run a benchmark suite N times, snapshot, compare to a baseline",
-    )
-    p_bench.add_argument(
-        "suite",
-        nargs="?",
-        default="counting",
-        help="suite name (see --list; default: counting)",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=3, help="independent suite runs (default 3)"
-    )
-    p_bench.add_argument("--seed", type=int, default=0, help="recorded suite seed")
-    p_bench.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        default=None,
-        help="classify each metric against this snapshot; exit 1 on regression",
-    )
-    p_bench.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the new snapshot to BENCH_observability.json at the repo root",
-    )
-    p_bench.add_argument(
-        "--output", "-o", default=None, help="also write the snapshot here"
-    )
-    p_bench.add_argument(
-        "--timing-tol",
-        type=float,
-        default=0.35,
-        metavar="FRAC",
-        help="relative tolerance for wall-time metrics (default 0.35; raise "
-        "when comparing across machines)",
-    )
-    p_bench.add_argument(
-        "--count-tol",
-        type=float,
-        default=0.05,
-        metavar="FRAC",
-        help="relative tolerance for counters and exact metrics (default 0.05)",
-    )
-    p_bench.add_argument(
-        "--verbose", action="store_true", help="include unchanged metrics in the table"
-    )
-    p_bench.add_argument(
-        "--list", action="store_true", help="list the available suites and exit"
-    )
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -63,6 +63,7 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.kamel.fallback.deadline_total": "Fallbacks: the impute deadline expired mid-segment.",
     "repro.kamel.fallback.circuit_open_total": "Fallbacks: a guard circuit was open at every usable rung.",
     "repro.kamel.fallback.rung_error_total": "Fallbacks: an infrastructure fault outlived the retries at every usable rung.",
+    "repro.kamel.fallback.brownout_total": "Fallbacks: the brownout cap skipped every rung above linear that had a model.",
     "repro.kamel.failure_rate": "Windowed failure rate over the most recent imputed segments (the paper's Section 8 metric); cumulative = segments_failed_total / segments_imputed_total.",
     "repro.kamel.degraded_rate": "Windowed share of recent segments resolved below the top ladder rung; cumulative = segments_degraded_total / segments_imputed_total.",
     "repro.kamel.rung.full_total": "Segments resolved by the full-strength imputer (top ladder rung).",

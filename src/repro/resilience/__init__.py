@@ -53,6 +53,7 @@ from repro.resilience.journal import (
 )
 from repro.resilience.ladder import (
     ALL_RUNGS,
+    FALLBACK_REASONS,
     DegradationLadder,
     RUNG_COUNTING,
     RUNG_FULL,
@@ -63,6 +64,7 @@ from repro.resilience.validate import MAX_COORDINATE_M, validate_trajectory
 
 __all__ = [
     "ALL_RUNGS",
+    "FALLBACK_REASONS",
     "ChaosConfig",
     "ChaosMonkey",
     "CircuitBreaker",

@@ -40,6 +40,7 @@ __all__ = [
     "RUNG_COUNTING",
     "RUNG_LINEAR",
     "ALL_RUNGS",
+    "FALLBACK_REASONS",
     "DegradationLadder",
 ]
 
@@ -50,6 +51,19 @@ RUNG_LINEAR = "linear"
 
 ALL_RUNGS = (RUNG_FULL, RUNG_REDUCED_BEAM, RUNG_COUNTING, RUNG_LINEAR)
 """Top-to-bottom order; a segment only ever moves downward."""
+
+FALLBACK_REASONS = (
+    "endpoint_unseen",
+    "no_model",
+    "search_failed",
+    "deadline",
+    "circuit_open",
+    "rung_error",
+    "brownout",
+)
+"""Every ``SegmentOutcome.fallback_reason`` a segment can record — why it
+left the rung above — each counted as
+``repro.kamel.fallback.<reason>_total`` when the segment ends ``linear``."""
 
 
 @dataclass(frozen=True)

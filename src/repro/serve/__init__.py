@@ -26,7 +26,7 @@ of the pyramid, behind a deterministic router.
   table :class:`~repro.obs.server.ObservabilityServer` serves.
 * :mod:`repro.serve.loadtest` — ``kamel loadtest``: synthetic traffic,
   p50/p99 latency, sustained throughput, bit-for-bit verification
-  against the single-process baseline, schema-v2 bench snapshots, and
+  against the single-process baseline, the ``--json`` report, and
   (``--trace-out``) the merged multi-worker Chrome trace with
   per-request stage attribution.
 

@@ -26,11 +26,12 @@ it — and records the brownout step-down/step-up cycle. Bit-for-bit
 verification is disabled in this mode because deadline and brownout
 degradation change outputs by design.
 
-The numbers land in a schema-v2 bench snapshot (``BENCH_serve.json``)
-via :mod:`repro.bench`, so loadtest runs diff with ``kamel stats a b``
-and feed the CI perf gate like every other benchmark in the repo.
-Throughput scaling is machine-dependent (worker processes need cores to
-run on); latency percentiles include queueing delay by design.
+The run is gated on its exit code (0 lost, 0 mismatches, the CLI's
+``--max-p99-ms`` / ``--min-shed``) and read from the ``--json`` report;
+throughput and latency are *compared* across commits by ``perf/run.py``
+(``serve_flood`` / ``serve_paced``), not here. Throughput scaling is
+machine-dependent (worker processes need cores to run on); latency
+percentiles include queueing delay by design.
 """
 
 from __future__ import annotations
@@ -222,51 +223,6 @@ class LoadtestReport:
         out["ok"] = self.ok
         out["accounted"] = self.accounted
         return out
-
-    def bench_metrics(self) -> dict[str, float]:
-        """The flat metric dict one repeat contributes to BENCH_serve.json."""
-        metrics: dict[str, float] = {
-            "repro.serve.trajectories": float(self.trajectories),
-            "repro.serve.workers": float(self.workers),
-            "repro.serve.wall_seconds": self.wall_s,
-            "repro.serve.throughput_tps": self.throughput_tps,
-            "repro.serve.latency_p50_ms": self.latency_p50_ms,
-            "repro.serve.latency_p99_ms": self.latency_p99_ms,
-            "repro.serve.latency_mean_ms": self.latency_mean_ms,
-            "repro.serve.segments": float(self.segments),
-            "repro.serve.failed_segments": float(self.failed_segments),
-            "repro.serve.degraded_segments": float(self.degraded_segments),
-            "repro.serve.model_calls": float(self.model_calls),
-            "repro.serve.worker_deaths": float(self.worker_deaths),
-            "repro.serve.journal_replayed": float(self.journal_replayed),
-            "repro.serve.mismatches": float(self.mismatches),
-            "repro.serve.lost": float(self.lost),
-        }
-        for rung, count in sorted(self.rungs.items()):
-            metrics[f"repro.serve.rung.{rung}"] = float(count)
-        for stage, row in sorted(self.stages.items()):
-            if row.get("p99") is not None:
-                metrics[f"repro.serve.stage.{stage}_p99_ms"] = (
-                    float(row["p99"]) * 1000.0
-                )
-        if self.single_throughput_tps is not None:
-            metrics["repro.serve.single_throughput_tps"] = self.single_throughput_tps
-        if self.speedup_vs_single is not None:
-            metrics["repro.serve.speedup_vs_single"] = self.speedup_vs_single
-        if self.overload:
-            metrics["repro.serve.offered_tps"] = self.offered_tps
-            metrics["repro.serve.shed"] = float(self.shed)
-            metrics["repro.serve.expired"] = float(self.expired)
-            metrics["repro.serve.peak_queue_depth"] = float(
-                self.peak_queue_depth
-            )
-            if self.capacity_tps is not None:
-                metrics["repro.serve.capacity_tps"] = self.capacity_tps
-            if self.brownout is not None:
-                metrics["repro.serve.brownout_steps"] = float(
-                    len(self.brownout.get("transitions", []))
-                )
-        return metrics
 
 
 def _make_feed(config: LoadtestConfig, dataset) -> list[Trajectory]:

@@ -72,6 +72,16 @@ class TestCli:
         assert args.export == "jsonl"
         assert args.rest == ["--", "compare", "--dataset", "porto"]
 
+    @pytest.mark.parametrize(
+        "argv", [["bench"], ["bench", "counting"], ["loadtest", "-o", "snapshot.json"]]
+    )
+    def test_the_retired_bench_surface_is_a_usage_error(self, argv):
+        """Timings are compared by ``perf/run.py``; the ``bench`` verb and
+        ``loadtest -o`` went with the harness they fed."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
     def test_trace_requires_a_subcommand(self, capsys):
         assert main(["trace", "--export", "chrome"]) == 2
 

@@ -160,3 +160,47 @@ class TestFallbackWarning:
         ]
         assert len(fallback_records) == 1
         assert fallback_records[0].data["segment"] == 0
+
+
+class TestFallbackReasons:
+    def test_every_reason_has_a_catalog_entry(self):
+        from repro.resilience.ladder import FALLBACK_REASONS
+
+        catalogued = {
+            name.removeprefix("repro.kamel.fallback.").removesuffix("_total")
+            for name in METRIC_CATALOG
+            if name.startswith("repro.kamel.fallback.")
+        }
+        assert catalogued == set(FALLBACK_REASONS)
+
+    def test_the_facade_records_no_reason_outside_the_tuple(self):
+        """``Kamel._impute_segment`` spells its reasons as literals."""
+        import inspect
+        import re
+
+        from repro.resilience.ladder import FALLBACK_REASONS
+
+        source = inspect.getsource(Kamel._impute_segment)
+        literals = set(re.findall(r'(?:reason = (?:reason or )?|linear\()"(\w+)"', source))
+        assert literals == set(FALLBACK_REASONS)
+
+    def test_a_brownout_capped_segment_is_catalogued(self, small_split):
+        """Every rung above ``linear`` capped or model-less: the segment
+        ends ``linear("brownout")``, a reason the catalog used to miss."""
+        train, test = small_split
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            system = Kamel(
+                KamelConfig(max_model_calls=600, enable_fallback_model=False)
+            ).fit(train)
+            result = system.impute(test[0].sparsify(500.0), max_rung="counting")
+        finally:
+            set_registry(previous)
+        assert result.num_failed == result.num_segments > 0
+        assert {s.fallback_reason for s in result.segments} <= {
+            "brownout", "endpoint_unseen"
+        }
+        assert registry.get("repro.kamel.fallback.brownout_total").value > 0
+        unknown = [n for n in registry.names() if n not in METRIC_CATALOG]
+        assert not unknown, f"metrics missing from METRIC_CATALOG: {unknown}"

@@ -182,3 +182,71 @@ class TestServeKnobs:
         for doc in sorted((ROOT / "docs").glob("*.md")):
             for name in re.findall(r"`ServeConfig\.([A-Za-z_]+)`", doc.read_text()):
                 assert name in known, f"{doc.name} names ServeConfig.{name}"
+
+
+class TestOneBenchmarkHarness:
+    """``perf/`` is the only harness: the verbs and baselines of the one it
+    replaced stay gone, and every documented command still parses."""
+
+    DOCUMENTS = [
+        ROOT / "README.md",
+        *sorted((ROOT / "docs").glob("*.md")),
+        ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+        ROOT / ".github" / "workflows" / "ci.yml",
+    ]
+
+    def test_every_documented_verb_is_a_registered_subcommand(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        takes_value = {
+            option: action.nargs != 0
+            for action in parser._actions
+            for option in action.option_strings
+        }
+        (subparsers,) = (
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        invocation = re.compile(r"(?:\bkamel|python3? -m repro(?:\.cli)?)((?:\s+\S+){1,8})")
+        seen = set()
+        for document in self.DOCUMENTS:
+            for match in invocation.finditer(document.read_text()):
+                tokens = match.group(1).split()
+                while tokens and tokens[0] in takes_value:  # global flags
+                    del tokens[: 2 if takes_value[tokens[0]] else 1]
+                verb = re.match(r"[a-z][a-z-]*", tokens[0]) if tokens else None
+                if verb is None:  # `kamel <args>`, a flag we do not know
+                    continue
+                seen.add(verb.group())
+                assert verb.group() in subparsers.choices, (
+                    f"{document.name}: `{' '.join(match.group().split())}` names "
+                    f"{verb.group()!r}, which is not a kamel subcommand"
+                )
+        assert {"loadtest", "stats", "profile", "compare"} <= seen
+
+    def test_nothing_names_the_retired_harness(self):
+        retired = [
+            "repro" + ".bench",
+            "kamel " + "bench",
+            "repro " + "bench",
+            "BENCH_" + "observability",
+            "BENCH_" + "serve",
+        ]
+        sources = [
+            *self.DOCUMENTS,
+            ROOT / "DESIGN.md",
+            ROOT / "EXPERIMENTS.md",
+            *(
+                path
+                for top in ("src", "tests", "benchmarks", "examples")
+                for path in sorted((ROOT / top).rglob("*.py"))
+            ),
+        ]
+        for source in sources:
+            text = source.read_text()
+            for name in retired:
+                assert name not in text, f"{source.relative_to(ROOT)} names {name}"
+        assert not (ROOT / "src" / "repro" / "bench").exists()
+        assert not list(ROOT.glob("BENCH_*.json"))
