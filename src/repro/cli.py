@@ -20,11 +20,9 @@ Telemetry export::
     kamel trace --export chrome -o trace.json -- compare --dataset porto
     kamel trace --export jsonl -- figure fig9  # one span tree per line
 
-Profiling (see docs/observability.md; timings are compared by
-``perf/run.py``, see perf/README.md)::
+Comparing two runs (timings are compared by ``perf/run.py``, see
+perf/README.md)::
 
-    kamel profile -- compare --dataset porto   # stage table + cost ledger
-    kamel profile --format svg -o flame.svg -- figure fig9
     kamel stats before.json after.json         # delta of two --metrics-out snapshots
 
 Fault injection (see docs/resilience.md)::
@@ -51,12 +49,6 @@ Distributed tracing & tail-latency attribution (see docs/serving.md)::
     kamel tail flight.json                 # p50/p99 stage-attribution table
     kamel tail http://127.0.0.1:9101/slow  # same, from a live pool
     kamel trace --from flight.json --trace-id 4f2a... --export text
-
-Quality observability (see docs/observability.md)::
-
-    kamel quality --heatmap quality.svg --quality-out quality.json
-    kamel drift                # shifted traffic: drift monitor breaches
-    kamel drift --control      # training-city traffic: stays green
 """
 
 from __future__ import annotations
@@ -490,8 +482,11 @@ def _load_trace_roots(path: str) -> list:
 
     with open(path) as handle:
         text = handle.read()
-    if text.lstrip().startswith("{"):
+    try:
         doc = json.loads(text)
+    except json.JSONDecodeError:
+        doc = None  # more than one document: span JSONL, parsed below
+    if isinstance(doc, dict):
         if "slowest" in doc:
             return [
                 Span.from_dict(span_dict)
@@ -656,171 +651,6 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Run a subcommand under the hierarchical profiler, then report."""
-    from repro.obs.profile import Profiler
-
-    rest = list(args.rest)
-    if rest and rest[0] == "--":
-        rest = rest[1:]
-    if not rest:
-        print(
-            "usage: kamel profile [--format table|collapsed|svg|json] "
-            "[-o PATH] -- <command ...>",
-            file=sys.stderr,
-        )
-        return 2
-    nested = build_parser().parse_args(rest)
-    with Profiler(capture_memory=not args.no_memory) as prof:
-        rc = nested.func(nested)
-    profile = prof.profile
-    assert profile is not None
-    if args.format == "collapsed":
-        rendered = profile.collapsed(value=args.weight)
-    elif args.format == "svg":
-        rendered = profile.render_flame()
-    elif args.format == "json":
-        rendered = json.dumps(profile.to_dict(), indent=2, default=float) + "\n"
-    else:
-        rendered = profile.render_table() + "\n"
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(rendered)
-        print(f"wrote {args.format} profile to {args.output}", file=sys.stderr)
-    else:
-        print(rendered, end="")
-    return rc
-
-
-def _cmd_quality(args: argparse.Namespace) -> int:
-    """Measure confidence calibration on a porto-like workload."""
-    from repro.core.config import KamelConfig
-    from repro.core.kamel import Kamel
-    from repro.eval.harness import calibrate
-    from repro.obs.quality import quality_report
-
-    scale = Scale.full() if args.full else Scale.small()
-    workload = porto_workload(scale).with_sparseness(args.sparseness)
-    print("training the quality-demo system ...", file=sys.stderr)
-    system = Kamel(KamelConfig(maxgap_m=workload.maxgap_m)).fit(list(workload.train))
-    system.enable_quality_observability()
-    results = system.impute_batch(list(workload.test_sparse))
-    ledger = calibrate(
-        workload,
-        results,
-        tracker=system.quality_tracker,
-        grid=system.tokenizer.grid,
-        bins=args.bins,
-    )
-    rows = []
-    for row in ledger.rows():
-        if not row.count and not args.verbose:
-            continue
-        rows.append(
-            [
-                f"[{row.lower:.1f}, {row.upper:.1f})",
-                str(row.count),
-                f"{row.mean_confidence:.3f}" if row.count else "-",
-                f"{row.mean_accuracy:.3f}" if row.count else "-",
-                f"{row.gap:.3f}" if row.count else "-",
-            ]
-        )
-    print(
-        render_table(
-            ["confidence bin", "count", "mean conf", "mean acc", "gap"], rows
-        )
-    )
-    print(f"ECE: {ledger.ece():.4f} over {ledger.total} scored segments")
-    if args.heatmap:
-        from repro.viz.heatmap import write_heatmap_svg
-
-        spatial = system.quality_tracker.spatial
-        write_heatmap_svg(
-            args.heatmap,
-            spatial.quality_scores(),
-            system.tokenizer.grid,
-            counts=spatial.point_counts(),
-        )
-        print(f"wrote quality heatmap to {args.heatmap}", file=sys.stderr)
-    if args.quality_out:
-        with open(args.quality_out, "w") as handle:
-            json.dump(quality_report(), handle, indent=2, default=float)
-        print(f"wrote /quality payload to {args.quality_out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_drift(args: argparse.Namespace) -> int:
-    """Fit one synthetic city, serve another's traffic, report drift.
-
-    The default run serves traffic from a *different* road layout, so the
-    unseen-cell-mass score climbs and the drift monitor breaches;
-    ``--control`` serves held-out traffic from the *training* city
-    instead, demonstrating the monitor staying green on in-distribution
-    load.
-    """
-    from repro.core.config import KamelConfig
-    from repro.core.kamel import Kamel
-    from repro.obs.instrument import monitors
-    from repro.roadnet import (
-        CityConfig,
-        SimulatorConfig,
-        TrajectorySimulator,
-        generate_city,
-    )
-
-    print("training on city A ...", file=sys.stderr)
-    city_a = generate_city(
-        CityConfig(
-            width_m=1500.0, height_m=1500.0, block_m=250.0,
-            n_roundabouts=1, seed=args.seed,
-        )
-    )
-    train = TrajectorySimulator(
-        city_a, SimulatorConfig(sample_interval_s=2.0, seed=args.seed + 2)
-    ).simulate(args.train_trajectories)
-    # Small cells on purpose: drift shows up as serving points landing in
-    # cells the training city never visited, which needs a grid fine
-    # enough that the two road layouts do not share every cell.
-    system = Kamel(KamelConfig(cell_edge_m=25.0, max_model_calls=200)).fit(train)
-    system.enable_quality_observability(min_observations=args.min_observations)
-
-    if args.control:
-        serve_city, label = city_a, "control (training city)"
-    else:
-        serve_city, label = (
-            generate_city(
-                CityConfig(
-                    width_m=1500.0, height_m=1500.0, block_m=180.0,
-                    n_roundabouts=2, seed=args.seed + 8,
-                )
-            ),
-            "shifted (different city)",
-        )
-    feed = TrajectorySimulator(
-        serve_city, SimulatorConfig(sample_interval_s=2.0, seed=args.seed + 99)
-    ).simulate(args.trajectories)
-    print(f"serving {len(feed)} {label} trajectories ...", file=sys.stderr)
-    for trajectory in feed:
-        system.impute(trajectory.sparsify(args.sparseness))
-
-    detector = system.drift_detector
-    assert detector is not None
-    if args.json:
-        payload = detector.to_dict()
-        payload["monitor"] = monitors().drift.to_dict()
-        print(json.dumps(payload, indent=2, default=float))
-        return 0
-    rows = [
-        [name, f"{value:.4f}"] for name, value in sorted(detector.scores.items())
-    ]
-    rows.append(["window trajectories", str(detector.window_trajectories)])
-    rows.append(
-        ["drift monitor", "BREACHED" if monitors().drift.breached else "ok"]
-    )
-    print(render_table(["drift signal", "value"], rows))
-    return 0
-
-
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.io import load_kamel
 
@@ -838,14 +668,22 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     ]
     if system._global_model is not None:
         rows.append(["global model tokens", str(system._global_model.num_training_tokens)])
-    if repo is not None and repo.num_models:
+    num_models = repo.num_models if repo is not None else 0
+    if num_models:
         stats = repo.stats()
+        rows.append(["models", str(num_models)])
         rows.append(["single-cell models", str(stats.single_models)])
         rows.append(["neighbor-cell models", str(stats.neighbor_models)])
         rows.append(
             ["models per level", ", ".join(f"L{k}: {v}" for k, v in sorted(stats.models_per_level.items()))]
         )
         rows.append(["model rebuilds", str(stats.rebuilds)])
+    elif system.config.use_partitioning:
+        rows.append(
+            ["models", "0 — every lookup will miss and fall to the fallback rung"]
+        )
+    else:
+        rows.append(["models", "0 (use_partitioning off: the global model answers)"])
     print(render_table(["property", "value"], rows))
     return 0
 
@@ -1562,86 +1400,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sts.set_defaults(func=_cmd_stats)
 
-    p_prof = sub.add_parser(
-        "profile",
-        help="run a subcommand under the stage profiler (cost ledger, flame)",
-    )
-    p_prof.add_argument(
-        "--format",
-        choices=("table", "collapsed", "svg", "json"),
-        default="table",
-        help="table = stage ledger (default); collapsed = flamegraph-tool "
-        "input; svg = dependency-free flame view; json = machine-readable",
-    )
-    p_prof.add_argument(
-        "--weight",
-        choices=("wall", "calls"),
-        default="wall",
-        help="collapsed-stack sample unit: self wall-time in µs or span counts",
-    )
-    p_prof.add_argument(
-        "--no-memory",
-        action="store_true",
-        help="skip tracemalloc peak-memory capture (lower overhead)",
-    )
-    p_prof.add_argument("--output", "-o", default=None, help="write here instead of stdout")
-    p_prof.add_argument(
-        "rest",
-        nargs=argparse.REMAINDER,
-        metavar="command ...",
-        help="the kamel subcommand to profile, e.g. -- compare --dataset porto",
-    )
-    p_prof.set_defaults(func=_cmd_profile)
-
-    p_qual = sub.add_parser(
-        "quality",
-        help="measure confidence calibration (ECE table, heatmap, /quality JSON)",
-    )
-    p_qual.add_argument(
-        "--sparseness", type=float, default=800.0, help="imposed gap (m)"
-    )
-    p_qual.add_argument(
-        "--bins", type=int, default=10, help="confidence bins (default 10)"
-    )
-    p_qual.add_argument(
-        "--heatmap", metavar="SVG",
-        help="write the per-cell quality choropleth here",
-    )
-    p_qual.add_argument(
-        "--quality-out", metavar="JSON",
-        help="write the full /quality payload here",
-    )
-    p_qual.add_argument(
-        "--verbose", action="store_true", help="include empty confidence bins"
-    )
-    p_qual.add_argument("--full", action="store_true", help="full-scale run (slow)")
-    p_qual.set_defaults(func=_cmd_quality)
-
-    p_drift = sub.add_parser(
-        "drift",
-        help="demo input-drift detection: train city A, serve shifted traffic",
-    )
-    p_drift.add_argument(
-        "--control",
-        action="store_true",
-        help="serve held-out traffic from the training city instead (stays green)",
-    )
-    p_drift.add_argument("--seed", type=int, default=3, help="city/traffic RNG seed")
-    p_drift.add_argument(
-        "--train-trajectories", type=int, default=60, help="training trips"
-    )
-    p_drift.add_argument(
-        "--trajectories", type=int, default=40, help="serving trips to impute"
-    )
-    p_drift.add_argument(
-        "--sparseness", type=float, default=800.0, help="imposed gap (m)"
-    )
-    p_drift.add_argument(
-        "--min-observations", type=int, default=8,
-        help="trajectories in the window before scoring (default 8)",
-    )
-    p_drift.add_argument("--json", action="store_true", help="machine-readable report")
-    p_drift.set_defaults(func=_cmd_drift)
     return parser
 
 

@@ -231,7 +231,7 @@ class SegmentImputer(abc.ABC):
         obs.count(f"repro.imputation.{self.strategy_name}.segments_total")
         # The histogram's P² quantiles are *estimates* (a p50 of 47.98
         # calls is interpolation, not an observation); the counter is the
-        # exact total the profiler's cost ledger reconciles against.
+        # exact total tests/test_golden_counters.py pins.
         obs.count("repro.imputation.model_calls_total", result.model_calls)
         obs.observe("repro.imputation.calls_per_segment", result.model_calls)
         if budget > 0:

@@ -59,14 +59,7 @@ from repro.mlm.bert import BertMaskedLM, TrainingConfig
 from repro.mlm.counting import CountingMaskedLM
 from repro.mlm.vocab import Vocabulary
 from repro.obs import instrument as obs
-from repro.obs.drift import (
-    DEFAULT_DRIFT_LIMIT,
-    DEFAULT_DRIFT_WINDOW,
-    DistributionSketch,
-    DriftDetector,
-)
 from repro.obs.logging import get_logger
-from repro.obs.quality import QualityTracker, quality_state
 from repro.obs.tracing import span, trace_scope
 from repro.resilience.breaker import PipelineGuards
 from repro.resilience.deadline import Deadline
@@ -116,12 +109,6 @@ class Kamel(Imputer):
         self._training_trajectories: list[Trajectory] = []
         self._gap_threshold_m: Optional[float] = None
         self._fitted = False
-        # Quality observability is opt-in (enable_quality_observability):
-        # both hooks stay None by default, so the hot paths pay exactly
-        # one `is None` branch when disabled.
-        self._reference_sketch: Optional[DistributionSketch] = None
-        self._drift: Optional[DriftDetector] = None
-        self._quality: Optional[QualityTracker] = None
         cfg = self.config
         self.ladder = DegradationLadder.for_config(cfg)
         self.guards = PipelineGuards(
@@ -182,6 +169,16 @@ class Kamel(Imputer):
                 "models": self.repository.num_models if self.repository else 0,
             }},
         )
+        if cfg.use_partitioning and self.repository.num_models == 0:
+            _log.warning(
+                "the pyramid maintains no model: every lookup will miss and "
+                "every segment falls to the fallback rung",
+                extra={"data": {
+                    "model_threshold_k": cfg.model_threshold_k,
+                    "pyramid_root_extent_m": cfg.pyramid_root_extent_m,
+                    "pyramid_height": cfg.pyramid_height,
+                }},
+            )
         return self
 
     def add_training(self, trajectories: Sequence[Trajectory]) -> None:
@@ -217,15 +214,6 @@ class Kamel(Imputer):
         # Detokenization metadata is rebuilt over all data: DBSCAN results
         # are not incrementally mergeable and training is offline anyway.
         self.detokenizer.fit(self._training_trajectories)
-
-        # The drift reference sketch follows the same rebuild-over-all
-        # policy; it is O(points) and must describe *everything* the
-        # models were fit on, including enrichment batches.
-        self._reference_sketch = DistributionSketch.from_trajectories(
-            self._training_trajectories, self.tokenizer.grid
-        )
-        if self._drift is not None:
-            self._drift.reference = self._reference_sketch
 
         if cfg.enable_fallback_model:
             # The counting rung's global model: O(tokens) to refit, lives
@@ -354,8 +342,6 @@ class Kamel(Imputer):
             result.num_degraded, result.num_segments
         )
         obs.gauge("repro.kamel.degraded_rate").set(degraded)
-        if self._drift is not None:
-            self._drift.observe(trajectory)
         return result
 
     def _impute_points(
@@ -434,13 +420,10 @@ class Kamel(Imputer):
             obs.count(f"repro.kamel.fallback.{reason}_total")
             DegradationLadder.record(RUNG_LINEAR)
             interior = _linear_interior(a, b, cfg.maxgap_m)
-            outcome = SegmentOutcome(
+            return interior, SegmentOutcome(
                 index, True, calls, len(interior),
                 rung=RUNG_LINEAR, fallback_reason=reason,
             )
-            if self._quality is not None:
-                self._observe_segment_quality(outcome, (), interior)
-            return interior, outcome
 
         with span("tokenize"):
             source = self.tokenizer.token_for_point(a)
@@ -535,7 +518,7 @@ class Kamel(Imputer):
                 point_confs = result.point_confidences
                 if len(point_confs) != len(interior_points):
                     point_confs = ()
-                outcome = SegmentOutcome(
+                return interior_points, SegmentOutcome(
                     index,
                     False,
                     calls_spent,
@@ -545,11 +528,6 @@ class Kamel(Imputer):
                     fallback_reason=reason if rung != RUNG_FULL else None,
                     point_confidences=point_confs,
                 )
-                if self._quality is not None:
-                    self._observe_segment_quality(
-                        outcome, result.interior or (), interior_points
-                    )
-                return interior_points, outcome
             return linear(reason or "search_failed", calls_spent)
 
     def _run_rung(
@@ -623,114 +601,6 @@ class Kamel(Imputer):
         for trajectory in trajectories:
             yield self.impute(trajectory)
 
-    # -- quality observability ---------------------------------------------------
-
-    @property
-    def reference_sketch(self) -> Optional[DistributionSketch]:
-        """The training-time distribution sketch (drift baseline)."""
-        return self._reference_sketch
-
-    @property
-    def drift_detector(self) -> Optional[DriftDetector]:
-        """The online drift detector (None until quality obs is enabled)."""
-        return self._drift
-
-    @property
-    def quality_tracker(self) -> Optional[QualityTracker]:
-        """The calibration/spatial tracker (None until quality obs is enabled)."""
-        return self._quality
-
-    def enable_quality_observability(
-        self,
-        drift_limit: Optional[float] = DEFAULT_DRIFT_LIMIT,
-        calibration_limit: Optional[float] = None,
-        drift_window: int = DEFAULT_DRIFT_WINDOW,
-        min_observations: int = 8,
-    ) -> "Kamel":
-        """Turn on drift detection and confidence-calibration tracking.
-
-        Off by default: the impute hot paths then pay exactly one ``is
-        None`` branch. Enabled, every impute call folds the input
-        trajectory into a rolling drift window scored against the
-        training reference sketch, and every imputed segment feeds the
-        reliability ledger and per-cell quality map
-        (:mod:`repro.obs.quality`). ``drift_limit`` (unseen-cell mass:
-        the share of recent serving points landing in never-trained
-        cells) and ``calibration_limit`` (windowed |confidence −
-        accuracy|) install
-        edge-triggered thresholds on the ``drift``/``calibration``
-        monitors, so sustained drift or miscalibration flips ``/healthz``
-        to ``degraded``; pass ``None`` to track without alerting. The
-        state is published under the *current* metrics registry, where
-        the ``/quality`` endpoint reads it.
-        """
-        if not self._fitted:
-            raise NotFittedError("call fit() before enable_quality_observability()")
-        assert self.tokenizer is not None
-        if self._reference_sketch is None or self._reference_sketch.total_points == 0:
-            # Loaded systems may predate drift.json: rebuild the sketch
-            # from the token store (exact cells, centroid-coarse features).
-            if self._training_trajectories:
-                self._reference_sketch = DistributionSketch.from_trajectories(
-                    self._training_trajectories, self.tokenizer.grid
-                )
-            elif self.store is not None:
-                self._reference_sketch = DistributionSketch.from_token_store(
-                    self.store, self.tokenizer
-                )
-        if self._reference_sketch is None:
-            raise NotFittedError("no training data to build a drift reference from")
-        self._drift = DriftDetector(
-            self._reference_sketch,
-            self.tokenizer.grid,
-            window=drift_window,
-            min_observations=min_observations,
-        )
-        self._quality = QualityTracker()
-        state = quality_state()
-        state.tracker = self._quality
-        state.drift = self._drift
-        hub = obs.monitors()
-        if drift_limit is not None:
-            hub.drift.add_threshold(
-                drift_limit,
-                _on_quality_alert,
-                min_count=min_observations,
-                on_clear=_on_quality_cleared,
-            )
-        if calibration_limit is not None:
-            hub.calibration.add_threshold(
-                calibration_limit,
-                _on_quality_alert,
-                on_clear=_on_quality_cleared,
-            )
-        _log.info(
-            "quality observability enabled",
-            extra={"data": {
-                "reference_cells": self._reference_sketch.num_cells,
-                "drift_window": drift_window,
-                "drift_limit": drift_limit,
-                "calibration_limit": calibration_limit,
-            }},
-        )
-        return self
-
-    def _observe_segment_quality(
-        self, outcome: SegmentOutcome, tokens: Sequence[int], points: Sequence[Point]
-    ) -> None:
-        """Feed one segment to the quality tracker (enabled path only)."""
-        assert self.tokenizer is not None and self._quality is not None
-        grid = self.tokenizer.grid
-        cells = [grid.cell_of(p) for p in points]
-        snap: Optional[float] = None
-        if tokens and len(tokens) == len(points):
-            total = sum(
-                p.distance_to(self.tokenizer.centroid_of_token(t))
-                for t, p in zip(tokens, points)
-            )
-            snap = total / len(points)
-        self._quality.observe_segment(outcome, cells, snap_distance_m=snap)
-
     # -- persistence -----------------------------------------------------------
 
     def save(self, directory) -> None:
@@ -749,20 +619,6 @@ class Kamel(Imputer):
     def __repr__(self) -> str:
         state = "fitted" if self._fitted else "unfitted"
         return f"Kamel({state}, backend={self.config.model_backend!r})"
-
-
-def _on_quality_alert(monitor, value: float) -> None:
-    _log.warning(
-        "quality monitor breached",
-        extra={"data": {"monitor": monitor.name, "value": round(value, 4)}},
-    )
-
-
-def _on_quality_cleared(monitor, value: float) -> None:
-    _log.info(
-        "quality monitor recovered",
-        extra={"data": {"monitor": monitor.name, "value": round(value, 4)}},
-    )
 
 
 def _segment_speed(points: list[Point]) -> Optional[float]:

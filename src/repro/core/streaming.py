@@ -12,10 +12,9 @@ fed back as training data in periodic offline batches via
 Operationally the service can expose itself: set
 :attr:`StreamingConfig.metrics_port` and it starts an
 :class:`~repro.obs.server.ObservabilityServer` serving ``/metrics``
-(Prometheus), ``/healthz``, ``/quality``, and ``/spans``; set the
-``alert_*`` thresholds and the rolling quality monitors fire WARNING
-logs when the windowed failure rate, degraded rate, processing latency,
-input drift, or confidence calibration worsens.
+(Prometheus), ``/healthz``, and ``/spans``; set the ``alert_*``
+thresholds and the rolling monitors fire WARNING logs when the windowed
+failure rate, degraded rate, or processing latency worsens.
 Every :meth:`process` call runs under its own trace id, stamped on all
 spans and log lines it produces.
 
@@ -122,14 +121,6 @@ class StreamingConfig:
     """WARN when the windowed below-top-rung segment rate exceeds this."""
     alert_latency_s: Optional[float] = None
     """WARN when the windowed mean process() latency exceeds this (seconds)."""
-    alert_drift_score: Optional[float] = None
-    """WARN when the windowed headline drift score (unseen-cell mass of
-    serving traffic vs the training sketch) exceeds this. The monitor is
-    only fed when the system has quality observability enabled
-    (:meth:`Kamel.enable_quality_observability`)."""
-    alert_calibration_gap: Optional[float] = None
-    """WARN when the windowed |confidence - realized accuracy| exceeds
-    this (fed by the quality tracker, like ``alert_drift_score``)."""
     alert_min_observations: int = 20
     """Observations a rolling window needs before its alerts can fire."""
     journal_path: Optional[str] = None
@@ -214,10 +205,6 @@ class StreamingImputationService:
             pairs.append((hub.degraded, cfg.alert_degraded_rate))
         if cfg.alert_latency_s is not None:
             pairs.append((hub.latency, cfg.alert_latency_s))
-        if cfg.alert_drift_score is not None:
-            pairs.append((hub.drift, cfg.alert_drift_score))
-        if cfg.alert_calibration_gap is not None:
-            pairs.append((hub.calibration, cfg.alert_calibration_gap))
         for monitor, limit in pairs:
             monitor.add_threshold(
                 limit,

@@ -344,101 +344,6 @@ def _split_by_anchor_points(
     return pieces
 
 
-# -- confidence calibration (quality observability) ---------------------------
-
-
-@dataclass(frozen=True)
-class CalibrationRecord:
-    """One scored segment: reported confidence vs realized accuracy."""
-
-    segment_index: int
-    confidence: float
-    accuracy: float
-    """Fraction of ground-truth probes (discretized at maxgap) within
-    ``delta_m`` of the imputed polyline — the paper's recall criterion
-    applied per segment, used here as the realized-accuracy signal."""
-    cells: tuple[tuple[int, int], ...] = ()
-    """Grid cells of the segment's imputed interior points (empty when no
-    grid was supplied), for spatial quality attribution."""
-
-
-def calibration_records(
-    workload: Workload,
-    results: Sequence[ImputationResult],
-    grid=None,
-) -> list[CalibrationRecord]:
-    """Pair every scored segment's confidence with its realized accuracy.
-
-    Only segments the imputer scored are included (failed segments and
-    unscored baselines carry ``confidence=None``). Pass the imputer's
-    grid (``system.tokenizer.grid``) to also attribute each segment's
-    interior points to cells.
-    """
-    records: list[CalibrationRecord] = []
-    for truth, sparse, kept, result in zip(
-        workload.test_truth, workload.test_sparse, workload.test_kept_indices, results
-    ):
-        outcomes = {o.start_index: o for o in result.segments}
-        pieces = _split_by_anchor_points(result.trajectory, sparse)
-        for k in range(len(kept) - 1):
-            outcome = outcomes.get(k)
-            if outcome is None or outcome.confidence is None:
-                continue
-            lo, hi = kept[k], kept[k + 1]
-            truth_line = list(truth.points[lo : hi + 1])
-            imputed_line = list(pieces[k])
-            if len(truth_line) < 2 or len(imputed_line) < 2:
-                continue
-            hits = total = 0
-            for probe in Trajectory("t", truth_line).discretize(workload.maxgap_m):
-                total += 1
-                if point_to_polyline_distance(probe, imputed_line) <= workload.delta_m:
-                    hits += 1
-            if total == 0:
-                continue
-            cells: tuple[tuple[int, int], ...] = ()
-            if grid is not None:
-                cells = tuple(grid.cell_of(p) for p in imputed_line[1:-1])
-            records.append(
-                CalibrationRecord(
-                    segment_index=k,
-                    confidence=outcome.confidence,
-                    accuracy=hits / total,
-                    cells=cells,
-                )
-            )
-    return records
-
-
-def calibrate(
-    workload: Workload,
-    results: Sequence[ImputationResult],
-    tracker=None,
-    grid=None,
-    bins: int = 10,
-):
-    """Run the ground-truth calibration pass over one method's results.
-
-    Returns a fresh :class:`repro.obs.quality.ReliabilityLedger` binning
-    reported confidence against realized per-segment accuracy (its
-    ``ece()`` and ``rows()`` back the ``kamel quality`` table). When a
-    :class:`repro.obs.quality.QualityTracker` is passed, every record is
-    also folded into its ground-truth ledger and spatial map — wiring
-    eval-time truth into the same state the ``/quality`` endpoint and the
-    heatmap read.
-    """
-    from repro.obs.quality import ReliabilityLedger
-
-    ledger = ReliabilityLedger(bins)
-    for record in calibration_records(workload, results, grid=grid):
-        ledger.record(record.confidence, record.accuracy)
-        if tracker is not None:
-            tracker.record_ground_truth(
-                record.confidence, record.accuracy, record.cells
-            )
-    return ledger
-
-
 def score_segments(
     records: Sequence[SegmentRecord],
     maxgap_m: float,

@@ -7,7 +7,6 @@ Layout::
       system.json        vocabulary, inferred speed, gap threshold, pyramid
       store.json         tokenized training trajectories
       detokenizer.json   per-cell DBSCAN cluster metadata
-      drift.json         training-distribution reference sketch (drift baseline)
       models/            one file per stored model
         single_<l>_<i>_<j>.json / .npz       (counting / bert payload)
         neighbor_<...>__<...>.json / .npz
@@ -224,13 +223,6 @@ def save_kamel(system: Kamel, directory: Union[str, pathlib.Path]) -> pathlib.Pa
         }
     root.joinpath("detokenizer.json").write_text(json.dumps(detok_payload))
 
-    if system.reference_sketch is not None:
-        # The drift baseline travels with the model store: a *loaded*
-        # system can then compare serving traffic to what it was fit on.
-        root.joinpath("drift.json").write_text(
-            json.dumps(system.reference_sketch.to_dict())
-        )
-
     manifest: dict = {"single": {}, "neighbor": {}, "global": None}
     if repo is not None:
         for key, stored in repo._single.items():
@@ -343,16 +335,6 @@ def load_kamel(
         )
         cells[(q, r)] = CellClusters(clusters, centroid, entry["num_points"])
     system.detokenizer._cells = cells
-
-    drift_path = root.joinpath("drift.json")
-    if drift_path.exists():
-        from repro.obs.drift import DistributionSketch
-
-        system._reference_sketch = DistributionSketch.from_dict(
-            json.loads(drift_path.read_text())
-        )
-    # Directories that predate drift.json load without a sketch;
-    # enable_quality_observability rebuilds one from the token store.
 
     if config.enable_fallback_model and len(system.store) > 0:
         # The counting-rung fallback model is derived state: O(tokens) to

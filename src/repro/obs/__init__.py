@@ -1,6 +1,6 @@
 """Observability for the KAMEL pipeline: metrics, tracing, logging, export.
 
-Ten dependency-free modules:
+Eight dependency-free modules:
 
 * :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry` of
   counters, gauges, and histograms (fixed buckets + streaming quantiles),
@@ -21,19 +21,6 @@ Ten dependency-free modules:
 * :mod:`repro.obs.instrument` — the integration layer the pipeline
   modules import: the canonical metric-name catalog, stopwatches, and
   decorators;
-* :mod:`repro.obs.profile` — the hierarchical :class:`Profiler` built on
-  the span hooks: per-stage wall/CPU self time, a model-call cost
-  ledger, peak-memory capture, and collapsed-stack / SVG flame output
-  (``kamel profile``);
-* :mod:`repro.obs.drift` — input-drift detection: a compact
-  :class:`DistributionSketch` of training-time cell and feature
-  distributions, an online :class:`DriftDetector` over recent serving
-  traffic, and divergence scores (unseen-cell mass, PSI, JS) wired to
-  the ``drift`` monitor;
-* :mod:`repro.obs.quality` — confidence calibration and spatial quality
-  attribution: a :class:`ReliabilityLedger` (ECE + per-bin rows), a
-  per-cell :class:`SpatialQualityMap`, and the :class:`QualityTracker`
-  feeding the ``calibration`` monitor and the ``/quality`` endpoint;
 * :mod:`repro.obs.flight` — tail-latency attribution for the serving
   tier: the five-stage per-request breakdown
   (:func:`stage_breakdown`) and the slowest-N :class:`FlightRecorder`
@@ -98,27 +85,6 @@ from repro.obs.export import (
     write_spans_jsonl,
 )
 from repro.obs.server import ObservabilityServer
-from repro.obs.drift import (
-    DistributionSketch,
-    DriftDetector,
-    population_stability_index,
-    smoothed_js_divergence,
-)
-from repro.obs.quality import (
-    BinRow,
-    QualityTracker,
-    ReliabilityLedger,
-    SpatialQualityMap,
-    quality_report,
-    quality_state,
-)
-from repro.obs.profile import (
-    PIPELINE_STAGES,
-    Profile,
-    Profiler,
-    StageCost,
-    collapsed_stacks,
-)
 from repro.obs.instrument import (
     METRIC_CATALOG,
     Stopwatch,
@@ -128,10 +94,7 @@ from repro.obs.instrument import (
 )
 
 __all__ = [
-    "BinRow",
     "Counter",
-    "DistributionSketch",
-    "DriftDetector",
     "FlightRecord",
     "FlightRecorder",
     "Gauge",
@@ -141,22 +104,15 @@ __all__ = [
     "MetricsRegistry",
     "MonitorHub",
     "ObservabilityServer",
-    "PIPELINE_STAGES",
-    "Profile",
-    "Profiler",
-    "QualityTracker",
-    "ReliabilityLedger",
     "RollingMonitor",
     "RollingWindow",
     "STAGES",
     "Span",
-    "SpatialQualityMap",
     "Stopwatch",
     "Threshold",
     "chrome_trace_json",
     "clear_spans",
     "clock_offset",
-    "collapsed_stacks",
     "configure_logging",
     "current_trace_id",
     "disable_tracing",
@@ -168,14 +124,10 @@ __all__ = [
     "get_tracer",
     "monitors",
     "new_trace_id",
-    "population_stability_index",
     "prometheus_name",
-    "quality_report",
-    "quality_state",
     "render_prometheus",
     "set_flight_recorder",
     "set_registry",
-    "smoothed_js_divergence",
     "span",
     "stage_breakdown",
     "spans_to_chrome_trace",

@@ -170,21 +170,6 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.eval.impute_seconds": "Harness: imputing one workload's test set.",
     # -- observability endpoint (obs.server) ------------------------------
     "repro.obs.scrapes_total": "GET /metrics requests served by the endpoint.",
-    # -- input drift (obs.drift) ------------------------------------------
-    "repro.drift.unseen_cell_mass": "Fraction of recent serving points landing in grid cells the training data never visited (the headline drift score: robust to thin windows, near 0 for same-region traffic).",
-    "repro.drift.cell_psi": "Population stability index of recent serving traffic's cell histogram vs the training reference sketch (trend gauge; inflated until the window covers the region).",
-    "repro.drift.cell_js": "Smoothed Jensen-Shannon divergence of the same cell histograms (bounded by ln 2; a second opinion on cell_psi).",
-    "repro.drift.feature.segment_length_psi": "PSI of the point-to-point segment-length distribution vs training (diagnostic only: sparse serving input shifts this by construction).",
-    "repro.drift.feature.gap_duration_psi": "PSI of the point-to-point time-gap distribution vs training (diagnostic only).",
-    "repro.drift.feature.speed_psi": "PSI of the point-to-point speed distribution vs training (diagnostic only).",
-    "repro.drift.window_trajectories": "Serving trajectories currently in the rolling drift window.",
-    "repro.drift.observations_total": "Serving trajectories folded into the drift detector.",
-    # -- quality & calibration (obs.quality) ------------------------------
-    "repro.quality.ece": "Expected calibration error of the reliability ledger (ground-truth ledger when fed, else the online proxy ledger).",
-    "repro.quality.calibration_gap": "Windowed mean |confidence - realized accuracy| over recent scored segments (proxy accuracy online, realized accuracy under the eval harness).",
-    "repro.quality.records_total": "Segments folded into the quality tracker.",
-    "repro.quality.cells_tracked": "Grid cells with per-cell quality counters.",
-    "repro.quality.snap_distance_m": "Detokenization snap distance: meters between each imputed segment's points and their token-cell centroids (segment mean; large values mean the detokenizer is working far from its cluster metadata).",
 }
 """Every metric the pipeline emits, with its meaning (the name registry
 ``docs/observability.md`` renders; tests assert emitted names appear here)."""
@@ -193,7 +178,6 @@ _COUNT_HISTOGRAMS = {
     "repro.imputation.calls_per_segment",
     "repro.partitioning.lookup_hit_level",
     "repro.bert.forward_batch_size",
-    "repro.quality.snap_distance_m",
 }
 
 _RATIO_BUCKETS: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)

@@ -309,13 +309,6 @@ class MonitorHub:
     * ``rejection`` — constraint-filter rejections over candidates in.
     * ``hit_rate``  — repository lookups finding a covering model.
     * ``hit_level`` — which pyramid level answered each lookup.
-    * ``drift``     — the headline input-drift score (the unseen-cell
-      mass of recent serving traffic vs the training reference sketch,
-      fed by :class:`repro.obs.drift.DriftDetector`); its threshold
-      flips ``/healthz`` when serving traffic leaves the trained region.
-    * ``calibration`` — windowed |confidence − realized accuracy| per
-      scored segment (:class:`repro.obs.quality.QualityTracker`), so a
-      confidence score that stops predicting error also breaches health.
     """
 
     def __init__(self, capacity: int = DEFAULT_WINDOW) -> None:
@@ -326,8 +319,6 @@ class MonitorHub:
         self.rejection = RollingMonitor("constraints.rejection_ratio", capacity)
         self.hit_rate = RollingMonitor("partitioning.hit_rate", capacity)
         self.hit_level = LevelWindow("partitioning.hit_level", capacity)
-        self.drift = RollingMonitor("quality.drift_score", capacity)
-        self.calibration = RollingMonitor("quality.calibration_gap", capacity)
 
     def all(self) -> dict[str, Any]:
         return {
@@ -337,8 +328,6 @@ class MonitorHub:
             "rejection": self.rejection,
             "hit_rate": self.hit_rate,
             "hit_level": self.hit_level,
-            "drift": self.drift,
-            "calibration": self.calibration,
         }
 
     def reset(self) -> None:

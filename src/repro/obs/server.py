@@ -8,13 +8,9 @@ process's registry:
 * ``GET /metrics``  — the registry in Prometheus text exposition format
   (scrape it with ``curl`` or point a Prometheus job at it);
 * ``GET /healthz``  — JSON liveness: status (``ok``, or ``degraded``
-  when any rolling-monitor threshold is breached — including the drift
-  and calibration monitors, so a drifting deployment reads as
-  unhealthy), uptime, scrape count, and the rolling quality monitors
-  (windowed failure rate, degraded rate, latency, drift, …);
-* ``GET /quality``  — JSON model/data-quality state: drift scores vs the
-  training reference sketch, the calibration ledgers (ECE + per-bin
-  rows), and the worst spatial cells (see :mod:`repro.obs.quality`);
+  when any rolling-monitor threshold is breached), uptime, scrape
+  count, and the rolling monitors (windowed failure rate, degraded
+  rate, latency, …);
 * ``GET /spans``    — collected span trees as Chrome trace-event JSON
   (save the response and load it in Perfetto), or ``?format=jsonl`` for
   the line-oriented form;
@@ -54,7 +50,6 @@ from repro.obs.export import (
 from repro.obs.flight import get_flight_recorder
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.quality import quality_report
 from repro.obs.tracing import finished_spans
 
 __all__ = ["ObservabilityServer", "Route", "json_body", "registry_routes"]
@@ -108,7 +103,6 @@ def registry_routes(
     return {
         "/metrics": metrics,
         "/healthz": healthz,
-        "/quality": lambda query: json_body(quality_report(registry)),
         "/spans": spans,
         "/slow": lambda query: json_body(get_flight_recorder().to_dict()),
     }

@@ -82,7 +82,7 @@ class Span:
 
     __slots__ = (
         "name", "attributes", "children", "start_s", "end_s", "error",
-        "trace_id", "thread_id", "cpu_start_s", "cpu_end_s",
+        "trace_id", "thread_id",
     )
 
     def __init__(
@@ -99,30 +99,12 @@ class Span:
         self.error: Optional[str] = None
         self.trace_id = trace_id
         self.thread_id = threading.get_ident()
-        self.cpu_start_s: Optional[float] = None
-        self.cpu_end_s: Optional[float] = None
 
     @property
     def duration_s(self) -> Optional[float]:
         if self.end_s is None:
             return None
         return self.end_s - self.start_s
-
-    @property
-    def cpu_s(self) -> Optional[float]:
-        """Thread CPU time spent in the span (None unless the tracer's
-        ``capture_cpu`` flag was on — the profiler turns it on)."""
-        if self.cpu_start_s is None or self.cpu_end_s is None:
-            return None
-        return self.cpu_end_s - self.cpu_start_s
-
-    @property
-    def self_s(self) -> Optional[float]:
-        """Wall time spent in this span but not in any child span."""
-        if self.duration_s is None:
-            return None
-        children = sum(c.duration_s or 0.0 for c in self.children)
-        return max(0.0, self.duration_s - children)
 
     def set(self, **attributes: Any) -> "Span":
         """Attach attributes to the span (chainable)."""
@@ -151,8 +133,6 @@ class Span:
             "end_s": self.end_s,
             "thread_id": self.thread_id,
         }
-        if self.cpu_s is not None:
-            out["cpu_s"] = self.cpu_s
         if self.trace_id is not None:
             out["trace_id"] = self.trace_id
         if self.attributes:
@@ -184,9 +164,6 @@ class Span:
         span_obj.error = data.get("error")
         span_obj.trace_id = data.get("trace_id")
         span_obj.thread_id = int(data.get("thread_id") or 0)
-        cpu_s = data.get("cpu_s")
-        span_obj.cpu_start_s = 0.0 if cpu_s is not None else None
-        span_obj.cpu_end_s = float(cpu_s) if cpu_s is not None else None
         span_obj.children = [cls.from_dict(c) for c in data.get("children") or []]
         return span_obj
 
@@ -205,7 +182,7 @@ class Span:
         return self
 
     def render(self, indent: int = 0) -> str:
-        """A flame-graph-ish text rendering of the subtree."""
+        """An indented text rendering of the subtree."""
         duration = f"{self.duration_s * 1000:.3f} ms" if self.duration_s is not None else "open"
         attrs = " ".join(f"{k}={v}" for k, v in self.attributes.items())
         line = "  " * indent + f"{self.name} [{duration}]" + (f" {attrs}" if attrs else "")
@@ -241,8 +218,6 @@ class _SpanContext:
     def __init__(self, tracer: "Tracer", name: str, attributes: dict[str, Any]) -> None:
         self._tracer = tracer
         self._span = Span(name, attributes, trace_id=tracer.current_trace_id())
-        if tracer.capture_cpu:
-            self._span.cpu_start_s = time.thread_time()
 
     def __enter__(self) -> Span:
         self._tracer._push(self._span)
@@ -260,10 +235,6 @@ class Tracer:
 
     def __init__(self, max_roots: int = 1000) -> None:
         self.enabled = False
-        #: When on, spans also record per-thread CPU time (``Span.cpu_s``).
-        #: Off by default — ``time.thread_time`` costs a syscall per span;
-        #: :class:`repro.obs.profile.Profiler` flips it for its window.
-        self.capture_cpu = False
         self.max_roots = max_roots
         self._local = threading.local()
         self._roots: list[Span] = []
@@ -291,15 +262,12 @@ class Tracer:
 
     def _pop(self, span_obj: Span) -> None:
         span_obj.end_s = time.perf_counter()
-        cpu_now = time.thread_time() if span_obj.cpu_start_s is not None else None
         stack = self._stack()
         # Exception-safe unwind: close everything above the span too.
         while stack:
             top = stack.pop()
             if top.end_s is None:
                 top.end_s = span_obj.end_s
-            if top.cpu_start_s is not None and top.cpu_end_s is None and cpu_now is not None:
-                top.cpu_end_s = cpu_now
             if top is span_obj:
                 break
         if not stack:

@@ -1,31 +1,15 @@
-"""SVG rendering of networks, trajectories, imputations, and profiles.
+"""SVG rendering of networks, trajectories, and imputations.
 
 Pure-stdlib SVG string building (no plotting dependency), good enough to
 eyeball what the system did: roads in grey, the ground truth in green,
 the sparse input as dots, and the imputed path in blue with failed
-(straight-line) segments dashed red — plus a flame view of collapsed
-profiler stacks (:mod:`repro.viz.flame`, fed by ``kamel profile``) and
-a per-cell quality choropleth (:mod:`repro.viz.heatmap`, fed by
-``kamel quality --heatmap``).
+(straight-line) segments dashed red.
 """
 
-from repro.viz.flame import (
-    FlameNode,
-    parse_collapsed,
-    render_flame_svg,
-    write_flame_svg,
-)
-from repro.viz.heatmap import render_heatmap_svg, write_heatmap_svg
 from repro.viz.svg import SvgCanvas, render_imputation, render_network
 
 __all__ = [
-    "FlameNode",
     "SvgCanvas",
-    "parse_collapsed",
-    "render_flame_svg",
-    "render_heatmap_svg",
     "render_imputation",
     "render_network",
-    "write_flame_svg",
-    "write_heatmap_svg",
 ]

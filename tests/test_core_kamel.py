@@ -1,6 +1,7 @@
 """System-level tests for the Kamel facade."""
 
 import dataclasses
+import logging
 
 import pytest
 
@@ -67,6 +68,20 @@ class TestLifecycle:
 
     def test_repr(self, trained_kamel):
         assert "fitted" in repr(trained_kamel)
+
+    def test_a_pyramid_that_maintains_no_model_warns_once(self, small_split, caplog):
+        """Thresholds no cell can meet: fit succeeds, and says what it built."""
+        train, _ = small_split
+        unmet = KamelConfig(model_threshold_k=10**9)
+        with caplog.at_level(logging.WARNING, logger="repro.core.kamel"):
+            system = Kamel(unmet).fit(train[:20])
+            Kamel(KamelConfig()).fit(train)  # maintains models: silent
+            Kamel(dataclasses.replace(unmet, use_partitioning=False)).fit(train[:20])
+        assert system.repository.num_models == 0
+        (record,) = [r for r in caplog.records if "no model" in r.getMessage()]
+        assert record.levelno == logging.WARNING
+        assert record.data["model_threshold_k"] == 10**9
+        assert record.data["pyramid_root_extent_m"] == unmet.pyramid_root_extent_m
 
 
 class TestImputation:

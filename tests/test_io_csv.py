@@ -158,3 +158,17 @@ class TestInspectCommand:
         assert "vocabulary" in out
         assert "single-cell models" in out
         assert "stored trajectories" in out
+
+    def test_inspect_says_when_the_pyramid_holds_no_model(
+        self, tmp_path, small_split, capsys
+    ):
+        from repro import Kamel, KamelConfig
+
+        train, _ = small_split
+        Kamel(KamelConfig(model_threshold_k=10**9)).fit(train[:20]).save(tmp_path / "m")
+        assert main(["inspect", str(tmp_path / "m")]) == 0
+        (row,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("models ")
+        ]
+        assert "0 — every lookup will miss and fall to the fallback rung" in row

@@ -77,6 +77,34 @@ class TestRoundTrip:
         assert restored.is_fitted
 
 
+class TestDirectoryFromBeforeDriftWasRetired:
+    def test_drift_json_is_ignored_and_no_longer_written(
+        self, trained_kamel, small_split, tmp_path
+    ):
+        """Older saves carry a ``drift.json`` (a training-distribution
+        sketch) beside the files below; it loads and imputes as a fresh one."""
+        from repro.serve.modelstore import load_kamel_lazy
+
+        fresh, older = tmp_path / "fresh", tmp_path / "older"
+        for directory in (fresh, older):
+            save_kamel(trained_kamel, directory)
+        assert not (fresh / "drift.json").exists()
+        (older / "drift.json").write_text(
+            json.dumps(
+                {
+                    "cells": {"0_0": 31, "1_-2": 4},
+                    "features": {"segment_length": [0, 3, 9], "speed": [1, 2]},
+                    "trajectories": 64,
+                }
+            )
+        )
+        feed = [t.sparsify(500.0) for t in small_split[1][:8]]
+        expected = [load_kamel(fresh).impute(t) for t in feed]
+        assert expected == [trained_kamel.impute(t) for t in feed]
+        for restored in (load_kamel(older), load_kamel_lazy(older)[0]):
+            assert [restored.impute(t) for t in feed] == expected  # bit for bit
+
+
 class TestErrors:
     def test_save_unfitted_rejected(self, tmp_path):
         with pytest.raises(NotFittedError):

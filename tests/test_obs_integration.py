@@ -1,7 +1,10 @@
 """End-to-end observability: a fit + impute run emits the expected
 counters, histograms, spans, and warning logs."""
 
+import ast
 import logging
+import pathlib
+import re
 
 import pytest
 
@@ -160,6 +163,66 @@ class TestFallbackWarning:
         ]
         assert len(fallback_records) == 1
         assert fallback_records[0].data["segment"] == 0
+
+
+class TestNoDeadTelemetry:
+    """The other direction of the catalog check: a row, a documented
+    family or a rolling monitor that nothing in ``src/repro`` can feed."""
+
+    ROOT = pathlib.Path(__file__).resolve().parent.parent
+    SRC = ROOT / "src" / "repro"
+
+    def _sources(self, *excluded):
+        return [
+            path.read_text()
+            for path in sorted(self.SRC.rglob("*.py"))
+            if path.relative_to(self.SRC).as_posix() not in excluded
+        ]
+
+    def test_every_catalog_entry_is_spelled_by_some_emitter(self):
+        """A name counts as producible when a string literal outside the
+        catalog module equals it, or an f-string that starts ``repro.``
+        matches it with one identifier per placeholder."""
+        literals, patterns = set(), set()
+        for source in self._sources("obs/instrument.py"):
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    literals.add(node.value)
+                elif isinstance(node, ast.JoinedStr):
+                    head = node.values[0]
+                    if isinstance(head, ast.Constant) and head.value.startswith("repro."):
+                        patterns.add(
+                            "".join(
+                                re.escape(part.value)
+                                if isinstance(part, ast.Constant)
+                                else r"\w+"
+                                for part in node.values
+                            )
+                        )
+        dead = [
+            name
+            for name in METRIC_CATALOG
+            if name not in literals
+            and not any(re.fullmatch(pattern, name) for pattern in patterns)
+        ]
+        assert not dead, f"catalogued but nothing under src/repro emits: {dead}"
+
+    def test_every_catalog_family_is_in_the_docs_table(self):
+        doc = (self.ROOT / "docs" / "observability.md").read_text()
+        documented = set(re.findall(r"^\| `(repro\.\w+)\.\*` \|", doc, flags=re.MULTILINE))
+        families = {".".join(name.split(".")[:2]) for name in METRIC_CATALOG}
+        assert families == documented
+
+    def test_every_rolling_monitor_has_a_feeder(self):
+        from repro.obs import MonitorHub
+
+        source = "\n".join(self._sources("obs/monitor.py"))
+        unfed = [
+            name
+            for name in MonitorHub().all()
+            if not re.search(rf"\.{name}\.(?:observe|extend)\b", source)
+        ]
+        assert not unfed, f"MonitorHub monitors nothing feeds: {unfed}"
 
 
 class TestFallbackReasons:

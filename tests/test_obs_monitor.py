@@ -147,7 +147,6 @@ class TestMonitorHub:
         hub = MonitorHub()
         assert set(hub.all()) == {
             "failure", "degraded", "latency", "rejection", "hit_rate", "hit_level",
-            "drift", "calibration",
         }
 
     def test_reset_clears_every_window(self):

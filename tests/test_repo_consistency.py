@@ -224,7 +224,7 @@ class TestOneBenchmarkHarness:
                     f"{document.name}: `{' '.join(match.group().split())}` names "
                     f"{verb.group()!r}, which is not a kamel subcommand"
                 )
-        assert {"loadtest", "stats", "profile", "compare"} <= seen
+        assert {"loadtest", "stats", "trace", "compare"} <= seen
 
     def test_nothing_names_the_retired_harness(self):
         retired = [

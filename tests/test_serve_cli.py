@@ -251,3 +251,28 @@ class TestTraceFromFile:
     def test_unreadable_file_fails_cleanly(self, capsys, tmp_path):
         assert main(["trace", "--from", str(tmp_path / "nope.json")]) == 2
         assert "cannot load spans" in capsys.readouterr().err
+
+    def test_exports_that_carry_cpu_s_still_load(self, capsys, tmp_path, flight_file):
+        """Spans written while a profiler captured thread CPU time have a
+        ``cpu_s`` key per node; flight payloads and JSONL exports (one
+        tree per line) holding it load as if it were absent."""
+        payload = json.loads(flight_file.read_text())
+        for record in payload["slowest"]:
+            for tree in record["spans"]:
+                tree["cpu_s"] = 0.25
+        old_flight = tmp_path / "old-flight.json"
+        old_flight.write_text(json.dumps(payload))
+        assert main(["trace", "--from", str(old_flight), "--export", "text"]) == 0
+        assert capsys.readouterr().out.count("serve.request") == 3
+
+        old_jsonl = tmp_path / "old-spans.jsonl"
+        old_jsonl.write_text(
+            '{"name": "eval.impute", "duration_s": 0.5, "cpu_s": 0.4,'
+            ' "children": [{"name": "impute.segment", "cpu_s": 0.1}]}\n'
+            '{"name": "kamel.fit", "duration_s": 0.2, "cpu_s": 0.2}\n'
+        )
+        assert main(["trace", "--from", str(old_jsonl), "--export", "jsonl"]) == 0
+        trees = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l.strip()]
+        assert [t["name"] for t in trees] == ["eval.impute", "kamel.fit"]
+        assert trees[0]["children"][0]["name"] == "impute.segment"
+        assert "cpu_s" not in trees[0]

@@ -99,60 +99,3 @@ class TestRenderers:
         canvas = render_imputation(truth, sparse, result)
         parse(canvas.to_string())
 
-
-class TestFlame:
-    COLLAPSED = (
-        "eval.impute;impute.segment 400000\n"
-        "eval.impute;impute.segment;constraints.filter 100000\n"
-        "eval.impute;impute.segment;model.predict 300000\n"
-    )
-
-    def test_parse_collapsed_builds_a_merged_tree(self):
-        from repro.viz import parse_collapsed
-
-        root = parse_collapsed(self.COLLAPSED)
-        assert root.value == 800000
-        impute = root.children["eval.impute"].children["impute.segment"]
-        assert impute.value == 800000
-        assert impute.self_value == 400000
-        assert set(impute.children) == {"constraints.filter", "model.predict"}
-
-    def test_parse_collapsed_rejects_bad_lines(self):
-        from repro.viz import parse_collapsed
-
-        with pytest.raises(ValueError):
-            parse_collapsed("no-count-here\n")
-
-    def test_flame_svg_is_valid_xml(self):
-        from repro.viz import render_flame_svg
-
-        root = parse(render_flame_svg(self.COLLAPSED))
-        assert root.tag == f"{SVG_NS}svg"
-        rects = root.findall(f".//{SVG_NS}rect")
-        assert len(rects) >= 4  # root + 3 frames
-
-    def test_flame_svg_is_deterministic(self):
-        # Byte-identical across renders: stable colors (no hash()
-        # randomization), sorted children, no timestamps.
-        from repro.viz import render_flame_svg
-
-        a = render_flame_svg(self.COLLAPSED)
-        b = render_flame_svg(self.COLLAPSED)
-        assert a == b
-        shuffled = "".join(reversed(self.COLLAPSED.splitlines(keepends=True)))
-        assert render_flame_svg(shuffled) == a
-
-    def test_flame_svg_handles_empty_profile(self):
-        from repro.viz import render_flame_svg
-
-        root = parse(render_flame_svg(""))
-        assert root.tag == f"{SVG_NS}svg"
-
-    def test_flame_roundtrip_from_profiler(self):
-        from repro.obs import Profiler
-        from repro.viz import render_flame_svg
-
-        with Profiler(capture_memory=False):
-            pass
-        # An empty window still renders (root frame only).
-        assert "<svg" in render_flame_svg("")
