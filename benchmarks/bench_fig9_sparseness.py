@@ -65,7 +65,7 @@ def test_linear_failure_rate_is_total(fig9):
         assert all(f == 1.0 for f in series["Linear"]["failure_rate"])
 
 
-def test_kamel_failure_rate_below_linear(fig9):
+def test_kamel_fails_less_often_than_linear(fig9):
     for series in fig9["datasets"].values():
         assert all(f < 1.0 for f in series["KAMEL"]["failure_rate"])
 

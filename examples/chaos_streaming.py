@@ -44,8 +44,6 @@ def main() -> None:
     config = StreamingConfig(
         journal_path=str(workdir / "wal.jsonl"),
         quarantine_path=str(workdir / "dead.jsonl"),
-        alert_failure_rate=0.5,
-        alert_degraded_rate=0.25,
     )
     service = StreamingImputationService(system, config)
 

@@ -9,8 +9,9 @@ side scale.
 
 The service also exposes a live telemetry endpoint (Prometheus
 ``/metrics``, JSON ``/healthz``, Chrome-trace ``/spans``); at the end of
-the stream this script scrapes its own endpoint once, so running it
-doubles as an endpoint smoke test.
+the stream this script scrapes its own endpoint once and checks that the
+failure rate read off the exported counters is the one the service
+counted, so running it doubles as an endpoint smoke test.
 
 Run with::
 
@@ -35,12 +36,8 @@ def main() -> None:
     print(f"offline training done: {system.repository}\n")
 
     # The deployable wrapper: cleaning chain + per-trip imputation, with
-    # the telemetry endpoint on an ephemeral localhost port and an alert
-    # if the windowed failure rate degrades past 75%.
-    service = StreamingImputationService(
-        system,
-        StreamingConfig(metrics_port=0, alert_failure_rate=0.75),
-    )
+    # the telemetry endpoint on an ephemeral localhost port.
+    service = StreamingImputationService(system, StreamingConfig(metrics_port=0))
     print(f"telemetry endpoint: {service.metrics_url}/metrics\n")
 
     # A live feed of new trips over the same (hidden) road network,
@@ -67,23 +64,36 @@ def main() -> None:
     )
     print(
         f"points {stats.points_in} -> {stats.points_out}; "
-        f"failure rate {stats.failure_rate:.1%}; degraded={service.degraded}"
+        f"failure rate {stats.failure_rate:.1%}; degraded rate {stats.degraded_rate:.1%}"
     )
 
     # Scrape our own endpoint once — exactly what a Prometheus job would do.
     with urllib.request.urlopen(f"{service.metrics_url}/metrics") as response:
         exposition = response.read().decode("utf-8")
     interesting = (
-        "repro_kamel_failure_rate",
+        "repro_kamel_segments_imputed_total",
+        "repro_kamel_segments_failed_total",
         "repro_streaming_trips_out_total",
         "repro_streaming_process_seconds_count",
         "repro_streaming_process_seconds_sum",
     )
     print("\nscraped /metrics (excerpt):")
+    samples = {}
     for line in exposition.splitlines():
         if line.startswith(interesting):
             print(f"  {line}")
+            name, value = line.split()
+            samples[name] = float(value)
     service.close()
+
+    # A failure rate is a ratio of two exported counters; over a window it
+    # is the same ratio of their rate() in PromQL.
+    scraped = (
+        samples["repro_kamel_segments_failed_total"]
+        / samples["repro_kamel_segments_imputed_total"]
+    )
+    print(f"failure rate from the counters: {scraped:.1%}")
+    assert scraped == stats.failure_rate, (scraped, stats.failure_rate)
 
 
 if __name__ == "__main__":

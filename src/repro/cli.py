@@ -16,7 +16,6 @@ Observability flags (global, before the subcommand)::
 
 Telemetry export::
 
-    kamel serve-metrics --port 9100 --demo     # /metrics, /healthz, /spans
     kamel trace --export chrome -o trace.json -- compare --dataset porto
     kamel trace --export jsonl -- figure fig9  # one span tree per line
 
@@ -314,77 +313,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     # embedding the CLI; a fresh process has nothing yet).
     print(render_stats(get_registry().snapshot()))
     return 0
-
-
-def _cmd_serve_metrics(args: argparse.Namespace) -> int:
-    """Stand up the observability endpoint, optionally under demo load."""
-    import time
-
-    from repro.obs.server import ObservabilityServer
-
-    server = ObservabilityServer(port=args.port, host=args.host).start()
-    print(f"serving telemetry on {server.url} "
-          f"(/metrics, /healthz, /spans)", file=sys.stderr)
-    deadline = None if args.duration is None else time.monotonic() + args.duration
-    try:
-        if args.demo:
-            _run_demo_stream(deadline)
-        else:
-            while deadline is None or time.monotonic() < deadline:
-                time.sleep(0.1)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
-def _run_demo_stream(deadline: Optional[float]) -> None:
-    """Impute a synthetic live feed until the deadline (or forever).
-
-    Gives the endpoint real numbers to serve: a small Porto-like system is
-    trained offline, then fresh sparsified trips stream through it — with
-    a mild chaos scenario and per-trajectory deadlines installed, so the
-    degradation ladder actually runs and ``/healthz`` flips between
-    ``ok`` and ``degraded`` as the windowed degraded rate crosses its
-    threshold.
-    """
-    import time
-
-    from repro.core.kamel import Kamel
-    from repro.core.config import KamelConfig
-    from repro.core.streaming import StreamingImputationService, StreamingConfig
-    from repro.resilience import ChaosConfig, ChaosMonkey, chaos_scope
-    from repro.roadnet import SimulatorConfig, TrajectorySimulator
-    from repro.roadnet.datasets import make_porto_like
-
-    print("training the demo system ...", file=sys.stderr)
-    dataset = make_porto_like(n_trajectories=200)
-    train, _ = dataset.split()
-    system = Kamel(
-        KamelConfig(trajectory_deadline_s=0.5, breaker_recovery_s=2.0)
-    ).fit(train)
-    service = StreamingImputationService(
-        system,
-        StreamingConfig(alert_failure_rate=0.5, alert_degraded_rate=0.25),
-    )
-    feed_sim = TrajectorySimulator(
-        dataset.network,
-        SimulatorConfig(sample_interval_s=15.0, min_trip_length_m=900.0, seed=999),
-    )
-    monkey = ChaosMonkey(
-        ChaosConfig(seed=999, failure_rate=0.15, latency_rate=0.05, latency_s=0.02)
-    )
-    print(
-        "demo stream running with chaos (15% faults, 5% latency spikes); "
-        "watch /healthz flip to degraded (Ctrl-C to stop)",
-        file=sys.stderr,
-    )
-    with chaos_scope(monkey, system=system, service=service):
-        for trajectory in feed_sim.stream(id_prefix="demo"):
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            service.process(trajectory.sparsify(800.0))
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -1102,23 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins = sub.add_parser("inspect", help="summarize a saved model directory")
     p_ins.add_argument("model_dir", help="directory written by Kamel.save()")
     p_ins.set_defaults(func=_cmd_inspect)
-
-    p_srv = sub.add_parser(
-        "serve-metrics",
-        help="serve /metrics (Prometheus), /healthz, /spans over HTTP",
-    )
-    p_srv.add_argument("--port", type=int, default=9100, help="bind port (0 = ephemeral)")
-    p_srv.add_argument("--host", default="127.0.0.1", help="bind address")
-    p_srv.add_argument(
-        "--demo",
-        action="store_true",
-        help="impute a synthetic live stream while serving, so the endpoint has data",
-    )
-    p_srv.add_argument(
-        "--duration", type=float, default=None, metavar="S",
-        help="stop after S seconds (default: run until Ctrl-C)",
-    )
-    p_srv.set_defaults(func=_cmd_serve_metrics)
 
     p_serve = sub.add_parser(
         "serve",

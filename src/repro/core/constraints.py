@@ -190,7 +190,7 @@ class SegmentSearch:
 
     __slots__ = (
         "ctx", "answers", "frame", "verdicts", "paths",
-        "_centroid", "_model", "_rejected", "_calls",
+        "_centroid", "_model", "_rejected", "_n_in",
     )
 
     def __init__(self, ctx: GapContext, tokenizer: Tokenizer) -> None:
@@ -202,7 +202,7 @@ class SegmentSearch:
         self._centroid = tokenizer.centroid_of_token
         self._model: object = None
         self._rejected = [0] * len(_REJECTION_COUNTERS)
-        self._calls: list[tuple[int, int]] = []
+        self._n_in = 0
 
     def asking(self, model: object) -> "SegmentSearch":
         """Name the model the next run queries; answers of another model
@@ -251,32 +251,22 @@ class SegmentSearch:
         for i, n in enumerate(rejected):
             if n:
                 totals[i] += n
-        self._calls.append((sum(rejected), n_in))
+        self._n_in += n_in
 
     def flush(self) -> None:
         """Move the tallies kept since the last flush into the metrics
-        registry and the rolling ``rejection`` monitor.
-
-        Counter totals are what per-call updates would have added up to.
-        The monitor gets one ``extend`` per filter call, in call order —
-        each candidate one 0/1 bit, so the window weights calls by how
-        many candidates they saw, and its thresholds are evaluated after
-        each call's bits exactly as if the call had reported itself.
-        """
-        calls, rejected = self._calls, self._rejected
-        if not calls:
+        registry; counter totals are what per-call updates would have
+        added up to."""
+        n_in, rejected = self._n_in, self._rejected
+        if not n_in:
             return
-        self._calls = []
+        self._n_in = 0
         self._rejected = [0] * len(_REJECTION_COUNTERS)
-        n_in = sum(total for _, total in calls)
         obs.count("repro.constraints.candidates_in_total", n_in)
         obs.count("repro.constraints.candidates_out_total", n_in - sum(rejected))
         for metric, n in zip(_REJECTION_METRICS, rejected):
             if n:
                 obs.count(metric, n)
-        extend = obs.monitors().rejection.extend
-        for dropped, total in calls:
-            extend(dropped, total)
 
     def __enter__(self) -> "SegmentSearch":
         return self

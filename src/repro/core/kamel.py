@@ -332,16 +332,6 @@ class Kamel(Imputer):
         obs.count("repro.kamel.segments_failed_total", result.num_failed)
         obs.count("repro.kamel.segments_degraded_total", result.num_degraded)
         obs.count("repro.kamel.model_calls_total", result.total_model_calls)
-        # The gauges track *windowed* rates so long-lived services reflect
-        # recent behavior; cumulative ratios remain derivable from the
-        # counters. Failure = linear rung only (the paper's definition);
-        # degraded = any rung below full — same split as StreamStats.
-        windowed = obs.monitors().failure.extend(result.num_failed, result.num_segments)
-        obs.gauge("repro.kamel.failure_rate").set(windowed)
-        degraded = obs.monitors().degraded.extend(
-            result.num_degraded, result.num_segments
-        )
-        obs.gauge("repro.kamel.degraded_rate").set(degraded)
         return result
 
     def _impute_points(

@@ -403,16 +403,10 @@ class ModelRepository:
     def _record_hit(kind: str, level: int) -> None:
         obs.count(f"repro.partitioning.lookup_hit.{kind}_total")
         obs.observe("repro.partitioning.lookup_hit_level", level)
-        hub = obs.monitors()
-        hub.hit_rate.observe(1.0)
-        hub.hit_level.observe(level)
 
     @staticmethod
     def _record_miss() -> None:
         obs.count("repro.partitioning.lookup_miss_total")
-        hub = obs.monitors()
-        hub.hit_rate.observe(0.0)
-        hub.hit_level.observe(None)
 
     def any_model(self) -> Optional[StoredModel]:
         """Some model, preferring the broadest single-cell one (fallback)."""

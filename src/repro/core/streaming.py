@@ -12,9 +12,7 @@ fed back as training data in periodic offline batches via
 Operationally the service can expose itself: set
 :attr:`StreamingConfig.metrics_port` and it starts an
 :class:`~repro.obs.server.ObservabilityServer` serving ``/metrics``
-(Prometheus), ``/healthz``, and ``/spans``; set the ``alert_*``
-thresholds and the rolling monitors fire WARNING logs when the windowed
-failure rate, degraded rate, or processing latency worsens.
+(Prometheus), ``/healthz``, and ``/spans``.
 Every :meth:`process` call runs under its own trace id, stamped on all
 spans and log lines it produces.
 
@@ -40,7 +38,6 @@ from repro.errors import NotFittedError, QuarantinedInputError
 from repro.geo import Trajectory
 from repro.obs import instrument as obs
 from repro.obs.logging import get_logger
-from repro.obs.monitor import RollingMonitor
 from repro.obs.server import ObservabilityServer
 from repro.obs.tracing import span, trace_scope
 from repro.resilience.journal import QuarantineStore, StreamJournal
@@ -70,9 +67,9 @@ class StreamStats:
     @property
     def failure_rate(self) -> float:
         """Share of segments resolved by the *linear* ladder rung only —
-        the paper's failure definition, and the same numerator the
-        windowed ``repro.kamel.failure_rate`` gauge uses (the cumulative
-        and windowed views agree on what counts as a failure)."""
+        the paper's failure definition, and the ratio of the
+        ``repro.kamel.segments_failed_total`` and ``segments_imputed_total``
+        counters over the same segments."""
         if self.segments == 0:
             return 0.0
         return self.failed_segments / self.segments
@@ -80,8 +77,8 @@ class StreamStats:
     @property
     def degraded_rate(self) -> float:
         """Share of segments resolved below the *top* ladder rung
-        (reduced beam, counting, or linear) — the cumulative counterpart
-        of the windowed ``repro.kamel.degraded_rate`` gauge."""
+        (reduced beam, counting, or linear): ``segments_degraded_total``
+        over ``segments_imputed_total``."""
         if self.segments == 0:
             return 0.0
         return self.degraded_segments / self.segments
@@ -115,14 +112,6 @@ class StreamingConfig:
     metrics_port: Optional[int] = None
     """Serve /metrics, /healthz, /spans on this localhost port (0 picks a
     free ephemeral port); None (default) starts no endpoint."""
-    alert_failure_rate: Optional[float] = None
-    """WARN when the windowed segment failure rate exceeds this."""
-    alert_degraded_rate: Optional[float] = None
-    """WARN when the windowed below-top-rung segment rate exceeds this."""
-    alert_latency_s: Optional[float] = None
-    """WARN when the windowed mean process() latency exceeds this (seconds)."""
-    alert_min_observations: int = 20
-    """Observations a rolling window needs before its alerts can fire."""
     journal_path: Optional[str] = None
     """Write-ahead journal file (JSONL). None (default) disables the
     journal; with it set, :meth:`StreamingImputationService.recover`
@@ -150,8 +139,6 @@ class StreamingImputationService:
         self.stats = StreamStats()
         self._smoother = KalmanSmoother()
         self._training_queue: list[Trajectory] = []
-        self.active_alerts: set[str] = set()
-        self._wire_alerts()
         self.chaos = None  # Optional[repro.resilience.chaos.ChaosMonkey]
         self.journal: Optional[StreamJournal] = None
         if self.config.journal_path is not None:
@@ -167,7 +154,7 @@ class StreamingImputationService:
                 port=self.config.metrics_port
             ).start()
 
-    # -- telemetry endpoint & alerts ---------------------------------------
+    # -- telemetry endpoint -----------------------------------------------
 
     @property
     def metrics_url(self) -> Optional[str]:
@@ -187,55 +174,6 @@ class StreamingImputationService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _wire_alerts(self) -> None:
-        """Attach the configured thresholds to the rolling monitors.
-
-        Alerts are edge-triggered: one WARNING when a windowed value
-        crosses its limit, one INFO when it recovers; ``active_alerts``
-        holds the currently-breached monitor names so callers can shed
-        load or stop enqueueing while degraded.
-        """
-        cfg = self.config
-        hub = obs.monitors()
-        pairs = []
-        if cfg.alert_failure_rate is not None:
-            pairs.append((hub.failure, cfg.alert_failure_rate))
-        if cfg.alert_degraded_rate is not None:
-            pairs.append((hub.degraded, cfg.alert_degraded_rate))
-        if cfg.alert_latency_s is not None:
-            pairs.append((hub.latency, cfg.alert_latency_s))
-        for monitor, limit in pairs:
-            monitor.add_threshold(
-                limit,
-                self._on_alert,
-                min_count=cfg.alert_min_observations,
-                on_clear=self._on_alert_cleared,
-            )
-
-    def _on_alert(self, monitor: RollingMonitor, value: float) -> None:
-        self.active_alerts.add(monitor.name)
-        obs.count("repro.streaming.alerts_total")
-        _log.warning(
-            "rolling monitor above threshold",
-            extra={"data": {
-                "monitor": monitor.name,
-                "value": round(value, 6),
-                "window": monitor.count,
-            }},
-        )
-
-    def _on_alert_cleared(self, monitor: RollingMonitor, value: float) -> None:
-        self.active_alerts.discard(monitor.name)
-        _log.info(
-            "rolling monitor recovered",
-            extra={"data": {"monitor": monitor.name, "value": round(value, 6)}},
-        )
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any configured rolling-monitor threshold is breached."""
-        return bool(self.active_alerts)
 
     # -- the hot path -----------------------------------------------------
 
@@ -308,7 +246,6 @@ class StreamingImputationService:
                         self._quarantine(trajectory, exc.reason)
                         results = []
         self.stats.processing_seconds += sw.seconds
-        obs.monitors().latency.observe(sw.seconds)
         obs.count("repro.streaming.trajectories_in_total")
         obs.count("repro.streaming.points_in_total", len(trajectory))
         obs.count("repro.streaming.trips_out_total", len(results))

@@ -1,14 +1,10 @@
 """Observability for the KAMEL pipeline: metrics, tracing, logging, export.
 
-Eight dependency-free modules:
+Seven dependency-free modules:
 
 * :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry` of
   counters, gauges, and histograms (fixed buckets + streaming quantiles),
   with snapshot/reset and JSON export;
-* :mod:`repro.obs.monitor` — rolling-window quality monitors (windowed
-  failure rate, latency, rejection ratio, pyramid hit rate) with
-  edge-triggered threshold callbacks, one :class:`MonitorHub` per
-  registry;
 * :mod:`repro.obs.tracing` — nestable :func:`span` context managers that
   build per-operation span trees, free when disabled (the default), plus
   request-scoped :func:`trace_scope` ids correlating spans and logs;
@@ -34,7 +30,7 @@ Quick look at what a run did::
     print(render_prometheus())     # same registry, scrape format
 
 See ``docs/observability.md`` for the metric catalog, span hierarchy,
-and the exporting/monitoring walkthrough.
+and the exporting walkthrough.
 """
 
 from repro.obs.logging import configure_logging, get_logger
@@ -46,19 +42,10 @@ from repro.obs.metrics import (
     get_registry,
     set_registry,
 )
-from repro.obs.monitor import (
-    LevelWindow,
-    MonitorHub,
-    RollingMonitor,
-    RollingWindow,
-    Threshold,
-)
 from repro.obs.flight import (
     STAGES,
     FlightRecord,
     FlightRecorder,
-    get_flight_recorder,
-    set_flight_recorder,
     stage_breakdown,
 )
 from repro.obs.tracing import (
@@ -88,7 +75,6 @@ from repro.obs.server import ObservabilityServer
 from repro.obs.instrument import (
     METRIC_CATALOG,
     Stopwatch,
-    monitors,
     stopwatch,
     timed,
 )
@@ -99,17 +85,12 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "LevelWindow",
     "METRIC_CATALOG",
     "MetricsRegistry",
-    "MonitorHub",
     "ObservabilityServer",
-    "RollingMonitor",
-    "RollingWindow",
     "STAGES",
     "Span",
     "Stopwatch",
-    "Threshold",
     "chrome_trace_json",
     "clear_spans",
     "clock_offset",
@@ -118,15 +99,12 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "finished_spans",
-    "get_flight_recorder",
     "get_logger",
     "get_registry",
     "get_tracer",
-    "monitors",
     "new_trace_id",
     "prometheus_name",
     "render_prometheus",
-    "set_flight_recorder",
     "set_registry",
     "span",
     "stage_breakdown",

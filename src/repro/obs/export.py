@@ -60,8 +60,8 @@ def prometheus_name(name: str) -> str:
     """The catalog name mapped into the Prometheus metric-name charset.
 
     Dots (our module separators) and anything else outside
-    ``[a-zA-Z0-9_:]`` become underscores: ``repro.kamel.failure_rate`` →
-    ``repro_kamel_failure_rate``. A leading digit gets an underscore
+    ``[a-zA-Z0-9_:]`` become underscores: ``repro.kamel.segments_failed_total``
+    → ``repro_kamel_segments_failed_total``. A leading digit gets an underscore
     prefix.
     """
     out = _INVALID_NAME_CHARS.sub("_", name)

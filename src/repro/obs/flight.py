@@ -27,10 +27,9 @@ lands in ``inference``.
 :class:`FlightRecorder` is the bounded memory of the slowest-N requests:
 full (clock-aligned) span trees, routing context, and the stage
 breakdown, plus per-stage worst-case **exemplar** trace ids — the
-request you would pull up first. Exposed over HTTP as ``/slow``
-(:class:`~repro.obs.server.ObservabilityServer`, over the process
-default recorder or — via :func:`~repro.serve.aggregate.pool_routes` —
-the pool's) and on the command line as ``kamel tail``.
+request you would pull up first. The serving pool owns one; it is
+exposed over HTTP as ``/slow`` (:func:`~repro.serve.aggregate.pool_routes`)
+and on the command line as ``kamel tail``.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ __all__ = [
     "STAGES",
     "FlightRecord",
     "FlightRecorder",
-    "get_flight_recorder",
-    "set_flight_recorder",
     "stage_breakdown",
     "stage_metric",
 ]
@@ -280,34 +277,3 @@ class FlightRecorder:
             f"FlightRecorder(capacity={self.capacity}, retained={len(self)}, "
             f"recorded_total={self.recorded_total})"
         )
-
-
-_default_recorder: Optional[FlightRecorder] = None
-_default_lock = threading.Lock()
-
-
-def get_flight_recorder() -> FlightRecorder:
-    """The process-default recorder (what ``/slow`` serves).
-
-    Created on first use, attached to the process-default metrics
-    registry. The serving pool records every completed request here
-    unless given its own recorder.
-    """
-    global _default_recorder
-    if _default_recorder is None:
-        from repro.obs.metrics import get_registry
-
-        with _default_lock:
-            if _default_recorder is None:
-                _default_recorder = FlightRecorder(registry=get_registry())
-    return _default_recorder
-
-
-def set_flight_recorder(recorder: Optional[FlightRecorder]) -> Optional[FlightRecorder]:
-    """Swap the process-default recorder; returns the previous one
-    (tests isolate state this way; ``None`` resets to lazy creation)."""
-    global _default_recorder
-    with _default_lock:
-        previous = _default_recorder
-        _default_recorder = recorder
-    return previous

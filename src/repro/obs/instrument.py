@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
 )
-from repro.obs.monitor import MonitorHub
 from repro.obs.tracing import span
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "histogram",
     "count",
     "observe",
-    "monitors",
     "Stopwatch",
     "stopwatch",
     "timed",
@@ -55,7 +53,7 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.kamel.trajectories_total": "Trajectories imputed.",
     "repro.kamel.segments_total": "Sparse segments examined (gap or not).",
     "repro.kamel.segments_imputed_total": "Segments wider than maxgap, sent to the imputer.",
-    "repro.kamel.segments_failed_total": "Segments that fell back to the straight line (the linear ladder rung).",
+    "repro.kamel.segments_failed_total": "Segments that fell back to the straight line (the linear ladder rung); over segments_imputed_total, the paper's Section 8 failure rate.",
     "repro.kamel.segments_degraded_total": "Segments resolved below the top ladder rung (reduced beam, counting, or linear).",
     "repro.kamel.fallback.endpoint_unseen_total": "Fallbacks: an endpoint cell never seen in training.",
     "repro.kamel.fallback.no_model_total": "Fallbacks: no repository model covers the segment.",
@@ -64,8 +62,6 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.kamel.fallback.circuit_open_total": "Fallbacks: a guard circuit was open at every usable rung.",
     "repro.kamel.fallback.rung_error_total": "Fallbacks: an infrastructure fault outlived the retries at every usable rung.",
     "repro.kamel.fallback.brownout_total": "Fallbacks: the brownout cap skipped every rung above linear that had a model.",
-    "repro.kamel.failure_rate": "Windowed failure rate over the most recent imputed segments (the paper's Section 8 metric); cumulative = segments_failed_total / segments_imputed_total.",
-    "repro.kamel.degraded_rate": "Windowed share of recent segments resolved below the top ladder rung; cumulative = segments_degraded_total / segments_imputed_total.",
     "repro.kamel.rung.full_total": "Segments resolved by the full-strength imputer (top ladder rung).",
     "repro.kamel.rung.reduced_beam_total": "Segments resolved by the reduced-beam ladder rung.",
     "repro.kamel.rung.counting_total": "Segments resolved by the counting-fallback-model ladder rung.",
@@ -121,7 +117,6 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.streaming.points_out_total": "Points emitted after imputation.",
     "repro.streaming.process_seconds": "Wall time of one service.process call.",
     "repro.streaming.training_flushes_total": "Offline enrichment batches flushed.",
-    "repro.streaming.alerts_total": "Rolling-monitor threshold alerts fired by the service.",
     "repro.streaming.quarantined_total": "Inputs dead-lettered to the quarantine store.",
     "repro.streaming.journal_replayed_total": "Pending journal entries reprocessed on service recovery.",
     # -- serving tier (repro.serve) ----------------------------------------
@@ -226,11 +221,6 @@ def count(name: str, amount: float = 1) -> None:
 def observe(name: str, value: float) -> None:
     """Record one observation into a catalog histogram."""
     histogram(name).observe(value)
-
-
-def monitors(registry: Optional[MetricsRegistry] = None) -> MonitorHub:
-    """The rolling quality monitors of the default (or given) registry."""
-    return _resolve(registry).monitors
 
 
 class Stopwatch:

@@ -24,8 +24,6 @@ import threading
 from bisect import bisect_left, insort
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from repro.obs.monitor import MonitorHub
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -342,10 +340,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
         self._lock = threading.Lock()
-        #: The registry's rolling quality monitors (windowed failure rate,
-        #: latency, …) — swapped and reset together with the metrics, so
-        #: tests that isolate a registry isolate the windows too.
-        self.monitors = MonitorHub()
 
     # -- creation / lookup ---------------------------------------------------
 
@@ -418,19 +412,12 @@ class MetricsRegistry:
             handle.write("\n")
 
     def reset(self, prefix: str = "") -> None:
-        """Zero metric values in place (handles stay valid).
-
-        A full reset (no prefix) also empties the rolling monitor windows;
-        a prefixed reset leaves them alone, since monitors aggregate
-        across metric families.
-        """
+        """Zero metric values in place (handles stay valid)."""
         with self._lock:
             metrics = list(self._metrics.values())
         for metric in metrics:
             if metric.name.startswith(prefix):
                 metric.reset()
-        if not prefix:
-            self.monitors.reset()
 
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self._metrics)} metrics)"
@@ -489,10 +476,8 @@ def merge_snapshots(
     The serving tier runs one registry per worker process; the pool merges
     their snapshots into a single fleet-wide view for ``/metrics``:
 
-    * counters sum;
-    * gauges sum (a queue depth split across workers adds up), except
-      names ending in ``_rate``, which average — a rate is intensive, not
-      extensive;
+    * counters and gauges sum (a queue depth split across workers adds
+      up; a fleet rate is a ratio of summed counters, not a merged gauge);
     * histograms sum counts, sums, and cumulative bucket counts on the
       union of edges; min/max combine; quantiles are re-derived from the
       merged buckets (P² marker state does not compose across processes).
@@ -501,7 +486,6 @@ def merge_snapshots(
     ``ValueError`` — that is a naming bug, not something to paper over.
     """
     merged: dict[str, dict] = {}
-    rate_inputs: dict[str, list[float]] = {}
     for snap in snapshots:
         for name, data in snap.items():
             kind = data.get("type")
@@ -542,12 +526,8 @@ def merge_snapshots(
                     )
             elif kind in ("counter", "gauge"):
                 entry["value"] += data["value"]
-                if kind == "gauge" and name.endswith("_rate"):
-                    rate_inputs.setdefault(name, []).append(data["value"])
             else:
                 raise ValueError(f"metric {name!r} has unknown type {kind!r}")
-    for name, values in rate_inputs.items():
-        merged[name]["value"] = sum(values) / len(values)
     for name, entry in merged.items():
         if entry["type"] != "histogram":
             continue

@@ -7,21 +7,16 @@ process's registry:
 
 * ``GET /metrics``  — the registry in Prometheus text exposition format
   (scrape it with ``curl`` or point a Prometheus job at it);
-* ``GET /healthz``  — JSON liveness: status (``ok``, or ``degraded``
-  when any rolling-monitor threshold is breached), uptime, scrape
-  count, and the rolling monitors (windowed failure rate, degraded
-  rate, latency, …);
+* ``GET /healthz``  — JSON liveness: status ``ok``, uptime, and the
+  number of metrics registered;
 * ``GET /spans``    — collected span trees as Chrome trace-event JSON
   (save the response and load it in Perfetto), or ``?format=jsonl`` for
-  the line-oriented form;
-* ``GET /slow``     — the process-default flight recorder
-  (:func:`repro.obs.flight.get_flight_recorder`): per-stage latency
-  attribution with exemplar trace ids plus the slowest-N requests'
-  retained span trees (what ``kamel tail`` renders).
+  the line-oriented form.
 
 The serving pool passes its own table
 (:func:`repro.serve.aggregate.pool_routes`: fleet-merged ``/metrics``,
-aggregated ``/healthz``, the pool's ``/slow``) to the same server.
+aggregated ``/healthz``, and ``/slow`` over the pool's flight recorder,
+what ``kamel tail`` renders) to the same server.
 
 The server binds ``127.0.0.1`` by default (telemetry is not
 authenticated; bind a public interface only behind something that is)
@@ -47,7 +42,6 @@ from repro.obs.export import (
     render_prometheus,
     spans_to_jsonl,
 )
-from repro.obs.flight import get_flight_recorder
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracing import finished_spans
@@ -77,20 +71,11 @@ def registry_routes(
         return render_prometheus(registry), CONTENT_TYPE_PROMETHEUS
 
     def healthz(query) -> tuple[str, str]:
-        breached = sorted(
-            name
-            for name, monitor in registry.monitors.all().items()
-            if getattr(monitor, "breached", False)
-        )
         return json_body(
             {
-                # "degraded" (not unhealthy): the ladder is still
-                # serving every request, just below full strength.
-                "status": "degraded" if breached else "ok",
-                "breached_monitors": breached,
+                "status": "ok",
                 "uptime_s": round(time.monotonic() - started_monotonic, 3),
                 "metrics": len(registry),
-                "monitors": registry.monitors.to_dict(),
             }
         )
 
@@ -104,7 +89,6 @@ def registry_routes(
         "/metrics": metrics,
         "/healthz": healthz,
         "/spans": spans,
-        "/slow": lambda query: json_body(get_flight_recorder().to_dict()),
     }
 
 

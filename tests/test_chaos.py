@@ -33,7 +33,7 @@ pytestmark = pytest.mark.chaos
 
 @pytest.fixture()
 def fresh_registry():
-    """Isolate each chaos test's metrics (and rolling monitors)."""
+    """Isolate each chaos test's metrics."""
     previous = set_registry(MetricsRegistry())
     yield get_registry()
     set_registry(previous)
@@ -239,10 +239,10 @@ class TestKillAndResume:
 
 
 class TestFailureRateParity:
-    """StreamStats (cumulative) and the windowed gauge agree on what a
-    failure is: segments served by the linear rung only."""
+    """StreamStats and the exported counters agree on what a failure is:
+    segments served by the linear rung only."""
 
-    def test_stats_and_gauge_agree(
+    def test_stats_and_counters_agree(
         self, chaos_system, clean_guards, small_dataset, fresh_registry
     ):
         service = StreamingImputationService(chaos_system, StreamingConfig())
@@ -250,17 +250,12 @@ class TestFailureRateParity:
             service.process(trajectory)
         stats = service.stats
         assert stats.segments > 0
-        hub = obs.monitors()
-        # The window is larger than the segment count, so windowed == cumulative.
-        assert stats.segments <= hub.failure.window.capacity
-        assert hub.failure.value == pytest.approx(stats.failure_rate)
-        assert obs.gauge("repro.kamel.failure_rate").value == pytest.approx(
-            stats.failure_rate
-        )
-        assert hub.degraded.value == pytest.approx(stats.degraded_rate)
-        assert obs.gauge("repro.kamel.degraded_rate").value == pytest.approx(
-            stats.degraded_rate
-        )
+        imputed = obs.counter("repro.kamel.segments_imputed_total").value
+        failed = obs.counter("repro.kamel.segments_failed_total").value
+        degraded = obs.counter("repro.kamel.segments_degraded_total").value
+        assert imputed == stats.segments
+        assert failed / imputed == stats.failure_rate
+        assert degraded / imputed == stats.degraded_rate
         # Failures are degraded by definition; never the other way around.
         assert stats.degraded_segments >= stats.failed_segments
 

@@ -59,12 +59,6 @@ class TestCli:
         args = build_parser().parse_args(["figure", "fig9", "--full"])
         assert args.name == "fig9" and args.full
 
-    def test_serve_metrics_parser_defaults(self):
-        args = build_parser().parse_args(["serve-metrics"])
-        assert args.port == 9100
-        assert args.host == "127.0.0.1"
-        assert not args.demo
-
     def test_trace_parser_collects_remainder(self):
         args = build_parser().parse_args(
             ["trace", "--export", "jsonl", "--", "compare", "--dataset", "porto"]
@@ -80,6 +74,12 @@ class TestCli:
         ``loadtest -o`` went with the harness they fed."""
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    def test_the_retired_serve_metrics_verb_is_a_usage_error(self):
+        """The live endpoint is ``kamel serve --demo --metrics-port``."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve-metrics", "--demo"])
         assert exc.value.code == 2
 
     def test_trace_requires_a_subcommand(self, capsys):

@@ -49,7 +49,10 @@ def traced():
 
 class TestPrometheusNames:
     def test_dots_become_underscores(self):
-        assert prometheus_name("repro.kamel.failure_rate") == "repro_kamel_failure_rate"
+        assert (
+            prometheus_name("repro.kamel.segments_failed_total")
+            == "repro_kamel_segments_failed_total"
+        )
 
     def test_invalid_chars_and_leading_digit(self):
         assert prometheus_name("a-b c/d") == "a_b_c_d"
@@ -65,13 +68,13 @@ class TestRenderPrometheus:
 
     def test_counter_and_gauge_families(self, registry):
         registry.counter("repro.kamel.trajectories_total", "Trajectories imputed.").inc(7)
-        registry.gauge("repro.kamel.failure_rate", "Windowed rate.").set(0.25)
+        registry.gauge("repro.serve.queue_depth", "Queued trajectories.").set(5)
         text = render_prometheus(registry)
         assert "# HELP repro_kamel_trajectories_total Trajectories imputed." in text
         assert "# TYPE repro_kamel_trajectories_total counter" in text
         assert "repro_kamel_trajectories_total 7" in text
-        assert "# TYPE repro_kamel_failure_rate gauge" in text
-        assert "repro_kamel_failure_rate 0.25" in text
+        assert "# TYPE repro_serve_queue_depth gauge" in text
+        assert "repro_serve_queue_depth 5" in text
         assert text.endswith("\n")
 
     def test_help_escaping(self, registry):

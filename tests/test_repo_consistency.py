@@ -92,6 +92,9 @@ class TestPackageHygiene:
             "repro.io",
             "repro.viz",
             "repro.cluster",
+            "repro.obs",
+            "repro.serve",
+            "repro.resilience",
         ):
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", []):

@@ -17,7 +17,7 @@ from repro.core.tokenization import Tokenizer, make_grid
 from repro.errors import CircuitOpenError, DeadlineExceeded
 from repro.geo import Point
 from repro.mlm.base import MaskedModel
-from repro.obs.metrics import set_registry
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.resilience import RUNG_LINEAR
 
 from tests.test_core_imputation import _patch_world
@@ -29,7 +29,6 @@ from tests.test_token_geometry import (
     parent_filter,
     parent_passthrough_filter,
     parent_record_filter,
-    recording_registry,
 )
 
 
@@ -86,7 +85,7 @@ def _record_filter_calls(constraints, monkeypatch):
 
 def _parent_books(constraints, calls):
     """What the parent's per-call reporting leaves behind for ``calls``."""
-    registry, edges = recording_registry()
+    registry = MetricsRegistry()
     parent = ParentConstraints(constraints.tokenizer, constraints.config, constraints.max_speed_mps)
     for candidates, ctx, segment, insert_pos in calls:
         if type(constraints) is SpatialConstraints:
@@ -98,7 +97,7 @@ def _parent_books(constraints, calls):
                 constraints.tokenizer, candidates, segment, insert_pos
             )
         parent_record_filter(registry, len(candidates), len(out), rejected)
-    return constraint_books(registry), edges
+    return constraint_books(registry)
 
 
 @pytest.fixture()
@@ -134,7 +133,7 @@ class TestCountersOnTheErrorPath:
             "guard_model",
             lambda model: _RaisingOnRound(guard_model(model), rounds, k, error),
         )
-        registry, edges = recording_registry()
+        registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
             result = system.impute(sparse)
@@ -147,7 +146,7 @@ class TestCountersOnTheErrorPath:
         if reason == "deadline":
             assert struck[0].rung == RUNG_LINEAR
         assert sum(rounds[: k - 1]) > 0 and len(calls) > sum(rounds[: k - 1])
-        assert (constraint_books(registry), edges) == _parent_books(system.constraints, calls)
+        assert constraint_books(registry) == _parent_books(system.constraints, calls)
 
     def test_a_run_on_its_own_flushes_on_the_way_out(self, monkeypatch):
         tokenizer, cfg, constraints, model, tokens = _patch_world(3, beam_size=4)
@@ -156,7 +155,7 @@ class TestCountersOnTheErrorPath:
         rounds = []
         failing = _RaisingOnRound(model, rounds, 3, RuntimeError("backend fell over"))
         imputer = BeamSearchImputer(failing, tokenizer, constraints, cfg)
-        registry, edges = recording_registry()
+        registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
             with pytest.raises(RuntimeError):
@@ -164,7 +163,7 @@ class TestCountersOnTheErrorPath:
         finally:
             set_registry(previous)
         assert len(calls) == rounds[0] + rounds[1] > 0
-        assert (constraint_books(registry), edges) == _parent_books(constraints, calls)
+        assert constraint_books(registry) == _parent_books(constraints, calls)
 
 
 class TestStateOwnership:
@@ -218,13 +217,13 @@ class TestStateOwnership:
         feed = [t.sparsify(600.0) for t in test[:4]]
 
         def run():
-            registry, edges = recording_registry()
+            registry = MetricsRegistry()
             previous = set_registry(registry)
             try:
                 results = [system.impute(t) for t in feed]
             finally:
                 set_registry(previous)
-            return results, constraint_books(registry), edges
+            return results, constraint_books(registry)
 
         with_state = run()
         real_filter = system.constraints.filter
@@ -236,7 +235,7 @@ class TestStateOwnership:
 
         monkeypatch.setattr(system.constraints, "filter", stateless)
         assert run() == with_state
-        assert with_state[1][0]["repro.constraints.candidates_in_total"] > 0
+        assert with_state[1]["repro.constraints.candidates_in_total"] > 0
         assert states and all(isinstance(state, SegmentSearch) for state in states)
         # One state per segment: consecutive calls change state only when
         # the context does, and no state ever comes back.

@@ -65,14 +65,6 @@ class TestMergeSnapshots:
         assert merged["repro.test.ops_total"]["value"] == 5.0
         assert merged["repro.test.depth"]["value"] == 5.0
 
-    def test_rate_gauges_average(self):
-        a = MetricsRegistry()
-        a.gauge("repro.test.failure_rate", "x").set(0.2)
-        b = MetricsRegistry()
-        b.gauge("repro.test.failure_rate", "x").set(0.4)
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["repro.test.failure_rate"]["value"] == pytest.approx(0.3)
-
     def test_histograms_accumulate(self):
         merged = merge_snapshots(
             [

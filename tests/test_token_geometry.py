@@ -4,9 +4,8 @@ The tokenizer keeps a token-id -> centroid table, ``filter`` works out
 what no candidate changes once per segment (the ``SegmentSearch`` it is
 handed) and reports its tallies once per segment too. None of it may
 alter a decision or a count, so the bodies they replaced are kept here as
-the reference: every surviving ``(token, prob)``, every rejection tally,
-every bit pushed into the rolling ``rejection`` window and every
-``creates_cycle`` answer must be *identical* (``==`` on floats, no
+the reference: every surviving ``(token, prob)``, every rejection tally
+and every ``creates_cycle`` answer must be *identical* (``==`` on floats, no
 tolerance — the arithmetic is unchanged, only how often it runs).
 """
 
@@ -182,38 +181,22 @@ def parent_passthrough_filter(tokenizer, candidates, segment, insert_pos):
 
 def parent_record_filter(registry, n_in, n_out, rejected):
     """``_record_filter`` as every filter call ran it before the tallies
-    moved into the per-segment state: five registry round trips and one
-    monitor ``extend`` per call. ``rejected`` is keyed by reason."""
+    moved into the per-segment state: five registry round trips per call.
+    ``rejected`` is keyed by reason."""
     registry.counter("repro.constraints.candidates_in_total").inc(n_in)
     registry.counter("repro.constraints.candidates_out_total").inc(n_out)
     for reason in _REJECTION_COUNTERS:
         if rejected[reason]:
             registry.counter(f"repro.constraints.rejected.{reason}_total").inc(rejected[reason])
-    registry.monitors.rejection.extend(n_in - n_out, n_in)
-
-
-def recording_registry():
-    """A registry whose ``rejection`` monitor logs every threshold edge."""
-    registry = MetricsRegistry()
-    edges = []
-    registry.monitors.rejection.add_threshold(
-        0.5,
-        lambda monitor, value: edges.append(("alert", value, monitor.count)),
-        min_count=1,
-        on_clear=lambda monitor, value: edges.append(("clear", value, monitor.count)),
-    )
-    return registry, edges
 
 
 def constraint_books(registry):
-    """Every ``repro.constraints.*`` counter that exists, and the window."""
-    counters = {
+    """Every ``repro.constraints.*`` counter that exists."""
+    return {
         name: registry.get(name).value
         for name in registry.names()
         if name.startswith("repro.constraints.")
     }
-    window = registry.monitors.rejection.window
-    return counters, list(window._values), window.sum
 
 
 def filter_with_tallies(constraints, candidates, ctx, segment, insert_pos):
@@ -390,9 +373,8 @@ def search_cases(draw):
 def run_both_ways(constraints, reference_filter, ctx, calls):
     """Every call through one ``SegmentSearch`` flushed at the end, against
     ``reference_filter`` reporting itself call by call the parent's way.
-    Returns ((books, edges) of the state's flush, the same of the parent)."""
-    registry, edges = recording_registry()
-    expected_registry, expected_edges = recording_registry()
+    Returns (books of the state's flush, books of the parent)."""
+    registry, expected_registry = MetricsRegistry(), MetricsRegistry()
     previous = set_registry(registry)
     try:
         with SegmentSearch(ctx, constraints.tokenizer) as search:
@@ -401,19 +383,16 @@ def run_both_ways(constraints, reference_filter, ctx, calls):
                 out, rejected = reference_filter(candidates, segment, insert_pos)
                 assert got == out
                 parent_record_filter(expected_registry, len(candidates), len(out), rejected)
-            assert constraint_books(registry) == ({}, [], 0.0)  # nothing before the flush
+            assert constraint_books(registry) == {}  # nothing before the flush
     finally:
         set_registry(previous)
-    return (constraint_books(registry), edges), (
-        constraint_books(expected_registry), expected_edges
-    )
+    return constraint_books(registry), constraint_books(expected_registry)
 
 
 class TestSegmentStateMatchesParentPerCall:
     """A whole segment's calls through one state: survivors call by call,
-    then — once flushed — counter totals, which counters exist at all, the
-    window's bits in order and every threshold edge, as the parent's
-    per-call body left them."""
+    then — once flushed — counter totals and which counters exist at all,
+    as the parent's per-call body left them."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=search_cases())
@@ -484,14 +463,12 @@ class TestSegmentStateMatchesParentPerCall:
                     assert len(cone_tests) == tested
         finally:
             set_registry(previous)
-        counters, bits, _ = constraint_books(registry)
-        assert counters == {
+        assert constraint_books(registry) == {
             "repro.constraints.candidates_in_total": 4,
             "repro.constraints.candidates_out_total": 0,
             "repro.constraints.rejected.local_detour_total": 2,
             "repro.constraints.rejected.direction_cone_total": 2,
         }
-        assert bits == [1.0] * 4
 
     def test_state_of_another_context_is_refused(self):
         tokenizer = Tokenizer(make_grid("hex", 75.0))
