@@ -39,8 +39,8 @@ Sharded serving (see docs/serving.md)::
 Overload protection (see docs/serving.md)::
 
     kamel loadtest --offered-tps 2x --max-queue-depth 8 --request-deadline-ms 2000
-    kamel loadtest --offered-tps 25 --admission shed-oldest --min-shed 1
-    kamel serve --demo --max-queue-depth 16 --admission block
+    kamel loadtest --offered-tps 25 --min-shed 1
+    kamel serve --demo --max-queue-depth 16
 
 Distributed tracing & tail-latency attribution (see docs/serving.md)::
 
@@ -698,12 +698,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
         config = ServeConfig(
             workers=args.workers,
-            strategy=args.strategy,
             lru_capacity=args.lru_capacity,
             journal_dir=args.journal_dir,
             metrics_port=args.metrics_port,
             max_queue_depth=args.max_queue_depth,
-            admission_policy=args.admission,
             request_deadline_s=(
                 args.request_deadline_ms / 1000.0
                 if args.request_deadline_ms is not None
@@ -713,7 +711,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pool = ServingPool(model_dir, config)
         print(
             f"serving {len(feed)} trajectories across {args.workers} "
-            f"worker(s), strategy={args.strategy} ...",
+            "worker(s) ...",
             file=sys.stderr,
         )
         try:
@@ -808,7 +806,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         sparseness_m=args.sparseness,
         train_trajectories=args.train_trajectories,
         seed=args.seed,
-        strategy=args.strategy,
         lru_capacity=args.lru_capacity,
         kill_worker_after=args.kill_worker_after,
         verify=not args.no_verify,
@@ -819,7 +816,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         offered_tps=offered_tps,
         offered_multiplier=offered_multiplier,
         max_queue_depth=args.max_queue_depth,
-        admission=args.admission,
         request_deadline_s=(
             args.request_deadline_ms / 1000.0
             if args.request_deadline_ms is not None
@@ -848,7 +844,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     else:
         rows = [
             ["workers", str(report.workers)],
-            ["strategy", report.strategy],
             ["trajectories", str(report.trajectories)],
             ["completed", str(report.completed)],
             ["lost", str(report.lost)],
@@ -876,9 +871,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             rows.append(
                 [
                     "peak queue depth",
-                    f"{report.peak_queue_depth} "
-                    f"(bound {report.max_queue_depth}, "
-                    f"policy {report.admission})",
+                    f"{report.peak_queue_depth} (bound {report.max_queue_depth})",
                 ]
             )
             rows.append(["accounted (no losses)", str(report.accounted)])
@@ -1047,12 +1040,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, help="worker processes (default 2)"
     )
     p_serve.add_argument(
-        "--strategy",
-        choices=("hash", "range", "round_robin"),
-        default="hash",
-        help="partition routing strategy (default: hash-by-root-cell)",
-    )
-    p_serve.add_argument(
         "--lru-capacity", type=int, default=64,
         help="resident models per worker (default 64)",
     )
@@ -1078,14 +1065,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-queue-depth", type=int, default=None, metavar="N",
-        help="bound each shard's admission queue (default: unbounded)",
-    )
-    p_serve.add_argument(
-        "--admission",
-        choices=("block", "shed", "shed-oldest"),
-        default="shed",
-        help="what a full shard queue does to new work (default: shed; "
-        "needs --max-queue-depth to matter)",
+        help="bound each shard's outstanding work; a full shard sheds new "
+        "work (default: unbounded)",
     )
     p_serve.add_argument(
         "--request-deadline-ms", type=float, default=None, metavar="MS",
@@ -1128,12 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="synthetic training set size (default 200)",
     )
     p_load.add_argument("--seed", type=int, default=7, help="workload RNG seed")
-    p_load.add_argument(
-        "--strategy",
-        choices=("hash", "range", "round_robin"),
-        default="hash",
-        help="partition routing strategy (default: hash-by-root-cell)",
-    )
     p_load.add_argument(
         "--lru-capacity", type=int, default=64,
         help="resident models per worker (default 64)",
@@ -1179,12 +1154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument(
         "--max-queue-depth", type=int, default=None, metavar="N",
         help="per-shard admission bound (default 8 in overload mode)",
-    )
-    p_load.add_argument(
-        "--admission",
-        choices=("block", "shed", "shed-oldest"),
-        default="shed",
-        help="what a full shard queue does to new work (default: shed)",
     )
     p_load.add_argument(
         "--request-deadline-ms", type=float, default=None, metavar="MS",

@@ -68,26 +68,13 @@ class CircuitOpenError(KamelError):
 
 
 class OverloadError(KamelError):
-    """A request was refused (or evicted) by serving-tier admission control.
+    """A request was refused by serving-tier admission control.
 
-    Raised/propagated by :class:`repro.serve.pool.ServingPool` when a
-    shard's bounded queue is full and the configured admission policy
-    sheds load instead of queueing without bound.  Carries the shard and
-    the policy that made the decision so callers can tell "you were the
-    newest request under ``shed``" from "you were the oldest under
-    ``shed-oldest``" apart.  Shedding is part of staying up — this is a
-    typed signal, not a crash.
+    :class:`repro.serve.pool.ServingPool` sheds a newcomer to a full
+    shard instead of queueing without bound; the refusal is a result
+    entry whose ``error_type`` names this class (``shed: true``), not a
+    raise.  Shedding is part of staying up — a typed signal, not a crash.
     """
-
-    def __init__(
-        self,
-        message: str,
-        shard: Optional[int] = None,
-        policy: Optional[str] = None,
-    ) -> None:
-        super().__init__(message)
-        self.shard = shard
-        self.policy = policy
 
 
 class PoolReceiverError(KamelError):

@@ -123,7 +123,7 @@ class FlightRecord:
     replayed: bool = False
     error: Optional[str] = None
     context: dict = field(default_factory=dict)
-    """Free-form routing context (strategy name, journal state, …)."""
+    """Free-form request context (trips, segments, model calls, rungs, …)."""
     roots: list[Span] = field(default_factory=list)
     """The request's span trees, already aligned to the recording
     process's timebase."""

@@ -120,11 +120,9 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.streaming.quarantined_total": "Inputs dead-lettered to the quarantine store.",
     "repro.streaming.journal_replayed_total": "Pending journal entries reprocessed on service recovery.",
     # -- serving tier (repro.serve) ----------------------------------------
-    "repro.serve.queue_depth": "Trajectories submitted to the serving pool and not yet dequeued by a worker (all shards; queued only — in-flight work is repro.serve.inflight).",
-    "repro.serve.inflight": "Trajectories dequeued by a worker with no result accepted yet (all shards).",
-    "repro.serve.shed_total": "Requests refused or evicted by admission control (typed OverloadError results; accounted, not lost).",
+    "repro.serve.queue_depth": "Trajectories submitted to the serving pool with no result accepted or written off yet (all shards: queued plus in progress).",
+    "repro.serve.shed_total": "Requests refused by admission control on a full shard (typed OverloadError results; accounted, not lost).",
     "repro.serve.expired_in_queue_total": "Tasks dropped by a worker at dequeue because their request deadline passed while queued.",
-    "repro.serve.submit_blocked_total": "submit() calls that had to wait on a full shard under the block admission policy.",
     "repro.serve.brownout_level": "Current pool brownout level: 0 full ladder, 1 reduced-beam cap, 2 counting cap.",
     "repro.serve.brownout_steps_total": "Brownout controller level changes (either direction).",
     "repro.serve.submitted_total": "Trajectories routed into worker task queues by the pool.",

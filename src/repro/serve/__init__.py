@@ -3,12 +3,10 @@
 The paper's scalability story is that the pyramid model repository keeps
 any single request's working set small. This package turns that into a
 deployment shape: N worker processes, each owning one spatial partition
-of the pyramid, behind a deterministic router.
+of the pyramid, behind a deterministic router: a trajectory's shard is a
+hash of its root cell (:func:`~repro.serve.pool.stable_shard`, BLAKE2b
+over packed cell bytes, ``PYTHONHASHSEED``-independent).
 
-* :mod:`repro.serve.strategies` — partition routing
-  (hash-by-root-cell, spatial-range stripes, round-robin) behind
-  :func:`~repro.serve.strategies.make_strategy`; seeded and
-  ``PYTHONHASHSEED``-independent.
 * :mod:`repro.serve.modelstore` — per-worker bounded model LRU over the
   read-only :class:`~repro.io.serialize.ModelStore`; a worker's memory
   is O(cache capacity), not O(pyramid).
@@ -38,53 +36,33 @@ detokenize, result transit) feeds ``repro.serve.stage.*`` histograms
 and ``kamel tail``. See docs/serving.md and docs/observability.md.
 
 The tier is overload-protected (:mod:`repro.serve.overload`): bounded
-per-shard queues with ``block`` / ``shed`` / ``shed-oldest`` admission
-(refusals surface as typed :class:`~repro.errors.OverloadError`
-results), cross-process request deadlines (expired tasks dropped at
-dequeue, thin budgets finish on cheaper ladder rungs), and a brownout
+per-shard queues that shed the newcomer when full (refusals surface as
+typed :class:`~repro.errors.OverloadError` results), cross-process
+request deadlines (expired tasks dropped at dequeue, thin budgets finish
+on cheaper ladder rungs), and a brownout
 controller that caps every shard's degradation ladder under sustained
 pressure and recovers with hysteresis.
 """
 
 from repro.serve.loadtest import LoadtestConfig, LoadtestReport, run_loadtest
 from repro.serve.modelstore import LazyModel, ModelLRU, load_kamel_lazy
-from repro.serve.overload import (
-    ADMISSION_POLICIES,
-    BrownoutConfig,
-    BrownoutController,
-)
-from repro.serve.pool import PoolStats, ServingPool
+from repro.serve.overload import BrownoutConfig, BrownoutController
+from repro.serve.pool import PoolStats, ServingPool, stable_shard
 from repro.serve.protocol import ServeConfig, WorkerSpec
-from repro.serve.strategies import (
-    STRATEGIES,
-    HashCellStrategy,
-    PartitionStrategy,
-    RoundRobinStrategy,
-    SpatialRangeStrategy,
-    make_strategy,
-    stable_shard,
-)
 from repro.serve.worker import worker_main
 
 __all__ = [
-    "ADMISSION_POLICIES",
     "BrownoutConfig",
     "BrownoutController",
-    "HashCellStrategy",
     "LazyModel",
     "LoadtestConfig",
     "LoadtestReport",
     "ModelLRU",
-    "PartitionStrategy",
     "PoolStats",
-    "RoundRobinStrategy",
-    "STRATEGIES",
     "ServeConfig",
     "ServingPool",
-    "SpatialRangeStrategy",
     "WorkerSpec",
     "load_kamel_lazy",
-    "make_strategy",
     "run_loadtest",
     "stable_shard",
     "worker_main",

@@ -56,7 +56,7 @@ from repro.obs.metrics import get_registry
 from repro.resilience.journal import trajectory_to_payload
 from repro.roadnet.datasets import make_porto_like
 from repro.roadnet.simulator import SimulatorConfig, TrajectorySimulator
-from repro.serve.overload import ADMISSION_POLICIES, ADMISSION_SHED, BrownoutConfig
+from repro.serve.overload import BrownoutConfig
 from repro.serve.pool import ServeConfig, ServingPool
 
 __all__ = ["LoadtestConfig", "LoadtestReport", "run_loadtest"]
@@ -79,7 +79,6 @@ class LoadtestConfig:
     train_trajectories: int = 200
     """Trips in the porto-like training workload (when training here)."""
     seed: int = 7
-    strategy: str = "hash"
     lru_capacity: int = 64
     max_model_calls: int = 600
     """Per-segment model-call budget for the trained system (bounds the
@@ -111,7 +110,6 @@ class LoadtestConfig:
     """Trajectories in the capacity-calibration flood."""
     max_queue_depth: Optional[int] = None
     """Per-shard admission bound; defaults to 8 in overload mode."""
-    admission: str = ADMISSION_SHED
     request_deadline_s: Optional[float] = None
     """Per-request deadline stamped on every envelope (overload mode
     reports expired-in-queue counts against it)."""
@@ -139,11 +137,6 @@ class LoadtestConfig:
                 "offered_multiplier must be positive, got "
                 f"{self.offered_multiplier!r}"
             )
-        if self.admission not in ADMISSION_POLICIES:
-            raise ConfigError(
-                f"admission must be one of {ADMISSION_POLICIES}, "
-                f"got {self.admission!r}"
-            )
         if self.request_deadline_s is not None and self.request_deadline_s <= 0:
             raise ConfigError(
                 "request_deadline_s must be positive, got "
@@ -156,7 +149,6 @@ class LoadtestReport:
     """Everything one loadtest run measured."""
 
     workers: int
-    strategy: str
     trajectories: int
     completed: int
     lost: int
@@ -196,7 +188,6 @@ class LoadtestReport:
     expired: int = 0
     peak_queue_depth: int = 0
     max_queue_depth: Optional[int] = None
-    admission: Optional[str] = None
     brownout: Optional[dict] = None
     """Final brownout controller state + transition log, when enabled."""
 
@@ -283,7 +274,6 @@ def _calibrate_capacity(
     feed = [t.sparsify(config.sparseness_m) for t in dense]
     serve_config = ServeConfig(
         workers=config.workers,
-        strategy=config.strategy,
         lru_capacity=config.lru_capacity,
         journal_dir=None,
     )
@@ -382,15 +372,12 @@ def run_loadtest(
         journal_dir = str(workdir / "journal") if config.journal else None
         serve_config = ServeConfig(
             workers=config.workers,
-            strategy=config.strategy,
             lru_capacity=config.lru_capacity,
             journal_dir=journal_dir,
             crash_worker_after=config.kill_worker_after,
-            chaos_seed=config.seed,
             trace=config.trace,
             flight_capacity=config.flight_capacity,
             max_queue_depth=max_depth,
-            admission_policy=config.admission,
             request_deadline_s=config.request_deadline_s,
             brownout=brownout_cfg,
         )
@@ -423,7 +410,6 @@ def run_loadtest(
         p99 = latency.quantile(0.99) or 0.0
         report = LoadtestReport(
             workers=config.workers,
-            strategy=config.strategy,
             trajectories=len(feed),
             completed=pool.stats.completed,
             lost=pool.stats.lost,
@@ -453,7 +439,6 @@ def run_loadtest(
             expired=pool.stats.expired,
             peak_queue_depth=pool.stats.peak_queue_depth,
             max_queue_depth=max_depth,
-            admission=config.admission if max_depth is not None else None,
             brownout=(
                 pool.brownout.to_dict() if pool.brownout is not None else None
             ),

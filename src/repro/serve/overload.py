@@ -1,21 +1,16 @@
 """Overload protection for the sharded serving tier.
 
 Peak throughput does not decide availability — overload behavior does.
-This module holds the pool-side pieces that turn "scales across
-processes" into "survives traffic":
-
-* **admission policies** — what :meth:`repro.serve.pool.ServingPool.submit`
-  does when a shard's bounded queue is full: ``block`` (wait, shedding
-  only past a timeout), ``shed`` (refuse the newest request), or
-  ``shed-oldest`` (evict the oldest still-queued request in favor of the
-  newcomer).  Either way the refused trajectory surfaces as a typed
-  :class:`repro.errors.OverloadError` result — accounted, never lost.
-* **brownout control** — :class:`BrownoutController`, a hysteresis
-  state machine watching queue depth and the queue-wait p99.  Under
-  sustained pressure it steps every shard down the degradation ladder
-  (full beam → reduced beam → counting); when pressure clears it steps
-  back up.  Serving *worse* answers beats serving *no* answers, and the
-  ladder already knows how to be worse gracefully.
+Admission is one rule in :meth:`repro.serve.pool.ServingPool.submit`: a
+shard holding ``max_queue_depth`` outstanding requests sheds the
+newcomer as a typed ``OverloadError`` result — accounted, never lost.
+This module holds the other pool-side piece, **brownout control**:
+:class:`BrownoutController`, a hysteresis state machine watching queue
+depth and the queue-wait p99.  Under sustained pressure it steps every
+shard down the degradation ladder (full beam → reduced beam →
+counting); when pressure clears it steps back up.  Serving *worse*
+answers beats serving *no* answers, and the ladder already knows how to
+be worse gracefully.
 
 The controller is deliberately process-local and clock-injectable: the
 pool evaluates it inline (no extra thread), workers learn the current
@@ -34,10 +29,6 @@ from repro.obs.logging import get_logger
 from repro.resilience.ladder import RUNG_COUNTING, RUNG_REDUCED_BEAM
 
 __all__ = [
-    "ADMISSION_BLOCK",
-    "ADMISSION_SHED",
-    "ADMISSION_SHED_OLDEST",
-    "ADMISSION_POLICIES",
     "LEVEL_RUNGS",
     "rung_cap_for",
     "BrownoutConfig",
@@ -45,11 +36,6 @@ __all__ = [
 ]
 
 _log = get_logger("serve.overload")
-
-ADMISSION_BLOCK = "block"
-ADMISSION_SHED = "shed"
-ADMISSION_SHED_OLDEST = "shed-oldest"
-ADMISSION_POLICIES = (ADMISSION_BLOCK, ADMISSION_SHED, ADMISSION_SHED_OLDEST)
 
 LEVEL_RUNGS: tuple[Optional[str], ...] = (None, RUNG_REDUCED_BEAM, RUNG_COUNTING)
 """Brownout level -> ladder cap: 0 uncapped, 1 reduced beam, 2 counting."""
@@ -67,9 +53,9 @@ class BrownoutConfig:
     """When and how fast the pool steps shards down the ladder."""
 
     high_depth: int = 8
-    """Step *down* when the deepest shard queue reaches this."""
+    """Step *down* when the deepest shard's outstanding work reaches this."""
     low_depth: int = 1
-    """Step *up* only when every shard queue is at or below this."""
+    """Step *up* only when every shard's outstanding work is at or below this."""
     high_queue_wait_s: Optional[float] = None
     """Also step down when the queue-wait stage p99 exceeds this (from
     the ``repro.serve.stage.queue_wait_seconds`` histogram); None

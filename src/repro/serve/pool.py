@@ -3,9 +3,8 @@
 :class:`ServingPool` is the parent-side half of ``repro.serve``. It
 spawns one worker process per shard (``multiprocessing`` ``spawn``
 context — no inherited state, same behavior everywhere), routes each
-submitted trajectory to a shard with a
-:class:`~repro.serve.strategies.PartitionStrategy`, and collects results
-from a shared queue.
+submitted trajectory to the shard a hash of its root cell names
+(:func:`stable_shard`), and collects results from a shared queue.
 
 Delivery semantics are **at-least-once from workers, exactly-once to the
 caller**: a worker journals each task and may re-send results after a
@@ -18,11 +17,10 @@ failure-handling story of the single-process service, lifted to a fleet.
 Results are accepted **when they arrive**, not when the client next
 calls in: one pool-owned receiver thread (``start()`` to ``stop()``)
 blocks on the result pipe and handles every message under the pool lock
-it shares with ``submit``; ``drain()``, ``stop()`` and ``block``
-admission sleep on that lock's condition. Worker liveness and brownout
-run on the receiver too, so a dead worker is revived and the telemetry
-stays current while the client is idle (docs/serving.md, "Threading
-model").
+it shares with ``submit``; ``drain()`` and ``stop()`` sleep on that
+lock's condition. Worker liveness and brownout run on the receiver too,
+so a dead worker is revived and the telemetry stays current while the
+client is idle (docs/serving.md, "Threading model").
 
 The pool is also the fleet's observability point: per-worker registry
 snapshots arriving on the result queue are merged
@@ -48,20 +46,21 @@ synthetic ``serve.request`` root bracketed by ``serve.queue_wait`` and
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing as mp
 import pathlib
+import struct
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as wait_readable
 from typing import Callable, Iterator, Optional, Union
 
-from repro.core.partitioning import PyramidIndex
 from repro.core.tokenization import make_grid
 from repro.errors import ConfigError, PoolReceiverError
-from repro.geo import BoundingBox, Trajectory
+from repro.geo import Trajectory
+from repro.grid.base import Cell
 from repro.obs import instrument as obs
 from repro.obs.flight import FlightRecord, FlightRecorder, stage_breakdown
 from repro.obs.logging import get_logger
@@ -69,11 +68,7 @@ from repro.obs.metrics import get_registry, merge_snapshots
 from repro.obs.server import ObservabilityServer
 from repro.obs.tracing import Span, clock_offset, new_trace_id
 from repro.serve.aggregate import pool_routes
-from repro.serve.overload import (
-    ADMISSION_SHED,
-    ADMISSION_SHED_OLDEST,
-    BrownoutController,
-)
+from repro.serve.overload import BrownoutController
 from repro.serve.protocol import (
     TRACE_MAX_ROOTS,
     ServeConfig,
@@ -81,20 +76,15 @@ from repro.serve.protocol import (
     WorkerSpec,
     result_message,
 )
-from repro.serve.strategies import PartitionStrategy, make_strategy
 from repro.serve.worker import worker_main
 
-__all__ = ["PoolStats", "ServeConfig", "ServingPool"]
+__all__ = ["PoolStats", "ServeConfig", "ServingPool", "stable_shard"]
 
 _log = get_logger("serve.pool")
 
 MAX_REVIVES_PER_SHARD = 3
 """Backstop against a poisoned shard crash-looping: after this many
 respawns, the shard is left dead and drain() reports its work lost."""
-
-SUBMIT_BLOCK_TIMEOUT_S = 30.0
-"""How long the ``block`` admission policy backpressures ``submit`` on a
-full shard before shedding the newcomer after all."""
 
 RECEIVER_TICK_S = 0.25
 """How often the receiver thread, traffic or not, wakes to check worker
@@ -153,14 +143,14 @@ class PoolStats:
     """Trajectories explicitly written off when their shard was retired
     with no replacement worker."""
     shed: int = 0
-    """Requests refused (or evicted) by admission control — surfaced as
-    typed :class:`~repro.errors.OverloadError` results, never lost."""
+    """Requests refused by admission control — surfaced as typed
+    ``OverloadError`` results, never lost."""
     expired: int = 0
     """Requests whose deadline passed while queued; the worker dropped
     them on dequeue without doing the work."""
     peak_queue_depth: int = 0
-    """Deepest any single shard's queued backlog ever got (the bound the
-    overload loadtest asserts against ``max_queue_depth``)."""
+    """Deepest any single shard's outstanding work ever got (the bound
+    the overload loadtest asserts against ``max_queue_depth``)."""
     rungs: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -183,40 +173,19 @@ class _Pending:
     """Submit wall clock (the cross-process queue-wait base)."""
 
 
-def _routing_context(
-    model_dir: Union[str, pathlib.Path]
-) -> tuple[object, Optional[BoundingBox]]:
-    """Grid + data region for the router, read from the saved system's
-    metadata only — no model files are parsed in the parent."""
-    root = pathlib.Path(model_dir)
-    config_payload = json.loads(root.joinpath("config.json").read_text())
-    grid = make_grid(config_payload["grid_type"], config_payload["cell_edge_m"])
-    meta = json.loads(root.joinpath("system.json").read_text())
-    region: Optional[BoundingBox] = None
-    if meta.get("pyramid") is not None:
-        pyramid = PyramidIndex(
-            BoundingBox(*meta["pyramid"]["root"]), meta["pyramid"]["height"]
-        )
-        keys = [
-            tuple(int(v) for v in name.split("_"))
-            for name in meta.get("token_counts", {})
-        ]
-        if keys:
-            # The union of the deepest occupied pyramid cells hugs the
-            # training data much tighter than the pyramid root (which is
-            # padded out to a power-of-two square), so range sharding
-            # stripes actual traffic, not empty margin.
-            deepest = max(k[0] for k in keys)
-            boxes = [pyramid.cell_bbox(k) for k in keys if k[0] == deepest]
-            region = BoundingBox(
-                min(b.min_x for b in boxes),
-                min(b.min_y for b in boxes),
-                max(b.max_x for b in boxes),
-                max(b.max_y for b in boxes),
-            )
-        else:
-            region = pyramid.root
-    return grid, region
+def stable_shard(cell: Cell, num_partitions: int) -> int:
+    """Deterministic shard for a grid cell: BLAKE2b over its packed bytes.
+
+    The routing seed (the constant 0) and the cell's two signed integer
+    coordinates are serialized with ``struct.pack`` (fixed little-endian
+    layout) — the result depends only on those bytes, so the parent
+    router, a respawned worker replaying its journal, and a fresh
+    interpreter under any ``PYTHONHASHSEED`` agree. Builtin ``hash()``
+    is never used: its string hashing is salted per process.
+    """
+    data = struct.pack("<q2q", 0, int(cell[0]), int(cell[1]))
+    digest = hashlib.blake2b(data, digest_size=8).digest()
+    return int.from_bytes(digest, "big") % num_partitions
 
 
 class ServingPool:
@@ -229,13 +198,10 @@ class ServingPool:
     ) -> None:
         self.model_dir = str(model_dir)
         self.config = config or ServeConfig()
-        grid, region = _routing_context(self.model_dir)
-        self.strategy: PartitionStrategy = make_strategy(
-            self.config.strategy,
-            self.config.workers,
-            grid=grid,
-            region=region,
-        )
+        # The router needs the grid only, read from the saved system's
+        # config — no model file is parsed in the parent.
+        saved = json.loads(pathlib.Path(model_dir, "config.json").read_text())
+        self._grid = make_grid(saved["grid_type"], saved["cell_edge_m"])
         self.stats = PoolStats()
         self.results: dict[str, dict] = {}
         self.worker_processed: dict[int, int] = {
@@ -252,21 +218,10 @@ class ServingPool:
         self._incarnations = 0
         self._byes: set[int] = set()
         self._outstanding: dict[str, _Pending] = {}
-        # Admission bookkeeping: envelopes wait pool-side in _buffers
-        # (evictable) and only queue_prefetch of them sit in the OS-level
-        # task queue at a time; _in_queue / _inflight track the
-        # queued-vs-dequeued split the two gauges report.
-        self._buffers: dict[int, deque] = {
-            shard: deque() for shard in range(self.config.workers)
-        }
-        self._in_queue: dict[int, int] = {
-            shard: 0 for shard in range(self.config.workers)
-        }
-        self._inflight: dict[int, int] = {
-            shard: 0 for shard in range(self.config.workers)
-        }
-        self._in_queue_ids: set[str] = set()
-        self._dequeued_ids: set[str] = set()
+        # Per-shard depth: the shard's entries in _outstanding (queued
+        # plus the one task its worker is on), from submit to result or
+        # write-off. Admission, brownout and the gauge all read it.
+        self._depths = [0] * self.config.workers
         self._control = None
         self.brownout: Optional[BrownoutController] = (
             BrownoutController(self.config.brownout)
@@ -277,7 +232,7 @@ class ServingPool:
         self._stopping = False
         # One lock for all pool state: the receiver thread holds it while
         # it handles messages, callers while they submit or read; waiters
-        # (drain, stop, block admission) sleep on its condition, which
+        # (drain, stop, brownout_settle) sleep on its condition, which
         # the receiver notifies after every wake-up.
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
@@ -326,7 +281,6 @@ class ServingPool:
             "serving pool started",
             extra={"data": {
                 "workers": self.config.workers,
-                "strategy": self.strategy.name,
                 "model_dir": self.model_dir,
             }},
         )
@@ -362,6 +316,16 @@ class ServingPool:
 
     # -- submission & draining ---------------------------------------------
 
+    def shard_for(self, trajectory: Trajectory) -> int:
+        """The shard that owns ``trajectory``: a hash of its root cell,
+        the grid cell of its first point, so trips starting in one cell
+        always meet the same worker's model cache. An empty trajectory
+        goes to shard 0."""
+        if len(trajectory) == 0:
+            return 0
+        cell = self._grid.cell_of(trajectory.points[0])
+        return stable_shard(cell, self.config.workers)
+
     def submit(self, trajectory: Trajectory) -> int:
         """Route one trajectory to its shard; returns the shard index.
 
@@ -371,31 +335,31 @@ class ServingPool:
         split queue wait from processing, and drop tasks that expired in
         the queue.
 
-        With ``max_queue_depth`` set, a full shard applies the admission
-        policy first; a refused trajectory still returns its shard — it
-        lands in ``results`` as a typed ``OverloadError`` entry instead
-        of being queued (never silently dropped).
+        With ``max_queue_depth`` set, a newcomer to a full shard is shed:
+        it still returns its shard, and lands in ``results`` as a typed
+        ``OverloadError`` entry instead of being queued (never silently
+        dropped).
         """
         if not self._started:
             raise ConfigError("pool not started (use start() or a with-block)")
         with self._lock:
             self._raise_if_receiver_failed()
-            shard = self.strategy.shard_for(trajectory)
+            shard = self.shard_for(trajectory)
             self.stats.submitted += 1
             obs.count("repro.serve.submitted_total")
             max_depth = self.config.max_queue_depth
-            if max_depth is not None and self._depth(shard) >= max_depth:
-                if not self._make_room(shard):
-                    self._shed(trajectory.traj_id, shard, "shard queue full")
-                    return shard
+            if max_depth is not None and self._depths[shard] >= max_depth:
+                self._shed(trajectory.traj_id, shard)
+                return shard
             submit_epoch = time.time()
             self._outstanding[trajectory.traj_id] = _Pending(
                 shard=shard,
                 submitted_pc=time.perf_counter(),
                 submit_epoch=submit_epoch,
             )
+            self._depths[shard] += 1
             budget_s = self.config.request_deadline_s
-            self._buffers[shard].append(
+            self._task_queues[shard].put(
                 TaskEnvelope(
                     trajectory, new_trace_id(), submit_epoch,
                     deadline_epoch=(
@@ -404,88 +368,33 @@ class ServingPool:
                     deadline_budget_s=budget_s,
                 )
             )
-            self._feed(shard)
             self._note_depth()
             return shard
 
     # -- admission control ---------------------------------------------------
 
-    def _depth(self, shard: int) -> int:
-        """Queued (not yet dequeued) tasks for one shard: the pool-side
-        buffer plus what already sits in the OS-level task queue."""
-        return len(self._buffers[shard]) + self._in_queue.get(shard, 0)
-
-    def _make_room(self, shard: int) -> bool:
-        """Apply the admission policy to a full shard.
-
-        Returns True when the newcomer may now be queued; False means
-        the caller sheds the newcomer instead.
-        """
-        policy = self.config.admission_policy
-        if policy == ADMISSION_SHED:
-            return False
-        if policy == ADMISSION_SHED_OLDEST:
-            buffer = self._buffers[shard]
-            if not buffer:
-                # Everything queued is already in the OS-level pipe where
-                # it can't be recalled — shed the newcomer instead.
-                return False
-            victim = buffer.popleft()
-            victim_id = victim.trajectory.traj_id
-            self._outstanding.pop(victim_id, None)
-            self._shed(victim_id, shard, "evicted by a newer request")
-            return True
-        # block: sleep until the receiver has made room on the shard or
-        # the timeout passes (then shed — blocking forever is the failure
-        # mode this whole layer exists to remove).
-        max_depth = self.config.max_queue_depth
-        obs.count("repro.serve.submit_blocked_total")
-        return self._wait_for(
-            lambda: self._depth(shard) < max_depth, SUBMIT_BLOCK_TIMEOUT_S
-        )
-
-    def _shed(self, traj_id: str, shard: int, why: str) -> None:
+    def _shed(self, traj_id: str, shard: int) -> None:
         """Refuse one request: account it and surface a typed error result."""
-        policy = self.config.admission_policy
         self.stats.shed += 1
         obs.count("repro.serve.shed_total")
         # Never reached a worker: no worker id, no dequeue time.
         self.results[traj_id] = result_message(
             shard, None, traj_id, None,
             shed=True,
-            policy=policy,
-            error=f"OverloadError: {why} (shard {shard}, policy {policy})",
+            error=f"OverloadError: shard {shard} queue full",
             error_type="OverloadError",
         )
         _log.warning(
             "request shed by admission control",
-            extra={"data": {"traj_id": traj_id, "shard": shard,
-                            "policy": policy, "why": why}},
+            extra={"data": {"traj_id": traj_id, "shard": shard}},
         )
-
-    def _feed(self, shard: int) -> None:
-        """Move buffered envelopes into the shard's OS-level task queue,
-        up to the prefetch window (everything, when unbounded)."""
-        prefetch: Optional[int] = None
-        if self.config.max_queue_depth is not None:
-            prefetch = min(self.config.queue_prefetch, self.config.max_queue_depth)
-        buffer = self._buffers[shard]
-        while buffer and (prefetch is None or self._in_queue[shard] < prefetch):
-            envelope = buffer.popleft()
-            self._task_queues[shard].put(envelope)
-            self._in_queue[shard] += 1
-            self._in_queue_ids.add(envelope.trajectory.traj_id)
 
     def _note_depth(self) -> None:
-        """Refresh the queued/inflight gauges and the peak-depth stat."""
-        shards = range(self.config.workers)
-        total_queued = sum(self._depth(shard) for shard in shards)
-        deepest = max((self._depth(shard) for shard in shards), default=0)
-        self.stats.peak_queue_depth = max(self.stats.peak_queue_depth, deepest)
-        obs.gauge("repro.serve.queue_depth").set(total_queued)
-        obs.gauge("repro.serve.inflight").set(
-            float(sum(self._inflight.values()))
+        """Refresh the queue-depth gauge and the peak-depth stat."""
+        self.stats.peak_queue_depth = max(
+            self.stats.peak_queue_depth, max(self._depths)
         )
+        obs.gauge("repro.serve.queue_depth").set(sum(self._depths))
 
     # -- brownout ------------------------------------------------------------
 
@@ -498,11 +407,9 @@ class ServingPool:
         by its own interval) and publish a level change to the workers."""
         if self.brownout is None:
             return
-        depth = max(
-            (self._depth(shard) for shard in range(self.config.workers)),
-            default=0,
+        new_level = self.brownout.evaluate(
+            max(self._depths), self._queue_wait_p99()
         )
-        new_level = self.brownout.evaluate(depth, self._queue_wait_p99())
         if new_level is not None and self._control is not None:
             self._control.value = new_level
 
@@ -616,36 +523,24 @@ class ServingPool:
         kind = message.get("kind")
         if kind == "result":
             self._handle_result(message)
-        elif kind == "dequeued":
-            self._handle_dequeued(message)
         elif kind in ("metrics", "bye"):
             self.worker_snapshots[message["shard"]] = message["snapshot"]
             if kind == "bye":
                 self._byes.add(message["shard"])
                 self.worker_lru[message["shard"]] = message["lru"]
 
-    def _handle_dequeued(self, message: dict) -> None:
-        """A worker pulled a task off its queue: move it from queued to
-        in-flight and refill the shard's prefetch window."""
-        traj_id = message["traj_id"]
-        shard = message["shard"]
-        if traj_id in self._in_queue_ids:
-            self._in_queue_ids.discard(traj_id)
-            self._in_queue[shard] = max(0, self._in_queue.get(shard, 0) - 1)
-        if traj_id in self._outstanding and traj_id not in self._dequeued_ids:
-            self._dequeued_ids.add(traj_id)
-            self._inflight[shard] = self._inflight.get(shard, 0) + 1
-        self._feed(shard)
-
     def _handle_result(self, message: dict) -> None:
         traj_id = message["traj_id"]
+        # A straggler for written-off work has no pending entry any more.
+        pending = self._outstanding.pop(traj_id, None)
+        if pending is not None:
+            self._depths[pending.shard] -= 1
         if traj_id in self.results:
             # At-least-once delivery: a replayed task can re-send a result
             # the dead worker already delivered. Exactly-once is restored
             # here, by id.
             self.stats.duplicates += 1
             obs.count("repro.serve.duplicate_results_total")
-            self._outstanding.pop(traj_id, None)
             return
         handle_epoch = time.time()
         self.results[traj_id] = message
@@ -655,17 +550,7 @@ class ServingPool:
         else:
             self.stats.completed += 1
             obs.count("repro.serve.results_total")
-        pending = self._outstanding.pop(traj_id, None)
         shard = message["shard"]
-        # Reconcile the queued/in-flight split. A result without a prior
-        # "dequeued" notification (journal replay, or the worker died
-        # between dequeuing and notifying) still settles the books here.
-        if traj_id in self._in_queue_ids:
-            self._in_queue_ids.discard(traj_id)
-            self._in_queue[shard] = max(0, self._in_queue.get(shard, 0) - 1)
-        if traj_id in self._dequeued_ids:
-            self._dequeued_ids.discard(traj_id)
-            self._inflight[shard] = max(0, self._inflight.get(shard, 0) - 1)
         latency_s = None
         if pending is not None and not expired:
             # Expired tasks are excluded from the latency histogram: the
@@ -673,7 +558,6 @@ class ServingPool:
             # miss is already counted on its own metric.
             latency_s = time.perf_counter() - pending.submitted_pc
             obs.observe("repro.serve.latency_seconds", latency_s)
-        self._feed(shard)
         self.worker_processed[shard] = self.worker_processed.get(shard, 0) + 1
         if message["replayed"]:
             self.stats.journal_replayed += 1
@@ -721,7 +605,6 @@ class ServingPool:
             replayed=message["replayed"],
             error=message["error"],
             context={
-                "strategy": self.strategy.name,
                 "trips": len(message["trips"]),
                 "segments": message["segments"],
                 "model_calls": message["model_calls"],
@@ -823,8 +706,9 @@ class ServingPool:
 
         No worker will ever drain this shard's queue again, so its
         outstanding trajectories can't complete: drop them from the
-        in-flight map (so ``queue_depth`` and ``drain()`` reflect
-        reality instead of waiting out the timeout) and count them.
+        outstanding map and the shard's depth (so ``queue_depth`` and
+        ``drain()`` reflect reality instead of waiting out the timeout)
+        and count them.
         A straggler result already in the pipe is still accepted by
         ``_handle_result`` — it just no longer has a pending entry.
         """
@@ -837,11 +721,7 @@ class ServingPool:
             return
         for traj_id in lost:
             del self._outstanding[traj_id]
-            self._in_queue_ids.discard(traj_id)
-            self._dequeued_ids.discard(traj_id)
-        self._buffers[shard].clear()
-        self._in_queue[shard] = 0
-        self._inflight[shard] = 0
+        self._depths[shard] = 0
         self.stats.declared_lost += len(lost)
         obs.count("repro.serve.lost_total", len(lost))
         self._note_depth()
@@ -951,14 +831,12 @@ class ServingPool:
                         "alive": proc.is_alive(),
                         "pid": proc.pid,
                         "processed": self.worker_processed.get(shard, 0),
-                        "queue_depth": self._depth(shard),
-                        "inflight": self._inflight.get(shard, 0),
+                        "queue_depth": self._depths[shard],
                     }
                 )
             alive = all(w["alive"] for w in workers) if workers else False
             doc = {
                 "status": "ok" if alive and self.stats.lost == 0 else "degraded",
-                "strategy": self.strategy.name,
                 "submitted": self.stats.submitted,
                 "completed": self.stats.completed,
                 "outstanding": len(self._outstanding),
@@ -971,7 +849,6 @@ class ServingPool:
                 "peak_queue_depth": self.stats.peak_queue_depth,
                 "admission": {
                     "max_queue_depth": self.config.max_queue_depth,
-                    "policy": self.config.admission_policy,
                     "request_deadline_s": self.config.request_deadline_s,
                 },
                 "workers": workers,

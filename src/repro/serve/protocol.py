@@ -11,9 +11,9 @@
   start from its base key set, so every reader (``PoolStats``, ``kamel
   serve --output``, the loadtest verifier, perf/) can index those keys.
 
-The other kinds on the result channel (``dequeued``, ``metrics``,
-``bye``) are built where :mod:`repro.serve.worker` sends them and
-consumed by ``ServingPool._handle``.
+The other kinds on the result channel (``metrics``, ``bye``) are built
+where :mod:`repro.serve.worker` sends them and consumed by
+``ServingPool._handle``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 from repro.errors import ConfigError
 from repro.geo import Trajectory
 from repro.resilience.chaos import ChaosConfig
-from repro.serve.overload import ADMISSION_POLICIES, ADMISSION_SHED, BrownoutConfig
+from repro.serve.overload import BrownoutConfig
 
 __all__ = [
     "TRACE_MAX_ROOTS",
@@ -45,8 +45,8 @@ class ServeConfig:
     """How the pool shards, recovers, and reports."""
 
     workers: int = 2
-    strategy: str = "hash"
-    """Partition strategy name (see :data:`repro.serve.strategies.STRATEGIES`)."""
+    """Worker processes = shards; a trajectory's shard is a hash of its
+    root cell (:func:`repro.serve.pool.stable_shard`)."""
     lru_capacity: int = 64
     """Resident models per worker."""
     journal_dir: Optional[str] = None
@@ -64,7 +64,6 @@ class ServeConfig:
     """Workers ship a registry snapshot every this many tasks."""
     crash_worker_after: Optional[int] = None
     """Chaos: shard 0's first incarnation dies on its Nth task."""
-    chaos_seed: int = 0
     trace: bool = False
     """Workers collect span trees and ship them with every result; the
     pool merges them (clock-aligned) into ``trace_roots``. Stage
@@ -75,18 +74,10 @@ class ServeConfig:
     flight_capacity: int = 32
     """Slowest requests the pool's flight recorder retains."""
     max_queue_depth: Optional[int] = None
-    """Per-shard bound on *queued* work (submitted, not yet dequeued).
-    None (the default) keeps the legacy unbounded queue; with it set,
-    ``submit`` applies ``admission_policy`` when the shard is full."""
-    admission_policy: str = ADMISSION_SHED
-    """What a full shard does to a new request: ``block`` (wait up to
-    :data:`repro.serve.pool.SUBMIT_BLOCK_TIMEOUT_S`, then shed), ``shed``
-    (refuse the newcomer), or ``shed-oldest`` (evict the oldest queued
-    request)."""
-    queue_prefetch: int = 2
-    """With admission control on, envelopes kept in the OS-level task
-    queue per shard; the rest wait pool-side where ``shed-oldest`` can
-    still evict them. Irrelevant when ``max_queue_depth`` is None."""
+    """Per-shard bound on *outstanding* work (submitted, no result yet:
+    queued plus the task in progress). None (the default) keeps the
+    queue unbounded; with it set, ``submit`` sheds a newcomer to a full
+    shard."""
     request_deadline_s: Optional[float] = None
     """Absolute per-request deadline stamped on every envelope at
     submit. Workers drop tasks whose deadline passed in the queue
@@ -104,18 +95,9 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
-        if self.admission_policy not in ADMISSION_POLICIES:
-            raise ConfigError(
-                f"admission_policy must be one of {ADMISSION_POLICIES}, "
-                f"got {self.admission_policy!r}"
-            )
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ConfigError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth!r}"
-            )
-        if self.queue_prefetch < 1:
-            raise ConfigError(
-                f"queue_prefetch must be >= 1, got {self.queue_prefetch!r}"
             )
         if self.request_deadline_s is not None and self.request_deadline_s <= 0:
             raise ConfigError(

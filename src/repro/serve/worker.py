@@ -232,7 +232,7 @@ def worker_main(spec: WorkerSpec, task_queue, result_queue, control=None) -> Non
     monkey: Optional[ChaosMonkey] = None
     chaos_cfg = config.worker_chaos
     if spec.crash_after is not None:
-        base = chaos_cfg or ChaosConfig(seed=config.chaos_seed)
+        base = chaos_cfg or ChaosConfig()
         chaos_cfg = replace(base, crash_after=spec.crash_after)
     if chaos_cfg is not None:
         monkey = ChaosMonkey(chaos_cfg)
@@ -255,17 +255,6 @@ def worker_main(spec: WorkerSpec, task_queue, result_queue, control=None) -> Non
             # before any durability work — so its shard's queue backs up
             # while the process stays alive (the overload scenario).
             monkey.on_dequeue()
-        # Tell the pool the task left the queue: this is what splits the
-        # serve_queue_depth gauge (still queued) from serve_inflight
-        # (dequeued, no result yet) and lets admission refill the shard.
-        result_queue.put(
-            {
-                "kind": "dequeued",
-                "shard": spec.shard,
-                "worker_id": spec.worker_id,
-                "traj_id": trajectory.traj_id,
-            }
-        )
         if journal is not None:
             journal.begin(trajectory)
         if monkey is not None:

@@ -189,7 +189,8 @@ class TestServeKnobs:
 
 class TestOneBenchmarkHarness:
     """``perf/`` is the only harness: the verbs and baselines of the one it
-    replaced stay gone, and every documented command still parses."""
+    replaced stay gone, and every documented command still parses — its
+    verb and each of its flags."""
 
     DOCUMENTS = [
         ROOT / "README.md",
@@ -228,6 +229,72 @@ class TestOneBenchmarkHarness:
                     f"{verb.group()!r}, which is not a kamel subcommand"
                 )
         assert {"loadtest", "stats", "trace", "compare"} <= seen
+
+    @staticmethod
+    def _command_lines(text: str) -> list[str]:
+        """``text`` as a shell reads it: ``\\``-continued lines joined,
+        and each YAML ``>`` block folded into one line."""
+        text = re.sub(r"\\\n\s*", " ", text)
+        lines: list[str] = []
+        folded, indent = None, 0
+        for line in text.splitlines():
+            depth = len(line) - len(line.lstrip())
+            if folded is not None:
+                if line.strip() and depth > indent:
+                    folded.append(line.strip())
+                    continue
+                lines.append(" ".join(folded))
+                folded = None
+            if re.search(r":\s*>-?\s*$", line):
+                folded, indent = [], depth
+            else:
+                lines.append(line)
+        if folded is not None:
+            lines.append(" ".join(folded))
+        return lines
+
+    def test_every_documented_flag_is_an_option_of_its_verb(self):
+        """A flag retired from a verb must leave the docs with it: every
+        ``--flag`` in a documented ``kamel <verb>`` / ``python -m repro
+        <verb>`` command is an option of that verb's subparser."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        takes_value = {
+            option: action.nargs != 0
+            for action in parser._actions
+            for option in action.option_strings
+        }
+        (subparsers,) = (
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        invocation = re.compile(r"(?:\bkamel|python3? -m repro(?:\.cli)?)\s+(.*)")
+        checked = 0
+        for document in self.DOCUMENTS:
+            for line in self._command_lines(document.read_text()):
+                for match in invocation.finditer(line):
+                    tokens = match.group(1).split()
+                    while tokens and tokens[0] in takes_value:  # global flags
+                        del tokens[: 2 if takes_value[tokens[0]] else 1]
+                    verb = re.match(r"[a-z][a-z-]*", tokens[0]) if tokens else None
+                    if verb is None or verb.group() not in subparsers.choices:
+                        continue
+                    options = subparsers.choices[verb.group()]._option_string_actions
+                    for token in tokens:
+                        if token == "--" or token[0] in "|&;#<>(":
+                            break  # a nested command, a pipe, a comment
+                        flag = token.strip("`'\".,:)").split("=")[0]
+                        if flag.startswith("--"):
+                            checked += 1
+                            assert flag in options, (
+                                f"{document.name}: `{' '.join(match.group().split())}` "
+                                f"passes {flag}, which `{verb.group()}` does not take"
+                            )
+                        if "`" in token:
+                            break  # the end of an inline code span
+        assert checked >= 40
 
     def test_nothing_names_the_retired_harness(self):
         retired = [

@@ -38,12 +38,20 @@ class TestServeParser:
     def test_defaults(self):
         args = build_parser().parse_args(["serve", "--demo"])
         assert args.workers == 2
-        assert args.strategy == "hash"
         assert args.lru_capacity == 64
 
-    def test_strategy_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--strategy", "modulo"])
+    @pytest.mark.parametrize(
+        "verb, retired, value", [("serve", "strategy", "hash"), ("loadtest", "admission", "shed")]
+    )
+    def test_retired_routing_and_admission_flags_are_usage_errors(
+        self, capsys, verb, retired, value
+    ):
+        # One route and one admission rule: the flags that chose among
+        # several are gone, and naming one is a usage error (exit 2).
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, f"--{retired}", value])
+        assert excinfo.value.code == 2
+        assert f"--{retired}" in capsys.readouterr().err
 
     def test_needs_model_or_demo(self, capsys):
         assert main(["serve"]) == 2

@@ -212,7 +212,6 @@ class TestServingPool:
     def test_healthz_document(self, pooled):
         _, _, healthz, _ = pooled
         assert healthz["status"] == "ok"
-        assert healthz["strategy"] == "hash"
         assert len(healthz["workers"]) == 2
         assert all(w["alive"] for w in healthz["workers"])
 

@@ -22,11 +22,9 @@ import pytest
 
 from repro.errors import KamelError, PoolReceiverError
 from repro.io.serialize import save_kamel
-from repro.obs import instrument as obs
 from repro.obs.metrics import get_registry
 from repro.resilience.chaos import ChaosConfig
 from repro.serve import ServeConfig, ServingPool
-from repro.serve import pool as pool_module
 
 CAP_S = 30.0
 PIPE_BYTES = 64 * 1024
@@ -144,31 +142,6 @@ class TestIdleRevival:
         assert pool.stats.journal_replayed == 1
         assert pool.stats.completed == pool.stats.submitted == 3
         assert pool.stats.lost == pool.stats.duplicates == 0
-
-
-class TestBlockAdmissionTimesOut:
-    def test_blocked_submit_sheds_after_the_timeout(
-        self, saved_dir, sparse_feed, monkeypatch, fresh_serve_metrics
-    ):
-        monkeypatch.setattr(pool_module, "SUBMIT_BLOCK_TIMEOUT_S", 0.3)
-        config = ServeConfig(
-            workers=1,
-            max_queue_depth=1,
-            admission_policy="block",
-            # The worker freezes for 3 s before it even reports its
-            # first dequeue: the shard stays full well past the timeout.
-            worker_chaos=ChaosConfig(seed=0, stall_after=1, stall_s=3.0),
-        )
-        kept, refused = sparse_feed[:2]
-        with ServingPool(str(saved_dir), config) as pool:
-            pool.submit(kept)
-            pool.submit(refused)
-            results = pool.drain(timeout=120)
-        assert obs.counter("repro.serve.submit_blocked_total").value == 1
-        assert results[refused.traj_id]["shed"] is True
-        assert results[refused.traj_id]["error_type"] == "OverloadError"
-        assert results[kept.traj_id]["trips"]
-        assert (pool.stats.completed, pool.stats.shed, pool.stats.lost) == (1, 1, 0)
 
 
 class TestStop:

@@ -51,9 +51,6 @@ def crashed_run(saved_dir, sparse_feed, tmp_path_factory):
     journal_dir = tmp_path_factory.mktemp("recovery_journal")
     config = ServeConfig(
         workers=2,
-        # Deterministic half/half split so shard 0 is guaranteed enough
-        # tasks to reach its crash point.
-        strategy="round_robin",
         journal_dir=str(journal_dir),
         crash_worker_after=2,
         drain_timeout_s=240.0,
@@ -64,9 +61,16 @@ def crashed_run(saved_dir, sparse_feed, tmp_path_factory):
     return pool, results
 
 
+def _routed_to_shard_zero(pool, feed) -> int:
+    """How many of ``feed`` the pool's router gives shard 0: below
+    ``crash_worker_after`` the injected crash could never fire."""
+    return sum(pool.shard_for(t) == 0 for t in feed)
+
+
 class TestWorkerDeathRecovery:
-    def test_death_detected_and_shard_revived(self, crashed_run):
+    def test_death_detected_and_shard_revived(self, crashed_run, sparse_feed):
         pool, _ = crashed_run
+        assert _routed_to_shard_zero(pool, sparse_feed) >= pool.config.crash_worker_after
         assert pool.stats.worker_deaths == 1
 
     def test_journal_replayed(self, crashed_run):
@@ -97,7 +101,6 @@ def retired_run(saved_dir, sparse_feed):
     get_registry().reset(prefix="repro.serve")
     config = ServeConfig(
         workers=2,
-        strategy="round_robin",
         crash_worker_after=2,
         revive_dead_workers=False,
         drain_timeout_s=240.0,
@@ -111,8 +114,9 @@ def retired_run(saved_dir, sparse_feed):
 
 
 class TestShardRetirementDeclaresLost:
-    def test_lost_work_written_off_explicitly(self, retired_run):
+    def test_lost_work_written_off_explicitly(self, retired_run, sparse_feed):
         pool, _, _ = retired_run
+        assert _routed_to_shard_zero(pool, sparse_feed) >= pool.config.crash_worker_after
         assert pool.stats.worker_deaths == 1
         # A straggler result already in the pipe at write-off time is
         # still accepted, so declared_lost bounds lost from above.

@@ -1,4 +1,4 @@
-"""Partition routing: determinism, geometry, and the strategy factory.
+"""Partition routing: determinism and the root-cell rule.
 
 The hard requirement under test here is that routing is a pure function
 of explicit cell bytes — the same trajectory must land on the same shard
@@ -14,20 +14,26 @@ import sys
 import pytest
 
 from repro.core.tokenization import make_grid
-from repro.errors import ConfigError
-from repro.geo import BoundingBox, Point, Trajectory
-from repro.serve.strategies import (
-    STRATEGIES,
-    HashCellStrategy,
-    RoundRobinStrategy,
-    SpatialRangeStrategy,
-    make_strategy,
-    stable_shard,
-)
+from repro.geo import Point, Trajectory
+from repro.io.serialize import save_kamel
+from repro.serve import ServeConfig, ServingPool
+from repro.serve.pool import stable_shard
 
 
 def _traj(traj_id: str, x: float, y: float) -> Trajectory:
     return Trajectory(traj_id, (Point(x, y, 0.0), Point(x + 50.0, y, 30.0)))
+
+
+@pytest.fixture(scope="module")
+def saved_dir(trained_kamel, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("routing_model")
+    save_kamel(trained_kamel, directory)
+    return directory
+
+
+def _router(saved_dir, workers: int) -> ServingPool:
+    """A pool that is never started: routing needs no workers."""
+    return ServingPool(str(saved_dir), ServeConfig(workers=workers))
 
 
 class TestStableShard:
@@ -36,9 +42,6 @@ class TestStableShard:
         # journal and worker assignment in deployed pools.
         cells = [(0, 0), (1, -2), (-3, 7), (12, 5)]
         assert [stable_shard(c, 4) for c in cells] == [0, 3, 2, 3]
-
-    def test_seed_changes_assignment(self):
-        assert [stable_shard((0, 0), 4, seed=s) for s in range(4)] == [0, 2, 2, 0]
 
     def test_in_range_and_stable(self):
         for cell in [(-5, -5), (0, 0), (100, 3), (7, -13)]:
@@ -52,12 +55,12 @@ class TestStableShard:
         # this process on every assignment — the property builtin hash()
         # would break.
         cells = [(0, 0), (3, -4), (-17, 9), (256, 1024)]
-        local = [stable_shard(c, 8, seed=5) for c in cells]
+        local = [stable_shard(c, 8) for c in cells]
         script = (
             "import json, sys\n"
-            "from repro.serve.strategies import stable_shard\n"
+            "from repro.serve.pool import stable_shard\n"
             "cells = json.loads(sys.argv[1])\n"
-            "print(json.dumps([stable_shard(tuple(c), 8, seed=5) for c in cells]))\n"
+            "print(json.dumps([stable_shard(tuple(c), 8) for c in cells]))\n"
         )
         import repro
 
@@ -78,83 +81,45 @@ class TestStableShard:
             assert json.loads(out.stdout) == local
 
 
-class TestHashCellStrategy:
-    def test_same_start_cell_same_shard(self):
-        grid = make_grid("square", 100.0)
-        strategy = HashCellStrategy(4, grid)
-        a = strategy.shard_for(_traj("a", 10.0, 10.0))
-        b = strategy.shard_for(_traj("b", 40.0, 60.0))  # same 100 m cell
-        assert a == b
-        assert 0 <= a < 4
+class TestRootCellRouting:
+    def test_same_start_cell_same_shard(self, saved_dir):
+        a, b = _traj("a", 10.0, 10.0), _traj("b", 40.0, 30.0)
+        grid = make_grid("hex", 75.0)  # the saved system's grid
+        assert grid.cell_of(a.points[0]) == grid.cell_of(b.points[0])
+        router = _router(saved_dir, 4)
+        assert router.shard_for(a) == router.shard_for(b)
+        assert 0 <= router.shard_for(a) < 4
 
-    def test_empty_trajectory_routes_to_zero(self):
-        strategy = HashCellStrategy(4, make_grid("square", 100.0))
-        assert strategy.shard_for(Trajectory("empty", ())) == 0
+    def test_empty_trajectory_routes_to_zero(self, saved_dir):
+        assert _router(saved_dir, 4).shard_for(Trajectory("empty", ())) == 0
 
-    def test_spreads_across_shards(self):
-        grid = make_grid("square", 50.0)
-        strategy = HashCellStrategy(4, grid)
+    def test_spreads_across_shards(self, saved_dir):
+        router = _router(saved_dir, 4)
         shards = {
-            strategy.shard_for(_traj(f"t{i}", i * 137.0, i * 59.0))
+            router.shard_for(_traj(f"t{i}", i * 137.0, i * 59.0))
             for i in range(40)
         }
         assert len(shards) >= 3
 
 
-class TestSpatialRangeStrategy:
-    def test_stripes_partition_the_region(self):
-        region = BoundingBox(0.0, 0.0, 400.0, 400.0)
-        strategy = SpatialRangeStrategy(4, region)
-        assert strategy.shard_for(_traj("left", 10.0, 200.0)) == 0
-        assert strategy.shard_for(_traj("mid", 150.0, 200.0)) == 1
-        assert strategy.shard_for(_traj("right", 390.0, 200.0)) == 3
+class TestRoutingIdentity:
+    # Twenty fixed start points over a 5 km square and their pinned
+    # shards on the saved system's grid (hex, 75 m edge), routing seed
+    # 0. A different list means every deployed journal is owned by the
+    # wrong worker.
+    POINTS = [
+        ((i * 347) % 5000 - 2500.0, (i * 829) % 5000 - 2500.0) for i in range(20)
+    ]
+    PINNED = {
+        2: [1, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 1],
+        3: [1, 1, 1, 0, 2, 2, 1, 1, 0, 2, 2, 2, 2, 0, 0, 1, 2, 1, 2, 2],
+        4: [3, 3, 1, 2, 2, 2, 3, 3, 0, 3, 3, 0, 2, 0, 2, 1, 3, 2, 2, 3],
+    }
 
-    def test_clamps_outside_region(self):
-        region = BoundingBox(0.0, 0.0, 400.0, 400.0)
-        strategy = SpatialRangeStrategy(4, region)
-        assert strategy.shard_for(_traj("west", -500.0, 0.0)) == 0
-        assert strategy.shard_for(_traj("east", 5000.0, 0.0)) == 3
-
-    def test_degenerate_region(self):
-        region = BoundingBox(100.0, 0.0, 100.0, 400.0)  # zero width
-        strategy = SpatialRangeStrategy(3, region)
-        assert strategy.shard_for(_traj("t", 100.0, 10.0)) == 0
-
-
-class TestRoundRobinStrategy:
-    def test_cycles(self):
-        strategy = RoundRobinStrategy(3)
-        trajectory = _traj("t", 0.0, 0.0)
-        assert [strategy.shard_for(trajectory) for _ in range(7)] == [
-            0, 1, 2, 0, 1, 2, 0,
+    @pytest.mark.parametrize("workers", sorted(PINNED))
+    def test_shards_pinned(self, saved_dir, workers):
+        router = _router(saved_dir, workers)
+        trajectories = [
+            _traj(f"g{i}", x, y) for i, (x, y) in enumerate(self.POINTS)
         ]
-
-
-class TestFactory:
-    def test_registry_names(self):
-        assert set(STRATEGIES) == {"hash", "range", "round_robin"}
-
-    def test_builds_each_kind(self):
-        grid = make_grid("square", 100.0)
-        region = BoundingBox(0.0, 0.0, 100.0, 100.0)
-        assert isinstance(
-            make_strategy("hash", 2, grid=grid), HashCellStrategy
-        )
-        assert isinstance(
-            make_strategy("range", 2, region=region), SpatialRangeStrategy
-        )
-        assert isinstance(make_strategy("round_robin", 2), RoundRobinStrategy)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigError, match="unknown partition strategy"):
-            make_strategy("modulo", 2)
-
-    def test_missing_context_rejected(self):
-        with pytest.raises(ConfigError, match="grid"):
-            make_strategy("hash", 2)
-        with pytest.raises(ConfigError, match="region"):
-            make_strategy("range", 2)
-
-    def test_bad_partition_count_rejected(self):
-        with pytest.raises(ConfigError, match="num_partitions"):
-            make_strategy("round_robin", 0)
+        assert [router.shard_for(t) for t in trajectories] == self.PINNED[workers]
