@@ -180,6 +180,8 @@ class SegmentSearch:
       runs that ask the same model share them (the ladder's full and
       reduced-beam rungs) and :meth:`asking` drops them when the model
       changes.
+    * ``model`` — the model :meth:`asking` last named: what ``answers``
+      came from, and what a lockstep pools this search's rows by.
     * ``frame`` / ``verdicts`` / ``paths`` — geometry of the one
       :class:`GapContext`: the frame of the position tests, their verdict
       per token, and every partial segment measured so far. Model-free,
@@ -189,8 +191,8 @@ class SegmentSearch:
     """
 
     __slots__ = (
-        "ctx", "answers", "frame", "verdicts", "paths",
-        "_centroid", "_model", "_rejected", "_n_in",
+        "ctx", "answers", "frame", "verdicts", "paths", "model",
+        "_centroid", "_rejected", "_n_in",
     )
 
     def __init__(self, ctx: GapContext, tokenizer: Tokenizer) -> None:
@@ -199,16 +201,16 @@ class SegmentSearch:
         self.frame: Optional[_SegmentFrame] = None
         self.verdicts: dict[int, _Verdict] = {}
         self.paths: dict[tuple[int, ...], SegmentPath] = {}
+        self.model: object = None
         self._centroid = tokenizer.centroid_of_token
-        self._model: object = None
         self._rejected = [0] * len(_REJECTION_COUNTERS)
         self._n_in = 0
 
     def asking(self, model: object) -> "SegmentSearch":
         """Name the model the next run queries; answers of another model
         are dropped, geometry and tallies stay."""
-        if model is not self._model:
-            self._model = model
+        if model is not self.model:
+            self.model = model
             self.answers = {}
         return self
 

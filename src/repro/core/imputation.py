@@ -14,6 +14,12 @@ Both enforce a hard budget of model calls per gap; exhausting it without
 closing every gap is a *failure*, and the caller falls back to a straight
 line (which is exactly what the paper's failure-rate metric counts).
 
+A search is resumable: :meth:`SegmentImputer.rounds` is a generator that
+yields each round's model questions as an :class:`Ask` and is sent the
+raw answers. :func:`run_lockstep` advances several such searches together
+— the gap segments of one trajectory — and asks each model once per round
+for all of them.
+
 One reading note on Algorithm 2: the pseudocode line 19 updates the
 completed-answer bound with ``Min``, but the worked example (Figure 7)
 prunes against the *best* completed normalized score ("new lower bound is
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Generator, NamedTuple, Optional, Sequence, TypeVar
 
 from repro.core.config import KamelConfig
 from repro.core.constraints import (
@@ -38,10 +44,86 @@ from repro.core.tokenization import Tokenizer
 from repro.mlm.base import MaskQuery, MaskedModel, TokenProb
 from repro.obs import instrument as obs
 from repro.obs.logging import get_logger
-from repro.obs.tracing import span
+from repro.obs.tracing import detached_span, span
 from repro.resilience.deadline import Deadline
 
 _log = get_logger("core.imputation")
+
+T = TypeVar("T")
+
+
+class Ask(NamedTuple):
+    """One search's questions in one round: what a search generator yields."""
+
+    asking: object
+    """The model identity the search's memo keys on
+    (:meth:`SegmentSearch.asking`); asks naming the same one, with the
+    same ``top_k``, share one model invocation."""
+    model: MaskedModel
+    """What to invoke: the strategy's model as the rung hands it over
+    (guarded or not)."""
+    queries: list[MaskQuery]
+    top_k: int
+
+
+Search = Generator[Ask, list[list[TokenProb]], T]
+"""A resumable search: yields :class:`Ask`, is sent the raw answers to its
+queries (or thrown the invocation's error), returns its result."""
+
+
+def run_lockstep(searches: Sequence[Search[T]]) -> list[T]:
+    """Run ``searches`` to the end together; what each returned, in order.
+
+    A round takes every unfinished search to its next :class:`Ask` and
+    then asks each model once: the rows of all asks naming it go out as
+    one ``predict_masked_batch``, and each search is sent its own slice of
+    the answers — or, when the invocation raised, thrown the error at its
+    ``yield`` — and runs on to the ask it puts to the next round. Searches
+    whose answers come from their memo never wait for a round.
+    """
+    results: list = [None] * len(searches)
+    waiting: list[tuple[int, Ask]] = []
+
+    def advance(index: int, reply) -> None:
+        search = searches[index]
+        try:
+            ask = search.throw(reply) if isinstance(reply, Exception) else search.send(reply)
+        except StopIteration as stop:
+            results[index] = stop.value
+        else:
+            waiting.append((index, ask))
+
+    try:
+        for index in range(len(searches)):
+            advance(index, None)
+        while waiting:
+            pools: dict[tuple[int, int], list[tuple[int, Ask]]] = {}
+            for step in waiting:
+                pools.setdefault((id(step[1].asking), step[1].top_k), []).append(step)
+            waiting.clear()
+            for members in pools.values():
+                first = members[0][1]
+                rows = first.queries
+                if len(members) > 1:
+                    rows = [q for _, ask in members for q in ask.queries]
+                try:
+                    # Attribute-free: one per invocation, on the hot path.
+                    with span("model.predict"):
+                        raw = first.model.predict_masked_batch(rows, top_k=first.top_k)
+                except Exception as exc:
+                    replies = [exc] * len(members)
+                else:
+                    obs.count("repro.imputation.model_invocations_total")
+                    replies, start = [], 0
+                    for _, ask in members:
+                        replies.append(raw[start : start + len(ask.queries)])
+                        start += len(ask.queries)
+                for (index, _), reply in zip(members, replies):
+                    advance(index, reply)
+    finally:
+        for search in searches:
+            search.close()  # a no-op on the finished ones
+    return results
 
 
 @dataclass(frozen=True)
@@ -149,14 +231,15 @@ class SegmentImputer(abc.ABC):
         remaining: int,
         deadline: Optional[Deadline],
         search: SegmentSearch,
-    ) -> list[list[TokenProb]]:
+    ) -> Search[list[list[TokenProb]]]:
         """One constrained model round: the first ``remaining`` of ``gaps``.
 
         This slice is the one place the call budget is applied: a round
         the budget cannot cover is cut mid-way, and a strategy notices by
         getting fewer answers than it asked for. Gaps ``search.answers``
-        has not seen go to the model as a single ``predict_masked_batch``,
-        and each raw answer through ``constraints.filter`` — the one way
+        has not seen are yielded as one :class:`Ask` — and nothing is
+        yielded when the memo answers them all — and each raw answer
+        sent back goes through ``constraints.filter``, the one way
         candidates reach a strategy.
 
         The deadline is checked once, *before* the round — the expensive
@@ -174,14 +257,14 @@ class SegmentImputer(abc.ABC):
         if len(missing) < len(gaps):
             obs.count("repro.imputation.memo_hits_total", len(gaps) - len(missing))
         if missing:
-            # Attribute-free spans: this runs once per round, so the
+            raw = yield Ask(
+                search.model,
+                self.model,
+                [self._query(path.tokens, i, ctx) for path, i in missing],
+                self.config.top_k_candidates,
+            )
+            # Attribute-free: this runs once per round, so the
             # disabled-tracing cost must stay at one branch, no kwargs dict.
-            with span("model.predict"):
-                raw = self.model.predict_masked_batch(
-                    [self._query(path.tokens, i, ctx) for path, i in missing],
-                    top_k=self.config.top_k_candidates,
-                )
-            obs.count("repro.imputation.model_invocations_total")
             with span("constraints.filter"):
                 for gap, candidates in zip(missing, raw):
                     path, i = gap
@@ -203,11 +286,8 @@ class SegmentImputer(abc.ABC):
     ) -> SegmentImputation:
         """Fill the gap between ``ctx.source`` and ``ctx.dest``.
 
-        Template method: runs the strategy's :meth:`_impute` inside an
-        ``impute.segment`` span and records the per-segment metrics
-        (strategy, model calls, budget consumption, failure) so every
-        strategy is measured identically. ``deadline`` (when given) is
-        checked between model rounds; an overrun propagates
+        :meth:`rounds` run to the end on its own. ``deadline`` (when
+        given) is checked between model rounds; an overrun propagates
         :class:`repro.errors.DeadlineExceeded` to the caller, whose
         degradation ladder converts it into a fallback. ``search`` is
         the segment's :class:`~repro.core.constraints.SegmentSearch` when
@@ -219,9 +299,26 @@ class SegmentImputer(abc.ABC):
         if search is None:
             with SegmentSearch(ctx, self.tokenizer) as own:
                 return self.impute_segment(ctx, deadline, own)
+        [result] = run_lockstep([self.rounds(ctx, deadline, search)])
+        return result
+
+    def rounds(
+        self,
+        ctx: GapContext,
+        deadline: Optional[Deadline],
+        search: SegmentSearch,
+    ) -> Search[SegmentImputation]:
+        """The segment's search, one round of model questions per yield.
+
+        Template method: runs the strategy's :meth:`_impute` inside an
+        ``impute.segment`` span and records the per-segment metrics
+        (strategy, model calls, budget consumption, failure) so every
+        strategy is measured identically. The span is detached: other
+        searches' rounds run between this one's.
+        """
         budget = self._call_budget(ctx)
-        with span("impute.segment", strategy=self.strategy_name) as sp:
-            result = self._impute(ctx, budget, deadline, search)
+        with detached_span("impute.segment", strategy=self.strategy_name) as sp:
+            result = yield from self._impute(ctx, budget, deadline, search)
             sp.set(
                 model_calls=result.model_calls,
                 budget=budget,
@@ -263,12 +360,13 @@ class SegmentImputer(abc.ABC):
         budget: int,
         deadline: Optional[Deadline],
         search: SegmentSearch,
-    ) -> SegmentImputation:
+    ) -> Search[SegmentImputation]:
         """The strategy body (metrics and spans handled by the caller).
 
-        Every model question goes through :meth:`_candidates` with
-        ``budget - calls`` as its ``remaining``; every partial segment is
-        a :class:`~repro.core.constraints.SegmentPath` of ``search``, and
+        Every model question goes through ``yield from``
+        :meth:`_candidates` with ``budget - calls`` as its ``remaining``;
+        every partial segment is a
+        :class:`~repro.core.constraints.SegmentPath` of ``search``, and
         its open gaps follow from the parent's by the one insertion.
         """
 
@@ -284,7 +382,7 @@ class IterativeImputer(SegmentImputer):
         budget: int,
         deadline: Optional[Deadline],
         search: SegmentSearch,
-    ) -> SegmentImputation:
+    ) -> Search[SegmentImputation]:
         path = search.path((ctx.source, ctx.dest))
         gaps = self.open_gaps(path.hops)
         probs: list[float] = []
@@ -292,7 +390,7 @@ class IterativeImputer(SegmentImputer):
         probability = 1.0
         while gaps:
             pointer = gaps[0]
-            answered = self._candidates(
+            answered = yield from self._candidates(
                 [(path, pointer)], ctx, budget - calls, deadline, search
             )
             calls += len(answered)
@@ -345,7 +443,7 @@ class BeamSearchImputer(SegmentImputer):
         budget: int,
         deadline: Optional[Deadline],
         search: SegmentSearch,
-    ) -> SegmentImputation:
+    ) -> Search[SegmentImputation]:
         beam_size = self.config.beam_size
         root = search.path((ctx.source, ctx.dest))
         root_gaps = self.open_gaps(root.hops)
@@ -362,7 +460,7 @@ class BeamSearchImputer(SegmentImputer):
         # the search keeps what the answered gaps produce and then runs dry.
         while frontier:
             beams = [(partial, g) for partial in frontier for g in partial.gaps]
-            answered = self._candidates(
+            answered = yield from self._candidates(
                 [(partial.path, g) for partial, g in beams],
                 ctx, budget - calls, deadline, search,
             )
@@ -424,13 +522,15 @@ class SinglePointImputer(SegmentImputer):
         budget: int,
         deadline: Optional[Deadline],
         search: SegmentSearch,
-    ) -> SegmentImputation:
+    ) -> Search[SegmentImputation]:
         path = search.path((ctx.source, ctx.dest))
         if not self.open_gaps(path.hops):
             return SegmentImputation((), 0, confidence=1.0)
         # The budget is at least one call (config validation), so the
         # single question is always answered.
-        [candidates] = self._candidates([(path, 0)], ctx, budget, deadline, search)
+        [candidates] = yield from self._candidates(
+            [(path, 0)], ctx, budget, deadline, search
+        )
         if not candidates:
             return SegmentImputation(None, 1)
         return SegmentImputation(

@@ -40,8 +40,10 @@ from repro.core.constraints import (
 from repro.core.detokenization import Detokenizer
 from repro.core.imputation import (
     IterativeImputer,
+    Search,
     SegmentImputation,
     make_segment_imputer,
+    run_lockstep,
 )
 from repro.core.partitioning import ModelRepository, StoredModel
 from repro.core.result import ImputationResult, Imputer, SegmentOutcome
@@ -352,25 +354,41 @@ class Kamel(Imputer):
             # outlived the retries: per-segment rungs retry and descend.
             trajectory_model = None
 
+        # The gap segments run in lockstep: each round, one model
+        # invocation per model for all of them. A segment joins once its
+        # GapContext is final. Under the fixed speed bound that is at once,
+        # so every gap is a lane of its own. Under the adaptive bound its
+        # ellipse reads the imputed speed of the gap just before it, so a
+        # run of consecutive gaps is one lane, entered at the speed of the
+        # short hop before it.
+        gapped = [a.distance_to(b) > cfg.maxgap_m for a, b in zip(points, points[1:])]
+        adaptive = cfg.speed_mode == "adaptive"
+        runs: list[list[int]] = []
+        entry_speeds: list[Optional[float]] = []
+        for i, gap in enumerate(gapped):
+            if not gap:
+                continue
+            if adaptive and i and gapped[i - 1]:
+                runs[-1].append(i)  # waits for the gap before it
+            else:
+                runs.append([i])
+                entry_speeds.append(
+                    _segment_speed([points[i - 1], points[i]]) if adaptive and i else None
+                )
+        lanes = run_lockstep([
+            self._lane(points, run, speed, trajectory_model, deadline, max_rung)
+            for run, speed in zip(runs, entry_speeds)
+        ])
+        settled = iter([segment for lane in lanes for segment in lane])
+
         out_points: list[Point] = [points[0]]
         outcomes: list[SegmentOutcome] = []
-        reference_speed: Optional[float] = None
-        for i in range(len(points) - 1):
+        for i, gap in enumerate(gapped):
             a, b = points[i], points[i + 1]
-            if a.distance_to(b) <= cfg.maxgap_m:
+            if not gap:
                 out_points.append(b)
-                reference_speed = _segment_speed([a, b])
                 continue
-            prev_pt = points[i - 1] if i > 0 else None
-            next_pt = points[i + 2] if i + 2 < len(points) else None
-            seg_deadline = deadline
-            if cfg.segment_deadline_s is not None:
-                base = deadline if deadline is not None else Deadline.unlimited()
-                seg_deadline = base.sub_budget(cfg.segment_deadline_s)
-            interior, outcome = self._impute_segment(
-                i, a, b, prev_pt, next_pt, trajectory_model, reference_speed,
-                seg_deadline, max_rung,
-            )
+            interior, outcome = next(settled)
             if outcome.failed:
                 _log.warning(
                     "segment fell back to the linear line",
@@ -384,11 +402,40 @@ class Kamel(Imputer):
             out_points.extend(interior)
             out_points.append(b)
             outcomes.append(outcome)
-            if not outcome.failed:
-                reference_speed = _segment_speed([a, *interior, b])
         return ImputationResult(
             trajectory.with_points(out_points), tuple(outcomes)
         )
+
+    def _lane(
+        self,
+        points: Sequence[Point],
+        run: list[int],
+        reference_speed: Optional[float],
+        trajectory_model: Optional[MaskedModel],
+        deadline: Optional[Deadline],
+        max_rung: Optional[str],
+    ) -> Search[list[tuple[list[Point], SegmentOutcome]]]:
+        """The gap segments ``run`` one after another, each on the speed
+        the one before it settled at (``reference_speed`` for the first)."""
+        cfg = self.config
+        settled = []
+        for i in run:
+            a, b = points[i], points[i + 1]
+            seg_deadline = deadline
+            if cfg.segment_deadline_s is not None:
+                # The segment's own budget starts as it joins the lockstep.
+                base = deadline if deadline is not None else Deadline.unlimited()
+                seg_deadline = base.sub_budget(cfg.segment_deadline_s)
+            interior, outcome = yield from self._impute_segment(
+                i, a, b,
+                points[i - 1] if i > 0 else None,
+                points[i + 2] if i + 2 < len(points) else None,
+                trajectory_model, reference_speed, seg_deadline, max_rung,
+            )
+            settled.append((interior, outcome))
+            if not outcome.failed:
+                reference_speed = _segment_speed([a, *interior, b])
+        return settled
 
     def _impute_segment(
         self,
@@ -401,7 +448,8 @@ class Kamel(Imputer):
         reference_speed: Optional[float] = None,
         deadline: Optional[Deadline] = None,
         max_rung: Optional[str] = None,
-    ) -> tuple[list[Point], SegmentOutcome]:
+    ) -> Search[tuple[list[Point], SegmentOutcome]]:
+        """One segment down the ladder, a round of model questions per yield."""
         assert self.tokenizer and self.detokenizer and self.constraints
         cfg = self.config
         vocab = self.tokenizer.vocabulary
@@ -445,7 +493,8 @@ class Kamel(Imputer):
         # Walk the degradation ladder top-down. Any rung error — deadline,
         # open circuit, injected fault, exhausted search — descends to the
         # next rung; the linear rung always succeeds, so no input is ever
-        # dropped or left hanging.
+        # dropped or left hanging. A failed model invocation is thrown in
+        # at the rung's ``yield`` and lands in the same clauses.
         calls_spent = 0
         reason: Optional[str] = None
         # One search state per segment, shared by the rungs: what the full
@@ -466,7 +515,7 @@ class Kamel(Imputer):
                     reason = "deadline"
                     break
                 try:
-                    result = self._run_rung(
+                    result = yield from self._run_rung(
                         rung, ctx, a, b, trajectory_model, deadline, search
                     )
                 except DeadlineExceeded:
@@ -529,7 +578,7 @@ class Kamel(Imputer):
         trajectory_model: Optional[MaskedModel],
         deadline: Optional[Deadline],
         search: SegmentSearch,
-    ) -> Optional[SegmentImputation]:
+    ) -> Search[Optional[SegmentImputation]]:
         """Attempt one ladder rung; ``None`` when its model is unavailable.
 
         ``search`` is the segment's search state. Each rung names the
@@ -561,7 +610,7 @@ class Kamel(Imputer):
                 rung_cfg,
                 self._gap_threshold_m,
             )
-            return imputer.impute_segment(ctx, deadline, search.asking(model))
+            return (yield from imputer.rounds(ctx, deadline, search.asking(model)))
         if rung == RUNG_COUNTING:
             model = self._fallback_model
             if model is None or not model.is_fitted:
@@ -575,7 +624,7 @@ class Kamel(Imputer):
             imputer = IterativeImputer(
                 model, self.tokenizer, self.constraints, rung_cfg, self._gap_threshold_m
             )
-            return imputer.impute_segment(ctx, deadline, search.asking(model))
+            return (yield from imputer.rounds(ctx, deadline, search.asking(model)))
         return None  # pragma: no cover - ladder construction forbids unknown rungs
 
     # -- batch and streaming fronts ------------------------------------------------

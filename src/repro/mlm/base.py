@@ -27,8 +27,10 @@ class MaskedModel(abc.ABC):
     the imputation module calls, and by default it asks the scalar method
     once per query. A backend whose cost is dominated by a fixed per-call
     overhead (the BERT forward pass) overrides the batch method and
-    reduces the scalar one to a one-element batch. Either way the answer
-    to a query must not depend on which other queries share its batch.
+    reduces the scalar one to a one-element batch. Either way a query's
+    candidates — which tokens, in which order — must not depend on which
+    other queries share its batch; see :meth:`predict_masked_batch` for
+    how far their probabilities may.
     """
 
     @abc.abstractmethod
@@ -52,9 +54,11 @@ class MaskedModel(abc.ABC):
     ) -> list[list[TokenProb]]:
         """Candidates for every ``(tokens, position)`` query, in order.
 
-        ``result[i]`` equals ``predict_masked(*queries[i], top_k)`` exactly
-        (the same floats, not merely close ones): batching is a cost
-        optimisation that never changes an answer.
+        Here ``result[i]`` equals ``predict_masked(*queries[i], top_k)``
+        exactly (the same floats, not merely close ones). A backend that
+        pads mixed-length queries into one pass (BERT) keeps the tokens
+        and their order, with probabilities within 1e-12: padding reorders
+        floating-point sums, it adds nothing to them.
         """
         return [
             self.predict_masked(tokens, position, top_k)

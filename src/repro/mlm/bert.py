@@ -215,9 +215,12 @@ class BertModel(Module):
         value but only the asked row's query, so its attention output,
         FFN and the MLM head are computed for that one row. The asked rows
         stay ``(B, 1, D)``: numpy then issues one BLAS call per row, so a
-        row's floats do not depend on what is stacked with it. Against
-        :meth:`forward` the values agree to ~1e-15, not bit for bit (one
-        row goes through ``gemv`` where all rows go through ``gemm``).
+        row's floats do not depend on the equal-length rows stacked with
+        it. A ``[PAD]`` key gets exactly zero attention weight
+        (``exp(-1e9)`` underflows), so a right-padded row keeps its
+        answer up to summation order. Against :meth:`forward` the values
+        agree to ~1e-15, not bit for bit (one row goes through ``gemv``
+        where all rows go through ``gemm``).
         """
         ids = np.asarray(ids, dtype=np.int64)
         batch, seq = ids.shape
@@ -388,14 +391,15 @@ class BertMaskedLM(MaskedModel):
     def predict_masked_batch(
         self, queries: Sequence[MaskQuery], top_k: int = 10
     ) -> list[list[TokenProb]]:
-        """One :meth:`BertModel.infer` per group of equal-length queries.
+        """One :meth:`BertModel.infer` for the whole batch, right-padded.
 
-        Rows are stacked, never padded: a padded row attends over a longer
-        (masked) sequence and sums in another order, which moves the last
-        bits of its logits, while stacking B same-shape rows runs the same
-        per-row BLAS calls and reductions as B single forwards. The queries
-        of one beam round all have the same length, so a round is one
-        forward.
+        Shorter rows are filled out with ``[PAD]``, whose keys ``infer``
+        masks to exactly zero attention weight. Rows of equal length
+        stack as they are, so their floats are those of single forwards.
+        A padded row sums its attention over a longer (zero-weighted)
+        sequence, in another order: its answer has the single forward's
+        tokens in the same order, its probabilities within 1e-12 (a few
+        ulp in practice) — close, not ``==``.
         """
         for tokens, position in queries:
             validate_mask_query(tokens, position)
@@ -403,12 +407,15 @@ class BertMaskedLM(MaskedModel):
             raise NotFittedError("BertMaskedLM.predict_masked before fit")
         assert self.model is not None and self._config is not None
         obs.count("repro.bert.predictions_total", len(queries))
+        if not queries:
+            return []
 
         # Clip a context window around the masked position when the
         # sequence exceeds the model's maximum length.
         max_len = self._config.max_seq_len
-        by_length: dict[int, list[tuple[int, list[int], int]]] = {}
-        for index, (tokens, position) in enumerate(queries):
+        rows: list[list[int]] = []
+        locals_: list[int] = []
+        for tokens, position in queries:
             tokens = list(tokens)
             start = 0
             if len(tokens) > max_len:
@@ -416,16 +423,16 @@ class BertMaskedLM(MaskedModel):
                 tokens = tokens[start : start + max_len]
             local = position - start
             tokens[local] = _MASK_ID
-            by_length.setdefault(len(tokens), []).append((index, tokens, local))
+            rows.append(tokens)
+            locals_.append(local)
+        ids = np.full((len(rows), max(map(len, rows))), _PAD_ID, dtype=np.int64)
+        for row, tokens in enumerate(rows):
+            ids[row, : len(tokens)] = tokens
 
-        out: list[list[TokenProb]] = [[] for _ in queries]
-        for group in by_length.values():
-            logits = self.model.infer(
-                [tokens for _, tokens, _ in group], [local for _, _, local in group]
-            )
-            probs = softmax(logits)
-            probs[:, :_NUM_SPECIAL] = 0.0  # never propose special tokens
-            best = np.argsort(-probs, axis=-1)[:, :top_k]
-            for (index, _, _), row, order in zip(group, probs, best):
-                out[index] = [(int(i), float(row[i])) for i in order if row[i] > 0.0]
-        return out
+        probs = softmax(self.model.infer(ids, locals_))
+        probs[:, :_NUM_SPECIAL] = 0.0  # never propose special tokens
+        best = np.argsort(-probs, axis=-1)[:, :top_k]
+        return [
+            [(int(i), float(row[i])) for i in order if row[i] > 0.0]
+            for row, order in zip(probs, best)
+        ]

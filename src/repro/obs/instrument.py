@@ -75,7 +75,7 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.imputation.single_point.segments_total": "Segments run by the single-point ablation.",
     "repro.imputation.failures_total": "Segment searches that returned no token sequence.",
     "repro.imputation.model_calls_total": "Exact masked-model queries asked across segment searches — rows of a batch and memo hits included, so it is what the budget counts (the calls_per_segment quantiles are P² estimates; use this counter for totals).",
-    "repro.imputation.model_invocations_total": "predict_masked_batch invocations issued by segment searches: one per beam round with a query the memo could not answer.",
+    "repro.imputation.model_invocations_total": "predict_masked_batch invocations issued by segment searches: one per lockstep round per model asked, pooling the rows of every gap segment of the trajectory that the memo could not answer.",
     "repro.imputation.memo_hits_total": "Queries answered from the per-segment candidate memo (asked before in this segment, by this or the previous ladder rung) instead of the model.",
     "repro.imputation.budget_exhausted_total": "Segment searches stopped by the model-call budget.",
     "repro.imputation.calls_per_segment": "Model calls spent on one segment.",
@@ -106,7 +106,7 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.detokenization.mode.largest_cluster_total": "Outcome: largest cluster (no direction context).",
     # -- BERT backend (mlm.bert) ------------------------------------------
     "repro.bert.forward_seconds": "One BertModel pass: infer (tape-free, masked row only) at inference, forward in training.",
-    "repro.bert.forward_batch_size": "Sequences per forward pass (training batches, and at inference the distinct queries of one beam round).",
+    "repro.bert.forward_batch_size": "Sequences per forward pass (training batches, and at inference the rows of one pooled round, padded to the longest).",
     "repro.bert.predictions_total": "Masked-token queries served (rows, not forward passes).",
     "repro.bert.train_steps_total": "Optimizer steps taken across fits.",
     "repro.bert.fit_seconds": "Wall time of one BertMaskedLM.fit.",

@@ -47,6 +47,7 @@ __all__ = [
     "clock_offset",
     "get_tracer",
     "span",
+    "detached_span",
     "enable_tracing",
     "disable_tracing",
     "tracing_enabled",
@@ -230,6 +231,29 @@ class _SpanContext:
         return False
 
 
+class _DetachedSpanContext(_SpanContext):
+    """A span that never sits on the tracer's stack: it starts when the
+    block is entered and joins the innermost open span when it is left.
+
+    For a body that suspends — a generator ``yield`` inside the block.
+    Interleaved bodies on one thread would pop each other's stack spans;
+    a detached one cannot. Spans opened inside the block nest under
+    whatever is on the stack, not under it.
+    """
+
+    __slots__ = ()
+
+    def __enter__(self) -> Span:
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is not None:
+            self._span.error = exc_type.__name__
+        self._span.end_s = time.perf_counter()
+        self._tracer._attach(self._span)
+        return False
+
+
 class Tracer:
     """Per-thread span stacks plus the finished root-span buffer."""
 
@@ -271,10 +295,21 @@ class Tracer:
             if top is span_obj:
                 break
         if not stack:
-            with self._lock:
-                self._roots.append(span_obj)
-                if len(self._roots) > self.max_roots:
-                    del self._roots[: len(self._roots) - self.max_roots]
+            self._add_root(span_obj)
+
+    def _attach(self, span_obj: Span) -> None:
+        """Hang a finished span under the innermost open one."""
+        stack = self._stack()
+        if stack:
+            stack[-1].children.append(span_obj)
+        else:
+            self._add_root(span_obj)
+
+    def _add_root(self, span_obj: Span) -> None:
+        with self._lock:
+            self._roots.append(span_obj)
+            if len(self._roots) > self.max_roots:
+                del self._roots[: len(self._roots) - self.max_roots]
 
     def current(self) -> Optional[Span]:
         """The innermost open span on this thread, if any."""
@@ -319,6 +354,13 @@ def span(name: str, **attributes: Any):
     if not _tracer.enabled:
         return _NOOP_SPAN
     return _SpanContext(_tracer, name, attributes)
+
+
+def detached_span(name: str, **attributes: Any):
+    """A pipeline span whose block may suspend (see ``_DetachedSpanContext``)."""
+    if not _tracer.enabled:
+        return _NOOP_SPAN
+    return _DetachedSpanContext(_tracer, name, attributes)
 
 
 def enable_tracing() -> None:

@@ -195,11 +195,13 @@ def _single_forward_reference(model: BertMaskedLM, tokens, position, top_k):
 
 
 def _assert_matches_tape(answers, references):
-    """The tape forward's tokens in its order, probabilities within 1e-12.
+    """The references' tokens in their order, probabilities within 1e-12.
 
-    ``infer`` is not held to ``==`` here: the kernels are the same on both
-    sides, but the masked row alone goes through ``gemv`` where the tape's
-    all-rows forward goes through ``gemm``.
+    ``infer`` is not held to ``==`` against the tape forward: the kernels
+    are the same on both sides, but the masked row alone goes through
+    ``gemv`` where the tape's all-rows forward goes through ``gemm``. Nor
+    is a padded row against its single forward: it sums over a longer,
+    zero-weighted sequence, in another order.
     """
     assert len(answers) == len(references)
     for got, ref in zip(answers, references):
@@ -207,10 +209,21 @@ def _assert_matches_tape(answers, references):
         assert all(abs(p - q) <= 1e-12 for (_, p), (_, q) in zip(got, ref))
 
 
+def _clipped_length(model, tokens):
+    return min(len(tokens), model.model.config.max_seq_len)
+
+
 def _assert_contract(model, queries, top_k):
-    """Batch ``==`` one-query calls; both match the tape forward."""
+    """Against one-query calls: ``==`` for every row at the batch's width,
+    the same tokens in the same order and ``|Δp| <= 1e-12`` for a padded
+    one. Every row matches the tape forward."""
     batch = model.predict_masked_batch(queries, top_k=top_k)
-    assert batch == [model.predict_masked(t, p, top_k=top_k) for t, p in queries]
+    singles = [model.predict_masked(t, p, top_k=top_k) for t, p in queries]
+    width = max(_clipped_length(model, t) for t, _ in queries)
+    for (tokens, _), got, single in zip(queries, batch, singles):
+        if _clipped_length(model, tokens) == width:
+            assert got == single
+    _assert_matches_tape(batch, singles)
     _assert_matches_tape(
         batch, [_single_forward_reference(model, t, p, top_k) for t, p in queries]
     )
@@ -228,8 +241,10 @@ def _briefly_trained(vocab_size, config=None, seed=5):
 
 
 class TestBatchPrediction:
-    """``predict_masked_batch`` returns the very floats of one-query calls,
-    and the tape forward's answer to within rounding."""
+    """``predict_masked_batch`` is one right-padded forward: equal-length
+    rows get the very floats of one-query calls, padded rows the same
+    tokens in the same order within 1e-12, and every row the tape
+    forward's answer to within rounding."""
 
     VOCAB = 300
 
@@ -254,11 +269,62 @@ class TestBatchPrediction:
 
     def test_mixed_lengths_and_overlong_sequence(self, model):
         rng = np.random.default_rng(9)
-        # 90 > max_seq_len 64: clipped to a window, which then shares a
-        # forward with the genuine 64-token row.
+        # 90 > max_seq_len 64: clipped to a window, which then shares the
+        # batch's width with the genuine 64-token row; the rest are padded.
         queries = self._queries(rng, [5, 9, 5, 90, 64, 3, 9, 5])
         queries[3] = (queries[3][0], 80)
         _assert_contract(model, queries, 7)
+
+    def test_padded_row_against_its_single_and_the_tape(self, model):
+        rng = np.random.default_rng(12)
+        for short in (3, 7, 8, 15, 30):
+            queries = self._queries(rng, [short, 40])
+            [padded, _] = model.predict_masked_batch(queries, top_k=10)
+            (tokens, position), _ = queries
+            _assert_matches_tape(
+                [padded, padded],
+                [
+                    model.predict_masked(tokens, position, top_k=10),
+                    _single_forward_reference(model, tokens, position, 10),
+                ],
+            )
+
+    def test_pad_keys_get_exactly_zero_attention_weight(self, model, monkeypatch):
+        import repro.mlm.bert as bert
+
+        weights = []
+        real_softmax = bert.softmax
+
+        def recording(x, axis=-1):
+            out = real_softmax(x, axis)
+            if out.ndim == 4:  # (B, H, Tq, T): an attention's weights
+                weights.append(out)
+            return out
+
+        monkeypatch.setattr(bert, "softmax", recording)
+        rng = np.random.default_rng(13)
+        queries = self._queries(rng, [4, 11, 7])
+        model.predict_masked_batch(queries, top_k=5)
+        assert len(weights) == model.model.config.num_layers
+        for w in weights:
+            for row, (tokens, _) in enumerate(queries):
+                assert (w[row, ..., len(tokens):] == 0.0).all()
+                assert (w[row, ..., : len(tokens)] > 0.0).all()
+
+    def test_overlong_window_mixed_with_short_rows(self, model, monkeypatch):
+        shapes = []
+        infer = model.model.infer
+        monkeypatch.setattr(
+            model.model, "infer",
+            lambda ids, positions: shapes.append(np.shape(ids)) or infer(ids, positions),
+        )
+        rng = np.random.default_rng(14)
+        queries = self._queries(rng, [3, 100, 6])
+        queries[1] = (queries[1][0], 97)  # the window ends at the last token
+        _assert_contract(model, queries, 10)
+        assert shapes[0] == (3, 64)
+        shapes.clear()
+        assert model.predict_masked_batch([], top_k=10) == [] and not shapes
 
     @pytest.mark.parametrize(
         "overrides",
@@ -297,7 +363,7 @@ class TestBatchPrediction:
                 taped = layer(Tensor(x), bias).data
             assert (layer.infer(x, x, bias) == taped).all()
 
-    def test_one_forward_per_length_group(self, model, monkeypatch):
+    def test_one_forward_per_batch(self, model, monkeypatch):
         shapes = []
         infer = model.model.infer
         monkeypatch.setattr(
@@ -306,7 +372,7 @@ class TestBatchPrediction:
         )
         rng = np.random.default_rng(3)
         model.predict_masked_batch(self._queries(rng, [6, 6, 8, 6, 8]), top_k=5)
-        assert sorted(shapes) == [(2, 8), (3, 6)]
+        assert shapes == [(5, 8)]
 
     def test_batch_builds_no_tape(self, model, monkeypatch):
         """A quiet return to ``no_grad(): model(ids)`` fails here, not in a

@@ -11,6 +11,7 @@ from repro.obs.tracing import (
     clear_spans,
     clock_offset,
     current_trace_id,
+    detached_span,
     disable_tracing,
     enable_tracing,
     finished_spans,
@@ -59,6 +60,42 @@ class TestSpanTree:
         with span("s", beam=10) as s:
             s.set(model_calls=3)
         assert s.attributes == {"beam": 10, "model_calls": 3}
+
+    def test_detached_spans_of_interleaved_generators(self, traced):
+        """Two generators suspended inside their detached spans, resumed
+        in turn: each span joins the span open when its block ends, what
+        the bodies open on the stack nests there too, and the stack is
+        left as it was."""
+
+        def search(who):
+            with detached_span("segment", who=who) as sp:
+                yield
+                with span("filter"):
+                    pass
+                yield
+                sp.set(done=True)
+
+        with span("root") as root:
+            a, b = search("a"), search("b")
+            for step in (a, b, a, b):
+                next(step)
+            for step in (a, b):
+                next(step, None)
+        names = [c.name for c in root.children]
+        assert names == ["filter", "filter", "segment", "segment"]
+        assert [c.attributes for c in root.children[2:]] == [
+            {"who": "a", "done": True}, {"who": "b", "done": True},
+        ]
+        for child in root.children:
+            assert root.start_s <= child.start_s <= child.end_s <= root.end_s
+        assert get_tracer().current() is None
+
+    def test_detached_span_records_the_error(self, traced):
+        with pytest.raises(ValueError):
+            with detached_span("lonely"):
+                raise ValueError("x")
+        [root] = finished_spans()
+        assert (root.name, root.error) == ("lonely", "ValueError")
 
     def test_find_descendants_by_name(self, traced):
         with span("root") as root:

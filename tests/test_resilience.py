@@ -43,6 +43,8 @@ from repro.resilience import (
     chaos_scope,
 )
 
+from tests.test_search_state import observed
+
 
 class FakeClock:
     """A manually-advanced monotonic clock."""
@@ -549,8 +551,8 @@ def starved_kamel(small_dataset):
 class TestLadderCandidateMemo:
     def _spy(self, system, monkeypatch):
         """Route repository models through row counters and log each rung's
-        ``impute_segment`` (strategy, search state, result, rows the model
-        saw, answers the state held when the run began)."""
+        search by segment (strategy, search state, result, rows it sent to
+        the model, answers the state held when the run began)."""
         counters = {}
         guard_model = system.guards.guard_model
 
@@ -559,20 +561,24 @@ class TestLadderCandidateMemo:
             return guard_model(counter)
 
         monkeypatch.setattr(system.guards, "guard_model", counted)
-        runs = []
-        impute_segment = SegmentImputer.impute_segment
+        runs = []  # (ctx, its rungs' runs), in the order the segments start
+        search_rounds = SegmentImputer.rounds
 
-        def logged(self, ctx, deadline=None, search=None):
-            before = sum(c.rows for c in counters.values())
-            held = len(search.answers)
-            result = impute_segment(self, ctx, deadline, search)
-            rows = sum(c.rows for c in counters.values()) - before
-            if not runs or runs[-1][0] is not ctx:  # a new segment: its rungs share ctx
-                runs.append((ctx, []))
-            runs[-1][1].append((self, search, result, rows, held))
-            return result
+        def logged(self, ctx, deadline, search):
+            run = [self, search, None, 0, len(search.answers)]
+            rungs = next((rungs for seen, rungs in runs if seen is ctx), None)
+            if rungs is None:  # a new segment: its rungs share ctx
+                rungs = []
+                runs.append((ctx, rungs))
+            rungs.append(run)
 
-        monkeypatch.setattr(SegmentImputer, "impute_segment", logged)
+            def sent(ask):
+                run[3] += len(ask.queries)
+
+            run[2] = yield from observed(search_rounds(self, ctx, deadline, search), sent)
+            return run[2]
+
+        monkeypatch.setattr(SegmentImputer, "rounds", logged)
         return counters, runs
 
     def test_reduced_beam_rung_reads_what_the_full_rung_asked(

@@ -12,7 +12,7 @@ import pytest
 
 from repro import Kamel, KamelConfig
 from repro.core.constraints import GapContext, SegmentSearch, SpatialConstraints
-from repro.core.imputation import BeamSearchImputer
+from repro.core.imputation import BeamSearchImputer, SegmentImputer
 from repro.core.tokenization import Tokenizer, make_grid
 from repro.errors import CircuitOpenError, DeadlineExceeded
 from repro.geo import Point
@@ -66,6 +66,27 @@ class _RaisingOnRound(_Forwarding):
         if len(self.rounds) == self.k:
             raise self.error
         return self.inner.predict_masked_batch(queries, top_k=top_k)
+
+
+def observed(search, on_ask):
+    """``search`` run as it would run, with ``on_ask`` shown each
+    :class:`~repro.core.imputation.Ask` it makes; answers and thrown
+    errors reach it unchanged."""
+    reply, error = None, None
+    try:
+        while True:
+            try:
+                ask = search.send(reply) if error is None else search.throw(error)
+            except StopIteration as stop:
+                return stop.value
+            on_ask(ask)
+            reply, error = None, None
+            try:
+                reply = yield ask
+            except Exception as exc:
+                error = exc
+    finally:
+        search.close()
 
 
 def _record_filter_calls(constraints, monkeypatch):
@@ -133,6 +154,19 @@ class TestCountersOnTheErrorPath:
             "guard_model",
             lambda model: _RaisingOnRound(guard_model(model), rounds, k, error),
         )
+        # Which segments' asks each invocation of the raising model carried:
+        # an ask made after the j-th invocation goes out in the (j+1)-th.
+        asked_after = []
+        search_rounds = SegmentImputer.rounds
+
+        def noting(self, ctx, deadline, search):
+            def note(ask):
+                if isinstance(ask.model, _RaisingOnRound):
+                    asked_after.append(((ctx.source, ctx.dest), len(rounds)))
+
+            return (yield from observed(search_rounds(self, ctx, deadline, search), note))
+
+        monkeypatch.setattr(SegmentImputer, "rounds", noting)
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
@@ -141,11 +175,24 @@ class TestCountersOnTheErrorPath:
             set_registry(previous)
 
         assert len(rounds) >= k  # the raise happened, mid-search
+        # It strikes every segment whose rows shared the k-th invocation,
+        # and no other.
         struck = [s for s in result.segments if s.fallback_reason == reason]
-        assert len(struck) == 1
+        token = system.tokenizer.token_for_point
+        ends = [
+            (token(sparse.points[s.start_index]), token(sparse.points[s.start_index + 1]))
+            for s in struck
+        ]
+        shared = [where for where, before in asked_after if before == k - 1]
+        assert sorted(ends) == sorted(shared) and struck
+        before = sum(rounds[: k - 1])
+        assert before > 0 and len(calls) >= before
         if reason == "deadline":
-            assert struck[0].rung == RUNG_LINEAR
-        assert sum(rounds[: k - 1]) > 0 and len(calls) > sum(rounds[: k - 1])
+            # Every segment of this trajectory shared the round: all of
+            # them end on the line, and nothing is asked after it.
+            assert {s.rung for s in struck} == {RUNG_LINEAR}
+        else:  # the rungs below ran on, and what they filtered is booked too
+            assert len(calls) > before
         assert constraint_books(registry) == _parent_books(system.constraints, calls)
 
     def test_a_run_on_its_own_flushes_on_the_way_out(self, monkeypatch):
@@ -230,17 +277,18 @@ class TestStateOwnership:
         states = []
 
         def stateless(candidates, ctx, segment, insert_pos, state):
-            states.append(state)
+            states.append((ctx, state))
             return real_filter(candidates, ctx, segment, insert_pos)
 
         monkeypatch.setattr(system.constraints, "filter", stateless)
         assert run() == with_state
         assert with_state[1]["repro.constraints.candidates_in_total"] > 0
-        assert states and all(isinstance(state, SegmentSearch) for state in states)
-        # One state per segment: consecutive calls change state only when
-        # the context does, and no state ever comes back.
-        order = list(dict.fromkeys(id(state) for state in states))
-        assert [id(s) for i, s in enumerate(states) if i == 0 or s is not states[i - 1]] == order
+        assert states and all(isinstance(state, SegmentSearch) for _, state in states)
+        # One state per segment: the segments of a trajectory interleave
+        # their calls, but a state serves its own context only and each
+        # context has the one state.
+        assert all(state.ctx is ctx for ctx, state in states)
+        assert len({id(state) for _, state in states}) == len({id(ctx) for ctx, _ in states})
 
 
 class _CountingProxy(_Forwarding):
