@@ -24,29 +24,17 @@ perf/README.md)::
 
     kamel stats before.json after.json         # delta of two --metrics-out snapshots
 
-Fault injection (see docs/resilience.md)::
-
-    kamel chaos --failure-rate 0.3 --latency-rate 0.1 --deadline-ms 250
-    kamel chaos --seed 7 --trajectories 40 --json
-
-Sharded serving (see docs/serving.md)::
+Sharded serving (see docs/serving.md; the pool is measured by
+``perf/run.py --workload serve_flood|serve_paced``)::
 
     kamel serve --demo --workers 4 --metrics-port 9101
     kamel serve --model-dir saved/ --input sparse.jsonl --output dense.jsonl
-    kamel loadtest --workers 4 --trajectories 200 --json
-    kamel loadtest --workers 2 --kill-worker-after 5   # exercises recovery
+    kamel serve --demo --max-queue-depth 16 --request-deadline-ms 2000
 
-Overload protection (see docs/serving.md)::
+Tail-latency attribution (see docs/observability.md)::
 
-    kamel loadtest --offered-tps 2x --max-queue-depth 8 --request-deadline-ms 2000
-    kamel loadtest --offered-tps 25 --min-shed 1
-    kamel serve --demo --max-queue-depth 16
-
-Distributed tracing & tail-latency attribution (see docs/serving.md)::
-
-    kamel loadtest --trace-out trace.json --flight-out flight.json
-    kamel tail flight.json                 # p50/p99 stage-attribution table
-    kamel tail http://127.0.0.1:9101/slow  # same, from a live pool
+    kamel tail http://127.0.0.1:9101/slow  # p50/p99 stage table of a live pool
+    kamel tail flight.json                 # same, from a saved /slow payload
     kamel trace --from flight.json --trace-id 4f2a... --export text
 """
 
@@ -315,97 +303,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Run a seeded fault-injection scenario and report how the system held up."""
-    from collections import Counter
-
-    from repro.core.config import KamelConfig
-    from repro.core.kamel import Kamel
-    from repro.core.streaming import StreamingConfig, StreamingImputationService
-    from repro.resilience import ChaosConfig, ChaosMonkey, chaos_scope
-    from repro.roadnet.datasets import make_porto_like
-
-    print("training the chaos-target system ...", file=sys.stderr)
-    dataset = make_porto_like(n_trajectories=args.train_trajectories)
-    train, test = dataset.split()
-    config = KamelConfig(
-        trajectory_deadline_s=(
-            args.deadline_ms / 1000.0 if args.deadline_ms else None
-        ),
-        breaker_recovery_s=0.2,
-    )
-    system = Kamel(config).fit(train)
-    service = StreamingImputationService(system, StreamingConfig())
-    feed = [t.sparsify(args.sparseness) for t in test[: args.trajectories]]
-
-    monkey = ChaosMonkey(
-        ChaosConfig(
-            seed=args.seed,
-            failure_rate=args.failure_rate,
-            latency_rate=args.latency_rate,
-            latency_s=args.latency_ms / 1000.0,
-        )
-    )
-    print(
-        f"streaming {len(feed)} trajectories under chaos "
-        f"(seed={args.seed}, faults={args.failure_rate:.0%}, "
-        f"latency={args.latency_rate:.0%} x {args.latency_ms:.0f}ms) ...",
-        file=sys.stderr,
-    )
-    rungs: Counter = Counter()
-    with chaos_scope(monkey, system=system, service=service):
-        for trajectory in feed:
-            for result in service.process(trajectory):
-                rungs.update(result.rung_counts)
-
-    stats = service.stats
-    guards = system.guards
-    report = {
-        "submitted": len(feed),
-        "processed": stats.trajectories_in,
-        "quarantined": stats.quarantined,
-        "segments": stats.segments,
-        "failure_rate": round(stats.failure_rate, 4),
-        "degraded_rate": round(stats.degraded_rate, 4),
-        "rungs": dict(sorted(rungs.items())),
-        "chaos": monkey.report.to_dict(),
-        "retries": guards.lookup_retry.total_retries
-        + guards.inference_retry.total_retries,
-        "breaker_trips": guards.lookup_breaker.open_count
-        + guards.inference_breaker.open_count,
-        "mean_latency_ms": round(stats.mean_latency_ms, 2),
-    }
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        rows = [
-            ["trajectories submitted", str(report["submitted"])],
-            ["trajectories processed", str(report["processed"])],
-            ["trajectories quarantined", str(report["quarantined"])],
-            ["segments imputed", str(report["segments"])],
-            ["failure rate (linear only)", f"{stats.failure_rate:.1%}"],
-            ["degraded rate (below full)", f"{stats.degraded_rate:.1%}"],
-            *[
-                [f"rung: {name}", str(count)]
-                for name, count in sorted(rungs.items())
-            ],
-            ["injected faults", str(monkey.report.total_faults)],
-            ["injected delays", str(monkey.report.total_delays)],
-            ["retries", str(report["retries"])],
-            ["breaker trips", str(report["breaker_trips"])],
-            ["mean latency (ms)", f"{stats.mean_latency_ms:.2f}"],
-        ]
-        print(render_table(["property", "value"], rows))
-    lost = len(feed) - stats.trajectories_in
-    if lost:
-        print(f"ERROR: {lost} trajectories lost", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _load_trace_roots(path: str) -> list:
-    """Span trees from a file: a flight payload (``--flight-out`` /
-    ``/slow``), a single span-tree JSON object, or span JSONL."""
+    """Span trees from a file: a flight payload (a saved ``/slow``), a
+    single span-tree JSON object, or span JSONL."""
     from repro.obs import Span
 
     with open(path) as handle:
@@ -424,7 +324,7 @@ def _load_trace_roots(path: str) -> list:
         if "traceEvents" in doc:
             raise ValueError(
                 "chrome trace-event files flatten the span trees; "
-                "use a flight payload (--flight-out or /slow) or a jsonl export"
+                "use a flight payload (a saved /slow) or a jsonl export"
             )
         return [Span.from_dict(doc)]
     return [
@@ -777,182 +677,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cleanup.cleanup()
 
 
-def _parse_offered(value: Optional[str]) -> tuple[float, Optional[float]]:
-    """``--offered-tps`` accepts an absolute rate ("25") or a capacity
-    multiple ("2x"); returns ``(offered_tps, offered_multiplier)``."""
-    if value is None:
-        return 0.0, None
-    text = value.strip().lower()
-    try:
-        if text.endswith("x"):
-            return 0.0, float(text[:-1])
-        return float(text), None
-    except ValueError:
-        raise SystemExit(
-            f"error: --offered-tps wants a rate like '25' or a capacity "
-            f"multiple like '2x', got {value!r}"
-        )
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    """Drive synthetic load through the pool; verify and measure."""
-    from repro.serve import LoadtestConfig, run_loadtest
-
-    offered_tps, offered_multiplier = _parse_offered(args.offered_tps)
-    config = LoadtestConfig(
-        workers=args.workers,
-        trajectories=args.trajectories,
-        rate_tps=args.rate,
-        sparseness_m=args.sparseness,
-        train_trajectories=args.train_trajectories,
-        seed=args.seed,
-        lru_capacity=args.lru_capacity,
-        kill_worker_after=args.kill_worker_after,
-        verify=not args.no_verify,
-        trace=args.trace or bool(args.trace_out),
-        trace_out=args.trace_out,
-        flight_out=args.flight_out,
-        flight_capacity=args.flight_capacity,
-        offered_tps=offered_tps,
-        offered_multiplier=offered_multiplier,
-        max_queue_depth=args.max_queue_depth,
-        request_deadline_s=(
-            args.request_deadline_ms / 1000.0
-            if args.request_deadline_ms is not None
-            else None
-        ),
-        brownout=not args.no_brownout,
-    )
-    mode = "overload" if config.overload else "loadtest"
-    print(
-        f"{mode}: train {args.train_trajectories} trips, then "
-        f"{args.trajectories} trajectories through {args.workers} worker(s) "
-        f"{'(verified against single-process)' if config.verify else ''}...",
-        file=sys.stderr,
-    )
-    report = run_loadtest(config, workdir=args.workdir)
-    if report.trace_out:
-        print(f"wrote merged chrome trace to {report.trace_out}", file=sys.stderr)
-    if report.flight_out:
-        print(
-            f"wrote flight recorder payload to {report.flight_out} "
-            f"(inspect with: kamel tail {report.flight_out})",
-            file=sys.stderr,
-        )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, default=float))
-    else:
-        rows = [
-            ["workers", str(report.workers)],
-            ["trajectories", str(report.trajectories)],
-            ["completed", str(report.completed)],
-            ["lost", str(report.lost)],
-            ["duplicates", str(report.duplicates)],
-            ["wall time (s)", f"{report.wall_s:.2f}"],
-            ["throughput (traj/s)", f"{report.throughput_tps:.2f}"],
-            ["latency p50 (ms)", f"{report.latency_p50_ms:.1f}"],
-            ["latency p99 (ms)", f"{report.latency_p99_ms:.1f}"],
-            ["segments imputed", str(report.segments)],
-            *[
-                [f"rung: {name}", str(count)]
-                for name, count in sorted(report.rungs.items())
-            ],
-            ["worker deaths", str(report.worker_deaths)],
-            ["journal replayed", str(report.journal_replayed)],
-        ]
-        if report.overload:
-            rows.append(["offered rate (traj/s)", f"{report.offered_tps:.2f}"])
-            if report.capacity_tps is not None:
-                rows.append(
-                    ["measured capacity (traj/s)", f"{report.capacity_tps:.2f}"]
-                )
-            rows.append(["shed (OverloadError)", str(report.shed)])
-            rows.append(["expired in queue", str(report.expired)])
-            rows.append(
-                [
-                    "peak queue depth",
-                    f"{report.peak_queue_depth} (bound {report.max_queue_depth})",
-                ]
-            )
-            rows.append(["accounted (no losses)", str(report.accounted)])
-            if report.brownout is not None:
-                rows.append(
-                    [
-                        "brownout",
-                        f"level {report.brownout['level']}, "
-                        f"{len(report.brownout['transitions'])} transition(s), "
-                        f"cycle={report.brownout['completed_cycle']}",
-                    ]
-                )
-        for stage, row in report.stages.items():
-            if row.get("count") and row.get("p99") is not None:
-                rows.append(
-                    [f"stage p99: {stage} (ms)", f"{row['p99'] * 1000.0:.1f}"]
-                )
-        if report.traced_requests:
-            rows.append(["traced requests", str(report.traced_requests)])
-        if report.verified:
-            rows.append(["verified (bit-for-bit)", f"{report.mismatches} mismatches"])
-        if report.single_throughput_tps is not None:
-            rows.append(
-                ["single-process (traj/s)", f"{report.single_throughput_tps:.2f}"]
-            )
-        if report.speedup_vs_single is not None:
-            rows.append(["speedup vs single", f"{report.speedup_vs_single:.2f}x"])
-        print(render_table(["property", "value"], rows))
-    rc = 0
-    if not report.ok:
-        print(
-            f"LOADTEST FAILED: lost={report.lost} mismatches={report.mismatches} "
-            f"completed={report.completed} accounted={report.accounted}",
-            file=sys.stderr,
-        )
-        rc = 1
-    if (
-        report.max_queue_depth is not None
-        and report.peak_queue_depth > report.max_queue_depth
-    ):
-        print(
-            f"LOADTEST FAILED: peak queue depth {report.peak_queue_depth} "
-            f"exceeded the configured bound {report.max_queue_depth}",
-            file=sys.stderr,
-        )
-        rc = 1
-    if args.min_shed is not None and report.shed < args.min_shed:
-        print(
-            f"LOADTEST FAILED: shed {report.shed} requests, "
-            f"--min-shed wants >= {args.min_shed} (pool was not actually "
-            f"overloaded?)",
-            file=sys.stderr,
-        )
-        rc = 1
-    if args.require_brownout_cycle and not (
-        report.brownout is not None and report.brownout["completed_cycle"]
-    ):
-        print(
-            "LOADTEST FAILED: --require-brownout-cycle wants a full "
-            "step-down/step-up cycle, got "
-            f"{report.brownout and report.brownout['transitions']}",
-            file=sys.stderr,
-        )
-        rc = 1
-    if args.min_throughput and report.throughput_tps < args.min_throughput:
-        print(
-            f"LOADTEST FAILED: throughput {report.throughput_tps:.2f} traj/s "
-            f"below --min-throughput {args.min_throughput}",
-            file=sys.stderr,
-        )
-        rc = 1
-    if args.max_p99_ms and report.latency_p99_ms > args.max_p99_ms:
-        print(
-            f"LOADTEST FAILED: p99 latency {report.latency_p99_ms:.1f} ms "
-            f"above --max-p99-ms {args.max_p99_ms}",
-            file=sys.stderr,
-        )
-        rc = 1
-    return rc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kamel",
@@ -1086,140 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--seed", type=int, default=7, help="demo RNG seed")
     p_serve.set_defaults(func=_cmd_serve)
 
-    p_load = sub.add_parser(
-        "loadtest",
-        help="drive synthetic load through the pool; verify + measure",
-    )
-    p_load.add_argument(
-        "--workers", type=int, default=4, help="worker processes (default 4)"
-    )
-    p_load.add_argument(
-        "--trajectories", type=int, default=200,
-        help="synthetic trajectories to serve (default 200)",
-    )
-    p_load.add_argument(
-        "--rate", type=float, default=0.0, metavar="TPS",
-        help="target submission rate, trajectories/sec (0 = flood; default 0)",
-    )
-    p_load.add_argument(
-        "--sparseness", type=float, default=800.0, help="imposed gap (m)"
-    )
-    p_load.add_argument(
-        "--train-trajectories", type=int, default=200,
-        help="synthetic training set size (default 200)",
-    )
-    p_load.add_argument("--seed", type=int, default=7, help="workload RNG seed")
-    p_load.add_argument(
-        "--lru-capacity", type=int, default=64,
-        help="resident models per worker (default 64)",
-    )
-    p_load.add_argument(
-        "--kill-worker-after", type=int, default=None, metavar="N",
-        help="chaos: shard 0 dies on its Nth task (exercises journal replay)",
-    )
-    p_load.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the single-process baseline + bit-for-bit comparison",
-    )
-    p_load.add_argument(
-        "--workdir", default=None,
-        help="keep the saved model + journals here (default: temp dir)",
-    )
-    p_load.add_argument(
-        "--trace",
-        action="store_true",
-        help="workers ship span trees with every result (stage attribution "
-        "gets model_load/detokenize splits; required for --trace-out)",
-    )
-    p_load.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write the merged multi-worker Chrome trace here (implies --trace)",
-    )
-    p_load.add_argument(
-        "--flight-out", default=None, metavar="PATH",
-        help="write the flight recorder payload here (what 'kamel tail' reads)",
-    )
-    p_load.add_argument(
-        "--flight-capacity", type=int, default=64, metavar="N",
-        help="slowest requests the flight recorder retains (default 64)",
-    )
-    p_load.add_argument(
-        "--offered-tps", default=None, metavar="RATE",
-        help="overload mode: offered rate, either absolute ('25') or a "
-        "multiple of measured capacity ('2x'); enables bounded admission "
-        "queues + deadlines + brownout and accounts for every submitted "
-        "trajectory as completed/shed/expired",
-    )
-    p_load.add_argument(
-        "--max-queue-depth", type=int, default=None, metavar="N",
-        help="per-shard admission bound (default 8 in overload mode)",
-    )
-    p_load.add_argument(
-        "--request-deadline-ms", type=float, default=None, metavar="MS",
-        help="per-request deadline; expired-in-queue tasks are dropped by "
-        "workers, thin budgets finish on cheaper ladder rungs",
-    )
-    p_load.add_argument(
-        "--no-brownout",
-        action="store_true",
-        help="overload mode without the brownout controller",
-    )
-    p_load.add_argument(
-        "--min-shed", type=int, default=None, metavar="N",
-        help="fail (exit 1) if fewer than N requests were shed (asserts "
-        "the pool was genuinely overloaded)",
-    )
-    p_load.add_argument(
-        "--require-brownout-cycle",
-        action="store_true",
-        help="fail (exit 1) unless the brownout controller stepped down "
-        "AND recovered to level 0",
-    )
-    p_load.add_argument(
-        "--min-throughput", type=float, default=None, metavar="TPS",
-        help="fail (exit 1) below this sustained throughput",
-    )
-    p_load.add_argument(
-        "--max-p99-ms", type=float, default=None, metavar="MS",
-        help="fail (exit 1) above this p99 latency",
-    )
-    p_load.add_argument("--json", action="store_true", help="machine-readable report")
-    p_load.set_defaults(func=_cmd_loadtest)
-
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="run a seeded fault-injection scenario against a demo system",
-    )
-    p_chaos.add_argument("--seed", type=int, default=0, help="chaos RNG seed")
-    p_chaos.add_argument(
-        "--failure-rate", type=float, default=0.3,
-        help="probability a model lookup / inference call fails (default 0.3)",
-    )
-    p_chaos.add_argument(
-        "--latency-rate", type=float, default=0.1,
-        help="probability a hooked call sleeps first (default 0.1)",
-    )
-    p_chaos.add_argument(
-        "--latency-ms", type=float, default=10.0, help="injected sleep (ms)"
-    )
-    p_chaos.add_argument(
-        "--deadline-ms", type=float, default=250.0, metavar="MS",
-        help="per-trajectory impute deadline (0 disables; default 250)",
-    )
-    p_chaos.add_argument(
-        "--trajectories", type=int, default=30, help="test trajectories to stream"
-    )
-    p_chaos.add_argument(
-        "--train-trajectories", type=int, default=120,
-        help="synthetic training set size",
-    )
-    p_chaos.add_argument(
-        "--sparseness", type=float, default=800.0, help="imposed gap (m)"
-    )
-    p_chaos.add_argument("--json", action="store_true", help="machine-readable report")
-    p_chaos.set_defaults(func=_cmd_chaos)
-
     p_trc = sub.add_parser(
         "trace",
         help="run a subcommand with tracing on, export spans (Perfetto/JSONL)",
@@ -1256,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tail.add_argument(
         "source",
-        help="flight payload: a JSON file (loadtest --flight-out) or a "
+        help="flight payload: a JSON file (a saved /slow response) or a "
         "pool URL, e.g. http://127.0.0.1:9101/slow",
     )
     p_tail.add_argument(

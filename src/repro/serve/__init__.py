@@ -22,11 +22,10 @@ over packed cell bytes, ``PYTHONHASHSEED``-independent).
   from merged per-worker registries, plus ``/slow`` — the pool's
   slow-request flight recorder (:mod:`repro.obs.flight`): the route
   table :class:`~repro.obs.server.ObservabilityServer` serves.
-* :mod:`repro.serve.loadtest` — ``kamel loadtest``: synthetic traffic,
-  p50/p99 latency, sustained throughput, bit-for-bit verification
-  against the single-process baseline, the ``--json`` report, and
-  (``--trace-out``) the merged multi-worker Chrome trace with
-  per-request stage attribution.
+
+The pool is measured by ``perf/run.py`` (``serve_flood`` /
+``serve_paced``), which also checks its output bit for bit against a
+single process.
 
 Every request is traced end to end when ``ServeConfig.trace`` is on:
 the pool stamps a trace id at submit, workers record span trees inside
@@ -44,7 +43,6 @@ controller that caps every shard's degradation ladder under sustained
 pressure and recovers with hysteresis.
 """
 
-from repro.serve.loadtest import LoadtestConfig, LoadtestReport, run_loadtest
 from repro.serve.modelstore import LazyModel, ModelLRU, load_kamel_lazy
 from repro.serve.overload import BrownoutConfig, BrownoutController
 from repro.serve.pool import PoolStats, ServingPool, stable_shard
@@ -55,15 +53,12 @@ __all__ = [
     "BrownoutConfig",
     "BrownoutController",
     "LazyModel",
-    "LoadtestConfig",
-    "LoadtestReport",
     "ModelLRU",
     "PoolStats",
     "ServeConfig",
     "ServingPool",
     "WorkerSpec",
     "load_kamel_lazy",
-    "run_loadtest",
     "stable_shard",
     "worker_main",
 ]

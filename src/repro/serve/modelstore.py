@@ -13,8 +13,9 @@ posture, made literal.
 
 Cache traffic is observable: hits, misses (= disk parses), and evictions
 feed the ``repro.serve.model_lru.*`` counters, and the ``resident`` gauge
-tracks occupancy, so ``kamel loadtest`` can show whether a partition
-strategy actually bought model locality.
+tracks occupancy, so a pool's ``/metrics`` (and ``perf/run.py``'s
+``modelstore.*`` layer) show whether routing by root cell actually
+bought model locality.
 """
 
 from __future__ import annotations

@@ -89,7 +89,7 @@ class BrownoutConfig:
 
 @dataclass
 class BrownoutTransition:
-    """One recorded level change (for /healthz and the loadtest report)."""
+    """One recorded level change (for /healthz)."""
 
     at_s: float
     from_level: int

@@ -150,7 +150,7 @@ class PoolStats:
     them on dequeue without doing the work."""
     peak_queue_depth: int = 0
     """Deepest any single shard's outstanding work ever got (the bound
-    the overload loadtest asserts against ``max_queue_depth``)."""
+    the overload tests assert against ``max_queue_depth``)."""
     rungs: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -416,9 +416,8 @@ class ServingPool:
     def brownout_settle(self, timeout_s: float = 10.0) -> int:
         """Wait for the controller to step back to level 0 on an idle
         pool (or for the timeout); returns the final level. The
-        receiver's tick keeps feeding it; the overload loadtest calls
-        this after draining so a clean run shows the full
-        step-down/step-up cycle."""
+        receiver's tick keeps feeding it; call this after draining so a
+        clean run shows the full step-down/step-up cycle."""
         if self.brownout is None:
             return 0
         with self._lock:
@@ -454,7 +453,7 @@ class ServingPool:
     def process_all(
         self, trajectories, timeout: Optional[float] = None
     ) -> dict[str, dict]:
-        """Submit a batch and drain it (the loadtest / CLI convenience)."""
+        """Submit a batch and drain it (the CLI convenience)."""
         for trajectory in trajectories:
             self.submit(trajectory)
         return self.drain(timeout=timeout)

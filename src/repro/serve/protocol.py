@@ -9,7 +9,7 @@
 * :func:`result_message` — the one constructor of ``kind: "result"``
   messages: served, worker-error, expired-in-queue and shed results all
   start from its base key set, so every reader (``PoolStats``, ``kamel
-  serve --output``, the loadtest verifier, perf/) can index those keys.
+  serve --output``, perf/) can index those keys.
 
 The other kinds on the result channel (``metrics``, ``bye``) are built
 where :mod:`repro.serve.worker` sends them and consumed by

@@ -67,13 +67,21 @@ class TestCli:
         assert args.rest == ["--", "compare", "--dataset", "porto"]
 
     @pytest.mark.parametrize(
-        "argv", [["bench"], ["bench", "counting"], ["loadtest", "-o", "snapshot.json"]]
+        "argv",
+        [
+            ["bench"],
+            ["bench", "counting"],
+            ["loadtest", "-o", "snapshot.json"],
+            ["loadtest"],
+            ["chaos", "--json"],
+        ],
     )
     def test_the_retired_bench_surface_is_a_usage_error(self, argv):
-        """Timings are compared by ``perf/run.py``; the ``bench`` verb and
-        ``loadtest -o`` went with the harness they fed."""
+        """Timings and load are driven by ``perf/run.py``; the ``bench`` and
+        ``loadtest`` verbs went with the harnesses they duplicated, and
+        ``chaos`` with its copy of ``examples/chaos_streaming.py``."""
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
+            main(argv)
         assert exc.value.code == 2
 
     def test_the_retired_serve_metrics_verb_is_a_usage_error(self):

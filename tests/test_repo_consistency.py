@@ -188,9 +188,9 @@ class TestServeKnobs:
 
 
 class TestOneBenchmarkHarness:
-    """``perf/`` is the only harness: the verbs and baselines of the one it
-    replaced stay gone, and every documented command still parses — its
-    verb and each of its flags."""
+    """``perf/`` is the only harness and the only load generator: the
+    verbs and baselines it replaced stay gone, and every documented
+    command still parses — its verb and each of its flags."""
 
     DOCUMENTS = [
         ROOT / "README.md",
@@ -228,7 +228,7 @@ class TestOneBenchmarkHarness:
                     f"{document.name}: `{' '.join(match.group().split())}` names "
                     f"{verb.group()!r}, which is not a kamel subcommand"
                 )
-        assert {"loadtest", "stats", "trace", "compare"} <= seen
+        assert {"serve", "tail", "stats", "trace", "compare"} <= seen
 
     @staticmethod
     def _command_lines(text: str) -> list[str]:
@@ -303,6 +303,10 @@ class TestOneBenchmarkHarness:
             "repro " + "bench",
             "BENCH_" + "observability",
             "BENCH_" + "serve",
+            "kamel " + "loadtest",
+            "repro " + "loadtest",
+            "repro.serve" + ".loadtest",
+            "kamel " + "chaos",
         ]
         sources = [
             *self.DOCUMENTS,
@@ -319,4 +323,5 @@ class TestOneBenchmarkHarness:
             for name in retired:
                 assert name not in text, f"{source.relative_to(ROOT)} names {name}"
         assert not (ROOT / "src" / "repro" / "bench").exists()
+        assert not (ROOT / "src" / "repro" / "serve" / "loadtest.py").exists()
         assert not list(ROOT.glob("BENCH_*.json"))

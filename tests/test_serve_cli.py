@@ -1,9 +1,8 @@
-"""The ``kamel serve`` and ``kamel loadtest`` commands.
+"""The ``kamel serve``, ``kamel tail`` and ``kamel trace --from`` commands.
 
-The loadtest run here is deliberately tiny (small training set, few
-trajectories) — it exercises the full path (train, save, pool, verify,
-``--json`` report) without dominating the suite's wall time. The ``serve``
-tests reuse the session-trained system so no extra training happens.
+The ``serve`` tests reuse the trained system the whole suite shares, so
+no extra training happens. The ``tail`` and ``trace --from`` tests read a hand-built flight
+payload; tests/test_serve_tracing.py feeds both a live pool's ``/slow``.
 """
 
 import json
@@ -40,9 +39,7 @@ class TestServeParser:
         assert args.workers == 2
         assert args.lru_capacity == 64
 
-    @pytest.mark.parametrize(
-        "verb, retired, value", [("serve", "strategy", "hash"), ("loadtest", "admission", "shed")]
-    )
+    @pytest.mark.parametrize("verb, retired, value", [("serve", "strategy", "hash")])
     def test_retired_routing_and_admission_flags_are_usage_errors(
         self, capsys, verb, retired, value
     ):
@@ -90,82 +87,9 @@ class TestServeCommand:
                 assert trip["points"]  # dense output, journal payload shape
 
 
-class TestLoadtestParser:
-    def test_defaults(self):
-        args = build_parser().parse_args(["loadtest"])
-        assert args.workers == 4
-        assert args.trajectories == 200
-        assert args.rate == 0.0
-        assert not args.no_verify
-        assert not args.trace
-        assert args.trace_out is None
-        assert args.flight_out is None
-        assert args.flight_capacity == 64
-
-    def test_assertion_flags(self):
-        args = build_parser().parse_args(
-            ["loadtest", "--min-throughput", "1.5", "--max-p99-ms", "5000"]
-        )
-        assert args.min_throughput == 1.5
-        assert args.max_p99_ms == 5000.0
-
-    def test_tracing_flags(self):
-        args = build_parser().parse_args(
-            ["loadtest", "--trace-out", "t.json", "--flight-out", "f.json"]
-        )
-        assert args.trace_out == "t.json"
-        assert args.flight_out == "f.json"
-
-
-class TestLoadtestCommand:
-    @pytest.fixture(scope="class")
-    def run(self):
-        """One tiny end-to-end loadtest shared by the assertions below."""
-        import io
-        from contextlib import redirect_stdout
-
-        stdout = io.StringIO()
-        with redirect_stdout(stdout):
-            rc = main(
-                [
-                    "loadtest",
-                    "--workers", "2",
-                    "--trajectories", "6",
-                    "--train-trajectories", "40",
-                    "--seed", "7",
-                    "--json",
-                ]
-            )
-        return rc, stdout.getvalue()
-
-    def test_passes_and_verifies(self, run):
-        rc, stdout = run
-        assert rc == 0
-        report = json.loads(stdout)
-        assert report["ok"] is True
-        assert report["completed"] == 6
-        assert report["lost"] == 0
-        assert report["verified"] is True
-        assert report["mismatches"] == 0
-        assert report["throughput_tps"] > 0
-
-    def test_json_report_carries_the_figures(self, run):
-        """The ``--json`` report is the run's machine-readable record."""
-        _, stdout = run
-        report = json.loads(stdout)
-        assert report["workers"] == 2
-        assert report["trajectories"] == 6
-        assert report["mismatches"] == 0
-        assert report["throughput_tps"] > 0
-        assert report["single_throughput_tps"] > 0
-        assert 0 < report["latency_p50_ms"] <= report["latency_p99_ms"]
-        assert report["segments"] == sum(report["rungs"].values()) > 0
-        assert report["model_calls"] > 0
-
-
 @pytest.fixture()
 def flight_file(tmp_path):
-    """A small flight payload the way ``loadtest --flight-out`` writes it."""
+    """A small flight payload shaped like a pool's ``/slow`` response."""
     from repro.obs.flight import FlightRecord, FlightRecorder
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracing import Span

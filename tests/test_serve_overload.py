@@ -28,7 +28,6 @@ from repro.resilience.ladder import (
     DegradationLadder,
 )
 from repro.serve import ServeConfig, ServingPool
-from repro.serve.loadtest import LoadtestConfig
 from repro.serve.overload import (
     LEVEL_RUNGS,
     BrownoutConfig,
@@ -276,19 +275,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ServeConfig(request_deadline_s=0.0)
 
-    def test_loadtest_overload_flag(self):
-        assert not LoadtestConfig().overload
-        assert LoadtestConfig(offered_tps=5.0).overload
-        assert LoadtestConfig(offered_multiplier=2.0).overload
-
-    def test_loadtest_rejects_bad_overload_values(self):
-        with pytest.raises(ConfigError):
-            LoadtestConfig(offered_tps=-1.0)
-        with pytest.raises(ConfigError):
-            LoadtestConfig(offered_multiplier=0.0)
-        with pytest.raises(ConfigError):
-            LoadtestConfig(request_deadline_s=0.0)
-
 
 # ---------------------------------------------------------------------------
 # multiprocess scale: a stalled worker backs the queue up
@@ -495,6 +481,41 @@ class TestBrownoutOnPool:
         pool.flight = _BrokenRecorder()
         with pytest.raises(RuntimeError, match="recorder broke"):
             pool._brownout_tick()
+
+
+class TestEveryProtectionAtOnce:
+    """Admission bound, deadline and brownout on one 2-worker pool: a
+    single run sheds *and* expires, holds the bound, cycles the brownout
+    controller and still accounts for every request.
+
+    Eight trajectories over two shards put at least four on one of them,
+    so a bound of 2 sheds at least two; each worker stalls on its first
+    dequeue for longer than the deadline, so every admitted request has
+    expired by the time its worker looks at it."""
+
+    def test_shed_expired_bounded_and_cycled_in_one_run(self, saved_dir, sparse_feed):
+        get_registry().reset(prefix="repro.serve")
+        config = ServeConfig(
+            workers=2,
+            max_queue_depth=2,
+            request_deadline_s=0.3,
+            brownout=BrownoutConfig(
+                high_depth=2, low_depth=1,
+                step_down_after=1, step_up_after=1, interval_s=0.0,
+            ),
+            worker_chaos=_stall(0.8),
+            drain_timeout_s=240.0,
+        )
+        pool = ServingPool(str(saved_dir), config)
+        with pool:
+            results = pool.process_all(sparse_feed, timeout=240)
+            level = pool.brownout_settle(timeout_s=10.0)
+        stats = pool.stats
+        assert stats.shed >= 1
+        assert stats.expired >= 1
+        assert stats.peak_queue_depth <= 2
+        assert level == 0 and pool.brownout.completed_cycle()
+        _accounted(pool, sparse_feed, results)
 
 
 @pytest.mark.chaos

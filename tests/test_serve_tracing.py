@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import main
 from repro.core.streaming import StreamingConfig, StreamingImputationService
 from repro.io.serialize import load_kamel, save_kamel
 from repro.obs.export import spans_to_chrome_trace
@@ -246,8 +247,8 @@ def result_kinds(saved_dir, sparse_feed):
 class TestWorkerEnvelope:
     @pytest.mark.parametrize("kind", ["served", "worker_error", "expired", "shed"])
     def test_every_result_kind_honours_the_contract(self, result_kinds, kind):
-        """Readers (PoolStats accounting, ``kamel serve --output``, the
-        loadtest verifier, perf/) index result dicts without ``.get``:
+        """Readers (PoolStats accounting, ``kamel serve --output``,
+        perf/) index result dicts without ``.get``:
         whatever produced the result, the base keys are there with the
         base types, and the message survives both wires it travels on."""
         message = result_kinds[kind]
@@ -423,6 +424,21 @@ class TestTracedPool:
         assert slow["slowest"], "slowest list must not be empty"
         worst = slow["slowest"][0]
         assert worst["spans"], "retained requests keep their span trees"
+
+    def test_tail_and_trace_read_the_live_payload(self, traced_run, tmp_path, capsys):
+        """A saved ``/slow`` is what ``kamel tail`` and ``kamel trace
+        --from`` read: every stage in the table, one request tree per
+        retained record."""
+        _, _, slow = traced_run
+        path = tmp_path / "flight.json"
+        path.write_text(json.dumps(slow))
+        assert main(["tail", str(path)]) == 0
+        out = capsys.readouterr().out
+        for stage in STAGES:
+            assert stage in out, stage
+        assert main(["trace", "--from", str(path), "--export", "text"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("serve.request") == len(slow["slowest"]) > 0
 
     def test_stage_histograms_in_catalog_registry(self, traced_run, sparse_feed):
         _, _, _ = traced_run
