@@ -326,7 +326,7 @@ class SegmentImputer(abc.ABC):
             )
         obs.count("repro.imputation.segments_total")
         obs.count(f"repro.imputation.{self.strategy_name}.segments_total")
-        # The histogram's P² quantiles are *estimates* (a p50 of 47.98
+        # The histogram's quantiles are bucket interpolations (a p50 of 47.98
         # calls is interpolation, not an observation); the counter is the
         # exact total tests/test_golden_counters.py pins.
         obs.count("repro.imputation.model_calls_total", result.model_calls)

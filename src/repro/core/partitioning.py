@@ -205,12 +205,6 @@ class ModelRepository:
         self._single: dict[CellKey, StoredModel] = {}
         self._neighbor: dict[PairKey, StoredModel] = {}
         self._token_counts: dict[CellKey, int] = {}
-        self.fault_hook: Optional[Callable[[str], None]] = None
-        """Chaos-injection slot: called with the site name at the top of
-        every :meth:`retrieve`. Installed by
-        :func:`repro.resilience.chaos.install_repository_chaos`; faults it
-        raises surface *inside* the lookup, exercising the retry/breaker
-        stack exactly like a wedged model store would."""
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -382,8 +376,6 @@ class ModelRepository:
     def retrieve(self, box: BoundingBox) -> Optional[StoredModel]:
         """The model of the smallest cell or neighbor pair enclosing ``box``."""
         obs.count("repro.partitioning.lookup_total")
-        if self.fault_hook is not None:
-            self.fault_hook("repository.retrieve")
         if self.pyramid is None:
             self._record_miss()
             return None

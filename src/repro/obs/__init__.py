@@ -3,20 +3,21 @@
 Seven dependency-free modules:
 
 * :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry` of
-  counters, gauges, and histograms (fixed buckets + streaming quantiles),
-  with snapshot/reset and JSON export;
+  counters, gauges, and histograms (fixed cumulative buckets, quantiles
+  interpolated from them), with snapshot/reset and JSON export — the
+  snapshot dict is what every reader below consumes;
 * :mod:`repro.obs.tracing` — nestable :func:`span` context managers that
   build per-operation span trees, free when disabled (the default), plus
   request-scoped :func:`trace_scope` ids correlating spans and logs;
 * :mod:`repro.obs.logging` — the structured ``repro`` logger hierarchy
   (key=value or JSON-lines formatting, trace ids stamped on every line);
-* :mod:`repro.obs.export` — Prometheus text exposition for the registry
+* :mod:`repro.obs.export` — Prometheus text exposition of a snapshot
   and Chrome-trace / JSONL exporters for span trees;
 * :mod:`repro.obs.server` — a background ``/metrics`` + ``/healthz`` +
   ``/spans`` HTTP endpoint (:class:`ObservabilityServer`);
 * :mod:`repro.obs.instrument` — the integration layer the pipeline
-  modules import: the canonical metric-name catalog, stopwatches, and
-  decorators;
+  modules import: the canonical metric-name catalog (the one source of
+  ``# HELP`` text) and stopwatches;
 * :mod:`repro.obs.flight` — tail-latency attribution for the serving
   tier: the five-stage per-request breakdown
   (:func:`stage_breakdown`) and the slowest-N :class:`FlightRecorder`
@@ -27,7 +28,7 @@ Quick look at what a run did::
     from repro.obs import get_registry, render_prometheus
     system.impute_batch(sparse)
     print(get_registry().to_json())
-    print(render_prometheus())     # same registry, scrape format
+    print(render_prometheus(get_registry().snapshot()))   # scrape format
 
 See ``docs/observability.md`` for the metric catalog, span hierarchy,
 and the exporting walkthrough.
@@ -76,7 +77,6 @@ from repro.obs.instrument import (
     METRIC_CATALOG,
     Stopwatch,
     stopwatch,
-    timed,
 )
 
 __all__ = [
@@ -111,7 +111,6 @@ __all__ = [
     "spans_to_chrome_trace",
     "spans_to_jsonl",
     "stopwatch",
-    "timed",
     "trace_scope",
     "tracing_enabled",
     "write_chrome_trace",

@@ -6,10 +6,11 @@ until something exports it. This module provides the three formats the
 rest of the observability stack (collectors, trace viewers, diffing
 scripts) consumes, dependency-free:
 
-* :func:`render_prometheus` — the Prometheus text exposition format
-  (version 0.0.4), with ``# HELP`` lines sourced from the instrument
-  catalog and histograms rendered as native cumulative ``le`` buckets
-  plus a separate ``_quantile`` gauge family for the P² estimates;
+* :func:`render_prometheus` — a metrics snapshot in the Prometheus text
+  exposition format (version 0.0.4), with ``# HELP`` lines sourced from
+  the instrument catalog and histograms rendered as native cumulative
+  ``le`` buckets plus a separate ``_quantile`` gauge family for the
+  snapshot's bucket-interpolated quantiles;
 * :func:`spans_to_chrome_trace` — the Chrome trace-event JSON format
   (``ph: "X"`` complete events, microsecond timestamps), loadable
   directly in ``chrome://tracing`` or Perfetto (https://ui.perfetto.dev);
@@ -26,21 +27,14 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
+from repro.obs.instrument import METRIC_CATALOG
 from repro.obs.tracing import Span, finished_spans
 
 __all__ = [
     "prometheus_name",
     "render_prometheus",
-    "render_prometheus_snapshot",
     "spans_to_chrome_trace",
     "chrome_trace_json",
     "write_chrome_trace",
@@ -88,68 +82,6 @@ def _format_number(value: float) -> str:
     return repr(float(value))
 
 
-def _format_le(edge: float) -> str:
-    return "+Inf" if math.isinf(edge) else _format_number(edge)
-
-
-def _render_scalar(lines: list[str], metric, kind: str) -> None:
-    name = prometheus_name(metric.name)
-    if metric.description:
-        lines.append(f"# HELP {name} {_escape_help(metric.description)}")
-    lines.append(f"# TYPE {name} {kind}")
-    lines.append(f"{name} {_format_number(metric.value)}")
-
-
-def _render_histogram(lines: list[str], metric: Histogram) -> None:
-    name = prometheus_name(metric.name)
-    if metric.description:
-        lines.append(f"# HELP {name} {_escape_help(metric.description)}")
-    lines.append(f"# TYPE {name} histogram")
-    for edge, cumulative in metric.bucket_counts().items():
-        le = _escape_label_value(_format_le(edge))
-        lines.append(f'{name}_bucket{{le="{le}"}} {cumulative}')
-    lines.append(f"{name}_sum {_format_number(metric.sum)}")
-    lines.append(f"{name}_count {metric.count}")
-    # The P² streaming estimates ride along as a separate gauge family —
-    # native Prometheus histograms have no quantile series, and mixing
-    # summary-style lines into a histogram family is invalid exposition.
-    quantile_lines = []
-    for p in metric.tracked_quantiles:
-        estimate = metric.quantile(p)
-        if estimate is None:
-            continue
-        label = _escape_label_value(_format_number(p))
-        quantile_lines.append(
-            f'{name}_quantile{{quantile="{label}"}} {_format_number(estimate)}'
-        )
-    if quantile_lines:
-        lines.append(f"# TYPE {name}_quantile gauge")
-        lines.extend(quantile_lines)
-
-
-def render_prometheus(registry: Optional[MetricsRegistry] = None) -> str:
-    """The whole registry in Prometheus text exposition format.
-
-    Deterministic (metrics sorted by name) and always newline-terminated,
-    as scrapers expect. An empty registry renders to an empty document.
-    """
-    # Explicit None check: an empty registry is falsy (it has __len__),
-    # and must not silently fall back to the global one.
-    if registry is None:
-        registry = get_registry()
-    lines: list[str] = []
-    for metric in registry.metrics():
-        if isinstance(metric, Counter):
-            _render_scalar(lines, metric, "counter")
-        elif isinstance(metric, Gauge):
-            _render_scalar(lines, metric, "gauge")
-        elif isinstance(metric, Histogram):
-            _render_histogram(lines, metric)
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
-
-
 def _label_str(labels: Optional[dict], extra: Optional[dict] = None) -> str:
     pairs = dict(labels or {})
     if extra:
@@ -163,26 +95,23 @@ def _label_str(labels: Optional[dict], extra: Optional[dict] = None) -> str:
     return "{" + body + "}"
 
 
-def render_prometheus_snapshot(
-    snapshot: dict,
+def render_prometheus(
+    snapshot: Mapping[str, Mapping],
     labels: Optional[dict] = None,
     exclude: Sequence[str] = (),
 ) -> str:
-    """Prometheus exposition from a plain snapshot dict (no live registry).
+    """A metrics snapshot in Prometheus text exposition format.
 
-    The serving pool aggregates per-worker registries as
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` dicts shipped over
-    the result queue — by the time ``/metrics`` renders them, there is no
-    metric object to hand to :func:`render_prometheus`. This renders the
-    same exposition straight from the dict shapes ``to_dict`` /
-    :func:`~repro.obs.metrics.merge_snapshots` produce, optionally
-    stamping every sample with ``labels`` (e.g. ``{"worker": "2"}``) and
-    skipping names in ``exclude`` (families the caller renders itself
-    with finer-grained labels). ``# HELP`` lines come from the instrument
-    catalog when the name is known there.
+    ``snapshot`` is a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
+    dict or a :func:`~repro.obs.metrics.merge_snapshots` fleet merge — one
+    process's ``/metrics`` and the serving pool's render the same way.
+    ``labels`` (e.g. ``{"worker": "2"}``) stamps every sample; names in
+    ``exclude`` are skipped (families the caller renders itself with
+    finer-grained labels). ``# HELP`` lines come from the instrument
+    catalog when the name is known there. Deterministic (metrics sorted by
+    name) and newline-terminated, as scrapers expect; an empty snapshot
+    renders to an empty document.
     """
-    from repro.obs.instrument import METRIC_CATALOG
-
     lines: list[str] = []
     for raw_name in sorted(n for n in snapshot if n not in set(exclude)):
         data = snapshot[raw_name]
@@ -209,6 +138,10 @@ def render_prometheus_snapshot(
                 f"{name}_sum{_label_str(labels)} {_format_number(data['sum'])}"
             )
             lines.append(f"{name}_count{_label_str(labels)} {data['count']}")
+            # The quantiles ride along as a separate gauge family — native
+            # Prometheus histograms have no quantile series, and mixing
+            # summary-style lines into a histogram family is invalid
+            # exposition.
             quantile_lines = []
             for key, estimate in sorted(data.get("quantiles", {}).items()):
                 if estimate is None:

@@ -3,8 +3,9 @@
 The instrumented modules (``core.kamel``, ``core.imputation``,
 ``core.partitioning``, ``core.constraints``, ``core.detokenization``,
 ``mlm.bert``, ``core.streaming``, ``eval.harness``) import *only* this
-module: it owns the canonical metric names (:data:`METRIC_CATALOG`), the
-timing helpers, and the decorators, so the rest of the codebase never
+module: it owns the canonical metric names and their meanings
+(:data:`METRIC_CATALOG`, also the only source of Prometheus ``# HELP``
+text) and the timing helpers, so the rest of the codebase never
 hand-rolls ``time.perf_counter`` or invents ad-hoc metric names.
 
 Naming convention: ``repro.<module>.<what>[_total|_seconds]`` — counters
@@ -15,9 +16,8 @@ in the catalog (``docs/observability.md`` renders the full table).
 
 from __future__ import annotations
 
-import functools
 import time
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 from repro.obs.metrics import (
     COUNT_BUCKETS,
@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
 )
-from repro.obs.tracing import span
 
 __all__ = [
     "METRIC_CATALOG",
@@ -39,11 +38,7 @@ __all__ = [
     "observe",
     "Stopwatch",
     "stopwatch",
-    "timed",
-    "catalog_description",
 ]
-
-F = TypeVar("F", bound=Callable)
 
 
 METRIC_CATALOG: dict[str, str] = {
@@ -74,7 +69,7 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.imputation.beam.segments_total": "Segments run by Algorithm 2 (beam search).",
     "repro.imputation.single_point.segments_total": "Segments run by the single-point ablation.",
     "repro.imputation.failures_total": "Segment searches that returned no token sequence.",
-    "repro.imputation.model_calls_total": "Exact masked-model queries asked across segment searches — rows of a batch and memo hits included, so it is what the budget counts (the calls_per_segment quantiles are P² estimates; use this counter for totals).",
+    "repro.imputation.model_calls_total": "Exact masked-model queries asked across segment searches — rows of a batch and memo hits included, so it is what the budget counts (the calls_per_segment quantiles are bucket interpolations; use this counter for totals).",
     "repro.imputation.model_invocations_total": "predict_masked_batch invocations issued by segment searches: one per lockstep round per model asked, pooling the rows of every gap segment of the trajectory that the memo could not answer.",
     "repro.imputation.memo_hits_total": "Queries answered from the per-segment candidate memo (asked before in this segment, by this or the previous ladder rung) instead of the model.",
     "repro.imputation.budget_exhausted_total": "Segment searches stopped by the model-call budget.",
@@ -176,10 +171,6 @@ _COUNT_HISTOGRAMS = {
 _RATIO_BUCKETS: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
-def catalog_description(name: str) -> str:
-    return METRIC_CATALOG.get(name, "")
-
-
 def _buckets_for(name: str) -> Sequence[float]:
     if name in _COUNT_HISTOGRAMS:
         return COUNT_BUCKETS
@@ -196,19 +187,17 @@ def _resolve(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
 
 def counter(name: str, registry: Optional[MetricsRegistry] = None) -> Counter:
     """The catalog counter ``name`` in the default (or given) registry."""
-    return _resolve(registry).counter(name, catalog_description(name))
+    return _resolve(registry).counter(name)
 
 
 def histogram(name: str, registry: Optional[MetricsRegistry] = None) -> Histogram:
     """The catalog histogram ``name``, with buckets chosen by its kind."""
-    return _resolve(registry).histogram(
-        name, catalog_description(name), buckets=_buckets_for(name)
-    )
+    return _resolve(registry).histogram(name, buckets=_buckets_for(name))
 
 
 def gauge(name: str, registry: Optional[MetricsRegistry] = None) -> Gauge:
     """The catalog gauge ``name`` in the default (or given) registry."""
-    return _resolve(registry).gauge(name, catalog_description(name))
+    return _resolve(registry).gauge(name)
 
 
 def count(name: str, amount: float = 1) -> None:
@@ -259,21 +248,3 @@ def stopwatch(metric: Optional[str] = None) -> Stopwatch:
     """``with stopwatch("repro.eval.train_seconds") as sw: ...`` — then
     ``sw.seconds`` holds exactly what the histogram recorded."""
     return Stopwatch(metric)
-
-
-def timed(metric: str, span_name: Optional[str] = None) -> Callable[[F], F]:
-    """Decorator: record the call's wall time (and optionally a span)."""
-
-    def decorate(fn: F) -> F:
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if span_name is None:
-                with stopwatch(metric):
-                    return fn(*args, **kwargs)
-            with span(span_name):
-                with stopwatch(metric):
-                    return fn(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate

@@ -4,16 +4,17 @@ The registry is the single sink for everything the KAMEL pipeline
 measures about itself — model calls, constraint rejections, pyramid
 lookups, per-module latencies — and serializes to one JSON document
 (``kamel ... --metrics-out``). It is deliberately dependency-free and
-process-local: the paper's system is a single-process service, and a
-scrape/push exporter can be layered on top of :meth:`MetricsRegistry.snapshot`
-without touching the instrumented code.
+process-local: the paper's system is a single-process service, and every
+reader — ``/metrics``, ``/slow``, ``kamel stats``, the serving pool's
+fleet merge — consumes :meth:`MetricsRegistry.snapshot` dicts.
 
 Counters and gauges are plain attribute updates guarded only by the GIL
 (instrumented hot loops aggregate locally and call :meth:`Counter.inc`
-once per batch). Histograms combine fixed buckets — cumulative, Prometheus
-style, so bucket edges survive aggregation — with streaming quantile
-estimates (the P² algorithm of Jain & Chlamtac, CACM 1985) that need O(1)
-memory per tracked quantile.
+once per batch). Histograms keep count, sum, min, max and fixed buckets —
+cumulative, Prometheus style, so bucket edges survive aggregation. Every
+quantile, in one process or merged across many, is one
+:func:`bucket_quantile` interpolation over those cumulative buckets, so a
+snapshot and its fleet merge report the same p50/p90/p99.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 import json
 import math
 import threading
-from bisect import bisect_left, insort
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 __all__ = [
@@ -29,9 +31,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "P2Quantile",
     "LATENCY_BUCKETS",
     "COUNT_BUCKETS",
+    "bucket_quantile",
     "get_registry",
     "merge_snapshots",
     "set_registry",
@@ -49,15 +51,17 @@ COUNT_BUCKETS: tuple[float, ...] = (
 )
 """Default bucket edges for small-integer distributions (calls, batch sizes)."""
 
+_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
+"""The quantile points every histogram snapshot reports (``p50``/``p90``/``p99``)."""
+
 
 class Counter:
     """A monotonically increasing count."""
 
-    __slots__ = ("name", "description", "_value")
+    __slots__ = ("name", "_value")
 
-    def __init__(self, name: str, description: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.description = description
         self._value = 0.0
 
     def inc(self, amount: Union[int, float] = 1) -> None:
@@ -82,11 +86,10 @@ class Counter:
 class Gauge:
     """A value that can go up and down (queue depth, model count)."""
 
-    __slots__ = ("name", "description", "_value")
+    __slots__ = ("name", "_value")
 
-    def __init__(self, name: str, description: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.description = description
         self._value = 0.0
 
     def set(self, value: Union[int, float]) -> None:
@@ -112,102 +115,63 @@ class Gauge:
         return f"Gauge({self.name}={self._value})"
 
 
-class P2Quantile:
-    """Streaming quantile estimate via the P² algorithm (no sample storage).
+def bucket_quantile(
+    edges: Sequence[float],
+    cumulative: Sequence[int],
+    count: int,
+    lo: Optional[float],
+    hi: Optional[float],
+    p: float,
+) -> Optional[float]:
+    """The ``p`` quantile by linear interpolation over cumulative buckets.
 
-    Keeps five markers whose heights converge on the ``p`` quantile using
-    piecewise-parabolic interpolation. Exact for the first five
-    observations; O(1) memory and O(1) per observation afterwards.
+    ``edges`` are ascending upper bucket edges, ``cumulative`` the count
+    at or below each, ``lo``/``hi`` the observed min and max (they clamp
+    the first and last occupied buckets). Cumulative counts on shared
+    edges sum exactly across processes, so the same function serves one
+    registry and a fleet merge; the answer is correct to within one
+    bucket's width.
     """
+    if not count:
+        return None
+    target = p * count
+    running = 0
+    previous_edge = lo if lo is not None else 0.0
+    top = hi if hi is not None else edges[-1]
+    for edge, cum in zip(edges, cumulative):
+        bucket_count = cum - running
+        if not bucket_count:
+            continue
+        if cum >= target:
+            upper = min(edge, top)
+            fraction = (target - running) / bucket_count
+            return previous_edge + fraction * (upper - previous_edge)
+        running = cum
+        previous_edge = min(edge, top)
+    return hi
 
-    __slots__ = ("p", "_heights", "_positions", "_desired", "_increments")
 
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {p}")
-        self.p = p
-        self._heights: list[float] = []
-        self._positions = [0, 1, 2, 3, 4]
-        self._desired = [0.0, 2 * p, 4 * p, 2 + 2 * p, 4.0]
-        self._increments = [0.0, p / 2, p, (1 + p) / 2, 1.0]
-
-    def observe(self, x: float) -> None:
-        q = self._heights
-        if len(q) < 5:
-            insort(q, x)
-            return
-        n = self._positions
-        # Locate the marker cell containing x, extending the extremes.
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = bisect_left(q, x, 1, 4)
-            if q[k] > x:
-                k -= 1
-            k = min(k, 3)
-        for i in range(k + 1, 5):
-            n[i] += 1
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Nudge interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            d = self._desired[i] - n[i]
-            if (d >= 1 and n[i + 1] - n[i] > 1) or (d <= -1 and n[i - 1] - n[i] < -1):
-                step = 1 if d >= 0 else -1
-                candidate = self._parabolic(i, step)
-                if not (q[i - 1] < candidate < q[i + 1]):
-                    candidate = self._linear(i, step)
-                q[i] = candidate
-                n[i] += step
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: int) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
-
-    @property
-    def value(self) -> Optional[float]:
-        q = self._heights
-        if not q:
-            return None
-        if len(q) < 5:
-            # Still in the exact phase: empirical quantile of what we have.
-            rank = self.p * (len(q) - 1)
-            lo = int(math.floor(rank))
-            hi = min(lo + 1, len(q) - 1)
-            return q[lo] + (rank - lo) * (q[hi] - q[lo])
-        return q[2]
+def _quantiles(
+    edges: Sequence[float],
+    cumulative: Sequence[int],
+    count: int,
+    lo: Optional[float],
+    hi: Optional[float],
+) -> dict[str, Optional[float]]:
+    """The reported ``p50``/``p90``/``p99`` of one set of cumulative buckets."""
+    return {
+        f"p{int(p * 100)}": bucket_quantile(edges, cumulative, count, lo, hi, p)
+        for p in _QUANTILES
+    }
 
 
 class Histogram:
-    """A distribution: cumulative fixed buckets plus streaming quantiles."""
+    """A distribution: count, sum, extrema and cumulative fixed buckets."""
 
-    __slots__ = (
-        "name", "description", "buckets", "_bucket_counts",
-        "_count", "_sum", "_min", "_max", "_quantiles",
-    )
+    __slots__ = ("name", "buckets", "_bucket_counts", "_count", "_sum", "_min", "_max")
 
-    DEFAULT_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
-
-    def __init__(
-        self,
-        name: str,
-        description: str = "",
-        buckets: Optional[Sequence[float]] = None,
-        quantiles: Optional[Sequence[float]] = None,
-    ) -> None:
+    def __init__(self, name: str, buckets: Optional[Sequence[float]] = None) -> None:
         self.name = name
-        self.description = description
         edges = tuple(sorted(buckets if buckets is not None else LATENCY_BUCKETS))
         if not edges:
             raise ValueError(f"histogram {name} needs at least one bucket edge")
@@ -219,9 +183,6 @@ class Histogram:
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._quantiles = {
-            p: P2Quantile(p) for p in (quantiles or self.DEFAULT_QUANTILES)
-        }
 
     def observe(self, value: Union[int, float]) -> None:
         value = float(value)
@@ -232,8 +193,6 @@ class Histogram:
         if value > self._max:
             self._max = value
         self._bucket_counts[bisect_left(self.buckets, value)] += 1
-        for estimator in self._quantiles.values():
-            estimator.observe(value)
 
     @property
     def count(self) -> int:
@@ -255,47 +214,16 @@ class Histogram:
     def max(self) -> Optional[float]:
         return self._max if self._count else None
 
-    @property
-    def tracked_quantiles(self) -> tuple[float, ...]:
-        """The quantile points with dedicated P² estimators, ascending."""
-        return tuple(sorted(self._quantiles))
-
     def quantile(self, p: float) -> Optional[float]:
-        """The streaming estimate for ``p``, or a bucket interpolation.
-
-        Quantiles tracked from construction use their P² estimator; any
-        other ``p`` falls back to linear interpolation over the cumulative
-        bucket counts (coarser, but available for free).
-        """
-        if p in self._quantiles:
-            return self._quantiles[p].value
-        return self._bucket_quantile(p)
-
-    def _bucket_quantile(self, p: float) -> Optional[float]:
-        if not self._count:
-            return None
-        target = p * self._count
-        cumulative = 0
-        previous_edge = self.min if self.min is not None else 0.0
-        for edge, bucket_count in zip(self.buckets, self._bucket_counts):
-            if not bucket_count:
-                continue
-            if cumulative + bucket_count >= target:
-                upper = min(edge, self._max)
-                fraction = (target - cumulative) / bucket_count
-                return previous_edge + fraction * (upper - previous_edge)
-            cumulative += bucket_count
-            previous_edge = min(edge, self._max)
-        return self._max
+        """The :func:`bucket_quantile` interpolation for ``p``."""
+        return bucket_quantile(
+            self.buckets, list(accumulate(self._bucket_counts)),
+            self._count, self.min, self.max, p,
+        )
 
     def bucket_counts(self) -> dict[float, int]:
         """Cumulative counts per upper bucket edge (Prometheus ``le``)."""
-        out: dict[float, int] = {}
-        running = 0
-        for edge, bucket_count in zip(self.buckets, self._bucket_counts):
-            running += bucket_count
-            out[edge] = running
-        return out
+        return dict(zip(self.buckets, accumulate(self._bucket_counts)))
 
     def reset(self) -> None:
         self._bucket_counts = [0] * len(self.buckets)
@@ -303,9 +231,9 @@ class Histogram:
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._quantiles = {p: P2Quantile(p) for p in self._quantiles}
 
     def to_dict(self) -> dict:
+        cumulative = list(accumulate(self._bucket_counts))
         return {
             "type": "histogram",
             "count": self._count,
@@ -313,12 +241,11 @@ class Histogram:
             "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            "quantiles": {
-                f"p{int(p * 100)}": self._quantiles[p].value for p in self._quantiles
-            },
+            "quantiles": _quantiles(
+                self.buckets, cumulative, self._count, self.min, self.max
+            ),
             "buckets": {
-                ("+Inf" if math.isinf(edge) else repr(edge)): cum
-                for edge, cum in self.bucket_counts().items()
+                _format_edge(edge): cum for edge, cum in zip(self.buckets, cumulative)
             },
         }
 
@@ -357,33 +284,22 @@ class MetricsRegistry:
             )
         return metric
 
-    def counter(self, name: str, description: str = "") -> Counter:
-        return self._get_or_create(name, lambda: Counter(name, description), Counter)
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(name, lambda: Counter(name), Counter)
 
-    def gauge(self, name: str, description: str = "") -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name, description), Gauge)
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(name, lambda: Gauge(name), Gauge)
 
     def histogram(
-        self,
-        name: str,
-        description: str = "",
-        buckets: Optional[Sequence[float]] = None,
-        quantiles: Optional[Sequence[float]] = None,
+        self, name: str, buckets: Optional[Sequence[float]] = None
     ) -> Histogram:
-        return self._get_or_create(
-            name, lambda: Histogram(name, description, buckets, quantiles), Histogram
-        )
+        return self._get_or_create(name, lambda: Histogram(name, buckets), Histogram)
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
 
     def names(self) -> list[str]:
         return sorted(self._metrics)
-
-    def metrics(self) -> list[Metric]:
-        """The live metric objects, sorted by name (exporters read these)."""
-        with self._lock:
-            return [metric for _, metric in sorted(self._metrics.items())]
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
@@ -434,40 +350,6 @@ def _format_edge(edge: float) -> str:
     return "+Inf" if math.isinf(edge) else repr(edge)
 
 
-def _cumulative_quantile(
-    edges: Sequence[float],
-    cumulative: Sequence[int],
-    count: int,
-    lo: Optional[float],
-    hi: Optional[float],
-    p: float,
-) -> Optional[float]:
-    """Linear interpolation over merged cumulative bucket counts.
-
-    The merged-snapshot counterpart of :meth:`Histogram._bucket_quantile`:
-    P² marker state cannot be combined across processes, but cumulative
-    bucket counts on shared edges sum exactly, and a quantile interpolated
-    from the merged buckets is correct to within one bucket's width.
-    """
-    if not count:
-        return None
-    target = p * count
-    running = 0
-    previous_edge = lo if lo is not None else 0.0
-    top = hi if hi is not None else edges[-1]
-    for edge, cum in zip(edges, cumulative):
-        bucket_count = cum - running
-        if not bucket_count:
-            continue
-        if cum >= target:
-            upper = min(edge, top)
-            fraction = (target - running) / bucket_count
-            return previous_edge + fraction * (upper - previous_edge)
-        running = cum
-        previous_edge = min(edge, top)
-    return hi
-
-
 def merge_snapshots(
     snapshots: Iterable[Mapping[str, Mapping]],
 ) -> dict[str, dict]:
@@ -480,7 +362,9 @@ def merge_snapshots(
       up; a fleet rate is a ratio of summed counters, not a merged gauge);
     * histograms sum counts, sums, and cumulative bucket counts on the
       union of edges; min/max combine; quantiles are re-derived from the
-      merged buckets (P² marker state does not compose across processes).
+      merged buckets by the same :func:`bucket_quantile` a single
+      registry uses, so merging one snapshot leaves its quantiles as
+      they were.
 
     A name carrying different metric types across snapshots raises
     ``ValueError`` — that is a naming bug, not something to paper over.
@@ -497,7 +381,6 @@ def merge_snapshots(
                         "sum": 0.0,
                         "min": None,
                         "max": None,
-                        "quantile_keys": set(),
                         "bucket_counts": {},
                     }
                 else:
@@ -518,7 +401,6 @@ def merge_snapshots(
                     current = entry[bound]
                     pick = min if bound == "min" else max
                     entry[bound] = value if current is None else pick(current, value)
-                entry["quantile_keys"].update(data.get("quantiles", {}))
                 for key, cum in data.get("buckets", {}).items():
                     edge = _parse_edge(key)
                     entry["bucket_counts"][edge] = (
@@ -532,20 +414,12 @@ def merge_snapshots(
         if entry["type"] != "histogram":
             continue
         edges = sorted(entry.pop("bucket_counts").items())
-        quantile_keys = sorted(entry.pop("quantile_keys"))
         count = entry["count"]
         entry["mean"] = entry["sum"] / count if count else 0.0
-        entry["quantiles"] = {
-            key: _cumulative_quantile(
-                [e for e, _ in edges],
-                [c for _, c in edges],
-                count,
-                entry["min"],
-                entry["max"],
-                int(key.lstrip("p")) / 100.0,
-            )
-            for key in quantile_keys
-        }
+        entry["quantiles"] = _quantiles(
+            [e for e, _ in edges], [c for _, c in edges],
+            count, entry["min"], entry["max"],
+        )
         entry["buckets"] = {_format_edge(e): c for e, c in edges}
     return merged
 

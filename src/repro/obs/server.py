@@ -5,8 +5,9 @@
 ``http.server`` only. The default table, :func:`registry_routes`, is one
 process's registry:
 
-* ``GET /metrics``  — the registry in Prometheus text exposition format
-  (scrape it with ``curl`` or point a Prometheus job at it);
+* ``GET /metrics``  — the registry's snapshot in Prometheus text
+  exposition format (scrape it with ``curl`` or point a Prometheus job
+  at it);
 * ``GET /healthz``  — JSON liveness: status ``ok``, uptime, and the
   number of metrics registered;
 * ``GET /spans``    — collected span trees as Chrome trace-event JSON
@@ -68,7 +69,7 @@ def registry_routes(
 
     def metrics(query) -> tuple[str, str]:
         obs.count("repro.obs.scrapes_total")
-        return render_prometheus(registry), CONTENT_TYPE_PROMETHEUS
+        return render_prometheus(registry.snapshot()), CONTENT_TYPE_PROMETHEUS
 
     def healthz(query) -> tuple[str, str]:
         return json_body(

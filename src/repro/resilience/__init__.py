@@ -42,7 +42,6 @@ from repro.resilience.chaos import (
     InjectedFault,
     chaos_scope,
     install_grid_chaos,
-    install_repository_chaos,
 )
 from repro.resilience.deadline import Deadline
 from repro.resilience.journal import (
@@ -84,7 +83,6 @@ __all__ = [
     "StreamJournal",
     "chaos_scope",
     "install_grid_chaos",
-    "install_repository_chaos",
     "trajectory_from_payload",
     "trajectory_to_payload",
     "validate_trajectory",

@@ -38,7 +38,6 @@ __all__ = [
     "InjectedFault",
     "InjectedCrash",
     "install_grid_chaos",
-    "install_repository_chaos",
     "chaos_scope",
 ]
 
@@ -271,22 +270,6 @@ def install_grid_chaos(grid, monkey: ChaosMonkey) -> Callable[[], None]:
     def uninstall() -> None:
         if grid.__dict__.get("cell_of") is chaotic_cell_of:
             del grid.__dict__["cell_of"]
-
-    return uninstall
-
-
-def install_repository_chaos(repository, monkey: ChaosMonkey) -> Callable[[], None]:
-    """Point ``repository.fault_hook`` at ``monkey``; returns an uninstaller.
-
-    Faults raised here surface *inside* ``ModelRepository.retrieve`` —
-    upstream of the retry/breaker guards — which is the realistic shape of
-    a wedged model store.
-    """
-    previous = repository.fault_hook
-    repository.fault_hook = monkey.on_call
-
-    def uninstall() -> None:
-        repository.fault_hook = previous
 
     return uninstall
 

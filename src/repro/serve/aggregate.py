@@ -22,9 +22,9 @@ from __future__ import annotations
 from repro.obs.export import (
     CONTENT_TYPE_PROMETHEUS,
     prometheus_name,
-    render_prometheus_snapshot,
+    render_prometheus,
 )
-from repro.obs.instrument import catalog_description
+from repro.obs.instrument import METRIC_CATALOG
 from repro.obs.server import Route, json_body
 
 __all__ = ["pool_routes", "render_pool_metrics"]
@@ -40,14 +40,12 @@ def render_pool_metrics(pool) -> str:
     ``worker_processed``.
     """
     merged = pool.merged_snapshot()
-    body = render_prometheus_snapshot(merged, exclude=(_PER_WORKER_COUNTER,))
+    body = render_prometheus(merged, exclude=(_PER_WORKER_COUNTER,))
     lines = [body.rstrip("\n")] if body else []
     per_worker = getattr(pool, "worker_processed", {})
     if per_worker:
         name = prometheus_name(_PER_WORKER_COUNTER)
-        description = catalog_description(_PER_WORKER_COUNTER)
-        if description:
-            lines.append(f"# HELP {name} {description}")
+        lines.append(f"# HELP {name} {METRIC_CATALOG[_PER_WORKER_COUNTER]}")
         lines.append(f"# TYPE {name} counter")
         for shard in sorted(per_worker):
             lines.append(f'{name}{{worker="{shard}"}} {per_worker[shard]}')

@@ -6,7 +6,7 @@ shard holding ``max_queue_depth`` outstanding requests sheds the
 newcomer as a typed ``OverloadError`` result — accounted, never lost.
 This module holds the other pool-side piece, **brownout control**:
 :class:`BrownoutController`, a hysteresis state machine watching queue
-depth and the queue-wait p99.  Under sustained pressure it steps every
+depth.  Under sustained pressure it steps every
 shard down the degradation ladder (full beam → reduced beam →
 counting); when pressure clears it steps back up.  Serving *worse*
 answers beats serving *no* answers, and the ladder already knows how to
@@ -56,10 +56,6 @@ class BrownoutConfig:
     """Step *down* when the deepest shard's outstanding work reaches this."""
     low_depth: int = 1
     """Step *up* only when every shard's outstanding work is at or below this."""
-    high_queue_wait_s: Optional[float] = None
-    """Also step down when the queue-wait stage p99 exceeds this (from
-    the ``repro.serve.stage.queue_wait_seconds`` histogram); None
-    disables the latency trigger and depth alone decides."""
     step_down_after: int = 2
     """Consecutive over-threshold evaluations before stepping down."""
     step_up_after: int = 4
@@ -107,9 +103,9 @@ class BrownoutTransition:
 
 @dataclass
 class BrownoutController:
-    """Hysteresis state machine: pressure signals in, ladder level out.
+    """Hysteresis state machine: queue depth in, ladder level out.
 
-    ``evaluate(depth, queue_wait_p99)`` is called opportunistically by
+    ``evaluate(depth)`` is called opportunistically by
     the pool; it rate-limits itself to ``config.interval_s`` and returns
     the new level when a step happened (``None`` otherwise).  The level
     only moves one step per evaluation, in either direction.
@@ -128,25 +124,14 @@ class BrownoutController:
 
     # -- signals -----------------------------------------------------------
 
-    def _pressed(self, depth: int, queue_wait_p99: Optional[float]) -> bool:
-        cfg = self.config
-        if depth >= cfg.high_depth:
-            return True
-        return (
-            cfg.high_queue_wait_s is not None
-            and queue_wait_p99 is not None
-            and queue_wait_p99 >= cfg.high_queue_wait_s
-        )
-
-    def evaluate(
-        self, depth: int, queue_wait_p99: Optional[float] = None
-    ) -> Optional[int]:
-        """Feed one pressure sample; returns the new level on a step."""
+    def evaluate(self, depth: int) -> Optional[int]:
+        """Feed one depth sample (the deepest shard's outstanding work);
+        returns the new level on a step."""
         now = self.clock()
         if self._last_eval is not None and now - self._last_eval < self.config.interval_s:
             return None
         self._last_eval = now
-        if self._pressed(depth, queue_wait_p99):
+        if depth >= self.config.high_depth:
             self._over += 1
             self._under = 0
             if self._over >= self.config.step_down_after and self.level < self.config.max_level:

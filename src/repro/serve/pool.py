@@ -398,18 +398,12 @@ class ServingPool:
 
     # -- brownout ------------------------------------------------------------
 
-    def _queue_wait_p99(self) -> Optional[float]:
-        """None until a first request has been attributed."""
-        return self.flight.stage_summary()["queue_wait"]["p99"]
-
     def _brownout_tick(self) -> None:
         """Feed the brownout controller one pressure sample (rate-limited
         by its own interval) and publish a level change to the workers."""
         if self.brownout is None:
             return
-        new_level = self.brownout.evaluate(
-            max(self._depths), self._queue_wait_p99()
-        )
+        new_level = self.brownout.evaluate(max(self._depths))
         if new_level is not None and self._control is not None:
             self._control.value = new_level
 

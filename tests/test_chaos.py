@@ -4,8 +4,8 @@ Every test here is deterministic — one ``random.Random(seed)`` drives all
 injected faults, injected latency uses tiny sleeps, and breaker recovery
 windows are chosen so no state transition depends on wall-clock racing.
 
-Run with ``pytest -m chaos`` (the CI ``chaos`` job) or as part of the
-normal suite.
+Run with ``pytest -m chaos`` on its own; the normal suite (and CI's
+``tests`` job) runs it too.
 """
 
 import math
@@ -124,7 +124,7 @@ class TestSeededScenario:
             if segment.rung != RUNG_FULL:
                 assert segment.degraded
         # ... and in the Prometheus exposition.
-        exposition = render_prometheus(fresh_registry)
+        exposition = render_prometheus(fresh_registry.snapshot())
         for rung in {s.rung for s in segments}:
             line = f"repro_kamel_rung_{rung}_total"
             assert line in exposition

@@ -1,7 +1,8 @@
 """Unit tests for repro.obs.export: Prometheus exposition and trace files.
 
-The Prometheus checks pin down the exposition-format contract (name
-mangling, HELP escaping, cumulative ``le`` buckets); the Chrome-trace
+The Prometheus checks pin down the exposition-format contract of the one
+snapshot renderer (name mangling, catalog HELP and its escaping,
+cumulative ``le`` buckets); the Chrome-trace
 checks validate the structural properties Perfetto needs (complete
 events with ``ph``/``ts``/``dur``, children nested inside parents on the
 same lane).
@@ -14,6 +15,7 @@ import pytest
 
 from repro.obs.export import (
     CONTENT_TYPE_PROMETHEUS,
+    _escape_help,
     chrome_trace_json,
     prometheus_name,
     render_prometheus,
@@ -22,6 +24,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_spans_jsonl,
 )
+from repro.obs.instrument import METRIC_CATALOG
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
     clear_spans,
@@ -63,13 +66,17 @@ class TestPrometheusNames:
 
 
 class TestRenderPrometheus:
+    """The one renderer: a snapshot dict in, exposition text out, HELP
+    from the catalog only."""
+
     def test_empty_registry_renders_empty(self, registry):
-        assert render_prometheus(registry) == ""
+        assert render_prometheus(registry.snapshot()) == ""
+        assert render_prometheus({}) == ""
 
     def test_counter_and_gauge_families(self, registry):
-        registry.counter("repro.kamel.trajectories_total", "Trajectories imputed.").inc(7)
-        registry.gauge("repro.serve.queue_depth", "Queued trajectories.").set(5)
-        text = render_prometheus(registry)
+        registry.counter("repro.kamel.trajectories_total").inc(7)
+        registry.gauge("repro.serve.queue_depth").set(5)
+        text = render_prometheus(registry.snapshot())
         assert "# HELP repro_kamel_trajectories_total Trajectories imputed." in text
         assert "# TYPE repro_kamel_trajectories_total counter" in text
         assert "repro_kamel_trajectories_total 7" in text
@@ -77,18 +84,26 @@ class TestRenderPrometheus:
         assert "repro_serve_queue_depth 5" in text
         assert text.endswith("\n")
 
-    def test_help_escaping(self, registry):
-        registry.counter("repro.x_total", "line one\nback\\slash").inc()
-        text = render_prometheus(registry)
-        assert "# HELP repro_x_total line one\\nback\\\\slash" in text
+    def test_help_escaping(self):
+        assert _escape_help("line one\nback\\slash") == "line one\\nback\\\\slash"
+
+    def test_help_only_from_the_catalog(self, registry):
+        registry.counter("repro.not_in_catalog_total").inc()
+        registry.counter("repro.kamel.model_calls_total").inc()
+        text = render_prometheus(registry.snapshot())
+        help_lines = [line for line in text.splitlines() if line.startswith("# HELP")]
+        assert help_lines == [
+            "# HELP repro_kamel_model_calls_total "
+            + _escape_help(METRIC_CATALOG["repro.kamel.model_calls_total"])
+        ]
 
     def test_histogram_buckets_are_cumulative_and_monotone(self, registry):
         histogram = registry.histogram(
-            "repro.kamel.impute_seconds", "Wall time.", buckets=(0.1, 1.0, 10.0)
+            "repro.kamel.impute_seconds", buckets=(0.1, 1.0, 10.0)
         )
         for value in (0.05, 0.5, 0.5, 5.0, 50.0):
             histogram.observe(value)
-        text = render_prometheus(registry)
+        text = render_prometheus(registry.snapshot())
         counts = []
         for line in text.splitlines():
             if line.startswith("repro_kamel_impute_seconds_bucket"):
@@ -100,26 +115,29 @@ class TestRenderPrometheus:
         assert "repro_kamel_impute_seconds_sum" in text
 
     def test_histogram_quantiles_render_as_separate_gauge_family(self, registry):
-        histogram = registry.histogram("repro.y_seconds", "y")
+        histogram = registry.histogram("repro.serve.latency_seconds")
         for value in range(1, 101):
             histogram.observe(value / 100.0)
-        text = render_prometheus(registry)
-        assert "# TYPE repro_y_seconds_quantile gauge" in text
-        assert 'repro_y_seconds_quantile{quantile="0.5"}' in text
-        assert 'repro_y_seconds_quantile{quantile="0.99"}' in text
+        snapshot = registry.snapshot()
+        text = render_prometheus(snapshot)
+        assert "# TYPE repro_serve_latency_seconds_quantile gauge" in text
+        quantiles = snapshot["repro.serve.latency_seconds"]["quantiles"]
+        for label, key in (("0.5", "p50"), ("0.99", "p99")):
+            line = f'repro_serve_latency_seconds_quantile{{quantile="{label}"}}'
+            assert f"{line} {quantiles[key]!r}" in text
 
     def test_empty_histogram_has_no_quantile_lines(self, registry):
-        registry.histogram("repro.z_seconds", "z")
-        text = render_prometheus(registry)
+        registry.histogram("repro.bert.fit_seconds")
+        text = render_prometheus(registry.snapshot())
         assert "_quantile" not in text
-        assert "repro_z_seconds_count 0" in text
+        assert "repro_bert_fit_seconds_count 0" in text
 
     def test_every_line_is_valid_exposition(self, registry):
         """Each non-comment line: <name>[{labels}] <float>."""
-        registry.counter("repro.a_total", "a").inc(2)
-        registry.histogram("repro.b_seconds", "b").observe(0.5)
-        registry.gauge("repro.c", "c").set(-1.5)
-        for line in render_prometheus(registry).splitlines():
+        registry.counter("repro.kamel.trajectories_total").inc(2)
+        registry.histogram("repro.kamel.impute_seconds").observe(0.5)
+        registry.gauge("repro.serve.brownout_level").set(-1.5)
+        for line in render_prometheus(registry.snapshot()).splitlines():
             if not line or line.startswith("#"):
                 continue
             name_part, value_part = line.rsplit(" ", 1)

@@ -13,8 +13,8 @@ from repro.obs.metrics import (
     Histogram,
     LATENCY_BUCKETS,
     MetricsRegistry,
-    P2Quantile,
     get_registry,
+    merge_snapshots,
     set_registry,
 )
 
@@ -95,28 +95,32 @@ class TestHistogramQuantiles:
             true = values[int(p * (len(values) - 1))]
             assert h.quantile(p) == pytest.approx(true, abs=0.25)
 
-    def test_exact_for_fewer_than_five_observations(self):
-        h = Histogram("h")
-        h.observe(1.0)
-        h.observe(3.0)
-        assert h.quantile(0.5) == pytest.approx(2.0)
+    def test_snapshot_quantiles_equal_the_merged_snapshot(self):
+        """One number per question: a registry's own snapshot and the
+        fleet merge of it report the same quantiles, to the last bit."""
+        rng = random.Random(7)
+        reg = MetricsRegistry()
+        latency = reg.histogram("latency", buckets=LATENCY_BUCKETS)
+        calls = reg.histogram("calls", buckets=COUNT_BUCKETS)
+        for _ in range(400):
+            value = rng.lognormvariate(-4.0, 0.8)
+            latency.observe(value)
+            calls.observe(round(value * 2000))
+        snapshot = reg.snapshot()
+        merged = merge_snapshots([reg.snapshot()])
+        for name in ("latency", "calls"):
+            assert set(snapshot[name]["quantiles"]) == {"p50", "p90", "p99"}
+            assert snapshot[name]["quantiles"] == merged[name]["quantiles"]
+            h = reg.get(name)
+            assert snapshot[name]["quantiles"]["p99"] == h.quantile(0.99)
 
-    def test_untracked_quantile_falls_back_to_bucket_interpolation(self):
+    def test_quantile_is_the_bucket_interpolation(self):
         h = Histogram("h", buckets=(1.0, 2.0, 4.0))
         for v in (0.5, 1.5, 2.5, 3.5):
             h.observe(v)
-        q75 = h.quantile(0.75)
-        assert 2.0 <= q75 <= 4.0
-
-    def test_p2_estimator_exact_median_of_five(self):
-        q = P2Quantile(0.5)
-        for v in (5.0, 1.0, 3.0, 2.0, 4.0):
-            q.observe(v)
-        assert q.value == 3.0
-
-    def test_p2_rejects_degenerate_p(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
+        # Rank 3 of 4 is the first of the two observations in (2, 4]; that
+        # bucket is clamped at the max (3.5), so: half way from 2.0 to 3.5.
+        assert h.quantile(0.75) == 2.75
 
     def test_reset_clears_distribution(self):
         h = Histogram("h")

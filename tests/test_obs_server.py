@@ -5,11 +5,13 @@ run in parallel without collisions.
 """
 
 import json
+import random
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.server import ObservabilityServer
 from repro.obs.tracing import (
@@ -29,9 +31,12 @@ def _get(url: str):
 @pytest.fixture()
 def registry():
     registry = MetricsRegistry()
-    registry.counter("repro.kamel.trajectories_total", "Trajectories imputed.").inc(3)
-    registry.gauge("repro.serve.queue_depth", "Queued trajectories.").set(4)
-    registry.histogram("repro.kamel.impute_seconds", "Wall time.").observe(0.02)
+    registry.counter("repro.kamel.trajectories_total").inc(3)
+    registry.gauge("repro.serve.queue_depth").set(4)
+    histogram = registry.histogram("repro.kamel.impute_seconds")
+    rng = random.Random(7)
+    for _ in range(400):
+        histogram.observe(rng.lognormvariate(-4.0, 0.8))
     return registry
 
 
@@ -48,7 +53,11 @@ class TestMetricsRoute:
         assert content_type.startswith("text/plain; version=0.0.4")
         assert "repro_serve_queue_depth 4" in body
         assert "repro_kamel_trajectories_total 3" in body
-        assert 'repro_kamel_impute_seconds_bucket{le="+Inf"} 1' in body
+        assert 'repro_kamel_impute_seconds_bucket{le="+Inf"} 400' in body
+
+    def test_body_is_the_snapshot_rendering(self, server, registry):
+        _, _, body = _get(server.url + "/metrics")
+        assert body == render_prometheus(registry.snapshot())
 
     def test_scrapes_are_counted(self, server, registry):
         from repro.obs.metrics import get_registry, set_registry

@@ -18,7 +18,7 @@ from repro.core.streaming import StreamingConfig, StreamingImputationService
 from repro.errors import ConfigError
 from repro.io.serialize import load_kamel, save_kamel
 from repro.obs.metrics import MetricsRegistry, get_registry, merge_snapshots
-from repro.obs.export import render_prometheus_snapshot
+from repro.obs.export import render_prometheus
 from repro.obs.server import ObservabilityServer
 from repro.resilience.journal import trajectory_to_payload
 from repro.serve import ServeConfig, ServingPool
@@ -51,9 +51,9 @@ def baseline(saved_dir, sparse_feed):
 class TestMergeSnapshots:
     def _registry(self, counter, gauge, observations):
         registry = MetricsRegistry()
-        registry.counter("repro.test.ops_total", "x").inc(counter)
-        registry.gauge("repro.test.depth", "x").set(gauge)
-        histogram = registry.histogram("repro.test.seconds", "x")
+        registry.counter("repro.test.ops_total").inc(counter)
+        registry.gauge("repro.test.depth").set(gauge)
+        histogram = registry.histogram("repro.test.seconds")
         for value in observations:
             histogram.observe(value)
         return registry.snapshot()
@@ -85,18 +85,18 @@ class TestMergeSnapshots:
 
     def test_disjoint_names_union(self):
         a = MetricsRegistry()
-        a.counter("repro.test.only_a_total", "x").inc(1)
+        a.counter("repro.test.only_a_total").inc(1)
         b = MetricsRegistry()
-        b.counter("repro.test.only_b_total", "x").inc(2)
+        b.counter("repro.test.only_b_total").inc(2)
         merged = merge_snapshots([a.snapshot(), b.snapshot()])
         assert merged["repro.test.only_a_total"]["value"] == 1.0
         assert merged["repro.test.only_b_total"]["value"] == 2.0
 
     def test_type_conflict_rejected(self):
         a = MetricsRegistry()
-        a.counter("repro.test.thing", "x").inc(1)
+        a.counter("repro.test.thing").inc(1)
         b = MetricsRegistry()
-        b.gauge("repro.test.thing", "x").set(1.0)
+        b.gauge("repro.test.thing").set(1.0)
         with pytest.raises(ValueError, match="in one snapshot"):
             merge_snapshots([a.snapshot(), b.snapshot()])
 
@@ -115,9 +115,9 @@ class TestMergeSnapshots:
         # edges (a config skew mid-rollout): the merge must keep the
         # union of edges with each side's counts on its own edges.
         a = MetricsRegistry()
-        a.histogram("repro.test.skewed_seconds", "x", buckets=(0.1, 1.0)).observe(0.05)
+        a.histogram("repro.test.skewed_seconds", buckets=(0.1, 1.0)).observe(0.05)
         b = MetricsRegistry()
-        b.histogram("repro.test.skewed_seconds", "x", buckets=(0.5, 2.0)).observe(1.5)
+        b.histogram("repro.test.skewed_seconds", buckets=(0.5, 2.0)).observe(1.5)
         merged = merge_snapshots([a.snapshot(), b.snapshot()])
         data = merged["repro.test.skewed_seconds"]
         assert data["count"] == 2
@@ -131,11 +131,11 @@ class TestMergeSnapshots:
         # A counter only some workers ever incremented still sums over
         # the workers that have it.
         a = MetricsRegistry()
-        a.counter("repro.test.rare_total", "x").inc(3)
+        a.counter("repro.test.rare_total").inc(3)
         b = MetricsRegistry()
-        b.counter("repro.test.other_total", "x").inc(1)
+        b.counter("repro.test.other_total").inc(1)
         c = MetricsRegistry()
-        c.counter("repro.test.rare_total", "x").inc(4)
+        c.counter("repro.test.rare_total").inc(4)
         merged = merge_snapshots([a.snapshot(), b.snapshot(), c.snapshot()])
         assert merged["repro.test.rare_total"]["value"] == 7.0
         assert merged["repro.test.other_total"]["value"] == 1.0
@@ -144,12 +144,12 @@ class TestMergeSnapshots:
 class TestRenderPrometheusSnapshot:
     def _snapshot(self):
         registry = MetricsRegistry()
-        registry.counter("repro.test.ops_total", "x").inc(7)
-        registry.histogram("repro.test.seconds", "x").observe(0.05)
+        registry.counter("repro.test.ops_total").inc(7)
+        registry.histogram("repro.test.seconds").observe(0.05)
         return registry.snapshot()
 
     def test_renders_families(self):
-        body = render_prometheus_snapshot(self._snapshot())
+        body = render_prometheus(self._snapshot())
         assert "repro_test_ops_total 7" in body
         assert "# TYPE repro_test_ops_total counter" in body
         assert 'repro_test_seconds_bucket{le="+Inf"} 1' in body
@@ -157,12 +157,12 @@ class TestRenderPrometheusSnapshot:
         assert body.endswith("\n")
 
     def test_labels_applied_to_every_sample(self):
-        body = render_prometheus_snapshot(self._snapshot(), labels={"worker": "3"})
+        body = render_prometheus(self._snapshot(), labels={"worker": "3"})
         assert 'repro_test_ops_total{worker="3"} 7' in body
         assert 'le="+Inf",worker="3"' in body or 'worker="3",le="+Inf"' in body
 
     def test_exclude(self):
-        body = render_prometheus_snapshot(
+        body = render_prometheus(
             self._snapshot(), exclude=("repro.test.ops_total",)
         )
         assert "ops_total" not in body
@@ -258,7 +258,7 @@ class TestPoolMetricsServerStub:
     class _StubPool:
         def __init__(self):
             registry = MetricsRegistry()
-            registry.counter("repro.serve.results_total", "x").inc(4)
+            registry.counter("repro.serve.results_total").inc(4)
             self._snapshot = registry.snapshot()
             self.worker_processed = {0: 3, 1: 1}
 

@@ -12,6 +12,7 @@ the Chrome export.
 import json
 import pickle
 import queue
+import random
 import time
 import urllib.request
 from types import SimpleNamespace
@@ -29,7 +30,7 @@ from repro.obs.flight import (
     stage_breakdown,
     stage_metric,
 )
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry, merge_snapshots
 from repro.obs.tracing import (
     Span,
     clear_spans,
@@ -160,6 +161,26 @@ class TestFlightRecorder:
         assert summary["inference"]["max"] == pytest.approx(0.4)
         assert summary["inference"]["exemplar_trace_id"] == f"{3:016x}"
         assert summary["inference"]["p99"] is not None
+
+    def test_stage_summary_quantiles_equal_the_merged_snapshot(self):
+        """``/slow`` and the pool's ``/metrics`` read the same p50/p99."""
+        rng = random.Random(7)
+        registry = MetricsRegistry()
+        recorder = FlightRecorder(capacity=4, registry=registry)
+        for i in range(400):
+            recorder.record(
+                _record(
+                    f"{i:016x}", 0.2,
+                    queue_wait=rng.lognormvariate(-4.0, 0.8),
+                    inference=rng.lognormvariate(-3.0, 0.5),
+                )
+            )
+        summary = recorder.stage_summary()
+        merged = merge_snapshots([registry.snapshot()])
+        for stage in STAGES:
+            quantiles = merged[stage_metric(stage)]["quantiles"]
+            assert summary[stage]["p50"] == quantiles["p50"]
+            assert summary[stage]["p99"] == quantiles["p99"]
 
     def test_to_dict_is_json_serializable(self):
         recorder = FlightRecorder(capacity=2)
