@@ -24,7 +24,13 @@ from pathlib import Path
 from repro import Kamel, KamelConfig, make_porto_like
 from repro.core.streaming import StreamingConfig, StreamingImputationService
 from repro.geo import Point, Trajectory
-from repro.resilience import ChaosConfig, ChaosMonkey, InjectedCrash, chaos_scope
+from repro.resilience import (
+    ChaosConfig,
+    ChaosMonkey,
+    InjectedCrash,
+    PipelineGuards,
+    chaos_scope,
+)
 
 STREAM_LENGTH = 12
 
@@ -32,12 +38,9 @@ STREAM_LENGTH = 12
 def main() -> None:
     dataset = make_porto_like(n_trajectories=200)
     train, test = dataset.split()
-    system = Kamel(
-        KamelConfig(
-            trajectory_deadline_s=2.0,   # SLA: no impute call past 2 s
-            breaker_recovery_s=1.0,      # quick half-open probes for the demo
-        )
-    ).fit(train)
+    # SLA: no impute call past 2 s.
+    system = Kamel(KamelConfig(trajectory_deadline_s=2.0)).fit(train)
+    system.guards = PipelineGuards(recovery_s=1.0)  # quick half-open probes for the demo
     print(f"offline training done: {system.repository}\n")
 
     workdir = Path(tempfile.mkdtemp(prefix="kamel-chaos-"))
@@ -116,7 +119,6 @@ def main() -> None:
     for rung in ("full", "reduced_beam", "counting", "linear"):
         if rungs.get(rung):
             print(f"  {rung:>12s}: {rungs[rung]:3d} segments")
-    service2.close()
 
 
 if __name__ == "__main__":

@@ -7,11 +7,12 @@ models trained offline, and running statistics are reported — no
 retraining happens on the hot path, which is what makes the imputation
 side scale.
 
-The service also exposes a live telemetry endpoint (Prometheus
-``/metrics``, JSON ``/healthz``, Chrome-trace ``/spans``); at the end of
-the stream this script scrapes its own endpoint once and checks that the
-failure rate read off the exported counters is the one the service
-counted, so running it doubles as an endpoint smoke test.
+Beside the service runs a live telemetry endpoint (Prometheus
+``/metrics``, JSON ``/healthz``, Chrome-trace ``/spans``) over the
+process's metrics registry; at the end of the stream this script scrapes
+it once and checks that the failure rate read off the exported counters
+is the one the service counted, so running it doubles as an endpoint
+smoke test.
 
 Run with::
 
@@ -23,7 +24,8 @@ import time
 import urllib.request
 
 from repro import Kamel, KamelConfig, make_porto_like
-from repro.core.streaming import StreamingConfig, StreamingImputationService
+from repro.core.streaming import StreamingImputationService
+from repro.obs.server import ObservabilityServer
 from repro.roadnet import TrajectorySimulator, SimulatorConfig
 
 STREAM_LENGTH = 15
@@ -35,10 +37,11 @@ def main() -> None:
     system = Kamel(KamelConfig()).fit(train)
     print(f"offline training done: {system.repository}\n")
 
-    # The deployable wrapper: cleaning chain + per-trip imputation, with
-    # the telemetry endpoint on an ephemeral localhost port.
-    service = StreamingImputationService(system, StreamingConfig(metrics_port=0))
-    print(f"telemetry endpoint: {service.metrics_url}/metrics\n")
+    # The deployable wrapper: cleaning chain + per-trip imputation; and
+    # the telemetry endpoint, on an ephemeral localhost port.
+    service = StreamingImputationService(system)
+    server = ObservabilityServer(port=0).start()
+    print(f"telemetry endpoint: {server.url}/metrics\n")
 
     # A live feed of new trips over the same (hidden) road network,
     # sparsified the way a low-power tracker would report them.
@@ -68,7 +71,7 @@ def main() -> None:
     )
 
     # Scrape our own endpoint once — exactly what a Prometheus job would do.
-    with urllib.request.urlopen(f"{service.metrics_url}/metrics") as response:
+    with urllib.request.urlopen(f"{server.url}/metrics") as response:
         exposition = response.read().decode("utf-8")
     interesting = (
         "repro_kamel_segments_imputed_total",
@@ -84,7 +87,7 @@ def main() -> None:
             print(f"  {line}")
             name, value = line.split()
             samples[name] = float(value)
-    service.close()
+    server.stop()
 
     # A failure rate is a ratio of two exported counters; over a window it
     # is the same ratio of their rate() in PromQL.

@@ -11,7 +11,6 @@ Examples::
 Observability flags (global, before the subcommand)::
 
     kamel --log-level DEBUG --metrics-out run.json compare --dataset porto
-    kamel --trace figure fig9
     kamel stats run.json          # summarize a saved metrics snapshot
 
 Telemetry export::
@@ -48,7 +47,7 @@ from typing import Optional, Sequence
 from repro.eval.figures import ALL_FIGURES, Scale, jakarta_workload, porto_workload
 from repro.eval.harness import ExperimentRunner
 from repro.eval.report import render_table
-from repro.obs import configure_logging, enable_tracing, finished_spans, get_registry
+from repro.obs import configure_logging, get_registry
 
 
 def _cmd_list_figures(_: argparse.Namespace) -> int:
@@ -700,11 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the metrics-registry JSON snapshot here on exit",
     )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="collect span trees and print them to stderr on exit",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list-figures", help="list reproducible paper figures")
@@ -877,13 +871,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.log_level:
         configure_logging(level=args.log_level, fmt=args.log_format)
-    if args.trace:
-        enable_tracing()
     epilogue_rc = 0
     try:
         rc = args.func(args)
     finally:
-        # Snapshots/spans are written even when the subcommand raised, but
+        # Snapshots are written even when the subcommand raised, but
         # an unwritable --metrics-out path must be a clean non-zero exit,
         # not a traceback out of a finally block.
         if args.metrics_out:
@@ -899,9 +891,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     file=sys.stderr,
                 )
                 epilogue_rc = 2
-        if args.trace:
-            for root in finished_spans():
-                print(root.render(), file=sys.stderr)
     return epilogue_rc or rc
 
 

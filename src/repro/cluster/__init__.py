@@ -1,5 +1,5 @@
 """Clustering primitives (from-scratch DBSCAN) used by detokenization."""
 
-from repro.cluster.dbscan import DBSCAN, NOISE, dbscan_labels
+from repro.cluster.dbscan import NOISE, dbscan_labels
 
-__all__ = ["DBSCAN", "NOISE", "dbscan_labels"]
+__all__ = ["NOISE", "dbscan_labels"]

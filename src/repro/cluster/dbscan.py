@@ -111,32 +111,3 @@ def dbscan_labels(
                 queue.extend(j_neighbours)
         cluster += 1
     return labels
-
-
-class DBSCAN:
-    """Object-style wrapper mirroring the scikit-learn calling convention."""
-
-    def __init__(
-        self,
-        eps: float,
-        min_samples: int,
-        metric: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
-    ) -> None:
-        self.eps = eps
-        self.min_samples = min_samples
-        self.metric = metric
-        self.labels_: Optional[np.ndarray] = None
-
-    def fit(self, data: Sequence[Sequence[float]] | np.ndarray) -> "DBSCAN":
-        self.labels_ = dbscan_labels(data, self.eps, self.min_samples, self.metric)
-        return self
-
-    def fit_predict(self, data: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
-        return self.fit(data).labels_  # type: ignore[return-value]
-
-    @property
-    def n_clusters_(self) -> int:
-        """Number of clusters discovered by the last :meth:`fit`."""
-        if self.labels_ is None:
-            raise RuntimeError("fit() has not been called")
-        return int(self.labels_.max()) + 1 if len(self.labels_) else 0

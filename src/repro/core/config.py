@@ -11,7 +11,7 @@ from repro.errors import ConfigError
 
 @dataclass(frozen=True)
 class KamelConfig:
-    """Every knob of the KAMEL system, defaulted to the paper's choices.
+    """The settings a caller varies, defaulted to the paper's choices.
 
     The paper tunes hexagon edge 75 m, beam size 10, ``maxgap`` 100 m,
     direction cone 45 degrees, cycle window 6, and length-normalization
@@ -19,6 +19,13 @@ class KamelConfig:
     threshold ``k`` are scaled down relative to the paper's city-scale
     deployments; the defaults here suit the ~3 km synthetic cities of
     :mod:`repro.roadnet`.
+
+    Values nothing varies are named constants beside the code that uses
+    them: the BERT size (:class:`repro.mlm.bert.BertConfig`), the
+    ellipse slack and floor (:mod:`repro.core.constraints`), the DBSCAN
+    feature scales (:mod:`repro.core.detokenization`), the reduced rungs'
+    budgets (:mod:`repro.resilience.ladder`) and the breaker and retry
+    settings (:class:`repro.resilience.breaker.PipelineGuards`).
     """
 
     # -- Tokenization (Section 3) --
@@ -34,12 +41,9 @@ class KamelConfig:
     model_backend: str = "counting"
     """``"bert"`` (transformer MLM, faithful but slow) or ``"counting"``
     (drop-in fast backend; see DESIGN.md substitution table)."""
-    bert_hidden_size: int = 48
-    bert_num_layers: int = 2
-    bert_num_heads: int = 2
-    bert_max_seq_len: int = 64
     bert_epochs: int = 20
-    bert_lr: float = 3e-3
+    """Training epochs of the ``"bert"`` backend (its size is
+    :class:`repro.mlm.bert.BertConfig`'s default)."""
     top_k_candidates: int = 10
     """Candidates requested from the masked model per call."""
 
@@ -75,11 +79,6 @@ class KamelConfig:
     ``adaptive_speed_factor`` (falling back to the fixed bound when no
     preceding segment exists)."""
     adaptive_speed_factor: float = 1.5
-    speed_slack: float = 1.25
-    """Multiplier on the inferred max speed (conservative headroom)."""
-    ellipse_min_sum_m: float = 250.0
-    """Lower bound on the ellipse distance sum, so near-instantaneous
-    segment endpoints still admit at least a few cells."""
     local_detour_slack_m: float = 250.0
     """Per-insertion movement constraint: a token inserted between the two
     current gap endpoints u, v must satisfy ``d(c,u) + d(c,v) <= d(u,v) +
@@ -106,35 +105,16 @@ class KamelConfig:
 
     # -- Detokenization (Section 7) --
     dbscan_min_samples: int = 4
-    dbscan_eps_fraction: float = 0.35
-    """DBSCAN epsilon as a fraction of the cell edge length."""
-    direction_weight_m: float = 60.0
-    """Scale converting direction (unit circle) into meters for clustering,
-    so points moving opposite ways on the same road separate."""
 
     # -- Resilience (deadlines, degradation ladder, breakers) --
     trajectory_deadline_s: Optional[float] = None
     """Wall-time budget for one ``Kamel.impute`` call; ``None`` disables.
     An expired budget sends the remaining segments to the linear rung
     instead of hanging the request."""
-    segment_deadline_s: Optional[float] = None
-    """Per-segment budget, combined with (capped by) the trajectory budget."""
-    degraded_beam_size: int = 3
-    """Beam width of the ladder's reduced-beam rung."""
-    degraded_max_model_calls: int = 200
-    """Model-call budget for the reduced-beam and counting rungs."""
     enable_fallback_model: bool = True
     """Maintain a global counting model as the ladder's safety-net rung
     (cheap to train; survives an open inference circuit or a repository
     miss — the heavy model path being unavailable must not mean linear)."""
-    breaker_failure_threshold: int = 5
-    """Consecutive failures before a circuit (lookup or inference) opens."""
-    breaker_recovery_s: float = 30.0
-    """Seconds an open circuit waits before allowing a half-open probe."""
-    retry_attempts: int = 2
-    """Retries (after the first try) for transient lookup/inference faults."""
-    retry_base_delay_s: float = 0.01
-    """Base of the jittered exponential backoff between retries."""
 
     # -- misc --
     seed: int = 0
@@ -178,20 +158,6 @@ class KamelConfig:
             raise ConfigError("top_k_candidates must be >= 1")
         if self.trajectory_deadline_s is not None and self.trajectory_deadline_s <= 0:
             raise ConfigError("trajectory_deadline_s must be positive when set")
-        if self.segment_deadline_s is not None and self.segment_deadline_s <= 0:
-            raise ConfigError("segment_deadline_s must be positive when set")
-        if self.degraded_beam_size < 1:
-            raise ConfigError("degraded_beam_size must be >= 1")
-        if self.degraded_max_model_calls < 1:
-            raise ConfigError("degraded_max_model_calls must be >= 1")
-        if self.breaker_failure_threshold < 1:
-            raise ConfigError("breaker_failure_threshold must be >= 1")
-        if self.breaker_recovery_s <= 0:
-            raise ConfigError("breaker_recovery_s must be positive")
-        if self.retry_attempts < 0:
-            raise ConfigError("retry_attempts must be >= 0")
-        if self.retry_base_delay_s < 0:
-            raise ConfigError("retry_base_delay_s must be >= 0")
 
     @property
     def cone_half_angle_rad(self) -> float:

@@ -88,6 +88,12 @@ def creates_cycle(tokens: Sequence[int], insert_pos: int, candidate: int, window
     return False
 
 
+SPEED_SLACK = 1.25
+"""Multiplier on the speed bound of the ellipse (conservative headroom)."""
+ELLIPSE_MIN_SUM_M = 250.0
+"""Floor of the ellipse distance sum, so near-instantaneous segment
+endpoints still admit a few cells."""
+
 _REJECTION_COUNTERS = (
     "special",
     "speed_ellipse",
@@ -303,7 +309,7 @@ class SpatialConstraints:
         """
         straight = self.tokenizer.token_distance_m(ctx.source, ctx.dest)
         floor = max(
-            self.config.ellipse_min_sum_m,
+            ELLIPSE_MIN_SUM_M,
             straight + 2.0 * self.tokenizer.grid.centroid_spacing_m,
         )
         if ctx.source_time is None or ctx.dest_time is None:
@@ -322,7 +328,7 @@ class SpatialConstraints:
                 self.max_speed_mps,
                 ctx.reference_speed_mps * self.config.adaptive_speed_factor,
             )
-        return max(floor, speed_bound * time_diff * self.config.speed_slack)
+        return max(floor, speed_bound * time_diff * SPEED_SLACK)
 
     def _frame(self, ctx: GapContext) -> _SegmentFrame:
         centroid = self.tokenizer.centroid_of_token

@@ -70,6 +70,13 @@ def _circular_mean(angles: np.ndarray) -> float:
     return float(math.atan2(np.sin(angles).mean(), np.cos(angles).mean()))
 
 
+DBSCAN_EPS_FRACTION = 0.35
+"""DBSCAN epsilon as a fraction of the cell size (square root of its area)."""
+DIRECTION_WEIGHT_M = 60.0
+"""Radius of the circle a travel direction maps onto among the clustering
+features, so points moving opposite ways on the same road separate."""
+
+
 class Detokenizer:
     """Builds and applies the per-token cluster metadata."""
 
@@ -101,16 +108,16 @@ class Detokenizer:
             return CellClusters((), data_centroid, len(rows))
 
         # Feature space: meters for position; direction mapped onto a
-        # circle of radius ``direction_weight_m`` so opposite headings on
-        # the same road land far apart.
-        w = cfg.direction_weight_m
+        # circle of radius DIRECTION_WEIGHT_M so opposite headings on the
+        # same road land far apart.
+        w = DIRECTION_WEIGHT_M
         features = np.column_stack(
             [xs, ys, w * np.cos(dirs), w * np.sin(dirs)]
         )
         # Scale epsilon by the cell's *size* (sqrt of area), not its edge
         # length: hexagon and square grids of equal cell area then cluster
         # identically, keeping the Fig. 12-III comparison fair.
-        eps = cfg.dbscan_eps_fraction * math.sqrt(self.tokenizer.grid.cell_area_m2)
+        eps = DBSCAN_EPS_FRACTION * math.sqrt(self.tokenizer.grid.cell_area_m2)
         labels = dbscan_labels(features, eps=eps, min_samples=cfg.dbscan_min_samples)
 
         clusters: list[DirectionalCluster] = []

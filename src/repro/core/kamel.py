@@ -5,9 +5,9 @@
 * :meth:`Kamel.fit` / :meth:`Kamel.add_training` — the training input path:
   tokenize, store, maintain the pyramid model repository, and build the
   detokenization cluster metadata;
-* :meth:`Kamel.impute` (plus batch and streaming variants) — the sparse
-  input path: tokenize, pick the right model from the repository, run
-  multipoint imputation under spatial constraints, and detokenize.
+* :meth:`Kamel.impute` — the sparse input path: tokenize, pick the right
+  model from the repository, run multipoint imputation under spatial
+  constraints, and detokenize.
 
 A segment whose imputation cannot be served by the happy path descends an
 explicit degradation ladder (:mod:`repro.resilience.ladder`): full beam
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +66,8 @@ from repro.obs.tracing import span, trace_scope
 from repro.resilience.breaker import PipelineGuards
 from repro.resilience.deadline import Deadline
 from repro.resilience.ladder import (
+    DEGRADED_BEAM_SIZE,
+    DEGRADED_MAX_MODEL_CALLS,
     DegradationLadder,
     RUNG_COUNTING,
     RUNG_FULL,
@@ -111,15 +113,8 @@ class Kamel(Imputer):
         self._training_trajectories: list[Trajectory] = []
         self._gap_threshold_m: Optional[float] = None
         self._fitted = False
-        cfg = self.config
-        self.ladder = DegradationLadder.for_config(cfg)
-        self.guards = PipelineGuards(
-            failure_threshold=cfg.breaker_failure_threshold,
-            recovery_s=cfg.breaker_recovery_s,
-            retry_attempts=cfg.retry_attempts,
-            retry_base_delay_s=cfg.retry_base_delay_s,
-            seed=cfg.seed,
-        )
+        self.ladder = DegradationLadder.for_config(self.config)
+        self.guards = PipelineGuards(seed=self.config.seed)
 
     # -- training path ------------------------------------------------------
 
@@ -128,7 +123,7 @@ class Kamel(Imputer):
         if cfg.model_backend == "bert":
             return BertMaskedLM(
                 config=None,  # sized at fit() time from the vocabulary
-                training=TrainingConfig(epochs=cfg.bert_epochs, lr=cfg.bert_lr, seed=cfg.seed),
+                training=TrainingConfig(epochs=cfg.bert_epochs, seed=cfg.seed),
             )
         return CountingMaskedLM()
 
@@ -417,20 +412,14 @@ class Kamel(Imputer):
     ) -> Search[list[tuple[list[Point], SegmentOutcome]]]:
         """The gap segments ``run`` one after another, each on the speed
         the one before it settled at (``reference_speed`` for the first)."""
-        cfg = self.config
         settled = []
         for i in run:
             a, b = points[i], points[i + 1]
-            seg_deadline = deadline
-            if cfg.segment_deadline_s is not None:
-                # The segment's own budget starts as it joins the lockstep.
-                base = deadline if deadline is not None else Deadline.unlimited()
-                seg_deadline = base.sub_budget(cfg.segment_deadline_s)
             interior, outcome = yield from self._impute_segment(
                 i, a, b,
                 points[i - 1] if i > 0 else None,
                 points[i + 2] if i + 2 < len(points) else None,
-                trajectory_model, reference_speed, seg_deadline, max_rung,
+                trajectory_model, reference_speed, deadline, max_rung,
             )
             settled.append((interior, outcome))
             if not outcome.failed:
@@ -600,8 +589,8 @@ class Kamel(Imputer):
             if rung == RUNG_REDUCED_BEAM:
                 rung_cfg = replace(
                     cfg,
-                    beam_size=min(cfg.beam_size, cfg.degraded_beam_size),
-                    max_model_calls=min(cfg.max_model_calls, cfg.degraded_max_model_calls),
+                    beam_size=min(cfg.beam_size, DEGRADED_BEAM_SIZE),
+                    max_model_calls=min(cfg.max_model_calls, DEGRADED_MAX_MODEL_CALLS),
                 )
             imputer = make_segment_imputer(
                 self.guards.guard_model(model),
@@ -619,26 +608,13 @@ class Kamel(Imputer):
             # state, not a remote dependency, so it must keep serving while
             # the inference circuit is open.
             rung_cfg = replace(
-                cfg, max_model_calls=min(cfg.max_model_calls, cfg.degraded_max_model_calls)
+                cfg, max_model_calls=min(cfg.max_model_calls, DEGRADED_MAX_MODEL_CALLS)
             )
             imputer = IterativeImputer(
                 model, self.tokenizer, self.constraints, rung_cfg, self._gap_threshold_m
             )
             return (yield from imputer.rounds(ctx, deadline, search.asking(model)))
         return None  # pragma: no cover - ladder construction forbids unknown rungs
-
-    # -- batch and streaming fronts ------------------------------------------------
-
-    def impute_batch(self, trajectories: Sequence[Trajectory]) -> list[ImputationResult]:
-        """Offline bulk mode."""
-        return [self.impute(t) for t in trajectories]
-
-    def impute_stream(
-        self, trajectories: Iterable[Trajectory]
-    ) -> Iterator[ImputationResult]:
-        """Online mode: lazily impute an incoming trajectory stream."""
-        for trajectory in trajectories:
-            yield self.impute(trajectory)
 
     # -- persistence -----------------------------------------------------------
 

@@ -3,8 +3,8 @@
 The paper keeps "a simple trajectory store" of every tokenized training
 trajectory so the partitioning module can re-read an area's trajectories
 when (re)building models. This in-memory implementation indexes sequences
-by bounding box and answers the two queries maintenance needs: "all
-sequences fully inside region R" and "total token count inside R".
+by bounding box and answers the query maintenance needs: "all
+sequences fully inside region R".
 """
 
 from __future__ import annotations
@@ -65,21 +65,3 @@ class TrajectoryStore:
             for seq, box in zip(self._sequences, self._bboxes)
             if box is not None and region.contains_box(box)
         ]
-
-    def tokens_within(self, region: BoundingBox) -> int:
-        """Number of tokens whose cell centroid lies in ``region``.
-
-        Counted token-by-token (not via whole-trajectory containment), as
-        the pyramid thresholds of Section 4.1 are per-cell token counts.
-        """
-        vocab = self._tokenizer.vocabulary
-        count = 0
-        for seq, box in zip(self._sequences, self._bboxes):
-            if box is None or not region.intersects(box):
-                continue
-            for token in seq.tokens:
-                if vocab.is_special(token):
-                    continue
-                if region.contains_point(self._tokenizer.centroid_of_token(token)):
-                    count += 1
-        return count

@@ -9,12 +9,10 @@ paper's scalability argument — but fully processed trajectories can be
 fed back as training data in periodic offline batches via
 :meth:`enqueue_for_training` / :meth:`flush_training`.
 
-Operationally the service can expose itself: set
-:attr:`StreamingConfig.metrics_port` and it starts an
-:class:`~repro.obs.server.ObservabilityServer` serving ``/metrics``
-(Prometheus), ``/healthz``, and ``/spans``.
 Every :meth:`process` call runs under its own trace id, stamped on all
-spans and log lines it produces.
+spans and log lines it produces. The service serves no HTTP itself: a
+caller who wants ``/metrics`` runs an
+:class:`~repro.obs.server.ObservabilityServer` beside it.
 
 Durability: point :attr:`StreamingConfig.journal_path` at a file and
 every input is journaled (write-ahead) before processing and marked done
@@ -30,7 +28,7 @@ processed, quarantined, or journal-pending — never silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from repro.core.kamel import Kamel
 from repro.core.result import ImputationResult
@@ -38,7 +36,6 @@ from repro.errors import NotFittedError, QuarantinedInputError
 from repro.geo import Trajectory
 from repro.obs import instrument as obs
 from repro.obs.logging import get_logger
-from repro.obs.server import ObservabilityServer
 from repro.obs.tracing import span, trace_scope
 from repro.resilience.journal import QuarantineStore, StreamJournal
 from repro.resilience.validate import validate_trajectory
@@ -46,6 +43,11 @@ from repro.resilience.validate import validate_trajectory
 from repro.preprocess import KalmanSmoother, remove_outliers, split_by_time_gap
 
 _log = get_logger("core.streaming")
+
+MAX_SPEED_MPS = 60.0
+"""Outlier gate for raw fixes: a point only reachable faster is dropped."""
+TRIP_GAP_S = 600.0
+"""Recording pauses longer than this split the input into trips."""
 
 
 @dataclass
@@ -100,18 +102,10 @@ class StreamStats:
 class StreamingConfig:
     """What the ingest pipeline does before imputation."""
 
-    max_speed_mps: float = 60.0
-    """Outlier gate for raw fixes."""
     smooth: bool = False
     """Apply Kalman smoothing to each incoming trajectory."""
-    trip_gap_s: float = 600.0
-    """Recording pauses longer than this split the input into trips."""
-    min_trip_points: int = 2
     training_batch_size: int = 50
     """`enqueue_for_training` triggers an offline batch at this size."""
-    metrics_port: Optional[int] = None
-    """Serve /metrics, /healthz, /spans on this localhost port (0 picks a
-    free ephemeral port); None (default) starts no endpoint."""
     journal_path: Optional[str] = None
     """Write-ahead journal file (JSONL). None (default) disables the
     journal; with it set, :meth:`StreamingImputationService.recover`
@@ -148,41 +142,14 @@ class StreamingImputationService:
         self.quarantine: Optional[QuarantineStore] = None
         if self.config.quarantine_path is not None:
             self.quarantine = QuarantineStore(self.config.quarantine_path)
-        self.metrics_server: Optional[ObservabilityServer] = None
-        if self.config.metrics_port is not None:
-            self.metrics_server = ObservabilityServer(
-                port=self.config.metrics_port
-            ).start()
-
-    # -- telemetry endpoint -----------------------------------------------
-
-    @property
-    def metrics_url(self) -> Optional[str]:
-        """Base URL of the running telemetry endpoint (None if disabled)."""
-        if self.metrics_server is None:
-            return None
-        return self.metrics_server.url
-
-    def close(self) -> None:
-        """Stop the telemetry endpoint (idempotent; the service remains usable)."""
-        if self.metrics_server is not None:
-            self.metrics_server.stop()
-            self.metrics_server = None
-
-    def __enter__(self) -> "StreamingImputationService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- the hot path -----------------------------------------------------
 
     def _clean(self, trajectory: Trajectory) -> list[Trajectory]:
-        cfg = self.config
-        cleaned = remove_outliers(trajectory, cfg.max_speed_mps)
-        if cfg.smooth:
+        cleaned = remove_outliers(trajectory, MAX_SPEED_MPS)
+        if self.config.smooth:
             cleaned = self._smoother.smooth(cleaned)
-        return split_by_time_gap(cleaned, cfg.trip_gap_s, cfg.min_trip_points)
+        return split_by_time_gap(cleaned, TRIP_GAP_S)
 
     def process(
         self,
@@ -296,13 +263,6 @@ class StreamingImputationService:
             self.stats.journal_replayed += 1
             results.extend(self.process(trajectory))
         return results
-
-    def process_stream(
-        self, trajectories: Iterable[Trajectory]
-    ) -> Iterator[ImputationResult]:
-        """Lazily process an endless feed."""
-        for trajectory in trajectories:
-            yield from self.process(trajectory)
 
     # -- offline enrichment ------------------------------------------------
 

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import abc
-from typing import Iterator
 
-from repro.geo import BoundingBox, Point
+from repro.geo import Point
 
 Cell = tuple[int, int]
 """A grid cell identifier: integer lattice coordinates."""
@@ -15,8 +14,8 @@ class Grid(abc.ABC):
     """A non-overlapping tessellation of the plane into cells.
 
     Concrete grids must map points to cells and cells back to centroid
-    points, and enumerate neighbours. The ellipse/bbox enumeration helpers
-    are implemented generically on top of those primitives.
+    points, and enumerate neighbours; distances and rings are derived
+    generically from those primitives.
     """
 
     def __init__(self, edge_length_m: float) -> None:
@@ -73,55 +72,6 @@ class Grid(abc.ABC):
                         nxt.append(n)
             frontier = nxt
         return seen
-
-    @abc.abstractmethod
-    def cells_in_bbox(self, box: BoundingBox) -> Iterator[Cell]:
-        """Every cell whose centroid lies inside ``box``."""
-
-    def cells_in_ellipse(self, f1: Point, f2: Point, max_distance_sum: float) -> set[Cell]:
-        """Cells whose centroid lies in the ellipse with foci ``f1``/``f2``.
-
-        The ellipse is the speed-constraint area of Section 5.1: the locus
-        of points whose summed distance to the two foci is at most
-        ``max_distance_sum``.
-        """
-        if max_distance_sum < f1.distance_to(f2):
-            return set()
-        # Bounding box of the ellipse: semi-major a along the focal axis,
-        # semi-minor b; an axis-aligned box of half-extents a covers it.
-        semi_major = max_distance_sum / 2.0
-        cx, cy = (f1.x + f2.x) / 2.0, (f1.y + f2.y) / 2.0
-        box = BoundingBox(cx - semi_major, cy - semi_major, cx + semi_major, cy + semi_major)
-        out: set[Cell] = set()
-        for cell in self.cells_in_bbox(box):
-            c = self.centroid(cell)
-            if c.distance_to(f1) + c.distance_to(f2) <= max_distance_sum:
-                out.add(cell)
-        return out
-
-    def cells_in_cone(
-        self, apex: Point, direction: float, half_angle: float, max_range: float
-    ) -> set[Cell]:
-        """Cells whose centroid falls in an angular cone from ``apex``.
-
-        Used by the direction constraint of Section 5.1: the cone opens
-        around ``direction`` (radians) with the given ``half_angle`` and
-        reaches ``max_range`` meters.
-        """
-        from repro.geo.point import angle_difference  # local import: tiny helper
-
-        box = BoundingBox(
-            apex.x - max_range, apex.y - max_range, apex.x + max_range, apex.y + max_range
-        )
-        out: set[Cell] = set()
-        for cell in self.cells_in_bbox(box):
-            c = self.centroid(cell)
-            d = apex.distance_to(c)
-            if d == 0.0 or d > max_range:
-                continue
-            if angle_difference(apex.bearing_to(c), direction) <= half_angle:
-                out.add(cell)
-        return out
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(edge_length_m={self.edge_length_m})"

@@ -17,9 +17,8 @@ paper argues makes hexagons better BERT tokens than squares (Section 3.1).
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
-from repro.geo import BoundingBox, Point
+from repro.geo import Point
 from repro.grid.base import Cell, Grid
 
 _SQRT3 = math.sqrt(3.0)
@@ -76,23 +75,6 @@ class HexGrid(Grid):
         dq = a[0] - b[0]
         dr = a[1] - b[1]
         return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
-
-    def cells_in_bbox(self, box: BoundingBox) -> Iterator[Cell]:
-        s = self.edge_length_m
-        # r is determined by y alone: y = 1.5 * s * r.
-        r_lo = math.floor(box.min_y / (1.5 * s)) - 1
-        r_hi = math.ceil(box.max_y / (1.5 * s)) + 1
-        for r in range(r_lo, r_hi + 1):
-            y = s * 1.5 * r
-            if not (box.min_y <= y <= box.max_y):
-                continue
-            # At this row, x = s*sqrt(3)*(q + r/2): solve for the q window.
-            q_lo = math.floor(box.min_x / (s * _SQRT3) - r / 2.0) - 1
-            q_hi = math.ceil(box.max_x / (s * _SQRT3) - r / 2.0) + 1
-            for q in range(q_lo, q_hi + 1):
-                x = s * _SQRT3 * (q + r / 2.0)
-                if box.min_x <= x <= box.max_x:
-                    yield (q, r)
 
     def vertices(self, cell: Cell) -> list[Point]:
         """The six corner points of ``cell`` (useful for plotting/tests)."""

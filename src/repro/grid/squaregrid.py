@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
-from repro.geo import BoundingBox, Point
+from repro.geo import Point
 from repro.grid.base import Cell, Grid
 
 _EDGE_DIRECTIONS: tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -53,17 +52,6 @@ class SquareGrid(Grid):
     def cell_steps(self, a: Cell, b: Cell) -> int:
         # Manhattan distance: the minimum number of edge crossings.
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-    def cells_in_bbox(self, box: BoundingBox) -> Iterator[Cell]:
-        e = self.edge_length_m
-        i_lo = math.floor(box.min_x / e) - 1
-        i_hi = math.ceil(box.max_x / e) + 1
-        j_lo = math.floor(box.min_y / e) - 1
-        j_hi = math.ceil(box.max_y / e) + 1
-        for i in range(i_lo, i_hi + 1):
-            for j in range(j_lo, j_hi + 1):
-                if box.contains_point(self.centroid((i, j))):
-                    yield (i, j)
 
     @classmethod
     def area_matched(cls, hex_edge_length_m: float) -> "SquareGrid":

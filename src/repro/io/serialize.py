@@ -38,7 +38,7 @@ from repro.mlm.bert import BertConfig, BertMaskedLM, BertModel
 from repro.mlm.counting import CountingMaskedLM
 from repro.mlm.vocab import Vocabulary
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 # -- model payloads -----------------------------------------------------------

@@ -26,28 +26,28 @@ from repro.nn import Adam, Dropout, Embedding, LayerNorm, Linear, Module, clip_g
 from repro.nn.functional import cross_entropy, gelu, layernorm, softmax
 from repro.nn.tensor import Tensor
 from repro.obs import instrument as obs
-from repro.obs.logging import get_logger
 from repro.obs.tracing import span
-
-_log = get_logger("mlm.bert")
 
 _NUM_SPECIAL = 3  # [PAD], [MASK], [UNK] — must match repro.mlm.vocab
 _PAD_ID, _MASK_ID, _UNK_ID = 0, 1, 2
 _ATTN_NEG = -1e9
+_DROPOUT = 0.1
+# BERT's training recipe (Devlin et al., 2018), scaled to short runs.
+_MASK_PROB = 0.15
+_WARMUP_STEPS = 20
+_GRAD_CLIP = 1.0
 
 
 @dataclass(frozen=True)
 class BertConfig:
-    """Transformer hyperparameters."""
+    """Transformer hyperparameters (the FFN is ``4 * hidden_size`` wide,
+    and training drops out 10 %)."""
 
     vocab_size: int
     hidden_size: int = 48
     num_layers: int = 2
     num_heads: int = 2
-    ffn_size: int = 0
-    """Defaults to 4 x hidden_size when 0."""
     max_seq_len: int = 64
-    dropout: float = 0.1
     share_layers: bool = False
     """ALBERT-style cross-layer parameter sharing: one transformer block
     applied ``num_layers`` times. The paper notes "other BERT variants ...
@@ -63,8 +63,6 @@ class BertConfig:
             raise ConfigError("hidden_size must be divisible by num_heads")
         if self.num_layers < 1 or self.num_heads < 1:
             raise ConfigError("num_layers and num_heads must be >= 1")
-        if self.ffn_size == 0:
-            object.__setattr__(self, "ffn_size", 4 * self.hidden_size)
 
 
 @dataclass(frozen=True)
@@ -74,14 +72,8 @@ class TrainingConfig:
     epochs: int = 25
     batch_size: int = 16
     lr: float = 3e-3
-    warmup_steps: int = 20
-    mask_prob: float = 0.15
-    grad_clip: float = 1.0
     seed: int = 0
     max_steps: Optional[int] = None
-    log_every: int = 0
-    """Log loss (at INFO, logger ``repro.mlm.bert``) every N steps when
-    > 0; training progress is otherwise logged at DEBUG."""
 
 
 # The inference forward (the ``infer`` methods below) runs on bare arrays:
@@ -110,7 +102,7 @@ class MultiHeadSelfAttention(Module):
         self.key = Linear(d, d, rng)
         self.value = Linear(d, d, rng)
         self.output = Linear(d, d, rng)
-        self.dropout = Dropout(config.dropout, rng=np.random.default_rng(config.seed + 101))
+        self.dropout = Dropout(_DROPOUT, rng=np.random.default_rng(config.seed + 101))
 
     def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
         # (B, T, D) -> (B, H, T, dh)
@@ -149,10 +141,10 @@ class TransformerLayer(Module):
         d = config.hidden_size
         self.attention = MultiHeadSelfAttention(config, rng)
         self.attn_norm = LayerNorm(d)
-        self.ffn_in = Linear(d, config.ffn_size, rng)
-        self.ffn_out = Linear(config.ffn_size, d, rng)
+        self.ffn_in = Linear(d, 4 * d, rng)
+        self.ffn_out = Linear(4 * d, d, rng)
         self.ffn_norm = LayerNorm(d)
-        self.dropout = Dropout(config.dropout, rng=np.random.default_rng(config.seed + 202))
+        self.dropout = Dropout(_DROPOUT, rng=np.random.default_rng(config.seed + 202))
 
     def forward(self, x: Tensor, attn_bias: np.ndarray) -> Tensor:
         x = self.attn_norm(x + self.dropout(self.attention(x, attn_bias)))
@@ -177,7 +169,7 @@ class BertModel(Module):
         self.token_embedding = Embedding(config.vocab_size, d, rng)
         self.position_embedding = Embedding(config.max_seq_len, d, rng)
         self.embed_norm = LayerNorm(d)
-        self.embed_dropout = Dropout(config.dropout, rng=np.random.default_rng(config.seed + 303))
+        self.embed_dropout = Dropout(_DROPOUT, rng=np.random.default_rng(config.seed + 303))
         if config.share_layers:
             shared = TransformerLayer(config, rng)
             self.layers = [shared] * config.num_layers
@@ -350,27 +342,22 @@ class BertMaskedLM(MaskedModel):
 
     def _train_loop(self, chunks, cfg: BertConfig, tcfg: TrainingConfig, rng) -> None:
         params = list(self.model.parameters())
-        optimizer = Adam(params, lr=tcfg.lr, warmup_steps=tcfg.warmup_steps)
+        optimizer = Adam(params, lr=tcfg.lr, warmup_steps=_WARMUP_STEPS)
         steps = obs.counter("repro.bert.train_steps_total")
         step = 0
         for _ in range(tcfg.epochs):
             for batch in self._batches(chunks, rng):
-                inputs, targets = _mask_batch(batch, tcfg.mask_prob, cfg.vocab_size, rng)
+                inputs, targets = _mask_batch(batch, _MASK_PROB, cfg.vocab_size, rng)
                 if (targets != -100).sum() == 0:
                     continue
                 logits = self.model(inputs)
                 loss = cross_entropy(logits, targets)
                 optimizer.zero_grad()
                 loss.backward()
-                clip_grad_norm(params, tcfg.grad_clip)
+                clip_grad_norm(params, _GRAD_CLIP)
                 optimizer.step()
                 self.loss_history.append(loss.item())
                 steps.inc()
-                if tcfg.log_every and step % tcfg.log_every == 0:
-                    _log.info(
-                        "bert training step",
-                        extra={"data": {"step": step, "loss": round(loss.item(), 4)}},
-                    )
                 step += 1
                 if tcfg.max_steps is not None and step >= tcfg.max_steps:
                     return

@@ -21,9 +21,8 @@ what ``kamel tail`` renders) to the same server.
 
 The server binds ``127.0.0.1`` by default (telemetry is not
 authenticated; bind a public interface only behind something that is)
-and ``port=0`` picks a free ephemeral port — what
-:class:`~repro.core.streaming.StreamingImputationService` uses so tests
-and demos never collide. Handler logging goes through the ``repro``
+and ``port=0`` picks a free ephemeral port, so tests and demos never
+collide. Handler logging goes through the ``repro``
 logger at DEBUG, never stderr.
 """
 

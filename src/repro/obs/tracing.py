@@ -8,8 +8,8 @@ module decomposition.
 
 Tracing is **off by default**: :func:`span` then returns a shared no-op
 context manager, so a hot loop pays roughly one attribute load and one
-branch per span. Enable it (``enable_tracing()`` or the CLI's
-``--trace``) to collect real trees, readable via :func:`finished_spans`
+branch per span. Enable it (``enable_tracing()`` or ``kamel trace``)
+to collect real trees, readable via :func:`finished_spans`
 and serializable with :meth:`Span.to_dict`.
 
 Spans nest per-thread (a thread-local stack), exception-safely: a span

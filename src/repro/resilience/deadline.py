@@ -8,16 +8,15 @@ degradation ladder converts into a straight-line fallback instead of a
 hung request.  The paper's hard model-call limit bounds *work*; deadlines
 bound *time* — the unit an online SLA is actually written in.
 
-Deadlines are immutable once started, combinable (the tighter of a
-per-trajectory and a per-segment budget wins), and take an injectable
-monotonic clock so tests can drive them deterministically.
+Deadlines are immutable once started and take an injectable monotonic
+clock so tests can drive them deterministically.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import DeadlineExceeded
 
@@ -60,19 +59,6 @@ class Deadline:
         """A deadline that never expires."""
         return cls(math.inf, math.inf, clock)
 
-    @classmethod
-    def combine(cls, *deadlines: Optional["Deadline"]) -> "Deadline":
-        """The tightest of the given deadlines (``None`` entries ignored).
-
-        Per-segment budgets are combined with the enclosing per-trajectory
-        budget this way, so whichever runs out first wins.
-        """
-        present = [d for d in deadlines if d is not None]
-        if not present:
-            return cls.unlimited()
-        tightest = min(present, key=lambda d: d.expires_at)
-        return cls(tightest.expires_at, tightest.budget_s, tightest._clock)
-
     # -- interrogation -----------------------------------------------------
 
     @property
@@ -105,16 +91,6 @@ class Deadline:
                 f"{what} exceeded its {self.budget_s:.3g}s deadline",
                 overrun_s=self.overrun_s(),
             )
-
-    def sub_budget(self, seconds: Optional[float]) -> "Deadline":
-        """A child deadline of ``seconds`` capped by this one.
-
-        ``seconds=None`` returns this deadline unchanged — the per-segment
-        threading path when only a trajectory budget is configured.
-        """
-        if seconds is None:
-            return self
-        return Deadline.combine(self, Deadline.after(seconds, self._clock))
 
     def __repr__(self) -> str:
         if self.is_unlimited:

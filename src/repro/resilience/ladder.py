@@ -10,7 +10,7 @@ rung      what serves the segment
 ========  =====================================================
 full      the configured imputer (beam search, full width) on the
           pyramid-repository model — the paper's happy path
-reduced   beam search at ``degraded_beam_size`` — same model, a
+reduced   beam search at :data:`DEGRADED_BEAM_SIZE` — same model, a
           fraction of the cost, used when the full search failed
           or the deadline is tightening
 counting  greedy iterative imputation on the global counting
@@ -41,6 +41,8 @@ __all__ = [
     "RUNG_LINEAR",
     "ALL_RUNGS",
     "FALLBACK_REASONS",
+    "DEGRADED_BEAM_SIZE",
+    "DEGRADED_MAX_MODEL_CALLS",
     "DegradationLadder",
 ]
 
@@ -64,6 +66,12 @@ FALLBACK_REASONS = (
 """Every ``SegmentOutcome.fallback_reason`` a segment can record — why it
 left the rung above — each counted as
 ``repro.kamel.fallback.<reason>_total`` when the segment ends ``linear``."""
+
+DEGRADED_BEAM_SIZE = 3
+"""Beam width of the reduced-beam rung (capped by the configured width)."""
+DEGRADED_MAX_MODEL_CALLS = 200
+"""Model-call budget of the reduced-beam and counting rungs (capped by
+``KamelConfig.max_model_calls``)."""
 
 
 @dataclass(frozen=True)

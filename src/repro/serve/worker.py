@@ -219,8 +219,8 @@ def worker_main(spec: WorkerSpec, task_queue, result_queue, control=None) -> Non
     system, cache = load_kamel_lazy(spec.model_dir, lru_capacity=config.lru_capacity)
     # The worker journals at loop level (so delivery is part of the
     # transaction); the inner service runs journal-less. Cleaning and
-    # trip splitting use the StreamingConfig defaults — the same ones the
-    # single-process baseline the pool is verified against runs with.
+    # trip splitting are repro.core.streaming's constants — the same ones
+    # the single-process baseline the pool is verified against runs with.
     service = StreamingImputationService(
         system,
         StreamingConfig(quarantine_path=spec.shard_file(".quarantine.jsonl")),

@@ -48,10 +48,7 @@ def chaos_system(small_dataset):
     the session-wide ``trained_kamel``, whose guards must stay pristine.
     """
     train, _ = small_dataset.split(seed=1)
-    system = Kamel(
-        KamelConfig(max_model_calls=600, breaker_recovery_s=30.0)
-    ).fit(train)
-    return system
+    return Kamel(KamelConfig(max_model_calls=600)).fit(train)
 
 
 @pytest.fixture()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import DBSCAN, NOISE, dbscan_labels
+from repro.cluster import NOISE, dbscan_labels
 
 
 def two_blobs(n=30, seed=0):
@@ -129,14 +129,3 @@ class TestProperties:
         )
         assert (fast == brute).all()
 
-
-class TestWrapper:
-    def test_fit_predict(self):
-        model = DBSCAN(eps=1.5, min_samples=4)
-        labels = model.fit_predict(two_blobs())
-        assert model.n_clusters_ == 2
-        assert (labels == model.labels_).all()
-
-    def test_n_clusters_before_fit(self):
-        with pytest.raises(RuntimeError):
-            DBSCAN(eps=1.0, min_samples=2).n_clusters_

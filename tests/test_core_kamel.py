@@ -134,12 +134,6 @@ class TestImputation:
         results = trained_kamel.impute_batch(sparse)
         assert len(results) == 3
 
-    def test_impute_stream_lazy(self, trained_kamel, small_split):
-        _, test = small_split
-        stream = trained_kamel.impute_stream(t.sparsify(500.0) for t in test[:2])
-        first = next(stream)
-        assert first.trajectory.traj_id == test[0].traj_id
-
 
 class TestIncrementalTraining:
     def test_add_training_grows_vocabulary(self, small_split):

@@ -48,14 +48,6 @@ class TestStore:
         found = store.sequences_within(region)
         assert [s.traj_id for s in found] == ["near"]
 
-    def test_tokens_within_counts_tokens_not_trajectories(self, store, tokenizer):
-        seq = tokenizer.tokenize(line_trajectory("a", 0, 0), grow=True)
-        store.add(seq)
-        # Region covering roughly the first half of the line.
-        half = store.tokens_within(BoundingBox(-100, -100, 400, 100))
-        full = store.tokens_within(BoundingBox(-100, -100, 2000, 100))
-        assert 0 < half < full == len(seq)
-
     def test_iteration(self, store, tokenizer):
         store.add(tokenizer.tokenize(line_trajectory("a", 0, 0), grow=True))
         assert [s.traj_id for s in store] == ["a"]

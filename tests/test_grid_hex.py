@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geo import BoundingBox, Point
+from repro.geo import Point
 from repro.grid import HexGrid
 
 coords = st.floats(min_value=-5e4, max_value=5e4, allow_nan=False)
@@ -107,66 +107,3 @@ class TestRegionQueries:
     def test_ring_negative_raises(self, grid):
         with pytest.raises(ValueError):
             grid.ring((0, 0), -1)
-
-    def test_cells_in_bbox_complete(self, grid):
-        """Brute-force cross-check of the bbox enumeration."""
-        box = BoundingBox(-300, -300, 300, 300)
-        enumerated = set(grid.cells_in_bbox(box))
-        brute = set()
-        for q in range(-10, 11):
-            for r in range(-10, 11):
-                if box.contains_point(grid.centroid((q, r))):
-                    brute.add((q, r))
-        assert enumerated == brute
-
-    def test_cells_in_ellipse_degenerate(self, grid):
-        assert grid.cells_in_ellipse(Point(0, 0), Point(1000, 0), 500.0) == set()
-
-    def test_cells_in_ellipse_members(self, grid):
-        f1, f2 = Point(0, 0), Point(500, 0)
-        cells_found = grid.cells_in_ellipse(f1, f2, 700.0)
-        assert cells_found
-        for cell in cells_found:
-            c = grid.centroid(cell)
-            assert c.distance_to(f1) + c.distance_to(f2) <= 700.0 + 1e-9
-        # The midpoint cell must be inside.
-        assert grid.cell_of(Point(250, 0)) in cells_found
-
-    def test_cells_in_cone_direction(self, grid):
-        cone = grid.cells_in_cone(Point(0, 0), 0.0, math.pi / 4, 500.0)
-        assert cone
-        for cell in cone:
-            c = grid.centroid(cell)
-            assert c.x > 0  # everything east-ish
-        # A cell straight north must not be in an eastward 45-degree cone.
-        north = grid.cell_of(Point(0, 400))
-        assert north not in cone
-
-    def test_cells_in_cone_respects_range(self, grid):
-        cone = grid.cells_in_cone(Point(0, 0), 0.0, math.pi / 4, 300.0)
-        for cell in cone:
-            assert grid.centroid(cell).distance_to(Point(0, 0)) <= 300.0
-
-
-class TestEllipseCompleteness:
-    @given(
-        st.floats(min_value=-500, max_value=500),
-        st.floats(min_value=-500, max_value=500),
-        st.floats(min_value=100, max_value=800),
-    )
-    def test_no_qualifying_cell_missed(self, grid, fx, fy, extra):
-        """cells_in_ellipse must find EVERY cell whose centroid qualifies."""
-        from repro.geo import BoundingBox
-
-        f1 = Point(fx, fy)
-        f2 = Point(fx + 400.0, fy)
-        max_sum = f1.distance_to(f2) + extra
-        found = grid.cells_in_ellipse(f1, f2, max_sum)
-        # Brute force over a generous bounding window.
-        half = max_sum
-        cx, cy = (f1.x + f2.x) / 2, (f1.y + f2.y) / 2
-        window = BoundingBox(cx - half, cy - half, cx + half, cy + half)
-        for cell in grid.cells_in_bbox(window):
-            c = grid.centroid(cell)
-            if c.distance_to(f1) + c.distance_to(f2) <= max_sum:
-                assert cell in found

@@ -1,11 +1,9 @@
 """Unit and property tests for the square grid (S2 substitute)."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geo import BoundingBox, Point
+from repro.geo import Point
 from repro.grid import HexGrid, SquareGrid
 
 coords = st.floats(min_value=-5e4, max_value=5e4, allow_nan=False)
@@ -81,30 +79,6 @@ class TestCellSteps:
     @given(cells, cells, cells)
     def test_triangle_inequality(self, grid, a, b, c):
         assert grid.cell_steps(a, c) <= grid.cell_steps(a, b) + grid.cell_steps(b, c)
-
-
-class TestRegions:
-    def test_cells_in_bbox_complete(self, grid):
-        box = BoundingBox(-400, -400, 400, 400)
-        enumerated = set(grid.cells_in_bbox(box))
-        brute = {
-            (i, j)
-            for i in range(-6, 7)
-            for j in range(-6, 7)
-            if box.contains_point(grid.centroid((i, j)))
-        }
-        assert enumerated == brute
-
-    def test_ellipse_contains_focus_cells(self, grid):
-        f1, f2 = Point(60, 60), Point(660, 60)
-        cells_found = grid.cells_in_ellipse(f1, f2, 900.0)
-        assert grid.cell_of(f1) in cells_found
-        assert grid.cell_of(f2) in cells_found
-
-    def test_cone_half_plane(self, grid):
-        cone = grid.cells_in_cone(Point(60, 60), math.pi / 2, math.pi / 4, 500.0)
-        for cell in cone:
-            assert grid.centroid(cell).y > 60
 
 
 class TestAreaMatching:

@@ -113,10 +113,13 @@ class TestErrors:
     def test_version_mismatch_rejected(self, trained_kamel, tmp_path):
         save_kamel(trained_kamel, tmp_path)
         payload = json.loads((tmp_path / "config.json").read_text())
-        payload["version"] = 999
-        (tmp_path / "config.json").write_text(json.dumps(payload))
-        with pytest.raises(KamelError):
-            load_kamel(tmp_path)
+        # 999: a format from the future; 1: the format whose config.json and
+        # BERT headers still carry the settings retired since.
+        for version in (999, 1):
+            payload["version"] = version
+            (tmp_path / "config.json").write_text(json.dumps(payload))
+            with pytest.raises(KamelError, match=f"version {version}"):
+                load_kamel(tmp_path)
 
 
 class TestBertPersistence:

@@ -36,7 +36,9 @@ class TestConfig:
             BertConfig(vocab_size=10, hidden_size=10, num_heads=3)
 
     def test_ffn_defaults_to_4x(self):
-        assert tiny_config().ffn_size == 64
+        (layer,) = BertModel(tiny_config()).layers
+        assert layer.ffn_in.weight.shape == (16, 64)
+        assert layer.ffn_out.weight.shape == (64, 16)
 
     def test_layer_count_validation(self):
         with pytest.raises(ConfigError):

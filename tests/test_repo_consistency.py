@@ -142,6 +142,41 @@ class TestPaperMapping:
             assert (ROOT / "examples" / example).exists(), example
 
 
+class TestConfigLiveness:
+    """A setting is something a caller varies: every field of the four
+    pipeline configs is read somewhere in ``src/repro`` outside a
+    ``__post_init__``. A field nothing reads is a constant beside its
+    code, or dead."""
+
+    def test_every_pipeline_config_field_is_read(self):
+        import ast
+        import dataclasses
+
+        from repro.core.config import KamelConfig
+        from repro.core.streaming import StreamingConfig
+        from repro.mlm.bert import BertConfig, TrainingConfig
+
+        read = set()
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            validation = {
+                id(node)
+                for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                for node in ast.walk(fn)
+            }
+            read.update(
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and id(node) not in validation
+            )
+        for cls in (KamelConfig, TrainingConfig, BertConfig, StreamingConfig):
+            unread = [f.name for f in dataclasses.fields(cls) if f.name not in read]
+            assert not unread, f"{cls.__name__}: nothing in src/repro reads {unread}"
+
+
 class TestServeKnobs:
     """Knob-creep guard for the pool↔worker contract: a field nobody
     reads, or a documented knob that does not exist, fails here."""

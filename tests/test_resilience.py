@@ -92,25 +92,6 @@ class TestDeadline:
         with pytest.raises(ValueError):
             Deadline.after(0.0)
 
-    def test_combine_picks_tightest(self):
-        clock = FakeClock()
-        loose = Deadline.after(10.0, clock=clock)
-        tight = Deadline.after(1.0, clock=clock)
-        combined = Deadline.combine(loose, None, tight)
-        assert combined.expires_at == tight.expires_at
-        assert Deadline.combine(None, None).is_unlimited
-
-    def test_sub_budget(self):
-        clock = FakeClock()
-        parent = Deadline.after(10.0, clock=clock)
-        assert parent.sub_budget(None) is parent
-        child = parent.sub_budget(1.0)
-        assert child.remaining() == pytest.approx(1.0)
-        # A child can never outlive its parent.
-        clock.advance(9.5)
-        late_child = parent.sub_budget(5.0)
-        assert late_child.remaining() == pytest.approx(0.5)
-
 
 class TestCircuitBreaker:
     def make(self, clock, threshold=3, recovery=10.0):
@@ -667,9 +648,9 @@ class TestLadderCandidateMemo:
         assert {s.rung for s in segments} <= {RUNG_COUNTING, RUNG_LINEAR}
         # One hook firing per guarded attempt, and the circuit opened after
         # `threshold` failed invocations of (1 + retries) attempts each.
-        attempts = 1 + system.config.retry_attempts
+        attempts = 1 + system.guards.inference_retry.attempts
         assert monkey.report.calls["model.predict"] == (
-            system.config.breaker_failure_threshold * attempts
+            system.guards.inference_breaker.failure_threshold * attempts
         )
         # Nothing reached a guarded model, so only counting-rung queries are billed.
         assert all(s.model_calls <= 5 for s in segments)

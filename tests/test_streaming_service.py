@@ -13,6 +13,7 @@ from repro.errors import NotFittedError
 from repro.geo import Point, Trajectory
 from repro.obs.logging import ROOT_LOGGER_NAME, configure_logging
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.server import ObservabilityServer
 from repro.obs.tracing import clear_spans, disable_tracing, enable_tracing, finished_spans
 
 
@@ -59,14 +60,6 @@ class TestHotPath:
         results = service.process(glued)
         assert len(results) == 2
 
-    def test_process_stream_lazy(self, service, small_split):
-        _, test = small_split
-        feed = (t.sparsify(500.0) for t in test[:3])
-        stream = service.process_stream(feed)
-        first = next(stream)
-        assert first is not None
-        assert service.stats.trajectories_in == 1
-
     def test_stats_properties(self, service, small_split):
         _, test = small_split
         for t in test[:3]:
@@ -99,34 +92,23 @@ class TestTelemetry:
         yield
         set_registry(previous)
 
-    def test_metrics_endpoint_via_config(self, trained_kamel, small_split, fresh_registry):
+    def test_metrics_endpoint_beside_the_service(
+        self, trained_kamel, small_split, fresh_registry
+    ):
+        """The service serves no HTTP; an endpoint run beside it exports
+        what it counted."""
         _, test = small_split
-        with StreamingImputationService(
-            trained_kamel, StreamingConfig(metrics_port=0)
-        ) as service:
-            assert service.metrics_url is not None
+        service = StreamingImputationService(trained_kamel)
+        server = ObservabilityServer(port=0).start()
+        try:
             service.process(test[0].sparsify(500.0))
-            with urllib.request.urlopen(service.metrics_url + "/metrics", timeout=5) as r:
+            with urllib.request.urlopen(server.url + "/metrics", timeout=5) as r:
                 body = r.read().decode()
+        finally:
+            server.stop()
         assert "repro_kamel_segments_failed_total" in body
         assert "repro_streaming_trajectories_in_total 1" in body
         assert "repro_streaming_process_seconds_count 1" in body
-
-    def test_no_endpoint_by_default(self, trained_kamel):
-        service = StreamingImputationService(trained_kamel)
-        assert service.metrics_server is None
-        assert service.metrics_url is None
-        service.close()  # idempotent no-op
-
-    def test_close_stops_the_endpoint(self, trained_kamel, fresh_registry):
-        service = StreamingImputationService(
-            trained_kamel, StreamingConfig(metrics_port=0)
-        )
-        url = service.metrics_url
-        service.close()
-        assert service.metrics_url is None
-        with pytest.raises(OSError):
-            urllib.request.urlopen(url + "/healthz", timeout=1)
 
     def test_one_trace_id_spans_the_whole_request(
         self, trained_kamel, small_split, fresh_registry

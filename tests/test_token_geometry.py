@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from repro import Kamel, KamelConfig
 from repro.core.constraints import (
     _REJECTION_COUNTERS,
+    ELLIPSE_MIN_SUM_M,
+    SPEED_SLACK,
     GapContext,
     PassthroughConstraints,
     SegmentSearch,
@@ -70,7 +72,7 @@ class ParentConstraints:
         d_pt = self._centroid(ctx.dest)
         straight = s_pt.distance_to(d_pt)
         floor = max(
-            self.config.ellipse_min_sum_m,
+            ELLIPSE_MIN_SUM_M,
             straight + 2.0 * self.tokenizer.grid.centroid_spacing_m,
         )
         if ctx.source_time is None or ctx.dest_time is None:
@@ -86,7 +88,7 @@ class ParentConstraints:
                 self.max_speed_mps,
                 ctx.reference_speed_mps * self.config.adaptive_speed_factor,
             )
-        return max(floor, speed_bound * time_diff * self.config.speed_slack)
+        return max(floor, speed_bound * time_diff * SPEED_SLACK)
 
     def within_speed_ellipse(self, candidate, ctx):
         c = self._centroid(candidate)
