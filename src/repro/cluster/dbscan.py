@@ -3,15 +3,15 @@
 KAMEL's detokenization module (Section 7) runs DBSCAN over the GPS points
 inside each hexagonal token to discover the per-direction road clusters
 whose centroids replace tokens at detokenization time. Token populations
-are small (tens to a few thousand points), so this implementation favours
-clarity: region queries use a uniform bucket index for the default
-Euclidean metric and fall back to a linear scan for custom metrics.
+are small (tens to a few thousand points), so for the default Euclidean
+metric every point's neighbourhood is found up front by one blockwise
+pairwise-distance pass (memory bounded by ``_BLOCK_ROWS`` rows at a
+time); a custom metric falls back to a linear scan per region query.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict, deque
+from collections import deque
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,38 +20,38 @@ NOISE = -1
 """Label assigned to points that belong to no cluster."""
 
 
-class _BucketIndex:
-    """Uniform-grid index answering epsilon-neighbourhood queries."""
+_BLOCK_ROWS = 256
+"""Rows per block of the pairwise distance pass (bounds its memory)."""
 
-    def __init__(self, data: np.ndarray, eps: float) -> None:
-        self._data = data
-        self._eps = eps
-        self._cell = eps if eps > 0 else 1.0
-        self._buckets: dict[tuple[int, ...], list[int]] = defaultdict(list)
-        for i, row in enumerate(data):
-            self._buckets[self._key(row)].append(i)
+_BOUNDARY_REL = 1e-9
+"""Distances this close to ``eps`` (relative) are re-decided exactly."""
 
-    def _key(self, row: np.ndarray) -> tuple[int, ...]:
-        return tuple(int(math.floor(v / self._cell)) for v in row)
 
-    def query(self, i: int) -> list[int]:
-        """Indices of all points within ``eps`` of point ``i`` (incl. i)."""
-        row = self._data[i]
-        key = self._key(row)
-        dims = len(key)
-        candidates: list[int] = []
-        # Visit the 3^d adjacent buckets.
-        offsets: list[tuple[int, ...]] = [()]
-        for _ in range(dims):
-            offsets = [o + (d,) for o in offsets for d in (-1, 0, 1)]
-        for off in offsets:
-            bucket = tuple(k + d for k, d in zip(key, off))
-            candidates.extend(self._buckets.get(bucket, ()))
-        out = []
-        for j in candidates:
-            if float(np.linalg.norm(self._data[j] - row)) <= self._eps:
-                out.append(j)
-        return out
+def _neighbourhoods(points: np.ndarray, eps: float) -> list[np.ndarray]:
+    """Every point's Euclidean ``eps``-neighbourhood (itself included).
+
+    Distances are taken blockwise, ``_BLOCK_ROWS`` rows against all
+    points at a time. The vectorised sum of squares may differ from
+    ``np.linalg.norm`` in its last bits, so a pair within
+    ``_BOUNDARY_REL * eps`` of the boundary is decided by ``np.linalg.norm``
+    on that pair: exactly the test a per-pair scan makes.
+    """
+    n = len(points)
+    margin = _BOUNDARY_REL * eps
+    out: list[np.ndarray] = []
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = points[lo : lo + _BLOCK_ROWS]
+        sq = np.zeros((len(block), n))
+        for k in range(points.shape[1]):
+            diff = points[:, k] - block[:, k, None]
+            sq += diff * diff
+        dist = np.sqrt(sq)
+        within = dist <= eps
+        for r, c in zip(*np.nonzero(np.abs(dist - eps) <= margin)):
+            i = lo + r
+            within[r, c] = float(np.linalg.norm(points[c] - points[i])) <= eps
+        out.extend(np.flatnonzero(row) for row in within)
+    return out
 
 
 def dbscan_labels(
@@ -63,8 +63,8 @@ def dbscan_labels(
     """Cluster ``data`` and return an integer label per point.
 
     Cluster labels are ``0, 1, 2, ...`` in discovery order; noise points
-    get :data:`NOISE`. ``metric`` overrides the Euclidean distance (the
-    bucket index is bypassed in that case).
+    get :data:`NOISE`. ``metric`` overrides the Euclidean distance (each
+    region query is then a linear scan calling it).
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
@@ -77,11 +77,7 @@ def dbscan_labels(
         return labels
 
     if metric is None:
-        index = _BucketIndex(points, eps)
-
-        def region_query(i: int) -> list[int]:
-            return index.query(i)
-
+        region_query = _neighbourhoods(points, eps).__getitem__
     else:
 
         def region_query(i: int) -> list[int]:

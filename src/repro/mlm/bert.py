@@ -5,6 +5,9 @@ embeddings, post-LN transformer encoder blocks (multi-head self-attention
 and a GELU feed-forward), and an MLM head (dense + GELU + LayerNorm +
 output projection). Training uses BERT's recipe: mask 15 % of positions,
 of which 80 % become ``[MASK]``, 10 % a random token, 10 % are kept.
+The MLM head only ever runs on the cells an answer is read from: the
+masked cells in training (:meth:`BertModel.forward`), the asked cell in
+inference (:meth:`BertModel.infer`).
 
 The paper trains a 768/12/12 BERT on a TPU; this reproduction defaults to
 a 2-layer, 48-dimensional model that trains in seconds on CPU while
@@ -179,22 +182,26 @@ class BertModel(Module):
         self.mlm_norm = LayerNorm(d)
         self.mlm_decoder = Linear(d, config.vocab_size, rng)
 
-    def forward(self, ids: np.ndarray, attention_mask: Optional[np.ndarray] = None) -> Tensor:
-        """``ids``: (B, T) int array. Returns logits of shape (B, T, V)."""
+    def forward(self, ids: np.ndarray, rows: np.ndarray) -> Tensor:
+        """Training forward on the tape: the logits of the flat ``rows``.
+
+        ``ids`` is a (B, T) int array and ``rows`` indexes its cells
+        flattened to ``B * T`` (row ``r`` is cell ``(r // T, r % T)``).
+        The encoder runs on every cell, since each is a key and a value;
+        the MLM head only on ``rows``, the cells a loss reads — as
+        :meth:`infer` does for the asked row. Returns ``(len(rows), V)``.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         batch, seq = ids.shape
         self._check_length(seq)
         with obs.stopwatch("repro.bert.forward_seconds"):
-            if attention_mask is None:
-                attention_mask = (ids != _PAD_ID).astype(np.float64)
-            attn_bias = (1.0 - attention_mask)[:, None, None, :] * _ATTN_NEG
-
+            attn_bias = (ids == _PAD_ID)[:, None, None, :] * _ATTN_NEG
             positions = np.broadcast_to(np.arange(seq), (batch, seq))
             x = self.token_embedding(ids) + self.position_embedding(positions)
             x = self.embed_dropout(self.embed_norm(x))
             for layer in self.layers:
                 x = layer(x, attn_bias)
-            x = self.mlm_norm(self.mlm_dense(x).gelu())
+            x = self.mlm_norm(self.mlm_dense(x.take_rows(rows)).gelu())
             logits = self.mlm_decoder(x)
         obs.observe("repro.bert.forward_batch_size", batch)
         return logits
@@ -341,6 +348,9 @@ class BertMaskedLM(MaskedModel):
         return self
 
     def _train_loop(self, chunks, cfg: BertConfig, tcfg: TrainingConfig, rng) -> None:
+        """Masked-LM steps. Only the masked cells carry a loss target, so
+        the model is asked for those rows alone: the MLM head runs on them,
+        as in inference, and the loss reads nothing else."""
         params = list(self.model.parameters())
         optimizer = Adam(params, lr=tcfg.lr, warmup_steps=_WARMUP_STEPS)
         steps = obs.counter("repro.bert.train_steps_total")
@@ -348,10 +358,11 @@ class BertMaskedLM(MaskedModel):
         for _ in range(tcfg.epochs):
             for batch in self._batches(chunks, rng):
                 inputs, targets = _mask_batch(batch, _MASK_PROB, cfg.vocab_size, rng)
-                if (targets != -100).sum() == 0:
+                targets = targets.reshape(-1)
+                rows = np.flatnonzero(targets != -100)
+                if rows.size == 0:
                     continue
-                logits = self.model(inputs)
-                loss = cross_entropy(logits, targets)
+                loss = cross_entropy(self.model(inputs, rows), targets[rows])
                 optimizer.zero_grad()
                 loss.backward()
                 clip_grad_norm(params, _GRAD_CLIP)

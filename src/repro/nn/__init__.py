@@ -4,16 +4,16 @@ This is the from-scratch substitute for the deep-learning framework the
 paper's BERT implementation runs on (the sandbox has no torch/TF and no
 network). It provides exactly the operator set a transformer encoder
 needs — broadcast arithmetic, (batched) matmul, softmax, LayerNorm, GELU,
-embedding lookup, dropout, and a fused masked cross-entropy — plus an Adam
-optimizer and a small Module/Parameter system.
+embedding lookup, a row gather, dropout, and a fused masked cross-entropy
+— plus an Adam optimizer and a small Module/Parameter system.
 
 Gradients are validated against numerical differentiation in
 ``tests/test_nn_autograd.py``.
 """
 
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.nn import functional
-from repro.nn.module import Dropout, Embedding, LayerNorm, Linear, Module, Parameter, Sequential
+from repro.nn.module import Dropout, Embedding, LayerNorm, Linear, Module, Parameter
 from repro.nn.optim import Adam, clip_grad_norm
 
 __all__ = [
@@ -24,9 +24,7 @@ __all__ = [
     "Linear",
     "Module",
     "Parameter",
-    "Sequential",
     "Tensor",
     "clip_grad_norm",
     "functional",
-    "no_grad",
 ]

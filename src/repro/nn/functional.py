@@ -116,9 +116,3 @@ def cross_entropy(
             a._accumulate(g)
 
     return a._make(out_data, (a,), backward)
-
-
-def mse(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target array."""
-    diff = pred - np.asarray(target, dtype=np.float64)
-    return (diff * diff).mean()

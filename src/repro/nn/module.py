@@ -159,16 +159,3 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.dropout(self.p, self.rng, self.training)
-
-
-class Sequential(Module):
-    """Apply modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self.modules = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for m in self.modules:
-            x = m(x)
-        return x

@@ -2,28 +2,11 @@
 
 from __future__ import annotations
 
-import contextlib
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.nn import functional as F
-
-_GRAD_ENABLED = [True]
-
-
-@contextlib.contextmanager
-def no_grad() -> Iterator[None]:
-    """Disable graph construction inside the ``with`` block (inference)."""
-    _GRAD_ENABLED.append(False)
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED.pop()
-
-
-def _grad_enabled() -> bool:
-    return _GRAD_ENABLED[-1]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -64,16 +47,12 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad and _grad_enabled()
+        self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
-        self._parents = _parents if self.requires_grad or _parents else ()
+        self._parents = _parents
         self._backward_fn = _backward_fn
 
     # -- construction helpers ---------------------------------------------
-
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
     @staticmethod
     def _lift(value: ArrayLike) -> "Tensor":
@@ -85,8 +64,7 @@ class Tensor:
         parents: tuple["Tensor", ...],
         backward_fn: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        needs = _grad_enabled() and any(p.requires_grad for p in parents)
-        if not needs:
+        if not any(p.requires_grad for p in parents):
             return Tensor(data)
         return Tensor(data, requires_grad=True, _parents=parents, _backward_fn=backward_fn)
 
@@ -108,9 +86,15 @@ class Tensor:
         return float(self.data.item())
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # The first contribution is copied into a buffer laid out like
+        # ``data`` (not ``grad``, whose strides may be a transpose's): a
+        # later ``sum(axis=...)`` over the gradient then reduces in the
+        # order a zero-filled buffer would, and the bits match.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = grad
+        else:
+            self.grad += grad
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor.
@@ -203,46 +187,6 @@ class Tensor:
 
         return Tensor._make(out_data, (a, b), backward)
 
-    def pow(self, exponent: float) -> "Tensor":
-        a = self
-        out_data = a.data**exponent
-
-        def backward(grad: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(grad * exponent * a.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (a,), backward)
-
-    def exp(self) -> "Tensor":
-        a = self
-        out_data = np.exp(a.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(grad * out_data)
-
-        return Tensor._make(out_data, (a,), backward)
-
-    def log(self) -> "Tensor":
-        a = self
-        out_data = np.log(a.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(grad / a.data)
-
-        return Tensor._make(out_data, (a,), backward)
-
-    def tanh(self) -> "Tensor":
-        a = self
-        out_data = np.tanh(a.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(grad * (1.0 - out_data**2))
-
-        return Tensor._make(out_data, (a,), backward)
-
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
@@ -263,6 +207,22 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
                 a._accumulate(np.swapaxes(grad, axis1, axis2))
+
+        return Tensor._make(out_data, (a,), backward)
+
+    def take_rows(self, rows: np.ndarray) -> "Tensor":
+        """Rows ``rows`` of ``self`` viewed as ``(N, D)`` (all axes but the
+        last flattened), as an ``(len(rows), D)`` tensor."""
+        a = self
+        rows = np.asarray(rows, dtype=np.int64)
+        flat_shape = (-1, a.shape[-1])
+        out_data = a.data.reshape(flat_shape)[rows]
+
+        def backward(grad: np.ndarray) -> None:
+            if a.requires_grad:
+                g = np.zeros(a.shape)
+                np.add.at(g.reshape(flat_shape), rows, grad)
+                a._accumulate(g)
 
         return Tensor._make(out_data, (a,), backward)
 
@@ -326,17 +286,6 @@ class Tensor:
                 dinner = F.GELU_C * (1.0 + 3 * F.GELU_CUBIC * x**2)
                 dgelu = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
                 a._accumulate(grad * dgelu)
-
-        return Tensor._make(out_data, (a,), backward)
-
-    def relu(self) -> "Tensor":
-        a = self
-        mask = a.data > 0
-        out_data = a.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(grad * mask)
 
         return Tensor._make(out_data, (a,), backward)
 

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import NOISE, dbscan_labels
+from repro.cluster import NOISE, dbscan, dbscan_labels
+
+
+def norm_metric(a, b):
+    return float(np.linalg.norm(a - b))
 
 
 def two_blobs(n=30, seed=0):
@@ -117,8 +121,8 @@ class TestProperties:
             max_size=25,
         )
     )
-    def test_bucket_index_matches_brute_force(self, pts):
-        """The grid-bucket region query must equal a linear-scan metric."""
+    def test_blockwise_neighbourhoods_match_brute_force(self, pts):
+        """The blockwise neighbourhoods must equal a linear-scan metric."""
         eps, min_samples = 3.0, 2
         fast = dbscan_labels(pts, eps=eps, min_samples=min_samples)
         brute = dbscan_labels(
@@ -129,3 +133,50 @@ class TestProperties:
         )
         assert (fast == brute).all()
 
+
+
+class TestTheEpsBoundary:
+    """A pair exactly ``eps`` apart is a pair of neighbours; one ulp further
+    is not. The blockwise distances decide this as the per-pair
+    ``np.linalg.norm`` does."""
+
+    @pytest.mark.parametrize(
+        "offset, eps",
+        [((0.75, 0.0), 0.75), ((3.0, 4.0), 5.0), ((-0.3, 0.0), 0.3), ((0.0, 1e-3), 1e-3)],
+    )
+    def test_exactly_eps_and_one_ulp_either_side(self, offset, eps):
+        base = np.array([0.5, 0.25])
+        pair = np.array([base, base + np.asarray(offset)])
+        distance = float(np.linalg.norm(pair[1] - pair[0]))
+        for e, neighbours in [
+            (distance, True),
+            (np.nextafter(distance, np.inf), True),
+            (np.nextafter(distance, 0.0), False),
+        ]:
+            labels = dbscan_labels(pair, eps=e, min_samples=2)
+            brute = dbscan_labels(pair, eps=e, min_samples=2, metric=norm_metric)
+            assert (labels == brute).all()
+            assert (labels == [0, 0]).all() if neighbours else (labels == NOISE).all()
+        assert distance == pytest.approx(eps)
+
+    def test_a_ring_at_exactly_eps(self):
+        # Four points exactly 5 from the centre and over 7 from each other:
+        # at eps = 5 the centre is a core point, one ulp less and all is noise.
+        ring = [(3, 4), (-4, 3), (-3, -4), (4, -3)]
+        pts = np.array([(0.0, 0.0)] + ring, dtype=float)
+        for eps, expected in [(5.0, 1), (np.nextafter(5.0, 0.0), 0)]:
+            labels = dbscan_labels(pts, eps=eps, min_samples=3)
+            assert (labels == dbscan_labels(pts, eps=eps, min_samples=3, metric=norm_metric)).all()
+            assert len(set(labels) - {NOISE}) == expected
+
+
+class TestBlocks:
+    def test_any_block_size_gives_the_same_labels(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        pts = np.vstack([rng.normal(c, 0.6, size=(40, 4)) for c in (0.0, 3.0, 9.0)])
+        whole = dbscan_labels(pts, eps=1.2, min_samples=4)
+        assert len(set(whole) - {NOISE}) >= 2
+        for rows in (1, 7, 64):
+            monkeypatch.setattr(dbscan, "_BLOCK_ROWS", rows)
+            assert (dbscan_labels(pts, eps=1.2, min_samples=4) == whole).all()
+        assert (dbscan_labels(pts, eps=1.2, min_samples=4, metric=norm_metric) == whole).all()

@@ -16,11 +16,6 @@ from repro.roadnet.network import EdgeRef, RoadNetwork
 
 
 class TestTensorMisc:
-    def test_zeros_factory(self):
-        t = Tensor.zeros(2, 3, requires_grad=True)
-        assert t.shape == (2, 3)
-        assert t.requires_grad
-
     def test_item_and_numpy(self):
         t = Tensor(np.array([2.5]))
         assert t.item() == 2.5

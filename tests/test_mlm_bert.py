@@ -6,7 +6,13 @@ import pytest
 from repro.errors import ConfigError, NotFittedError
 from repro.mlm import BertConfig, BertMaskedLM, BertModel, TrainingConfig
 from repro.mlm.bert import _mask_batch
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor
+
+
+def every_row(model: BertModel, ids) -> np.ndarray:
+    """The tape forward with the MLM head on every cell, as (B, T, V)."""
+    ids = np.asarray(ids)
+    return model(ids, np.arange(ids.size)).data.reshape(*ids.shape, -1)
 
 
 def tiny_config(**overrides) -> BertConfig:
@@ -48,26 +54,35 @@ class TestConfig:
 class TestModelForward:
     def test_logit_shapes(self):
         model = BertModel(tiny_config())
-        logits = model(np.array([[3, 4, 5], [6, 7, 0]]))
-        assert logits.shape == (2, 3, 24)
+        ids = np.array([[3, 4, 5], [6, 7, 0]])
+        assert model(ids, np.arange(6)).shape == (6, 24)
+        assert model(ids, np.array([1, 3])).shape == (2, 24)
+
+    def test_rows_are_cells_of_the_flattened_batch(self):
+        model = BertModel(tiny_config())
+        model.eval()
+        ids = np.array([[3, 4, 5, 9], [6, 7, 8, 0]])
+        full = every_row(model, ids)
+        picked = model(ids, np.array([6, 1, 2])).data
+        np.testing.assert_allclose(picked, full[[1, 0, 0], [2, 1, 2]], rtol=0, atol=1e-12)
 
     def test_rejects_overlong_sequence(self):
         model = BertModel(tiny_config(max_seq_len=4))
         with pytest.raises(ConfigError):
-            model(np.zeros((1, 5), dtype=int))
+            model(np.zeros((1, 5), dtype=int), np.arange(5))
 
     def test_padding_does_not_change_other_positions(self):
         model = BertModel(tiny_config())
         model.eval()
-        short = model(np.array([[3, 4, 5]])).data
-        padded = model(np.array([[3, 4, 5, 0, 0]])).data
+        short = every_row(model, [[3, 4, 5]])
+        padded = every_row(model, [[3, 4, 5, 0, 0]])
         np.testing.assert_allclose(short[0, :3], padded[0, :3], atol=1e-8)
 
     def test_deterministic_in_eval_mode(self):
         model = BertModel(tiny_config())
         model.eval()
         ids = np.array([[3, 4, 5, 6]])
-        np.testing.assert_allclose(model(ids).data, model(ids).data)
+        np.testing.assert_allclose(every_row(model, ids), every_row(model, ids))
 
     def test_parameter_count_positive(self):
         assert BertModel(tiny_config()).num_parameters() > 1000
@@ -185,9 +200,7 @@ def _single_forward_reference(model: BertMaskedLM, tokens, position, top_k):
         tokens = tokens[start : start + max_len]
     local = position - start
     tokens[local] = 1  # [MASK]
-    with no_grad():
-        logits = model.model(np.asarray([tokens], dtype=np.int64))
-    row = logits.data[0, local]
+    row = every_row(model.model, [tokens])[0, local]
     row = row - row.max()
     probs = np.exp(row)
     probs /= probs.sum()
@@ -361,8 +374,7 @@ class TestBatchPrediction:
         x = rng.normal(size=(4, 9, 48))
         bias = (rng.random((4, 9)) < 0.2)[:, None, None, :] * -1e9
         for layer in model.model.layers:
-            with no_grad():
-                taped = layer(Tensor(x), bias).data
+            taped = layer(Tensor(x), bias).data
             assert (layer.infer(x, x, bias) == taped).all()
 
     def test_one_forward_per_batch(self, model, monkeypatch):
@@ -377,7 +389,7 @@ class TestBatchPrediction:
         assert shapes == [(5, 8)]
 
     def test_batch_builds_no_tape(self, model, monkeypatch):
-        """A quiet return to ``no_grad(): model(ids)`` fails here, not in a
+        """A quiet return to the tape forward fails here, not in a
         benchmark: inference constructs no ``Tensor`` at all."""
         built = []
         init = Tensor.__init__
@@ -435,7 +447,7 @@ class TestInferReadsLiveWeights:
         model = BertModel(tiny_config(max_seq_len=4))
         ids = np.full((1, 5), 3)
         with pytest.raises(ConfigError, match="exceeds max_seq_len 4") as tape:
-            model(ids)
+            model(ids, np.arange(5))
         with pytest.raises(ConfigError, match="exceeds max_seq_len 4") as bare:
             model.infer(ids, [2])
         assert str(bare.value) == str(tape.value)

@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, functional as F, no_grad
-from repro.nn.functional import cross_entropy, log_softmax, mse
+from repro.nn import Tensor, functional as F
+from repro.nn.functional import cross_entropy, log_softmax
 
 RNG = np.random.default_rng(42)
 
@@ -31,8 +31,8 @@ def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
-def check_unary(op, shape=(3, 4), positive=False, atol=1e-6):
-    data = RNG.uniform(0.5 if positive else -2.0, 2.0, size=shape)
+def check_unary(op, shape=(3, 4), atol=1e-6):
+    data = RNG.uniform(-2.0, 2.0, size=shape)
     t = Tensor(data.copy(), requires_grad=True)
     out = op(t)
     out.sum().backward() if out.data.size > 1 else out.backward()
@@ -71,26 +71,8 @@ class TestElementwise:
         (1.0 - a).backward()
         np.testing.assert_allclose(a.grad, [-1.0])
 
-    def test_pow(self):
-        check_unary(lambda t: t.pow(3.0))
-
-    def test_exp(self):
-        check_unary(lambda t: t.exp())
-
-    def test_log(self):
-        check_unary(lambda t: t.log(), positive=True)
-
-    def test_tanh(self):
-        check_unary(lambda t: t.tanh())
-
     def test_gelu(self):
         check_unary(lambda t: t.gelu(), atol=1e-5)
-
-    def test_relu(self):
-        data = np.array([-1.0, 2.0, -0.5, 3.0])
-        t = Tensor(data, requires_grad=True)
-        t.relu().sum().backward()
-        np.testing.assert_allclose(t.grad, [0.0, 1.0, 0.0, 1.0])
 
 
 class TestShapeOps:
@@ -341,13 +323,6 @@ class TestCrossEntropy:
         loss.backward()
         assert logits.grad.shape == (2, 3, 5)
 
-    def test_mse(self):
-        pred = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        loss = mse(pred, np.array([0.0, 0.0]))
-        assert loss.item() == pytest.approx(2.5)
-        loss.backward()
-        np.testing.assert_allclose(pred.grad, [1.0, 2.0])
-
 
 class TestEngineSemantics:
     def test_diamond_graph_accumulates(self):
@@ -361,12 +336,6 @@ class TestEngineSemantics:
         x = Tensor(np.array([4.0]), requires_grad=True)
         (x * x).backward()
         np.testing.assert_allclose(x.grad, [8.0])
-
-    def test_no_grad_blocks_graph(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        with no_grad():
-            out = x * 2.0
-        assert not out.requires_grad
 
     def test_backward_non_scalar_requires_grad_arg(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -11,11 +11,9 @@ from repro.nn import (
     Linear,
     Module,
     Parameter,
-    Sequential,
     Tensor,
     clip_grad_norm,
 )
-from repro.nn.functional import mse
 
 RNG = np.random.default_rng(0)
 
@@ -28,7 +26,7 @@ class TinyNet(Module):
         self.norm = LayerNorm(2)
 
     def forward(self, x):
-        return self.norm(self.layers[1](self.layers[0](x).tanh()))
+        return self.norm(self.layers[1](self.layers[0](x).gelu()))
 
 
 class TestModule:
@@ -58,7 +56,8 @@ class TestModule:
         assert len(list(Shared().parameters())) == 1
 
     def test_train_eval_propagates(self):
-        net = Sequential(Dropout(0.5), Dropout(0.2))
+        net = Module()
+        net.modules = [Dropout(0.5), Dropout(0.2)]
         net.eval()
         assert all(not m.training for m in net.modules)
         net.train()
@@ -120,11 +119,6 @@ class TestLayers:
         with pytest.raises(ValueError):
             Dropout(1.0)
 
-    def test_sequential(self):
-        rng = np.random.default_rng(2)
-        net = Sequential(Linear(3, 5, rng), Linear(5, 2, rng))
-        assert net(Tensor(RNG.normal(size=(4, 3)))).shape == (4, 2)
-
 
 class TestOptim:
     def test_adam_reduces_loss_on_regression(self):
@@ -136,7 +130,8 @@ class TestOptim:
         optimizer = Adam(list(layer.parameters()), lr=0.05)
         first = None
         for _ in range(150):
-            loss = mse(layer(Tensor(x)), y)
+            diff = layer(Tensor(x)) - y
+            loss = (diff * diff).mean()
             if first is None:
                 first = loss.item()
             optimizer.zero_grad()

@@ -29,13 +29,10 @@ def numeric_grad(fn, x, eps=1e-6):
 
 # Each op: (autograd form, numpy form); all keep values in a safe range.
 UNARY_OPS = {
-    "tanh": (lambda t: t.tanh(), np.tanh),
     "gelu": (
         lambda t: t.gelu(),
         lambda x: 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x**3))),
     ),
-    "relu": (lambda t: t.relu(), lambda x: np.maximum(x, 0.0)),
-    "exp_scaled": (lambda t: (t * 0.3).exp(), lambda x: np.exp(0.3 * x)),
     "softmax": (
         lambda t: t.softmax(),
         lambda x: np.exp(x - x.max(-1, keepdims=True))
