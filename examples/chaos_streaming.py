@@ -28,7 +28,6 @@ from repro.resilience import (
     ChaosConfig,
     ChaosMonkey,
     InjectedCrash,
-    PipelineGuards,
     chaos_scope,
 )
 
@@ -40,7 +39,6 @@ def main() -> None:
     train, test = dataset.split()
     # SLA: no impute call past 2 s.
     system = Kamel(KamelConfig(trajectory_deadline_s=2.0)).fit(train)
-    system.guards = PipelineGuards(recovery_s=1.0)  # quick half-open probes for the demo
     print(f"offline training done: {system.repository}\n")
 
     workdir = Path(tempfile.mkdtemp(prefix="kamel-chaos-"))
@@ -56,8 +54,8 @@ def main() -> None:
         "poisoned", [Point(float("nan"), 0.0, t=0.0), Point(700.0, 100.0, t=60.0)]
     ))
 
-    # Seeded chaos: 25% of guarded model calls fail (enough to trip the
-    # circuit breaker, pushing segments down to the counting rung), 5%
+    # Seeded chaos: 25% of model invocations fail, each a rung error that
+    # sends its segments one rung down (to the counting rung, usually), 5%
     # get a latency spike, and the process dies on the 9th trajectory.
     monkey = ChaosMonkey(ChaosConfig(
         seed=42, failure_rate=0.25, latency_rate=0.05, latency_s=0.02, crash_after=9
@@ -93,7 +91,6 @@ def main() -> None:
 
     # --- second incarnation: same journal, no chaos, nothing lost. ---
     print("\n--- second incarnation (recovery) ---")
-    system.guards.reset()
     service2 = StreamingImputationService(system, config)
     for result in service2.recover():
         rungs.update(result.rung_counts)

@@ -23,9 +23,8 @@ class KamelConfig:
     Values nothing varies are named constants beside the code that uses
     them: the BERT size (:class:`repro.mlm.bert.BertConfig`), the
     ellipse slack and floor (:mod:`repro.core.constraints`), the DBSCAN
-    feature scales (:mod:`repro.core.detokenization`), the reduced rungs'
-    budgets (:mod:`repro.resilience.ladder`) and the breaker and retry
-    settings (:class:`repro.resilience.breaker.PipelineGuards`).
+    feature scales (:mod:`repro.core.detokenization`) and the reduced
+    rungs' budgets (:mod:`repro.resilience.ladder`).
     """
 
     # -- Tokenization (Section 3) --
@@ -106,15 +105,15 @@ class KamelConfig:
     # -- Detokenization (Section 7) --
     dbscan_min_samples: int = 4
 
-    # -- Resilience (deadlines, degradation ladder, breakers) --
+    # -- Resilience (deadlines, degradation ladder) --
     trajectory_deadline_s: Optional[float] = None
     """Wall-time budget for one ``Kamel.impute`` call; ``None`` disables.
     An expired budget sends the remaining segments to the linear rung
     instead of hanging the request."""
     enable_fallback_model: bool = True
     """Maintain a global counting model as the ladder's safety-net rung
-    (cheap to train; survives an open inference circuit or a repository
-    miss — the heavy model path being unavailable must not mean linear)."""
+    (cheap to train; serves when the repository model fails or misses —
+    the heavy model path being unavailable must not mean linear)."""
 
     # -- misc --
     seed: int = 0

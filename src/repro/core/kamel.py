@@ -15,9 +15,9 @@ search → reduced beam width → the global counting fallback model →
 straight line. Only the last rung counts as a *failure* (the paper's
 failure-rate definition); every rung below the top counts as *degraded*,
 and both the rung and the reason it was reached are recorded on the
-segment's :class:`~repro.core.result.SegmentOutcome`. Model lookup and
-inference run behind retry + circuit-breaker guards
-(:mod:`repro.resilience.breaker`), and every impute call can carry a
+segment's :class:`~repro.core.result.SegmentOutcome`. Any error a rung
+raises — a failed model lookup or inference included — sends the segment
+one rung down as ``rung_error``, and every impute call can carry a
 :class:`~repro.resilience.deadline.Deadline` so a pathological gap
 triggers fallback instead of hanging an online request.
 """
@@ -49,12 +49,7 @@ from repro.core.partitioning import ModelRepository, StoredModel
 from repro.core.result import ImputationResult, Imputer, SegmentOutcome
 from repro.core.store import TrajectoryStore
 from repro.core.tokenization import Tokenizer, make_grid
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceeded,
-    EmptyInputError,
-    NotFittedError,
-)
+from repro.errors import DeadlineExceeded, EmptyInputError, NotFittedError
 from repro.geo import BoundingBox, Point, Trajectory, interpolate
 from repro.mlm.base import MaskedModel
 from repro.mlm.bert import BertMaskedLM, TrainingConfig
@@ -63,7 +58,7 @@ from repro.mlm.vocab import Vocabulary
 from repro.obs import instrument as obs
 from repro.obs.logging import get_logger
 from repro.obs.tracing import span, trace_scope
-from repro.resilience.breaker import PipelineGuards
+from repro.resilience.chaos import PipelineGuards
 from repro.resilience.deadline import Deadline
 from repro.resilience.ladder import (
     DEGRADED_BEAM_SIZE,
@@ -114,7 +109,7 @@ class Kamel(Imputer):
         self._gap_threshold_m: Optional[float] = None
         self._fitted = False
         self.ladder = DegradationLadder.for_config(self.config)
-        self.guards = PipelineGuards(seed=self.config.seed)
+        self.guards = PipelineGuards()
 
     # -- training path ------------------------------------------------------
 
@@ -213,9 +208,9 @@ class Kamel(Imputer):
         self.detokenizer.fit(self._training_trajectories)
 
         if cfg.enable_fallback_model:
-            # The counting rung's global model: O(tokens) to refit, lives
-            # in-process, and therefore survives an open inference circuit
-            # or a wedged repository lookup.
+            # The counting rung's global model: O(tokens) to refit, asked
+            # outside the repository lookup and the ``model.predict`` chaos
+            # site, so it serves when either fails.
             assert self.store is not None
             fallback = CountingMaskedLM()
             fallback.fit(
@@ -259,20 +254,18 @@ class Kamel(Imputer):
     # -- model selection -------------------------------------------------------
 
     def _model_for_box(self, box: BoundingBox) -> Optional[MaskedModel]:
-        """Repository lookup behind the retry + circuit-breaker guards.
+        """Repository lookup at the ``repository.retrieve`` chaos site.
 
-        Raises :class:`CircuitOpenError` when the lookup breaker is open
-        and lets exhausted-retry infrastructure faults propagate; the
-        ladder loop in :meth:`_impute_segment` turns both into a descent
-        to the next rung instead of a lost trajectory.
+        Lets a lookup fault propagate; the ladder loop in
+        :meth:`_impute_segment` turns it into a descent to the next rung
+        instead of a lost trajectory.
         """
         if not self.config.use_partitioning:
             return self._global_model
         assert self.repository is not None
         with span("repository.lookup"):
-            stored: Optional[StoredModel] = self.guards.guarded_lookup(
-                lambda: self.repository.retrieve(box)
-            )
+            self.guards.chaos_hook("repository.retrieve")
+            stored: Optional[StoredModel] = self.repository.retrieve(box)
         return stored.model if stored is not None else None
 
     # -- imputation path ----------------------------------------------------------
@@ -345,8 +338,8 @@ class Kamel(Imputer):
         try:
             trajectory_model = self._model_for_box(trajectory.bbox())
         except Exception:
-            # Lookup circuit open or an injected/infrastructure fault that
-            # outlived the retries: per-segment rungs retry and descend.
+            # An injected or infrastructure lookup fault: the per-segment
+            # rungs look up again, and descend if that fails too.
             trajectory_model = None
 
         # The gap segments run in lockstep: each round, one model
@@ -480,7 +473,7 @@ class Kamel(Imputer):
         )
 
         # Walk the degradation ladder top-down. Any rung error — deadline,
-        # open circuit, injected fault, exhausted search — descends to the
+        # failed lookup or inference, exhausted search — descends to the
         # next rung; the linear rung always succeeds, so no input is ever
         # dropped or left hanging. A failed model invocation is thrown in
         # at the rung's ``yield`` and lands in the same clauses.
@@ -511,12 +504,9 @@ class Kamel(Imputer):
                     obs.count("repro.resilience.deadline_exceeded_total")
                     reason = "deadline"
                     break
-                except CircuitOpenError:
-                    reason = reason or "circuit_open"
-                    continue
                 except Exception as exc:
-                    # An infrastructure fault (injected or real) that outlived
-                    # the retries. Degrade, never propagate past the ladder.
+                    # An infrastructure fault, injected or real. Degrade,
+                    # never propagate past the ladder.
                     obs.count("repro.resilience.rung_errors_total")
                     _log.warning(
                         "ladder rung raised; descending",
@@ -604,9 +594,8 @@ class Kamel(Imputer):
             model = self._fallback_model
             if model is None or not model.is_fitted:
                 return None
-            # Deliberately *unguarded*: the counting model is in-process
-            # state, not a remote dependency, so it must keep serving while
-            # the inference circuit is open.
+            # Outside the ``model.predict`` chaos site: the safety-net rung
+            # keeps serving while injected faults fail the repository model.
             rung_cfg = replace(
                 cfg, max_model_calls=min(cfg.max_model_calls, DEGRADED_MAX_MODEL_CALLS)
             )

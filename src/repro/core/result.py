@@ -37,9 +37,9 @@ class SegmentOutcome:
     constructors that predate the ladder (baselines): failed segments are
     ``"linear"``, successful ones ``"full"``."""
     fallback_reason: Optional[str] = None
-    """Why the segment left the top rung (``"endpoint_unseen"``,
-    ``"no_model"``, ``"search_failed"``, ``"deadline"``,
-    ``"circuit_open"``, ``"rung_error"``); ``None`` at the top rung."""
+    """Why the segment left the top rung, one of
+    :data:`repro.resilience.ladder.FALLBACK_REASONS`; ``None`` at the top
+    rung."""
     point_confidences: tuple[float, ...] = ()
     """Per-imputed-point confidences, aligned with the segment's imputed
     points in trajectory order: the model probability of the candidate

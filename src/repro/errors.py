@@ -3,14 +3,14 @@
 All library-raised exceptions derive from :class:`KamelError` so callers can
 catch everything coming out of this package with a single ``except`` clause.
 That contract extends to the resilience layer: a deadline overrun
-(:class:`DeadlineExceeded`), an open circuit (:class:`CircuitOpenError`), and
-a rejected input (:class:`QuarantinedInputError`) are all *typed* signals the
-pipeline raises deliberately and handles at well-defined boundaries — they
-are part of graceful degradation, not crashes.  Injected chaos faults
+(:class:`DeadlineExceeded`) and a rejected input
+(:class:`QuarantinedInputError`) are *typed* signals the pipeline raises
+deliberately and handles at well-defined boundaries — they are part of
+graceful degradation, not crashes.  Injected chaos faults
 (:class:`repro.resilience.chaos.InjectedFault`) deliberately do **not**
 derive from :class:`KamelError`: they simulate infrastructure failures
 (network, disk, a wedged model server) that originate *outside* the library,
-which is exactly what the retry/breaker machinery must survive.
+which the degradation ladder must absorb as a rung error.
 """
 
 from __future__ import annotations
@@ -57,14 +57,6 @@ class DeadlineExceeded(KamelError):
     def __init__(self, message: str, overrun_s: Optional[float] = None) -> None:
         super().__init__(message)
         self.overrun_s = overrun_s
-
-
-class CircuitOpenError(KamelError):
-    """A circuit breaker is open and the call was short-circuited.
-
-    The degradation ladder treats this as "skip straight to the next rung":
-    no time is spent on a dependency that has been failing consistently.
-    """
 
 
 class OverloadError(KamelError):

@@ -54,8 +54,7 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.kamel.fallback.no_model_total": "Fallbacks: no repository model covers the segment.",
     "repro.kamel.fallback.search_failed_total": "Fallbacks: search starved or budget exhausted.",
     "repro.kamel.fallback.deadline_total": "Fallbacks: the impute deadline expired mid-segment.",
-    "repro.kamel.fallback.circuit_open_total": "Fallbacks: a guard circuit was open at every usable rung.",
-    "repro.kamel.fallback.rung_error_total": "Fallbacks: an infrastructure fault outlived the retries at every usable rung.",
+    "repro.kamel.fallback.rung_error_total": "Fallbacks: a rung raised an error (a failed model lookup or inference, injected or real).",
     "repro.kamel.fallback.brownout_total": "Fallbacks: the brownout cap skipped every rung above linear that had a model.",
     "repro.kamel.rung.full_total": "Segments resolved by the full-strength imputer (top ladder rung).",
     "repro.kamel.rung.reduced_beam_total": "Segments resolved by the reduced-beam ladder rung.",
@@ -143,10 +142,6 @@ METRIC_CATALOG: dict[str, str] = {
     # -- resilience layer (repro.resilience) -------------------------------
     "repro.resilience.deadline_exceeded_total": "Segment/trajectory deadlines that expired mid-imputation.",
     "repro.resilience.rung_errors_total": "Ladder rungs abandoned after an unexpected (infrastructure) error.",
-    "repro.resilience.retries_total": "Transient-failure retries across all retry policies.",
-    "repro.resilience.breaker_open_total": "Circuit-breaker trips (closed/half-open to open).",
-    "repro.resilience.breaker.lookup_state": "Repository-lookup breaker state: 0 closed, 1 half-open, 2 open.",
-    "repro.resilience.breaker.inference_state": "Model-inference breaker state: 0 closed, 1 half-open, 2 open.",
     "repro.resilience.chaos.faults_total": "Injected faults raised by the chaos harness.",
     "repro.resilience.chaos.delays_total": "Injected latency spikes from the chaos harness.",
     "repro.resilience.chaos.corruptions_total": "Grid-cell corruptions injected by the chaos harness.",

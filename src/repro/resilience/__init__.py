@@ -13,33 +13,27 @@ layer, stdlib-only like the rest of the reproduction:
   (full beam → reduced beam → counting model → linear), each segment's
   resolving rung recorded on its
   :class:`repro.core.result.SegmentOutcome`;
-* :mod:`repro.resilience.breaker` — :class:`CircuitBreaker` and
-  :class:`RetryPolicy` (jittered exponential backoff) guarding pyramid
-  model lookup and masked-model inference; an open circuit
-  short-circuits to the next rung;
 * :mod:`repro.resilience.journal` — the streaming service's write-ahead
   :class:`StreamJournal` (crash → resume only unfinished work) and
   :class:`QuarantineStore` dead-letter file;
 * :mod:`repro.resilience.validate` — typed rejection of malformed inputs
   (:class:`repro.errors.QuarantinedInputError`);
 * :mod:`repro.resilience.chaos` — the seeded fault-injection harness
-  (:class:`ChaosMonkey`) proving all of the above under test.
+  (:class:`ChaosMonkey`) proving all of the above under test, and each
+  system's :class:`PipelineGuards`: the chaos slot at pyramid model
+  lookup and masked-model inference, where an injected fault is a rung
+  error that sends the segment one rung down.
 
 See ``docs/resilience.md`` for the ladder diagram, deadline semantics,
 and file formats.
 """
 
-from repro.resilience.breaker import (
-    CircuitBreaker,
-    GuardedModel,
-    PipelineGuards,
-    RetryPolicy,
-)
 from repro.resilience.chaos import (
     ChaosConfig,
     ChaosMonkey,
     InjectedCrash,
     InjectedFault,
+    PipelineGuards,
     chaos_scope,
     install_grid_chaos,
 )
@@ -66,16 +60,13 @@ __all__ = [
     "FALLBACK_REASONS",
     "ChaosConfig",
     "ChaosMonkey",
-    "CircuitBreaker",
     "Deadline",
     "DegradationLadder",
-    "GuardedModel",
     "InjectedCrash",
     "InjectedFault",
     "MAX_COORDINATE_M",
     "PipelineGuards",
     "QuarantineStore",
-    "RetryPolicy",
     "RUNG_COUNTING",
     "RUNG_FULL",
     "RUNG_LINEAR",

@@ -5,8 +5,8 @@ RNG, so every scenario replays exactly:
 
 * **failures** — hooked call sites (pyramid model lookup, masked-model
   inference) raise :class:`InjectedFault`, a *non*-``KamelError``
-  simulating infrastructure trouble the retry/breaker/ladder stack must
-  absorb;
+  simulating infrastructure trouble; the degradation ladder absorbs it
+  as a ``rung_error`` and the segment descends one rung;
 * **latency** — hooked sites sleep ``latency_s`` with probability
   ``latency_rate`` (deadline-enforcement fodder);
 * **corruption** — a grid lookup returns a neighboring cell instead of
@@ -27,8 +27,9 @@ import contextlib
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
+from repro.mlm.base import MaskQuery, MaskedModel, TokenProb
 from repro.obs import instrument as obs
 from repro.obs.logging import get_logger
 
@@ -37,6 +38,7 @@ __all__ = [
     "ChaosMonkey",
     "InjectedFault",
     "InjectedCrash",
+    "PipelineGuards",
     "install_grid_chaos",
     "chaos_scope",
 ]
@@ -247,6 +249,68 @@ class ChaosMonkey:
         )
 
 
+class _ChaosModel(MaskedModel):
+    """A trained model behind the ``model.predict`` hook.
+
+    The hook fires once per invocation — one ``predict_masked_batch`` of
+    any size, or one ``predict_masked`` — before the inner model runs, so
+    an injected fault reaches the caller with the model never invoked.
+    """
+
+    def __init__(self, inner: MaskedModel, monkey: ChaosMonkey) -> None:
+        self.inner = inner
+        self.monkey = monkey
+
+    def fit(self, sequences, vocab_size) -> MaskedModel:  # pragma: no cover
+        raise NotImplementedError("the chaos proxy wraps an already-trained model")
+
+    def predict_masked(
+        self, tokens: Sequence[int], position: int, top_k: int = 10
+    ) -> list[TokenProb]:
+        self.monkey.on_call("model.predict")
+        return self.inner.predict_masked(tokens, position, top_k)
+
+    def predict_masked_batch(
+        self, queries: Sequence[MaskQuery], top_k: int = 10
+    ) -> list[list[TokenProb]]:
+        self.monkey.on_call("model.predict")
+        return self.inner.predict_masked_batch(queries, top_k)
+
+    @property
+    def is_fitted(self) -> bool:
+        return self.inner.is_fitted
+
+    @property
+    def num_training_tokens(self) -> int:
+        return self.inner.num_training_tokens
+
+
+class PipelineGuards:
+    """A system's chaos slot and its two hook sites.
+
+    One instance hangs off each :class:`repro.core.kamel.Kamel`: pyramid
+    model lookup fires ``repository.retrieve`` and every model invocation
+    fires ``model.predict``. ``chaos`` is ``None`` in production, so each
+    site costs one attribute check. A fault raised at either site is a
+    rung error: the segment descends one rung of the ladder.
+    """
+
+    def __init__(self) -> None:
+        self.chaos: Optional[ChaosMonkey] = None
+
+    def chaos_hook(self, site: str) -> None:
+        """Fire the installed chaos monkey at ``site`` (no-op when None)."""
+        if self.chaos is not None:
+            self.chaos.on_call(site)
+
+    def guard_model(self, model: MaskedModel) -> MaskedModel:
+        """``model`` itself, or behind the ``model.predict`` hook while a
+        monkey is installed."""
+        if self.chaos is None:
+            return model
+        return _ChaosModel(model, self.chaos)
+
+
 def install_grid_chaos(grid, monkey: ChaosMonkey) -> Callable[[], None]:
     """Wrap ``grid.cell_of`` with latency + corruption injection.
 
@@ -284,7 +348,7 @@ def chaos_scope(
     """Install ``monkey`` on the given components; restore on exit.
 
     ``system`` is a :class:`repro.core.kamel.Kamel` (hooks model lookup and
-    inference via its :class:`~repro.resilience.breaker.PipelineGuards`),
+    inference via its :class:`PipelineGuards`),
     ``service`` a :class:`~repro.core.streaming.StreamingImputationService`
     (crash injection), ``grid`` any :class:`repro.grid.base.Grid`
     (latency + corruption on ``cell_of``).

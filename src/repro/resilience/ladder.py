@@ -14,8 +14,8 @@ reduced   beam search at :data:`DEGRADED_BEAM_SIZE` — same model, a
           fraction of the cost, used when the full search failed
           or the deadline is tightening
 counting  greedy iterative imputation on the global counting
-          fallback model — survives an open inference circuit or a
-          missing repository model (the PLMTrajRec concern: stay
+          fallback model — serves when the repository model fails
+          or is missing (the PLMTrajRec concern: stay
           usable when the heavy model path is down)
 linear    straight-line interpolation — never fails, the paper's
           "failure" outcome
@@ -59,7 +59,6 @@ FALLBACK_REASONS = (
     "no_model",
     "search_failed",
     "deadline",
-    "circuit_open",
     "rung_error",
     "brownout",
 )
@@ -106,10 +105,6 @@ class DegradationLadder:
         rungs.append(RUNG_LINEAR)
         return cls(tuple(rungs))
 
-    def below(self, rung: str) -> tuple[str, ...]:
-        """The rungs strictly below ``rung`` (what's left to try)."""
-        return self.rungs[self.rungs.index(rung) + 1 :]
-
     @staticmethod
     def allows(rung: str, cap: Optional[str]) -> bool:
         """Whether ``rung`` may run under a brownout cap.
@@ -135,16 +130,6 @@ class DegradationLadder:
     def record(rung: str) -> None:
         """Count one segment resolved at ``rung``."""
         obs.count(f"repro.kamel.rung.{rung}_total")
-
-    @staticmethod
-    def is_failure(rung: str) -> bool:
-        """The paper's failure definition: only the straight line counts."""
-        return rung == RUNG_LINEAR
-
-    @staticmethod
-    def is_degraded(rung: str) -> bool:
-        """Anything below the top rung, including linear."""
-        return rung != RUNG_FULL
 
     def __len__(self) -> int:
         return len(self.rungs)

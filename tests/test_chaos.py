@@ -1,8 +1,7 @@
 """The chaos suite: seeded fault injection against the full pipeline.
 
 Every test here is deterministic — one ``random.Random(seed)`` drives all
-injected faults, injected latency uses tiny sleeps, and breaker recovery
-windows are chosen so no state transition depends on wall-clock racing.
+injected faults, and injected latency uses tiny sleeps.
 
 Run with ``pytest -m chaos`` on its own; the normal suite (and CI's
 ``tests`` job) runs it too.
@@ -43,19 +42,11 @@ def fresh_registry():
 def chaos_system(small_dataset):
     """A dedicated trained system the chaos tests may stress freely.
 
-    Module-scoped (training is the expensive part); each test resets the
-    guards so breaker state never leaks between tests. Deliberately NOT
-    the session-wide ``trained_kamel``, whose guards must stay pristine.
+    Module-scoped (training is the expensive part). Deliberately NOT the
+    session-wide ``trained_kamel``, which no chaos test may touch.
     """
     train, _ = small_dataset.split(seed=1)
     return Kamel(KamelConfig(max_model_calls=600)).fit(train)
-
-
-@pytest.fixture()
-def clean_guards(chaos_system):
-    chaos_system.guards.reset()
-    yield chaos_system.guards
-    chaos_system.guards.reset()
 
 
 def _feed(small_dataset, n=8, sparseness=600.0):
@@ -77,7 +68,7 @@ class TestSeededScenario:
     GRACE_S = 0.05
 
     def test_deadlines_hold_and_nothing_is_lost(
-        self, chaos_system, clean_guards, small_dataset, tmp_path, fresh_registry
+        self, chaos_system, small_dataset, tmp_path, fresh_registry
     ):
         feed = _feed(small_dataset, n=8)
         feed.insert(2, _bad_trajectory("bad-1"))
@@ -128,7 +119,7 @@ class TestSeededScenario:
         assert "repro_resilience_chaos_faults_total" in exposition
 
     def test_deadline_bounds_impute_time(
-        self, chaos_system, clean_guards, small_dataset, fresh_registry
+        self, chaos_system, small_dataset, fresh_registry
     ):
         from repro.resilience import Deadline
 
@@ -155,7 +146,6 @@ class TestSeededScenario:
 
 class TestDeterminism:
     def _run_once(self, system, feed):
-        system.guards.reset()
         previous = set_registry(MetricsRegistry())
         try:
             monkey = ChaosMonkey(
@@ -171,7 +161,6 @@ class TestDeterminism:
             return monkey.report.to_dict(), outputs
         finally:
             set_registry(previous)
-            system.guards.reset()
 
     def test_same_seed_replays_exactly(self, chaos_system, small_dataset):
         feed = _feed(small_dataset, n=6)
@@ -186,7 +175,7 @@ class TestDeterminism:
 
 class TestKillAndResume:
     def test_crash_resumes_without_loss_or_rework(
-        self, chaos_system, clean_guards, small_dataset, tmp_path, fresh_registry
+        self, chaos_system, small_dataset, tmp_path, fresh_registry
     ):
         feed = _feed(small_dataset, n=6)
         journal_path = str(tmp_path / "wal.jsonl")
@@ -196,7 +185,6 @@ class TestKillAndResume:
         expected = [reference.process(t) for t in feed]
 
         # First incarnation: dies on the 4th process call.
-        chaos_system.guards.reset()
         first = StreamingImputationService(
             chaos_system, StreamingConfig(journal_path=journal_path)
         )
@@ -240,7 +228,7 @@ class TestFailureRateParity:
     segments served by the linear rung only."""
 
     def test_stats_and_counters_agree(
-        self, chaos_system, clean_guards, small_dataset, fresh_registry
+        self, chaos_system, small_dataset, fresh_registry
     ):
         service = StreamingImputationService(chaos_system, StreamingConfig())
         for trajectory in _feed(small_dataset, n=6):
@@ -273,7 +261,7 @@ class TestGridChaos:
         assert grid.cell_of(point) == true_cell
 
     def test_pipeline_survives_corrupted_lookups(
-        self, chaos_system, clean_guards, small_dataset, fresh_registry
+        self, chaos_system, small_dataset, fresh_registry
     ):
         feed = _feed(small_dataset, n=3)
         monkey = ChaosMonkey(ChaosConfig(seed=5, corruption_rate=0.2))

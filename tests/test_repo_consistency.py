@@ -342,6 +342,14 @@ class TestOneBenchmarkHarness:
             "repro " + "loadtest",
             "repro.serve" + ".loadtest",
             "kamel " + "chaos",
+            "Circuit" + "Breaker",
+            "Retry" + "Policy",
+            "Guarded" + "Model",
+            "CircuitOpen" + "Error",
+            "resilience" + ".breaker",
+            "retries" + "_total",
+            "breaker_open" + "_total",
+            "circuit" + "_open",
         ]
         sources = [
             *self.DOCUMENTS,
@@ -359,4 +367,5 @@ class TestOneBenchmarkHarness:
                 assert name not in text, f"{source.relative_to(ROOT)} names {name}"
         assert not (ROOT / "src" / "repro" / "bench").exists()
         assert not (ROOT / "src" / "repro" / "serve" / "loadtest.py").exists()
+        assert not (ROOT / "src" / "repro" / "resilience" / "breaker.py").exists()
         assert not list(ROOT.glob("BENCH_*.json"))

@@ -1,21 +1,15 @@
-"""Unit tests for the resilience layer: deadlines, breakers, ladder,
+"""Unit tests for the resilience layer: deadlines, the chaos hook, ladder,
 journal, quarantine, and input validation — all with injected clocks and
 sleeps, so nothing here waits on real time."""
 
 import math
-import random
 
 import pytest
 
 from repro import Kamel, KamelConfig
 from repro.core.imputation import BeamSearchImputer, IterativeImputer, SegmentImputer
 
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceeded,
-    KamelError,
-    QuarantinedInputError,
-)
+from repro.errors import DeadlineExceeded, KamelError, QuarantinedInputError
 from repro.geo import Point, Trajectory
 from repro.mlm.base import MaskedModel
 from repro.obs import MetricsRegistry, get_registry, set_registry
@@ -23,15 +17,12 @@ from repro.resilience import (
     ALL_RUNGS,
     ChaosConfig,
     ChaosMonkey,
-    CircuitBreaker,
     Deadline,
     DegradationLadder,
-    GuardedModel,
     InjectedFault,
     MAX_COORDINATE_M,
     PipelineGuards,
     QuarantineStore,
-    RetryPolicy,
     RUNG_COUNTING,
     RUNG_FULL,
     RUNG_LINEAR,
@@ -93,159 +84,6 @@ class TestDeadline:
             Deadline.after(0.0)
 
 
-class TestCircuitBreaker:
-    def make(self, clock, threshold=3, recovery=10.0):
-        return CircuitBreaker(
-            "test", failure_threshold=threshold, recovery_s=recovery, clock=clock
-        )
-
-    def test_opens_after_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        boom = RuntimeError("boom")
-
-        def fail():
-            raise boom
-
-        for _ in range(3):
-            with pytest.raises(RuntimeError):
-                breaker.call(fail)
-        assert breaker.state == "open"
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: "never runs")
-
-    def test_success_resets_failure_count(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        for _ in range(2):
-            with pytest.raises(RuntimeError):
-                breaker.call(self._raise)
-        assert breaker.call(lambda: "ok") == "ok"
-        assert breaker.consecutive_failures == 0
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_recovers(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        for _ in range(3):
-            with pytest.raises(RuntimeError):
-                breaker.call(self._raise)
-        assert breaker.state == "open"
-        clock.advance(10.0)
-        # The first call after recovery_s is the half-open probe.
-        assert breaker.call(lambda: "probe ok") == "probe ok"
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_failure_reopens(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        for _ in range(3):
-            with pytest.raises(RuntimeError):
-                breaker.call(self._raise)
-        clock.advance(10.0)
-        with pytest.raises(RuntimeError):
-            breaker.call(self._raise)
-        assert breaker.state == "open"
-        assert breaker.open_count == 2
-
-    @staticmethod
-    def _raise():
-        raise RuntimeError("boom")
-
-
-class TestRetryPolicy:
-    def test_retries_then_succeeds(self):
-        sleeps = []
-        policy = RetryPolicy(attempts=2, base_delay_s=0.01, seed=0, sleep=sleeps.append)
-        attempts = iter([InjectedFault("1"), InjectedFault("2"), "ok"])
-
-        def flaky():
-            outcome = next(attempts)
-            if isinstance(outcome, Exception):
-                raise outcome
-            return outcome
-
-        assert policy.call(flaky) == "ok"
-        assert len(sleeps) == 2
-        assert policy.total_retries == 2
-
-    def test_reraises_after_exhausting_attempts(self):
-        policy = RetryPolicy(attempts=1, base_delay_s=0.0, seed=0, sleep=lambda _: None)
-        with pytest.raises(InjectedFault):
-            policy.call(self._raise)
-
-    def test_backoff_grows_and_jitter_is_seeded(self):
-        a = RetryPolicy(attempts=5, base_delay_s=0.01, max_delay_s=1.0, seed=42)
-        b = RetryPolicy(attempts=5, base_delay_s=0.01, max_delay_s=1.0, seed=42)
-        delays_a = [a.delay_for(n) for n in range(1, 5)]
-        delays_b = [b.delay_for(n) for n in range(1, 5)]
-        assert delays_a == delays_b  # deterministic under a fixed seed
-        for n, delay in enumerate(delays_a, start=1):
-            raw = 0.01 * 2 ** (n - 1)
-            assert 0.5 * raw <= delay < raw  # jitter in [0.5, 1.0)
-
-    @staticmethod
-    def _raise():
-        raise InjectedFault("always")
-
-
-class _FlakyModel:
-    """A fake MaskedModel whose predict fails the first N calls."""
-
-    def __init__(self, failures: int = 0) -> None:
-        self.failures = failures
-        self.calls = 0
-
-    def predict_masked(self, tokens, position, top_k=10):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise InjectedFault("flaky")
-        return [(7, 1.0)]
-
-    @property
-    def is_fitted(self):
-        return True
-
-    @property
-    def num_training_tokens(self):
-        return 0
-
-
-class TestGuardedModel:
-    def make_guards(self, **kwargs):
-        kwargs.setdefault("sleep", lambda _: None)
-        return PipelineGuards(**kwargs)
-
-    def test_transient_fault_absorbed_by_retry(self):
-        guards = self.make_guards(retry_attempts=2)
-        model = _FlakyModel(failures=2)
-        guarded = guards.guard_model(model)
-        assert guarded.predict_masked([1, 2], 1) == [(7, 1.0)]
-        assert model.calls == 3
-        assert guards.inference_breaker.state == "closed"
-
-    def test_persistent_failure_opens_circuit(self):
-        clock = FakeClock()
-        guards = self.make_guards(
-            failure_threshold=2, retry_attempts=0, clock=clock
-        )
-        model = _FlakyModel(failures=10 ** 6)
-        guarded = guards.guard_model(model)
-        for _ in range(2):
-            with pytest.raises(InjectedFault):
-                guarded.predict_masked([1, 2], 1)
-        calls_when_opened = model.calls
-        with pytest.raises(CircuitOpenError):
-            guarded.predict_masked([1, 2], 1)
-        assert model.calls == calls_when_opened  # short-circuited, not called
-
-    def test_guard_model_is_idempotent(self):
-        guards = self.make_guards()
-        model = _FlakyModel()
-        guarded = guards.guard_model(model)
-        assert guards.guard_model(guarded) is guarded
-
-
 class TestDegradationLadder:
     def test_full_ladder_from_default_config(self):
         from repro.core.config import KamelConfig
@@ -273,17 +111,6 @@ class TestDegradationLadder:
     def test_rungs_must_be_ordered(self):
         with pytest.raises(ValueError):
             DegradationLadder((RUNG_COUNTING, RUNG_FULL, RUNG_LINEAR))
-
-    def test_below(self):
-        ladder = DegradationLadder(ALL_RUNGS)
-        assert ladder.below(RUNG_FULL) == (RUNG_REDUCED_BEAM, RUNG_COUNTING, RUNG_LINEAR)
-        assert ladder.below(RUNG_LINEAR) == ()
-
-    def test_failure_and_degraded_split(self):
-        assert DegradationLadder.is_failure(RUNG_LINEAR)
-        assert not DegradationLadder.is_failure(RUNG_COUNTING)
-        assert DegradationLadder.is_degraded(RUNG_COUNTING)
-        assert not DegradationLadder.is_degraded(RUNG_FULL)
 
 
 def _traj(traj_id="t1"):
@@ -379,7 +206,7 @@ class TestValidation:
 
 class TestErrorHierarchy:
     def test_resilience_errors_are_kamel_errors(self):
-        for exc_type in (DeadlineExceeded, CircuitOpenError, QuarantinedInputError):
+        for exc_type in (DeadlineExceeded, QuarantinedInputError):
             assert issubclass(exc_type, KamelError)
 
     def test_injected_fault_is_not_a_kamel_error(self):
@@ -448,21 +275,14 @@ class _RowCountingModel(MaskedModel):
         return self.inner.num_training_tokens
 
 
-class _FlakyBackend(MaskedModel):
-    """:class:`_FlakyModel` as a real backend: scalar method only, so a
-    batch runs through the inherited loop and fails with its first row."""
-
-    def __init__(self, failures: int = 0) -> None:
-        self.failures = failures
-        self.calls = 0
+class _StubBackend(MaskedModel):
+    """A real backend with the scalar method only, so a batch runs through
+    the inherited loop."""
 
     def fit(self, sequences, vocab_size):
         raise NotImplementedError
 
     def predict_masked(self, tokens, position, top_k=10):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise InjectedFault("flaky")
         return [(7, 1.0)]
 
     is_fitted = True
@@ -470,55 +290,34 @@ class _FlakyBackend(MaskedModel):
 
 
 class TestGuardedBatch:
-    """One ``predict_masked_batch`` is one guarded attempt, whatever its size."""
+    """The ``model.predict`` hook fires once per invocation, whatever its size."""
 
     QUERIES = [([3, 0, 5], 1), ([3, 4, 0, 6], 2), ([0, 4], 0)]
 
-    def _fault_then_pass_seed(self, rate=0.5):
-        for seed in range(100):
-            rng = random.Random(seed)
-            if rng.random() < rate <= rng.random():
-                return seed
-        raise AssertionError("no seed with a fault-then-pass opening")
-
-    def test_one_injected_fault_is_absorbed_by_one_retry(self):
-        guards = PipelineGuards(retry_attempts=2, sleep=lambda _: None)
-        guards.chaos = ChaosMonkey(ChaosConfig(
-            seed=self._fault_then_pass_seed(), failure_rate=0.5,
-            failure_sites=("model.predict",),
-        ))
-        inner = _RowCountingModel(_FlakyBackend())
-        answers = guards.guard_model(inner).predict_masked_batch(self.QUERIES, top_k=4)
-        assert answers == [[(7, 1.0)]] * 3
-        # The hook fired once per attempt — not once per row — and the fault
-        # struck before the batch reached the model, which then ran it once.
-        assert guards.chaos.report.calls == {"model.predict": 2}
-        assert guards.chaos.report.faults == {"model.predict": 1}
-        assert guards.inference_retry.total_retries == 1
-        assert (inner.invocations, inner.rows) == (1, 3)
-        assert guards.inference_breaker.state == "closed"
-
-    def test_a_retried_fault_reruns_the_whole_batch(self):
-        guards = PipelineGuards(retry_attempts=2, sleep=lambda _: None)
-        flaky = _FlakyBackend(failures=1)
-        inner = _RowCountingModel(flaky)
-        answers = guards.guard_model(inner).predict_masked_batch(self.QUERIES)
-        assert answers == [[(7, 1.0)]] * 3
-        assert (inner.invocations, inner.rows) == (2, 6)
-
-    def test_repeated_faults_open_the_breaker_per_invocation(self):
-        clock = FakeClock()
-        guards = PipelineGuards(
-            failure_threshold=2, retry_attempts=0, clock=clock, sleep=lambda _: None
-        )
-        inner = _RowCountingModel(_FlakyBackend(failures=10 ** 6))
+    def test_one_hook_firing_per_batch_whatever_its_rows(self):
+        guards = PipelineGuards()
+        guards.chaos = ChaosMonkey(ChaosConfig(seed=0))
+        inner = _RowCountingModel(_StubBackend())
         guarded = guards.guard_model(inner)
-        for _ in range(2):  # two failed invocations of three rows: threshold 2
-            with pytest.raises(InjectedFault):
-                guarded.predict_masked_batch(self.QUERIES)
-        with pytest.raises(CircuitOpenError):
-            guarded.predict_masked_batch(self.QUERIES)
-        assert inner.invocations == 2  # short-circuited, not called
+        assert guarded.predict_masked_batch(self.QUERIES, top_k=4) == [[(7, 1.0)]] * 3
+        assert guarded.predict_masked_batch(self.QUERIES[:1]) == [[(7, 1.0)]]
+        assert guards.chaos.report.calls == {"model.predict": 2}
+        assert (inner.invocations, inner.rows) == (2, 4)
+
+    def test_a_fault_reaches_the_caller_before_the_model(self):
+        guards = PipelineGuards()
+        guards.chaos = ChaosMonkey(ChaosConfig(
+            seed=0, failure_rate=1.0, failure_sites=("model.predict",)
+        ))
+        inner = _RowCountingModel(_StubBackend())
+        with pytest.raises(InjectedFault):
+            guards.guard_model(inner).predict_masked_batch(self.QUERIES)
+        assert guards.chaos.report.faults == {"model.predict": 1}
+        assert inner.invocations == 0
+
+    def test_no_monkey_no_proxy(self):
+        model = _StubBackend()
+        assert PipelineGuards().guard_model(model) is model
 
 
 @pytest.fixture(scope="module")
@@ -586,7 +385,7 @@ class TestLadderCandidateMemo:
             assert full[1].ctx is outcome_ctx
             assert full[4] == 0 and reduced[4] == full[3] and counting[4] == 0
             assert isinstance(counting[0], IterativeImputer)
-            assert not isinstance(counting[0].model, GuardedModel)
+            assert counting[0].model is starved_kamel._fallback_model
             # The narrow beam re-walks the wide beam's partial segments: it
             # is charged its five queries and sends none to the model ...
             assert full[2].model_calls == reduced[2].model_calls == 5
@@ -617,40 +416,46 @@ class TestLadderCandidateMemo:
         assert 0 < invocations <= calls - hits
 
     def test_repeated_inference_faults_descend_to_the_counting_rung(
-        self, starved_kamel, small_split
+        self, starved_kamel, small_split, monkeypatch
     ):
-        """Chaos at ``model.predict`` fails every batched round: after
-        ``threshold`` failed invocations the circuit opens and segments are
-        served by the (unguarded, memo-less) counting rung."""
+        """Chaos at ``model.predict`` fails every pooled invocation: each
+        struck segment leaves the repository model's rungs as a
+        ``rung_error`` and is served by the counting rung (outside the
+        hook, memo-less) or the straight line."""
         system = starved_kamel
-        system.guards.reset()
         monkey = ChaosMonkey(
             ChaosConfig(seed=1, failure_rate=1.0, failure_sites=("model.predict",)),
             sleep=lambda _: None,
         )
+        # Row counters on both sides of the hook: outside it, every pooled
+        # invocation; inside it, what reached the repository model.
+        inside, outside = [], []
+        guard_model = system.guards.guard_model
+
+        def counted(model):
+            inside.append(_RowCountingModel(model))
+            outside.append(_RowCountingModel(guard_model(inside[-1])))
+            return outside[-1]
+
+        monkeypatch.setattr(system.guards, "guard_model", counted)
         _, test = small_split
-        try:
-            with chaos_scope(monkey, system=system):
-                results = [system.impute(t.sparsify(600.0)) for t in test[:4]]
-            assert system.guards.inference_breaker.state == "open"
-        finally:
-            system.guards.reset()
+        with chaos_scope(monkey, system=system):
+            results = [system.impute(t.sparsify(600.0)) for t in test[:4]]
+        segments = [s for r in results for s in r.segments]
         # Segments that got as far as asking the repository model (others
-        # have adjacent or unseen endpoint cells): its rungs fail while the
-        # circuit counts up to its threshold, then are refused.
-        segments = [
-            s for r in results for s in r.segments
-            if s.fallback_reason in ("rung_error", "circuit_open")
-        ]
-        reasons = [s.fallback_reason for s in segments]
-        assert set(reasons) == {"rung_error", "circuit_open"}
-        assert reasons == sorted(reasons, reverse=True)
-        assert {s.rung for s in segments} <= {RUNG_COUNTING, RUNG_LINEAR}
-        # One hook firing per guarded attempt, and the circuit opened after
-        # `threshold` failed invocations of (1 + retries) attempts each.
-        attempts = 1 + system.guards.inference_retry.attempts
-        assert monkey.report.calls["model.predict"] == (
-            system.guards.inference_breaker.failure_threshold * attempts
+        # have adjacent or unseen endpoint cells).
+        struck = [s for s in segments if s.fallback_reason == "rung_error"]
+        assert struck
+        assert {s.rung for s in struck} <= {RUNG_COUNTING, RUNG_LINEAR}
+        assert all(
+            s.fallback_reason == "endpoint_unseen" or s.model_calls == 0
+            for s in segments if s not in struck
         )
-        # Nothing reached a guarded model, so only counting-rung queries are billed.
-        assert all(s.model_calls <= 5 for s in segments)
+        # One hook firing per pooled invocation, each one a fault: no
+        # invocation re-runs, and none reached the model.
+        invocations = sum(m.invocations for m in outside)
+        assert monkey.report.calls["model.predict"] == invocations
+        assert monkey.report.faults["model.predict"] == invocations
+        assert sum(m.invocations for m in inside) == 0
+        # So only counting-rung queries are billed.
+        assert all(s.model_calls <= 5 for s in struck)

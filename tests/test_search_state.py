@@ -3,8 +3,8 @@ lose, and the seam the benchmark's tracer hooks.
 
 ``filter`` keeps its tallies in the segment's ``SegmentSearch`` until the
 segment's owner flushes it. The parent reported every call the moment it
-ended, so whatever had been filtered before a deadline, an open circuit or
-a rung error was already on the books; the references here replay the
+ended, so whatever had been filtered before a deadline or a rung error
+was already on the books; the references here replay the
 parent's per-call body over the calls that actually ran.
 """
 
@@ -14,7 +14,7 @@ from repro import Kamel, KamelConfig
 from repro.core.constraints import GapContext, SegmentSearch, SpatialConstraints
 from repro.core.imputation import BeamSearchImputer, SegmentImputer
 from repro.core.tokenization import Tokenizer, make_grid
-from repro.errors import CircuitOpenError, DeadlineExceeded
+from repro.errors import DeadlineExceeded
 from repro.geo import Point
 from repro.mlm.base import MaskedModel
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -132,10 +132,9 @@ class TestCountersOnTheErrorPath:
         "error, reason",
         [
             (DeadlineExceeded("segment imputation"), "deadline"),
-            (CircuitOpenError("inference"), "circuit_open"),
             (RuntimeError("backend fell over"), "rung_error"),
         ],
-        ids=["deadline", "circuit_open", "rung_error"],
+        ids=["deadline", "rung_error"],
     )
     @pytest.mark.parametrize("k", [2, 5])
     def test_ladder_lands_what_was_filtered_before_the_raise(
@@ -147,8 +146,6 @@ class TestCountersOnTheErrorPath:
         calls = _record_filter_calls(system.constraints, monkeypatch)
         rounds = []
         guard_model = system.guards.guard_model
-        # Outside the guard, so the error reaches the search as raised
-        # instead of through the retry policy.
         monkeypatch.setattr(
             system.guards,
             "guard_model",
