@@ -19,6 +19,15 @@ Prediction multiplies the local transition *policy* by the route *value*
 The backend exists because sweeping every figure of the paper with the
 numpy BERT would take hours; system behaviour (candidates + probabilities
 feeding the spatial constraints and beam search) is identical in kind.
+
+Under ``policy_value`` scoring an answer depends only on the gap endpoints
+``(left1, right1)``, ``top_k`` and the fitted tables, and a search asks
+about the same endpoints many times (one ``bulk_porto`` pass: 31,300
+queries, 5,874 distinct contexts). Each model therefore memoises its
+answers by ``(left1, right1, top_k)``, first in first out, at most
+:data:`ANSWER_MEMO_ENTRIES` of them; :meth:`CountingMaskedLM.fit` empties
+the memo and it is never saved. ``interpolation`` scoring, which also
+reads ``left2`` and ``right2``, is not memoised.
 """
 
 from __future__ import annotations
@@ -44,6 +53,10 @@ _TEMPLATE_WEIGHTS: dict[str, float] = {
 
 DEFAULT_HORIZON = 10
 """How far ahead/behind the route tables look during training."""
+
+ANSWER_MEMO_ENTRIES = 4096
+"""Answers one model memoises before dropping the oldest (~2 MB at
+``top_k=10``, against ~6 MB of count tables for a ``bulk_porto`` model)."""
 
 
 def _training_contexts(
@@ -151,6 +164,7 @@ class CountingMaskedLM(MaskedModel):
         self._total_tokens = 0
         self._vocab_size = 0
         self._weights = dict(_TEMPLATE_WEIGHTS)
+        self._answers: dict[tuple, tuple[TokenProb, ...]] = {}
 
     # -- MaskedModel interface ---------------------------------------------
 
@@ -158,6 +172,7 @@ class CountingMaskedLM(MaskedModel):
         if vocab_size <= 0:
             raise ValueError(f"vocab_size must be positive, got {vocab_size!r}")
         self._vocab_size = max(self._vocab_size, vocab_size)
+        self._answers.clear()
         for seq in sequences:
             for i, token in enumerate(seq):
                 self._unigram[token] += 1
@@ -195,6 +210,9 @@ class CountingMaskedLM(MaskedModel):
         attention computes: a locally plausible next token that also lies
         on an observed route to the destination. A small epsilon keeps
         locally plausible candidates alive when no route evidence exists.
+
+        The answer is memoised by ``(left1, right1, top_k)`` (see the
+        module docstring); every call returns a fresh list.
         """
         validate_mask_query(tokens, position)
         if not self.is_fitted:
@@ -205,7 +223,20 @@ class CountingMaskedLM(MaskedModel):
         n = len(tokens)
         left1 = tokens[position - 1] if position >= 1 else None
         right1 = tokens[position + 1] if position + 1 < n else None
+        key = (left1, right1, top_k)
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = self._answers[key] = tuple(
+                self._policy_value(left1, right1, top_k)
+            )
+            if len(self._answers) > ANSWER_MEMO_ENTRIES:
+                del self._answers[next(iter(self._answers))]
+        return list(answer)
 
+    def _policy_value(
+        self, left1: int | None, right1: int | None, top_k: int
+    ) -> list[TokenProb]:
+        """The uncached ``policy_value`` answer for the gap ``left1 .. right1``."""
         policy: dict[int, float] = defaultdict(float)
         if left1 is not None:
             for token, p in self._normalized(("l1", left1)).items():

@@ -76,6 +76,20 @@ class TestRoundTrip:
         restored = Kamel.load(tmp_path / "via_method")
         assert restored.is_fitted
 
+    def test_imputing_adds_nothing_to_the_saved_models(self, saved, small_split, tmp_path):
+        """Counting models memoise their answers; the memo is never saved."""
+        system = load_kamel(saved)  # every model starts with an empty memo
+        save_kamel(system, tmp_path / "before")
+        for t in small_split[1][:8]:
+            system.impute(t.sparsify(500.0))
+        assert any(m.model._answers for m in system.repository._single.values())
+        save_kamel(system, tmp_path / "after")
+        before = sorted((tmp_path / "before" / "models").iterdir())
+        after = sorted((tmp_path / "after" / "models").iterdir())
+        assert [p.name for p in before] == [p.name for p in after]
+        for old, new in zip(before, after):
+            assert old.read_bytes() == new.read_bytes(), old.name
+
 
 class TestDirectoryFromBeforeDriftWasRetired:
     def test_drift_json_is_ignored_and_no_longer_written(

@@ -1,9 +1,15 @@
 """Tests for the counting masked LM backend."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import NotFittedError
-from repro.mlm import CountingMaskedLM
+from repro.mlm import CountingMaskedLM, counting
+from repro.obs import MetricsRegistry, set_registry
+
+from tests.test_golden_counters import GOLDEN, golden_world
 
 # A tiny "road": trips run 3 -> 4 -> 5 -> 6 -> 7 -> 8 forward and back.
 FORWARD = [[3, 4, 5, 6, 7, 8]] * 10
@@ -128,8 +134,6 @@ class TestPersistence:
 class TestPredictionProperties:
     """Hypothesis-driven invariants of predict_masked."""
 
-    from hypothesis import given, settings, strategies as st
-
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=9999),
@@ -195,8 +199,11 @@ class TestBatchPrediction:
             ([30, 0, 31], 1),  # unseen context: unigram back-off
             ([4, 0, 6], 1),  # a repeated query
         ]
+        # A fresh copy answers the scalar side, so a memo the batch filled
+        # cannot answer both sides of the comparison.
+        fresh = CountingMaskedLM.from_dict(model.to_dict())
         assert model.predict_masked_batch(queries, top_k=4) == [
-            model.predict_masked(tokens, position, top_k=4)
+            fresh.predict_masked(tokens, position, top_k=4)
             for tokens, position in queries
         ]
 
@@ -206,3 +213,123 @@ class TestBatchPrediction:
     def test_batch_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             CountingMaskedLM().predict_masked_batch([([3, 0, 5], 1)])
+
+
+class TestAnswerMemo:
+    """``policy_value`` answers are memoised per model by ``(left1, right1,
+    top_k)``; a memoised answer is always the one a fresh model gives."""
+
+    @pytest.mark.parametrize("scoring", ["policy_value", "interpolation"])
+    @pytest.mark.parametrize("cap", [counting.ANSWER_MEMO_ENTRIES, 2])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sequences=st.lists(
+            st.lists(st.integers(3, 9), min_size=2, max_size=7), min_size=1, max_size=8
+        ),
+        stream=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 10), min_size=1, max_size=5),
+                st.integers(0, 4),
+                st.integers(1, 4),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        repeats=st.integers(1, 3),
+    )
+    def test_every_answer_equals_a_fresh_models(
+        self, scoring, cap, sequences, stream, repeats
+    ):
+        model = CountingMaskedLM(scoring=scoring).fit(sequences, 16)
+        payload = model.to_dict()
+        queries = [
+            (tokens, position % len(tokens), top_k) for tokens, position, top_k in stream
+        ] * repeats
+        with mock.patch.object(counting, "ANSWER_MEMO_ENTRIES", cap):
+            for tokens, position, top_k in queries:
+                fresh = CountingMaskedLM.from_dict(payload)
+                assert model.predict_masked(tokens, position, top_k) == (
+                    fresh.predict_masked(tokens, position, top_k)
+                )
+
+    def test_a_repeated_context_is_scored_once(self):
+        model = fitted(BRANCHING)
+        with mock.patch.object(
+            model, "_policy_value", wraps=model._policy_value
+        ) as scored:
+            for tokens in ([4, 0, 6], [3, 4, 0, 6, 7], [4, 0, 6, 8]):
+                model.predict_masked(tokens, tokens.index(0), top_k=3)
+            model.predict_masked([4, 0, 6], 1, top_k=2)  # another top_k
+        assert scored.call_count == 2
+
+    def test_mutating_an_answer_does_not_reach_the_memo(self):
+        model = fitted(BRANCHING)
+        first = model.predict_masked([5, 0, 8], 1)
+        expected = list(first)
+        first.clear()
+        assert model.predict_masked([5, 0, 8], 1) == expected
+        second = model.predict_masked([5, 0, 8], 1)
+        second.append((31, 1.0))
+        assert model.predict_masked([5, 0, 8], 1) == expected
+
+    def test_fit_empties_the_memo(self):
+        model = fitted(BACKWARD)
+        before = model.predict_masked([4, 0, 6], 1)
+        model.fit(BRANCHING, VOCAB)
+        after = model.predict_masked([4, 0, 6], 1)
+        assert after != before
+        both = CountingMaskedLM().fit(BACKWARD + BRANCHING, VOCAB)
+        assert after == both.predict_masked([4, 0, 6], 1)
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(counting, "ANSWER_MEMO_ENTRIES", 3)
+        model = fitted(FORWARD + BACKWARD)
+        for left in range(3, 13):
+            model.predict_masked([left, 0, 6], 1)
+        assert len(model._answers) <= 3
+
+    def test_the_memo_is_never_saved(self):
+        model = fitted(BRANCHING)
+        payload = model.to_dict()
+        model.predict_masked([5, 0, 8], 1)
+        assert model.to_dict() == payload
+        assert CountingMaskedLM.from_dict(payload)._answers == {}
+
+    def test_a_memoised_context_still_validates(self):
+        model = fitted()
+        model.predict_masked([0, 4], 0)  # context (None, 4)
+        with pytest.raises(ValueError):
+            model.predict_masked([4, 0, 6], -1)  # reads as (None, 4) too
+        with pytest.raises(ValueError):
+            model.predict_masked([], 0)
+
+    def test_a_memoised_context_still_needs_a_fit(self):
+        model = CountingMaskedLM()
+        model._answers[(4, 6, 10)] = ((5, 1.0),)
+        with pytest.raises(NotFittedError):
+            model.predict_masked([4, 0, 6], 1)
+
+
+def test_a_warm_memo_changes_no_counter():
+    """The golden-counter feed, imputed twice by one system: the second
+    pass reads answers the first memoised, and counts exactly the same."""
+    system, feed = golden_world()
+    pinned = [
+        name
+        for name in GOLDEN
+        if name.startswith(("repro.imputation.", "repro.constraints.rejected."))
+    ]
+    passes = []
+    for _ in range(2):
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            results = [system.impute(t) for t in feed]
+        finally:
+            set_registry(previous)
+        snapshot = registry.snapshot()
+        passes.append((results, {name: snapshot[name]["value"] for name in pinned}))
+        assert any(m.model._answers for m in system.repository._single.values())
+    (cold, cold_counts), (warm, warm_counts) = passes
+    assert warm == cold
+    assert warm_counts == cold_counts == {name: GOLDEN[name] for name in pinned}
