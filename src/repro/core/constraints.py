@@ -59,23 +59,24 @@ def creates_cycle(tokens: Sequence[int], insert_pos: int, candidate: int, window
     includes the inserted token — the paper's "sequence of the last x
     tokens are repeated" test, applied locally around the insertion point
     (tokens elsewhere are unchanged, so no new cycle can appear there).
+
+    Every such placement compares the inserted token with a token already
+    in ``tokens``, so a candidate absent from ``tokens`` costs one
+    membership test. Otherwise the sequence after insertion is built once
+    and its blocks compared as slices.
     """
+    if candidate not in tokens:
+        return False
     inserted_at = insert_pos + 1
-    n = len(tokens) + 1
-
-    def would_be(i: int) -> int:
-        """Index ``i`` of the sequence after insertion, read in place."""
-        if i == inserted_at:
-            return candidate
-        return tokens[i] if i < inserted_at else tokens[i - 1]
-
+    seq = (*tokens[:inserted_at], candidate, *tokens[inserted_at:])
+    n = len(seq)
     for block in range(1, window + 1):
         # In any placement covering the inserted token, it is compared
         # with the token one block before or one block after it: unless
         # one of those two equals the candidate, no placement can match.
         if not (
-            (inserted_at >= block and tokens[inserted_at - block] == candidate)
-            or (inserted_at + block < n and tokens[inserted_at + block - 1] == candidate)
+            (inserted_at >= block and seq[inserted_at - block] == candidate)
+            or (inserted_at + block < n and seq[inserted_at + block] == candidate)
         ):
             continue
         # Two adjacent blocks occupy [start, start+2*block); consider every
@@ -83,7 +84,8 @@ def creates_cycle(tokens: Sequence[int], insert_pos: int, candidate: int, window
         lo = max(0, inserted_at - 2 * block + 1)
         hi = min(inserted_at, n - 2 * block)
         for start in range(lo, hi + 1):
-            if all(would_be(i) == would_be(i + block) for i in range(start, start + block)):
+            middle = start + block
+            if seq[start:middle] == seq[middle : middle + block]:
                 return True
     return False
 
@@ -252,14 +254,16 @@ class SegmentSearch:
 
     # -- rejection tallies ------------------------------------------------------
 
-    def tally(self, n_in: int, rejected: Sequence[int]) -> None:
-        """Keep one filter call's counts: ``n_in`` candidates seen, and of
-        them ``rejected`` per reason, in ``_REJECTION_COUNTERS`` order."""
-        totals = self._rejected
-        for i, n in enumerate(rejected):
-            if n:
-                totals[i] += n
+    def tally(self, n_in: int, n_out: int, rejected: Sequence[int]) -> None:
+        """Keep one filter call's counts: ``n_in`` candidates seen, ``n_out``
+        of them kept, and the rest ``rejected`` per reason, in
+        ``_REJECTION_COUNTERS`` order (not read when nothing was)."""
         self._n_in += n_in
+        if n_out < n_in:
+            totals = self._rejected
+            for i, n in enumerate(rejected):
+                if n:
+                    totals[i] += n
 
     def flush(self) -> None:
         """Move the tallies kept since the last flush into the metrics
@@ -297,6 +301,11 @@ class SpatialConstraints:
         self.tokenizer = tokenizer
         self.config = config
         self.max_speed_mps = max_speed_mps
+        # Fixed for the instance's lifetime: read once here, not per call.
+        self._centroid = tokenizer.centroid_of_token
+        self._num_special = tokenizer.vocabulary.num_special
+        self._cycle_window = config.cycle_window
+        self._detour_slack_m = config.local_detour_slack_m
 
     # -- individual constraints -------------------------------------------
 
@@ -331,7 +340,7 @@ class SpatialConstraints:
         return max(floor, speed_bound * time_diff * SPEED_SLACK)
 
     def _frame(self, ctx: GapContext) -> _SegmentFrame:
-        centroid = self.tokenizer.centroid_of_token
+        centroid = self._centroid
         source, dest = centroid(ctx.source), centroid(ctx.dest)
         cones: list[tuple[Point, float]] = []
         # Forbidden: back from S toward the token before it, and on from D
@@ -347,12 +356,12 @@ class SpatialConstraints:
         )
 
     def within_speed_ellipse(self, candidate: int, ctx: GapContext) -> bool:
-        c = self.tokenizer.centroid_of_token(candidate)
+        c = self._centroid(candidate)
         return self._frame(ctx).within_speed_ellipse(c)
 
     def violates_direction(self, candidate: int, ctx: GapContext) -> bool:
         """True when the candidate falls in a forbidden direction cone."""
-        c = self.tokenizer.centroid_of_token(candidate)
+        c = self._centroid(candidate)
         return self._frame(ctx).violates_direction(c)
 
     # -- the combined filter ---------------------------------------------------
@@ -388,13 +397,14 @@ class SpatialConstraints:
         insert_pos: int,
         state: SegmentSearch,
     ) -> list[TokenProb]:
-        # Everything the candidate does not change is read from the state
-        # or worked out here, once per call; the loop below does only the
-        # candidate's own distances to this gap (it runs inside the beam
-        # loop) and, the first time a token is seen, its position tests.
-        centroid = self.tokenizer.centroid_of_token
-        num_special = self.tokenizer.vocabulary.num_special
-        cycle_window = self.config.cycle_window
+        # Everything the candidate does not change is read from the
+        # instance, from the state or worked out here, once per call; the
+        # loop below does only the candidate's own distances to this gap
+        # (it runs inside the beam loop) and, the first time a token is
+        # seen, its position tests.
+        centroid = self._centroid
+        num_special = self._num_special
+        cycle_window = self._cycle_window
         frame = state.frame
         if frame is None:
             frame = state.frame = self._frame(state.ctx)
@@ -405,7 +415,7 @@ class SpatialConstraints:
         left_x, left_y = gap_left.x, gap_left.y
         right_x, right_y = gap_right.x, gap_right.y
         gap_len = path.hops[insert_pos]
-        local_budget = gap_len + self.config.local_detour_slack_m
+        local_budget = gap_len + self._detour_slack_m
         # Travel-distance budget: the whole imputed path may not be longer
         # than the maximum speed allows within the segment's time span —
         # the same bound as the position ellipse, applied to arc length.
@@ -450,7 +460,8 @@ class SpatialConstraints:
                 continue
             out.append((token, prob))
         state.tally(
-            len(candidates), (n_special, n_ellipse, n_detour, n_length, n_cone, n_cycle)
+            len(candidates), len(out),
+            (n_special, n_ellipse, n_detour, n_length, n_cone, n_cycle),
         )
         return out
 
@@ -471,7 +482,7 @@ class PassthroughConstraints(SpatialConstraints):
         insert_pos: int,
         state: SegmentSearch,
     ) -> list[TokenProb]:
-        num_special = self.tokenizer.vocabulary.num_special
+        num_special = self._num_special
         n_special = n_cycle = 0
         out: list[TokenProb] = []
         for token, prob in candidates:
@@ -482,5 +493,5 @@ class PassthroughConstraints(SpatialConstraints):
                 n_cycle += 1
                 continue
             out.append((token, prob))
-        state.tally(len(candidates), (n_special, 0, 0, 0, 0, n_cycle))
+        state.tally(len(candidates), len(out), (n_special, 0, 0, 0, 0, n_cycle))
         return out

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Generator, NamedTuple, Optional, Sequence, TypeVar
 
 from repro.core.config import KamelConfig
@@ -474,14 +475,19 @@ class BeamSearchImputer(SegmentImputer):
                     children.append((prob * p, partial, pointer, token, p))
 
             # Keep the global top-B children, pruned against the best
-            # completed normalized score so far. Every round inserts one
-            # token into every survivor, so all children are equally long.
-            children.sort(key=lambda child: -child[0])
+            # completed normalized score as it stood when the round began:
+            # a child completed in this round never prunes a sibling. Every
+            # round inserts one token into every survivor, so all children
+            # are equally long, and past the first child below the bound
+            # every other one is too (the sort is by descending score).
+            children.sort(key=itemgetter(0), reverse=True)  # stable
             norm = self._length_norm(len(frontier[0].path.tokens) + 1)
-            survivors = [child for child in children if child[0] * norm >= prob_limit]
+            bound = prob_limit
 
             frontier = []
-            for prob, partial, pointer, token, p in survivors[:beam_size]:
+            for prob, partial, pointer, token, p in children[:beam_size]:
+                if prob * norm < bound:
+                    break
                 path = search.extend(partial.path, pointer, token)
                 gaps = self._gaps_after_insert(partial.gaps, pointer, path.hops)
                 # Token position pointer+1 is interior index pointer.

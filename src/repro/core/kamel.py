@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -109,6 +109,19 @@ class Kamel(Imputer):
         self._gap_threshold_m: Optional[float] = None
         self._fitted = False
         self.ladder = DegradationLadder.for_config(self.config)
+        # What each model rung searches with, built once: the reduced-beam
+        # rung narrows beam and budget, the counting rung the budget.
+        cfg = self.config
+        degraded_calls = min(cfg.max_model_calls, DEGRADED_MAX_MODEL_CALLS)
+        self._rung_configs = {
+            RUNG_FULL: cfg,
+            RUNG_REDUCED_BEAM: replace(
+                cfg,
+                beam_size=min(cfg.beam_size, DEGRADED_BEAM_SIZE),
+                max_model_calls=degraded_calls,
+            ),
+            RUNG_COUNTING: replace(cfg, max_model_calls=degraded_calls),
+        }
         self.guards = PipelineGuards()
 
     # -- training path ------------------------------------------------------
@@ -363,8 +376,19 @@ class Kamel(Imputer):
                 entry_speeds.append(
                     _segment_speed([points[i - 1], points[i]]) if adaptive and i else None
                 )
+        # Each point is tokenized at most once, when a segment first needs
+        # it: a point is an endpoint of two segments and a neighbour of two
+        # more. The tokenizer is read per call, never kept.
+        tokens: list[Optional[int]] = [None] * len(points)
+
+        def token_at(i: int) -> int:
+            token = tokens[i]
+            if token is None:
+                token = tokens[i] = self.tokenizer.token_for_point(points[i])
+            return token
+
         lanes = run_lockstep([
-            self._lane(points, run, speed, trajectory_model, deadline, max_rung)
+            self._lane(points, token_at, run, speed, trajectory_model, deadline, max_rung)
             for run, speed in zip(runs, entry_speeds)
         ])
         settled = iter([segment for lane in lanes for segment in lane])
@@ -397,6 +421,7 @@ class Kamel(Imputer):
     def _lane(
         self,
         points: Sequence[Point],
+        token_at: Callable[[int], int],
         run: list[int],
         reference_speed: Optional[float],
         trajectory_model: Optional[MaskedModel],
@@ -407,34 +432,31 @@ class Kamel(Imputer):
         the one before it settled at (``reference_speed`` for the first)."""
         settled = []
         for i in run:
-            a, b = points[i], points[i + 1]
             interior, outcome = yield from self._impute_segment(
-                i, a, b,
-                points[i - 1] if i > 0 else None,
-                points[i + 2] if i + 2 < len(points) else None,
-                trajectory_model, reference_speed, deadline, max_rung,
+                i, points, token_at, trajectory_model, reference_speed, deadline, max_rung
             )
             settled.append((interior, outcome))
             if not outcome.failed:
-                reference_speed = _segment_speed([a, *interior, b])
+                reference_speed = _segment_speed([points[i], *interior, points[i + 1]])
         return settled
 
     def _impute_segment(
         self,
         index: int,
-        a: Point,
-        b: Point,
-        prev_pt: Optional[Point],
-        next_pt: Optional[Point],
+        points: Sequence[Point],
+        token_at: Callable[[int], int],
         trajectory_model: Optional[MaskedModel],
         reference_speed: Optional[float] = None,
         deadline: Optional[Deadline] = None,
         max_rung: Optional[str] = None,
     ) -> Search[tuple[list[Point], SegmentOutcome]]:
-        """One segment down the ladder, a round of model questions per yield."""
+        """Segment ``index`` (``points[index]`` to the next) down the
+        ladder, a round of model questions per yield; ``token_at(i)`` is
+        the token of ``points[i]``."""
         assert self.tokenizer and self.detokenizer and self.constraints
         cfg = self.config
         vocab = self.tokenizer.vocabulary
+        a, b = points[index], points[index + 1]
 
         def linear(reason: str, calls: int = 0) -> tuple[list[Point], SegmentOutcome]:
             obs.count(f"repro.kamel.fallback.{reason}_total")
@@ -446,19 +468,19 @@ class Kamel(Imputer):
             )
 
         with span("tokenize"):
-            source = self.tokenizer.token_for_point(a)
-            dest = self.tokenizer.token_for_point(b)
+            source = token_at(index)
+            dest = token_at(index + 1)
             if vocab.is_special(source) or vocab.is_special(dest):
                 return linear("endpoint_unseen")
 
             prev_token = None
-            if prev_pt is not None:
-                t = self.tokenizer.token_for_point(prev_pt)
+            if index > 0:
+                t = token_at(index - 1)
                 if not vocab.is_special(t) and t != source:
                     prev_token = t
             next_token = None
-            if next_pt is not None:
-                t = self.tokenizer.token_for_point(next_pt)
+            if index + 2 < len(points):
+                t = token_at(index + 2)
                 if not vocab.is_special(t) and t != dest:
                     next_token = t
 
@@ -568,25 +590,17 @@ class Kamel(Imputer):
         segment's geometry serves all three.
         """
         assert self.tokenizer and self.constraints
-        cfg = self.config
         if rung in (RUNG_FULL, RUNG_REDUCED_BEAM):
             model = trajectory_model
             if model is None:
                 model = self._model_for_box(BoundingBox.from_points([a, b]))
             if model is None or not model.is_fitted:
                 return None
-            rung_cfg = cfg
-            if rung == RUNG_REDUCED_BEAM:
-                rung_cfg = replace(
-                    cfg,
-                    beam_size=min(cfg.beam_size, DEGRADED_BEAM_SIZE),
-                    max_model_calls=min(cfg.max_model_calls, DEGRADED_MAX_MODEL_CALLS),
-                )
             imputer = make_segment_imputer(
                 self.guards.guard_model(model),
                 self.tokenizer,
                 self.constraints,
-                rung_cfg,
+                self._rung_configs[rung],
                 self._gap_threshold_m,
             )
             return (yield from imputer.rounds(ctx, deadline, search.asking(model)))
@@ -596,11 +610,12 @@ class Kamel(Imputer):
                 return None
             # Outside the ``model.predict`` chaos site: the safety-net rung
             # keeps serving while injected faults fail the repository model.
-            rung_cfg = replace(
-                cfg, max_model_calls=min(cfg.max_model_calls, DEGRADED_MAX_MODEL_CALLS)
-            )
             imputer = IterativeImputer(
-                model, self.tokenizer, self.constraints, rung_cfg, self._gap_threshold_m
+                model,
+                self.tokenizer,
+                self.constraints,
+                self._rung_configs[RUNG_COUNTING],
+                self._gap_threshold_m,
             )
             return (yield from imputer.rounds(ctx, deadline, search.asking(model)))
         return None  # pragma: no cover - ladder construction forbids unknown rungs

@@ -23,6 +23,7 @@ from repro.core.imputation import (
     IterativeImputer,
     SegmentImputation,
     SinglePointImputer,
+    _Partial,
     make_segment_imputer,
 )
 from repro.core.tokenization import Tokenizer, make_grid
@@ -726,3 +727,157 @@ class TestAblationsGoThroughTheState:
         assert imputer.impute_segment(ctx, search=search) == expected
         assert len(seen) == model.queries > 0
         assert all(state is search for state in seen)
+
+
+# -- the beam round as it stood before the sorted walk, the reference ---------
+
+
+class ParentRoundBeamSearch(BeamSearchImputer):
+    """``BeamSearchImputer`` with the parent's round, verbatim: the
+    ``survivors`` list comprehension against ``prob_limit``, then
+    ``[:beam_size]``."""
+
+    def _impute(self, ctx, budget, deadline, search):
+        beam_size = self.config.beam_size
+        root = search.path((ctx.source, ctx.dest))
+        root_gaps = self.open_gaps(root.hops)
+        if not root_gaps:
+            return SegmentImputation((), 0, confidence=1.0)
+
+        frontier: list[_Partial] = [_Partial(root, root_gaps, 1.0, ())]
+        answers: list[tuple[tuple[int, ...], float, tuple[float, ...]]] = []
+        prob_limit = float("-inf")
+        calls = 0
+
+        # A round asks about every open gap of every surviving partial
+        # segment at once. When the budget cuts it short (or to nothing),
+        # the search keeps what the answered gaps produce and then runs dry.
+        while frontier:
+            beams = [(partial, g) for partial in frontier for g in partial.gaps]
+            answered = yield from self._candidates(
+                [(partial.path, g) for partial, g in beams],
+                ctx, budget - calls, deadline, search,
+            )
+            calls += len(answered)
+            # A child is its parent plus one token: kept as that until it
+            # has survived the round, so only survivors are ever built.
+            children: list[tuple[float, _Partial, int, int, float]] = []
+            for (partial, pointer), candidates in zip(beams, answered):
+                prob = partial.prob
+                for token, p in candidates[:beam_size]:
+                    children.append((prob * p, partial, pointer, token, p))
+
+            # Keep the global top-B children, pruned against the best
+            # completed normalized score so far. Every round inserts one
+            # token into every survivor, so all children are equally long.
+            children.sort(key=lambda child: -child[0])
+            norm = self._length_norm(len(frontier[0].path.tokens) + 1)
+            survivors = [child for child in children if child[0] * norm >= prob_limit]
+
+            frontier = []
+            for prob, partial, pointer, token, p in survivors[:beam_size]:
+                path = search.extend(partial.path, pointer, token)
+                gaps = self._gaps_after_insert(partial.gaps, pointer, path.hops)
+                # Token position pointer+1 is interior index pointer.
+                probs = partial.probs[:pointer] + (p,) + partial.probs[pointer:]
+                if not gaps:
+                    score = self._normalized(path.tokens, prob)
+                    answers.append((path.tokens, score, probs))
+                    prob_limit = max(prob_limit, score)
+                else:
+                    frontier.append(_Partial(path, gaps, prob, probs))
+
+        if not answers:
+            return SegmentImputation(None, calls)
+        best_seg, best_score, best_probs = max(answers, key=lambda sp: sp[1])
+        return SegmentImputation(
+            best_seg[1:-1],
+            calls,
+            confidence=min(1.0, best_score),
+            point_confidences=best_probs,
+        )
+
+
+class TableModel(MaskedModel):
+    """Answers read off a table: the masked position's left anchor -> a
+    ranked ``(token, prob)`` list; an anchor not in the table gets none."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def fit(self, sequences, vocab_size):
+        return self
+
+    @property
+    def is_fitted(self):
+        return True
+
+    @property
+    def num_training_tokens(self):
+        return 1
+
+    def predict_masked(self, tokens, position, top_k=10):
+        validate_mask_query(tokens, position)
+        return self.table.get(tokens[position - 1], [])[:top_k]
+
+
+@st.composite
+def answer_tables(draw, tokenizer, tokens):
+    """A ranked answer per patch cell, drawn from the cell's neighbours in
+    the patch, with probabilities from a short list so that ties (and
+    children scoring exactly the bound) are common."""
+    table = {}
+    for cell, token in tokens.items():
+        near = [tokens[n] for n in tokenizer.grid.neighbors(cell) if n in tokens]
+        chosen = draw(st.lists(st.sampled_from(near), unique=True, max_size=len(near)))
+        probs = draw(st.lists(
+            st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.4, 0.5, 0.8]),
+            min_size=len(chosen), max_size=len(chosen),
+        ))
+        table[token] = sorted(zip(chosen, probs), key=lambda tp: -tp[1])
+    return table
+
+
+class TestBeamRoundMatchesParentRound:
+    """The round sorts by ``itemgetter(0)`` descending and walks the sorted
+    children, stopping at ``beam_size`` or at the first child below the
+    bound the round began with; the parent filtered every child and
+    sliced. Same survivors, same order, same result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        beam_size=st.integers(1, 6),
+        budget=st.integers(1, 60),
+        end=st.integers(2, 7),
+        alpha=st.sampled_from([0.0, 0.5, 1.0]),
+        with_context=st.booleans(),
+    )
+    def test_same_segment_imputation(self, data, beam_size, budget, end, alpha, with_context):
+        tokenizer, cfg, constraints, _, tokens = _patch_world(
+            0, beam_size=beam_size, max_model_calls=budget, length_norm_alpha=alpha
+        )
+        model = TableModel(data.draw(answer_tables(tokenizer, tokens)))
+        ctx = GapContext(
+            tokens[(0, 1)], tokens[(end, 1)], source_time=0.0, dest_time=60.0,
+            next_token=tokens[(end, 0)] if with_context else None,
+        )
+        expected = ParentRoundBeamSearch(model, tokenizer, constraints, cfg).impute_segment(ctx)
+        got = BeamSearchImputer(model, tokenizer, constraints, cfg).impute_segment(ctx)
+        assert got == expected
+
+    def test_a_completion_never_prunes_its_own_round(self):
+        """Round 1 has two children: S-M-D completes at once (score 0.5),
+        S-X-D still has a gap (0.4 * 1 < 0.5). Pruned against the bound the
+        round began with (-inf), X survives, and S-X-Y-D (0.4 * 0.9 * 2 =
+        0.72) beats S-M-D; pruned against the bound M had just raised, X
+        would be dropped and S-M-D returned after one call."""
+        tokenizer, cfg, constraints, _, tokens = _patch_world(0, beam_size=4)
+        s, m, x, y, d = (tokens[c] for c in [(0, 1), (1, 1), (1, 0), (2, 0), (2, 1)])
+        model = TableModel({s: [(m, 0.5), (x, 0.4)], x: [(y, 0.9)]})
+        ctx = GapContext(s, d, source_time=0.0, dest_time=60.0)
+        expected = ParentRoundBeamSearch(model, tokenizer, constraints, cfg).impute_segment(ctx)
+        got = BeamSearchImputer(model, tokenizer, constraints, cfg).impute_segment(ctx)
+        assert got == expected
+        assert got.interior == (x, y) and got.model_calls == 2
+        assert got.confidence == pytest.approx(0.72)

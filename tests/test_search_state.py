@@ -8,9 +8,13 @@ was already on the books; the references here replay the
 parent's per-call body over the calls that actually ran.
 """
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from repro import Kamel, KamelConfig
+from repro.core import kamel as kamel_module
 from repro.core.constraints import GapContext, SegmentSearch, SpatialConstraints
 from repro.core.imputation import BeamSearchImputer, SegmentImputer
 from repro.core.tokenization import Tokenizer, make_grid
@@ -19,6 +23,13 @@ from repro.geo import Point
 from repro.mlm.base import MaskedModel
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.resilience import RUNG_LINEAR
+from repro.resilience.ladder import (
+    DEGRADED_BEAM_SIZE,
+    DEGRADED_MAX_MODEL_CALLS,
+    RUNG_COUNTING,
+    RUNG_FULL,
+    RUNG_REDUCED_BEAM,
+)
 
 from tests.test_core_imputation import _patch_world
 from tests.test_token_geometry import (
@@ -340,3 +351,104 @@ class TestTheTracedSeam:
         for (given, out), raw in zip(filtered, answers):
             assert given is raw
             assert isinstance(out, list) and len(out) <= len(given)
+
+    def test_every_point_tokenized_once_through_the_attribute(self, small_split, monkeypatch):
+        """``perf/trace.py`` times tokenization by swapping
+        ``system.tokenizer`` for a proxy. A ``Kamel`` that kept the bound
+        method would tokenize past the proxy; one that tokenized per
+        segment would ask for a point up to four times in one ``impute``."""
+        train, test = small_split
+        system = Kamel(KamelConfig(max_model_calls=5)).fit(train)
+        feed = [t.sparsify(600.0) for t in test[:5]]
+        plain = [system.impute(t) for t in feed]
+
+        reached = []  # every call the real method serves, proxied or not
+        real_token_for_point = Tokenizer.token_for_point
+
+        def counting(tokenizer, p):
+            reached.append(p)
+            return real_token_for_point(tokenizer, p)
+
+        monkeypatch.setattr(Tokenizer, "token_for_point", counting)
+        tokenizer, asked, swapped = system.tokenizer, [], []
+        system.tokenizer = _CountingTokenizer(tokenizer, asked)
+        try:
+            for trajectory in feed:
+                start = len(asked)
+                swapped.append(system.impute(trajectory))
+                per_point = Counter(id(p) for p in asked[start:])
+                assert set(per_point) <= {id(p) for p in trajectory.points}
+                assert all(n == 1 for n in per_point.values())
+        finally:
+            system.tokenizer = tokenizer
+        assert swapped == plain
+        assert len(asked) == len(reached) > len(feed)
+
+
+class _CountingTokenizer:
+    """The tracer's tokenizer proxy: forwards every attribute and keeps the
+    point of every ``token_for_point`` call that reaches it."""
+
+    def __init__(self, inner, asked):
+        self._inner = inner
+        self.asked = asked
+
+    def token_for_point(self, p):
+        self.asked.append(p)
+        return self._inner.token_for_point(p)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestRungConfigs:
+    def test_built_once_equal_to_the_per_run_replace(self, small_split, monkeypatch):
+        """The reduced-beam and counting rungs search with the configs the
+        parent built by ``replace`` on every run: equal values, now one
+        object per rung, reused by every segment."""
+        train, test = small_split
+        system = Kamel(KamelConfig(max_model_calls=5)).fit(train)  # all three rungs run
+        cfg = system.config
+        degraded_calls = min(cfg.max_model_calls, DEGRADED_MAX_MODEL_CALLS)
+        expected = {
+            RUNG_FULL: cfg,
+            RUNG_REDUCED_BEAM: dataclasses.replace(
+                cfg,
+                beam_size=min(cfg.beam_size, DEGRADED_BEAM_SIZE),
+                max_model_calls=degraded_calls,
+            ),
+            RUNG_COUNTING: dataclasses.replace(cfg, max_model_calls=degraded_calls),
+        }
+        running, built = [], []
+        real_run_rung = system._run_rung
+
+        def recording_run_rung(rung, *args):
+            running.append(rung)
+            return (yield from real_run_rung(rung, *args))
+
+        def recording(factory):
+            def build(model, tokenizer, constraints, config, *rest):
+                built.append((running[-1], config))
+                return factory(model, tokenizer, constraints, config, *rest)
+
+            return build
+
+        monkeypatch.setattr(system, "_run_rung", recording_run_rung)
+        monkeypatch.setattr(
+            kamel_module, "make_segment_imputer", recording(kamel_module.make_segment_imputer)
+        )
+        monkeypatch.setattr(
+            kamel_module, "IterativeImputer", recording(kamel_module.IterativeImputer)
+        )
+        for trajectory in test[:5]:
+            system.impute(trajectory.sparsify(600.0))
+
+        by_rung = {}
+        for rung, config in built:
+            by_rung.setdefault(rung, []).append(config)
+        assert set(by_rung) == set(expected)
+        for rung, configs in by_rung.items():
+            assert len(configs) > 1, rung
+            assert configs[0] == expected[rung]
+            assert all(config is configs[0] for config in configs)
+        assert by_rung[RUNG_FULL][0] is cfg

@@ -9,6 +9,7 @@ and every ``creates_cycle`` answer must be *identical* (``==`` on floats, no
 tolerance — the arithmetic is unchanged, only how often it runs).
 """
 
+import itertools
 import sys
 
 import pytest
@@ -498,6 +499,27 @@ class TestCreatesCycleMatchesParent:
         assert creates_cycle(seq, insert_pos, candidate, window) == (
             parent_creates_cycle(seq, insert_pos, candidate, window)
         )
+
+
+class TestCreatesCycleExhaustively:
+    def test_every_short_sequence(self):
+        """Every sequence of length 2-7 over a 3-letter alphabet, at every
+        insert position, with candidates 0-3 (3 is in no sequence, the
+        others in only some) and windows 1, 2, 3 and 6: the early return
+        on an absent candidate and the slice compares answer exactly as
+        the parent body did, for a tuple and for a list."""
+        cases = 0
+        for length in range(2, 8):
+            for word in itertools.product(range(3), repeat=length):
+                for seq in (word, list(word)):
+                    for insert_pos in range(length):
+                        for candidate in range(4):
+                            for window in (1, 2, 3, 6):
+                                assert creates_cycle(seq, insert_pos, candidate, window) == (
+                                    parent_creates_cycle(seq, insert_pos, candidate, window)
+                                ), (seq, insert_pos, candidate, window)
+                                cases += 1
+        assert cases == 682_272
 
 
 # -- the tokenizer's centroid table ------------------------------------------------
