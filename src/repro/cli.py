@@ -501,6 +501,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         rows.append(["models", str(num_models)])
         rows.append(["single-cell models", str(stats.single_models)])
         rows.append(["neighbor-cell models", str(stats.neighbor_models)])
+        rows.append(["distinct models", str(stats.distinct_models)])
         rows.append(
             ["models per level", ", ".join(f"L{k}: {v}" for k, v in sorted(stats.models_per_level.items()))]
         )

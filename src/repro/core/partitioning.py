@@ -40,6 +40,9 @@ CellKey = tuple[int, int, int]
 PairKey = tuple[CellKey, CellKey]
 """A neighbor-cell model key, ordered (storage cell, pointing cell)."""
 
+PassFits = dict[tuple[int, ...], tuple[MaskedModel, int]]
+"""One maintenance pass's fits: training-sequence identities -> (model, tokens)."""
+
 
 class PyramidIndex:
     """Pure geometry of the pyramid decomposition."""
@@ -184,6 +187,8 @@ class RepositoryStats:
     neighbor_models: int = 0
     models_per_level: dict = field(default_factory=dict)
     rebuilds: int = 0
+    distinct_models: int = 0
+    """Model objects behind the slots: slots with one training set share one."""
 
 
 class ModelRepository:
@@ -229,14 +234,13 @@ class ModelRepository:
         per_level: dict[int, int] = {}
         for (level, _, _), _m in self._single.items():
             per_level[level] = per_level.get(level, 0) + 1
-        rebuilds = sum(
-            m.builds - 1 for m in list(self._single.values()) + list(self._neighbor.values())
-        )
+        slots = list(self._single.values()) + list(self._neighbor.values())
         return RepositoryStats(
             single_models=len(self._single),
             neighbor_models=len(self._neighbor),
             models_per_level=per_level,
-            rebuilds=rebuilds,
+            rebuilds=sum(m.builds - 1 for m in slots),
+            distinct_models=len({id(m.model) for m in slots}),
         )
 
     # -- maintenance (Section 4.2) -------------------------------------------
@@ -247,7 +251,10 @@ class ModelRepository:
         Implements the four maintenance steps of Section 4.2: store the
         data, find the smallest enclosing cell C, then (re)build models at
         C, its neighbor pairs, its ancestors, and its descendants wherever
-        token thresholds are now met.
+        token thresholds are now met. Slots of one pass whose regions enclose
+        the same stored sequences share one fitted model: a fit is a
+        deterministic function of its sequences, so a second fit would only
+        repeat the first.
         """
         sequences = [s for s in sequences if len(s) >= 2]
         if not sequences:
@@ -289,9 +296,10 @@ class ModelRepository:
                         ):
                             touched.append(key)
 
+        fits: PassFits = {}
         for key in touched:
-            self._maybe_build_single(key)
-            self._maybe_build_neighbors(key)
+            self._maybe_build_single(key, fits)
+            self._maybe_build_neighbors(key, fits)
         _log.debug(
             "maintenance pass",
             extra={"data": {
@@ -320,23 +328,35 @@ class ModelRepository:
                     if key is not None:
                         self._token_counts[key] = self._token_counts.get(key, 0) + 1
 
-    def _train_model(self, region: BoundingBox) -> Optional[tuple[MaskedModel, int]]:
+    def _train_model(
+        self, region: BoundingBox, fits: PassFits
+    ) -> Optional[tuple[MaskedModel, int]]:
+        """The ``(model, tokens)`` fitted on the sequences ``region`` encloses.
+
+        ``fits`` is the current maintenance pass's, keyed by the identities
+        of those sequences in store order: a set already fitted this pass
+        is handed back rather than fitted again.
+        """
         sequences = self.store.sequences_within(region)
         if not sequences:
             return None
-        model = self.model_factory()
-        with span("repository.build_model", sequences=len(sequences)):
-            with obs.stopwatch("repro.partitioning.model_build_seconds"):
-                model.fit([s.tokens for s in sequences], len(self.tokenizer.vocabulary))
-        obs.count("repro.partitioning.model_builds_total")
-        return model, sum(len(s) for s in sequences)
+        key = tuple(id(s) for s in sequences)
+        trained = fits.get(key)
+        if trained is None:
+            model = self.model_factory()
+            with span("repository.build_model", sequences=len(sequences)):
+                with obs.stopwatch("repro.partitioning.model_build_seconds"):
+                    model.fit([s.tokens for s in sequences], len(self.tokenizer.vocabulary))
+            obs.count("repro.partitioning.model_builds_total")
+            trained = fits[key] = (model, sum(len(s) for s in sequences))
+        return trained
 
-    def _maybe_build_single(self, key: CellKey) -> None:
+    def _maybe_build_single(self, key: CellKey, fits: PassFits) -> None:
         assert self.pyramid is not None
         level = key[0]
         if self.token_count(key) < self.config.model_threshold(level):
             return
-        trained = self._train_model(self.pyramid.cell_bbox(key))
+        trained = self._train_model(self.pyramid.cell_bbox(key), fits)
         if trained is None:
             return
         model, tokens = trained
@@ -349,7 +369,7 @@ class ModelRepository:
             builds=(existing.builds + 1) if existing else 1,
         )
 
-    def _maybe_build_neighbors(self, key: CellKey) -> None:
+    def _maybe_build_neighbors(self, key: CellKey, fits: PassFits) -> None:
         assert self.pyramid is not None
         level = key[0]
         threshold = 2 * self.config.model_threshold(level)
@@ -358,7 +378,7 @@ class ModelRepository:
                 continue
             pair = _pair_key(key, other)
             region = self.pyramid.cell_bbox(pair[0]).union(self.pyramid.cell_bbox(pair[1]))
-            trained = self._train_model(region)
+            trained = self._train_model(region, fits)
             if trained is None:
                 continue
             model, tokens = trained

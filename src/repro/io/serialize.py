@@ -7,10 +7,17 @@ Layout::
       system.json        vocabulary, inferred speed, gap threshold, pyramid
       store.json         tokenized training trajectories
       detokenizer.json   per-cell DBSCAN cluster metadata
-      models/            one file per stored model
+      manifest.json      per slot: model file, region, token count, kind, builds
+      models/            one file per distinct model
         single_<l>_<i>_<j>.json / .npz       (counting / bert payload)
         neighbor_<...>__<...>.json / .npz
         global.json / .npz                   ("No Part." variant)
+
+A file may serve several slots: slots whose regions enclose the same
+training sequences share one fitted model, which is written once, under
+the name of the first slot holding it (single slots before pairs), and
+every sharing slot's manifest entry names that file. Directories that
+give each slot its own file, shared model or not, load too.
 
 Counting models serialize to JSON; BERT models to an ``.npz`` of parameter
 arrays plus an embedded JSON header with the architecture.
@@ -109,11 +116,12 @@ class ModelStore:
         if not manifest_path.exists():
             raise KamelError(f"no manifest.json under {self.root}")
         manifest = json.loads(manifest_path.read_text())
+        # One entry per file, holding the metadata of the first slot naming it.
         entries: dict[str, dict] = {}
         for key_name, entry in manifest.get("single", {}).items():
-            entries[entry["file"]] = {"group": "single", "key": key_name, **entry}
+            entries.setdefault(entry["file"], {"group": "single", "key": key_name, **entry})
         for pair_name, entry in manifest.get("neighbor", {}).items():
-            entries[entry["file"]] = {"group": "neighbor", "key": pair_name, **entry}
+            entries.setdefault(entry["file"], {"group": "neighbor", "key": pair_name, **entry})
         if manifest.get("global"):
             name = manifest["global"]["file"]
             entries[name] = {"group": "global", "key": "global", "file": name}
@@ -224,14 +232,21 @@ def save_kamel(system: Kamel, directory: Union[str, pathlib.Path]) -> pathlib.Pa
     root.joinpath("detokenizer.json").write_text(json.dumps(detok_payload))
 
     manifest: dict = {"single": {}, "neighbor": {}, "global": None}
+    written: dict[int, str] = {}  # id(model) -> its file, for shared models
+
+    def save_once(stored: StoredModel, stem: str) -> dict:
+        name = written.get(id(stored.model))
+        if name is None:
+            name = written[id(stored.model)] = _save_model(stored.model, models_dir / stem)
+        return _stored_meta(stored, name)
+
     if repo is not None:
         for key, stored in repo._single.items():
-            name = _save_model(stored.model, models_dir / f"single_{_cell_key_name(key)}")
-            manifest["single"][_cell_key_name(key)] = _stored_meta(stored, name)
+            key_name = _cell_key_name(key)
+            manifest["single"][key_name] = save_once(stored, f"single_{key_name}")
         for pair, stored in repo._neighbor.items():
             pair_name = f"{_cell_key_name(pair[0])}__{_cell_key_name(pair[1])}"
-            name = _save_model(stored.model, models_dir / f"neighbor_{pair_name}")
-            manifest["neighbor"][pair_name] = _stored_meta(stored, name)
+            manifest["neighbor"][pair_name] = save_once(stored, f"neighbor_{pair_name}")
     if system._global_model is not None:
         manifest["global"] = {
             "file": _save_model(system._global_model, models_dir / "global")
@@ -256,10 +271,13 @@ def load_kamel(
 ) -> Kamel:
     """Restore a system saved with :func:`save_kamel`, ready to impute.
 
-    ``model_loader`` overrides how each manifest entry becomes a
-    :class:`~repro.mlm.base.MaskedModel`.  The default parses every file
-    eagerly; the serving tier passes a loader that returns lazy proxies so
-    a worker only pays for the models its partition actually queries.
+    ``model_loader`` overrides how each manifest file becomes a
+    :class:`~repro.mlm.base.MaskedModel`.  It is called once per distinct
+    file name, and every slot naming that file shares the one object, so
+    slots that shared a model before the save share it after the load.
+    The default parses each distinct file once, eagerly; the serving tier
+    passes a loader that returns lazy proxies so a worker only pays for
+    the models its partition actually queries.
     """
     root = pathlib.Path(directory)
     config_payload = json.loads(root.joinpath("config.json").read_text())
@@ -311,14 +329,21 @@ def load_kamel(
     models_dir = root / "models"
     if model_loader is None:
         model_loader = lambda name: _load_model(models_dir / name)  # noqa: E731
+    loaded: dict[str, MaskedModel] = {}
+
+    def load_once(name: str) -> MaskedModel:
+        if name not in loaded:
+            loaded[name] = model_loader(name)
+        return loaded[name]
+
     for key_name, entry in manifest["single"].items():
         repo._single[_cell_key_from_name(key_name)] = _stored_from_meta(
-            entry, model_loader
+            entry, load_once
         )
     for pair_name, entry in manifest["neighbor"].items():
         a, b = pair_name.split("__")
         pair: PairKey = (_cell_key_from_name(a), _cell_key_from_name(b))
-        repo._neighbor[pair] = _stored_from_meta(entry, model_loader)
+        repo._neighbor[pair] = _stored_from_meta(entry, load_once)
     if manifest["global"] is not None:
         system._global_model = model_loader(manifest["global"]["file"])
 

@@ -80,8 +80,11 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.partitioning.lookup_hit.single_total": "Retrievals served by a single-cell model.",
     "repro.partitioning.lookup_hit.neighbor_total": "Retrievals served by a neighbor-pair model.",
     "repro.partitioning.lookup_hit_level": "Pyramid level of each lookup hit.",
-    "repro.partitioning.model_builds_total": "Models (re)trained by maintenance.",
-    "repro.partitioning.model_build_seconds": "Wall time of one model (re)build.",
+    "repro.partitioning.model_builds_total": (
+        "Model fits run by maintenance: one per distinct training set per pass,"
+        " not one per slot filled."
+    ),
+    "repro.partitioning.model_build_seconds": "Wall time of one model fit.",
     # -- constraint filtering (core.constraints) --------------------------
     "repro.constraints.candidates_in_total": "Candidate tokens entering the Section 5 filters.",
     "repro.constraints.candidates_out_total": "Candidate tokens surviving all filters.",

@@ -1,15 +1,16 @@
 """Lazy model loading for serving workers: a bounded LRU over the store.
 
-``load_kamel`` parses every pyramid model eagerly — right for offline
+``load_kamel`` parses each distinct model file eagerly — right for offline
 evaluation, wrong for a sharded worker that will only ever be asked about
 its own partition. :func:`load_kamel_lazy` restores the same system with
-every repository slot holding a :class:`LazyModel` proxy instead: the
-first prediction (either method) pulls the real model out of the
+one :class:`LazyModel` proxy per model file instead, shared by every
+repository slot that names the file: the first prediction (either
+method) pulls the real model out of the
 :class:`~repro.io.serialize.ModelStore` through a bounded
 :class:`ModelLRU`, and models that fall out of the working set are
-evicted. A worker's resident memory is then O(LRU capacity), not
-O(pyramid size) — the paper's "no single process holds every model"
-posture, made literal.
+evicted. A worker's resident memory is then O(distinct models in the
+LRU), not O(pyramid size) — the paper's "no single process holds every
+model" posture, made literal.
 
 Cache traffic is observable: hits, misses (= disk parses), and evictions
 feed the ``repro.serve.model_lru.*`` counters, and the ``resident`` gauge
@@ -89,9 +90,10 @@ class ModelLRU:
 
 
 class LazyModel(MaskedModel):
-    """A repository slot that loads its real model on first prediction.
+    """A repository model that loads its real model on first prediction.
 
-    Stands in for one serialized model file. ``is_fitted`` answers
+    Stands in for one serialized model file, and so for every slot that
+    names it. ``is_fitted`` answers
     ``True`` without touching disk — only *trained* models are ever
     serialized, and the ladder checks fitness before every rung, so a
     disk parse there would defeat the laziness. ``num_training_tokens``
@@ -141,9 +143,10 @@ def load_kamel_lazy(
 
     Same contract as :func:`~repro.io.serialize.load_kamel` — the
     returned system imputes bit-for-bit identically — except every
-    repository model is a :class:`LazyModel` backed by one shared
-    per-process :class:`ModelLRU`. Returns ``(system, cache)`` so callers
-    can inspect cache traffic.
+    repository model is a :class:`LazyModel` (one per model file, shared
+    by the slots naming it) backed by one shared per-process
+    :class:`ModelLRU`. Returns ``(system, cache)`` so callers can inspect
+    cache traffic.
     """
     store = ModelStore(directory)
     cache = ModelLRU(store, lru_capacity)

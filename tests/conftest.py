@@ -38,6 +38,29 @@ def porto_small() -> Dataset:
     return make_porto_like(n_trajectories=250, scale=0.8, seed=21)
 
 
+MULTILEAF_CONFIG = {"pyramid_root_extent_m": 12_000.0, "model_threshold_k": 20}
+"""A pyramid over :func:`porto_small` with models at several levels and
+leaves: 38 slots (7 single-cell, 31 neighbor-pair) over 30 distinct
+training sets."""
+
+
+@pytest.fixture(scope="session")
+def multileaf_kamel(porto_small) -> Kamel:
+    """A counting system fitted with :data:`MULTILEAF_CONFIG`."""
+    train, _ = porto_small.split(seed=1)
+    return Kamel(KamelConfig(**MULTILEAF_CONFIG)).fit(train)
+
+
+@pytest.fixture(scope="session")
+def multileaf_saved(multileaf_kamel, tmp_path_factory):
+    """:func:`multileaf_kamel`, saved once."""
+    from repro.io.serialize import save_kamel
+
+    directory = tmp_path_factory.mktemp("multileaf")
+    save_kamel(multileaf_kamel, directory)
+    return directory
+
+
 @pytest.fixture(scope="session")
 def jakarta_small() -> Dataset:
     """A scaled-down Jakarta-like workload."""

@@ -159,6 +159,24 @@ class TestInspectCommand:
         assert "single-cell models" in out
         assert "stored trajectories" in out
 
+    def test_inspect_counts_distinct_models(self, tmp_path, capsys):
+        """The golden recipe's five slots (one cell, four pairs) enclose the
+        same trajectories, so they share one model and one file."""
+        from tests.test_golden_counters import golden_world
+
+        system, _ = golden_world()
+        system.save(tmp_path / "golden")
+        assert len(list((tmp_path / "golden" / "models").iterdir())) == 1
+        assert main(["inspect", str(tmp_path / "golden")]) == 0
+        values = {}
+        for line in capsys.readouterr().out.splitlines():
+            label, _, value = line.rstrip().rpartition("  ")
+            values[label.strip()] = value
+        assert values["models"] == "5"
+        assert values["single-cell models"] == "1"
+        assert values["neighbor-cell models"] == "4"
+        assert values["distinct models"] == "1"
+
     def test_inspect_says_when_the_pyramid_holds_no_model(
         self, tmp_path, small_split, capsys
     ):

@@ -1,13 +1,15 @@
 """Tests for saving/loading a trained KAMEL system."""
 
 import json
+import pathlib
+import shutil
 
 import numpy as np
 import pytest
 
 from repro import Kamel, KamelConfig
 from repro.errors import KamelError, NotFittedError
-from repro.io import load_kamel, save_kamel
+from repro.io import load_kamel, save_kamel, serialize
 
 
 class TestRoundTrip:
@@ -117,6 +119,112 @@ class TestDirectoryFromBeforeDriftWasRetired:
         assert expected == [trained_kamel.impute(t) for t in feed]
         for restored in (load_kamel(older), load_kamel_lazy(older)[0]):
             assert [restored.impute(t) for t in feed] == expected  # bit for bit
+
+
+def _slots(system):
+    repository = system.repository
+    return {**repository._single, **repository._neighbor}
+
+
+def _key_name(key):
+    """A slot key as the manifest names it."""
+    if len(key) == 2:
+        return "__".join(serialize._cell_key_name(cell) for cell in key)
+    return serialize._cell_key_name(key)
+
+
+def _counting_parses(monkeypatch):
+    """Count every model file :func:`load_kamel` parses from here on."""
+    parsed = []
+    real = serialize._load_model
+    monkeypatch.setattr(
+        serialize, "_load_model", lambda path: parsed.append(path.name) or real(path)
+    )
+    return parsed
+
+
+def _sharing(system):
+    """Which slots hold one model object: a partition of the slot keys."""
+    groups: dict[int, list] = {}
+    for key, stored in _slots(system).items():
+        groups.setdefault(id(stored.model), []).append(key)
+    return {frozenset(keys) for keys in groups.values()}
+
+
+class TestSharedModelFiles:
+    """Slots sharing a fitted model share one saved file and, after any
+    restore, one object; directories giving every slot its own file (the
+    layout before models were shared) still load."""
+
+    @pytest.fixture(scope="class")
+    def feed(self, porto_small):
+        return [t.sparsify(800.0) for t in porto_small.split(seed=1)[1][:12]]
+
+    @pytest.fixture(scope="class")
+    def expected(self, multileaf_kamel, feed):
+        return [multileaf_kamel.impute(t) for t in feed]
+
+    def test_one_file_per_distinct_model(self, multileaf_kamel, multileaf_saved):
+        manifest = json.loads((multileaf_saved / "manifest.json").read_text())
+        named = [e["file"] for group in ("single", "neighbor") for e in manifest[group].values()]
+        on_disk = sorted(p.name for p in (multileaf_saved / "models").iterdir())
+        assert len(named) == multileaf_kamel.repository.num_models == 38
+        assert on_disk == sorted(set(named))
+        assert len(on_disk) == multileaf_kamel.repository.stats().distinct_models == 30
+
+    def test_restores_share_as_the_fitted_system_does(
+        self, multileaf_kamel, multileaf_saved, monkeypatch
+    ):
+        from repro.serve.modelstore import LazyModel, load_kamel_lazy
+
+        manifest = json.loads((multileaf_saved / "manifest.json").read_text())
+        files = {**manifest["single"], **manifest["neighbor"]}
+        parsed = _counting_parses(monkeypatch)
+        eager = load_kamel(multileaf_saved)
+        assert sorted(parsed) == sorted({e["file"] for e in files.values()})  # each once
+        lazy, cache = load_kamel_lazy(multileaf_saved)
+        for restored in (eager, lazy):
+            assert _sharing(restored) == _sharing(multileaf_kamel)
+            assert restored.repository.stats().distinct_models == 30
+        for key, stored in _slots(lazy).items():
+            assert isinstance(stored.model, LazyModel)
+            assert stored.model.file_name == files[_key_name(key)]["file"]
+        assert len(cache) == 0
+
+    def test_in_memory_eager_and_lazy_agree_bit_for_bit(
+        self, multileaf_saved, feed, expected
+    ):
+        from repro.serve.modelstore import load_kamel_lazy
+
+        assert sum(r.num_failed < r.num_segments for r in expected) > 0
+        for restored in (load_kamel(multileaf_saved), load_kamel_lazy(multileaf_saved)[0]):
+            assert [restored.impute(t) for t in feed] == expected
+
+    def test_a_directory_with_one_file_per_slot_still_loads(
+        self, multileaf_saved, feed, expected, tmp_path, monkeypatch
+    ):
+        """The layout before sharing: every slot names a file of its own."""
+        from repro.serve.modelstore import load_kamel_lazy
+
+        older = tmp_path / "older"
+        shutil.copytree(multileaf_saved, older)
+        manifest = json.loads((older / "manifest.json").read_text())
+        for group in ("single", "neighbor"):
+            for key_name, entry in manifest[group].items():
+                own = f"{group}_{key_name}{pathlib.Path(entry['file']).suffix}"
+                if own != entry["file"]:
+                    shutil.copyfile(older / "models" / entry["file"], older / "models" / own)
+                    entry["file"] = own
+        (older / "manifest.json").write_text(json.dumps(manifest))
+        assert len(list((older / "models").iterdir())) == 38
+        assert json.loads((older / "config.json").read_text())["version"] == 2
+
+        parsed = _counting_parses(monkeypatch)
+        eager = load_kamel(older)
+        assert len(parsed) == len(set(parsed)) == 38  # one parse per slot
+        assert eager.repository.stats().distinct_models == 38
+        for restored in (eager, load_kamel_lazy(older)[0]):
+            assert [restored.impute(t) for t in feed] == expected
 
 
 class TestErrors:

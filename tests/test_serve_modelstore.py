@@ -60,6 +60,18 @@ class TestModelStore:
         with pytest.raises(KamelError, match="manifest"):
             ModelStore(tmp_path)
 
+    def test_a_shared_file_keeps_its_first_slot(self, multileaf_saved):
+        manifest = json.loads((multileaf_saved / "manifest.json").read_text())
+        first: dict[str, tuple[str, str]] = {}
+        for group in ("single", "neighbor"):
+            for key, entry in manifest[group].items():
+                first.setdefault(entry["file"], (group, key))
+        store = ModelStore(multileaf_saved)
+        assert len(store) == len(first) < len(manifest["single"]) + len(manifest["neighbor"])
+        for name, (group, key) in first.items():
+            entry = store.entry(name)
+            assert (entry["group"], entry["key"]) == (group, key)
+
     def test_load_returns_fresh_fitted_models(self, saved_dir):
         store = ModelStore(saved_dir)
         name = store.file_names()[0]
@@ -118,8 +130,10 @@ class TestModelStore:
 
 
 class TestModelLRU:
-    def test_bounded_with_eviction_accounting(self, saved_dir):
-        store = ModelStore(saved_dir)
+    # The eviction tests need three model files: the small system's slots
+    # all share one fitted model, so they read the multi-leaf system.
+    def test_bounded_with_eviction_accounting(self, multileaf_saved):
+        store = ModelStore(multileaf_saved)
         names = store.file_names()
         assert len(names) >= 3, "fixture system too small to exercise the LRU"
         lru = ModelLRU(store, capacity=2)
@@ -130,8 +144,8 @@ class TestModelLRU:
         assert lru.evictions == 1
         assert lru.resident() == [names[1], names[2]]
 
-    def test_hit_refreshes_recency(self, saved_dir):
-        store = ModelStore(saved_dir)
+    def test_hit_refreshes_recency(self, multileaf_saved):
+        store = ModelStore(multileaf_saved)
         names = store.file_names()
         lru = ModelLRU(store, capacity=2)
         lru.get(names[0])
