@@ -297,9 +297,10 @@ class ModelRepository:
                             touched.append(key)
 
         fits: PassFits = {}
+        pairs: set[PairKey] = set()
         for key in touched:
             self._maybe_build_single(key, fits)
-            self._maybe_build_neighbors(key, fits)
+            self._maybe_build_neighbors(key, fits, pairs)
         _log.debug(
             "maintenance pass",
             extra={"data": {
@@ -369,14 +370,24 @@ class ModelRepository:
             builds=(existing.builds + 1) if existing else 1,
         )
 
-    def _maybe_build_neighbors(self, key: CellKey, fits: PassFits) -> None:
+    def _maybe_build_neighbors(
+        self, key: CellKey, fits: PassFits, pairs: set[PairKey]
+    ) -> None:
+        """(Re)build the pairs of ``key`` and its neighbours.
+
+        ``pairs`` holds the pairs the current pass has already visited: a
+        pair is reached from both of its cells, and is built once a pass.
+        """
         assert self.pyramid is not None
         level = key[0]
         threshold = 2 * self.config.model_threshold(level)
         for other in self.pyramid.neighbors(key):
+            pair = _pair_key(key, other)
+            if pair in pairs:
+                continue
+            pairs.add(pair)
             if self.token_count(key) + self.token_count(other) < threshold:
                 continue
-            pair = _pair_key(key, other)
             region = self.pyramid.cell_bbox(pair[0]).union(self.pyramid.cell_bbox(pair[1]))
             trained = self._train_model(region, fits)
             if trained is None:

@@ -186,10 +186,22 @@ class TestModelRepository:
         batch1 = [tokenizer.tokenize(line_trajectory(f"a{i}", 0, i * 50.0), grow=True) for i in range(8)]
         batch2 = [tokenizer.tokenize(line_trajectory(f"b{i}", 0, i * 50.0 + 25), grow=True) for i in range(8)]
         repo.add_training(batch1)
-        first = repo.num_models
+        assert repo.stats().rebuilds == 0
+        before = {**repo._single, **repo._neighbor}
         repo.add_training(batch2)
-        assert repo.stats().rebuilds >= 1
-        assert repo.num_models >= first
+        after = {**repo._single, **repo._neighbor}
+        # A slot the second pass touched holds a new StoredModel.
+        touched = [key for key, stored in before.items() if after[key] is not stored]
+        assert touched
+        assert repo.stats().rebuilds == len(touched)
+        for key, stored in after.items():
+            assert stored.builds == (2 if key in touched else 1), key
+
+    def test_one_fit_rebuilds_nothing(self, multileaf_kamel):
+        """Every pair is reached from both of its cells; one pass builds it once."""
+        stats = multileaf_kamel.repository.stats()
+        assert stats.single_models + stats.neighbor_models == 38
+        assert stats.rebuilds == 0
 
     def test_empty_batch_ignored(self, tokenizer):
         repo = self.make_repo(tokenizer)
