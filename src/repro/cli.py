@@ -630,7 +630,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
             return 130
         finally:
-            pool.close()
+            pool.stop()
         if args.output:
             with open(args.output, "w") as handle:
                 for traj_id in sorted(results):

@@ -1,28 +1,25 @@
 """The online imputation service (paper Section 2, "online mode").
 
 :class:`StreamingImputationService` is the deployable wrapper around a
-trained :class:`~repro.core.kamel.Kamel`: it applies a cleaning chain to
-every incoming trajectory (outlier removal, optional smoothing, trip
-splitting), imputes each resulting trip against the precomputed models,
-and keeps running operational counters. Imputation never retrains — the
-paper's scalability argument — but fully processed trajectories can be
-fed back as training data in periodic offline batches via
-:meth:`enqueue_for_training` / :meth:`flush_training`.
+trained :class:`~repro.core.kamel.Kamel`: it validates every incoming
+trajectory, cleans it (outlier removal, trip splitting), imputes each
+resulting trip against the precomputed models, and keeps running
+operational counters. Imputation never retrains — the paper's
+scalability argument. Feeding processed trajectories back as training
+data is the caller's offline batch: :meth:`Kamel.add_training`. A caller
+who wants Kalman smoothing runs :class:`~repro.preprocess.KalmanSmoother`
+before :meth:`StreamingImputationService.process`.
 
 Every :meth:`process` call runs under its own trace id, stamped on all
 spans and log lines it produces. The service serves no HTTP itself: a
 caller who wants ``/metrics`` runs an
 :class:`~repro.obs.server.ObservabilityServer` beside it.
 
-Durability: point :attr:`StreamingConfig.journal_path` at a file and
-every input is journaled (write-ahead) before processing and marked done
-after, so a crash mid-batch loses nothing — :meth:`recover` on the
-restarted service reprocesses exactly the unfinished work. Point
-:attr:`StreamingConfig.quarantine_path` at a file and inputs no ladder
-rung can process (non-finite coordinates, absurd values) are
+Point :attr:`StreamingConfig.quarantine_path` at a file and inputs no
+ladder rung can process (non-finite coordinates, absurd values) are
 dead-lettered there with their reason instead of poisoning the stream.
-The invariant the chaos suite asserts: every submitted trajectory is
-processed, quarantined, or journal-pending — never silently dropped.
+The service keeps no journal: crash recovery belongs to the serving
+worker (:mod:`repro.serve.worker`), which journals around each call.
 """
 
 from __future__ import annotations
@@ -37,10 +34,9 @@ from repro.geo import Trajectory
 from repro.obs import instrument as obs
 from repro.obs.logging import get_logger
 from repro.obs.tracing import span, trace_scope
-from repro.resilience.journal import QuarantineStore, StreamJournal
+from repro.preprocess import remove_outliers, split_by_time_gap
+from repro.resilience.journal import QuarantineStore
 from repro.resilience.validate import validate_trajectory
-
-from repro.preprocess import KalmanSmoother, remove_outliers, split_by_time_gap
 
 _log = get_logger("core.streaming")
 
@@ -64,7 +60,6 @@ class StreamStats:
     model_calls: int = 0
     processing_seconds: float = 0.0
     quarantined: int = 0
-    journal_replayed: int = 0
 
     @property
     def failure_rate(self) -> float:
@@ -100,26 +95,16 @@ class StreamStats:
 
 @dataclass(frozen=True)
 class StreamingConfig:
-    """What the ingest pipeline does before imputation."""
+    """Where the service dead-letters what it cannot process."""
 
-    smooth: bool = False
-    """Apply Kalman smoothing to each incoming trajectory."""
-    training_batch_size: int = 50
-    """`enqueue_for_training` triggers an offline batch at this size."""
-    journal_path: Optional[str] = None
-    """Write-ahead journal file (JSONL). None (default) disables the
-    journal; with it set, :meth:`StreamingImputationService.recover`
-    resumes exactly the work a crash left unfinished."""
-    journal_sync: bool = False
-    """fsync the journal after every record (durable across power loss,
-    measurably slower)."""
     quarantine_path: Optional[str] = None
     """Dead-letter file (JSONL) for inputs no ladder rung can process.
     None (default) logs and drops them instead."""
 
 
 class StreamingImputationService:
-    """Clean -> split -> impute, one incoming trajectory at a time."""
+    """Validate -> clean -> impute -> quarantine, one incoming trajectory
+    at a time."""
 
     def __init__(
         self,
@@ -131,14 +116,6 @@ class StreamingImputationService:
         self.system = system
         self.config = config or StreamingConfig()
         self.stats = StreamStats()
-        self._smoother = KalmanSmoother()
-        self._training_queue: list[Trajectory] = []
-        self.chaos = None  # Optional[repro.resilience.chaos.ChaosMonkey]
-        self.journal: Optional[StreamJournal] = None
-        if self.config.journal_path is not None:
-            self.journal = StreamJournal(
-                self.config.journal_path, sync=self.config.journal_sync
-            )
         self.quarantine: Optional[QuarantineStore] = None
         if self.config.quarantine_path is not None:
             self.quarantine = QuarantineStore(self.config.quarantine_path)
@@ -146,10 +123,9 @@ class StreamingImputationService:
     # -- the hot path -----------------------------------------------------
 
     def _clean(self, trajectory: Trajectory) -> list[Trajectory]:
-        cleaned = remove_outliers(trajectory, MAX_SPEED_MPS)
-        if self.config.smooth:
-            cleaned = self._smoother.smooth(cleaned)
-        return split_by_time_gap(cleaned, TRIP_GAP_S)
+        return split_by_time_gap(
+            remove_outliers(trajectory, MAX_SPEED_MPS), TRIP_GAP_S
+        )
 
     def process(
         self,
@@ -159,13 +135,9 @@ class StreamingImputationService:
     ) -> list[ImputationResult]:
         """Impute one incoming trajectory (possibly several trips).
 
-        Durability contract: with a journal configured, the input is
-        journaled *before* any work and marked done *after* all of it —
-        a crash anywhere in between leaves the entry pending for
-        :meth:`recover`. An input the pipeline cannot process
+        An input the pipeline cannot process
         (:class:`~repro.errors.QuarantinedInputError`) is dead-lettered
-        and returns ``[]``; it never raises out of this method, and it
-        counts as done in the journal.
+        and returns ``[]``; it never raises out of this method.
 
         ``deadline`` (a :class:`~repro.resilience.deadline.Deadline`)
         bounds the whole call — the serving tier propagates per-request
@@ -180,13 +152,6 @@ class StreamingImputationService:
         whole call runs under one request trace id, inherited by the
         per-trip ``Kamel.impute`` scopes.
         """
-        if self.journal is not None:
-            self.journal.begin(trajectory)
-        if self.chaos is not None:
-            # May raise InjectedCrash — deliberately *after* the journal
-            # write, simulating death mid-processing: the entry stays
-            # pending and recover() picks it up.
-            self.chaos.on_process()
         with trace_scope():
             with span("streaming.process", points=len(trajectory)):
                 with obs.stopwatch("repro.streaming.process_seconds") as sw:
@@ -220,8 +185,6 @@ class StreamingImputationService:
             "repro.streaming.points_out_total",
             sum(len(r.trajectory) for r in results),
         )
-        if self.journal is not None:
-            self.journal.done(trajectory.traj_id)
         return results
 
     def _quarantine(self, trajectory: Trajectory, reason: str) -> None:
@@ -234,64 +197,3 @@ class StreamingImputationService:
                 "input dropped (no quarantine store configured)",
                 extra={"data": {"trajectory": trajectory.traj_id, "reason": reason}},
             )
-
-    # -- crash recovery ----------------------------------------------------
-
-    def recover(self) -> list[ImputationResult]:
-        """Reprocess the work a crash left unfinished (call before new
-        traffic on a restarted service).
-
-        Reads the write-ahead journal, replays every begun-but-not-done
-        input through the normal :meth:`process` path (journaling,
-        quarantine, and stats included), and returns the results in the
-        original submission order. Imputation is deterministic, so a
-        replayed input produces the same output the crashed process would
-        have. No journal configured — nothing to do.
-        """
-        if self.journal is None:
-            return []
-        pending = self.journal.pending()
-        if not pending:
-            return []
-        _log.info(
-            "recovering unfinished work from the journal",
-            extra={"data": {"pending": len(pending)}},
-        )
-        results: list[ImputationResult] = []
-        for trajectory in pending:
-            obs.count("repro.streaming.journal_replayed_total")
-            self.stats.journal_replayed += 1
-            results.extend(self.process(trajectory))
-        return results
-
-    # -- offline enrichment ------------------------------------------------
-
-    def enqueue_for_training(self, trajectory: Trajectory) -> bool:
-        """Queue a (dense) trajectory for the next offline training batch.
-
-        Returns True when the queue reached the batch size and was flushed
-        into :meth:`repro.core.kamel.Kamel.add_training` — the paper's
-        "scheduled as a background process for a batch of new
-        trajectories".
-        """
-        self._training_queue.append(trajectory)
-        if len(self._training_queue) >= self.config.training_batch_size:
-            self.flush_training()
-            return True
-        return False
-
-    def flush_training(self) -> int:
-        """Run the queued offline batch now; returns its size."""
-        batch, self._training_queue = self._training_queue, []
-        if batch:
-            self.system.add_training(batch)
-            obs.count("repro.streaming.training_flushes_total")
-            _log.info(
-                "offline training batch flushed",
-                extra={"data": {"batch_size": len(batch)}},
-            )
-        return len(batch)
-
-    @property
-    def pending_training(self) -> int:
-        return len(self._training_queue)

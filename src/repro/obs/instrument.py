@@ -113,9 +113,7 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.streaming.points_in_total": "Raw points received.",
     "repro.streaming.points_out_total": "Points emitted after imputation.",
     "repro.streaming.process_seconds": "Wall time of one service.process call.",
-    "repro.streaming.training_flushes_total": "Offline enrichment batches flushed.",
     "repro.streaming.quarantined_total": "Inputs dead-lettered to the quarantine store.",
-    "repro.streaming.journal_replayed_total": "Pending journal entries reprocessed on service recovery.",
     # -- serving tier (repro.serve) ----------------------------------------
     "repro.serve.queue_depth": "Trajectories submitted to the serving pool with no result accepted or written off yet (all shards: queued plus in progress).",
     "repro.serve.shed_total": "Requests refused by admission control on a full shard (typed OverloadError results; accounted, not lost).",

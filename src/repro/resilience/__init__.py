@@ -13,8 +13,8 @@ layer, stdlib-only like the rest of the reproduction:
   (full beam → reduced beam → counting model → linear), each segment's
   resolving rung recorded on its
   :class:`repro.core.result.SegmentOutcome`;
-* :mod:`repro.resilience.journal` — the streaming service's write-ahead
-  :class:`StreamJournal` (crash → resume only unfinished work) and
+* :mod:`repro.resilience.journal` — the serve worker's write-ahead
+  :class:`StreamJournal` (crash → replay only unfinished work) and the
   :class:`QuarantineStore` dead-letter file;
 * :mod:`repro.resilience.validate` — typed rejection of malformed inputs
   (:class:`repro.errors.QuarantinedInputError`);

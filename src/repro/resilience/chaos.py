@@ -1,7 +1,7 @@
 """Seeded, deterministic fault injection for the imputation pipeline.
 
-A :class:`ChaosMonkey` drives three kinds of mischief from one seeded
-RNG, so every scenario replays exactly:
+A :class:`ChaosMonkey` drives its mischief from one seeded RNG (and
+plain counters), so every scenario replays exactly:
 
 * **failures** — hooked call sites (pyramid model lookup, masked-model
   inference) raise :class:`InjectedFault`, a *non*-``KamelError``
@@ -11,14 +11,17 @@ RNG, so every scenario replays exactly:
   ``latency_rate`` (deadline-enforcement fodder);
 * **corruption** — a grid lookup returns a neighboring cell instead of
   the true one (GPS-noise-at-the-worst-moment; constraints and
-  detokenization must stay sane).
+  detokenization must stay sane);
+* **worker faults** — a serve worker built with
+  ``ServeConfig.worker_chaos`` calls :meth:`ChaosMonkey.on_dequeue`
+  (stalls), :meth:`ChaosMonkey.on_process` (the crash of
+  ``crash_after``) and :meth:`ChaosMonkey.on_ipc` (delays) itself.
 
 Hooks are *installed*, never baked in: production code paths carry one
-``None``-checked slot (``PipelineGuards.chaos``,
-``StreamingImputationService.chaos``) or are wrapped per-instance
-(:func:`install_grid_chaos`), so an uninstrumented system pays an
-attribute test at most.  :func:`chaos_scope` installs a monkey on a
-system/service/grid and restores everything on exit.
+``None``-checked slot (``PipelineGuards.chaos``) or are wrapped
+per-instance (:func:`install_grid_chaos`), so an uninstrumented system
+pays an attribute test at most.  :func:`chaos_scope` installs a monkey
+on a system and/or grid and restores everything on exit.
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ class ChaosConfig:
     failure_sites: tuple[str, ...] = ("repository.retrieve", "model.predict")
     """Which hook sites may fail (latency applies to every hooked site)."""
     crash_after: Optional[int] = None
-    """Raise InjectedCrash on the Nth (1-based) ``service.process`` call."""
+    """Raise InjectedCrash on the Nth (1-based) task a serve worker takes,
+    after journaling it ``begin``; the worker turns it into a hard exit.
+    Only shard 0's first incarnation keeps it (``repro.serve.worker``)."""
     stall_after: Optional[int] = None
     """Wedge (sleep ``stall_s``) before the Nth (1-based) dequeued task.
 
@@ -189,7 +194,7 @@ class ChaosMonkey:
         return cell
 
     def on_process(self) -> None:
-        """Fire at the top of ``service.process`` (crash injection)."""
+        """Fire once per task a serve worker processes (crash injection)."""
         self._process_calls += 1
         crash_after = self.config.crash_after
         if crash_after is not None and self._process_calls == crash_after:
@@ -342,26 +347,19 @@ def install_grid_chaos(grid, monkey: ChaosMonkey) -> Callable[[], None]:
 def chaos_scope(
     monkey: ChaosMonkey,
     system=None,
-    service=None,
     grid=None,
 ) -> Iterator[ChaosMonkey]:
     """Install ``monkey`` on the given components; restore on exit.
 
     ``system`` is a :class:`repro.core.kamel.Kamel` (hooks model lookup and
-    inference via its :class:`PipelineGuards`),
-    ``service`` a :class:`~repro.core.streaming.StreamingImputationService`
-    (crash injection), ``grid`` any :class:`repro.grid.base.Grid`
-    (latency + corruption on ``cell_of``).
+    inference via its :class:`PipelineGuards`), ``grid`` any
+    :class:`repro.grid.base.Grid` (latency + corruption on ``cell_of``).
     """
     uninstallers: list[Callable[[], None]] = []
     if system is not None:
         previous = system.guards.chaos
         system.guards.chaos = monkey
         uninstallers.append(lambda: setattr(system.guards, "chaos", previous))
-    if service is not None:
-        previous_svc = service.chaos
-        service.chaos = monkey
-        uninstallers.append(lambda: setattr(service, "chaos", previous_svc))
     if grid is not None:
         uninstallers.append(install_grid_chaos(grid, monkey))
     try:

@@ -1,9 +1,9 @@
 """Streaming checkpoint/recovery: write-ahead journal + dead-letter store.
 
-The :class:`~repro.core.streaming.StreamingImputationService` loses work
-two ways: a crash mid-batch drops everything in flight, and one malformed
-trajectory can kill the whole stream.  This module closes both holes with
-two append-only JSONL files:
+Online imputation loses work two ways: a crash mid-batch drops
+everything in flight, and one malformed trajectory can kill the whole
+stream.  This module closes both holes with two append-only JSONL files
+(the serve worker journals; the streaming service quarantines):
 
 * :class:`StreamJournal` — a write-ahead journal.  ``begin`` records the
   full trajectory payload *before* processing starts; ``done`` marks it
@@ -109,7 +109,7 @@ class _AppendFile:
 
 
 class StreamJournal:
-    """The service's write-ahead journal (one JSONL file).
+    """A serve worker's write-ahead journal (one JSONL file).
 
     Events: ``{"event": "begin", "traj_id": ..., "trajectory": {...}}``
     before processing, ``{"event": "done", "traj_id": ...}`` after (a

@@ -288,14 +288,11 @@ class ServingPool:
 
     def _spawn(self, shard: int, recover: bool) -> None:
         self._incarnations += 1
-        # Chaos: only shard 0's first incarnation gets the injected crash.
-        crash_first = shard == 0 and not recover
         spec = WorkerSpec(
             worker_id=self._incarnations,
             shard=shard,
             model_dir=self.model_dir,
             recover=recover,
-            crash_after=self.config.crash_worker_after if crash_first else None,
             config=self.config,
         )
         proc = self._ctx.Process(
@@ -790,10 +787,6 @@ class ServingPool:
         )
         self._raise_if_receiver_failed()
 
-    def close(self, timeout: float = 20.0) -> None:
-        """Graceful-shutdown alias for :meth:`stop` (idempotent)."""
-        self.stop(timeout=timeout)
-
     # -- fleet observability -----------------------------------------------
 
     def merged_snapshot(self) -> dict[str, dict]:
@@ -828,8 +821,11 @@ class ServingPool:
                     }
                 )
             alive = all(w["alive"] for w in workers) if workers else False
+            # In-flight work is not a fault: only a dead worker or work
+            # written off makes the pool degraded.
+            healthy = alive and self.stats.declared_lost == 0
             doc = {
-                "status": "ok" if alive and self.stats.lost == 0 else "degraded",
+                "status": "ok" if healthy else "degraded",
                 "submitted": self.stats.submitted,
                 "completed": self.stats.completed,
                 "outstanding": len(self._outstanding),

@@ -62,8 +62,6 @@ class ServeConfig:
     revive_dead_workers: bool = True
     metrics_every: int = 25
     """Workers ship a registry snapshot every this many tasks."""
-    crash_worker_after: Optional[int] = None
-    """Chaos: shard 0's first incarnation dies on its Nth task."""
     trace: bool = False
     """Workers collect span trees and ship them with every result; the
     pool merges them (clock-aligned) into ``trace_roots``. Stage
@@ -89,8 +87,9 @@ class ServeConfig:
     pressure every shard's ladder is capped (full → reduced beam →
     counting), stepping back up with hysteresis. None disables it."""
     worker_chaos: Optional[ChaosConfig] = None
-    """Chaos injected into every worker (IPC delays, stalls); shard 0's
-    ``crash_worker_after`` (when set) is merged on top."""
+    """Chaos injected into every worker (IPC delays, stalls). Its
+    ``crash_after`` fires in shard 0's first incarnation only: every
+    other worker, and every revived one, runs with it cleared."""
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -118,8 +117,6 @@ class WorkerSpec:
     """Directory written by :func:`repro.io.save_kamel`."""
     recover: bool = False
     """Replay the shard journal's pending entries before new traffic."""
-    crash_after: Optional[int] = None
-    """Chaos: die (``os._exit``) on the Nth task taken from the queue."""
     config: ServeConfig = field(default_factory=ServeConfig)
     """The pool's configuration, shipped whole."""
 

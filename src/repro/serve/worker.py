@@ -54,7 +54,7 @@ from repro.obs.tracing import (
     trace_scope,
     tracing_enabled,
 )
-from repro.resilience.chaos import ChaosConfig, ChaosMonkey, InjectedCrash
+from repro.resilience.chaos import ChaosMonkey, InjectedCrash
 from repro.resilience.deadline import Deadline
 from repro.resilience.journal import StreamJournal, trajectory_to_payload
 from repro.resilience.ladder import (
@@ -218,7 +218,7 @@ def worker_main(spec: WorkerSpec, task_queue, result_queue, control=None) -> Non
         enable_tracing()
     system, cache = load_kamel_lazy(spec.model_dir, lru_capacity=config.lru_capacity)
     # The worker journals at loop level (so delivery is part of the
-    # transaction); the inner service runs journal-less. Cleaning and
+    # transaction); the service keeps no journal of its own. Cleaning and
     # trip splitting are repro.core.streaming's constants — the same ones
     # the single-process baseline the pool is verified against runs with.
     service = StreamingImputationService(
@@ -229,13 +229,11 @@ def worker_main(spec: WorkerSpec, task_queue, result_queue, control=None) -> Non
     path = spec.shard_file(".jsonl")
     if path is not None:
         journal = StreamJournal(path)
-    monkey: Optional[ChaosMonkey] = None
     chaos_cfg = config.worker_chaos
-    if spec.crash_after is not None:
-        base = chaos_cfg or ChaosConfig()
-        chaos_cfg = replace(base, crash_after=spec.crash_after)
-    if chaos_cfg is not None:
-        monkey = ChaosMonkey(chaos_cfg)
+    if chaos_cfg is not None and (spec.recover or spec.shard != 0):
+        # The injected crash is shard 0's first incarnation's alone.
+        chaos_cfg = replace(chaos_cfg, crash_after=None)
+    monkey = ChaosMonkey(chaos_cfg) if chaos_cfg is not None else None
 
     processed = 0
 

@@ -1,6 +1,7 @@
 """The streaming examples run to completion (each asserts its own story:
-the chaos one that no trajectory is lost, the telemetry one that the
-scraped counters give the service's failure rate)."""
+the chaos one that no trajectory is lost and that a pool whose worker
+crashed returns the undisturbed service's results, the telemetry one
+that the scraped counters give the service's failure rate)."""
 
 import os
 import pathlib

@@ -214,12 +214,18 @@ class TestServeKnobs:
         assert documented == self._fields(ServeConfig)
 
     def test_docs_name_only_existing_knobs(self):
+        """Every `ServeConfig.x`, `StreamingConfig.x` and `ChaosConfig.x`
+        a doc names is a field of that config today."""
+        from repro.core.streaming import StreamingConfig
+        from repro.resilience.chaos import ChaosConfig
         from repro.serve.protocol import ServeConfig
 
-        known = set(self._fields(ServeConfig))
-        for doc in sorted((ROOT / "docs").glob("*.md")):
-            for name in re.findall(r"`ServeConfig\.([A-Za-z_]+)`", doc.read_text()):
-                assert name in known, f"{doc.name} names ServeConfig.{name}"
+        docs = {doc.name: doc.read_text() for doc in sorted((ROOT / "docs").glob("*.md"))}
+        for cls in (ServeConfig, StreamingConfig, ChaosConfig):
+            config, known = cls.__name__, set(self._fields(cls))
+            for name, text in docs.items():
+                for field in re.findall(rf"`{config}\.([A-Za-z_]+)`", text):
+                    assert field in known, f"{name} names {config}.{field}"
 
 
 class TestOneBenchmarkHarness:

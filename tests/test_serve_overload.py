@@ -10,6 +10,7 @@ on a real pool — every scenario asserts the overload invariant:
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -380,6 +381,31 @@ class TestStalledWorkerDepth:
         assert obs.gauge("repro.serve.queue_depth").value == 0
 
 
+class TestHealthzMidStall:
+    """In-flight work is not a fault: with every worker alive and nothing
+    written off, ``/healthz`` reads ok while requests are outstanding."""
+
+    def test_outstanding_work_reads_ok(self, saved_dir, sparse_feed):
+        get_registry().reset(prefix="repro.serve")
+        config = ServeConfig(
+            workers=2, worker_chaos=_stall(1.5), drain_timeout_s=240.0
+        )
+        feed = sparse_feed[:4]
+        pool = ServingPool(str(saved_dir), config)
+        with pool:
+            for trajectory in feed:
+                pool.submit(trajectory)
+            mid_stall = pool.healthz()
+            results = pool.drain(timeout=240)
+            drained = pool.healthz()
+        assert mid_stall["outstanding"] > 0
+        assert all(worker["alive"] for worker in mid_stall["workers"])
+        assert mid_stall["declared_lost"] == 0
+        assert mid_stall["status"] == "ok"
+        assert drained["outstanding"] == 0 and drained["status"] == "ok"
+        _accounted(pool, feed, results)
+
+
 class TestDeadlineExpiry:
     @pytest.fixture(scope="class")
     def run(self, saved_dir, sparse_feed):
@@ -509,9 +535,8 @@ class TestWorkerKillDuringOverload:
         config = ServeConfig(
             workers=2,
             journal_dir=str(journal_dir),
-            crash_worker_after=2,
             max_queue_depth=3,
-            worker_chaos=_stall(0.8),
+            worker_chaos=replace(_stall(0.8), crash_after=2),
             drain_timeout_s=240.0,
         )
         pool = ServingPool(str(saved_dir), config)
@@ -526,7 +551,7 @@ class TestWorkerKillDuringOverload:
         admitted = [
             m for m in results.values() if m["shard"] == 0 and not m.get("shed")
         ]
-        assert len(admitted) >= pool.config.crash_worker_after
+        assert len(admitted) >= pool.config.worker_chaos.crash_after
         assert pool.stats.worker_deaths >= 1
 
     def test_overload_really_happened(self, run):

@@ -1,7 +1,8 @@
 """Worker-death recovery: journal replay restores exactly-once results.
 
-Chaos scenario: shard 0's first incarnation is told to die (a hard
-``os._exit``, no unwind) on its Nth task. The pool must notice the dead
+Chaos scenario: ``worker_chaos=ChaosConfig(crash_after=2)`` tells shard
+0's first incarnation to die (a hard ``os._exit``, no unwind) on its 2nd
+task; every other incarnation runs with the crash cleared. The pool must notice the dead
 process, respawn the shard with ``recover=True``, replay the pending
 journal entry, and finish the batch — with the final output map still
 byte-identical to the single-process baseline and every submitted
@@ -15,6 +16,7 @@ import pytest
 from repro.core.streaming import StreamingConfig, StreamingImputationService
 from repro.io.serialize import load_kamel, save_kamel
 from repro.obs.metrics import get_registry
+from repro.resilience.chaos import ChaosConfig
 from repro.resilience.journal import trajectory_to_payload
 from repro.serve import ServeConfig, ServingPool
 
@@ -52,7 +54,7 @@ def crashed_run(saved_dir, sparse_feed, tmp_path_factory):
     config = ServeConfig(
         workers=2,
         journal_dir=str(journal_dir),
-        crash_worker_after=2,
+        worker_chaos=ChaosConfig(crash_after=2),
         drain_timeout_s=240.0,
     )
     pool = ServingPool(str(saved_dir), config)
@@ -63,14 +65,14 @@ def crashed_run(saved_dir, sparse_feed, tmp_path_factory):
 
 def _routed_to_shard_zero(pool, feed) -> int:
     """How many of ``feed`` the pool's router gives shard 0: below
-    ``crash_worker_after`` the injected crash could never fire."""
+    ``crash_after`` the injected crash could never fire."""
     return sum(pool.shard_for(t) == 0 for t in feed)
 
 
 class TestWorkerDeathRecovery:
     def test_death_detected_and_shard_revived(self, crashed_run, sparse_feed):
         pool, _ = crashed_run
-        assert _routed_to_shard_zero(pool, sparse_feed) >= pool.config.crash_worker_after
+        assert _routed_to_shard_zero(pool, sparse_feed) >= pool.config.worker_chaos.crash_after
         assert pool.stats.worker_deaths == 1
 
     def test_journal_replayed(self, crashed_run):
@@ -101,7 +103,7 @@ def retired_run(saved_dir, sparse_feed):
     get_registry().reset(prefix="repro.serve")
     config = ServeConfig(
         workers=2,
-        crash_worker_after=2,
+        worker_chaos=ChaosConfig(crash_after=2),
         revive_dead_workers=False,
         drain_timeout_s=240.0,
     )
@@ -116,7 +118,7 @@ def retired_run(saved_dir, sparse_feed):
 class TestShardRetirementDeclaresLost:
     def test_lost_work_written_off_explicitly(self, retired_run, sparse_feed):
         pool, _, _ = retired_run
-        assert _routed_to_shard_zero(pool, sparse_feed) >= pool.config.crash_worker_after
+        assert _routed_to_shard_zero(pool, sparse_feed) >= pool.config.worker_chaos.crash_after
         assert pool.stats.worker_deaths == 1
         # A straggler result already in the pipe at write-off time is
         # still accepted, so declared_lost bounds lost from above.

@@ -315,12 +315,12 @@ class TestWorkerEnvelope:
         """``spawn`` ships the spec — and the whole ServeConfig inside it,
         nested configs included — through pickle."""
         spec = WorkerSpec(
-            worker_id=3, shard=1, model_dir="unused", recover=True, crash_after=2,
+            worker_id=3, shard=1, model_dir="unused", recover=True,
             config=ServeConfig(
                 workers=2,
                 journal_dir="journals",
                 brownout=BrownoutConfig(),
-                worker_chaos=ChaosConfig(seed=5, stall_after=2, stall_s=0.1),
+                worker_chaos=ChaosConfig(seed=5, crash_after=2, stall_after=2, stall_s=0.1),
             ),
         )
         assert pickle.loads(pickle.dumps(spec)) == spec

@@ -75,14 +75,6 @@ class TestHotPath:
         assert fresh.stats.densification_ratio == 0.0
         assert fresh.stats.mean_latency_ms == 0.0
 
-    def test_smoothing_mode(self, trained_kamel, small_split):
-        _, test = small_split
-        service = StreamingImputationService(
-            trained_kamel, StreamingConfig(smooth=True)
-        )
-        results = service.process(test[0].sparsify(500.0))
-        assert results
-
 
 class TestTelemetry:
     @pytest.fixture()
@@ -163,45 +155,3 @@ class TestTelemetry:
             pytest.skip("no fallback warnings fired on this seed")
         for obj in warnings:
             assert obj["trace_id"] in span_ids
-
-
-class TestOfflineEnrichment:
-    @pytest.fixture()
-    def local_service(self, small_split):
-        # A private system: flush_training mutates it, and the session-wide
-        # trained_kamel fixture must stay untouched.
-        train, _ = small_split
-        system = Kamel().fit(train[:15])
-        return system, train
-
-    def test_enqueue_flushes_at_batch_size(self, local_service):
-        system, train = local_service
-        service = StreamingImputationService(
-            system, StreamingConfig(training_batch_size=3)
-        )
-        assert not service.enqueue_for_training(train[20])
-        assert not service.enqueue_for_training(train[21])
-        assert service.pending_training == 2
-        flushed = service.enqueue_for_training(train[22])
-        assert flushed
-        assert service.pending_training == 0
-
-    def test_manual_flush(self, local_service):
-        system, train = local_service
-        service = StreamingImputationService(
-            system, StreamingConfig(training_batch_size=100)
-        )
-        service.enqueue_for_training(train[20])
-        assert service.flush_training() == 1
-        assert service.flush_training() == 0
-
-    def test_flush_grows_training_corpus(self, local_service):
-        system, train = local_service
-        before = len(system.store)
-        service = StreamingImputationService(
-            system, StreamingConfig(training_batch_size=100)
-        )
-        for t in train[20:25]:
-            service.enqueue_for_training(t)
-        service.flush_training()
-        assert len(system.store) == before + 5
