@@ -101,11 +101,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_impute(args: argparse.Namespace) -> int:
     from repro.core.config import KamelConfig
     from repro.core.kamel import Kamel
+    from repro.errors import KamelError
     from repro.geo.adapter import projection_for, trajectory_from_latlon
     from repro.io.csvio import imputed_point_flags, read_latlon_csv, write_latlon_csv
 
-    train_logs = read_latlon_csv(args.train)
-    sparse_logs = read_latlon_csv(args.input)
+    logs = []
+    for path in (args.train, args.input):
+        try:
+            logs.append(read_latlon_csv(path))
+        except (OSError, KamelError) as exc:
+            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+            return 2
+    train_logs, sparse_logs = logs
     all_records = [r for _, records in train_logs for r in records]
     projection = projection_for(all_records)
 

@@ -172,5 +172,3 @@ class KamelConfig:
             raise ConfigError(f"level {level} outside pyramid of height {self.pyramid_height}")
         return self.model_threshold_k * 4 ** (self.leaf_level - level)
 
-
-DEFAULT_CONFIG = KamelConfig()

@@ -6,9 +6,7 @@ trajectory, cleans it (outlier removal, trip splitting), imputes each
 resulting trip against the precomputed models, and keeps running
 operational counters. Imputation never retrains — the paper's
 scalability argument. Feeding processed trajectories back as training
-data is the caller's offline batch: :meth:`Kamel.add_training`. A caller
-who wants Kalman smoothing runs :class:`~repro.preprocess.KalmanSmoother`
-before :meth:`StreamingImputationService.process`.
+data is the caller's offline batch: :meth:`Kamel.add_training`.
 
 Every :meth:`process` call runs under its own trace id, stamped on all
 spans and log lines it produces. The service serves no HTTP itself: a

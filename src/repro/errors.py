@@ -42,10 +42,6 @@ class ModelRepositoryError(KamelError):
     """The pyramid model repository was asked for something inconsistent."""
 
 
-class ImputationError(KamelError):
-    """A gap could not be imputed and no fallback was allowed."""
-
-
 class DeadlineExceeded(KamelError):
     """A time budget ran out mid-operation.
 

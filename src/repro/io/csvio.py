@@ -10,6 +10,7 @@ results back, flagging the newly inserted points.
 from __future__ import annotations
 
 import csv
+import math
 import pathlib
 from typing import Sequence, Union
 
@@ -31,7 +32,9 @@ def read_latlon_csv(
 
     Rows are grouped by ``id_column`` (first-appearance order) and sorted
     by timestamp within each trajectory; a missing/empty time field
-    yields ``None`` timestamps and preserves file order.
+    yields ``None`` timestamps and preserves file order. A non-finite or
+    out-of-range coordinate, or a non-finite timestamp, is a
+    :class:`KamelError` naming the file and line.
     """
     path = pathlib.Path(path)
     grouped: dict[str, list[LatLonRecord]] = {}
@@ -49,12 +52,17 @@ def read_latlon_csv(
                 lon = float(row[lon_column])
             except (TypeError, ValueError) as exc:
                 raise KamelError(f"{path}:{line_no}: bad coordinate") from exc
+            # float() accepts "nan" and "inf"; the range test rejects both.
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                raise KamelError(f"{path}:{line_no}: bad coordinate")
             t = None
             if has_time and row[time_column] not in (None, ""):
                 try:
                     t = float(row[time_column])
                 except ValueError as exc:
                     raise KamelError(f"{path}:{line_no}: bad timestamp") from exc
+                if not math.isfinite(t):
+                    raise KamelError(f"{path}:{line_no}: bad timestamp")
             grouped.setdefault(row[id_column], []).append((lat, lon, t))
     if not grouped:
         raise EmptyInputError(f"{path} contains no data rows")

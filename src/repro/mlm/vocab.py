@@ -111,9 +111,3 @@ class Vocabulary:
     def __repr__(self) -> str:
         return f"Vocabulary(size={len(self)})"
 
-
-def build_vocabulary(sequences: Iterable[Sequence[Hashable]]) -> tuple[Vocabulary, list[list[int]]]:
-    """Intern every item of ``sequences``; returns (vocab, encoded sequences)."""
-    vocab = Vocabulary()
-    encoded = [vocab.encode_many(seq, grow=True) for seq in sequences]
-    return vocab, encoded

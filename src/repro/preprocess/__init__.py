@@ -1,36 +1,17 @@
-"""Trajectory preprocessing: what production pipelines run before KAMEL.
+"""Trajectory preprocessing: what the online service runs before KAMEL.
 
-Real GPS feeds are messier than "sparse but clean": they carry noise
-spikes, stay points (parked vehicles emitting for minutes), and long
-recording gaps that should split a file into separate trips. This package
-provides the standard cleaning stages:
+Real GPS feeds are messier than "sparse but clean": they carry corrupted
+fixes and long recording gaps that should split a file into separate
+trips. This package provides the two cleaning stages that
+:class:`repro.core.streaming.StreamingImputationService` runs:
 
-* :class:`KalmanSmoother` — constant-velocity Kalman filter +
-  Rauch-Tung-Striebel smoother for GPS noise reduction;
 * :func:`remove_outliers` — speed-gated removal of impossible jumps;
-* :func:`detect_stay_points` / :func:`remove_stay_points` — classic
-  stay-point detection (Li et al. 2008 style);
 * :func:`split_by_time_gap` — cut a point stream into trips.
 
-All stages consume and produce :class:`repro.geo.Trajectory`, so they
-compose ahead of :meth:`repro.core.Kamel.fit` / ``impute``.
+Both stages consume :class:`repro.geo.Trajectory`, so they compose ahead
+of :meth:`repro.core.Kamel.fit` / ``impute``.
 """
 
-from repro.preprocess.kalman import KalmanConfig, KalmanSmoother
-from repro.preprocess.cleaning import (
-    StayPoint,
-    detect_stay_points,
-    remove_outliers,
-    remove_stay_points,
-    split_by_time_gap,
-)
+from repro.preprocess.cleaning import remove_outliers, split_by_time_gap
 
-__all__ = [
-    "KalmanConfig",
-    "KalmanSmoother",
-    "StayPoint",
-    "detect_stay_points",
-    "remove_outliers",
-    "remove_stay_points",
-    "split_by_time_gap",
-]
+__all__ = ["remove_outliers", "split_by_time_gap"]

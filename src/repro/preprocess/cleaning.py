@@ -1,8 +1,7 @@
-"""Outlier removal, stay-point detection, and trip segmentation."""
+"""Outlier removal and trip segmentation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from repro.geo import Point, Trajectory
 
 
@@ -30,77 +29,6 @@ def remove_outliers(
         if speed <= max_speed_mps:
             kept.append(p)
     return trajectory.with_points(kept)
-
-
-@dataclass(frozen=True)
-class StayPoint:
-    """A dwell: the vehicle stayed within a radius for a duration."""
-
-    centroid: Point
-    start_index: int
-    end_index: int
-    duration_s: float
-
-
-def detect_stay_points(
-    trajectory: Trajectory,
-    radius_m: float = 50.0,
-    min_duration_s: float = 120.0,
-) -> list[StayPoint]:
-    """Classic stay-point detection (Li et al., 2008).
-
-    Scans forward: if every point within a window stays within
-    ``radius_m`` of the window's anchor for at least ``min_duration_s``,
-    the window is a stay point.
-    """
-    if radius_m <= 0 or min_duration_s <= 0:
-        raise ValueError("radius_m and min_duration_s must be positive")
-    points = trajectory.points
-    stays: list[StayPoint] = []
-    i = 0
-    n = len(points)
-    while i < n - 1:
-        anchor = points[i]
-        j = i + 1
-        while j < n and anchor.distance_to(points[j]) <= radius_m:
-            j += 1
-        last = points[j - 1]
-        if (
-            anchor.t is not None
-            and last.t is not None
-            and last.t - anchor.t >= min_duration_s
-        ):
-            window = points[i:j]
-            cx = sum(p.x for p in window) / len(window)
-            cy = sum(p.y for p in window) / len(window)
-            mid_t = (anchor.t + last.t) / 2.0
-            stays.append(
-                StayPoint(Point(cx, cy, mid_t), i, j - 1, last.t - anchor.t)
-            )
-            i = j
-        else:
-            i += 1
-    return stays
-
-
-def remove_stay_points(
-    trajectory: Trajectory,
-    radius_m: float = 50.0,
-    min_duration_s: float = 120.0,
-) -> Trajectory:
-    """Collapse each detected stay window into its single centroid point."""
-    stays = detect_stay_points(trajectory, radius_m, min_duration_s)
-    if not stays:
-        return trajectory
-    points = trajectory.points
-    out: list[Point] = []
-    cursor = 0
-    for stay in stays:
-        out.extend(points[cursor : stay.start_index])
-        out.append(stay.centroid)
-        cursor = stay.end_index + 1
-    out.extend(points[cursor:])
-    return trajectory.with_points(out)
 
 
 def split_by_time_gap(

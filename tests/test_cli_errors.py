@@ -147,3 +147,29 @@ class TestStatsDelta:
         assert "repro.kamel.impute_seconds.count" in out
         assert "+50.0%" in out
         assert "repro.kamel.fit_seconds" not in out
+
+
+class TestImputeInputErrors:
+    def _good_csv(self, path):
+        path.write_text("traj_id,lat,lon,t\na,41.15,-8.61,0\na,41.16,-8.62,60\n")
+        return path
+
+    def test_missing_train_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        sparse = self._good_csv(tmp_path / "sparse.csv")
+        args = ["impute", "--train", str(missing), "--input", str(sparse),
+                "--output", str(tmp_path / "out.csv")]
+        assert main(args) == 2
+        captured = _no_traceback(capsys)
+        assert f"error: cannot read {missing}" in captured.err
+
+    def test_nan_row(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("traj_id,lat,lon,t\na,41.15,-8.61,0\na,nan,-8.62,60\n")
+        sparse = self._good_csv(tmp_path / "sparse.csv")
+        args = ["impute", "--train", str(train), "--input", str(sparse),
+                "--output", str(tmp_path / "out.csv")]
+        assert main(args) == 2
+        captured = _no_traceback(capsys)
+        assert f"{train}:3: bad coordinate" in captured.err
+        assert not (tmp_path / "out.csv").exists()

@@ -52,10 +52,22 @@ class TestReadCsv:
         with pytest.raises(KamelError):
             read_latlon_csv(path)
 
-    def test_bad_coordinate_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "lat,lon,t,message",
+        [
+            ("not-a-number", -8.61, 0.0, "bad coordinate"),
+            ("nan", -8.61, 0.0, "bad coordinate"),
+            ("inf", -8.61, 0.0, "bad coordinate"),
+            ("91", -8.61, 0.0, "bad coordinate"),
+            (41.15, "-inf", 0.0, "bad coordinate"),
+            (41.15, -8.61, "nan", "bad timestamp"),
+        ],
+        ids=["not-a-number", "nan-lat", "inf-lat", "lat-91", "-inf-lon", "nan-t"],
+    )
+    def test_bad_coordinate_rejected(self, tmp_path, lat, lon, t, message):
         path = tmp_path / "bad.csv"
-        write_fixture_csv(path, [("a", "not-a-number", -8.61, 0.0)])
-        with pytest.raises(KamelError):
+        write_fixture_csv(path, [("a", 41.15, -8.61, 0.0), ("a", lat, lon, t)])
+        with pytest.raises(KamelError, match=f"bad.csv:3: {message}"):
             read_latlon_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -10,7 +10,6 @@ from repro.mlm.vocab import (
     SPECIAL_TOKENS,
     UNK_TOKEN,
     Vocabulary,
-    build_vocabulary,
 )
 
 
@@ -108,8 +107,3 @@ class TestPersistence:
         assert len(restored) == len(v)
         assert restored.encode((1, 2)) == v.encode((1, 2))
         assert restored.encode((-3, 4)) == v.encode((-3, 4))
-
-    def test_build_vocabulary(self):
-        vocab, encoded = build_vocabulary([[(0, 0), (1, 1)], [(1, 1), (2, 2)]])
-        assert len(vocab) == 6  # 3 specials + 3 cells
-        assert encoded == [[3, 4], [4, 5]]

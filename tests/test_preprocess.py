@@ -1,93 +1,9 @@
-"""Tests for trajectory preprocessing: Kalman smoothing and cleaning."""
+"""Tests for trajectory preprocessing: outlier removal and trip splitting."""
 
-import numpy as np
 import pytest
 
-from repro.errors import ConfigError
 from repro.geo import Point, Trajectory
-from repro.preprocess import (
-    KalmanConfig,
-    KalmanSmoother,
-    detect_stay_points,
-    remove_outliers,
-    remove_stay_points,
-    split_by_time_gap,
-)
-
-
-def noisy_line(n=60, speed=10.0, dt=1.0, noise=6.0, seed=0):
-    rng = np.random.default_rng(seed)
-    pts = [
-        Point(
-            i * speed * dt + rng.normal(0, noise),
-            rng.normal(0, noise),
-            t=i * dt,
-        )
-        for i in range(n)
-    ]
-    return Trajectory("noisy", pts)
-
-
-class TestKalman:
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            KalmanConfig(measurement_noise_m=0.0)
-        with pytest.raises(ConfigError):
-            KalmanConfig(process_noise_mps2=-1.0)
-
-    def test_reduces_noise_on_straight_line(self):
-        traj = noisy_line(noise=6.0)
-        smoothed = KalmanSmoother().smooth(traj)
-        raw_error = np.mean([abs(p.y) for p in traj.points])
-        smooth_error = np.mean([abs(p.y) for p in smoothed.points])
-        assert smooth_error < raw_error * 0.6
-
-    def test_preserves_timestamps_and_length(self):
-        traj = noisy_line()
-        smoothed = KalmanSmoother().smooth(traj)
-        assert len(smoothed) == len(traj)
-        assert [p.t for p in smoothed.points] == [p.t for p in traj.points]
-
-    def test_follows_turns(self):
-        """The smoother must track a 90-degree turn, not cut the corner
-        to oblivion (bounded lag, not a straight-line fit)."""
-        rng = np.random.default_rng(1)
-        pts = []
-        for i in range(40):
-            pts.append(Point(i * 10.0 + rng.normal(0, 3), rng.normal(0, 3), t=float(i)))
-        for i in range(40):
-            pts.append(
-                Point(400.0 + rng.normal(0, 3), (i + 1) * 10.0 + rng.normal(0, 3), t=40.0 + i)
-            )
-        traj = Trajectory("turn", pts)
-        smoothed = KalmanSmoother().smooth(traj)
-        corner = Point(400.0, 0.0)
-        nearest = min(p.distance_to(corner) for p in smoothed.points)
-        assert nearest < 25.0
-
-    def test_short_trajectory_passthrough(self):
-        traj = Trajectory("short", [Point(0, 0, t=0.0), Point(10, 0, t=1.0)])
-        assert KalmanSmoother().smooth(traj) is traj
-
-    def test_untimed_passthrough(self):
-        traj = Trajectory("untimed", [Point(0, 0), Point(10, 0), Point(20, 0)])
-        assert KalmanSmoother().smooth(traj) is traj
-
-    def test_smooth_many(self):
-        trajs = [noisy_line(seed=k) for k in range(3)]
-        assert len(KalmanSmoother().smooth_many(trajs)) == 3
-
-    def test_smoothing_improves_downstream_tokenization(self):
-        """Reduced noise means fewer cell flip-flops at tokenization."""
-        from repro.core.tokenization import Tokenizer
-        from repro.grid import HexGrid
-
-        traj = noisy_line(n=200, noise=20.0, speed=3.0)
-        smoothed = KalmanSmoother().smooth(traj)
-        tok = Tokenizer(HexGrid(50.0))
-        raw_tokens = tok.tokenize(traj, grow=True)
-        smooth_tokens = tok.tokenize(smoothed, grow=True)
-        assert len(smooth_tokens) <= len(raw_tokens)
+from repro.preprocess import remove_outliers, split_by_time_gap
 
 
 class TestOutlierRemoval:
@@ -109,47 +25,6 @@ class TestOutlierRemoval:
     def test_validation(self):
         with pytest.raises(ValueError):
             remove_outliers(Trajectory("t"), max_speed_mps=0.0)
-
-
-class TestStayPoints:
-    def make_trip_with_stop(self):
-        pts = [Point(i * 20.0, 0.0, t=float(i * 2)) for i in range(20)]  # moving
-        stop_t0 = pts[-1].t
-        rng = np.random.default_rng(0)
-        for k in range(100):  # parked ~200 s within a few meters
-            pts.append(
-                Point(400.0 + rng.normal(0, 3), rng.normal(0, 3), t=stop_t0 + 2 + k * 2)
-            )
-        resume_t = pts[-1].t
-        for i in range(20):
-            pts.append(Point(400.0 + (i + 1) * 20.0, 0.0, t=resume_t + 2 + i * 2))
-        return Trajectory("trip", pts)
-
-    def test_detects_the_stop(self):
-        stays = detect_stay_points(self.make_trip_with_stop())
-        assert len(stays) == 1
-        stay = stays[0]
-        assert stay.duration_s >= 120.0
-        assert stay.centroid.distance_to(Point(400.0, 0.0)) < 20.0
-
-    def test_moving_trip_has_no_stays(self):
-        traj = Trajectory("m", [Point(i * 30.0, 0.0, t=float(i * 2)) for i in range(50)])
-        assert detect_stay_points(traj) == []
-
-    def test_remove_stay_points_collapses_window(self):
-        traj = self.make_trip_with_stop()
-        cleaned = remove_stay_points(traj)
-        assert len(cleaned) < len(traj) - 90
-        # The centroid survives in place of the window.
-        assert any(p.distance_to(Point(400, 0)) < 20 for p in cleaned.points)
-
-    def test_no_stays_returns_same_object(self):
-        traj = Trajectory("m", [Point(i * 30.0, 0.0, t=float(i * 2)) for i in range(10)])
-        assert remove_stay_points(traj) is traj
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            detect_stay_points(Trajectory("t"), radius_m=0.0)
 
 
 class TestSplitByTimeGap:

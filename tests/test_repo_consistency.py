@@ -177,6 +177,49 @@ class TestConfigLiveness:
             assert not unread, f"{cls.__name__}: nothing in src/repro reads {unread}"
 
 
+class TestNoDeadPublicNames:
+    """A top-level public name of a ``src/repro`` module is mentioned by
+    something besides its own definition: its module, another module, the
+    benchmark harness, a benchmark or an example. Tests do not count, and
+    neither do the re-exports of a package ``__init__``: a name only tests
+    reach is dead code."""
+
+    # The test oracle LocalProjection's distances are checked against.
+    EXEMPT = {"haversine_m"}
+
+    def test_every_public_name_has_a_user(self):
+        import ast
+        import collections
+
+        src = ROOT / "src" / "repro"
+        modules = [p for p in sorted(src.rglob("*.py")) if p.name != "__init__.py"]
+        readers = [
+            *modules,
+            *(p for top in ("perf", "benchmarks", "examples") for p in (ROOT / top).rglob("*.py")),
+        ]
+        mentions = collections.Counter()
+        for path in readers:
+            mentions.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+        dead = []
+        for path in modules:
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                dead += [
+                    f"{path.relative_to(ROOT)}: {name}"
+                    for name in names
+                    if not name.startswith("_")
+                    and name not in self.EXEMPT
+                    and mentions[name] == 1
+                ]
+        assert not dead, f"public names nothing uses: {dead}"
+
+
 class TestServeKnobs:
     """Knob-creep guard for the pool↔worker contract: a field nobody
     reads, or a documented knob that does not exist, fails here."""
