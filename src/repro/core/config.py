@@ -22,9 +22,10 @@ class KamelConfig:
 
     Values nothing varies are named constants beside the code that uses
     them: the BERT size (:class:`repro.mlm.bert.BertConfig`), the
-    ellipse slack and floor (:mod:`repro.core.constraints`), the DBSCAN
-    feature scales (:mod:`repro.core.detokenization`) and the reduced
-    rungs' budgets (:mod:`repro.resilience.ladder`).
+    ellipse slack and floor and the per-insertion detour slack
+    (:mod:`repro.core.constraints`), the DBSCAN feature scales
+    (:mod:`repro.core.detokenization`) and the reduced rungs' budgets
+    (:mod:`repro.resilience.ladder`).
     """
 
     # -- Tokenization (Section 3) --
@@ -78,13 +79,6 @@ class KamelConfig:
     ``adaptive_speed_factor`` (falling back to the fixed bound when no
     preceding segment exists)."""
     adaptive_speed_factor: float = 1.5
-    local_detour_slack_m: float = 250.0
-    """Per-insertion movement constraint: a token inserted between the two
-    current gap endpoints u, v must satisfy ``d(c,u) + d(c,v) <= d(u,v) +
-    slack``. This is the speed constraint applied recursively to every
-    sub-gap: each insertion may detour by at most ``slack`` meters, so
-    curved roads (U-turns, roundabouts) remain imputable while the search
-    is forced to make net progress across the gap."""
     cone_half_angle_deg: float = 45.0
     cycle_window: int = 6
     """x: maximum repeated-suffix length checked by cycle prevention."""
@@ -106,10 +100,6 @@ class KamelConfig:
     dbscan_min_samples: int = 4
 
     # -- Resilience (deadlines, degradation ladder) --
-    trajectory_deadline_s: Optional[float] = None
-    """Wall-time budget for one ``Kamel.impute`` call; ``None`` disables.
-    An expired budget sends the remaining segments to the linear rung
-    instead of hanging the request."""
     enable_fallback_model: bool = True
     """Maintain a global counting model as the ladder's safety-net rung
     (cheap to train; serves when the repository model fails or misses —
@@ -155,8 +145,6 @@ class KamelConfig:
             raise ConfigError("max_model_calls must be >= 1")
         if self.top_k_candidates < 1:
             raise ConfigError("top_k_candidates must be >= 1")
-        if self.trajectory_deadline_s is not None and self.trajectory_deadline_s <= 0:
-            raise ConfigError("trajectory_deadline_s must be positive when set")
 
     @property
     def cone_half_angle_rad(self) -> float:

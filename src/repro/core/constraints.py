@@ -95,6 +95,13 @@ SPEED_SLACK = 1.25
 ELLIPSE_MIN_SUM_M = 250.0
 """Floor of the ellipse distance sum, so near-instantaneous segment
 endpoints still admit a few cells."""
+LOCAL_DETOUR_SLACK_M = 250.0
+"""Per-insertion movement constraint: a token inserted between the two
+current gap endpoints u, v must satisfy ``d(c,u) + d(c,v) <= d(u,v) +
+slack``. This is the speed constraint applied recursively to every
+sub-gap: each insertion may detour by at most ``slack`` meters, so
+curved roads (U-turns, roundabouts) remain imputable while the search is
+forced to make net progress across the gap."""
 
 _REJECTION_COUNTERS = (
     "special",
@@ -305,7 +312,6 @@ class SpatialConstraints:
         self._centroid = tokenizer.centroid_of_token
         self._num_special = tokenizer.vocabulary.num_special
         self._cycle_window = config.cycle_window
-        self._detour_slack_m = config.local_detour_slack_m
 
     # -- individual constraints -------------------------------------------
 
@@ -415,7 +421,7 @@ class SpatialConstraints:
         left_x, left_y = gap_left.x, gap_left.y
         right_x, right_y = gap_right.x, gap_right.y
         gap_len = path.hops[insert_pos]
-        local_budget = gap_len + self._detour_slack_m
+        local_budget = gap_len + LOCAL_DETOUR_SLACK_M
         # Travel-distance budget: the whole imputed path may not be longer
         # than the maximum speed allows within the segment's time span —
         # the same bound as the position ellipse, applied to arc length.

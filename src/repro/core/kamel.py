@@ -291,8 +291,7 @@ class Kamel(Imputer):
     ) -> ImputationResult:
         """Densify one sparse trajectory (offline or per-stream-item).
 
-        ``deadline`` caps the whole call; when omitted, one is derived
-        from ``config.trajectory_deadline_s`` (if set). An expiring
+        ``deadline`` caps the whole call (``None``: no budget). An expiring
         deadline degrades remaining segments to cheaper ladder rungs —
         ultimately straight lines — rather than hanging.
 
@@ -312,8 +311,6 @@ class Kamel(Imputer):
         points = trajectory.points
         if len(points) < 2:
             return ImputationResult(trajectory, ())
-        if deadline is None and cfg.trajectory_deadline_s is not None:
-            deadline = Deadline.after(cfg.trajectory_deadline_s)
 
         # One request id per impute call; joins an enclosing scope (the
         # streaming service's) so spans and WARNING logs stay correlated.

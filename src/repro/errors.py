@@ -55,16 +55,6 @@ class DeadlineExceeded(KamelError):
         self.overrun_s = overrun_s
 
 
-class OverloadError(KamelError):
-    """A request was refused by serving-tier admission control.
-
-    :class:`repro.serve.pool.ServingPool` sheds a newcomer to a full
-    shard instead of queueing without bound; the refusal is a result
-    entry whose ``error_type`` names this class (``shed: true``), not a
-    raise.  Shedding is part of staying up — a typed signal, not a crash.
-    """
-
-
 class PoolReceiverError(KamelError):
     """The serving pool's receiver thread died handling a worker message.
 

@@ -11,7 +11,6 @@ from repro.geo.point import (
     EARTH_RADIUS_M,
     LocalProjection,
     Point,
-    bearing,
     haversine_m,
     interpolate,
     normalize_angle,
@@ -32,7 +31,6 @@ __all__ = [
     "Point",
     "Trajectory",
     "angle_difference",
-    "bearing",
     "haversine_m",
     "interpolate",
     "normalize_angle",

@@ -63,11 +63,6 @@ def interpolate(a: Point, b: Point, fraction: float) -> Point:
     return Point(a.x + (b.x - a.x) * fraction, a.y + (b.y - a.y) * fraction, t)
 
 
-def bearing(a: Point, b: Point) -> float:
-    """Direction angle from ``a`` to ``b`` in radians (math convention)."""
-    return a.bearing_to(b)
-
-
 def normalize_angle(angle: float) -> float:
     """Wrap ``angle`` (radians) into ``(-pi, pi]``."""
     wrapped = math.fmod(angle, 2.0 * math.pi)

@@ -36,7 +36,6 @@ from repro.core.config import KamelConfig
 from repro.core.kamel import Kamel
 from repro.core.partitioning import CellKey, PairKey, PyramidIndex, StoredModel
 from repro.core.detokenization import CellClusters, DirectionalCluster
-from repro.mlm.counting import CountingMaskedLM
 from repro.core.tokenization import TokenSequence
 from repro.errors import KamelError, NotFittedError
 from repro.geo import BoundingBox, Point
@@ -45,7 +44,7 @@ from repro.mlm.bert import BertConfig, BertMaskedLM, BertModel
 from repro.mlm.counting import CountingMaskedLM
 from repro.mlm.vocab import Vocabulary
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 # -- model payloads -----------------------------------------------------------

@@ -9,25 +9,23 @@ implement the :class:`MaskedModel` interface:
   self-attention, GELU feed-forward blocks, and an MLM head, trained with
   BERT's 15 % / 80-10-10 masking recipe. This is the faithful (scaled-down)
   reproduction of the paper's model.
-* :class:`CountingMaskedLM` — a bidirectional context-counting model with
-  back-off smoothing. It answers the same queries orders of magnitude
-  faster and is the default backend for full-sweep benchmarks.
+* :class:`CountingMaskedLM` — a bidirectional context-counting model
+  with route tables and a smoothed unigram back-off. It answers the same
+  queries orders of magnitude faster and is the default backend for
+  full-sweep benchmarks.
 """
 
 from repro.mlm.vocab import Vocabulary
 from repro.mlm.base import MaskedModel, TokenProb
 from repro.mlm.counting import CountingMaskedLM
 from repro.mlm.bert import BertConfig, BertMaskedLM, BertModel, TrainingConfig
-from repro.mlm.evaluation import MaskedEvalResult, evaluate_masked_model
 
 __all__ = [
     "BertConfig",
     "BertMaskedLM",
     "BertModel",
     "CountingMaskedLM",
-    "MaskedEvalResult",
     "MaskedModel",
-    "evaluate_masked_model",
     "TokenProb",
     "TrainingConfig",
     "Vocabulary",

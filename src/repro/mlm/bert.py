@@ -51,12 +51,6 @@ class BertConfig:
     num_layers: int = 2
     num_heads: int = 2
     max_seq_len: int = 64
-    share_layers: bool = False
-    """ALBERT-style cross-layer parameter sharing: one transformer block
-    applied ``num_layers`` times. The paper notes "other BERT variants ...
-    can also be used with different adaptations"; this is the cheapest
-    such variant (Lan et al., ICLR 2020) and cuts parameters roughly by
-    the layer count."""
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -173,11 +167,7 @@ class BertModel(Module):
         self.position_embedding = Embedding(config.max_seq_len, d, rng)
         self.embed_norm = LayerNorm(d)
         self.embed_dropout = Dropout(_DROPOUT, rng=np.random.default_rng(config.seed + 303))
-        if config.share_layers:
-            shared = TransformerLayer(config, rng)
-            self.layers = [shared] * config.num_layers
-        else:
-            self.layers = [TransformerLayer(config, rng) for _ in range(config.num_layers)]
+        self.layers = [TransformerLayer(config, rng) for _ in range(config.num_layers)]
         self.mlm_dense = Linear(d, d, rng)
         self.mlm_norm = LayerNorm(d)
         self.mlm_decoder = Linear(d, config.vocab_size, rng)

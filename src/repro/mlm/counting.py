@@ -2,32 +2,29 @@
 
 This backend answers the same masked-token queries as the BERT backend by
 counting, over the training trajectories, which token appears between
-which neighbours. Training records several context templates:
+which neighbours. Training records five context tables:
 
 * ``(left1, right1)`` — the token's two immediate neighbours,
 * ``("dst", left1, future)`` / ``("rdst", right1, past)`` — the *route*
   tables: which token followed/preceded an anchor on trips that also
-  passed a cell up to ``horizon`` steps away (the counting-model analogue
-  of BERT attending to the far gap endpoint),
-* ``(left2, left1)`` / ``(right1, right2)`` directional bigrams and the
-  ``(left1,)`` / ``(right1,)`` unigrams,
+  passed a cell up to :data:`HORIZON` steps away (the counting-model
+  analogue of BERT attending to the far gap endpoint),
+* the ``(left1,)`` / ``(right1,)`` unigrams.
 
-falling back to the global unigram distribution when nothing matched.
-Prediction multiplies the local transition *policy* by the route *value*
-(``scoring="policy_value"``, the default — validated against the additive
-``"interpolation"`` mixture in ``benchmarks/bench_counting_scoring.py``).
-The backend exists because sweeping every figure of the paper with the
-numpy BERT would take hours; system behaviour (candidates + probabilities
-feeding the spatial constraints and beam search) is identical in kind.
+A query for the gap ``left1 .. right1`` multiplies the local transition
+*policy* (``l1``, ``l1r1``, else ``r1``) by the route *value* (``dst`` and
+``rdst``), falling back to the smoothed global unigram distribution when
+no local table matched. The backend exists because sweeping every figure
+of the paper with the numpy BERT would take hours; system behaviour
+(candidates + probabilities feeding the spatial constraints and beam
+search) is identical in kind.
 
-Under ``policy_value`` scoring an answer depends only on the gap endpoints
-``(left1, right1)``, ``top_k`` and the fitted tables, and a search asks
-about the same endpoints many times (one ``bulk_porto`` pass: 31,300
-queries, 5,874 distinct contexts). Each model therefore memoises its
-answers by ``(left1, right1, top_k)``, first in first out, at most
-:data:`ANSWER_MEMO_ENTRIES` of them; :meth:`CountingMaskedLM.fit` empties
-the memo and it is never saved. ``interpolation`` scoring, which also
-reads ``left2`` and ``right2``, is not memoised.
+An answer depends only on the gap endpoints ``(left1, right1)``, ``top_k``
+and the fitted tables, and a search asks about the same endpoints many
+times (one ``bulk_porto`` pass: 31,300 queries, 5,874 distinct contexts).
+Each model therefore memoises its answers by ``(left1, right1, top_k)``,
+first in first out, at most :data:`ANSWER_MEMO_ENTRIES` of them;
+:meth:`CountingMaskedLM.fit` empties the memo and it is never saved.
 """
 
 from __future__ import annotations
@@ -40,35 +37,26 @@ from repro.mlm.base import MaskedModel, TokenProb, validate_mask_query
 
 _ContextKey = tuple
 
-# (template name, weight); specific contexts dominate when they have data.
-_TEMPLATE_WEIGHTS: dict[str, float] = {
-    "l1r1": 6.0,
-    "dst": 4.0,
-    "rdst": 4.0,
-    "l2": 1.5,
-    "r2": 1.5,
-    "l1": 1.0,
-    "r1": 1.0,
-}
-
-DEFAULT_HORIZON = 10
+HORIZON = 10
 """How far ahead/behind the route tables look during training."""
+
+SMOOTHING = 0.1
+"""Additive smoothing of the global unigram back-off."""
 
 ANSWER_MEMO_ENTRIES = 4096
 """Answers one model memoises before dropping the oldest (~2 MB at
 ``top_k=10``, against ~6 MB of count tables for a ``bulk_porto`` model)."""
 
 
-def _training_contexts(
-    tokens: Sequence[int], position: int, horizon: int
-) -> list[_ContextKey]:
+def _training_contexts(tokens: Sequence[int], position: int) -> list[_ContextKey]:
     """Context keys recorded for the token at ``position`` during training.
 
-    Besides the immediate-neighbour templates, two *route* templates give
-    the model the long-range signal that BERT's attention provides:
+    Besides the immediate-neighbour tables, two *route* tables give the
+    model the long-range signal that BERT's attention provides:
 
     * ``("dst", left1, future)`` — the token that followed ``left1`` on
-      trips that later (within ``horizon`` steps) passed through ``future``;
+      trips that later (within :data:`HORIZON` steps) passed through
+      ``future``;
     * ``("rdst", right1, past)`` — the token that preceded ``right1`` on
       trips that earlier passed through ``past``.
 
@@ -81,57 +69,22 @@ def _training_contexts(
     def at(i: int):
         return tokens[i] if 0 <= i < n else None
 
-    left1, left2 = at(position - 1), at(position - 2)
-    right1, right2 = at(position + 1), at(position + 2)
+    left1, right1 = at(position - 1), at(position + 1)
     keys: list[_ContextKey] = []
     if left1 is not None and right1 is not None:
         keys.append(("l1r1", left1, right1))
     if left1 is not None:
-        for d in range(2, horizon + 1):
+        for d in range(2, HORIZON + 1):
             future = at(position + d)
             if future is None:
                 break
             keys.append(("dst", left1, future))
     if right1 is not None:
-        for d in range(2, horizon + 1):
+        for d in range(2, HORIZON + 1):
             past = at(position - d)
             if past is None:
                 break
             keys.append(("rdst", right1, past))
-    if left2 is not None and left1 is not None:
-        keys.append(("l2", left2, left1))
-    if right1 is not None and right2 is not None:
-        keys.append(("r2", right1, right2))
-    if left1 is not None:
-        keys.append(("l1", left1))
-    if right1 is not None:
-        keys.append(("r1", right1))
-    return keys
-
-
-def _query_contexts(tokens: Sequence[int], position: int) -> list[_ContextKey]:
-    """Context keys consulted when predicting ``tokens[position]``.
-
-    The masked position's immediate neighbours are the current gap
-    endpoints; the route tables are queried with that same pair (see
-    :func:`_training_contexts`).
-    """
-    n = len(tokens)
-
-    def at(i: int):
-        return tokens[i] if 0 <= i < n else None
-
-    left1, left2 = at(position - 1), at(position - 2)
-    right1, right2 = at(position + 1), at(position + 2)
-    keys: list[_ContextKey] = []
-    if left1 is not None and right1 is not None:
-        keys.append(("l1r1", left1, right1))
-        keys.append(("dst", left1, right1))
-        keys.append(("rdst", right1, left1))
-    if left2 is not None and left1 is not None:
-        keys.append(("l2", left2, left1))
-    if right1 is not None and right2 is not None:
-        keys.append(("r2", right1, right2))
     if left1 is not None:
         keys.append(("l1", left1))
     if right1 is not None:
@@ -142,28 +95,11 @@ def _query_contexts(tokens: Sequence[int], position: int) -> list[_ContextKey]:
 class CountingMaskedLM(MaskedModel):
     """Masked-token prediction from bidirectional context counts."""
 
-    def __init__(
-        self,
-        smoothing: float = 0.1,
-        horizon: int = DEFAULT_HORIZON,
-        scoring: str = "policy_value",
-    ) -> None:
-        if smoothing <= 0:
-            raise ValueError(f"smoothing must be positive, got {smoothing!r}")
-        if horizon < 2:
-            raise ValueError(f"horizon must be >= 2, got {horizon!r}")
-        if scoring not in ("policy_value", "interpolation"):
-            raise ValueError(
-                f"scoring must be 'policy_value' or 'interpolation', got {scoring!r}"
-            )
-        self.smoothing = smoothing
-        self.horizon = horizon
-        self.scoring = scoring
+    def __init__(self) -> None:
         self._tables: dict[_ContextKey, Counter] = defaultdict(Counter)
         self._unigram: Counter = Counter()
         self._total_tokens = 0
         self._vocab_size = 0
-        self._weights = dict(_TEMPLATE_WEIGHTS)
         self._answers: dict[tuple, tuple[TokenProb, ...]] = {}
 
     # -- MaskedModel interface ---------------------------------------------
@@ -177,7 +113,7 @@ class CountingMaskedLM(MaskedModel):
             for i, token in enumerate(seq):
                 self._unigram[token] += 1
                 self._total_tokens += 1
-                for key in _training_contexts(seq, i, self.horizon):
+                for key in _training_contexts(seq, i):
                     self._tables[key][token] += 1
         return self
 
@@ -199,7 +135,7 @@ class CountingMaskedLM(MaskedModel):
     def predict_masked(
         self, tokens: Sequence[int], position: int, top_k: int = 10
     ) -> list[TokenProb]:
-        """Policy-times-value scoring (validated in tests/benchmarks).
+        """Policy-times-value scoring.
 
         The *policy* term is the local transition evidence — which token
         follows the left gap endpoint ``u`` (and, when populated, which
@@ -217,8 +153,6 @@ class CountingMaskedLM(MaskedModel):
         validate_mask_query(tokens, position)
         if not self.is_fitted:
             raise NotFittedError("CountingMaskedLM.predict_masked before fit")
-        if self.scoring == "interpolation":
-            return self._predict_interpolated(tokens, position, top_k)
 
         n = len(tokens)
         left1 = tokens[position - 1] if position >= 1 else None
@@ -236,7 +170,7 @@ class CountingMaskedLM(MaskedModel):
     def _policy_value(
         self, left1: int | None, right1: int | None, top_k: int
     ) -> list[TokenProb]:
-        """The uncached ``policy_value`` answer for the gap ``left1 .. right1``."""
+        """The uncached answer for the gap ``left1 .. right1``."""
         policy: dict[int, float] = defaultdict(float)
         if left1 is not None:
             for token, p in self._normalized(("l1", left1)).items():
@@ -261,9 +195,9 @@ class CountingMaskedLM(MaskedModel):
             scores = {t: p * (eps + value.get(t, 0.0)) for t, p in policy.items()}
         else:
             # Nothing local at all: global unigram back-off.
-            denom = self._total_tokens + self.smoothing * self._vocab_size
+            denom = self._total_tokens + SMOOTHING * self._vocab_size
             scores = {
-                token: (count + self.smoothing) / denom
+                token: (count + SMOOTHING) / denom
                 for token, count in self._unigram.items()
             }
 
@@ -273,45 +207,11 @@ class CountingMaskedLM(MaskedModel):
         ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
         return [(token, score / total) for token, score in ranked]
 
-    def _predict_interpolated(
-        self, tokens: Sequence[int], position: int, top_k: int
-    ) -> list[TokenProb]:
-        """The additive Jelinek-Mercer mixture over all context tables.
-
-        Kept as the ablation baseline for the default policy-times-value
-        scoring (see ``benchmarks/bench_counting_scoring.py``): route
-        evidence is *added* rather than multiplied, which dilutes the
-        destination signal when local evidence is strong.
-        """
-        scores: dict[int, float] = defaultdict(float)
-        total_weight = 0.0
-        for key in _query_contexts(tokens, position):
-            table = self._tables.get(key)
-            if not table:
-                continue
-            weight = self._weights[key[0]]
-            total_weight += weight
-            denom = sum(table.values()) + self.smoothing * self._vocab_size
-            for token, count in table.items():
-                scores[token] += weight * (count + self.smoothing) / denom
-        if total_weight == 0.0:
-            denom = self._total_tokens + self.smoothing * self._vocab_size
-            total_weight = 1.0
-            scores = {
-                token: (count + self.smoothing) / denom
-                for token, count in self._unigram.items()
-            }
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-        return [(token, score / total_weight) for token, score in ranked]
-
     # -- persistence -------------------------------------------------------
 
     def to_dict(self) -> dict:
         """JSON-serializable dump (context keys flattened to strings)."""
         return {
-            "smoothing": self.smoothing,
-            "horizon": self.horizon,
-            "scoring": self.scoring,
             "vocab_size": self._vocab_size,
             "total_tokens": self._total_tokens,
             "unigram": dict(self._unigram),
@@ -323,11 +223,7 @@ class CountingMaskedLM(MaskedModel):
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CountingMaskedLM":
-        model = cls(
-            smoothing=payload["smoothing"],
-            horizon=payload.get("horizon", DEFAULT_HORIZON),
-            scoring=payload.get("scoring", "policy_value"),
-        )
+        model = cls()
         model._vocab_size = payload["vocab_size"]
         model._total_tokens = payload["total_tokens"]
         model._unigram = Counter({int(k): v for k, v in payload["unigram"].items()})

@@ -69,8 +69,6 @@ from repro.obs.export import (
     render_prometheus,
     spans_to_chrome_trace,
     spans_to_jsonl,
-    write_chrome_trace,
-    write_spans_jsonl,
 )
 from repro.obs.server import ObservabilityServer
 from repro.obs.instrument import (
@@ -113,6 +111,4 @@ __all__ = [
     "stopwatch",
     "trace_scope",
     "tracing_enabled",
-    "write_chrome_trace",
-    "write_spans_jsonl",
 ]

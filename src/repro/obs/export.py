@@ -37,9 +37,7 @@ __all__ = [
     "render_prometheus",
     "spans_to_chrome_trace",
     "chrome_trace_json",
-    "write_chrome_trace",
     "spans_to_jsonl",
-    "write_spans_jsonl",
     "CONTENT_TYPE_PROMETHEUS",
 ]
 
@@ -239,17 +237,6 @@ def chrome_trace_json(
     )
 
 
-def write_chrome_trace(
-    path,
-    roots: Optional[Iterable[Span]] = None,
-    thread_names: Optional[dict[int, str]] = None,
-) -> None:
-    """Write a trace file loadable in Perfetto / ``chrome://tracing``."""
-    with open(path, "w") as handle:
-        handle.write(chrome_trace_json(roots, thread_names=thread_names))
-        handle.write("\n")
-
-
 def spans_to_jsonl(roots: Optional[Iterable[Span]] = None) -> str:
     """One JSON object per root span tree (children nested), one per line.
 
@@ -258,8 +245,3 @@ def spans_to_jsonl(roots: Optional[Iterable[Span]] = None) -> str:
     """
     roots = finished_spans() if roots is None else list(roots)
     return "".join(json.dumps(root.to_dict(), default=str) + "\n" for root in roots)
-
-
-def write_spans_jsonl(path, roots: Optional[Iterable[Span]] = None) -> None:
-    with open(path, "w") as handle:
-        handle.write(spans_to_jsonl(roots))

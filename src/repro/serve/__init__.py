@@ -36,7 +36,7 @@ and ``kamel tail``. See docs/serving.md and docs/observability.md.
 
 The tier is overload-protected (:mod:`repro.serve.overload`): bounded
 per-shard queues that shed the newcomer when full (refusals surface as
-typed :class:`~repro.errors.OverloadError` results), cross-process
+results typed ``error_type="OverloadError"``), cross-process
 request deadlines (expired tasks dropped at dequeue, thin budgets finish
 on cheaper ladder rungs), and a brownout
 controller that caps every shard's degradation ladder under sustained

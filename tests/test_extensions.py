@@ -1,7 +1,6 @@
-"""Tests for the extension features: ALBERT sharing, lat/lon adapters,
-cell-size auto-tuning, and the figure harness at micro scale."""
+"""Tests for the extension features: lat/lon adapters, cell-size
+auto-tuning, and the figure harness at micro scale."""
 
-import numpy as np
 import pytest
 
 from repro.core.tuning import tune_cell_size
@@ -12,47 +11,6 @@ from repro.geo import (
     trajectory_from_latlon,
     trajectory_to_latlon,
 )
-from repro.mlm import BertConfig, BertMaskedLM, TrainingConfig
-from repro.mlm.bert import BertModel
-
-
-class TestAlbertSharing:
-    def test_shared_layers_cut_parameters(self):
-        base = BertConfig(vocab_size=30, hidden_size=32, num_layers=3, num_heads=2)
-        shared = BertConfig(
-            vocab_size=30, hidden_size=32, num_layers=3, num_heads=2, share_layers=True
-        )
-        assert BertModel(shared).num_parameters() < BertModel(base).num_parameters()
-
-    def test_shared_layers_single_block(self):
-        config = BertConfig(
-            vocab_size=30, hidden_size=32, num_layers=4, num_heads=2, share_layers=True
-        )
-        model = BertModel(config)
-        assert len(model.layers) == 4
-        assert all(layer is model.layers[0] for layer in model.layers)
-
-    def test_shared_model_trains(self):
-        rng = np.random.default_rng(0)
-        seqs = []
-        for _ in range(80):
-            start = int(rng.integers(3, 10))
-            seqs.append(list(range(start, min(start + 6, 15))))
-        model = BertMaskedLM(
-            BertConfig(
-                vocab_size=16,
-                hidden_size=32,
-                num_layers=2,
-                num_heads=2,
-                max_seq_len=12,
-                share_layers=True,
-            ),
-            TrainingConfig(epochs=25, seed=0),
-        )
-        model.fit(seqs, vocab_size=16)
-        assert model.loss_history[-1] < model.loss_history[0]
-        predictions = model.predict_masked([6, 0, 8], 1, top_k=3)
-        assert predictions[0][0] == 7
 
 
 class TestLatLonAdapter:

@@ -9,7 +9,6 @@ from repro.geo import (
     LocalProjection,
     Point,
     angle_difference,
-    bearing,
     haversine_m,
     interpolate,
     normalize_angle,
@@ -120,10 +119,6 @@ class TestAngles:
 
     def test_angle_difference_opposite(self):
         assert angle_difference(0.0, math.pi) == pytest.approx(math.pi)
-
-    def test_bearing_function_matches_method(self):
-        a, b = Point(0, 0), Point(1, 1)
-        assert bearing(a, b) == a.bearing_to(b)
 
 
 class TestHaversine:

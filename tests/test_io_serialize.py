@@ -217,7 +217,8 @@ class TestSharedModelFiles:
                     entry["file"] = own
         (older / "manifest.json").write_text(json.dumps(manifest))
         assert len(list((older / "models").iterdir())) == 38
-        assert json.loads((older / "config.json").read_text())["version"] == 2
+        version = json.loads((older / "config.json").read_text())["version"]
+        assert version == serialize._FORMAT_VERSION
 
         parsed = _counting_parses(monkeypatch)
         eager = load_kamel(older)
@@ -235,9 +236,9 @@ class TestErrors:
     def test_version_mismatch_rejected(self, trained_kamel, tmp_path):
         save_kamel(trained_kamel, tmp_path)
         payload = json.loads((tmp_path / "config.json").read_text())
-        # 999: a format from the future; 1: the format whose config.json and
-        # BERT headers still carry the settings retired since.
-        for version in (999, 1):
+        # 999: a format from the future; 1 and 2: formats whose config.json,
+        # BERT headers or counting payloads still carry settings retired since.
+        for version in (999, 1, 2):
             payload["version"] = version
             (tmp_path / "config.json").write_text(json.dumps(payload))
             with pytest.raises(KamelError, match=f"version {version}"):

@@ -344,11 +344,10 @@ class TestBatchPrediction:
     @pytest.mark.parametrize(
         "overrides",
         [
-            dict(share_layers=True),
             dict(num_layers=1),
             dict(num_heads=1),
             dict(num_heads=4),
-            dict(num_layers=3, share_layers=True, num_heads=4),
+            dict(num_layers=3, num_heads=4),
         ],
         ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
     )

@@ -41,11 +41,11 @@ class TestFit:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CountingMaskedLM(smoothing=0.0)
-        with pytest.raises(ValueError):
-            CountingMaskedLM(horizon=1)
-        with pytest.raises(ValueError):
             CountingMaskedLM().fit(FORWARD, 0)
+
+    def test_only_the_tables_the_rule_reads(self):
+        model = fitted(BRANCHING + BACKWARD)
+        assert {key[0] for key in model._tables} == {"l1r1", "dst", "rdst", "l1", "r1"}
 
 
 class TestPredict:
@@ -116,7 +116,7 @@ class TestPersistence:
         model = fitted(BRANCHING)
         restored = CountingMaskedLM.from_dict(model.to_dict())
         assert restored.num_training_tokens == model.num_training_tokens
-        assert restored.horizon == model.horizon
+        assert restored._tables == model._tables
         original = model.predict_masked([5, 0, 8], 1, top_k=5)
         recovered = restored.predict_masked([5, 0, 8], 1, top_k=5)
         assert [t for t, _ in original] == [t for t, _ in recovered]
@@ -172,26 +172,12 @@ class TestPredictionProperties:
         query = [int(t) for t in rng.integers(3, 12, size=5)]
         assert a.predict_masked(query, 2) == b.predict_masked(query, 2)
 
-    def test_interpolation_scoring_also_well_formed(self):
-        model = CountingMaskedLM(scoring="interpolation").fit(BRANCHING, VOCAB)
-        predictions = model.predict_masked([4, 0, 6], 1, top_k=5)
-        probs = [p for _, p in predictions]
-        assert probs == sorted(probs, reverse=True)
-        assert sum(probs) <= 1.0 + 1e-9
-
-    def test_scoring_validation(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            CountingMaskedLM(scoring="magic")
-
 
 class TestBatchPrediction:
     """The counting backend answers a batch through the base-class loop."""
 
-    @pytest.mark.parametrize("scoring", ["policy_value", "interpolation"])
-    def test_batch_equals_scalar(self, scoring):
-        model = CountingMaskedLM(scoring=scoring).fit(BRANCHING + BACKWARD, VOCAB)
+    def test_batch_equals_scalar(self):
+        model = CountingMaskedLM().fit(BRANCHING + BACKWARD, VOCAB)
         queries = [
             ([4, 0, 6], 1),
             ([3, 4, 5, 0, 21, 22], 3),  # another length in the same call
@@ -216,10 +202,9 @@ class TestBatchPrediction:
 
 
 class TestAnswerMemo:
-    """``policy_value`` answers are memoised per model by ``(left1, right1,
-    top_k)``; a memoised answer is always the one a fresh model gives."""
+    """Answers are memoised per model by ``(left1, right1, top_k)``; a
+    memoised answer is always the one a fresh model gives."""
 
-    @pytest.mark.parametrize("scoring", ["policy_value", "interpolation"])
     @pytest.mark.parametrize("cap", [counting.ANSWER_MEMO_ENTRIES, 2])
     @settings(max_examples=25, deadline=None)
     @given(
@@ -238,9 +223,9 @@ class TestAnswerMemo:
         repeats=st.integers(1, 3),
     )
     def test_every_answer_equals_a_fresh_models(
-        self, scoring, cap, sequences, stream, repeats
+        self, cap, sequences, stream, repeats
     ):
-        model = CountingMaskedLM(scoring=scoring).fit(sequences, 16)
+        model = CountingMaskedLM().fit(sequences, 16)
         payload = model.to_dict()
         queries = [
             (tokens, position % len(tokens), top_k) for tokens, position, top_k in stream

@@ -21,8 +21,6 @@ from repro.obs.export import (
     render_prometheus,
     spans_to_chrome_trace,
     spans_to_jsonl,
-    write_chrome_trace,
-    write_spans_jsonl,
 )
 from repro.obs.instrument import METRIC_CATALOG
 from repro.obs.metrics import MetricsRegistry
@@ -202,7 +200,7 @@ class TestChromeTrace:
         parsed = json.loads(chrome_trace_json(finished_spans()))
         assert isinstance(parsed["traceEvents"], list)
         path = tmp_path / "trace.json"
-        write_chrome_trace(path, finished_spans())
+        path.write_text(chrome_trace_json(finished_spans()))
         assert json.loads(path.read_text())["displayTimeUnit"] == "ms"
 
     def test_empty_input(self):
@@ -218,7 +216,7 @@ class TestChromeTrace:
 
 
 class TestJsonl:
-    def test_one_tree_per_line(self, traced, tmp_path):
+    def test_one_tree_per_line(self, traced):
         with trace_scope("aaaabbbbccccdddd"):
             _nested_run()
             _nested_run()
@@ -230,9 +228,6 @@ class TestJsonl:
             assert tree["name"] == "streaming.process"
             assert tree["trace_id"] == "aaaabbbbccccdddd"
             assert len(tree["children"]) == 2
-        path = tmp_path / "spans.jsonl"
-        write_spans_jsonl(path, finished_spans())
-        assert path.read_text() == text
 
     def test_empty(self):
         assert spans_to_jsonl([]) == ""

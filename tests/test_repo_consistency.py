@@ -178,31 +178,45 @@ class TestConfigLiveness:
 
 
 class TestNoDeadPublicNames:
-    """A top-level public name of a ``src/repro`` module is mentioned by
-    something besides its own definition: its module, another module, the
-    benchmark harness, a benchmark or an example. Tests do not count, and
-    neither do the re-exports of a package ``__init__``: a name only tests
-    reach is dead code."""
+    """A top-level public name of a ``src/repro`` module is used by code
+    besides its own definition: its module, another module, the benchmark
+    harness, a benchmark or an example. Only code counts — a ``Name``, an
+    attribute or an imported name — so a docstring, a comment or an
+    ``__all__`` string keeps nothing alive. Tests do not count, and neither
+    do the re-exports of a package ``__init__``: a name only tests reach is
+    dead code."""
 
-    # The test oracle LocalProjection's distances are checked against.
-    EXEMPT = {"haversine_m"}
+    EXEMPT = {
+        "haversine_m": "the test oracle LocalProjection's distances are checked against",
+        "set_registry": "test seam: a test swaps in a fresh MetricsRegistry and restores the old one",
+        "disable_tracing": "test seam: a test that turned tracing on turns it back off",
+    }
 
-    def test_every_public_name_has_a_user(self):
+    @staticmethod
+    def _uses(source: str):
+        """The identifiers ``source`` uses in code."""
         import ast
-        import collections
 
-        src = ROOT / "src" / "repro"
-        modules = [p for p in sorted(src.rglob("*.py")) if p.name != "__init__.py"]
-        readers = [
-            *modules,
-            *(p for top in ("perf", "benchmarks", "examples") for p in (ROOT / top).rglob("*.py")),
-        ]
-        mentions = collections.Counter()
-        for path in readers:
-            mentions.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield from node.name.split(".")
+
+    @classmethod
+    def _dead(cls, modules, readers, exempt=()):
+        """``(module, name)`` for each public top-level name of ``modules``
+        that no code in ``modules`` or ``readers`` uses."""
+        import ast
+
+        used = set()
+        for source in [*modules.values(), *readers]:
+            used.update(cls._uses(source))
         dead = []
-        for path in modules:
-            for node in ast.parse(path.read_text()).body:
+        for module, source in modules.items():
+            for node in ast.parse(source).body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     names = [node.name]
                 elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -211,13 +225,42 @@ class TestNoDeadPublicNames:
                 else:
                     continue
                 dead += [
-                    f"{path.relative_to(ROOT)}: {name}"
+                    (module, name)
                     for name in names
-                    if not name.startswith("_")
-                    and name not in self.EXEMPT
-                    and mentions[name] == 1
+                    if not name.startswith("_") and name not in exempt and name not in used
                 ]
+        return dead
+
+    def test_every_public_name_has_a_user(self):
+        src = ROOT / "src" / "repro"
+        modules = {
+            str(p.relative_to(ROOT)): p.read_text()
+            for p in sorted(src.rglob("*.py"))
+            if p.name != "__init__.py"
+        }
+        readers = [
+            p.read_text()
+            for top in ("perf", "benchmarks", "examples")
+            for p in (ROOT / top).rglob("*.py")
+        ]
+        dead = self._dead(modules, readers, self.EXEMPT)
         assert not dead, f"public names nothing uses: {dead}"
+
+    def test_a_mention_outside_code_keeps_nothing_alive(self):
+        modules = {
+            "lib.py": (
+                '"""Call ``helper`` for the answer."""\n'
+                '__all__ = ["helper"]\n'
+                "def helper():  # helper: see above\n"
+                "    return 1\n"
+                "def used():\n"
+                "    return 2\n"
+            ),
+        }
+        readers = ['"""helper"""\nimport lib\nprint(lib.used())\n']
+        assert self._dead(modules, readers) == [("lib.py", "helper")]
+        readers.append("from lib import helper\n")
+        assert self._dead(modules, readers) == []
 
 
 class TestServeKnobs:

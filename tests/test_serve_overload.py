@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.kamel import Kamel
-from repro.errors import ConfigError, KamelError, OverloadError
+from repro.errors import ConfigError
 from repro.io.serialize import save_kamel
 from repro.obs import instrument as obs
 from repro.obs.metrics import get_registry
@@ -248,13 +248,6 @@ class TestIpcChaos:
             ChaosConfig(stall_after=0)
         with pytest.raises(ValueError):
             ChaosConfig(stall_s=-1.0)
-
-
-class TestOverloadError:
-    def test_is_a_kamel_error_with_context(self):
-        err = OverloadError("OverloadError: shard 3 queue full")
-        assert isinstance(err, KamelError)
-        assert str(err) == "OverloadError: shard 3 queue full"
 
 
 class TestConfigValidation:

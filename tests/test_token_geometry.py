@@ -19,6 +19,7 @@ from repro import Kamel, KamelConfig
 from repro.core.constraints import (
     _REJECTION_COUNTERS,
     ELLIPSE_MIN_SUM_M,
+    LOCAL_DETOUR_SLACK_M,
     SPEED_SLACK,
     GapContext,
     PassthroughConstraints,
@@ -132,7 +133,7 @@ def parent_filter(predicates, cycle, candidates, ctx, segment, insert_pos):
     vocab = ref.tokenizer.vocabulary
     gap_left = ref._centroid(segment[insert_pos])
     gap_right = ref._centroid(segment[insert_pos + 1])
-    local_budget = gap_left.distance_to(gap_right) + ref.config.local_detour_slack_m
+    local_budget = gap_left.distance_to(gap_right) + LOCAL_DETOUR_SLACK_M
     length_budget = predicates.ellipse_distance_sum(ctx)
     current_length = ref._segment_length(segment)
     rejected = dict.fromkeys(_REJECTION_COUNTERS, 0)
