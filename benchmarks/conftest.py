@@ -8,7 +8,11 @@ the substrate here is a synthetic city, not the authors' testbed.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/ --benchmark-disable
+
+which runs every test once, shape assertions included
+(``--benchmark-only`` would skip each test without the ``benchmark``
+fixture).
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from repro.errors import ConfigError
 from repro.eval.figures import ALL_FIGURES, Scale, jakarta_workload, porto_workload
 from repro.eval.harness import ExperimentRunner
 from repro.eval.report import render_table
@@ -105,6 +106,7 @@ def _cmd_impute(args: argparse.Namespace) -> int:
     from repro.geo.adapter import projection_for, trajectory_from_latlon
     from repro.io.csvio import imputed_point_flags, read_latlon_csv, write_latlon_csv
 
+    config = KamelConfig(cell_edge_m=args.cell_size, maxgap_m=args.maxgap)
     logs = []
     for path in (args.train, args.input):
         try:
@@ -123,7 +125,6 @@ def _cmd_impute(args: argparse.Namespace) -> int:
         trajectory_from_latlon(tid, records, projection) for tid, records in sparse_logs
     ]
 
-    config = KamelConfig(cell_edge_m=args.cell_size, maxgap_m=args.maxgap)
     system = Kamel(config).fit(train)
     results = system.impute_batch(sparse)
 
@@ -581,6 +582,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     cleanup: Optional[tempfile.TemporaryDirectory] = None
     try:
+        # Bad flags fail here, before a demo system is trained.
+        config = ServeConfig(
+            workers=args.workers,
+            lru_capacity=args.lru_capacity,
+            journal_dir=args.journal_dir,
+            metrics_port=args.metrics_port,
+            max_queue_depth=args.max_queue_depth,
+            request_deadline_s=(
+                args.request_deadline_ms / 1000.0
+                if args.request_deadline_ms is not None
+                else None
+            ),
+        )
         model_dir = args.model_dir
         if model_dir is None:
             from repro.core.config import KamelConfig
@@ -603,18 +617,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if not feed:
             print("error: nothing to serve (empty input)", file=sys.stderr)
             return 2
-        config = ServeConfig(
-            workers=args.workers,
-            lru_capacity=args.lru_capacity,
-            journal_dir=args.journal_dir,
-            metrics_port=args.metrics_port,
-            max_queue_depth=args.max_queue_depth,
-            request_deadline_s=(
-                args.request_deadline_ms / 1000.0
-                if args.request_deadline_ms is not None
-                else None
-            ),
-        )
         pool = ServingPool(model_dir, config)
         print(
             f"serving {len(feed)} trajectories across {args.workers} "
@@ -882,6 +884,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     epilogue_rc = 0
     try:
         rc = args.func(args)
+    except ConfigError as exc:
+        # A bad flag value from any verb: one line, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        rc = 2
     finally:
         # Snapshots are written even when the subcommand raised, but
         # an unwritable --metrics-out path must be a clean non-zero exit,

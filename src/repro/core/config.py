@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigError
 
@@ -25,7 +24,9 @@ class KamelConfig:
     ellipse slack and floor and the per-insertion detour slack
     (:mod:`repro.core.constraints`), the DBSCAN feature scales
     (:mod:`repro.core.detokenization`) and the reduced rungs' budgets
-    (:mod:`repro.resilience.ladder`).
+    (:mod:`repro.resilience.ladder`). The speed ellipse's bound is not a
+    setting: it is always inferred from the training data, as in the
+    paper (:func:`repro.core.kamel.infer_max_speed`).
     """
 
     # -- Tokenization (Section 3) --
@@ -67,18 +68,6 @@ class KamelConfig:
     # -- Spatial constraints (Section 5) --
     use_constraints: bool = True
     """Ablation switch: False accepts every model prediction (Fig. 12-VI)."""
-    max_speed_mps: Optional[float] = None
-    """Speed-ellipse bound; ``None`` infers it from training data (paper:
-    "a fixed speed inferred from its training trajectory data")."""
-    speed_mode: str = "fixed"
-    """``"fixed"`` uses the single inferred/fleet-wide maximum speed
-    (paper default). ``"adaptive"`` implements the paper's mentioned
-    alternative: "consider the speed of the preceding imputed segment
-    multiplied by a conservative factor" — each segment's ellipse is
-    bounded by the previous segment's observed speed times
-    ``adaptive_speed_factor`` (falling back to the fixed bound when no
-    preceding segment exists)."""
-    adaptive_speed_factor: float = 1.5
     cone_half_angle_deg: float = 45.0
     cycle_window: int = 6
     """x: maximum repeated-suffix length checked by cycle prevention."""
@@ -111,12 +100,6 @@ class KamelConfig:
     def __post_init__(self) -> None:
         if self.grid_type not in ("hex", "square"):
             raise ConfigError(f"grid_type must be 'hex' or 'square', got {self.grid_type!r}")
-        if self.speed_mode not in ("fixed", "adaptive"):
-            raise ConfigError(
-                f"speed_mode must be 'fixed' or 'adaptive', got {self.speed_mode!r}"
-            )
-        if self.adaptive_speed_factor <= 0:
-            raise ConfigError("adaptive_speed_factor must be positive")
         if self.model_backend not in ("counting", "bert"):
             raise ConfigError(
                 f"model_backend must be 'counting' or 'bert', got {self.model_backend!r}"

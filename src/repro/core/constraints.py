@@ -47,9 +47,6 @@ class GapContext:
     dest_time: Optional[float] = None
     prev_token: Optional[int] = None
     next_token: Optional[int] = None
-    reference_speed_mps: Optional[float] = None
-    """Observed speed of the preceding imputed segment, for the paper's
-    adaptive speed-constraint variant (``KamelConfig.speed_mode``)."""
 
 
 def creates_cycle(tokens: Sequence[int], insert_pos: int, candidate: int, window: int) -> bool:
@@ -330,20 +327,7 @@ class SpatialConstraints:
         if ctx.source_time is None or ctx.dest_time is None:
             return floor
         time_diff = abs(ctx.dest_time - ctx.source_time)
-        speed_bound = self.max_speed_mps
-        if (
-            self.config.speed_mode == "adaptive"
-            and ctx.reference_speed_mps is not None
-            and ctx.reference_speed_mps > 0
-        ):
-            # The paper's alternative bound: the preceding segment's speed
-            # times a conservative factor, never exceeding the fleet-wide
-            # maximum (a traffic jam should tighten, not loosen, physics).
-            speed_bound = min(
-                self.max_speed_mps,
-                ctx.reference_speed_mps * self.config.adaptive_speed_factor,
-            )
-        return max(floor, speed_bound * time_diff * SPEED_SLACK)
+        return max(floor, self.max_speed_mps * time_diff * SPEED_SLACK)
 
     def _frame(self, ctx: GapContext) -> _SegmentFrame:
         centroid = self._centroid

@@ -133,14 +133,6 @@ class SegmentImputation:
 
     interior: Optional[tuple[int, ...]]
     model_calls: int
-    confidence: Optional[float] = None
-    """The strategy's own score for the returned sequence (see
-    :attr:`repro.core.result.SegmentOutcome.confidence`)."""
-    point_confidences: tuple[float, ...] = ()
-    """Per-interior-token confidences, aligned with ``interior``: the
-    model probability of the candidate chosen at each position (under the
-    winning beam, for beam search). Empty for failed segments and for the
-    trivial no-gap case; otherwise ``len == len(interior)``."""
 
     @property
     def failed(self) -> bool:
@@ -386,9 +378,7 @@ class IterativeImputer(SegmentImputer):
     ) -> Search[SegmentImputation]:
         path = search.path((ctx.source, ctx.dest))
         gaps = self.open_gaps(path.hops)
-        probs: list[float] = []
         calls = 0
-        probability = 1.0
         while gaps:
             pointer = gaps[0]
             answered = yield from self._candidates(
@@ -397,21 +387,10 @@ class IterativeImputer(SegmentImputer):
             calls += len(answered)
             if not answered or not answered[0]:  # out of budget, or no candidate
                 return SegmentImputation(None, calls)
-            best_token, best_prob = answered[0][0]
-            probability *= best_prob
-            # Token position pointer+1 holds interior index pointer (the
-            # source endpoint occupies position 0), so probs tracks interior.
+            best_token, _ = answered[0][0]
             path = search.extend(path, pointer, best_token)
-            probs.insert(pointer, best_prob)
             gaps = self._gaps_after_insert(gaps, pointer, path.hops)
-        interior = path.tokens[1:-1]
-        normalized = probability * max(1, len(interior)) ** self.config.length_norm_alpha
-        return SegmentImputation(
-            interior,
-            calls,
-            confidence=min(1.0, normalized),
-            point_confidences=tuple(probs),
-        )
+        return SegmentImputation(path.tokens[1:-1], calls)
 
 
 @dataclass(slots=True)
@@ -422,8 +401,6 @@ class _Partial:
     gaps: tuple[int, ...]
     """Its open gap positions; the next round asks about each."""
     prob: float
-    probs: tuple[float, ...]
-    """Per-interior-token probabilities, aligned with ``path.tokens[1:-1]``."""
 
 
 class BeamSearchImputer(SegmentImputer):
@@ -449,10 +426,10 @@ class BeamSearchImputer(SegmentImputer):
         root = search.path((ctx.source, ctx.dest))
         root_gaps = self.open_gaps(root.hops)
         if not root_gaps:
-            return SegmentImputation((), 0, confidence=1.0)
+            return SegmentImputation((), 0)
 
-        frontier: list[_Partial] = [_Partial(root, root_gaps, 1.0, ())]
-        answers: list[tuple[tuple[int, ...], float, tuple[float, ...]]] = []
+        frontier: list[_Partial] = [_Partial(root, root_gaps, 1.0)]
+        answers: list[tuple[tuple[int, ...], float]] = []
         prob_limit = float("-inf")
         calls = 0
 
@@ -468,11 +445,11 @@ class BeamSearchImputer(SegmentImputer):
             calls += len(answered)
             # A child is its parent plus one token: kept as that until it
             # has survived the round, so only survivors are ever built.
-            children: list[tuple[float, _Partial, int, int, float]] = []
+            children: list[tuple[float, _Partial, int, int]] = []
             for (partial, pointer), candidates in zip(beams, answered):
                 prob = partial.prob
                 for token, p in candidates[:beam_size]:
-                    children.append((prob * p, partial, pointer, token, p))
+                    children.append((prob * p, partial, pointer, token))
 
             # Keep the global top-B children, pruned against the best
             # completed normalized score as it stood when the round began:
@@ -485,29 +462,22 @@ class BeamSearchImputer(SegmentImputer):
             bound = prob_limit
 
             frontier = []
-            for prob, partial, pointer, token, p in children[:beam_size]:
+            for prob, partial, pointer, token in children[:beam_size]:
                 if prob * norm < bound:
                     break
                 path = search.extend(partial.path, pointer, token)
                 gaps = self._gaps_after_insert(partial.gaps, pointer, path.hops)
-                # Token position pointer+1 is interior index pointer.
-                probs = partial.probs[:pointer] + (p,) + partial.probs[pointer:]
                 if not gaps:
                     score = self._normalized(path.tokens, prob)
-                    answers.append((path.tokens, score, probs))
+                    answers.append((path.tokens, score))
                     prob_limit = max(prob_limit, score)
                 else:
-                    frontier.append(_Partial(path, gaps, prob, probs))
+                    frontier.append(_Partial(path, gaps, prob))
 
         if not answers:
             return SegmentImputation(None, calls)
-        best_seg, best_score, best_probs = max(answers, key=lambda sp: sp[1])
-        return SegmentImputation(
-            best_seg[1:-1],
-            calls,
-            confidence=min(1.0, best_score),
-            point_confidences=best_probs,
-        )
+        best_seg, _ = max(answers, key=itemgetter(1))
+        return SegmentImputation(best_seg[1:-1], calls)
 
 
 class SinglePointImputer(SegmentImputer):
@@ -531,7 +501,7 @@ class SinglePointImputer(SegmentImputer):
     ) -> Search[SegmentImputation]:
         path = search.path((ctx.source, ctx.dest))
         if not self.open_gaps(path.hops):
-            return SegmentImputation((), 0, confidence=1.0)
+            return SegmentImputation((), 0)
         # The budget is at least one call (config validation), so the
         # single question is always answered.
         [candidates] = yield from self._candidates(
@@ -539,12 +509,7 @@ class SinglePointImputer(SegmentImputer):
         )
         if not candidates:
             return SegmentImputation(None, 1)
-        return SegmentImputation(
-            (candidates[0][0],),
-            1,
-            confidence=candidates[0][1],
-            point_confidences=(candidates[0][1],),
-        )
+        return SegmentImputation((candidates[0][0],), 1)
 
 
 def make_segment_imputer(

@@ -198,8 +198,7 @@ class Kamel(Imputer):
         self._training_trajectories.extend(trajectories)
 
         cfg = self.config
-        inferred = infer_max_speed(self._training_trajectories)
-        self.max_speed_mps = cfg.max_speed_mps or inferred
+        self.max_speed_mps = infer_max_speed(self._training_trajectories)
         constraints_cls = SpatialConstraints if cfg.use_constraints else PassthroughConstraints
         self.constraints = constraints_cls(self.tokenizer, cfg, self.max_speed_mps)
 
@@ -353,26 +352,9 @@ class Kamel(Imputer):
             trajectory_model = None
 
         # The gap segments run in lockstep: each round, one model
-        # invocation per model for all of them. A segment joins once its
-        # GapContext is final. Under the fixed speed bound that is at once,
-        # so every gap is a lane of its own. Under the adaptive bound its
-        # ellipse reads the imputed speed of the gap just before it, so a
-        # run of consecutive gaps is one lane, entered at the speed of the
-        # short hop before it.
+        # invocation per model for all of them. Every gap is a lane of its
+        # own, since its GapContext reads only observed points.
         gapped = [a.distance_to(b) > cfg.maxgap_m for a, b in zip(points, points[1:])]
-        adaptive = cfg.speed_mode == "adaptive"
-        runs: list[list[int]] = []
-        entry_speeds: list[Optional[float]] = []
-        for i, gap in enumerate(gapped):
-            if not gap:
-                continue
-            if adaptive and i and gapped[i - 1]:
-                runs[-1].append(i)  # waits for the gap before it
-            else:
-                runs.append([i])
-                entry_speeds.append(
-                    _segment_speed([points[i - 1], points[i]]) if adaptive and i else None
-                )
         # Each point is tokenized at most once, when a segment first needs
         # it: a point is an endpoint of two segments and a neighbour of two
         # more. The tokenizer is read per call, never kept.
@@ -384,11 +366,11 @@ class Kamel(Imputer):
                 token = tokens[i] = self.tokenizer.token_for_point(points[i])
             return token
 
-        lanes = run_lockstep([
-            self._lane(points, token_at, run, speed, trajectory_model, deadline, max_rung)
-            for run, speed in zip(runs, entry_speeds)
-        ])
-        settled = iter([segment for lane in lanes for segment in lane])
+        settled = iter(run_lockstep([
+            self._impute_segment(i, points, token_at, trajectory_model, deadline, max_rung)
+            for i, gap in enumerate(gapped)
+            if gap
+        ]))
 
         out_points: list[Point] = [points[0]]
         outcomes: list[SegmentOutcome] = []
@@ -415,35 +397,12 @@ class Kamel(Imputer):
             trajectory.with_points(out_points), tuple(outcomes)
         )
 
-    def _lane(
-        self,
-        points: Sequence[Point],
-        token_at: Callable[[int], int],
-        run: list[int],
-        reference_speed: Optional[float],
-        trajectory_model: Optional[MaskedModel],
-        deadline: Optional[Deadline],
-        max_rung: Optional[str],
-    ) -> Search[list[tuple[list[Point], SegmentOutcome]]]:
-        """The gap segments ``run`` one after another, each on the speed
-        the one before it settled at (``reference_speed`` for the first)."""
-        settled = []
-        for i in run:
-            interior, outcome = yield from self._impute_segment(
-                i, points, token_at, trajectory_model, reference_speed, deadline, max_rung
-            )
-            settled.append((interior, outcome))
-            if not outcome.failed:
-                reference_speed = _segment_speed([points[i], *interior, points[i + 1]])
-        return settled
-
     def _impute_segment(
         self,
         index: int,
         points: Sequence[Point],
         token_at: Callable[[int], int],
         trajectory_model: Optional[MaskedModel],
-        reference_speed: Optional[float] = None,
         deadline: Optional[Deadline] = None,
         max_rung: Optional[str] = None,
     ) -> Search[tuple[list[Point], SegmentOutcome]]:
@@ -488,7 +447,6 @@ class Kamel(Imputer):
             dest_time=b.t,
             prev_token=prev_token,
             next_token=next_token,
-            reference_speed_mps=reference_speed,
         )
 
         # Walk the degradation ladder top-down. Any rung error — deadline,
@@ -550,20 +508,13 @@ class Kamel(Imputer):
                     )
                 interior_points = _assign_times(a, b, interior_points)
                 DegradationLadder.record(rung)
-                # Detokenization is 1:1 token -> point, so the per-token
-                # scores carry over; the length check guards the invariant.
-                point_confs = result.point_confidences
-                if len(point_confs) != len(interior_points):
-                    point_confs = ()
                 return interior_points, SegmentOutcome(
                     index,
                     False,
                     calls_spent,
                     len(interior_points),
-                    confidence=result.confidence,
                     rung=rung,
                     fallback_reason=reason if rung != RUNG_FULL else None,
-                    point_confidences=point_confs,
                 )
             return linear(reason or "search_failed", calls_spent)
 
@@ -635,17 +586,6 @@ class Kamel(Imputer):
     def __repr__(self) -> str:
         state = "fitted" if self._fitted else "unfitted"
         return f"Kamel({state}, backend={self.config.model_backend!r})"
-
-
-def _segment_speed(points: list[Point]) -> Optional[float]:
-    """Average travel speed over a point chain (None without timestamps)."""
-    if len(points) < 2 or points[0].t is None or points[-1].t is None:
-        return None
-    duration = points[-1].t - points[0].t
-    if duration <= 0:
-        return None
-    length = sum(u.distance_to(v) for u, v in zip(points, points[1:]))
-    return length / duration
 
 
 def _linear_interior(a: Point, b: Point, maxgap_m: float) -> list[Point]:

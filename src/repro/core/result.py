@@ -24,12 +24,6 @@ class SegmentOutcome:
     budget counts, however the queries were executed (batched rounds and
     candidate-memo hits included)."""
     imputed_points: int = 0
-    confidence: Optional[float] = None
-    """The imputer's own score for this segment: the length-normalized
-    sequence probability for beam search, the product of chosen candidate
-    probabilities for iterative calling. ``None`` for failed segments and
-    for imputers that do not score (baselines). Comparable within one
-    system configuration, not across methods."""
     rung: Optional[str] = None
     """Which degradation-ladder rung resolved this segment (see
     :mod:`repro.resilience.ladder`): ``"full"``, ``"reduced_beam"``,
@@ -40,21 +34,10 @@ class SegmentOutcome:
     """Why the segment left the top rung, one of
     :data:`repro.resilience.ladder.FALLBACK_REASONS`; ``None`` at the top
     rung."""
-    point_confidences: tuple[float, ...] = ()
-    """Per-imputed-point confidences, aligned with the segment's imputed
-    points in trajectory order: the model probability of the candidate
-    chosen at each position (detokenization is 1:1 token → point, so the
-    token-level scores carry over). Empty for failed segments and for
-    imputers that do not score per point (baselines, linear fallback);
-    otherwise ``len == imputed_points``."""
 
     def __post_init__(self) -> None:
         if self.rung is None:
             object.__setattr__(self, "rung", "linear" if self.failed else "full")
-        if not isinstance(self.point_confidences, tuple):
-            object.__setattr__(
-                self, "point_confidences", tuple(self.point_confidences)
-            )
 
     @property
     def degraded(self) -> bool:
@@ -108,17 +91,6 @@ class ImputationResult:
     @property
     def total_model_calls(self) -> int:
         return sum(s.model_calls for s in self.segments)
-
-    @property
-    def point_confidences(self) -> dict[int, tuple[float, ...]]:
-        """Per-point confidences of every scored segment, keyed by the
-        segment's ``start_index`` (segments without per-point scores —
-        failures, baselines — are omitted)."""
-        return {
-            s.start_index: s.point_confidences
-            for s in self.segments
-            if s.point_confidences
-        }
 
 
 class Imputer(abc.ABC):

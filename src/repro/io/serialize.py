@@ -44,7 +44,7 @@ from repro.mlm.bert import BertConfig, BertMaskedLM, BertModel
 from repro.mlm.counting import CountingMaskedLM
 from repro.mlm.vocab import Vocabulary
 
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 
 # -- model payloads -----------------------------------------------------------

@@ -94,6 +94,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
+        if self.lru_capacity < 1:
+            raise ConfigError(f"lru_capacity must be >= 1, got {self.lru_capacity!r}")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ConfigError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth!r}"

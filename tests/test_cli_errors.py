@@ -173,3 +173,33 @@ class TestImputeInputErrors:
         captured = _no_traceback(capsys)
         assert f"{train}:3: bad coordinate" in captured.err
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestBadFlagValues:
+    """A value the verb's config rejects is an ``error:`` line and exit 2,
+    checked before any training or pool start."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "0"], "workers must be >= 1"),
+            (["--lru-capacity", "0"], "lru_capacity must be >= 1"),
+        ],
+        ids=["workers", "lru_capacity"],
+    )
+    def test_serve(self, capsys, flags, message):
+        args = ["serve", "--demo", "--trajectories", "4", "--train-trajectories", "30"]
+        assert main(args + flags) == 2
+        captured = _no_traceback(capsys)
+        assert f"error: {message}" in captured.err
+        assert "training the demo serving system" not in captured.err
+
+    def test_impute(self, tmp_path, capsys):
+        csv = tmp_path / "trips.csv"
+        csv.write_text("traj_id,lat,lon,t\na,41.15,-8.61,0\na,41.16,-8.62,60\n")
+        args = ["impute", "--train", str(csv), "--input", str(csv),
+                "--output", str(tmp_path / "out.csv"), "--cell-size", "0"]
+        assert main(args) == 2
+        captured = _no_traceback(capsys)
+        assert "error: cell_edge_m must be positive" in captured.err
+        assert not (tmp_path / "out.csv").exists()

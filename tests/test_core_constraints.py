@@ -31,7 +31,7 @@ def setup():
         "far": (5000.0, 5000.0),
     }.items():
         tokens[name] = tokenizer.vocabulary.add(tokenizer.grid.cell_of(Point(x, y)))
-    config = KamelConfig(max_speed_mps=15.0)
+    config = KamelConfig()
     constraints = SpatialConstraints(tokenizer, config, max_speed_mps=15.0)
     return tokenizer, tokens, constraints, config
 

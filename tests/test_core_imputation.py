@@ -90,7 +90,7 @@ def world():
     for c in list(tokenizer.vocabulary)[3:]:
         for n in tokenizer.grid.neighbors(c):
             tokenizer.vocabulary.add(n)
-    config = KamelConfig(max_speed_mps=20.0, top_k_candidates=6, beam_size=4)
+    config = KamelConfig(top_k_candidates=6, beam_size=4)
     constraints = SpatialConstraints(tokenizer, config, max_speed_mps=20.0)
     model = CorridorModel(tokenizer)
     return tokenizer, config, constraints, model, corridor, spacing
@@ -382,7 +382,7 @@ def _patch_world(model_seed, **config):
     tokens = {
         (q, r): tokenizer.vocabulary.add((q, r)) for q in range(8) for r in range(3)
     }
-    cfg = KamelConfig(max_speed_mps=30.0, top_k_candidates=5, **config)
+    cfg = KamelConfig(top_k_candidates=5, **config)
     constraints = SpatialConstraints(tokenizer, cfg, max_speed_mps=30.0)
     return tokenizer, cfg, constraints, SeededModel(tokenizer, model_seed), tokens
 
@@ -398,9 +398,7 @@ def _scalar_candidates(imputer, seg, i, ctx):
 def _scalar_iterative(imputer, ctx):
     """Algorithm 1 as it ran before rounds: one model call per step."""
     seg = [ctx.source, ctx.dest]
-    probs = []
     calls = 0
-    probability = 1.0
     budget = imputer._call_budget(ctx)
     pointer = parent_find_first_gap(imputer, seg)
     while pointer is not None:
@@ -410,16 +408,10 @@ def _scalar_iterative(imputer, ctx):
         calls += 1
         if not candidates:
             return SegmentImputation(None, calls)
-        best_token, best_prob = candidates[0]
-        probability *= best_prob
+        best_token, _ = candidates[0]
         seg.insert(pointer + 1, best_token)
-        probs.insert(pointer, best_prob)
         pointer = parent_find_first_gap(imputer, seg)
-    interior = tuple(seg[1:-1])
-    normalized = probability * max(1, len(interior)) ** imputer.config.length_norm_alpha
-    return SegmentImputation(
-        interior, calls, confidence=min(1.0, normalized), point_confidences=tuple(probs)
-    )
+    return SegmentImputation(tuple(seg[1:-1]), calls)
 
 
 def parent_normalized(imputer, seg, prob):
@@ -434,49 +426,46 @@ def _scalar_beam(imputer, ctx):
     initial = (ctx.source, ctx.dest)
     first_gap = parent_find_first_gap(imputer, initial)
     if first_gap is None:
-        return SegmentImputation((), 0, confidence=1.0)
-    all_gaps = [(initial, 1.0, first_gap, ())]
+        return SegmentImputation((), 0)
+    all_gaps = [(initial, 1.0, first_gap)]
     answers = []
     prob_limit = float("-inf")
     calls = 0
     budget = imputer._call_budget(ctx)
     while all_gaps:
         new_segments = []
-        for beam_seg, beam_prob, pointer, beam_probs in all_gaps:
+        for beam_seg, beam_prob, pointer in all_gaps:
             if calls >= budget:
                 break
             candidates = _scalar_candidates(imputer, beam_seg, pointer, ctx)
             calls += 1
             for token, p in candidates[: cfg.beam_size]:
                 seg = beam_seg[: pointer + 1] + (token,) + beam_seg[pointer + 1 :]
-                probs = beam_probs[:pointer] + (p,) + beam_probs[pointer:]
-                new_segments.append((seg, beam_prob * p, probs))
+                new_segments.append((seg, beam_prob * p))
         if calls >= budget and not new_segments:
             break
         new_segments.sort(key=lambda sp: -sp[1])
         survivors = [
-            (seg, prob, probs)
-            for seg, prob, probs in new_segments
+            (seg, prob)
+            for seg, prob in new_segments
             if parent_normalized(imputer, seg, prob) >= prob_limit
         ][: cfg.beam_size]
         all_gaps = []
-        for seg, prob, probs in survivors:
+        for seg, prob in survivors:
             gaps = parent_find_gaps(imputer, seg)
             if not gaps:
                 score = parent_normalized(imputer, seg, prob)
-                answers.append((seg, score, probs))
+                answers.append((seg, score))
                 prob_limit = max(prob_limit, score)
             else:
                 for g in gaps:
-                    all_gaps.append((seg, prob, g, probs))
+                    all_gaps.append((seg, prob, g))
         if calls >= budget:
             break
     if not answers:
         return SegmentImputation(None, calls)
-    best_seg, best_score, best_probs = max(answers, key=lambda sp: sp[1])
-    return SegmentImputation(
-        best_seg[1:-1], calls, confidence=min(1.0, best_score), point_confidences=best_probs
-    )
+    best_seg, _ = max(answers, key=lambda sp: sp[1])
+    return SegmentImputation(best_seg[1:-1], calls)
 
 
 class TestRoundsMatchScalarLoops:
@@ -506,7 +495,7 @@ class TestRoundsMatchScalarLoops:
 
         got = imputer.impute_segment(ctx)
 
-        assert got == expected  # interior, model_calls, confidence, point_confidences
+        assert got == expected  # interior, model_calls
         assert got.model_calls <= budget
         # Fewer rows reach the model (repeats come from the memo) ...
         assert model.queries <= scalar_queries == expected.model_calls
@@ -710,9 +699,7 @@ class TestAblationsGoThroughTheState:
             expected = _scalar_iterative(imputer, ctx)
         else:
             first = _scalar_candidates(imputer, (ctx.source, ctx.dest), 0, ctx)
-            expected = SegmentImputation(
-                (first[0][0],), 1, confidence=first[0][1], point_confidences=(first[0][1],)
-            )
+            expected = SegmentImputation((first[0][0],), 1)
         model.queries = 0
 
         seen = []
@@ -742,10 +729,10 @@ class ParentRoundBeamSearch(BeamSearchImputer):
         root = search.path((ctx.source, ctx.dest))
         root_gaps = self.open_gaps(root.hops)
         if not root_gaps:
-            return SegmentImputation((), 0, confidence=1.0)
+            return SegmentImputation((), 0)
 
-        frontier: list[_Partial] = [_Partial(root, root_gaps, 1.0, ())]
-        answers: list[tuple[tuple[int, ...], float, tuple[float, ...]]] = []
+        frontier: list[_Partial] = [_Partial(root, root_gaps, 1.0)]
+        answers: list[tuple[tuple[int, ...], float]] = []
         prob_limit = float("-inf")
         calls = 0
 
@@ -761,11 +748,11 @@ class ParentRoundBeamSearch(BeamSearchImputer):
             calls += len(answered)
             # A child is its parent plus one token: kept as that until it
             # has survived the round, so only survivors are ever built.
-            children: list[tuple[float, _Partial, int, int, float]] = []
+            children: list[tuple[float, _Partial, int, int]] = []
             for (partial, pointer), candidates in zip(beams, answered):
                 prob = partial.prob
                 for token, p in candidates[:beam_size]:
-                    children.append((prob * p, partial, pointer, token, p))
+                    children.append((prob * p, partial, pointer, token))
 
             # Keep the global top-B children, pruned against the best
             # completed normalized score so far. Every round inserts one
@@ -775,27 +762,20 @@ class ParentRoundBeamSearch(BeamSearchImputer):
             survivors = [child for child in children if child[0] * norm >= prob_limit]
 
             frontier = []
-            for prob, partial, pointer, token, p in survivors[:beam_size]:
+            for prob, partial, pointer, token in survivors[:beam_size]:
                 path = search.extend(partial.path, pointer, token)
                 gaps = self._gaps_after_insert(partial.gaps, pointer, path.hops)
-                # Token position pointer+1 is interior index pointer.
-                probs = partial.probs[:pointer] + (p,) + partial.probs[pointer:]
                 if not gaps:
                     score = self._normalized(path.tokens, prob)
-                    answers.append((path.tokens, score, probs))
+                    answers.append((path.tokens, score))
                     prob_limit = max(prob_limit, score)
                 else:
-                    frontier.append(_Partial(path, gaps, prob, probs))
+                    frontier.append(_Partial(path, gaps, prob))
 
         if not answers:
             return SegmentImputation(None, calls)
-        best_seg, best_score, best_probs = max(answers, key=lambda sp: sp[1])
-        return SegmentImputation(
-            best_seg[1:-1],
-            calls,
-            confidence=min(1.0, best_score),
-            point_confidences=best_probs,
-        )
+        best_seg, _ = max(answers, key=lambda sp: sp[1])
+        return SegmentImputation(best_seg[1:-1], calls)
 
 
 class TableModel(MaskedModel):
@@ -880,4 +860,3 @@ class TestBeamRoundMatchesParentRound:
         got = BeamSearchImputer(model, tokenizer, constraints, cfg).impute_segment(ctx)
         assert got == expected
         assert got.interior == (x, y) and got.model_calls == 2
-        assert got.confidence == pytest.approx(0.72)

@@ -184,16 +184,6 @@ class TestCountingEdges:
         assert model.predict_masked([3, 0, 5], 1, top_k=0) == []
 
 
-class TestConfidencePropagation:
-    def test_segment_imputation_confidence_bounds(self, small_split, trained_kamel):
-        _, test = small_split
-        for t in test[:4]:
-            result = trained_kamel.impute(t.sparsify(450.0))
-            for outcome in result.segments:
-                if outcome.confidence is not None:
-                    assert 0.0 < outcome.confidence <= 1.0
-
-
 class TestStoreAfterLoadImputes:
     def test_loaded_system_supports_add_training(self, trained_kamel, small_split, tmp_path):
         """The persisted trajectory store must support further enrichment."""

@@ -38,6 +38,19 @@ class TestDocs:
         for example in sorted((ROOT / "examples").glob("*.py")):
             assert example.name in readme, f"{example.name} missing from README"
 
+    def test_readme_names_only_existing_benchmarks_and_examples(self):
+        """The other direction: a file README names must exist, whether as
+        ``bench_*.py``, ``examples/*.py`` or a bullet of the examples list."""
+        readme = (ROOT / "README.md").read_text()
+        named = [
+            *(ROOT / "benchmarks" / name for name in re.findall(r"\bbench_\w+\.py", readme)),
+            *(ROOT / "examples" / name for name in re.findall(r"examples/(\w+\.py)", readme)),
+            *(ROOT / "examples" / name for name in re.findall(r"^\* `(\w+\.py)`", readme, re.M)),
+        ]
+        assert len(named) > 20  # the patterns still match README's layout
+        for path in named:
+            assert path.is_file(), f"README names {path.relative_to(ROOT)}, which does not exist"
+
     def test_design_md_mentions_every_subpackage(self):
         design = (ROOT / "DESIGN.md").read_text()
         src = ROOT / "src" / "repro"

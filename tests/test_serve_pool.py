@@ -253,6 +253,11 @@ class TestServingPool:
         with pytest.raises(ConfigError, match="workers"):
             ServeConfig(workers=0)
 
+    def test_lru_capacity_validated(self):
+        """A zero-capacity LRU would kill every worker on its first model."""
+        with pytest.raises(ConfigError, match="lru_capacity"):
+            ServeConfig(lru_capacity=0)
+
 
 class TestPoolMetricsServerStub:
     class _StubPool:

@@ -80,17 +80,7 @@ class ParentConstraints:
         if ctx.source_time is None or ctx.dest_time is None:
             return floor
         time_diff = abs(ctx.dest_time - ctx.source_time)
-        speed_bound = self.max_speed_mps
-        if (
-            self.config.speed_mode == "adaptive"
-            and ctx.reference_speed_mps is not None
-            and ctx.reference_speed_mps > 0
-        ):
-            speed_bound = min(
-                self.max_speed_mps,
-                ctx.reference_speed_mps * self.config.adaptive_speed_factor,
-            )
-        return max(floor, speed_bound * time_diff * SPEED_SLACK)
+        return max(floor, self.max_speed_mps * time_diff * SPEED_SLACK)
 
     def within_speed_ellipse(self, candidate, ctx):
         c = self._centroid(candidate)
@@ -250,7 +240,6 @@ def filter_cases(draw):
         dest_time=draw(st.floats(0.0, 1e4)) if timed else None,
         prev_token=prev_token,
         next_token=next_token,
-        reference_speed_mps=draw(st.one_of(st.none(), st.floats(0.0, 40.0))),
     )
     interior = draw(st.lists(token, min_size=0, max_size=10))
     segment = (source, *interior, dest)
@@ -264,10 +253,7 @@ def filter_cases(draw):
     # Specials, the cone apexes and their references, and a duplicate.
     forced = [0, 2, source, dest, *(t for t in (prev_token, next_token) if t is not None)]
     candidates = drawn + [(t, 0.5) for t in forced] + drawn[:1]
-    config = KamelConfig(
-        speed_mode=draw(st.sampled_from(["fixed", "adaptive"])),
-        cycle_window=draw(st.integers(1, 6)),
-    )
+    config = KamelConfig(cycle_window=draw(st.integers(1, 6)))
     return tokenizer, config, ctx, segment, candidates
 
 
