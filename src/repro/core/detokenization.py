@@ -103,7 +103,7 @@ class Detokenizer:
         xs = np.array([r[0] for r in rows])
         ys = np.array([r[1] for r in rows])
         dirs = np.array([r[2] for r in rows])
-        data_centroid = Point(float(xs.mean()), float(ys.mean()))
+        data_centroid = Point(xs.mean(), ys.mean())
         if len(rows) < cfg.dbscan_min_samples:
             return CellClusters((), data_centroid, len(rows))
 
@@ -125,7 +125,7 @@ class Detokenizer:
             members = labels == label
             clusters.append(
                 DirectionalCluster(
-                    Point(float(xs[members].mean()), float(ys[members].mean())),
+                    Point(xs[members].mean(), ys[members].mean()),
                     _circular_mean(dirs[members]),
                     int(members.sum()),
                 )

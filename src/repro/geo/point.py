@@ -17,11 +17,24 @@ class Point:
     ``x`` and ``y`` are meters in an arbitrary but consistent local frame
     (east and north of some origin). ``t`` is a POSIX-style timestamp in
     seconds; ``None`` for purely spatial points (e.g. cell centroids).
+
+    All three fields are Python ``float`` (``t`` may be ``None``), however
+    they were computed: a numpy scalar is converted once, here, so no
+    per-point step or pickle downstream pays numpy's scalar overhead.
+    ``float()`` of a ``numpy.float64`` is exact, so no coordinate moves.
     """
 
     x: float
     y: float
     t: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if type(self.x) is not float:
+            object.__setattr__(self, "x", float(self.x))
+        if type(self.y) is not float:
+            object.__setattr__(self, "y", float(self.y))
+        if self.t is not None and type(self.t) is not float:
+            object.__setattr__(self, "t", float(self.t))
 
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance to ``other`` in meters."""

@@ -218,6 +218,9 @@ class ServingPool:
         self._incarnations = 0
         self._byes: set[int] = set()
         self._outstanding: dict[str, _Pending] = {}
+        # Ids _declare_lost wrote off that no result has reached yet: the
+        # first one to arrive moves its id from declared_lost to completed.
+        self._written_off: set[str] = set()
         # Per-shard depth: the shard's entries in _outstanding (queued
         # plus the one task its worker is on), from submit to result or
         # write-off. Admission, brownout and the gauge all read it.
@@ -532,6 +535,9 @@ class ServingPool:
             self.stats.duplicates += 1
             obs.count("repro.serve.duplicate_results_total")
             return
+        if traj_id in self._written_off:
+            self._written_off.discard(traj_id)
+            self.stats.declared_lost -= 1
         handle_epoch = time.time()
         self.results[traj_id] = message
         expired = bool(message.get("expired"))
@@ -700,7 +706,9 @@ class ServingPool:
         ``drain()`` reflect reality instead of waiting out the timeout)
         and count them.
         A straggler result already in the pipe is still accepted by
-        ``_handle_result`` — it just no longer has a pending entry.
+        ``_handle_result``: the first one for a written-off id moves it
+        from ``declared_lost`` back to completed (or expired); a later one
+        is a duplicate.
         """
         lost = [
             traj_id
@@ -711,6 +719,7 @@ class ServingPool:
             return
         for traj_id in lost:
             del self._outstanding[traj_id]
+        self._written_off.update(lost)
         self._depths[shard] = 0
         self.stats.declared_lost += len(lost)
         obs.count("repro.serve.lost_total", len(lost))

@@ -1,9 +1,11 @@
 """Unit and property tests for repro.geo.point."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.geo import (
     LocalProjection,
@@ -16,6 +18,15 @@ from repro.geo import (
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+# Every non-NaN double (±0.0, subnormals, the largest finite values and
+# the infinities among them) and the kinds of number that reach a Point.
+doubles = st.floats(allow_nan=False)
+coordinates = st.one_of(
+    doubles,
+    doubles.map(np.float64),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.integers(min_value=-(2**1000), max_value=2**1000),
+)
 
 
 class TestPoint:
@@ -64,6 +75,47 @@ class TestPoint:
     def test_triangle_inequality(self, x1, y1, x2, y2):
         a, b, origin = Point(x1, y1), Point(x2, y2), Point(0, 0)
         assert a.distance_to(b) <= a.distance_to(origin) + origin.distance_to(b) + 1e-6
+
+
+class TestFloatFields:
+    """A Point's fields are Python floats with the bits ``float()`` gives."""
+
+    @given(coordinates, coordinates, st.none() | coordinates)
+    @example(0.0, -0.0, None)
+    @example(np.float64(-0.0), np.float64(5e-324), np.float64(-5e-324))
+    @example(np.float64(1.7976931348623157e308), -(2**1000), np.float32(-0.0))
+    def test_fields_are_floats_with_the_same_bits(self, x, y, t):
+        p = Point(x, y, t)
+        assert type(p.x) is float and type(p.y) is float
+        if t is None:
+            assert p.t is None
+        else:
+            assert type(p.t) is float
+        fields = (p.x, p.y, 0.0 if t is None else p.t)
+        expected = (float(x), float(y), 0.0 if t is None else float(t))
+        assert struct.pack("<ddd", *fields) == struct.pack("<ddd", *expected)
+
+    @given(doubles, doubles, st.none() | doubles)
+    @example(-0.0, 5e-324, None)
+    def test_numpy_scalars_make_the_same_point(self, x, y, t):
+        from_numpy = Point(
+            np.float64(x), np.float64(y), None if t is None else np.float64(t)
+        )
+        assert from_numpy == Point(x, y, t)
+        assert hash(from_numpy) == hash(Point(x, y, t))
+
+    def test_derived_points_are_floats(self):
+        a = Point(np.float64(1.5), np.float64(-2.0), np.float64(3.0))
+        b = Point(np.float64(4.0), np.float64(6.0))
+        derived = [
+            a.offset(np.float64(1.0), np.float64(2.0)),
+            a.with_time(np.float64(9.0)),
+            a.midpoint(b),
+            interpolate(a, b, np.float64(0.25)),
+        ]
+        for p in derived:
+            assert type(p.x) is float and type(p.y) is float
+            assert p.t is None or type(p.t) is float
 
 
 class TestInterpolate:

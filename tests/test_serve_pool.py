@@ -11,11 +11,13 @@ the expensive multiprocess test runs once.
 import json
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.streaming import StreamingConfig, StreamingImputationService
 from repro.errors import ConfigError
+from repro.geo import Point, Trajectory
 from repro.io.serialize import load_kamel, save_kamel
 from repro.obs.metrics import MetricsRegistry, get_registry, merge_snapshots
 from repro.obs.export import render_prometheus
@@ -23,6 +25,7 @@ from repro.obs.server import ObservabilityServer
 from repro.resilience.journal import trajectory_to_payload
 from repro.serve import ServeConfig, ServingPool
 from repro.serve.aggregate import pool_routes, render_pool_metrics
+from repro.serve.protocol import result_message
 
 
 @pytest.fixture(scope="module")
@@ -303,3 +306,52 @@ class TestPoolMetricsServerStub:
         assert server.running and server.port > 0
         server.stop()
         assert not server.running
+
+
+class TestWriteOffAccounting:
+    """The pool's bookkeeping for written-off work, on a pool whose
+    workers never start: task queues are lists, results are handed to
+    ``_handle_result`` directly."""
+
+    @pytest.fixture
+    def pool(self, tmp_path):
+        (tmp_path / "config.json").write_text(
+            json.dumps({"grid_type": "hex", "cell_edge_m": 100.0})
+        )
+        pool = ServingPool(str(tmp_path), ServeConfig(workers=1))
+        pool._started = True
+        pool._task_queues = [SimpleNamespace(put=lambda envelope: None)]
+        return pool
+
+    @staticmethod
+    def _accounted(pool):
+        s = pool.stats
+        return (s.completed + s.shed + s.expired + s.declared_lost
+                + pool.outstanding)
+
+    @staticmethod
+    def _result(traj_id, **overrides):
+        return result_message(0, 1, traj_id, 0.0, trace_id="trace", **overrides)
+
+    def test_straggler_after_write_off_counts_once(self, pool):
+        for i in range(3):
+            pool.submit(Trajectory(f"t{i}", (Point(0.0, 0.0, 0.0),)))
+        pool._handle_result(self._result("t0"))
+        pool._declare_lost(0)
+        assert pool.stats.declared_lost == 2
+        assert self._accounted(pool) == pool.stats.submitted == 3
+
+        pool._handle_result(self._result("t1"))
+        assert (pool.stats.completed, pool.stats.declared_lost) == (2, 1)
+        assert self._accounted(pool) == pool.stats.submitted
+
+        pool._handle_result(self._result("t1"))
+        assert pool.stats.duplicates == 1
+        assert (pool.stats.completed, pool.stats.declared_lost) == (2, 1)
+        assert self._accounted(pool) == pool.stats.submitted
+        assert pool.stats.lost == 1
+
+        pool._handle_result(self._result("t2", expired=True))
+        assert (pool.stats.expired, pool.stats.declared_lost) == (1, 0)
+        assert self._accounted(pool) == pool.stats.submitted
+        assert pool.stats.lost == 0
