@@ -534,12 +534,22 @@ def _serve_feed(args: argparse.Namespace, model_dir: str) -> list:
     from repro.resilience.journal import trajectory_from_payload
 
     if args.input:
-        feed = []
+        feed, first_line = [], {}
         with open(args.input) as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 line = line.strip()
-                if line:
-                    feed.append(trajectory_from_payload(json.loads(line)))
+                if not line:
+                    continue
+                trajectory = trajectory_from_payload(json.loads(line))
+                # The pool answers one result per id: a repeat would be
+                # refused in flight, or replace the first one's result.
+                seen = first_line.setdefault(trajectory.traj_id, number)
+                if seen != number:
+                    raise ConfigError(
+                        f"{args.input}:{number}: traj_id "
+                        f"{trajectory.traj_id!r} repeats line {seen}"
+                    )
+                feed.append(trajectory)
         return feed
     from repro.roadnet import SimulatorConfig, TrajectorySimulator
     from repro.roadnet.datasets import make_porto_like

@@ -14,8 +14,8 @@ over packed cell bytes, ``PYTHONHASHSEED``-independent).
   said once: ``ServeConfig``, ``WorkerSpec``, the ``TaskEnvelope`` a
   task queue carries, and the one ``result_message`` constructor.
 * :mod:`repro.serve.worker` / :mod:`repro.serve.pool` — the worker
-  loop and the parent-side pool: spawn, route, dedupe,
-  detect-death-and-respawn with per-shard journal replay. One
+  loop and the parent-side pool: spawn, route, detect-death-and-respawn
+  with per-shard journal replay, books in :mod:`repro.serve.ledger`. One
   pool-owned receiver thread accepts results as they arrive, so none of
   that waits for the caller's next call.
 * :mod:`repro.serve.aggregate` — fleet-wide ``/metrics`` + ``/healthz``

@@ -1,7 +1,7 @@
 """Overload protection for the sharded serving tier.
 
 Peak throughput does not decide availability — overload behavior does.
-Admission is one rule in :meth:`repro.serve.pool.ServingPool.submit`: a
+Admission is one rule in :meth:`repro.serve.ledger.Ledger.submit`: a
 shard holding ``max_queue_depth`` outstanding requests sheds the
 newcomer as a typed ``OverloadError`` result — accounted, never lost.
 This module holds the other pool-side piece, **brownout control**:

@@ -1,4 +1,4 @@
-"""The sharded serving pool: router, worker lifecycle, result accounting.
+"""The sharded serving pool: router, worker lifecycle, result collection.
 
 :class:`ServingPool` is the parent-side half of ``repro.serve``. It
 spawns one worker process per shard (``multiprocessing`` ``spawn``
@@ -8,7 +8,8 @@ submitted trajectory to the shard a hash of its root cell names
 
 Delivery semantics are **at-least-once from workers, exactly-once to the
 caller**: a worker journals each task and may re-send results after a
-crash-and-replay, and the pool deduplicates by trajectory id. A worker
+crash-and-replay, and the pool's :class:`~repro.serve.ledger.Ledger`
+deduplicates by trajectory id. A worker
 that dies (detected via ``Process.is_alive`` on the receiver's tick) is
 replaced by a new incarnation on the *same* task queue with
 ``recover=True``, so it first replays its shard journal — the
@@ -53,7 +54,6 @@ import pathlib
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
 from multiprocessing.connection import wait as wait_readable
 from typing import Callable, Iterator, Optional, Union
 
@@ -68,14 +68,9 @@ from repro.obs.metrics import get_registry, merge_snapshots
 from repro.obs.server import ObservabilityServer
 from repro.obs.tracing import Span, clock_offset, new_trace_id
 from repro.serve.aggregate import pool_routes
+from repro.serve.ledger import OUTSTANDING, Ledger, PoolStats, Submission
 from repro.serve.overload import BrownoutController
-from repro.serve.protocol import (
-    TRACE_MAX_ROOTS,
-    ServeConfig,
-    TaskEnvelope,
-    WorkerSpec,
-    result_message,
-)
+from repro.serve.protocol import TRACE_MAX_ROOTS, ServeConfig, TaskEnvelope, WorkerSpec
 from repro.serve.worker import worker_main
 
 __all__ = ["PoolStats", "ServeConfig", "ServingPool", "stable_shard"]
@@ -123,56 +118,6 @@ class _SyncQueue:
         self._writer.close()
 
 
-@dataclass
-class PoolStats:
-    """Fleet-wide accounting over one pool lifetime."""
-
-    submitted: int = 0
-    completed: int = 0
-    duplicates: int = 0
-    journal_replayed: int = 0
-    worker_deaths: int = 0
-    errors: int = 0
-    quarantined: int = 0
-    trips: int = 0
-    segments: int = 0
-    failed_segments: int = 0
-    degraded_segments: int = 0
-    model_calls: int = 0
-    declared_lost: int = 0
-    """Trajectories explicitly written off when their shard was retired
-    with no replacement worker."""
-    shed: int = 0
-    """Requests refused by admission control — surfaced as typed
-    ``OverloadError`` results, never lost."""
-    expired: int = 0
-    """Requests whose deadline passed while queued; the worker dropped
-    them on dequeue without doing the work."""
-    peak_queue_depth: int = 0
-    """Deepest any single shard's outstanding work ever got (the bound
-    the overload tests assert against ``max_queue_depth``)."""
-    rungs: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def lost(self) -> int:
-        """Submitted trajectories never accounted for (should be 0).
-
-        Shed and expired requests are *accounted*: every submission ends
-        up exactly one of completed / shed / expired / lost."""
-        return max(0, self.submitted - self.completed - self.shed - self.expired)
-
-
-@dataclass(frozen=True)
-class _Pending:
-    """What the pool remembers about one in-flight trajectory."""
-
-    shard: int
-    submitted_pc: float
-    """Submit time on this process's perf_counter clock (latency base)."""
-    submit_epoch: float
-    """Submit wall clock (the cross-process queue-wait base)."""
-
-
 def stable_shard(cell: Cell, num_partitions: int) -> int:
     """Deterministic shard for a grid cell: BLAKE2b over its packed bytes.
 
@@ -202,11 +147,9 @@ class ServingPool:
         # config — no model file is parsed in the parent.
         saved = json.loads(pathlib.Path(model_dir, "config.json").read_text())
         self._grid = make_grid(saved["grid_type"], saved["cell_edge_m"])
-        self.stats = PoolStats()
-        self.results: dict[str, dict] = {}
-        self.worker_processed: dict[int, int] = {
-            shard: 0 for shard in range(self.config.workers)
-        }
+        self.ledger = Ledger(self.config.workers, self.config.max_queue_depth)
+        self.stats = self.ledger.stats
+        self.worker_processed = self.ledger.processed
         self.worker_snapshots: dict[int, dict] = {}
         self.worker_lru: dict[int, dict] = {}
         # spawn: no inherited state, the same behavior on every platform.
@@ -217,14 +160,6 @@ class ServingPool:
         self._revives: dict[int, int] = {}
         self._incarnations = 0
         self._byes: set[int] = set()
-        self._outstanding: dict[str, _Pending] = {}
-        # Ids _declare_lost wrote off that no result has reached yet: the
-        # first one to arrive moves its id from declared_lost to completed.
-        self._written_off: set[str] = set()
-        # Per-shard depth: the shard's entries in _outstanding (queued
-        # plus the one task its worker is on), from submit to result or
-        # write-off. Admission, brownout and the gauge all read it.
-        self._depths = [0] * self.config.workers
         self._control = None
         self.brownout: Optional[BrownoutController] = (
             BrownoutController(self.config.brownout)
@@ -338,26 +273,18 @@ class ServingPool:
         With ``max_queue_depth`` set, a newcomer to a full shard is shed:
         it still returns its shard, and lands in ``results`` as a typed
         ``OverloadError`` entry instead of being queued (never silently
-        dropped).
+        dropped). An id whose earlier submission is still outstanding is
+        refused with :class:`~repro.errors.ConfigError`.
         """
         if not self._started:
             raise ConfigError("pool not started (use start() or a with-block)")
         with self._lock:
             self._raise_if_receiver_failed()
             shard = self.shard_for(trajectory)
-            self.stats.submitted += 1
-            obs.count("repro.serve.submitted_total")
-            max_depth = self.config.max_queue_depth
-            if max_depth is not None and self._depths[shard] >= max_depth:
-                self._shed(trajectory.traj_id, shard)
+            admitted = self.ledger.submit(trajectory.traj_id, shard)
+            if admitted is None:
                 return shard
-            submit_epoch = time.time()
-            self._outstanding[trajectory.traj_id] = _Pending(
-                shard=shard,
-                submitted_pc=time.perf_counter(),
-                submit_epoch=submit_epoch,
-            )
-            self._depths[shard] += 1
+            submit_epoch = admitted.submit_epoch
             budget_s = self.config.request_deadline_s
             self._task_queues[shard].put(
                 TaskEnvelope(
@@ -368,33 +295,7 @@ class ServingPool:
                     deadline_budget_s=budget_s,
                 )
             )
-            self._note_depth()
             return shard
-
-    # -- admission control ---------------------------------------------------
-
-    def _shed(self, traj_id: str, shard: int) -> None:
-        """Refuse one request: account it and surface a typed error result."""
-        self.stats.shed += 1
-        obs.count("repro.serve.shed_total")
-        # Never reached a worker: no worker id, no dequeue time.
-        self.results[traj_id] = result_message(
-            shard, None, traj_id, None,
-            shed=True,
-            error=f"OverloadError: shard {shard} queue full",
-            error_type="OverloadError",
-        )
-        _log.warning(
-            "request shed by admission control",
-            extra={"data": {"traj_id": traj_id, "shard": shard}},
-        )
-
-    def _note_depth(self) -> None:
-        """Refresh the queue-depth gauge and the peak-depth stat."""
-        self.stats.peak_queue_depth = max(
-            self.stats.peak_queue_depth, max(self._depths)
-        )
-        obs.gauge("repro.serve.queue_depth").set(sum(self._depths))
 
     # -- brownout ------------------------------------------------------------
 
@@ -403,7 +304,7 @@ class ServingPool:
         by its own interval) and publish a level change to the workers."""
         if self.brownout is None:
             return
-        new_level = self.brownout.evaluate(max(self._depths))
+        new_level = self.brownout.evaluate(max(self.ledger.depths))
         if new_level is not None and self._control is not None:
             self._control.value = new_level
 
@@ -420,7 +321,13 @@ class ServingPool:
 
     @property
     def outstanding(self) -> int:
-        return len(self._outstanding)
+        return self.ledger.outstanding
+
+    @property
+    def results(self) -> dict[str, dict]:
+        """``traj_id -> result message`` so far (a copy, read under the lock)."""
+        with self._lock:
+            return self.ledger.results()
 
     def drain(self, timeout: Optional[float] = None) -> dict[str, dict]:
         """Wait until every submitted trajectory has a result (or timeout).
@@ -434,15 +341,15 @@ class ServingPool:
         if timeout is None:
             timeout = self.config.drain_timeout_s
         with self._lock:
-            if not self._wait_for(lambda: not self._outstanding, timeout):
+            if not self._wait_for(lambda: not self.ledger.outstanding, timeout):
                 _log.error(
                     "drain timed out with unaccounted trajectories",
                     extra={"data": {
-                        "outstanding": len(self._outstanding),
-                        "ids": sorted(self._outstanding)[:10],
+                        "outstanding": self.ledger.outstanding,
+                        "ids": sorted(self.ledger.ids(OUTSTANDING))[:10],
                     }},
                 )
-            return dict(self.results)
+            return self.ledger.results()
 
     def process_all(
         self, trajectories, timeout: Optional[float] = None
@@ -481,7 +388,6 @@ class ServingPool:
                         self._check_workers()
                         next_tick = time.monotonic() + RECEIVER_TICK_S
                     self._brownout_tick()
-                    self._note_depth()
                     self._cond.notify_all()
                 if self._wake_reader in woken:
                     return
@@ -522,66 +428,22 @@ class ServingPool:
                 self._byes.add(message["shard"])
                 self.worker_lru[message["shard"]] = message["lru"]
 
-    def _handle_result(self, message: dict) -> None:
-        traj_id = message["traj_id"]
-        # A straggler for written-off work has no pending entry any more.
-        pending = self._outstanding.pop(traj_id, None)
-        if pending is not None:
-            self._depths[pending.shard] -= 1
-        if traj_id in self.results:
-            # At-least-once delivery: a replayed task can re-send a result
-            # the dead worker already delivered. Exactly-once is restored
-            # here, by id.
-            self.stats.duplicates += 1
-            obs.count("repro.serve.duplicate_results_total")
-            return
-        if traj_id in self._written_off:
-            self._written_off.discard(traj_id)
-            self.stats.declared_lost -= 1
-        handle_epoch = time.time()
-        self.results[traj_id] = message
-        expired = bool(message.get("expired"))
-        if expired:
-            self.stats.expired += 1
-        else:
-            self.stats.completed += 1
-            obs.count("repro.serve.results_total")
-        shard = message["shard"]
-        latency_s = None
-        if pending is not None and not expired:
-            # Expired tasks are excluded from the latency histogram: the
-            # accepted-request p50/p99 is the SLA signal, and a deadline
-            # miss is already counted on its own metric.
-            latency_s = time.perf_counter() - pending.submitted_pc
-            obs.observe("repro.serve.latency_seconds", latency_s)
-        self.worker_processed[shard] = self.worker_processed.get(shard, 0) + 1
-        if message["replayed"]:
-            self.stats.journal_replayed += 1
-        if message["error"] and not expired:
-            self.stats.errors += 1
-        if message["quarantined"]:
-            self.stats.quarantined += 1
-        self.stats.trips += len(message["trips"])
-        self.stats.segments += message["segments"]
-        self.stats.failed_segments += message["failed"]
-        self.stats.degraded_segments += message["degraded"]
-        self.stats.model_calls += message["model_calls"]
-        for rung, count in message["rungs"].items():
-            self.stats.rungs[rung] = self.stats.rungs.get(rung, 0) + count
-        if pending is not None and latency_s is not None:
-            self._attribute(message, pending, latency_s, handle_epoch)
-
     # -- tail-latency attribution -------------------------------------------
 
-    def _attribute(
-        self,
-        message: dict,
-        pending: _Pending,
-        latency_s: float,
-        handle_epoch: float,
-    ) -> None:
-        """Derive the request's stage breakdown, feed the flight recorder,
-        and (tracing on) merge the shipped span tree into ``trace_roots``."""
+    def _handle_result(self, message: dict) -> None:
+        """Hand a result to the ledger; for a request settled in time,
+        derive its stage breakdown, feed the flight recorder, and (tracing
+        on) merge the shipped span tree into ``trace_roots``."""
+        handle_epoch = time.time()
+        pending = self.ledger.deliver(message)
+        # Expired tasks are excluded from the latency histogram: the
+        # accepted-request p50/p99 is the SLA signal, and a deadline miss
+        # is already counted on its own metric. So is a straggler for
+        # written-off work: its shard was retired.
+        if pending is None or pending.state != OUTSTANDING or message.get("expired"):
+            return
+        latency_s = time.perf_counter() - pending.submitted_pc
+        obs.observe("repro.serve.latency_seconds", latency_s)
         process_s = message["process_s"]
         start_epoch = message["start_epoch"]
         queue_wait = start_epoch - pending.submit_epoch
@@ -619,7 +481,7 @@ class ServingPool:
     def _request_tree(
         self,
         record: FlightRecord,
-        pending: _Pending,
+        pending: Submission,
         roots: list[Span],
         process_s: float,
         start_epoch: float,
@@ -670,7 +532,7 @@ class ServingPool:
             if shard in self._byes:
                 # Retired: whatever was routed here since can't complete
                 # either, and must not keep drain() waiting.
-                self._declare_lost(shard)
+                self.ledger.write_off(shard)
                 continue
             proc.join(timeout=1.0)
             self.stats.worker_deaths += 1
@@ -695,43 +557,7 @@ class ServingPool:
                 self._spawn(shard, recover=True)
             else:
                 self._byes.add(shard)
-                self._declare_lost(shard)
-
-    def _declare_lost(self, shard: int) -> None:
-        """Write off a retired shard's in-flight work.
-
-        No worker will ever drain this shard's queue again, so its
-        outstanding trajectories can't complete: drop them from the
-        outstanding map and the shard's depth (so ``queue_depth`` and
-        ``drain()`` reflect reality instead of waiting out the timeout)
-        and count them.
-        A straggler result already in the pipe is still accepted by
-        ``_handle_result``: the first one for a written-off id moves it
-        from ``declared_lost`` back to completed (or expired); a later one
-        is a duplicate.
-        """
-        lost = [
-            traj_id
-            for traj_id, pending in self._outstanding.items()
-            if pending.shard == shard
-        ]
-        if not lost:
-            return
-        for traj_id in lost:
-            del self._outstanding[traj_id]
-        self._written_off.update(lost)
-        self._depths[shard] = 0
-        self.stats.declared_lost += len(lost)
-        obs.count("repro.serve.lost_total", len(lost))
-        self._note_depth()
-        _log.error(
-            "shard retired with in-flight work; declaring it lost",
-            extra={"data": {
-                "shard": shard,
-                "lost": len(lost),
-                "ids": sorted(lost)[:10],
-            }},
-        )
+                self.ledger.write_off(shard)
 
     # -- shutdown ----------------------------------------------------------
 
@@ -826,7 +652,7 @@ class ServingPool:
                         "alive": proc.is_alive(),
                         "pid": proc.pid,
                         "processed": self.worker_processed.get(shard, 0),
-                        "queue_depth": self._depths[shard],
+                        "queue_depth": self.ledger.depths[shard],
                     }
                 )
             alive = all(w["alive"] for w in workers) if workers else False
@@ -837,7 +663,7 @@ class ServingPool:
                 "status": "ok" if healthy else "degraded",
                 "submitted": self.stats.submitted,
                 "completed": self.stats.completed,
-                "outstanding": len(self._outstanding),
+                "outstanding": self.ledger.outstanding,
                 "duplicates": self.stats.duplicates,
                 "worker_deaths": self.stats.worker_deaths,
                 "journal_replayed": self.stats.journal_replayed,

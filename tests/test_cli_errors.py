@@ -194,6 +194,20 @@ class TestBadFlagValues:
         assert f"error: {message}" in captured.err
         assert "training the demo serving system" not in captured.err
 
+    def test_serve_repeated_traj_id(self, tmp_path, capsys):
+        """The pool answers one result per id: a repeated ``traj_id`` is
+        refused before any worker starts, not summarised as ``lost 1``."""
+        feed = tmp_path / "sparse.jsonl"
+        line = {"traj_id": "a", "points": [[0.0, 0.0, 0.0], [100.0, 0.0, 60.0]]}
+        other = dict(line, traj_id="b")
+        feed.write_text("\n".join(json.dumps(p) for p in (line, other, line)) + "\n")
+        args = ["serve", "--model-dir", str(tmp_path / "model"), "--input", str(feed)]
+        assert main(args) == 2
+        captured = _no_traceback(capsys)
+        lines = captured.err.strip().splitlines()
+        assert lines == [f"error: {feed}:3: traj_id 'a' repeats line 1"]
+        assert captured.out == ""
+
     def test_impute(self, tmp_path, capsys):
         csv = tmp_path / "trips.csv"
         csv.write_text("traj_id,lat,lon,t\na,41.15,-8.61,0\na,41.16,-8.62,60\n")

@@ -11,13 +11,11 @@ the expensive multiprocess test runs once.
 import json
 import urllib.error
 import urllib.request
-from types import SimpleNamespace
 
 import pytest
 
 from repro.core.streaming import StreamingConfig, StreamingImputationService
 from repro.errors import ConfigError
-from repro.geo import Point, Trajectory
 from repro.io.serialize import load_kamel, save_kamel
 from repro.obs.metrics import MetricsRegistry, get_registry, merge_snapshots
 from repro.obs.export import render_prometheus
@@ -310,18 +308,21 @@ class TestPoolMetricsServerStub:
 
 class TestWriteOffAccounting:
     """The pool's bookkeeping for written-off work, on a pool whose
-    workers never start: task queues are lists, results are handed to
-    ``_handle_result`` directly."""
+    workers never start: submissions, results and the write-off go
+    through ``pool.ledger``; the books are read off the pool."""
 
     @pytest.fixture
-    def pool(self, tmp_path):
+    def make_pool(self, tmp_path):
         (tmp_path / "config.json").write_text(
             json.dumps({"grid_type": "hex", "cell_edge_m": 100.0})
         )
-        pool = ServingPool(str(tmp_path), ServeConfig(workers=1))
-        pool._started = True
-        pool._task_queues = [SimpleNamespace(put=lambda envelope: None)]
-        return pool
+        return lambda **config: ServingPool(
+            str(tmp_path), ServeConfig(workers=1, **config)
+        )
+
+    @pytest.fixture
+    def pool(self, make_pool):
+        return make_pool()
 
     @staticmethod
     def _accounted(pool):
@@ -335,23 +336,74 @@ class TestWriteOffAccounting:
 
     def test_straggler_after_write_off_counts_once(self, pool):
         for i in range(3):
-            pool.submit(Trajectory(f"t{i}", (Point(0.0, 0.0, 0.0),)))
-        pool._handle_result(self._result("t0"))
-        pool._declare_lost(0)
+            pool.ledger.submit(f"t{i}", 0)
+        pool.ledger.deliver(self._result("t0"))
+        pool.ledger.write_off(0)
         assert pool.stats.declared_lost == 2
         assert self._accounted(pool) == pool.stats.submitted == 3
 
-        pool._handle_result(self._result("t1"))
+        pool.ledger.deliver(self._result("t1"))
         assert (pool.stats.completed, pool.stats.declared_lost) == (2, 1)
         assert self._accounted(pool) == pool.stats.submitted
 
-        pool._handle_result(self._result("t1"))
+        pool.ledger.deliver(self._result("t1"))
         assert pool.stats.duplicates == 1
         assert (pool.stats.completed, pool.stats.declared_lost) == (2, 1)
         assert self._accounted(pool) == pool.stats.submitted
         assert pool.stats.lost == 1
 
-        pool._handle_result(self._result("t2", expired=True))
+        pool.ledger.deliver(self._result("t2", expired=True))
         assert (pool.stats.expired, pool.stats.declared_lost) == (1, 0)
         assert self._accounted(pool) == pool.stats.submitted
         assert pool.stats.lost == 0
+
+    def test_resubmit_while_outstanding_is_refused(self, make_pool):
+        """A second submit of an in-flight id once leaked a unit of shard
+        depth: after both results, depth 1 with nothing in flight, ``lost``
+        1, and a bounded shard shedding its next newcomer."""
+        bounded = make_pool(max_queue_depth=2)
+        assert bounded.ledger.submit("a", 0)
+        with pytest.raises(ConfigError, match="already outstanding"):
+            bounded.ledger.submit("a", 0)
+        assert (bounded.stats.submitted, bounded.outstanding) == (1, 1)
+        bounded.ledger.deliver(self._result("a"))
+        bounded.ledger.deliver(self._result("a"))
+        assert bounded.ledger.depths == [0]
+        assert (bounded.stats.completed, bounded.stats.duplicates) == (1, 1)
+        assert bounded.stats.lost == 0
+        assert bounded.ledger.submit("b", 0) and bounded.ledger.submit("c", 0)
+        assert bounded.stats.shed == 0
+        assert self._accounted(bounded) == bounded.stats.submitted == 3
+
+    def test_retry_after_shed_is_served(self, make_pool):
+        """Retrying a shed request (what its ``OverloadError`` invites)
+        once had its served result thrown away as a duplicate."""
+        bounded = make_pool(max_queue_depth=1)
+        assert bounded.ledger.submit("a", 0)
+        assert bounded.ledger.submit("b", 0) is None  # shed
+        assert bounded.results["b"]["error_type"] == "OverloadError"
+        bounded.ledger.deliver(self._result("a"))
+        assert bounded.ledger.submit("b", 0)
+        bounded.ledger.deliver(self._result("b"))
+        assert bounded.results["b"]["error"] is None
+        assert "shed" not in bounded.results["b"]
+        s = bounded.stats
+        books = (s.submitted, s.completed, s.shed, s.duplicates, s.lost)
+        assert books == (3, 2, 1, 0, 0)
+        assert self._accounted(bounded) == s.submitted
+
+    def test_result_for_an_id_never_submitted_is_refused(self, pool):
+        """A revived worker replaying another lifetime's journal once had
+        its stale result counted ``completed``, hiding a request that was
+        really outstanding behind ``lost == 0``."""
+        pool.ledger.submit("a", 0)
+        pool.ledger.submit("b", 0)
+        pool.ledger.deliver(self._result("a"))
+        pool.ledger.deliver(self._result("stale"))
+        s = pool.stats
+        assert (s.submitted, s.completed, pool.outstanding, s.lost) == (2, 1, 1, 1)
+        assert s.unsolicited == 1
+        assert "stale" not in pool.results
+        assert self._accounted(pool) == s.submitted
+        pool.ledger.deliver(self._result("b"))
+        assert (s.completed, s.lost) == (2, 0)

@@ -141,7 +141,11 @@ class TestShardRetirementDeclaresLost:
         pool, _, _ = retired_run
         counter = get_registry().get("repro.serve.lost_total")
         assert counter is not None
-        assert counter.value == pool.stats.declared_lost
+        # The counter counts every write-off; a straggler that settles
+        # one after all moves it out of declared_lost only.
+        assert counter.value == (
+            pool.stats.declared_lost + pool.stats.reversed_write_offs
+        )
 
     def test_healthz_degraded_and_counts_the_write_off(self, retired_run):
         pool, _, _ = retired_run

@@ -253,8 +253,9 @@ def result_kinds(saved_dir, sparse_feed):
     worker_error = sent.get_nowait()
     assert worker_error["error"] == "RuntimeError('boom')"
 
-    pool = ServingPool(str(saved_dir), ServeConfig(workers=1))  # never started
-    pool._shed("t-shed", 0)
+    pool = ServingPool(str(saved_dir), ServeConfig(workers=1, max_queue_depth=1))
+    assert pool.ledger.submit("t-busy", 0)  # never started: no worker sees it
+    assert pool.ledger.submit("t-shed", 0) is None
     shed = pool.results["t-shed"]
     assert shed["shed"] is True
     return {
