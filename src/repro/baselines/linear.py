@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import math
-
 from repro.core.result import ImputationResult, Imputer, SegmentOutcome
-from repro.geo import Point, Trajectory, interpolate
+from repro.geo import Point, Trajectory, linear_interior
 
 
 class LinearImputer(Imputer):
@@ -34,12 +32,8 @@ class LinearImputer(Imputer):
         outcomes: list[SegmentOutcome] = []
         for i in range(len(points) - 1):
             a, b = points[i], points[i + 1]
-            gap = a.distance_to(b)
-            if gap > self.maxgap_m:
-                n_intervals = max(1, int(math.ceil(gap / self.maxgap_m)))
-                interior = [
-                    interpolate(a, b, k / n_intervals) for k in range(1, n_intervals)
-                ]
+            if a.distance_to(b) > self.maxgap_m:
+                interior = linear_interior(a, b, self.maxgap_m)
                 out.extend(interior)
                 outcomes.append(SegmentOutcome(i, True, 0, len(interior)))
             out.append(b)

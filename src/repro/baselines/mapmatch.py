@@ -17,14 +17,13 @@ straight line and counts as failed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import networkx as nx
 
 from repro.core.result import ImputationResult, Imputer, SegmentOutcome
-from repro.geo import Point, Trajectory, interpolate
+from repro.geo import Point, Trajectory, assign_times, interpolate, linear_interior
 from repro.roadnet.network import EdgePosition, RoadNetwork
 
 
@@ -222,10 +221,10 @@ class HmmMapMatcher(Imputer):
                 continue
             interior = self._impute_gap(matched[i], matched[i + 1], gap)
             if interior is None:
-                interior = _linear_interior(a, b, cfg.maxgap_m)
+                interior = linear_interior(a, b, cfg.maxgap_m)
                 outcomes.append(SegmentOutcome(i, True, 0, len(interior)))
             else:
-                interior = _assign_times(a, b, interior)
+                interior = assign_times(a, b, interior)
                 outcomes.append(SegmentOutcome(i, False, 0, len(interior)))
             out.extend(interior)
             out.append(b)
@@ -275,22 +274,3 @@ def _point_at(geometry: Sequence[Point], offset: float) -> Point:
             return interpolate(u, v, (offset - walked) / seg)
         walked += seg
     return geometry[-1]
-
-
-def _linear_interior(a: Point, b: Point, maxgap_m: float) -> list[Point]:
-    n = max(1, int(math.ceil(a.distance_to(b) / maxgap_m)))
-    return [interpolate(a, b, k / n) for k in range(1, n)]
-
-
-def _assign_times(a: Point, b: Point, interior: list[Point]) -> list[Point]:
-    if a.t is None or b.t is None or not interior:
-        return interior
-    path = [a] + interior + [b]
-    cum = [0.0]
-    for u, v in zip(path, path[1:]):
-        cum.append(cum[-1] + u.distance_to(v))
-    total = cum[-1]
-    if total == 0.0:
-        return interior
-    span = b.t - a.t
-    return [p.with_time(a.t + span * (cum[k + 1] / total)) for k, p in enumerate(interior)]

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from repro.core.result import ImputationResult, Imputer, SegmentOutcome
 from repro.errors import NotFittedError
-from repro.geo import Point, Trajectory
+from repro.geo import Point, Trajectory, assign_times, linear_interior
 from repro.geo.point import angle_difference
 
 
@@ -111,10 +111,6 @@ class TrImpute(Imputer):
         self._fitted = True
         return self
 
-    @property
-    def num_populated_cells(self) -> int:
-        return len(self._cells)
-
     # -- the guided walk -----------------------------------------------------
 
     def _candidate_cells(self, around: tuple[int, int]) -> list[tuple[int, int]]:
@@ -198,32 +194,11 @@ class TrImpute(Imputer):
                 continue
             interior = self._walk(a, b)
             if interior is None:
-                interior = _linear_interior(a, b, cfg.maxgap_m)
+                interior = linear_interior(a, b, cfg.maxgap_m)
                 outcomes.append(SegmentOutcome(i, True, 0, len(interior)))
             else:
-                interior = _assign_times(a, b, interior)
+                interior = assign_times(a, b, interior)
                 outcomes.append(SegmentOutcome(i, False, 0, len(interior)))
             out.extend(interior)
             out.append(b)
         return ImputationResult(trajectory.with_points(out), tuple(outcomes))
-
-
-def _linear_interior(a: Point, b: Point, maxgap_m: float) -> list[Point]:
-    from repro.geo import interpolate
-
-    n = max(1, int(math.ceil(a.distance_to(b) / maxgap_m)))
-    return [interpolate(a, b, k / n) for k in range(1, n)]
-
-
-def _assign_times(a: Point, b: Point, interior: list[Point]) -> list[Point]:
-    if a.t is None or b.t is None or not interior:
-        return interior
-    path = [a] + interior + [b]
-    cum = [0.0]
-    for u, v in zip(path, path[1:]):
-        cum.append(cum[-1] + u.distance_to(v))
-    total = cum[-1]
-    if total == 0.0:
-        return interior
-    span = b.t - a.t
-    return [p.with_time(a.t + span * (cum[k + 1] / total)) for k, p in enumerate(interior)]

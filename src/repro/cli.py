@@ -147,11 +147,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     scale = Scale.full() if args.full else Scale.small()
     names = args.figures or list(ALL_FIGURES)
+    # Every name is checked before any figure runs: a typo must not cost
+    # the figures ahead of it.
+    unknown = [name for name in names if name not in ALL_FIGURES]
+    if unknown:
+        print(f"unknown figure {unknown[0]!r}; try `kamel list-figures`", file=sys.stderr)
+        return 2
     sections = ["# Reproduction report", ""]
     for name in names:
-        if name not in ALL_FIGURES:
-            print(f"unknown figure {name!r}; try `kamel list-figures`", file=sys.stderr)
-            return 2
         result = ALL_FIGURES[name](scale)
         sections.append(figure_to_markdown(name, result))
     report = "\n".join(sections)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -12,21 +11,23 @@ from repro.errors import ConfigError
 class KamelConfig:
     """The settings a caller varies, defaulted to the paper's choices.
 
-    The paper tunes hexagon edge 75 m, beam size 10, ``maxgap`` 100 m,
-    direction cone 45 degrees, cycle window 6, and length-normalization
-    strength 1 (Sections 3–8). Pyramid height/levels and the model
-    threshold ``k`` are scaled down relative to the paper's city-scale
-    deployments; the defaults here suit the ~3 km synthetic cities of
-    :mod:`repro.roadnet`.
+    The paper tunes hexagon edge 75 m, beam size 10 and ``maxgap`` 100 m
+    (Sections 3–8). Pyramid height/levels and the model threshold ``k``
+    are scaled down relative to the paper's city-scale deployments; the
+    defaults here suit the ~3 km synthetic cities of :mod:`repro.roadnet`.
 
     Values nothing varies are named constants beside the code that uses
-    them: the BERT size (:class:`repro.mlm.bert.BertConfig`), the
-    ellipse slack and floor and the per-insertion detour slack
-    (:mod:`repro.core.constraints`), the DBSCAN feature scales
-    (:mod:`repro.core.detokenization`) and the reduced rungs' budgets
-    (:mod:`repro.resilience.ladder`). The speed ellipse's bound is not a
-    setting: it is always inferred from the training data, as in the
-    paper (:func:`repro.core.kamel.infer_max_speed`).
+    them: the BERT size (:class:`repro.mlm.bert.BertConfig`, trained with
+    :class:`~repro.mlm.bert.TrainingConfig`'s seed), the candidates asked
+    per model call and the length-normalization strength alpha = 1
+    (:mod:`repro.core.imputation`), the 45-degree direction cones, the
+    cycle window x = 6, the ellipse slack and floor and the per-insertion
+    detour slack (:mod:`repro.core.constraints`), the DBSCAN
+    ``min_samples`` and feature scales (:mod:`repro.core.detokenization`)
+    and the reduced rungs' budgets (:mod:`repro.resilience.ladder`). The
+    counting rung's global model is always built. The speed ellipse's
+    bound is not a setting: it is always inferred from the training
+    data, as in the paper (:func:`repro.core.kamel.infer_max_speed`).
     """
 
     # -- Tokenization (Section 3) --
@@ -45,8 +46,6 @@ class KamelConfig:
     bert_epochs: int = 20
     """Training epochs of the ``"bert"`` backend (its size is
     :class:`repro.mlm.bert.BertConfig`'s default)."""
-    top_k_candidates: int = 10
-    """Candidates requested from the masked model per call."""
 
     # -- Partitioning (Section 4) --
     use_partitioning: bool = True
@@ -68,9 +67,6 @@ class KamelConfig:
     # -- Spatial constraints (Section 5) --
     use_constraints: bool = True
     """Ablation switch: False accepts every model prediction (Fig. 12-VI)."""
-    cone_half_angle_deg: float = 45.0
-    cycle_window: int = 6
-    """x: maximum repeated-suffix length checked by cycle prevention."""
 
     # -- Multipoint imputation (Section 6) --
     use_multipoint: bool = True
@@ -79,23 +75,10 @@ class KamelConfig:
     """``"beam"`` (Algorithm 2, paper default) or ``"iterative"`` (Alg. 1)."""
     maxgap_m: float = 100.0
     beam_size: int = 10
-    length_norm_alpha: float = 1.0
     max_model_calls: int = 1500
     """Hard limit per gap; exceeding it is a failure -> linear fallback.
     Beam search expands every open gap of every surviving beam entry per
     round, so long gaps (15+ tokens) legitimately need hundreds of calls."""
-
-    # -- Detokenization (Section 7) --
-    dbscan_min_samples: int = 4
-
-    # -- Resilience (deadlines, degradation ladder) --
-    enable_fallback_model: bool = True
-    """Maintain a global counting model as the ladder's safety-net rung
-    (cheap to train; serves when the repository model fails or misses —
-    the heavy model path being unavailable must not mean linear)."""
-
-    # -- misc --
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.grid_type not in ("hex", "square"):
@@ -112,12 +95,6 @@ class KamelConfig:
             raise ConfigError("maxgap_m must be positive")
         if self.beam_size < 1:
             raise ConfigError("beam_size must be >= 1")
-        if not 0.0 <= self.length_norm_alpha <= 1.0:
-            raise ConfigError("length_norm_alpha must be in [0, 1]")
-        if self.cycle_window < 1:
-            raise ConfigError("cycle_window must be >= 1")
-        if not 0.0 < self.cone_half_angle_deg < 90.0:
-            raise ConfigError("cone_half_angle_deg must be in (0, 90)")
         if self.pyramid_levels < 1 or self.pyramid_levels > self.pyramid_height:
             raise ConfigError("pyramid_levels must be in [1, pyramid_height]")
         if self.pyramid_root_extent_m <= 0:
@@ -126,12 +103,6 @@ class KamelConfig:
             raise ConfigError("model_threshold_k must be >= 1")
         if self.max_model_calls < 1:
             raise ConfigError("max_model_calls must be >= 1")
-        if self.top_k_candidates < 1:
-            raise ConfigError("top_k_candidates must be >= 1")
-
-    @property
-    def cone_half_angle_rad(self) -> float:
-        return math.radians(self.cone_half_angle_deg)
 
     @property
     def leaf_level(self) -> int:

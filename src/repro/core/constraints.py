@@ -6,11 +6,11 @@ masked model before the multipoint-imputation module may use them:
 * **speed ellipse** — a candidate must lie inside the ellipse whose foci
   are the segment end tokens S and D and whose distance sum is what the
   maximum speed allows within the segment's time span (Section 5.1);
-* **direction cones** — a candidate must not fall within the configured
-  angle of the direction from S back toward its previous token, nor of
-  the direction from D onward toward its next token (Section 5.1);
+* **direction cones** — a candidate must not fall within 45 degrees of
+  the direction from S back toward its previous token, nor of the
+  direction from D onward toward its next token (Section 5.1);
 * **cycle prevention** — inserting the candidate must not create a
-  repeated consecutive token block of length up to ``x`` (Section 5.2).
+  repeated consecutive token block of length up to ``x`` = 6 (Section 5.2).
 
 What the filters work out that is fixed for a whole segment — and what
 they tally — lives in the segment's :class:`SegmentSearch`, never on the
@@ -20,10 +20,9 @@ shared :class:`SpatialConstraints`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot
+from math import hypot, radians
 from typing import Optional, Sequence
 
-from repro.core.config import KamelConfig
 from repro.core.tokenization import Tokenizer
 from repro.geo import Point
 from repro.geo.point import angle_difference
@@ -87,6 +86,11 @@ def creates_cycle(tokens: Sequence[int], insert_pos: int, candidate: int, window
     return False
 
 
+CONE_HALF_ANGLE_RAD = radians(45.0)
+"""Half-angle of each direction cone (the paper's 45 degrees)."""
+CYCLE_WINDOW = 6
+"""x: the longest repeated block cycle prevention checks (the paper's
+x <= 6)."""
 SPEED_SLACK = 1.25
 """Multiplier on the speed bound of the ellipse (conservative headroom)."""
 ELLIPSE_MIN_SUM_M = 250.0
@@ -128,7 +132,6 @@ class _SegmentFrame:
     dest: Point
     distance_sum: float
     cones: list[tuple[Point, float]]
-    cone_half_angle_rad: float
 
     def within_speed_ellipse(self, c: Point) -> bool:
         return c.distance_to(self.source) + c.distance_to(self.dest) <= self.distance_sum
@@ -138,7 +141,7 @@ class _SegmentFrame:
             # The apex itself has no bearing, hence is in no cone.
             if (
                 apex.distance_to(c) != 0.0
-                and angle_difference(apex.bearing_to(c), axis) <= self.cone_half_angle_rad
+                and angle_difference(apex.bearing_to(c), axis) <= CONE_HALF_ANGLE_RAD
             ):
                 return True
         return False
@@ -294,21 +297,14 @@ class SegmentSearch:
 class SpatialConstraints:
     """Applies the Section 5 filters to candidate tokens."""
 
-    def __init__(
-        self,
-        tokenizer: Tokenizer,
-        config: KamelConfig,
-        max_speed_mps: float,
-    ) -> None:
+    def __init__(self, tokenizer: Tokenizer, max_speed_mps: float) -> None:
         if max_speed_mps <= 0:
             raise ValueError(f"max_speed_mps must be positive, got {max_speed_mps!r}")
         self.tokenizer = tokenizer
-        self.config = config
         self.max_speed_mps = max_speed_mps
         # Fixed for the instance's lifetime: read once here, not per call.
         self._centroid = tokenizer.centroid_of_token
         self._num_special = tokenizer.vocabulary.num_special
-        self._cycle_window = config.cycle_window
 
     # -- individual constraints -------------------------------------------
 
@@ -341,9 +337,7 @@ class SpatialConstraints:
                 toward = centroid(toward_token)
                 if apex.distance_to(toward) > 0:
                     cones.append((apex, apex.bearing_to(toward)))
-        return _SegmentFrame(
-            source, dest, self.ellipse_distance_sum(ctx), cones, self.config.cone_half_angle_rad
-        )
+        return _SegmentFrame(source, dest, self.ellipse_distance_sum(ctx), cones)
 
     def within_speed_ellipse(self, candidate: int, ctx: GapContext) -> bool:
         c = self._centroid(candidate)
@@ -394,7 +388,6 @@ class SpatialConstraints:
         # seen, its position tests.
         centroid = self._centroid
         num_special = self._num_special
-        cycle_window = self._cycle_window
         frame = state.frame
         if frame is None:
             frame = state.frame = self._frame(state.ctx)
@@ -445,7 +438,7 @@ class SpatialConstraints:
             if in_cone:
                 n_cone += 1
                 continue
-            if creates_cycle(segment, insert_pos, token, cycle_window):
+            if creates_cycle(segment, insert_pos, token, CYCLE_WINDOW):
                 n_cycle += 1
                 continue
             out.append((token, prob))

@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.cluster import NOISE, dbscan_labels
-from repro.core.config import KamelConfig
 from repro.core.tokenization import Tokenizer
 from repro.geo import Point, Trajectory
 from repro.geo.point import angle_difference
@@ -70,6 +69,9 @@ def _circular_mean(angles: np.ndarray) -> float:
     return float(math.atan2(np.sin(angles).mean(), np.cos(angles).mean()))
 
 
+DBSCAN_MIN_SAMPLES = 4
+"""DBSCAN ``min_samples``: a cell with fewer training points keeps only
+its data centroid."""
 DBSCAN_EPS_FRACTION = 0.35
 """DBSCAN epsilon as a fraction of the cell size (square root of its area)."""
 DIRECTION_WEIGHT_M = 60.0
@@ -80,9 +82,8 @@ features, so points moving opposite ways on the same road separate."""
 class Detokenizer:
     """Builds and applies the per-token cluster metadata."""
 
-    def __init__(self, tokenizer: Tokenizer, config: KamelConfig) -> None:
+    def __init__(self, tokenizer: Tokenizer) -> None:
         self.tokenizer = tokenizer
-        self.config = config
         self._cells: dict[Cell, CellClusters] = {}
 
     # -- offline (training time) -------------------------------------------
@@ -99,12 +100,11 @@ class Detokenizer:
         return self
 
     def _cluster_cell(self, rows: list[tuple[float, float, float]]) -> CellClusters:
-        cfg = self.config
         xs = np.array([r[0] for r in rows])
         ys = np.array([r[1] for r in rows])
         dirs = np.array([r[2] for r in rows])
         data_centroid = Point(xs.mean(), ys.mean())
-        if len(rows) < cfg.dbscan_min_samples:
+        if len(rows) < DBSCAN_MIN_SAMPLES:
             return CellClusters((), data_centroid, len(rows))
 
         # Feature space: meters for position; direction mapped onto a
@@ -118,7 +118,7 @@ class Detokenizer:
         # length: hexagon and square grids of equal cell area then cluster
         # identically, keeping the Fig. 12-III comparison fair.
         eps = DBSCAN_EPS_FRACTION * math.sqrt(self.tokenizer.grid.cell_area_m2)
-        labels = dbscan_labels(features, eps=eps, min_samples=cfg.dbscan_min_samples)
+        labels = dbscan_labels(features, eps=eps, min_samples=DBSCAN_MIN_SAMPLES)
 
         clusters: list[DirectionalCluster] = []
         for label in sorted(set(labels) - {NOISE}):

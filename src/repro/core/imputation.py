@@ -8,7 +8,8 @@ tokens such that no two consecutive tokens are further apart than
   probable valid token at the first remaining gap, repeat.
 * :class:`BeamSearchImputer` — Algorithm 2: bidirectional beam search over
   token insertions with length-normalized sequence probabilities
-  ``P * |S|^alpha`` (Wu et al.'s length normalization, alpha = 1 default).
+  ``P * |S|^alpha`` (Wu et al.'s length normalization, alpha = 1:
+  :data:`LENGTH_NORM_ALPHA`).
 
 Both enforce a hard budget of model calls per gap; exhausting it without
 closing every gap is a *failure*, and the caller falls back to a straight
@@ -29,6 +30,7 @@ prunes against the *best* completed normalized score ("new lower bound is
 from __future__ import annotations
 
 import abc
+from contextlib import nullcontext
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Generator, NamedTuple, Optional, Sequence, TypeVar
@@ -51,6 +53,11 @@ from repro.resilience.deadline import Deadline
 _log = get_logger("core.imputation")
 
 T = TypeVar("T")
+
+TOP_K_CANDIDATES = 10
+"""Candidates requested from the masked model per call."""
+LENGTH_NORM_ALPHA = 1.0
+"""Alg. 2's length-normalization strength: a segment scores ``P * |S|^alpha``."""
 
 
 class Ask(NamedTuple):
@@ -254,7 +261,7 @@ class SegmentImputer(abc.ABC):
                 search.model,
                 self.model,
                 [self._query(path.tokens, i, ctx) for path, i in missing],
-                self.config.top_k_candidates,
+                TOP_K_CANDIDATES,
             )
             # Attribute-free: this runs once per round, so the
             # disabled-tracing cost must stay at one branch, no kwargs dict.
@@ -289,10 +296,9 @@ class SegmentImputer(abc.ABC):
         model; without one, this run works on its own and flushes it,
         however the run ends.
         """
-        if search is None:
-            with SegmentSearch(ctx, self.tokenizer) as own:
-                return self.impute_segment(ctx, deadline, own)
-        [result] = run_lockstep([self.rounds(ctx, deadline, search)])
+        owned = SegmentSearch(ctx, self.tokenizer) if search is None else nullcontext(search)
+        with owned as search:
+            [result] = run_lockstep([self.rounds(ctx, deadline, search)])
         return result
 
     def rounds(
@@ -410,7 +416,7 @@ class BeamSearchImputer(SegmentImputer):
 
     def _length_norm(self, n_tokens: int) -> float:
         """``|S|^alpha`` for a segment of ``n_tokens`` tokens, ends included."""
-        return max(1, n_tokens - 2) ** self.config.length_norm_alpha
+        return max(1, n_tokens - 2) ** LENGTH_NORM_ALPHA
 
     def _normalized(self, seg: Sequence[int], prob: float) -> float:
         return prob * self._length_norm(len(seg))

@@ -24,7 +24,6 @@ triggers fallback instead of hanging an online request.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -50,7 +49,7 @@ from repro.core.result import ImputationResult, Imputer, SegmentOutcome
 from repro.core.store import TrajectoryStore
 from repro.core.tokenization import Tokenizer, make_grid
 from repro.errors import DeadlineExceeded, EmptyInputError, NotFittedError
-from repro.geo import BoundingBox, Point, Trajectory, interpolate
+from repro.geo import BoundingBox, Point, Trajectory, assign_times, linear_interior
 from repro.mlm.base import MaskedModel
 from repro.mlm.bert import BertMaskedLM, TrainingConfig
 from repro.mlm.counting import CountingMaskedLM
@@ -58,12 +57,12 @@ from repro.mlm.vocab import Vocabulary
 from repro.obs import instrument as obs
 from repro.obs.logging import get_logger
 from repro.obs.tracing import span, trace_scope
+from repro.resilience import ladder
 from repro.resilience.chaos import PipelineGuards
 from repro.resilience.deadline import Deadline
 from repro.resilience.ladder import (
     DEGRADED_BEAM_SIZE,
     DEGRADED_MAX_MODEL_CALLS,
-    DegradationLadder,
     RUNG_COUNTING,
     RUNG_FULL,
     RUNG_LINEAR,
@@ -108,7 +107,7 @@ class Kamel(Imputer):
         self._training_trajectories: list[Trajectory] = []
         self._gap_threshold_m: Optional[float] = None
         self._fitted = False
-        self.ladder = DegradationLadder.for_config(self.config)
+        self.rungs = ladder.rungs_for(self.config)
         # What each model rung searches with, built once: the reduced-beam
         # rung narrows beam and budget, the counting rung the budget.
         cfg = self.config
@@ -131,7 +130,7 @@ class Kamel(Imputer):
         if cfg.model_backend == "bert":
             return BertMaskedLM(
                 config=None,  # sized at fit() time from the vocabulary
-                training=TrainingConfig(epochs=cfg.bert_epochs, seed=cfg.seed),
+                training=TrainingConfig(epochs=cfg.bert_epochs),
             )
         return CountingMaskedLM()
 
@@ -147,7 +146,7 @@ class Kamel(Imputer):
         self.repository = ModelRepository(
             self.tokenizer, self.store, cfg, self._model_factory
         )
-        self.detokenizer = Detokenizer(self.tokenizer, cfg)
+        self.detokenizer = Detokenizer(self.tokenizer)
 
     def fit(self, trajectories: Sequence[Trajectory]) -> "Kamel":
         """Train the system from scratch on ``trajectories``."""
@@ -200,7 +199,7 @@ class Kamel(Imputer):
         cfg = self.config
         self.max_speed_mps = infer_max_speed(self._training_trajectories)
         constraints_cls = SpatialConstraints if cfg.use_constraints else PassthroughConstraints
-        self.constraints = constraints_cls(self.tokenizer, cfg, self.max_speed_mps)
+        self.constraints = constraints_cls(self.tokenizer, self.max_speed_mps)
 
         sequences = self.tokenizer.tokenize_many(trajectories, grow=True)
         self._update_gap_threshold(sequences)
@@ -219,16 +218,13 @@ class Kamel(Imputer):
         # are not incrementally mergeable and training is offline anyway.
         self.detokenizer.fit(self._training_trajectories)
 
-        if cfg.enable_fallback_model:
-            # The counting rung's global model: O(tokens) to refit, asked
-            # outside the repository lookup and the ``model.predict`` chaos
-            # site, so it serves when either fails.
-            assert self.store is not None
-            fallback = CountingMaskedLM()
-            fallback.fit(
-                [s.tokens for s in self.store], len(self.tokenizer.vocabulary)
-            )
-            self._fallback_model = fallback
+        # The counting rung's global model: O(tokens) to refit, asked
+        # outside the repository lookup and the ``model.predict`` chaos
+        # site, so it serves when either fails.
+        assert self.store is not None
+        fallback = CountingMaskedLM()
+        fallback.fit([s.tokens for s in self.store], len(self.tokenizer.vocabulary))
+        self._fallback_model = fallback
 
     def _update_gap_threshold(self, sequences) -> None:
         """Floor the gap test at the training data's own token spacing.
@@ -416,8 +412,8 @@ class Kamel(Imputer):
 
         def linear(reason: str, calls: int = 0) -> tuple[list[Point], SegmentOutcome]:
             obs.count(f"repro.kamel.fallback.{reason}_total")
-            DegradationLadder.record(RUNG_LINEAR)
-            interior = _linear_interior(a, b, cfg.maxgap_m)
+            ladder.record(RUNG_LINEAR)
+            interior = linear_interior(a, b, cfg.maxgap_m)
             return interior, SegmentOutcome(
                 index, True, calls, len(interior),
                 rung=RUNG_LINEAR, fallback_reason=reason,
@@ -460,10 +456,10 @@ class Kamel(Imputer):
         # rung has measured and been answered the lower rungs read back,
         # and however the ladder ends the tallies it holds are flushed.
         with SegmentSearch(ctx, self.tokenizer) as search:
-            for rung in self.ladder.rungs:
+            for rung in self.rungs:
                 if rung == RUNG_LINEAR:
                     break
-                if not DegradationLadder.allows(rung, max_rung):
+                if not ladder.allows(rung, max_rung):
                     # Brownout cap: the pool told us to skip the expensive
                     # rungs; the segment starts lower on the ladder instead.
                     obs.count("repro.resilience.brownout_skips_total")
@@ -506,8 +502,8 @@ class Kamel(Imputer):
                     interior_points = self.detokenizer.detokenize_interior(
                         result.interior or (), a, b
                     )
-                interior_points = _assign_times(a, b, interior_points)
-                DegradationLadder.record(rung)
+                interior_points = assign_times(a, b, interior_points)
+                ladder.record(rung)
                 return interior_points, SegmentOutcome(
                     index,
                     False,
@@ -566,7 +562,7 @@ class Kamel(Imputer):
                 self._gap_threshold_m,
             )
             return (yield from imputer.rounds(ctx, deadline, search.asking(model)))
-        return None  # pragma: no cover - ladder construction forbids unknown rungs
+        return None  # pragma: no cover - rungs_for names no other rung
 
     # -- persistence -----------------------------------------------------------
 
@@ -586,28 +582,3 @@ class Kamel(Imputer):
     def __repr__(self) -> str:
         state = "fitted" if self._fitted else "unfitted"
         return f"Kamel({state}, backend={self.config.model_backend!r})"
-
-
-def _linear_interior(a: Point, b: Point, maxgap_m: float) -> list[Point]:
-    """Straight-line fallback points at <= maxgap spacing (exclusive ends)."""
-    distance = a.distance_to(b)
-    n_intervals = max(1, int(math.ceil(distance / maxgap_m)))
-    return [interpolate(a, b, k / n_intervals) for k in range(1, n_intervals)]
-
-
-def _assign_times(a: Point, b: Point, interior: list[Point]) -> list[Point]:
-    """Timestamp imputed points by cumulative arc length between a and b."""
-    if a.t is None or b.t is None or not interior:
-        return interior
-    path = [a] + interior + [b]
-    cumulative = [0.0]
-    for u, v in zip(path, path[1:]):
-        cumulative.append(cumulative[-1] + u.distance_to(v))
-    total = cumulative[-1]
-    if total == 0.0:
-        return interior
-    span = b.t - a.t
-    return [
-        p.with_time(a.t + span * (cumulative[k + 1] / total))
-        for k, p in enumerate(interior)
-    ]

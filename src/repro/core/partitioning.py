@@ -431,14 +431,6 @@ class ModelRepository:
     def _record_miss() -> None:
         obs.count("repro.partitioning.lookup_miss_total")
 
-    def any_model(self) -> Optional[StoredModel]:
-        """Some model, preferring the broadest single-cell one (fallback)."""
-        if self._single:
-            return min(self._single.items(), key=lambda kv: kv[0][0])[1]
-        if self._neighbor:
-            return next(iter(self._neighbor.values()))
-        return None
-
     @property
     def num_models(self) -> int:
         return len(self._single) + len(self._neighbor)

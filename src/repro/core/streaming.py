@@ -78,18 +78,6 @@ class StreamStats:
             return 0.0
         return self.degraded_segments / self.segments
 
-    @property
-    def densification_ratio(self) -> float:
-        if self.points_in == 0:
-            return 0.0
-        return self.points_out / self.points_in
-
-    @property
-    def mean_latency_ms(self) -> float:
-        if self.trips_out == 0:
-            return 0.0
-        return self.processing_seconds / self.trips_out * 1000.0
-
 
 @dataclass(frozen=True)
 class StreamingConfig:

@@ -12,7 +12,7 @@ timestamps of the collapsed run are kept as the token's entry time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.errors import ConfigError
 from repro.geo import BoundingBox, Point, Trajectory
@@ -128,14 +128,6 @@ class Tokenizer:
             for t in seq.tokens
             if not self.vocabulary.is_special(t)
         )
-
-    def polyline_of(self, tokens: Sequence[int]) -> list[Point]:
-        """Cell-centroid polyline of a token sequence (skips specials)."""
-        return [
-            self.centroid_of_token(t)
-            for t in tokens
-            if not self.vocabulary.is_special(t)
-        ]
 
     def __repr__(self) -> str:
         return f"Tokenizer(grid={self.grid!r}, vocab={self.vocabulary!r})"

@@ -11,8 +11,10 @@ from repro.geo.point import (
     EARTH_RADIUS_M,
     LocalProjection,
     Point,
+    assign_times,
     haversine_m,
     interpolate,
+    linear_interior,
     normalize_angle,
     angle_difference,
 )
@@ -31,8 +33,10 @@ __all__ = [
     "Point",
     "Trajectory",
     "angle_difference",
+    "assign_times",
     "haversine_m",
     "interpolate",
+    "linear_interior",
     "normalize_angle",
     "projection_for",
     "trajectory_from_latlon",

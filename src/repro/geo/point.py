@@ -76,6 +76,33 @@ def interpolate(a: Point, b: Point, fraction: float) -> Point:
     return Point(a.x + (b.x - a.x) * fraction, a.y + (b.y - a.y) * fraction, t)
 
 
+def linear_interior(a: Point, b: Point, maxgap_m: float) -> list[Point]:
+    """The straight line from ``a`` to ``b`` at <= ``maxgap_m`` spacing, ends
+    excluded: what every imputer inserts for a gap it fails on (the
+    paper's Section 8 failure definition)."""
+    n_intervals = max(1, int(math.ceil(a.distance_to(b) / maxgap_m)))
+    return [interpolate(a, b, k / n_intervals) for k in range(1, n_intervals)]
+
+
+def assign_times(a: Point, b: Point, interior: list[Point]) -> list[Point]:
+    """Timestamp the points imputed between ``a`` and ``b`` by their share
+    of the arc length from ``a`` to ``b``; unchanged when an end is untimed."""
+    if a.t is None or b.t is None or not interior:
+        return interior
+    path = [a] + interior + [b]
+    cumulative = [0.0]
+    for u, v in zip(path, path[1:]):
+        cumulative.append(cumulative[-1] + u.distance_to(v))
+    total = cumulative[-1]
+    if total == 0.0:
+        return interior
+    span = b.t - a.t
+    return [
+        p.with_time(a.t + span * (cumulative[k + 1] / total))
+        for k, p in enumerate(interior)
+    ]
+
+
 def normalize_angle(angle: float) -> float:
     """Wrap ``angle`` (radians) into ``(-pi, pi]``."""
     wrapped = math.fmod(angle, 2.0 * math.pi)

@@ -37,10 +37,6 @@ class Grid(abc.ABC):
     def neighbors(self, cell: Cell) -> list[Cell]:
         """Cells sharing an edge with ``cell``."""
 
-    @abc.abstractmethod
-    def cell_steps(self, a: Cell, b: Cell) -> int:
-        """Minimum number of edge-crossing steps between two cells."""
-
     @property
     @abc.abstractmethod
     def cell_area_m2(self) -> float:

@@ -70,18 +70,3 @@ class HexGrid(Grid):
     def neighbors(self, cell: Cell) -> list[Cell]:
         q, r = cell
         return [(q + dq, r + dr) for dq, dr in _AXIAL_DIRECTIONS]
-
-    def cell_steps(self, a: Cell, b: Cell) -> int:
-        dq = a[0] - b[0]
-        dr = a[1] - b[1]
-        return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
-
-    def vertices(self, cell: Cell) -> list[Point]:
-        """The six corner points of ``cell`` (useful for plotting/tests)."""
-        c = self.centroid(cell)
-        s = self.edge_length_m
-        out = []
-        for k in range(6):
-            angle = math.pi / 6.0 + k * math.pi / 3.0  # pointy-top corners
-            out.append(Point(c.x + s * math.cos(angle), c.y + s * math.sin(angle)))
-        return out

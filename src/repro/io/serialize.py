@@ -44,7 +44,7 @@ from repro.mlm.bert import BertConfig, BertMaskedLM, BertModel
 from repro.mlm.counting import CountingMaskedLM
 from repro.mlm.vocab import Vocabulary
 
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 
 # -- model payloads -----------------------------------------------------------
@@ -306,9 +306,7 @@ def load_kamel(
     constraints_cls = (
         SpatialConstraints if config.use_constraints else PassthroughConstraints
     )
-    system.constraints = constraints_cls(
-        system.tokenizer, config, system.max_speed_mps or 14.0
-    )
+    system.constraints = constraints_cls(system.tokenizer, system.max_speed_mps or 14.0)
 
     for entry in json.loads(root.joinpath("store.json").read_text()):
         system.store.add(
@@ -360,7 +358,7 @@ def load_kamel(
         cells[(q, r)] = CellClusters(clusters, centroid, entry["num_points"])
     system.detokenizer._cells = cells
 
-    if config.enable_fallback_model and len(system.store) > 0:
+    if len(system.store) > 0:
         # The counting-rung fallback model is derived state: O(tokens) to
         # refit from the restored store, so it is rebuilt rather than saved.
         fallback = CountingMaskedLM()

@@ -2,7 +2,7 @@
 
 A deliberately classical algorithm (in the spirit of Biagioni & Eriksson's
 KDE family): rasterize every trajectory onto a fine grid, accumulate visit
-counts, threshold into an occupancy map, and expose a road-cell graph.
+counts, and threshold into an occupancy map.
 
 Crucially, trajectories are rasterized *as polylines* — each consecutive
 point pair contributes the straight chord between them, because a map
@@ -18,8 +18,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
-
-import networkx as nx
 
 from repro.errors import ConfigError, EmptyInputError
 from repro.geo import Point, Trajectory, interpolate
@@ -69,26 +67,6 @@ class InferredMap:
     def road_points(self, min_visits: int = 1) -> list[Point]:
         """Centers of the occupied cells — the inferred road surface."""
         return [self.cell_center(c) for c in sorted(self.occupied_cells(min_visits))]
-
-    def to_graph(self, min_visits: int = 1) -> nx.Graph:
-        """8-adjacency graph over occupied cells (a raster road skeleton)."""
-        occupied = self.occupied_cells(min_visits)
-        graph = nx.Graph()
-        for cell in occupied:
-            graph.add_node(cell, point=self.cell_center(cell))
-        for i, j in occupied:
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == dj == 0:
-                        continue
-                    neighbour = (i + di, j + dj)
-                    if neighbour in occupied:
-                        graph.add_edge((i, j), neighbour)
-        return graph
-
-    def total_road_length_m(self, min_visits: int = 1) -> float:
-        """Rough inferred road length: one cell edge per occupied cell."""
-        return len(self.occupied_cells(min_visits)) * self.cell_m
 
 
 class TrajectoryMapInference:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterator, Sequence
 
 from repro.errors import VocabularyError
 
@@ -38,14 +38,6 @@ class Vocabulary:
     # -- special ids -------------------------------------------------------
 
     @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
-    def mask_id(self) -> int:
-        return 1
-
-    @property
     def unk_id(self) -> int:
         return 2
 
@@ -67,12 +59,6 @@ class Vocabulary:
     def encode(self, item: Hashable) -> int:
         """Id of ``item``; :attr:`unk_id` if unknown."""
         return self._item_to_id.get(item, self.unk_id)
-
-    def encode_many(self, items: Iterable[Hashable], grow: bool = False) -> list[int]:
-        """Encode a sequence; ``grow=True`` interns unseen items."""
-        if grow:
-            return [self.add(item) for item in items]
-        return [self.encode(item) for item in items]
 
     def decode(self, token_id: int) -> Hashable:
         """The item for ``token_id``; raises for out-of-range ids."""

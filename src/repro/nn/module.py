@@ -32,9 +32,6 @@ class Module:
         for name, value in vars(self).items():
             yield from _named_parameters_of(f"{prefix}{name}", value, seen)
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     def train(self) -> "Module":
         self._set_mode(True)
         return self

@@ -98,9 +98,6 @@ class Gauge:
     def inc(self, amount: Union[int, float] = 1) -> None:
         self._value += amount
 
-    def dec(self, amount: Union[int, float] = 1) -> None:
-        self._value -= amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -220,10 +217,6 @@ class Histogram:
             self.buckets, list(accumulate(self._bucket_counts)),
             self._count, self.min, self.max, p,
         )
-
-    def bucket_counts(self) -> dict[float, int]:
-        """Cumulative counts per upper bucket edge (Prometheus ``le``)."""
-        return dict(zip(self.buckets, accumulate(self._bucket_counts)))
 
     def reset(self) -> None:
         self._bucket_counts = [0] * len(self.buckets)

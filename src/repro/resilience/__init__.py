@@ -47,7 +47,6 @@ from repro.resilience.journal import (
 from repro.resilience.ladder import (
     ALL_RUNGS,
     FALLBACK_REASONS,
-    DegradationLadder,
     RUNG_COUNTING,
     RUNG_FULL,
     RUNG_LINEAR,
@@ -61,7 +60,6 @@ __all__ = [
     "ChaosConfig",
     "ChaosMonkey",
     "Deadline",
-    "DegradationLadder",
     "InjectedCrash",
     "InjectedFault",
     "MAX_COORDINATE_M",

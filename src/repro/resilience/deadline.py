@@ -28,9 +28,8 @@ Clock = Callable[[], float]
 class Deadline:
     """A monotonic-clock budget: "this work must finish by ``expires_at``".
 
-    ``Deadline.after(0.25)`` starts a 250 ms budget now;
-    ``Deadline.unlimited()`` never expires (the no-op fast path, so call
-    sites can thread a deadline unconditionally).
+    ``Deadline.after(0.25)`` starts a 250 ms budget now; one whose
+    ``expires_at`` is infinite never expires.
     """
 
     __slots__ = ("expires_at", "budget_s", "_clock")
@@ -53,11 +52,6 @@ class Deadline:
         if seconds <= 0:
             raise ValueError(f"deadline budget must be positive, got {seconds!r}")
         return cls(clock() + seconds, seconds, clock)
-
-    @classmethod
-    def unlimited(cls, clock: Clock = time.monotonic) -> "Deadline":
-        """A deadline that never expires."""
-        return cls(math.inf, math.inf, clock)
 
     # -- interrogation -----------------------------------------------------
 

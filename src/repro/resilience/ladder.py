@@ -16,10 +16,14 @@ reduced   beam search at :data:`DEGRADED_BEAM_SIZE` — same model, a
 counting  greedy iterative imputation on the global counting
           fallback model — serves when the repository model fails
           or is missing (the PLMTrajRec concern: stay
-          usable when the heavy model path is down)
+          usable when the heavy model path is down); always
+          present, since every fit builds that model
 linear    straight-line interpolation — never fails, the paper's
           "failure" outcome
 ========  =====================================================
+
+:func:`rungs_for` names a system's rungs; :func:`allows` and
+:func:`tighter_cap` apply a brownout cap to them.
 
 Every segment records the rung that resolved it on its
 :class:`repro.core.result.SegmentOutcome`; only the ``linear`` rung
@@ -29,7 +33,6 @@ counts as a *failure* (the paper's metric), while anything below
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs import instrument as obs
@@ -43,7 +46,10 @@ __all__ = [
     "FALLBACK_REASONS",
     "DEGRADED_BEAM_SIZE",
     "DEGRADED_MAX_MODEL_CALLS",
-    "DegradationLadder",
+    "rungs_for",
+    "allows",
+    "tighter_cap",
+    "record",
 ]
 
 RUNG_FULL = "full"
@@ -73,66 +79,40 @@ DEGRADED_MAX_MODEL_CALLS = 200
 ``KamelConfig.max_model_calls``)."""
 
 
-@dataclass(frozen=True)
-class DegradationLadder:
-    """The ordered rungs a segment may descend, ending in ``linear``.
+def rungs_for(config) -> tuple[str, ...]:
+    """The rungs a segment may descend under a
+    :class:`repro.core.config.KamelConfig`, top to bottom.
 
-    Built once per system from its config: the reduced-beam rung only
-    exists for the beam imputer (halving an iterative search saves
-    nothing), and the counting rung only when the global fallback model
-    is enabled.  ``linear`` is always last and always present.
+    The reduced-beam rung only exists for the beam imputer (halving an
+    iterative search saves nothing); the counting rung and ``linear`` are
+    always there, ``linear`` last.
     """
+    if config.imputer == "beam" and config.use_multipoint:
+        return (RUNG_FULL, RUNG_REDUCED_BEAM, RUNG_COUNTING, RUNG_LINEAR)
+    return (RUNG_FULL, RUNG_COUNTING, RUNG_LINEAR)
 
-    rungs: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.rungs or self.rungs[-1] != RUNG_LINEAR:
-            raise ValueError("a degradation ladder must end in the linear rung")
-        unknown = set(self.rungs) - set(ALL_RUNGS)
-        if unknown:
-            raise ValueError(f"unknown ladder rungs: {sorted(unknown)}")
-        if list(self.rungs) != [r for r in ALL_RUNGS if r in self.rungs]:
-            raise ValueError(f"ladder rungs out of order: {self.rungs}")
+def allows(rung: str, cap: Optional[str]) -> bool:
+    """Whether ``rung`` may run under a brownout cap.
 
-    @classmethod
-    def for_config(cls, config) -> "DegradationLadder":
-        """The ladder implied by a :class:`repro.core.config.KamelConfig`."""
-        rungs = [RUNG_FULL]
-        if config.imputer == "beam" and config.use_multipoint:
-            rungs.append(RUNG_REDUCED_BEAM)
-        if config.enable_fallback_model:
-            rungs.append(RUNG_COUNTING)
-        rungs.append(RUNG_LINEAR)
-        return cls(tuple(rungs))
+    ``cap`` names the *most expensive* rung still permitted (``None``
+    means uncapped).  Rungs above the cap are skipped; ``linear`` is
+    always allowed — the ladder must keep its floor.
+    """
+    if cap is None or rung == RUNG_LINEAR:
+        return True
+    return ALL_RUNGS.index(rung) >= ALL_RUNGS.index(cap)
 
-    @staticmethod
-    def allows(rung: str, cap: Optional[str]) -> bool:
-        """Whether ``rung`` may run under a brownout cap.
 
-        ``cap`` names the *most expensive* rung still permitted (``None``
-        means uncapped).  Rungs above the cap are skipped; ``linear`` is
-        always allowed — the ladder must keep its floor.
-        """
-        if cap is None or rung == RUNG_LINEAR:
-            return True
-        return ALL_RUNGS.index(rung) >= ALL_RUNGS.index(cap)
+def tighter_cap(a: Optional[str], b: Optional[str]) -> Optional[str]:
+    """The more restrictive (lower) of two rung caps; ``None`` = uncapped."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a if ALL_RUNGS.index(a) >= ALL_RUNGS.index(b) else b
 
-    @staticmethod
-    def tighter_cap(a: Optional[str], b: Optional[str]) -> Optional[str]:
-        """The more restrictive (lower) of two rung caps; ``None`` = uncapped."""
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a if ALL_RUNGS.index(a) >= ALL_RUNGS.index(b) else b
 
-    @staticmethod
-    def record(rung: str) -> None:
-        """Count one segment resolved at ``rung``."""
-        obs.count(f"repro.kamel.rung.{rung}_total")
-
-    def __len__(self) -> int:
-        return len(self.rungs)
-
-    def __iter__(self):
-        return iter(self.rungs)
+def record(rung: str) -> None:
+    """Count one segment resolved at ``rung``."""
+    obs.count(f"repro.kamel.rung.{rung}_total")

@@ -66,21 +66,6 @@ def _polyline_length(points: Sequence[Point]) -> float:
     return sum(a.distance_to(b) for a, b in zip(points, points[1:]))
 
 
-def _point_along(points: Sequence[Point], offset: float) -> Point:
-    """The point ``offset`` meters along a polyline (clamped to its ends)."""
-    if offset <= 0:
-        return points[0]
-    walked = 0.0
-    for a, b in zip(points, points[1:]):
-        seg = a.distance_to(b)
-        if walked + seg >= offset:
-            if seg == 0.0:
-                return b
-            return interpolate(a, b, (offset - walked) / seg)
-        walked += seg
-    return points[-1]
-
-
 def _project_to_segment(p: Point, a: Point, b: Point) -> tuple[Point, float, float]:
     """Project ``p`` onto segment ``ab``.
 
@@ -421,16 +406,6 @@ class RoadNetwork:
                 walked += a.distance_to(b)
         ranked = sorted(best.values(), key=lambda e: e.distance_m)
         return ranked[:limit]
-
-    def nearest_node(self, p: Point) -> NodeId:
-        """The node closest to ``p`` (linear scan; fine at city scale)."""
-        if self.num_nodes == 0:
-            raise EmptyInputError("network has no nodes")
-        return min(self._graph.nodes, key=lambda n: self.node_point(n).distance_to(p))
-
-    def point_along_edge(self, edge: EdgeRef, offset_m: float) -> Point:
-        """The point ``offset_m`` meters along ``edge`` from its ``u`` end."""
-        return _point_along(self.edge_geometry(edge.u, edge.v), offset_m)
 
     def __repr__(self) -> str:
         return f"RoadNetwork(nodes={self.num_nodes}, edges={self.num_edges})"

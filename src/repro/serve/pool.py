@@ -81,6 +81,10 @@ MAX_REVIVES_PER_SHARD = 3
 """Backstop against a poisoned shard crash-looping: after this many
 respawns, the shard is left dead and drain() reports its work lost."""
 
+DRAIN_TIMEOUT_S = 300.0
+"""Default bound on one drain() call — the backstop against a lost task
+wedging the pool forever."""
+
 RECEIVER_TICK_S = 0.25
 """How often the receiver thread, traffic or not, wakes to check worker
 liveness and feed the brownout controller — how long a dead worker can
@@ -339,7 +343,7 @@ class ServingPool:
         arrived — ``stats.lost`` then says how many never came back.
         """
         if timeout is None:
-            timeout = self.config.drain_timeout_s
+            timeout = DRAIN_TIMEOUT_S
         with self._lock:
             if not self._wait_for(lambda: not self.ledger.outstanding, timeout):
                 _log.error(
@@ -542,15 +546,10 @@ class ServingPool:
                 extra={"data": {
                     "shard": shard,
                     "exitcode": proc.exitcode,
-                    "revive": self.config.revive_dead_workers,
                 }},
             )
             revives = self._revives.get(shard, 0)
-            if (
-                self.config.revive_dead_workers
-                and not self._stopping
-                and revives < MAX_REVIVES_PER_SHARD
-            ):
+            if not self._stopping and revives < MAX_REVIVES_PER_SHARD:
                 # Same task queue (undrained work survives), recover=True
                 # (the replacement replays the shard journal first).
                 self._revives[shard] = revives + 1

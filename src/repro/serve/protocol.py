@@ -56,10 +56,6 @@ class ServeConfig:
     metrics_port: Optional[int] = None
     """Serve aggregated /metrics + /healthz + /slow on this localhost
     port (0 picks a free ephemeral port); None starts no endpoint."""
-    drain_timeout_s: float = 300.0
-    """Overall bound on one drain() call — the backstop against a lost
-    task wedging the pool forever."""
-    revive_dead_workers: bool = True
     metrics_every: int = 25
     """Workers ship a registry snapshot every this many tasks."""
     trace: bool = False

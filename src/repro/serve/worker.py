@@ -57,11 +57,7 @@ from repro.obs.tracing import (
 from repro.resilience.chaos import ChaosMonkey, InjectedCrash
 from repro.resilience.deadline import Deadline
 from repro.resilience.journal import StreamJournal, trajectory_to_payload
-from repro.resilience.ladder import (
-    DegradationLadder,
-    RUNG_COUNTING,
-    RUNG_REDUCED_BEAM,
-)
+from repro.resilience.ladder import RUNG_COUNTING, RUNG_REDUCED_BEAM, tighter_cap
 from repro.serve.modelstore import load_kamel_lazy
 from repro.serve.overload import rung_cap_for
 from repro.serve.protocol import (
@@ -200,9 +196,9 @@ def _rung_cap(control, deadline: Optional[Deadline]) -> Optional[str]:
     if deadline is not None and not deadline.is_unlimited and deadline.budget_s > 0:
         frac = max(0.0, deadline.remaining()) / deadline.budget_s
         if frac < 0.25:
-            cap = DegradationLadder.tighter_cap(cap, RUNG_COUNTING)
+            cap = tighter_cap(cap, RUNG_COUNTING)
         elif frac < 0.5:
-            cap = DegradationLadder.tighter_cap(cap, RUNG_REDUCED_BEAM)
+            cap = tighter_cap(cap, RUNG_REDUCED_BEAM)
     return cap
 
 

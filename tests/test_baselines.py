@@ -89,7 +89,7 @@ class TestTrImpute:
 
     def test_fit_indexes_cells(self, corridor_history):
         model = TrImpute().fit(corridor_history)
-        assert model.num_populated_cells > 10
+        assert len(model._cells) > 10
 
     def test_walk_succeeds_with_dense_history(self, corridor_history):
         model = TrImpute(TrImputeConfig(maxgap_m=100.0)).fit(corridor_history)
@@ -120,6 +120,34 @@ class TestTrImpute:
         model = TrImpute().fit(corridor_history)
         single = Trajectory("s", [Point(0, 0)])
         assert model.impute(single).num_segments == 0
+
+
+class TestOneStraightLine:
+    def test_every_method_fails_onto_the_same_line(self, small_city, trained_kamel):
+        """Section 8's failure is one line for every method: a gap none of
+        them can serve (off the map, off the history, endpoints unseen)
+        gets the same interior from each, timestamps included."""
+        a, b = Point(90_000.0, 123.4, t=5.0), Point(91_037.5, 611.9, t=97.25)
+        gap = Trajectory("off", [a, b])
+        history = [
+            Trajectory(f"h{k}", [Point(i * 25.0, float(k), t=float(i)) for i in range(40)])
+            for k in range(3)
+        ]
+        results = {
+            "linear": LinearImputer(100.0).impute(gap),
+            "trimpute": TrImpute(TrImputeConfig(maxgap_m=100.0)).fit(history).impute(gap),
+            "mapmatch": HmmMapMatcher(small_city).impute(gap),
+            "kamel": trained_kamel.impute(gap),
+        }
+        assert trained_kamel.config.maxgap_m == 100.0
+        (kamel_segment,) = results["kamel"].segments
+        assert kamel_segment.fallback_reason == "endpoint_unseen"
+        expected = results["linear"].trajectory.points
+        assert len(expected) == 2 + 11  # 1,146.7 m at <= 100 m spacing
+        assert all(p.t is not None for p in expected)
+        for name, result in results.items():
+            assert result.failure_rate == 1.0, name
+            assert result.trajectory.points == expected, name
 
 
 class TestSublineHelpers:

@@ -217,3 +217,19 @@ class TestBadFlagValues:
         captured = _no_traceback(capsys)
         assert "error: cell_edge_m must be positive" in captured.err
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestReportNames:
+    def test_a_bad_name_runs_no_figure(self, tmp_path, capsys, monkeypatch):
+        """Every name is checked before the first figure runs."""
+        from repro import cli
+
+        ran = []
+        stubs = {name: (lambda scale, name=name: ran.append(name)) for name in ("fig9", "fig10")}
+        monkeypatch.setattr(cli, "ALL_FIGURES", stubs)
+        out = tmp_path / "report.md"
+        assert main(["report", "--figures", "fig9", "nope", "--output", str(out)]) == 2
+        captured = _no_traceback(capsys)
+        assert "unknown figure 'nope'" in captured.err
+        assert ran == []
+        assert not out.exists()

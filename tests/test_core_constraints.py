@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.core.config import KamelConfig
 from repro.core.constraints import (
     GapContext,
     PassthroughConstraints,
@@ -31,9 +30,8 @@ def setup():
         "far": (5000.0, 5000.0),
     }.items():
         tokens[name] = tokenizer.vocabulary.add(tokenizer.grid.cell_of(Point(x, y)))
-    config = KamelConfig()
-    constraints = SpatialConstraints(tokenizer, config, max_speed_mps=15.0)
-    return tokenizer, tokens, constraints, config
+    constraints = SpatialConstraints(tokenizer, max_speed_mps=15.0)
+    return tokenizer, tokens, constraints
 
 
 def make_ctx(tokens, dt=60.0, prev=None, nxt=None) -> GapContext:
@@ -49,60 +47,60 @@ def make_ctx(tokens, dt=60.0, prev=None, nxt=None) -> GapContext:
 
 class TestSpeedEllipse:
     def test_midpoint_accepted(self, setup):
-        _, tokens, constraints, _ = setup
+        _, tokens, constraints = setup
         assert constraints.within_speed_ellipse(tokens["mid"], make_ctx(tokens))
 
     def test_far_point_rejected(self, setup):
-        _, tokens, constraints, _ = setup
+        _, tokens, constraints = setup
         assert not constraints.within_speed_ellipse(tokens["far"], make_ctx(tokens))
 
     def test_ellipse_scales_with_time(self, setup):
-        _, tokens, constraints, _ = setup
+        _, tokens, constraints = setup
         tight = constraints.ellipse_distance_sum(make_ctx(tokens, dt=45.0))
         loose = constraints.ellipse_distance_sum(make_ctx(tokens, dt=300.0))
         assert loose > tight
 
     def test_floor_covers_straight_line(self, setup):
-        tokenizer, tokens, constraints, _ = setup
+        tokenizer, tokens, constraints = setup
         # Zero time difference still admits the straight path.
         ctx = GapContext(tokens["S"], tokens["D"], 0.0, 0.0)
         straight = tokenizer.token_distance_m(tokens["S"], tokens["D"])
         assert constraints.ellipse_distance_sum(ctx) >= straight
 
     def test_missing_times_uses_floor(self, setup):
-        _, tokens, constraints, _ = setup
+        _, tokens, constraints = setup
         ctx = GapContext(tokens["S"], tokens["D"])
         assert constraints.ellipse_distance_sum(ctx) > 0
 
     def test_invalid_speed(self, setup):
-        tokenizer, _, _, config = setup
+        tokenizer, _, _ = setup
         with pytest.raises(ValueError):
-            SpatialConstraints(tokenizer, config, max_speed_mps=0.0)
+            SpatialConstraints(tokenizer, max_speed_mps=0.0)
 
 
 class TestDirectionCones:
     def test_candidate_behind_source_rejected(self, setup):
         """Figure 5: a token toward t1 (before S) is off-limits."""
-        _, tokens, constraints, _ = setup
+        _, tokens, constraints = setup
         ctx = make_ctx(tokens, prev="behind_S")
         assert constraints.violates_direction(tokens["behind_S"], ctx)
 
     def test_candidate_beyond_dest_rejected(self, setup):
-        _, tokens, constraints, _ = setup
+        _, tokens, constraints = setup
         ctx = make_ctx(tokens, nxt="beyond_D")
         assert constraints.violates_direction(tokens["beyond_D"], ctx)
 
     def test_forward_candidate_allowed(self, setup):
-        _, tokens, constraints, _ = setup
+        _, tokens, constraints = setup
         ctx = make_ctx(tokens, prev="behind_S", nxt="beyond_D")
         assert not constraints.violates_direction(tokens["mid"], ctx)
 
     def test_no_context_no_rejection(self, setup):
-        _, tokens, constraints, _ = setup
+        _, tokens, constraints = setup
         assert not constraints.violates_direction(tokens["behind_S"], make_ctx(tokens))
 
     def test_perpendicular_not_in_cone(self, setup):
-        _, tokens, constraints, _ = setup
+        _, tokens, constraints = setup
         ctx = make_ctx(tokens, prev="behind_S")
         assert not constraints.violates_direction(tokens["north"], ctx)
 
@@ -144,13 +142,13 @@ class TestCyclePrevention:
 
 class TestFilter:
     def test_filters_specials(self, setup):
-        _, tokens, constraints, _ = setup
+        _, tokens, constraints = setup
         ctx = make_ctx(tokens)
         out = constraints.filter([(0, 0.5), (1, 0.4), (2, 0.3)], ctx, [ctx.source, ctx.dest], 0)
         assert out == []
 
     def test_keeps_valid_candidate_order(self, setup):
-        _, tokens, constraints, _ = setup
+        _, tokens, constraints = setup
         ctx = make_ctx(tokens)
         candidates = [(tokens["mid"], 0.6), (tokens["far"], 0.3)]
         out = constraints.filter(candidates, ctx, [ctx.source, ctx.dest], 0)
@@ -160,7 +158,7 @@ class TestFilter:
         """A candidate that balloons the path beyond what the maximum
         speed allows within the time span is rejected even when its
         position is inside the ellipse."""
-        tokenizer, tokens, constraints, _ = setup
+        tokenizer, tokens, constraints = setup
         # Tight time budget: 600 m straight in 42 s at 15 m/s leaves
         # almost no detour slack.
         ctx = make_ctx(tokens, dt=42.0)
@@ -169,15 +167,15 @@ class TestFilter:
         assert out == []
 
     def test_cycle_rejected_through_filter(self, setup):
-        _, tokens, constraints, _ = setup
+        _, tokens, constraints = setup
         ctx = make_ctx(tokens, dt=600.0)
         segment = [tokens["S"], tokens["mid"], tokens["D"]]
         out = constraints.filter([(tokens["mid"], 0.9)], ctx, segment, 1)
         assert out == []
 
     def test_passthrough_keeps_everything_but_specials_and_self(self, setup):
-        tokenizer, tokens, _, config = setup
-        passthrough = PassthroughConstraints(tokenizer, config, max_speed_mps=15.0)
+        tokenizer, tokens, _ = setup
+        passthrough = PassthroughConstraints(tokenizer, max_speed_mps=15.0)
         ctx = make_ctx(tokens)
         candidates = [(tokens["far"], 0.5), (0, 0.4), (tokens["S"], 0.3)]
         out = passthrough.filter(candidates, ctx, [tokens["S"], tokens["D"]], 0)

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.core.config import KamelConfig
 from repro.core.detokenization import Detokenizer, _circular_mean, _point_directions
 from repro.core.tokenization import Tokenizer
 from repro.geo import Point, Trajectory
@@ -45,17 +44,16 @@ class TestHelpers:
 
 class TestFit:
     def test_cells_populated(self, tokenizer):
-        detok = Detokenizer(tokenizer, KamelConfig()).fit([horizontal_traj("a", 0.0)])
+        detok = Detokenizer(tokenizer).fit([horizontal_traj("a", 0.0)])
         assert detok.num_cells > 0
 
     def test_crossing_roads_make_two_clusters(self, tokenizer):
         """A cell where a horizontal and a vertical road cross must get
         (at least) two directional clusters (Figure 8a)."""
-        config = KamelConfig()
         trajs = [horizontal_traj(f"h{i}", 0.0 + i) for i in range(3)] + [
             vertical_traj(f"v{i}", 0.0 + i) for i in range(3)
         ]
-        detok = Detokenizer(tokenizer, config).fit(trajs)
+        detok = Detokenizer(tokenizer).fit(trajs)
         crossing_cell = tokenizer.grid.cell_of(Point(0.0, 0.0))
         info = detok.cell_info(crossing_cell)
         assert len(info.clusters) >= 2
@@ -65,9 +63,8 @@ class TestFit:
         assert any(abs(d - math.pi / 2) < 0.5 for d in directions)
 
     def test_sparse_cell_no_clusters(self, tokenizer):
-        config = KamelConfig(dbscan_min_samples=10)
         traj = Trajectory("tiny", [Point(0, 0, t=0.0), Point(30, 0, t=3.0)])
-        detok = Detokenizer(tokenizer, config).fit([traj])
+        detok = Detokenizer(tokenizer).fit([traj])
         info = detok.cell_info(tokenizer.grid.cell_of(Point(0, 0)))
         assert info.clusters == ()
         assert info.data_centroid is not None
@@ -75,14 +72,14 @@ class TestFit:
 
 class TestOnline:
     def test_unknown_cell_falls_back_to_hexagon_centroid(self, tokenizer):
-        detok = Detokenizer(tokenizer, KamelConfig())
+        detok = Detokenizer(tokenizer)
         cell = tokenizer.grid.cell_of(Point(5000, 5000))
         token = tokenizer.vocabulary.add(cell)
         point = detok.point_for_token(token, None, None)
         assert point == tokenizer.grid.centroid(cell)
 
     def test_single_cluster_uses_its_centroid(self, tokenizer):
-        detok = Detokenizer(tokenizer, KamelConfig()).fit([horizontal_traj("a", 20.0)])
+        detok = Detokenizer(tokenizer).fit([horizontal_traj("a", 20.0)])
         cell = tokenizer.grid.cell_of(Point(0, 20.0))
         token = tokenizer.vocabulary.add(cell)
         point = detok.point_for_token(token, None, None)
@@ -92,7 +89,7 @@ class TestOnline:
         trajs = [horizontal_traj(f"h{i}", 0.0 + i) for i in range(3)] + [
             vertical_traj(f"v{i}", 0.0 + i) for i in range(3)
         ]
-        detok = Detokenizer(tokenizer, KamelConfig()).fit(trajs)
+        detok = Detokenizer(tokenizer).fit(trajs)
         cell = tokenizer.grid.cell_of(Point(0, 0))
         token = tokenizer.vocabulary.add(cell)
         centroid = tokenizer.grid.centroid(cell)
@@ -113,7 +110,7 @@ class TestOnline:
         trajs = [horizontal_traj(f"h{i}", 0.0 + i) for i in range(4)] + [
             vertical_traj("v0", 0.0)
         ]
-        detok = Detokenizer(tokenizer, KamelConfig()).fit(trajs)
+        detok = Detokenizer(tokenizer).fit(trajs)
         cell = tokenizer.grid.cell_of(Point(0, 0))
         token = tokenizer.vocabulary.add(cell)
         point = detok.point_for_token(token, None, None)
@@ -123,7 +120,7 @@ class TestOnline:
             assert point == biggest.centroid
 
     def test_detokenize_interior_order_and_length(self, tokenizer):
-        detok = Detokenizer(tokenizer, KamelConfig()).fit(
+        detok = Detokenizer(tokenizer).fit(
             [horizontal_traj("a", 0.0, n=100, step=10.0)]
         )
         cells = [tokenizer.grid.cell_of(Point(x, 0.0)) for x in (130.0, 260.0, 390.0)]
@@ -134,5 +131,5 @@ class TestOnline:
         assert xs == sorted(xs)  # walking east
 
     def test_detokenize_empty(self, tokenizer):
-        detok = Detokenizer(tokenizer, KamelConfig())
+        detok = Detokenizer(tokenizer)
         assert detok.detokenize_interior([], Point(0, 0), Point(1, 1)) == []

@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import imputation
 from repro.core.config import KamelConfig
 from repro.core.constraints import (
     GapContext,
@@ -90,8 +91,8 @@ def world():
     for c in list(tokenizer.vocabulary)[3:]:
         for n in tokenizer.grid.neighbors(c):
             tokenizer.vocabulary.add(n)
-    config = KamelConfig(top_k_candidates=6, beam_size=4)
-    constraints = SpatialConstraints(tokenizer, config, max_speed_mps=20.0)
+    config = KamelConfig(beam_size=4)
+    constraints = SpatialConstraints(tokenizer, max_speed_mps=20.0)
     model = CorridorModel(tokenizer)
     return tokenizer, config, constraints, model, corridor, spacing
 
@@ -253,17 +254,13 @@ class TestBeamSearch:
         assert open_gaps_of(beam, full) == ()
         del greedy_result
 
-    def test_length_normalization_monotone_in_alpha(self, world):
+    def test_length_normalization_monotone_in_alpha(self, world, monkeypatch):
         tokenizer, config, constraints, model, corridor, _ = world
-        imputer0 = BeamSearchImputer(
-            model, tokenizer, constraints, dataclasses.replace(config, length_norm_alpha=0.0)
-        )
-        imputer1 = BeamSearchImputer(
-            model, tokenizer, constraints, dataclasses.replace(config, length_norm_alpha=1.0)
-        )
+        imputer = BeamSearchImputer(model, tokenizer, constraints, config)
         seg = tuple(corridor[:4])
-        assert imputer0._normalized(seg, 0.5) == pytest.approx(0.5)
-        assert imputer1._normalized(seg, 0.5) == pytest.approx(1.0)  # 2 interior tokens
+        assert imputer._normalized(seg, 0.5) == pytest.approx(1.0)  # 2 interior tokens
+        monkeypatch.setattr(imputation, "LENGTH_NORM_ALPHA", 0.0)
+        assert imputer._normalized(seg, 0.5) == pytest.approx(0.5)
 
     def test_budget_exhaustion(self, world):
         tokenizer, config, constraints, model, corridor, spacing = world
@@ -322,10 +319,14 @@ class TestFactory:
 
 class SeededModel(MaskedModel):
     """Arbitrary but reproducible answers over a tiny vocabulary: up to
-    ``top_k`` neighbours of the masked position's two anchors, weighted by
-    a generator seeded from (seed, left, right). ``queries`` counts rows
-    reaching the model, ``invocations`` calls of either method, and
-    ``batch_lengths`` keeps the query lengths of each batch."""
+    ``top_k`` (at most :attr:`ANSWERS`) neighbours of the masked position's
+    two anchors, weighted by a generator seeded from (seed, left, right).
+    ``queries`` counts rows reaching the model, ``invocations`` calls of
+    either method, and ``batch_lengths`` keeps the query lengths of each
+    batch."""
+
+    ANSWERS = 5
+    """Fewer than the searches ask for, so a search sees short answers."""
 
     def __init__(self, tokenizer: Tokenizer, seed: int):
         self.tokenizer = tokenizer
@@ -368,7 +369,7 @@ class SeededModel(MaskedModel):
             for cell in grid.neighbors(self.tokenizer.cell_of_token(anchor))
             if cell in vocab
         })
-        chosen = rng.sample(pool, min(len(pool), top_k))
+        chosen = rng.sample(pool, min(len(pool), top_k, self.ANSWERS))
         weights = [rng.random() + 0.05 for _ in chosen]
         total = sum(weights) * (1.0 + rng.random())  # leave some mass unassigned
         return sorted(
@@ -382,15 +383,15 @@ def _patch_world(model_seed, **config):
     tokens = {
         (q, r): tokenizer.vocabulary.add((q, r)) for q in range(8) for r in range(3)
     }
-    cfg = KamelConfig(top_k_candidates=5, **config)
-    constraints = SpatialConstraints(tokenizer, cfg, max_speed_mps=30.0)
+    cfg = KamelConfig(**config)
+    constraints = SpatialConstraints(tokenizer, max_speed_mps=30.0)
     return tokenizer, cfg, constraints, SeededModel(tokenizer, model_seed), tokens
 
 
 def _scalar_candidates(imputer, seg, i, ctx):
     tokens, position = imputer._query(seg, i, ctx)
     raw = imputer.model.predict_masked(
-        tokens, position, top_k=imputer.config.top_k_candidates
+        tokens, position, top_k=imputation.TOP_K_CANDIDATES
     )
     return imputer.constraints.filter(raw, ctx, seg, i)
 
@@ -416,7 +417,7 @@ def _scalar_iterative(imputer, ctx):
 
 def parent_normalized(imputer, seg, prob):
     interior = max(1, len(seg) - 2)
-    return prob * interior**imputer.config.length_norm_alpha
+    return prob * interior**imputation.LENGTH_NORM_ALPHA
 
 
 def _scalar_beam(imputer, ctx):
@@ -639,7 +640,7 @@ class TestCarriedGeometryMatchesRecomputation:
     def test_random_insertion_walks(self, walk):
         tokenizer, threshold, source, dest, script = walk
         config = KamelConfig()
-        constraints = SpatialConstraints(tokenizer, config, max_speed_mps=20.0)
+        constraints = SpatialConstraints(tokenizer, max_speed_mps=20.0)
         imputer = BeamSearchImputer(
             CorridorModel(tokenizer), tokenizer, constraints, config, gap_threshold_m=threshold
         )
@@ -689,7 +690,7 @@ class TestAblationsGoThroughTheState:
             imputer="iterative" if strategy == "iterative" else "beam",
             use_multipoint=strategy != "single_point",
         )
-        constraints = constraints_cls(tokenizer, cfg, max_speed_mps=30.0)
+        constraints = constraints_cls(tokenizer, max_speed_mps=30.0)
         ctx = GapContext(tokens[(0, 1)], tokens[(6, 1)], source_time=0.0, dest_time=60.0)
         imputer = make_segment_imputer(model, tokenizer, constraints, cfg)
         assert imputer.strategy_name == strategy
@@ -835,15 +836,18 @@ class TestBeamRoundMatchesParentRound:
     )
     def test_same_segment_imputation(self, data, beam_size, budget, end, alpha, with_context):
         tokenizer, cfg, constraints, _, tokens = _patch_world(
-            0, beam_size=beam_size, max_model_calls=budget, length_norm_alpha=alpha
+            0, beam_size=beam_size, max_model_calls=budget
         )
         model = TableModel(data.draw(answer_tables(tokenizer, tokens)))
         ctx = GapContext(
             tokens[(0, 1)], tokens[(end, 1)], source_time=0.0, dest_time=60.0,
             next_token=tokens[(end, 0)] if with_context else None,
         )
-        expected = ParentRoundBeamSearch(model, tokenizer, constraints, cfg).impute_segment(ctx)
-        got = BeamSearchImputer(model, tokenizer, constraints, cfg).impute_segment(ctx)
+        # Alg. 2 fixes alpha at 1; the rounds must agree at every strength.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(imputation, "LENGTH_NORM_ALPHA", alpha)
+            expected = ParentRoundBeamSearch(model, tokenizer, constraints, cfg).impute_segment(ctx)
+            got = BeamSearchImputer(model, tokenizer, constraints, cfg).impute_segment(ctx)
         assert got == expected
 
     def test_a_completion_never_prunes_its_own_round(self):

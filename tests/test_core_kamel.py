@@ -2,13 +2,15 @@
 
 import dataclasses
 import logging
+import math
 
 import pytest
 
 from repro import Kamel, KamelConfig
-from repro.core.kamel import _assign_times, _linear_interior, infer_max_speed
+from repro.core import constraints, imputation
+from repro.core.kamel import infer_max_speed
 from repro.errors import ConfigError, EmptyInputError, NotFittedError
-from repro.geo import Point, Trajectory
+from repro.geo import Point, Trajectory, assign_times, linear_interior
 
 
 class TestConfigValidation:
@@ -21,14 +23,10 @@ class TestConfigValidation:
             dict(cell_edge_m=0.0),
             dict(maxgap_m=-1.0),
             dict(beam_size=0),
-            dict(length_norm_alpha=2.0),
-            dict(cycle_window=0),
-            dict(cone_half_angle_deg=95.0),
             dict(pyramid_levels=0),
             dict(pyramid_levels=9, pyramid_height=5),
             dict(model_threshold_k=0),
             dict(max_model_calls=0),
-            dict(top_k_candidates=0),
             dict(pyramid_root_extent_m=0.0),
         ],
     )
@@ -41,10 +39,11 @@ class TestConfigValidation:
         assert cfg.cell_edge_m == 75.0
         assert cfg.maxgap_m == 100.0
         assert cfg.beam_size == 10
-        assert cfg.cycle_window == 6
-        assert cfg.cone_half_angle_deg == 45.0
-        assert cfg.length_norm_alpha == 1.0
         assert cfg.grid_type == "hex"
+        # The values the paper fixes are constants beside their readers.
+        assert constraints.CYCLE_WINDOW == 6
+        assert constraints.CONE_HALF_ANGLE_RAD == math.radians(45.0)
+        assert imputation.LENGTH_NORM_ALPHA == 1.0
 
 
 class TestLifecycle:
@@ -193,18 +192,18 @@ class TestHelpers:
         assert infer_max_speed([traj]) == pytest.approx(14.0)
 
     def test_linear_interior_spacing(self):
-        pts = _linear_interior(Point(0, 0), Point(450, 0), 100.0)
+        pts = linear_interior(Point(0, 0), Point(450, 0), 100.0)
         assert len(pts) == 4
         assert pts[0].x == pytest.approx(90.0)
 
     def test_linear_interior_short_gap(self):
-        assert _linear_interior(Point(0, 0), Point(50, 0), 100.0) == []
+        assert linear_interior(Point(0, 0), Point(50, 0), 100.0) == []
 
     def test_assign_times_by_arc_length(self):
         interior = [Point(100, 0), Point(200, 0)]
-        timed = _assign_times(Point(0, 0, t=0.0), Point(300, 0, t=30.0), interior)
+        timed = assign_times(Point(0, 0, t=0.0), Point(300, 0, t=30.0), interior)
         assert [p.t for p in timed] == pytest.approx([10.0, 20.0])
 
     def test_assign_times_missing_endpoint_time(self):
         interior = [Point(100, 0)]
-        assert _assign_times(Point(0, 0), Point(300, 0, t=30.0), interior) == interior
+        assert assign_times(Point(0, 0), Point(300, 0, t=30.0), interior) == interior

@@ -173,7 +173,6 @@ class TestModelRepository:
     def test_retrieve_before_training(self, tokenizer):
         repo = self.make_repo(tokenizer)
         assert repo.retrieve(BoundingBox(0, 0, 10, 10)) is None
-        assert repo.any_model() is None
 
     def test_threshold_blocks_small_batches(self, tokenizer):
         repo = self.make_repo(tokenizer, k=10_000)

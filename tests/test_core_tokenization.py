@@ -6,6 +6,7 @@ from repro.errors import ConfigError
 from repro.geo import Point, Trajectory
 from repro.grid import HexGrid, SquareGrid
 from repro.core.tokenization import TokenSequence, Tokenizer, make_grid
+from repro.mlm.vocab import MASK_TOKEN
 
 
 @pytest.fixture()
@@ -89,7 +90,7 @@ class TestTokenGeometry:
 
     def test_cell_of_special_rejected(self, tokenizer):
         with pytest.raises(ConfigError):
-            tokenizer.cell_of_token(tokenizer.vocabulary.mask_id)
+            tokenizer.cell_of_token(tokenizer.vocabulary.encode(MASK_TOKEN))
 
     def test_token_for_point(self, tokenizer):
         p = Point(10.0, 10.0)
@@ -112,9 +113,3 @@ class TestTokenGeometry:
         seq = tokenizer.tokenize(east_trajectory(), grow=True)
         box = tokenizer.sequence_bbox(seq)
         assert box.width > 500.0
-
-    def test_polyline_skips_specials(self, tokenizer):
-        seq = tokenizer.tokenize(east_trajectory(), grow=True)
-        tokens = list(seq.tokens) + [tokenizer.vocabulary.unk_id]
-        polyline = tokenizer.polyline_of(tokens)
-        assert len(polyline) == len(seq.tokens)

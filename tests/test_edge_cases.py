@@ -84,26 +84,6 @@ class TestPartitioningEdges:
         repo.add_training([tokenizer.tokenize(t, grow=True) for t in locals_ + [giant]])
         assert repo.num_models >= 1
 
-    def test_any_model_prefers_shallowest(self):
-        tokenizer = Tokenizer(HexGrid(75.0))
-        config = KamelConfig(
-            model_threshold_k=3, pyramid_height=3, pyramid_levels=2,
-            pyramid_root_extent_m=8000.0,
-        )
-        store = TrajectoryStore(tokenizer)
-        repo = ModelRepository(tokenizer, store, config, CountingMaskedLM)
-        trajs = [
-            Trajectory(f"t{k}", [Point(i * 60.0, k * 30.0, t=float(i)) for i in range(12)])
-            for k in range(8)
-        ]
-        repo.add_training([tokenizer.tokenize(t, grow=True) for t in trajs])
-        best = repo.any_model()
-        if best is not None and repo._single:
-            shallowest = min(level for level, _, _ in repo._single)
-            assert best.region.area >= repo.pyramid.cell_bbox(
-                (max(level for level, _, _ in repo._single), 0, 0)
-            ).area
-
 
 class TestMapMatchEdges:
     @pytest.fixture()

@@ -43,11 +43,6 @@ class TestGeometry:
     def test_centroid_maps_back_to_cell(self, grid, cell):
         assert grid.cell_of(grid.centroid(cell)) == cell
 
-    def test_vertices_are_on_circumcircle(self, grid):
-        c = grid.centroid((3, -2))
-        for v in grid.vertices((3, -2)):
-            assert c.distance_to(v) == pytest.approx(75.0)
-
 
 class TestNeighbors:
     def test_six_neighbors(self, grid):
@@ -66,30 +61,13 @@ class TestNeighbors:
         for n in grid.neighbors(cell):
             assert cell in grid.neighbors(n)
 
-    @given(cells)
-    def test_neighbors_are_one_step(self, grid, cell):
-        for n in grid.neighbors(cell):
-            assert grid.cell_steps(cell, n) == 1
-
 
 class TestCellSteps:
-    def test_identity(self, grid):
-        assert grid.cell_steps((5, -3), (5, -3)) == 0
-
-    @given(cells, cells)
-    def test_symmetric(self, grid, a, b):
-        assert grid.cell_steps(a, b) == grid.cell_steps(b, a)
-
-    @given(cells, cells, cells)
-    def test_triangle_inequality(self, grid, a, b, c):
-        assert grid.cell_steps(a, c) <= grid.cell_steps(a, b) + grid.cell_steps(b, c)
-
-    @given(cells, cells)
-    def test_steps_lower_bounds_metric_distance(self, grid, a, b):
+    @given(cells, st.integers(0, 3))
+    def test_steps_lower_bounds_metric_distance(self, grid, a, steps):
         """k steps cannot cover more than k * centroid spacing."""
-        metric = grid.cell_distance_m(a, b)
-        steps = grid.cell_steps(a, b)
-        assert metric <= steps * grid.centroid_spacing_m + 1e-6
+        for b in grid.ring(a, steps):
+            assert grid.cell_distance_m(a, b) <= steps * grid.centroid_spacing_m + 1e-6
 
 
 class TestRegionQueries:

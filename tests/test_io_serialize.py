@@ -236,9 +236,9 @@ class TestErrors:
     def test_version_mismatch_rejected(self, trained_kamel, tmp_path):
         save_kamel(trained_kamel, tmp_path)
         payload = json.loads((tmp_path / "config.json").read_text())
-        # 999: a format from the future; 1 to 3: formats whose config.json,
+        # 999: a format from the future; 1 to 4: formats whose config.json,
         # BERT headers or counting payloads still carry settings retired since.
-        for version in (999, 1, 2, 3):
+        for version in (999, 1, 2, 3, 4):
             payload["version"] = version
             (tmp_path / "config.json").write_text(json.dumps(payload))
             with pytest.raises(KamelError, match=f"version {version}"):

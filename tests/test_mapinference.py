@@ -83,19 +83,6 @@ class TestInference:
         assert inferred.num_cells > 30  # the whole diagonal chord
         del diagonal_cell
 
-    def test_to_graph_connected_along_road(self):
-        inferred = TrajectoryMapInference().infer(road_trajectories())
-        graph = inferred.to_graph(min_visits=2)
-        import networkx as nx
-
-        assert graph.number_of_nodes() > 0
-        assert nx.number_connected_components(graph) <= 2
-
-    def test_total_road_length(self):
-        inferred = TrajectoryMapInference().infer(road_trajectories())
-        length = inferred.total_road_length_m(min_visits=2)
-        assert 700.0 <= length <= 2500.0  # jittered trips occupy ~2 cell rows
-
 
 class TestEvaluation:
     def test_perfect_inference_scores_high(self, straight_network):

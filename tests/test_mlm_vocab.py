@@ -16,8 +16,6 @@ from repro.mlm.vocab import (
 class TestSpecials:
     def test_reserved_ids(self):
         v = Vocabulary()
-        assert v.pad_id == 0
-        assert v.mask_id == 1
         assert v.unk_id == 2
         assert v.num_special == 3
         assert len(v) == 3
@@ -56,17 +54,6 @@ class TestEncodeDecode:
         v = Vocabulary()
         assert v.encode((9, 9)) == v.unk_id
 
-    def test_encode_many_grow(self):
-        v = Vocabulary()
-        ids = v.encode_many([(0, 0), (1, 1), (0, 0)], grow=True)
-        assert ids == [3, 4, 3]
-
-    def test_encode_many_no_grow(self):
-        v = Vocabulary()
-        v.add((0, 0))
-        ids = v.encode_many([(0, 0), (5, 5)])
-        assert ids == [3, v.unk_id]
-
     def test_decode_round_trip(self):
         v = Vocabulary()
         token_id = v.add((7, -3))
@@ -94,7 +81,7 @@ class TestEncodeDecode:
     @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=30))
     def test_round_trip_property(self, cells):
         v = Vocabulary()
-        ids = v.encode_many(cells, grow=True)
+        ids = [v.add(c) for c in cells]
         assert [v.decode(i) for i in ids] == cells
 
 

@@ -276,9 +276,8 @@ class TestFallbackReasons:
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
-            system = Kamel(
-                KamelConfig(max_model_calls=600, enable_fallback_model=False)
-            ).fit(train)
+            system = Kamel(KamelConfig(max_model_calls=600)).fit(train)
+            system._fallback_model = None  # the counting rung has no model
             result = system.impute(test[0].sparsify(500.0), max_rung="counting")
         finally:
             set_registry(previous)

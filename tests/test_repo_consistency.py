@@ -191,26 +191,39 @@ class TestConfigLiveness:
 
 
 class TestNoDeadPublicNames:
-    """A top-level public name of a ``src/repro`` module is used by code
-    besides its own definition: its module, another module, the benchmark
-    harness, a benchmark or an example. Only code counts — a ``Name``, an
-    attribute or an imported name — so a docstring, a comment or an
-    ``__all__`` string keeps nothing alive. Tests do not count, and neither
-    do the re-exports of a package ``__init__``: a name only tests reach is
-    dead code."""
+    """A public name of a ``src/repro`` module is used by code besides its
+    own definition: its module, another module, the benchmark harness, a
+    benchmark or an example. That holds for top-level names and for the
+    public methods and properties of public top-level classes. Only code
+    counts — a ``Name``, an attribute or an imported name — so a
+    docstring, a comment or an ``__all__`` string keeps nothing alive, and
+    neither does a member's use of itself inside its own body. Tests do not
+    count, and neither do the re-exports of a package ``__init__``: a name
+    only tests reach is dead code."""
 
     EXEMPT = {
         "haversine_m": "the test oracle LocalProjection's distances are checked against",
         "set_registry": "test seam: a test swaps in a fresh MetricsRegistry and restores the old one",
         "disable_tracing": "test seam: a test that turned tracing on turns it back off",
+        "SegmentImputer.impute_segment": "test seam: the one-segment runner through which tier-1 drives each search strategy",
+        "Detokenizer.cell_info": "test seam: the detokenization tests read a cell's fitted clusters (Fig. 8a) through it",
+        "BoundingBox.area": "test oracle: the partitioning tests compare model regions by it",
+        "Trajectory.max_gap": "test oracle: the tests that imputed output is spaced at most maxgap apart",
+        "Grid.cell_distance_m": "test oracle: token distances are checked against it",
+        "ModelStore.file_names": "test seam: the model-store tests pick a saved model file by it",
+        "InferredMap.visit_count": "test seam: the map-inference tests read the raster's per-cell counts",
+        "Vocabulary.real_token_ids": "test seam: property tests draw real tokens from it",
+        "RoadNetwork.total_length": "test oracle: the generator tests compare two cities by it",
+        "RoadNetwork.project": "test oracle: the tests that imputed points lie on the road network",
+        "ServingPool.brownout_settle": "test seam: the overload tests wait for the brownout to walk back through it",
     }
 
     @staticmethod
-    def _uses(source: str):
-        """The identifiers ``source`` uses in code."""
+    def _uses(tree):
+        """The identifiers the AST ``tree`` uses in code."""
         import ast
 
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 yield node.id
             elif isinstance(node, ast.Attribute):
@@ -221,15 +234,19 @@ class TestNoDeadPublicNames:
     @classmethod
     def _dead(cls, modules, readers, exempt=()):
         """``(module, name)`` for each public top-level name of ``modules``
-        that no code in ``modules`` or ``readers`` uses."""
+        that no code in ``modules`` or ``readers`` uses, and for each public
+        method or property (``Class.name``) of their public top-level
+        classes that none uses outside the member's own body."""
         import ast
+        from collections import Counter
 
-        used = set()
-        for source in [*modules.values(), *readers]:
-            used.update(cls._uses(source))
+        trees = {module: ast.parse(source) for module, source in modules.items()}
+        used = Counter()
+        for tree in [*trees.values(), *(ast.parse(source) for source in readers)]:
+            used.update(cls._uses(tree))
         dead = []
-        for module, source in modules.items():
-            for node in ast.parse(source).body:
+        for module, tree in trees.items():
+            for node in tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     names = [node.name]
                 elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -240,11 +257,24 @@ class TestNoDeadPublicNames:
                 dead += [
                     (module, name)
                     for name in names
-                    if not name.startswith("_") and name not in exempt and name not in used
+                    if not name.startswith("_") and name not in exempt and not used[name]
                 ]
+                if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                    continue
+                for member in node.body:
+                    if (
+                        isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not member.name.startswith("_")
+                        and f"{node.name}.{member.name}" not in exempt
+                        and used[member.name] == Counter(cls._uses(member))[member.name]
+                    ):
+                        dead.append((module, f"{node.name}.{member.name}"))
         return dead
 
-    def test_every_public_name_has_a_user(self):
+    @staticmethod
+    def _program():
+        """``src/repro`` modules but package ``__init__`` files, and the
+        sources of the harness, the benchmarks and the examples."""
         src = ROOT / "src" / "repro"
         modules = {
             str(p.relative_to(ROOT)): p.read_text()
@@ -256,8 +286,16 @@ class TestNoDeadPublicNames:
             for top in ("perf", "benchmarks", "examples")
             for p in (ROOT / top).rglob("*.py")
         ]
-        dead = self._dead(modules, readers, self.EXEMPT)
+        return modules, readers
+
+    def test_every_public_name_has_a_user(self):
+        dead = self._dead(*self._program(), self.EXEMPT)
         assert not dead, f"public names nothing uses: {dead}"
+
+    def test_every_exemption_is_needed(self):
+        modules, readers = self._program()
+        needed = {name for _, name in self._dead(modules, readers)}
+        assert set(self.EXEMPT) <= needed, set(self.EXEMPT) - needed
 
     def test_a_mention_outside_code_keeps_nothing_alive(self):
         modules = {
@@ -274,6 +312,87 @@ class TestNoDeadPublicNames:
         assert self._dead(modules, readers) == [("lib.py", "helper")]
         readers.append("from lib import helper\n")
         assert self._dead(modules, readers) == []
+
+    def test_a_member_calling_itself_keeps_nothing_alive(self):
+        modules = {
+            "lib.py": (
+                "class Box:\n"
+                "    def run(self, again=True):\n"
+                "        return self.run(False) if again else 1\n"
+                "    @property\n"
+                "    def size(self):\n"
+                "        return 2\n"
+            ),
+        }
+        readers = ["from lib import Box\nprint(Box().size)\n"]
+        assert self._dead(modules, readers) == [("lib.py", "Box.run")]
+        readers.append("Box().run()\n")
+        assert self._dead(modules, readers) == []
+
+
+class TestConfigFieldsAreSet:
+    """A field of ``KamelConfig`` or ``ServeConfig`` is a setting some
+    program varies: code in ``src/repro``, the benchmark harness, a
+    benchmark or an example sets it — a keyword of that class, a keyword
+    of ``dataclasses.replace``, or a key of a ``perf/workloads.py`` config
+    dict. A value only tests set is a constant beside its reader, unless
+    the map below says why it stays a field."""
+
+    EXEMPT = {
+        "KamelConfig.pyramid_height": "tier-1's multi-leaf world and the planned bulk_city workload need other heights",
+        "KamelConfig.pyramid_levels": "tier-1's multi-leaf world and the planned bulk_city workload need other level counts",
+        "KamelConfig.pyramid_root_extent_m": "tier-1's multi-leaf world and the planned bulk_city workload need other roots",
+        "KamelConfig.model_threshold_k": "tier-1's multi-leaf world and the planned bulk_city workload need other thresholds",
+        "KamelConfig.cell_size_candidates": "the tuner's rework (ROADMAP item 2) varies the candidates",
+        "ServeConfig.metrics_every": "read inside spawned workers, where no test can patch a constant",
+        "ServeConfig.span_batch": "read inside spawned workers, where no test can patch a constant",
+        "ServeConfig.brownout": "the ladder's restatement (ROADMAP item 6) decides its settings",
+    }
+
+    @staticmethod
+    def _set_by_program() -> dict[str, set[str]]:
+        """Field names each config class is given by non-test code."""
+        import ast
+
+        given = {"KamelConfig": set(), "ServeConfig": set(), "replace": set()}
+        for top in ("src/repro", "perf", "benchmarks", "examples"):
+            for path in sorted((ROOT / top).rglob("*.py")):
+                tree = ast.parse(path.read_text())
+                for node in ast.walk(tree):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in given:
+                        given[name].update(k.arg for k in node.keywords if k.arg)
+                    if path.name == "workloads.py" and path.parent.name == "perf":
+                        for k in node.keywords:
+                            if k.arg == "config" and isinstance(k.value, ast.Dict):
+                                given["KamelConfig"].update(
+                                    key.value for key in k.value.keys
+                                    if isinstance(key, ast.Constant)
+                                )
+        return {
+            cls: given[cls] | given["replace"] for cls in ("KamelConfig", "ServeConfig")
+        }
+
+    def test_every_field_is_set_by_a_program(self):
+        import dataclasses
+
+        from repro.core.config import KamelConfig
+        from repro.serve.protocol import ServeConfig
+
+        set_by = self._set_by_program()
+        unset, needless = [], []
+        for cls in (KamelConfig, ServeConfig):
+            for field in dataclasses.fields(cls):
+                key = f"{cls.__name__}.{field.name}"
+                if field.name not in set_by[cls.__name__] and key not in self.EXEMPT:
+                    unset.append(key)
+                if field.name in set_by[cls.__name__] and key in self.EXEMPT:
+                    needless.append(key)
+        assert not unset, f"config fields only tests set (make them constants): {unset}"
+        assert not needless, f"exempt fields a program sets: {needless}"
 
 
 class TestServeKnobs:

@@ -18,7 +18,6 @@ from repro.resilience import (
     ChaosConfig,
     ChaosMonkey,
     Deadline,
-    DegradationLadder,
     InjectedFault,
     MAX_COORDINATE_M,
     PipelineGuards,
@@ -26,13 +25,13 @@ from repro.resilience import (
     RUNG_COUNTING,
     RUNG_FULL,
     RUNG_LINEAR,
-    RUNG_REDUCED_BEAM,
     StreamJournal,
     trajectory_from_payload,
     trajectory_to_payload,
     validate_trajectory,
     chaos_scope,
 )
+from repro.resilience.ladder import rungs_for
 
 from tests.test_search_state import observed
 
@@ -73,7 +72,7 @@ class TestDeadline:
         assert isinstance(excinfo.value, KamelError)
 
     def test_unlimited_never_expires(self):
-        deadline = Deadline.unlimited(clock=FakeClock())
+        deadline = Deadline(math.inf, clock=FakeClock())
         assert deadline.is_unlimited
         assert not deadline.expired
         assert deadline.remaining() == math.inf
@@ -86,31 +85,22 @@ class TestDeadline:
 
 class TestDegradationLadder:
     def test_full_ladder_from_default_config(self):
-        from repro.core.config import KamelConfig
-
-        ladder = DegradationLadder.for_config(KamelConfig())
-        assert ladder.rungs == ALL_RUNGS
+        assert rungs_for(KamelConfig()) == ALL_RUNGS
 
     def test_iterative_config_skips_reduced_beam(self):
-        from repro.core.config import KamelConfig
+        assert rungs_for(KamelConfig(imputer="iterative")) == (
+            RUNG_FULL, RUNG_COUNTING, RUNG_LINEAR,
+        )
 
-        ladder = DegradationLadder.for_config(KamelConfig(imputer="iterative"))
-        assert RUNG_REDUCED_BEAM not in ladder.rungs
-        assert ladder.rungs[-1] == RUNG_LINEAR
-
-    def test_no_fallback_model_skips_counting(self):
-        from repro.core.config import KamelConfig
-
-        ladder = DegradationLadder.for_config(KamelConfig(enable_fallback_model=False))
-        assert RUNG_COUNTING not in ladder.rungs
-
-    def test_must_end_in_linear(self):
-        with pytest.raises(ValueError):
-            DegradationLadder((RUNG_FULL, RUNG_COUNTING))
-
-    def test_rungs_must_be_ordered(self):
-        with pytest.raises(ValueError):
-            DegradationLadder((RUNG_COUNTING, RUNG_FULL, RUNG_LINEAR))
+    def test_every_ladder_has_the_counting_rung(self):
+        """Every fit builds the counting rung's model, so every ladder has
+        the rung, right above ``linear``."""
+        for config in (
+            KamelConfig(), KamelConfig(imputer="iterative"), KamelConfig(use_multipoint=False),
+        ):
+            assert rungs_for(config)[-2:] == (RUNG_COUNTING, RUNG_LINEAR)
+            system = Kamel(config).fit([_traj("a"), _traj("b")])
+            assert system._fallback_model is not None and system._fallback_model.is_fitted
 
 
 def _traj(traj_id="t1"):

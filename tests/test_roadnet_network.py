@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import EmptyInputError
 from repro.geo import Point
-from repro.roadnet.network import EdgeRef, RoadNetwork, _point_along, _project_to_segment
+from repro.roadnet.network import EdgeRef, RoadNetwork, _project_to_segment
 
 
 @pytest.fixture()
@@ -127,24 +127,8 @@ class TestSpatialQueries:
     def test_nearest_edges_limit(self, square_net):
         assert len(square_net.nearest_edges(Point(100, 100), radius=300.0, limit=3)) == 3
 
-    def test_nearest_node(self, square_net):
-        assert square_net.nearest_node(Point(95.0, 110.0)) == 4
-
-    def test_point_along_edge(self, square_net):
-        p = square_net.point_along_edge(EdgeRef(0, 1), 25.0)
-        assert (p.x, p.y) == (25.0, 0.0)
-
-    def test_point_along_edge_reversed(self, square_net):
-        p = square_net.point_along_edge(EdgeRef(1, 0), 25.0)
-        assert (p.x, p.y) == (75.0, 0.0)
-
 
 class TestHelpers:
-    def test_point_along_clamps(self):
-        line = [Point(0, 0), Point(10, 0)]
-        assert _point_along(line, -5.0) == line[0]
-        assert _point_along(line, 50.0) == line[-1]
-
     def test_project_to_segment_interior(self):
         foot, along, dist = _project_to_segment(Point(5, 3), Point(0, 0), Point(10, 0))
         assert (foot.x, foot.y) == (5.0, 0.0)

@@ -118,7 +118,7 @@ def _record_filter_calls(constraints, monkeypatch):
 def _parent_books(constraints, calls):
     """What the parent's per-call reporting leaves behind for ``calls``."""
     registry = MetricsRegistry()
-    parent = ParentConstraints(constraints.tokenizer, constraints.config, constraints.max_speed_mps)
+    parent = ParentConstraints(constraints.tokenizer, constraints.max_speed_mps)
     for candidates, ctx, segment, insert_pos in calls:
         if type(constraints) is SpatialConstraints:
             out, rejected = parent_filter(
@@ -233,7 +233,7 @@ class TestStateOwnership:
 
         s, d_far, d_near = at(0.0, 0.0), at(1200.0, 0.0), at(300.0, 0.0)
         token, other = at(600.0, 150.0), at(150.0, 0.0)
-        constraints = SpatialConstraints(tokenizer, KamelConfig(), MAX_SPEED_MPS)
+        constraints = SpatialConstraints(tokenizer, MAX_SPEED_MPS)
         ctx_a = GapContext(s, d_far, 0.0, 80.0)
         ctx_b = GapContext(s, d_near, 0.0, 20.0)
         assert constraints.within_speed_ellipse(token, ctx_a)

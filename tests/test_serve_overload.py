@@ -26,7 +26,8 @@ from repro.resilience.ladder import (
     RUNG_FULL,
     RUNG_LINEAR,
     RUNG_REDUCED_BEAM,
-    DegradationLadder,
+    allows,
+    tighter_cap,
 )
 from repro.serve import ServeConfig, ServingPool
 from repro.serve.overload import (
@@ -66,21 +67,21 @@ class TestRungCapMapping:
         assert rung_cap_for(99) == LEVEL_RUNGS[-1] == RUNG_COUNTING
 
     def test_allows_respects_cap_ordering(self):
-        assert DegradationLadder.allows(RUNG_FULL, None)
-        assert not DegradationLadder.allows(RUNG_FULL, RUNG_REDUCED_BEAM)
-        assert DegradationLadder.allows(RUNG_COUNTING, RUNG_REDUCED_BEAM)
+        assert allows(RUNG_FULL, None)
+        assert not allows(RUNG_FULL, RUNG_REDUCED_BEAM)
+        assert allows(RUNG_COUNTING, RUNG_REDUCED_BEAM)
         # linear is the safety net; no cap may exclude it
         for cap in (None, *ALL_RUNGS):
-            assert DegradationLadder.allows(RUNG_LINEAR, cap)
+            assert allows(RUNG_LINEAR, cap)
 
     def test_tighter_cap_picks_the_cheaper_rung(self):
-        assert DegradationLadder.tighter_cap(None, RUNG_COUNTING) == RUNG_COUNTING
-        assert DegradationLadder.tighter_cap(RUNG_COUNTING, None) == RUNG_COUNTING
+        assert tighter_cap(None, RUNG_COUNTING) == RUNG_COUNTING
+        assert tighter_cap(RUNG_COUNTING, None) == RUNG_COUNTING
         assert (
-            DegradationLadder.tighter_cap(RUNG_REDUCED_BEAM, RUNG_COUNTING)
+            tighter_cap(RUNG_REDUCED_BEAM, RUNG_COUNTING)
             == RUNG_COUNTING
         )
-        assert DegradationLadder.tighter_cap(None, None) is None
+        assert tighter_cap(None, None) is None
 
 
 class TestBrownoutConfigValidation:
@@ -297,7 +298,6 @@ class TestShedAdmission:
             workers=1,
             max_queue_depth=2,
             worker_chaos=_stall(1.5),
-            drain_timeout_s=240.0,
         )
         pool = ServingPool(str(saved_dir), config)
         with pool:
@@ -353,7 +353,6 @@ class TestStalledWorkerDepth:
                 seed=0, ipc_delay_rate=1.0, ipc_delay_s=1.0,
                 ipc_sites=("ipc.result",),
             ),
-            drain_timeout_s=240.0,
         )
         first, second, *rest = sparse_feed
         pool = ServingPool(str(saved_dir), config)
@@ -380,9 +379,7 @@ class TestHealthzMidStall:
 
     def test_outstanding_work_reads_ok(self, saved_dir, sparse_feed):
         get_registry().reset(prefix="repro.serve")
-        config = ServeConfig(
-            workers=2, worker_chaos=_stall(1.5), drain_timeout_s=240.0
-        )
+        config = ServeConfig(workers=2, worker_chaos=_stall(1.5))
         feed = sparse_feed[:4]
         pool = ServingPool(str(saved_dir), config)
         with pool:
@@ -407,7 +404,6 @@ class TestDeadlineExpiry:
             workers=1,
             request_deadline_s=0.4,
             worker_chaos=_stall(1.2),
-            drain_timeout_s=240.0,
         )
         pool = ServingPool(str(saved_dir), config)
         with pool:
@@ -445,7 +441,6 @@ class TestBrownoutOnPool:
                 high_depth=3, low_depth=1,
                 step_down_after=1, step_up_after=1, interval_s=0.0,
             ),
-            drain_timeout_s=240.0,
         )
         pool = ServingPool(str(saved_dir), config)
         with pool:
@@ -496,7 +491,6 @@ class TestEveryProtectionAtOnce:
                 step_down_after=1, step_up_after=1, interval_s=0.0,
             ),
             worker_chaos=_stall(0.8),
-            drain_timeout_s=240.0,
         )
         pool = ServingPool(str(saved_dir), config)
         with pool:
@@ -530,7 +524,6 @@ class TestWorkerKillDuringOverload:
             journal_dir=str(journal_dir),
             max_queue_depth=3,
             worker_chaos=replace(_stall(0.8), crash_after=2),
-            drain_timeout_s=240.0,
         )
         pool = ServingPool(str(saved_dir), config)
         with pool:

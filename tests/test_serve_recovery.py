@@ -19,6 +19,7 @@ from repro.obs.metrics import get_registry
 from repro.resilience.chaos import ChaosConfig
 from repro.resilience.journal import trajectory_to_payload
 from repro.serve import ServeConfig, ServingPool
+from repro.serve import pool as pool_module
 
 pytestmark = pytest.mark.chaos
 
@@ -55,7 +56,6 @@ def crashed_run(saved_dir, sparse_feed, tmp_path_factory):
         workers=2,
         journal_dir=str(journal_dir),
         worker_chaos=ChaosConfig(crash_after=2),
-        drain_timeout_s=240.0,
     )
     pool = ServingPool(str(saved_dir), config)
     with pool:
@@ -98,20 +98,19 @@ class TestWorkerDeathRecovery:
 
 @pytest.fixture(scope="module")
 def retired_run(saved_dir, sparse_feed):
-    """Shard 0 dies with revival off: its in-flight work must be written
-    off immediately instead of wedging drain() until the timeout."""
+    """Shard 0 dies with no revivals left: its in-flight work must be
+    written off immediately instead of wedging drain() until the timeout.
+    The revival cap is read in the parent, so patching it to 0 retires
+    the shard on its first death."""
     get_registry().reset(prefix="repro.serve")
-    config = ServeConfig(
-        workers=2,
-        worker_chaos=ChaosConfig(crash_after=2),
-        revive_dead_workers=False,
-        drain_timeout_s=240.0,
-    )
-    pool = ServingPool(str(saved_dir), config)
-    with pool:
-        started = time.monotonic()
-        results = pool.process_all(sparse_feed, timeout=240)
-        elapsed = time.monotonic() - started
+    config = ServeConfig(workers=2, worker_chaos=ChaosConfig(crash_after=2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pool_module, "MAX_REVIVES_PER_SHARD", 0)
+        pool = ServingPool(str(saved_dir), config)
+        with pool:
+            started = time.monotonic()
+            results = pool.process_all(sparse_feed, timeout=240)
+            elapsed = time.monotonic() - started
     return pool, results, elapsed
 
 

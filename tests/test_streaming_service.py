@@ -66,14 +66,12 @@ class TestHotPath:
             service.process(t.sparsify(500.0))
         stats = service.stats
         assert 0.0 <= stats.failure_rate <= 1.0
-        assert stats.densification_ratio >= 1.0
-        assert stats.mean_latency_ms > 0.0
+        assert stats.points_out >= stats.points_in > 0
+        assert stats.processing_seconds > 0.0
 
     def test_empty_stats(self, trained_kamel):
         fresh = StreamingImputationService(trained_kamel)
         assert fresh.stats.failure_rate == 0.0
-        assert fresh.stats.densification_ratio == 0.0
-        assert fresh.stats.mean_latency_ms == 0.0
 
 
 class TestTelemetry:

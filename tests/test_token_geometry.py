@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro import Kamel, KamelConfig
 from repro.core.constraints import (
     _REJECTION_COUNTERS,
+    CONE_HALF_ANGLE_RAD,
+    CYCLE_WINDOW,
     ELLIPSE_MIN_SUM_M,
     LOCAL_DETOUR_SLACK_M,
     SPEED_SLACK,
@@ -61,9 +63,8 @@ class ParentConstraints:
     """``SpatialConstraints`` as it stood before the table and the frame:
     every centroid re-derived from the grid, every invariant per candidate."""
 
-    def __init__(self, tokenizer, config, max_speed_mps):
+    def __init__(self, tokenizer, max_speed_mps):
         self.tokenizer = tokenizer
-        self.config = config
         self.max_speed_mps = max_speed_mps
 
     def _centroid(self, token):
@@ -94,7 +95,7 @@ class ParentConstraints:
             return False
         return (
             angle_difference(apex.bearing_to(candidate_pt), apex.bearing_to(toward))
-            <= self.config.cone_half_angle_rad
+            <= CONE_HALF_ANGLE_RAD
         )
 
     def violates_direction(self, candidate, ctx):
@@ -119,7 +120,7 @@ class ParentConstraints:
 def parent_filter(predicates, cycle, candidates, ctx, segment, insert_pos):
     """The parent's ``filter`` loop over ``predicates`` (an object with the
     three public predicates) and ``cycle``; returns (survivors, tallies)."""
-    ref = ParentConstraints(predicates.tokenizer, predicates.config, predicates.max_speed_mps)
+    ref = ParentConstraints(predicates.tokenizer, predicates.max_speed_mps)
     vocab = ref.tokenizer.vocabulary
     gap_left = ref._centroid(segment[insert_pos])
     gap_right = ref._centroid(segment[insert_pos + 1])
@@ -151,7 +152,7 @@ def parent_filter(predicates, cycle, candidates, ctx, segment, insert_pos):
         if predicates.violates_direction(token, ctx):
             rejected["direction_cone"] += 1
             continue
-        if cycle(segment, insert_pos, token, ref.config.cycle_window):
+        if cycle(segment, insert_pos, token, CYCLE_WINDOW):
             rejected["cycle"] += 1
             continue
         out.append((token, prob))
@@ -253,17 +254,16 @@ def filter_cases(draw):
     # Specials, the cone apexes and their references, and a duplicate.
     forced = [0, 2, source, dest, *(t for t in (prev_token, next_token) if t is not None)]
     candidates = drawn + [(t, 0.5) for t in forced] + drawn[:1]
-    config = KamelConfig(cycle_window=draw(st.integers(1, 6)))
-    return tokenizer, config, ctx, segment, candidates
+    return tokenizer, ctx, segment, candidates
 
 
 class TestFilterMatchesParent:
     @settings(max_examples=150, deadline=None)
     @given(case=filter_cases())
     def test_spatial(self, case):
-        tokenizer, config, ctx, segment, candidates = case
-        constraints = SpatialConstraints(tokenizer, config, MAX_SPEED_MPS)
-        parent = ParentConstraints(tokenizer, config, MAX_SPEED_MPS)
+        tokenizer, ctx, segment, candidates = case
+        constraints = SpatialConstraints(tokenizer, MAX_SPEED_MPS)
+        parent = ParentConstraints(tokenizer, MAX_SPEED_MPS)
         for insert_pos in range(len(segment) - 1):
             got = filter_with_tallies(constraints, candidates, ctx, segment, insert_pos)
             # ... the parent's filter over the parent's own predicates,
@@ -280,8 +280,8 @@ class TestFilterMatchesParent:
     @settings(max_examples=60, deadline=None)
     @given(case=filter_cases())
     def test_passthrough(self, case):
-        tokenizer, config, ctx, segment, candidates = case
-        constraints = PassthroughConstraints(tokenizer, config, MAX_SPEED_MPS)
+        tokenizer, ctx, segment, candidates = case
+        constraints = PassthroughConstraints(tokenizer, MAX_SPEED_MPS)
         for insert_pos in range(len(segment) - 1):
             got = filter_with_tallies(constraints, candidates, ctx, segment, insert_pos)
             expected = parent_passthrough_filter(tokenizer, candidates, segment, insert_pos)
@@ -291,9 +291,9 @@ class TestFilterMatchesParent:
     @settings(max_examples=60, deadline=None)
     @given(case=filter_cases())
     def test_public_predicates(self, case):
-        tokenizer, config, ctx, _, candidates = case
-        constraints = SpatialConstraints(tokenizer, config, MAX_SPEED_MPS)
-        parent = ParentConstraints(tokenizer, config, MAX_SPEED_MPS)
+        tokenizer, ctx, _, candidates = case
+        constraints = SpatialConstraints(tokenizer, MAX_SPEED_MPS)
+        parent = ParentConstraints(tokenizer, MAX_SPEED_MPS)
         assert constraints.ellipse_distance_sum(ctx) == parent.ellipse_distance_sum(ctx)
         for token, _ in candidates:
             if tokenizer.vocabulary.is_special(token):
@@ -322,8 +322,7 @@ class TestFilterMatchesParent:
         south = at(300.0, -150.0)         # small detour, but the path is bent already
         toward_north = at(65.0, 112.0)    # back the way the vehicle came
         good = at(300.0, 150.0)
-        config = KamelConfig()
-        constraints = SpatialConstraints(tokenizer, config, MAX_SPEED_MPS)
+        constraints = SpatialConstraints(tokenizer, MAX_SPEED_MPS)
         ctx = GapContext(s, d, 0.0, 80.0, prev_token=came_from)
         segment, insert_pos = (s, bend, d), 0
         candidates = [
@@ -334,7 +333,7 @@ class TestFilterMatchesParent:
             constraints, candidates, ctx, segment, insert_pos
         )
         assert (out, tallies) == parent_filter(
-            ParentConstraints(tokenizer, config, MAX_SPEED_MPS), parent_creates_cycle,
+            ParentConstraints(tokenizer, MAX_SPEED_MPS), parent_creates_cycle,
             candidates, ctx, segment, insert_pos,
         )
         assert out == [(good, 0.3)]
@@ -347,7 +346,7 @@ def search_cases(draw):
     """One context and a run of filter calls under it: other partial
     segments, other gaps, other windows of one candidate pool — what the
     calls of one segment's search look like to ``filter``."""
-    tokenizer, config, ctx, segment, candidates = draw(filter_cases())
+    tokenizer, ctx, segment, candidates = draw(filter_cases())
     real = list(tokenizer.vocabulary.real_token_ids())
     calls = [(segment, 0, candidates)]
     for _ in range(draw(st.integers(1, 8))):
@@ -357,7 +356,7 @@ def search_cases(draw):
         lo = draw(st.integers(0, len(candidates)))
         hi = draw(st.integers(lo, len(candidates)))
         calls.append((seg, insert_pos, candidates[lo:hi]))
-    return tokenizer, config, ctx, calls
+    return tokenizer, ctx, calls
 
 
 def run_both_ways(constraints, reference_filter, ctx, calls):
@@ -387,9 +386,9 @@ class TestSegmentStateMatchesParentPerCall:
     @settings(max_examples=150, deadline=None)
     @given(case=search_cases())
     def test_spatial(self, case):
-        tokenizer, config, ctx, calls = case
-        constraints = SpatialConstraints(tokenizer, config, MAX_SPEED_MPS)
-        parent = ParentConstraints(tokenizer, config, MAX_SPEED_MPS)
+        tokenizer, ctx, calls = case
+        constraints = SpatialConstraints(tokenizer, MAX_SPEED_MPS)
+        parent = ParentConstraints(tokenizer, MAX_SPEED_MPS)
 
         def reference(candidates, segment, insert_pos):
             return parent_filter(
@@ -402,8 +401,8 @@ class TestSegmentStateMatchesParentPerCall:
     @settings(max_examples=60, deadline=None)
     @given(case=search_cases())
     def test_passthrough(self, case):
-        tokenizer, config, ctx, calls = case
-        constraints = PassthroughConstraints(tokenizer, config, MAX_SPEED_MPS)
+        tokenizer, ctx, calls = case
+        constraints = PassthroughConstraints(tokenizer, MAX_SPEED_MPS)
 
         def reference(candidates, segment, insert_pos):
             return parent_passthrough_filter(tokenizer, candidates, segment, insert_pos)
@@ -423,9 +422,8 @@ class TestSegmentStateMatchesParentPerCall:
 
         s, bend, d = at(0.0, 0.0), at(600.0, 300.0), at(1200.0, 0.0)
         came_from, toward_north = at(0.0, 300.0), at(65.0, 112.0)
-        config = KamelConfig()
-        constraints = SpatialConstraints(tokenizer, config, MAX_SPEED_MPS)
-        parent = ParentConstraints(tokenizer, config, MAX_SPEED_MPS)
+        constraints = SpatialConstraints(tokenizer, MAX_SPEED_MPS)
+        parent = ParentConstraints(tokenizer, MAX_SPEED_MPS)
         ctx = GapContext(s, d, 0.0, 80.0, prev_token=came_from)
         segment = (s, bend, d)
         candidates = [(toward_north, 0.5)]
@@ -463,7 +461,7 @@ class TestSegmentStateMatchesParentPerCall:
     def test_state_of_another_context_is_refused(self):
         tokenizer = Tokenizer(make_grid("hex", 75.0))
         a, b, c = (tokenizer.vocabulary.add((q, 0)) for q in range(3))
-        constraints = SpatialConstraints(tokenizer, KamelConfig(), MAX_SPEED_MPS)
+        constraints = SpatialConstraints(tokenizer, MAX_SPEED_MPS)
         search = SegmentSearch(GapContext(a, c), tokenizer)
         with pytest.raises(ValueError):
             constraints.filter([(b, 0.5)], GapContext(a, b), (a, b), 0, search)
