@@ -11,13 +11,11 @@
 """
 
 from repro.baselines.linear import LinearImputer
-from repro.baselines.trimpute import TrImpute, TrImputeConfig
-from repro.baselines.mapmatch import HmmMapMatcher, MapMatchConfig
+from repro.baselines.trimpute import TrImpute
+from repro.baselines.mapmatch import HmmMapMatcher
 
 __all__ = [
     "HmmMapMatcher",
     "LinearImputer",
-    "MapMatchConfig",
     "TrImpute",
-    "TrImputeConfig",
 ]

@@ -17,7 +17,6 @@ straight line and counts as failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import networkx as nx
@@ -27,33 +26,22 @@ from repro.geo import Point, Trajectory, assign_times, interpolate, linear_inter
 from repro.roadnet.network import EdgePosition, RoadNetwork
 
 
-@dataclass(frozen=True)
-class MapMatchConfig:
-    """HMM parameters (Newson-Krumm style)."""
-
-    maxgap_m: float = 100.0
-    candidate_radius_m: float = 120.0
-    max_candidates: int = 5
-    emission_sigma_m: float = 30.0
-    transition_beta_m: float = 40.0
-    route_cutoff_factor: float = 4.0
-    """Route search gives up beyond ``factor * euclid + 500`` meters."""
-
-    def __post_init__(self) -> None:
-        if self.maxgap_m <= 0:
-            raise ValueError("maxgap_m must be positive")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
-        if self.emission_sigma_m <= 0 or self.transition_beta_m <= 0:
-            raise ValueError("sigma and beta must be positive")
+CANDIDATE_RADIUS_M = 120.0
+MAX_CANDIDATES = 5
+EMISSION_SIGMA_M = 30.0
+TRANSITION_BETA_M = 40.0
+ROUTE_CUTOFF_FACTOR = 4.0
+"""Route search gives up beyond ``factor * euclid + 500`` meters."""
 
 
 class HmmMapMatcher(Imputer):
     """Viterbi map matching over a known road network."""
 
-    def __init__(self, network: RoadNetwork, config: Optional[MapMatchConfig] = None) -> None:
+    def __init__(self, network: RoadNetwork, maxgap_m: float = 100.0) -> None:
+        if maxgap_m <= 0:
+            raise ValueError(f"maxgap_m must be positive, got {maxgap_m!r}")
         self.network = network
-        self.config = config or MapMatchConfig()
+        self.maxgap_m = maxgap_m
 
     @property
     def name(self) -> str:
@@ -62,8 +50,7 @@ class HmmMapMatcher(Imputer):
     # -- HMM components -----------------------------------------------------
 
     def _emission_logp(self, candidate: EdgePosition) -> float:
-        sigma = self.config.emission_sigma_m
-        return -(candidate.distance_m**2) / (2.0 * sigma**2)
+        return -(candidate.distance_m**2) / (2.0 * EMISSION_SIGMA_M**2)
 
     def _route(
         self, start: EdgePosition, end: EdgePosition, cutoff: float
@@ -138,9 +125,8 @@ class HmmMapMatcher(Imputer):
 
     def match(self, trajectory: Trajectory) -> list[Optional[EdgePosition]]:
         """Viterbi-match each point to an edge position (None = unmatched)."""
-        cfg = self.config
         candidate_sets: list[list[EdgePosition]] = [
-            self.network.nearest_edges(p, cfg.candidate_radius_m, cfg.max_candidates)
+            self.network.nearest_edges(p, CANDIDATE_RADIUS_M, MAX_CANDIDATES)
             for p in trajectory.points
         ]
 
@@ -166,13 +152,12 @@ class HmmMapMatcher(Imputer):
         end: int,
         matched: list[Optional[EdgePosition]],
     ) -> None:
-        cfg = self.config
         points = trajectory.points
         scores = [self._emission_logp(c) for c in candidate_sets[start]]
         backptr: list[list[int]] = []
         for t in range(start + 1, end + 1):
             straight = points[t - 1].distance_to(points[t])
-            cutoff = cfg.route_cutoff_factor * straight + 500.0
+            cutoff = ROUTE_CUTOFF_FACTOR * straight + 500.0
             prev_cands = candidate_sets[t - 1]
             cur_cands = candidate_sets[t]
             new_scores = [float("-inf")] * len(cur_cands)
@@ -185,7 +170,7 @@ class HmmMapMatcher(Imputer):
                     route = self._route(prev, cur, cutoff)
                     if route is None:
                         continue
-                    trans = -abs(route[0] - straight) / cfg.transition_beta_m
+                    trans = -abs(route[0] - straight) / TRANSITION_BETA_M
                     total = scores[i] + trans + emit
                     if total > new_scores[j]:
                         new_scores[j] = total
@@ -206,7 +191,6 @@ class HmmMapMatcher(Imputer):
     # -- Imputer interface ---------------------------------------------------------
 
     def impute(self, trajectory: Trajectory) -> ImputationResult:
-        cfg = self.config
         points = trajectory.points
         if len(points) < 2:
             return ImputationResult(trajectory, ())
@@ -216,12 +200,12 @@ class HmmMapMatcher(Imputer):
         for i in range(len(points) - 1):
             a, b = points[i], points[i + 1]
             gap = a.distance_to(b)
-            if gap <= cfg.maxgap_m:
+            if gap <= self.maxgap_m:
                 out.append(b)
                 continue
             interior = self._impute_gap(matched[i], matched[i + 1], gap)
             if interior is None:
-                interior = linear_interior(a, b, cfg.maxgap_m)
+                interior = linear_interior(a, b, self.maxgap_m)
                 outcomes.append(SegmentOutcome(i, True, 0, len(interior)))
             else:
                 interior = assign_times(a, b, interior)
@@ -238,12 +222,12 @@ class HmmMapMatcher(Imputer):
     ) -> Optional[list[Point]]:
         if start is None or end is None:
             return None
-        cutoff = self.config.route_cutoff_factor * straight + 500.0
+        cutoff = ROUTE_CUTOFF_FACTOR * straight + 500.0
         route = self._route(start, end, cutoff)
         if route is None:
             return None
         _, geometry = route
-        dense = Trajectory("route", geometry).discretize(self.config.maxgap_m)
+        dense = Trajectory("route", geometry).discretize(self.maxgap_m)
         return dense[1:-1]
 
 

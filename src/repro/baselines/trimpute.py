@@ -26,30 +26,17 @@ from repro.geo import Point, Trajectory, assign_times, linear_interior
 from repro.geo.point import angle_difference
 
 
-@dataclass(frozen=True)
-class TrImputeConfig:
-    """Knobs of the crowd-wisdom walk."""
-
-    maxgap_m: float = 100.0
-    cell_m: float = 50.0
-    """Edge of the voting grid cells."""
-    search_radius_cells: int = 3
-    """How far (in cells) a step may jump from the current cell."""
-    min_votes: int = 2
-    """Cells with fewer historical points than this cannot be stepped on."""
-    direction_tolerance_deg: float = 100.0
-    """A step must stay within this bearing of the destination."""
-    max_steps: int = 120
-    density_weight: float = 1.0
-    direction_weight: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.maxgap_m <= 0 or self.cell_m <= 0:
-            raise ValueError("maxgap_m and cell_m must be positive")
-        if self.search_radius_cells < 1:
-            raise ValueError("search_radius_cells must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+CELL_M = 50.0
+"""Edge of the voting grid cells."""
+SEARCH_RADIUS_CELLS = 3
+"""How far (in cells) a step may jump from the current cell."""
+MIN_VOTES = 2
+"""Cells with fewer historical points than this cannot be stepped on."""
+DIRECTION_TOLERANCE_DEG = 100.0
+"""A step must stay within this bearing of the destination."""
+MAX_STEPS = 120
+DENSITY_WEIGHT = 1.0
+DIRECTION_WEIGHT = 2.0
 
 
 @dataclass
@@ -82,8 +69,10 @@ class _CellStats:
 class TrImpute(Imputer):
     """The crowd-wisdom walker."""
 
-    def __init__(self, config: Optional[TrImputeConfig] = None) -> None:
-        self.config = config or TrImputeConfig()
+    def __init__(self, maxgap_m: float = 100.0) -> None:
+        if maxgap_m <= 0:
+            raise ValueError(f"maxgap_m must be positive, got {maxgap_m!r}")
+        self.maxgap_m = maxgap_m
         self._cells: dict[tuple[int, int], _CellStats] = defaultdict(_CellStats)
         self._fitted = False
 
@@ -94,8 +83,7 @@ class TrImpute(Imputer):
     # -- training ("computing a simple set of stats and lookup indices") --
 
     def _key(self, p: Point) -> tuple[int, int]:
-        c = self.config.cell_m
-        return (math.floor(p.x / c), math.floor(p.y / c))
+        return (math.floor(p.x / CELL_M), math.floor(p.y / CELL_M))
 
     def fit(self, trajectories: Sequence[Trajectory]) -> "TrImpute":
         for traj in trajectories:
@@ -114,11 +102,10 @@ class TrImpute(Imputer):
     # -- the guided walk -----------------------------------------------------
 
     def _candidate_cells(self, around: tuple[int, int]) -> list[tuple[int, int]]:
-        r = self.config.search_radius_cells
         i0, j0 = around
         out = []
-        for di in range(-r, r + 1):
-            for dj in range(-r, r + 1):
+        for di in range(-SEARCH_RADIUS_CELLS, SEARCH_RADIUS_CELLS + 1):
+            for dj in range(-SEARCH_RADIUS_CELLS, SEARCH_RADIUS_CELLS + 1):
                 if di == 0 and dj == 0:
                     continue
                 key = (i0 + di, j0 + dj)
@@ -127,16 +114,15 @@ class TrImpute(Imputer):
         return out
 
     def _score(self, stats: _CellStats, pos: Point, dest: Point) -> Optional[float]:
-        cfg = self.config
         cell_pt = stats.mean_point
         step = pos.distance_to(cell_pt)
         if step == 0.0:
             return None
         to_dest = pos.bearing_to(dest)
         to_cell = pos.bearing_to(cell_pt)
-        if angle_difference(to_dest, to_cell) > math.radians(cfg.direction_tolerance_deg):
+        if angle_difference(to_dest, to_cell) > math.radians(DIRECTION_TOLERANCE_DEG):
             return None
-        density = math.log1p(stats.count) * cfg.density_weight
+        density = math.log1p(stats.count) * DENSITY_WEIGHT
         alignment = 0.0
         mean_dir = stats.mean_direction
         if mean_dir is not None:
@@ -144,18 +130,17 @@ class TrImpute(Imputer):
             # where we are headed (either way: roads carry both directions).
             diff = angle_difference(mean_dir, to_dest)
             diff = min(diff, math.pi - diff)
-            alignment = (1.0 - diff / (math.pi / 2.0)) * cfg.direction_weight
+            alignment = (1.0 - diff / (math.pi / 2.0)) * DIRECTION_WEIGHT
         progress = dest.distance_to(cell_pt)
-        return density + alignment - progress / (10.0 * cfg.cell_m)
+        return density + alignment - progress / (10.0 * CELL_M)
 
     def _walk(self, a: Point, b: Point) -> Optional[list[Point]]:
         """Crowd-guided walk from a to b; None when the walk gets stuck."""
-        cfg = self.config
         pos = a
         visited: set[tuple[int, int]] = {self._key(a)}
         interior: list[Point] = []
-        for _ in range(cfg.max_steps):
-            if pos.distance_to(b) <= cfg.maxgap_m:
+        for _ in range(MAX_STEPS):
+            if pos.distance_to(b) <= self.maxgap_m:
                 return interior
             best_key: Optional[tuple[int, int]] = None
             best_score = float("-inf")
@@ -163,7 +148,7 @@ class TrImpute(Imputer):
                 if key in visited:
                     continue
                 stats = self._cells[key]
-                if stats.count < cfg.min_votes:
+                if stats.count < MIN_VOTES:
                     continue
                 score = self._score(stats, pos, b)
                 if score is not None and score > best_score:
@@ -181,7 +166,6 @@ class TrImpute(Imputer):
     def impute(self, trajectory: Trajectory) -> ImputationResult:
         if not self._fitted:
             raise NotFittedError("TrImpute.impute before fit")
-        cfg = self.config
         points = trajectory.points
         if len(points) < 2:
             return ImputationResult(trajectory, ())
@@ -189,12 +173,12 @@ class TrImpute(Imputer):
         outcomes: list[SegmentOutcome] = []
         for i in range(len(points) - 1):
             a, b = points[i], points[i + 1]
-            if a.distance_to(b) <= cfg.maxgap_m:
+            if a.distance_to(b) <= self.maxgap_m:
                 out.append(b)
                 continue
             interior = self._walk(a, b)
             if interior is None:
-                interior = linear_interior(a, b, cfg.maxgap_m)
+                interior = linear_interior(a, b, self.maxgap_m)
                 outcomes.append(SegmentOutcome(i, True, 0, len(interior)))
             else:
                 interior = assign_times(a, b, interior)

@@ -198,9 +198,6 @@ class Kamel(Imputer):
 
         cfg = self.config
         self.max_speed_mps = infer_max_speed(self._training_trajectories)
-        constraints_cls = SpatialConstraints if cfg.use_constraints else PassthroughConstraints
-        self.constraints = constraints_cls(self.tokenizer, self.max_speed_mps)
-
         sequences = self.tokenizer.tokenize_many(trajectories, grow=True)
         self._update_gap_threshold(sequences)
         if cfg.use_partitioning:
@@ -217,11 +214,19 @@ class Kamel(Imputer):
         # Detokenization metadata is rebuilt over all data: DBSCAN results
         # are not incrementally mergeable and training is offline anyway.
         self.detokenizer.fit(self._training_trajectories)
+        self._derive_state()
 
-        # The counting rung's global model: O(tokens) to refit, asked
-        # outside the repository lookup and the ``model.predict`` chaos
-        # site, so it serves when either fails.
-        assert self.store is not None
+    def _derive_state(self) -> None:
+        """Rebuild what the training data fixes but a saved system does not
+        store: the constraints, from ``max_speed_mps``, and the counting
+        rung's global model, from the store. The latter is O(tokens) to
+        refit and is asked outside the repository lookup and the
+        ``model.predict`` chaos site, so it serves when either fails."""
+        assert self.tokenizer and self.store is not None and self.max_speed_mps
+        constraints_cls = (
+            SpatialConstraints if self.config.use_constraints else PassthroughConstraints
+        )
+        self.constraints = constraints_cls(self.tokenizer, self.max_speed_mps)
         fallback = CountingMaskedLM()
         fallback.fit([s.tokens for s in self.store], len(self.tokenizer.vocabulary))
         self._fallback_model = fallback

@@ -16,7 +16,6 @@ from repro.eval.harness import (
     build_workload,
     classify_segments,
     score_segments,
-    sparsify_indices,
 )
 from repro.eval.report import render_series, render_table
 
@@ -36,5 +35,4 @@ __all__ = [
     "render_series",
     "render_table",
     "score_segments",
-    "sparsify_indices",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from repro.baselines import HmmMapMatcher, LinearImputer, MapMatchConfig, TrImpute, TrImputeConfig
+from repro.baselines import HmmMapMatcher, LinearImputer, TrImpute
 from repro.core.config import KamelConfig
 from repro.core.kamel import Kamel
 from repro.core.result import ImputationResult, Imputer
@@ -26,30 +26,6 @@ from repro.geo import Point, Trajectory
 from repro.obs import instrument as obs
 from repro.obs.tracing import span, trace_scope
 from repro.roadnet.datasets import Dataset
-
-
-def sparsify_indices(trajectory: Trajectory, sparse_distance_m: float) -> list[int]:
-    """Indices kept by the paper's sparsification procedure.
-
-    Matches :meth:`repro.geo.Trajectory.sparsify`: keep the first point,
-    drop points within ``sparse_distance_m`` of travelled distance, keep
-    the next, and always keep the last.
-    """
-    if sparse_distance_m <= 0:
-        raise ValueError("sparse_distance_m must be positive")
-    pts = trajectory.points
-    if len(pts) <= 2:
-        return list(range(len(pts)))
-    kept = [0]
-    travelled = 0.0
-    for i in range(1, len(pts)):
-        travelled += pts[i - 1].distance_to(pts[i])
-        if travelled >= sparse_distance_m:
-            kept.append(i)
-            travelled = 0.0
-    if kept[-1] != len(pts) - 1:
-        kept.append(len(pts) - 1)
-    return kept
 
 
 @dataclass(frozen=True)
@@ -89,7 +65,7 @@ def _sparsify_set(
     sparse = []
     kept_all = []
     for t in truths:
-        kept = sparsify_indices(t, sparse_distance_m)
+        kept = t.sparsify_indices(sparse_distance_m)
         sparse.append(t.with_points([t.points[i] for i in kept]))
         kept_all.append(tuple(kept))
     return tuple(sparse), tuple(kept_all)
@@ -146,10 +122,9 @@ def kamel_builder(config: Optional[KamelConfig] = None) -> ImputerBuilder:
     return build
 
 
-def trimpute_builder(config: Optional[TrImputeConfig] = None) -> ImputerBuilder:
+def trimpute_builder() -> ImputerBuilder:
     def build(workload: Workload) -> Imputer:
-        cfg = config or TrImputeConfig(maxgap_m=workload.maxgap_m)
-        return TrImpute(cfg).fit(list(workload.train))
+        return TrImpute(workload.maxgap_m).fit(list(workload.train))
 
     return build
 
@@ -161,10 +136,9 @@ def linear_builder() -> ImputerBuilder:
     return build
 
 
-def mapmatch_builder(config: Optional[MapMatchConfig] = None) -> ImputerBuilder:
+def mapmatch_builder() -> ImputerBuilder:
     def build(workload: Workload) -> Imputer:
-        cfg = config or MapMatchConfig(maxgap_m=workload.maxgap_m)
-        return HmmMapMatcher(workload.dataset.network, cfg)
+        return HmmMapMatcher(workload.dataset.network, workload.maxgap_m)
 
     return build
 

@@ -81,8 +81,8 @@ class Trajectory:
         """A copy of this trajectory with ``points`` substituted."""
         return Trajectory(self.traj_id, tuple(points))
 
-    def sparsify(self, sparse_distance: float) -> "Trajectory":
-        """Impose gaps the way the paper's evaluation does (Section 8).
+    def sparsify_indices(self, sparse_distance: float) -> list[int]:
+        """Indices of the points kept by the paper's sparsification (Section 8).
 
         Keep the first point, drop every subsequent point within
         ``sparse_distance`` meters (measured along the trajectory) of the
@@ -91,18 +91,26 @@ class Trajectory:
         """
         if sparse_distance <= 0:
             raise ValueError(f"sparse_distance must be positive, got {sparse_distance!r}")
-        if len(self.points) <= 2:
-            return self
-        kept = [self.points[0]]
+        pts = self.points
+        if len(pts) <= 2:
+            return list(range(len(pts)))
+        kept = [0]
         travelled = 0.0
-        for prev, cur in self.segments():
-            travelled += prev.distance_to(cur)
+        for i in range(1, len(pts)):
+            travelled += pts[i - 1].distance_to(pts[i])
             if travelled >= sparse_distance:
-                kept.append(cur)
+                kept.append(i)
                 travelled = 0.0
-        if kept[-1] is not self.points[-1]:
-            kept.append(self.points[-1])
-        return self.with_points(kept)
+        if kept[-1] != len(pts) - 1:
+            kept.append(len(pts) - 1)
+        return kept
+
+    def sparsify(self, sparse_distance: float) -> "Trajectory":
+        """The points :meth:`sparsify_indices` keeps, as a trajectory."""
+        kept = self.sparsify_indices(sparse_distance)
+        if len(kept) == len(self.points):
+            return self
+        return self.with_points([self.points[i] for i in kept])
 
     def discretize(self, spacing: float) -> list[Point]:
         """Place points every ``spacing`` meters along the polyline.

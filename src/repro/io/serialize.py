@@ -301,13 +301,6 @@ def load_kamel(
     system.max_speed_mps = meta["max_speed_mps"]
     system._gap_threshold_m = meta["gap_threshold_m"]
 
-    from repro.core.constraints import PassthroughConstraints, SpatialConstraints
-
-    constraints_cls = (
-        SpatialConstraints if config.use_constraints else PassthroughConstraints
-    )
-    system.constraints = constraints_cls(system.tokenizer, system.max_speed_mps or 14.0)
-
     for entry in json.loads(root.joinpath("store.json").read_text()):
         system.store.add(
             TokenSequence(entry["id"], tuple(entry["tokens"]), tuple(entry["times"]))
@@ -358,14 +351,8 @@ def load_kamel(
         cells[(q, r)] = CellClusters(clusters, centroid, entry["num_points"])
     system.detokenizer._cells = cells
 
-    if len(system.store) > 0:
-        # The counting-rung fallback model is derived state: O(tokens) to
-        # refit from the restored store, so it is rebuilt rather than saved.
-        fallback = CountingMaskedLM()
-        fallback.fit(
-            [s.tokens for s in system.store], len(system.tokenizer.vocabulary)
-        )
-        system._fallback_model = fallback
+    if system.max_speed_mps is not None:  # None: no training data was ever ingested
+        system._derive_state()
 
     system._fitted = True
     return system

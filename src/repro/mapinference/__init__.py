@@ -12,14 +12,12 @@ does map inference get when the trajectories are KAMEL-imputed first?*
 
 from repro.mapinference.inference import (
     InferredMap,
-    MapInferenceConfig,
     TrajectoryMapInference,
 )
 from repro.mapinference.evaluation import MapScores, evaluate_inferred_map
 
 __all__ = [
     "InferredMap",
-    "MapInferenceConfig",
     "MapScores",
     "TrajectoryMapInference",
     "evaluate_inferred_map",

@@ -29,8 +29,6 @@ class MapScores:
 
     precision: float
     recall: float
-    num_inferred_cells: int
-    num_truth_samples: int
 
     @property
     def f1(self) -> float:
@@ -102,9 +100,4 @@ def evaluate_inferred_map(
     else:
         precision = 0.0
         recall = 0.0
-    return MapScores(
-        precision=precision,
-        recall=recall,
-        num_inferred_cells=len(road_points),
-        num_truth_samples=len(truth_samples),
-    )
+    return MapScores(precision=precision, recall=recall)

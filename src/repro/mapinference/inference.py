@@ -16,31 +16,17 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from repro.errors import ConfigError, EmptyInputError
+from repro.errors import EmptyInputError
 from repro.geo import Point, Trajectory, interpolate
 
 GridCell = tuple[int, int]
 
-
-@dataclass(frozen=True)
-class MapInferenceConfig:
-    """Parameters of the grid-density inference."""
-
-    cell_m: float = 25.0
-    """Raster resolution; ~road-width scale."""
-    min_visits: int = 2
-    """Cells visited by fewer distinct trajectories are noise."""
-    rasterize_step_m: float = 10.0
-    """Sampling step when marking a polyline's cells."""
-
-    def __post_init__(self) -> None:
-        if self.cell_m <= 0 or self.rasterize_step_m <= 0:
-            raise ConfigError("cell_m and rasterize_step_m must be positive")
-        if self.min_visits < 1:
-            raise ConfigError("min_visits must be >= 1")
+CELL_M = 25.0
+"""Raster resolution; ~road-width scale."""
+RASTERIZE_STEP_M = 10.0
+"""Sampling step when marking a polyline's cells."""
 
 
 class InferredMap:
@@ -72,23 +58,19 @@ class InferredMap:
 class TrajectoryMapInference:
     """Accumulates trajectories into an :class:`InferredMap`."""
 
-    def __init__(self, config: Optional[MapInferenceConfig] = None) -> None:
-        self.config = config or MapInferenceConfig()
-
     def _cells_of(self, trajectory: Trajectory) -> set[GridCell]:
-        cfg = self.config
         cells: set[GridCell] = set()
         points = trajectory.points
         if not points:
             return cells
 
         def mark(p: Point) -> None:
-            cells.add((math.floor(p.x / cfg.cell_m), math.floor(p.y / cfg.cell_m)))
+            cells.add((math.floor(p.x / CELL_M), math.floor(p.y / CELL_M)))
 
         mark(points[0])
         for a, b in trajectory.segments():
             length = a.distance_to(b)
-            steps = max(1, int(length / cfg.rasterize_step_m))
+            steps = max(1, int(length / RASTERIZE_STEP_M))
             for k in range(1, steps + 1):
                 mark(interpolate(a, b, k / steps))
         return cells
@@ -103,6 +85,5 @@ class TrajectoryMapInference:
                 counts[cell] += 1
         if not seen_any:
             raise EmptyInputError("map inference needs at least one trajectory")
-        # All counts are kept; consumers threshold via occupied_cells()
-        # (the config's min_visits is the conventional default to pass).
-        return InferredMap(self.config.cell_m, dict(counts))
+        # All counts are kept; consumers threshold via occupied_cells().
+        return InferredMap(CELL_M, dict(counts))

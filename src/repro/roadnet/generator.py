@@ -23,6 +23,16 @@ from repro.errors import ConfigError
 from repro.geo import Point
 from repro.roadnet.network import RoadNetwork
 
+JITTER_M = 30.0
+"""Random displacement applied to every grid intersection."""
+REMOVAL_FRACTION = 0.12
+"""Fraction of grid edges randomly removed (creates irregular blocks)."""
+CURVE_BULGE = 0.35
+"""Bezier control-point offset as a fraction of edge length."""
+ROUNDABOUT_RADIUS_M = 25.0
+N_DIAGONALS = 2
+"""Diagonal avenues crossing the grid (overpass-style, no shared nodes)."""
+
 
 @dataclass(frozen=True)
 class CityConfig:
@@ -37,18 +47,9 @@ class CityConfig:
     height_m: float = 3000.0
     block_m: float = 250.0
     """Spacing between arterial streets."""
-    jitter_m: float = 30.0
-    """Random displacement applied to every grid intersection."""
-    removal_fraction: float = 0.12
-    """Fraction of grid edges randomly removed (creates irregular blocks)."""
     curved_fraction: float = 0.25
     """Fraction of surviving edges replaced by curved geometry."""
-    curve_bulge: float = 0.35
-    """Bezier control-point offset as a fraction of edge length."""
     n_roundabouts: int = 3
-    roundabout_radius_m: float = 25.0
-    n_diagonals: int = 2
-    """Diagonal avenues crossing the grid (overpass-style, no shared nodes)."""
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -56,8 +57,6 @@ class CityConfig:
             raise ConfigError("city extent must be positive")
         if self.block_m <= 0 or self.block_m > min(self.width_m, self.height_m):
             raise ConfigError(f"block_m out of range: {self.block_m!r}")
-        if not 0.0 <= self.removal_fraction < 0.5:
-            raise ConfigError("removal_fraction must be in [0, 0.5)")
         if not 0.0 <= self.curved_fraction <= 1.0:
             raise ConfigError("curved_fraction must be in [0, 1]")
 
@@ -103,7 +102,7 @@ def generate_city(config: CityConfig | None = None) -> RoadNetwork:
     coords: dict[tuple[int, int], Point] = {}
     for i in range(cols):
         for j in range(rows):
-            jx, jy = rng.normal(0.0, cfg.jitter_m, size=2)
+            jx, jy = rng.normal(0.0, JITTER_M, size=2)
             coords[(i, j)] = Point(i * cfg.block_m + jx, j * cfg.block_m + jy)
             net.add_node(("g", i, j), coords[(i, j)])
 
@@ -116,7 +115,7 @@ def generate_city(config: CityConfig | None = None) -> RoadNetwork:
             if j + 1 < rows:
                 grid_edges.append((("g", i, j), ("g", i, j + 1)))
     removable = rng.permutation(len(grid_edges))
-    n_remove = int(cfg.removal_fraction * len(grid_edges))
+    n_remove = int(REMOVAL_FRACTION * len(grid_edges))
     removed = set(int(k) for k in removable[:n_remove])
     kept = [e for k, e in enumerate(grid_edges) if k not in removed]
 
@@ -125,7 +124,7 @@ def generate_city(config: CityConfig | None = None) -> RoadNetwork:
     for (u, v), curved in zip(kept, curved_mask):
         a, b = net.node_point(u), net.node_point(v)
         if curved:
-            net.add_edge(u, v, _curved_geometry(a, b, cfg.curve_bulge, rng))
+            net.add_edge(u, v, _curved_geometry(a, b, CURVE_BULGE, rng))
         else:
             net.add_edge(u, v)
 
@@ -149,8 +148,8 @@ def generate_city(config: CityConfig | None = None) -> RoadNetwork:
         for k, nb in enumerate(neighbours):
             angle = center.bearing_to(net.node_point(nb))
             rp = Point(
-                center.x + cfg.roundabout_radius_m * math.cos(angle),
-                center.y + cfg.roundabout_radius_m * math.sin(angle),
+                center.x + ROUNDABOUT_RADIUS_M * math.cos(angle),
+                center.y + ROUNDABOUT_RADIUS_M * math.sin(angle),
             )
             rid = ("r", i, j, k)
             net.add_node(rid, rp)
@@ -172,15 +171,15 @@ def generate_city(config: CityConfig | None = None) -> RoadNetwork:
                 (pa.y + pb.y) / 2.0 - center.y, (pa.x + pb.x) / 2.0 - center.x
             )
             arc_mid = Point(
-                center.x + cfg.roundabout_radius_m * 1.15 * math.cos(mid_angle),
-                center.y + cfg.roundabout_radius_m * 1.15 * math.sin(mid_angle),
+                center.x + ROUNDABOUT_RADIUS_M * 1.15 * math.cos(mid_angle),
+                center.y + ROUNDABOUT_RADIUS_M * 1.15 * math.sin(mid_angle),
             )
             net.add_edge(a_id, b_id, _bezier(pa, arc_mid, pb, 4))
         net.graph.remove_node(node)
 
     # 5. Diagonal avenues: long edges whose geometry crosses the grid
     #    without intersecting it (overpass-style).
-    for d in range(cfg.n_diagonals):
+    for d in range(N_DIAGONALS):
         if d % 2 == 0:
             u, v = ("g", 0, 0), ("g", cols - 1, rows - 1)
         else:

@@ -20,40 +20,30 @@ from repro.geo import Point, Trajectory, interpolate
 from repro.roadnet.network import RoadNetwork
 
 
+SPEED_MEAN_MPS = 11.0
+"""Mean cruise speed (~40 km/h)."""
+SPEED_STD_MPS = 2.5
+"""Across-trip cruise speed spread."""
+SPEED_JITTER = 0.15
+"""Within-trip relative speed fluctuation per sample."""
+GPS_NOISE_STD_M = 5.0
+"""Isotropic GPS noise per coordinate."""
+
+
 @dataclass(frozen=True)
 class SimulatorConfig:
     """Trip and sensor model parameters."""
 
-    speed_mean_mps: float = 11.0
-    """Mean cruise speed (~40 km/h)."""
-    speed_std_mps: float = 2.5
-    """Across-trip cruise speed spread."""
-    speed_jitter: float = 0.15
-    """Within-trip relative speed fluctuation per sample."""
-    gps_noise_std_m: float = 5.0
     sample_interval_s: float = 1.0
     min_trip_length_m: float = 800.0
     max_trip_length_m: float = float("inf")
-    hotspot_fraction: float = 0.0
-    """Fraction of trip endpoints drawn from a small set of hub nodes
-    (taxi stands, stations) instead of uniformly — real taxi demand is
-    heavily clustered, and a non-zero value skews coverage accordingly."""
-    n_hotspots: int = 3
     seed: int = 11
 
     def __post_init__(self) -> None:
-        if self.speed_mean_mps <= 0:
-            raise ConfigError("speed_mean_mps must be positive")
         if self.sample_interval_s <= 0:
             raise ConfigError("sample_interval_s must be positive")
         if self.min_trip_length_m < 0:
             raise ConfigError("min_trip_length_m must be non-negative")
-        if self.gps_noise_std_m < 0:
-            raise ConfigError("gps_noise_std_m must be non-negative")
-        if not 0.0 <= self.hotspot_fraction <= 1.0:
-            raise ConfigError("hotspot_fraction must be in [0, 1]")
-        if self.n_hotspots < 1:
-            raise ConfigError("n_hotspots must be >= 1")
 
 
 class TrajectorySimulator:
@@ -66,37 +56,15 @@ class TrajectorySimulator:
         self.config = config or SimulatorConfig()
         self._rng = np.random.default_rng(self.config.seed)
         self._nodes = list(network.nodes())
-        # Hubs come from their own RNG stream: drawing them from the main
-        # stream would shift every subsequent trip for all users of the
-        # default (hotspot-free) configuration.
-        hub_rng = np.random.default_rng(self.config.seed + 7777)
-        n_hubs = min(self.config.n_hotspots, len(self._nodes))
-        hub_indices = hub_rng.choice(len(self._nodes), size=n_hubs, replace=False)
-        self.hotspots = [self._nodes[int(i)] for i in hub_indices]
-
-    def _random_endpoint(self):
-        """One trip endpoint: a hub with ``hotspot_fraction`` probability."""
-        cfg = self.config
-        if self._rng.random() < cfg.hotspot_fraction:
-            return self.hotspots[int(self._rng.integers(len(self.hotspots)))]
-        return self._nodes[int(self._rng.integers(len(self._nodes)))]
 
     def _random_trip_path(self, max_attempts: int = 50) -> list:
         """A random node path whose length satisfies the trip bounds."""
         cfg = self.config
         for _ in range(max_attempts):
-            if cfg.hotspot_fraction > 0:
-                source = self._random_endpoint()
-                target = self._random_endpoint()
-                if source == target:
-                    continue
-            else:
-                # Keep the original single-draw sampling so the default
-                # configuration consumes the RNG stream exactly as before
-                # hotspots existed (recorded experiment numbers depend on
-                # bit-identical datasets).
-                u, v = self._rng.choice(len(self._nodes), size=2, replace=False)
-                source, target = self._nodes[int(u)], self._nodes[int(v)]
+            # One draw of two distinct nodes per attempt: every recorded
+            # dataset depends on the RNG stream being consumed this way.
+            u, v = self._rng.choice(len(self._nodes), size=2, replace=False)
+            source, target = self._nodes[int(u)], self._nodes[int(v)]
             try:
                 length = self.network.shortest_path_length(source, target)
             except nx.NetworkXNoPath:
@@ -111,7 +79,7 @@ class TrajectorySimulator:
     def _drive(self, polyline: list[Point], start_time: float) -> list[Point]:
         """Drive ``polyline`` and emit noisy samples every interval."""
         cfg = self.config
-        cruise = max(1.0, self._rng.normal(cfg.speed_mean_mps, cfg.speed_std_mps))
+        cruise = max(1.0, self._rng.normal(SPEED_MEAN_MPS, SPEED_STD_MPS))
         samples: list[Point] = []
         t = start_time
         seg_idx = 0
@@ -119,7 +87,7 @@ class TrajectorySimulator:
         pos = polyline[0]
         samples.append(self._noisy(pos, t))
         while seg_idx < len(polyline) - 1:
-            speed = cruise * max(0.2, 1.0 + self._rng.normal(0.0, cfg.speed_jitter))
+            speed = cruise * max(0.2, 1.0 + self._rng.normal(0.0, SPEED_JITTER))
             advance = speed * cfg.sample_interval_s
             # Walk forward `advance` meters across segments.
             while advance > 0 and seg_idx < len(polyline) - 1:
@@ -140,7 +108,7 @@ class TrajectorySimulator:
         return samples
 
     def _noisy(self, p: Point, t: float) -> Point:
-        nx_, ny_ = self._rng.normal(0.0, self.config.gps_noise_std_m, size=2)
+        nx_, ny_ = self._rng.normal(0.0, GPS_NOISE_STD_M, size=2)
         return Point(p.x + nx_, p.y + ny_, t)
 
     def simulate_one(self, traj_id: str, start_time: float = 0.0) -> Trajectory:

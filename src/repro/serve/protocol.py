@@ -176,7 +176,6 @@ def result_message(
         "degraded": 0,
         "model_calls": 0,
         "rungs": {},
-        "quarantined": False,
     }
     message.update(overrides)
     return message

@@ -108,7 +108,6 @@ def _process_one(
     is enqueued: dying between the two re-delivers the result on replay,
     which the pool's dedupe absorbs — the safe side of the fence.
     """
-    quarantined_before = service.stats.quarantined
     start_epoch = time.time()
     started = time.perf_counter()
     tracing = tracing_enabled()
@@ -138,7 +137,6 @@ def _process_one(
                 "degraded": sum(r.num_degraded for r in results),
                 "model_calls": sum(r.total_model_calls for r in results),
                 "rungs": rungs,
-                "quarantined": service.stats.quarantined > quarantined_before,
             }
         )
     except Exception as exc:  # noqa: BLE001 - one bad input must not kill the shard

@@ -7,9 +7,7 @@ import pytest
 from repro.baselines import (
     HmmMapMatcher,
     LinearImputer,
-    MapMatchConfig,
     TrImpute,
-    TrImputeConfig,
 )
 from repro.baselines.mapmatch import _point_at, _subline
 from repro.errors import NotFittedError
@@ -78,11 +76,7 @@ class TestTrImpute:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrImputeConfig(cell_m=0.0)
-        with pytest.raises(ValueError):
-            TrImputeConfig(max_steps=0)
-        with pytest.raises(ValueError):
-            TrImputeConfig(search_radius_cells=0)
+            TrImpute(maxgap_m=0.0)
 
     def test_name(self):
         assert TrImpute().name == "TrImpute"
@@ -92,7 +86,7 @@ class TestTrImpute:
         assert len(model._cells) > 10
 
     def test_walk_succeeds_with_dense_history(self, corridor_history):
-        model = TrImpute(TrImputeConfig(maxgap_m=100.0)).fit(corridor_history)
+        model = TrImpute(maxgap_m=100.0).fit(corridor_history)
         result = model.impute(sparse_line())
         assert result.failure_rate < 1.0
         # Imputed points hug the historical road (y ~ 0 +- 1).
@@ -101,7 +95,7 @@ class TestTrImpute:
 
     def test_fails_without_nearby_history(self, corridor_history):
         """The paper's criticism: no dense prior data -> failure."""
-        model = TrImpute(TrImputeConfig(maxgap_m=100.0)).fit(corridor_history)
+        model = TrImpute(maxgap_m=100.0).fit(corridor_history)
         elsewhere = Trajectory(
             "far", [Point(0, 9000.0, t=0.0), Point(1000.0, 9000.0, t=90.0)]
         )
@@ -109,7 +103,7 @@ class TestTrImpute:
         assert result.failure_rate == 1.0
 
     def test_failed_segments_still_filled_linearly(self, corridor_history):
-        model = TrImpute(TrImputeConfig(maxgap_m=100.0)).fit(corridor_history)
+        model = TrImpute(maxgap_m=100.0).fit(corridor_history)
         elsewhere = Trajectory(
             "far", [Point(0, 9000.0, t=0.0), Point(1000.0, 9000.0, t=90.0)]
         )
@@ -135,7 +129,7 @@ class TestOneStraightLine:
         ]
         results = {
             "linear": LinearImputer(100.0).impute(gap),
-            "trimpute": TrImpute(TrImputeConfig(maxgap_m=100.0)).fit(history).impute(gap),
+            "trimpute": TrImpute(maxgap_m=100.0).fit(history).impute(gap),
             "mapmatch": HmmMapMatcher(small_city).impute(gap),
             "kamel": trained_kamel.impute(gap),
         }
@@ -171,13 +165,9 @@ class TestSublineHelpers:
 
 
 class TestMapMatch:
-    def test_validation(self):
+    def test_validation(self, small_city):
         with pytest.raises(ValueError):
-            MapMatchConfig(maxgap_m=0.0)
-        with pytest.raises(ValueError):
-            MapMatchConfig(max_candidates=0)
-        with pytest.raises(ValueError):
-            MapMatchConfig(emission_sigma_m=0.0)
+            HmmMapMatcher(small_city, maxgap_m=0.0)
 
     def test_name(self, small_city):
         assert HmmMapMatcher(small_city).name == "MapMatch"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Kamel, KamelConfig
-from repro.baselines import HmmMapMatcher, MapMatchConfig
+from repro.baselines import HmmMapMatcher
 from repro.core.partitioning import ModelRepository
 from repro.core.store import TrajectoryStore
 from repro.core.tokenization import Tokenizer
@@ -118,7 +118,7 @@ class TestMapMatchEdges:
     def test_viterbi_handles_candidate_gaps(self, straight_net):
         """Points far off the network produce empty candidate sets; the
         Viterbi runs must skip over them without crashing."""
-        matcher = HmmMapMatcher(straight_net, MapMatchConfig(candidate_radius_m=50.0))
+        matcher = HmmMapMatcher(straight_net)
         traj = Trajectory(
             "mixed",
             [

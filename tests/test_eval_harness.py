@@ -11,7 +11,6 @@ from repro.eval.harness import (
     kamel_builder,
     linear_builder,
     score_segments,
-    sparsify_indices,
     trimpute_builder,
     _split_by_anchor_points,
 )
@@ -25,22 +24,22 @@ def line(tid="t", n=30, spacing=50.0):
 class TestSparsifyIndices:
     def test_matches_trajectory_sparsify(self):
         traj = line(n=40)
-        kept = sparsify_indices(traj, 500.0)
+        kept = traj.sparsify_indices(500.0)
         via_indices = [traj.points[i] for i in kept]
         assert tuple(via_indices) == traj.sparsify(500.0).points
 
     def test_endpoints_always_kept(self):
         traj = line(n=40)
-        kept = sparsify_indices(traj, 10_000.0)
+        kept = traj.sparsify_indices(10_000.0)
         assert kept[0] == 0 and kept[-1] == len(traj) - 1
 
     def test_short_trajectory(self):
         traj = line(n=2)
-        assert sparsify_indices(traj, 500.0) == [0, 1]
+        assert traj.sparsify_indices(500.0) == [0, 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sparsify_indices(line(), 0.0)
+            line().sparsify_indices(0.0)
 
 
 class TestWorkload:

@@ -81,6 +81,16 @@ class TestSparsify:
         with pytest.raises(ValueError):
             straight_line(5).sparsify(0.0)
 
+    def test_repeated_final_point_object_is_kept(self):
+        """The rule reads positions, not object identity: a final point
+        that is the same object as the one before it is still kept."""
+        a, b, c = Point(0, 0, t=0.0), Point(500, 0, t=1.0), Point(1000, 0, t=2.0)
+        shared = Trajectory("x", (a, b, c, c))
+        distinct = Trajectory("x", (a, b, c, Point(1000, 0, t=2.0)))
+        assert shared.sparsify_indices(400.0) == [0, 1, 2, 3]
+        assert shared.sparsify(400.0).points == distinct.sparsify(400.0).points
+        assert len(shared.sparsify(400.0)) == 4
+
     @given(st.integers(min_value=3, max_value=60), st.floats(min_value=50, max_value=2000))
     def test_sparsified_is_subsequence(self, n, dist):
         t = straight_line(n)

@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 
 from repro import Kamel, KamelConfig, LinearImputer, TrImpute
-from repro.baselines import HmmMapMatcher, MapMatchConfig, TrImputeConfig
+from repro.baselines import HmmMapMatcher
 from repro.eval import evaluate_imputation
 
 SPARSENESS = 500.0
@@ -31,11 +31,11 @@ def scores(small_dataset, small_split, trained_kamel):
     )
     linear = LinearImputer(MAXGAP)
     out["Linear"] = evaluate_imputation(test, linear.impute_batch(sparse), MAXGAP, DELTA)
-    trimpute = TrImpute(TrImputeConfig(maxgap_m=MAXGAP)).fit(train)
+    trimpute = TrImpute(MAXGAP).fit(train)
     out["TrImpute"] = evaluate_imputation(
         test, trimpute.impute_batch(sparse), MAXGAP, DELTA
     )
-    matcher = HmmMapMatcher(small_dataset.network, MapMatchConfig(maxgap_m=MAXGAP))
+    matcher = HmmMapMatcher(small_dataset.network, MAXGAP)
     out["MapMatch"] = evaluate_imputation(
         test, matcher.impute_batch(sparse), MAXGAP, DELTA
     )

@@ -93,6 +93,23 @@ class TestRoundTrip:
             assert old.read_bytes() == new.read_bytes(), old.name
 
 
+class TestDerivedStateRestored:
+    """What a saved system does not store is rebuilt the way training
+    builds it: the same constraints class and speed bound, and a counting
+    rung model equal to the fitted one."""
+
+    @pytest.mark.parametrize("use_constraints", [True, False])
+    def test_constraints_and_counting_rung(self, small_split, tmp_path, use_constraints):
+        train, _ = small_split
+        system = Kamel(KamelConfig(use_constraints=use_constraints)).fit(train[:20])
+        save_kamel(system, tmp_path)
+        restored = load_kamel(tmp_path)
+        assert type(restored.constraints) is type(system.constraints)
+        assert restored.max_speed_mps == system.max_speed_mps
+        assert restored.constraints.max_speed_mps == system.constraints.max_speed_mps
+        assert restored._fallback_model.to_dict() == system._fallback_model.to_dict()
+
+
 class TestDirectoryFromBeforeDriftWasRetired:
     def test_drift_json_is_ignored_and_no_longer_written(
         self, trained_kamel, small_split, tmp_path

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.errors import ConfigError, EmptyInputError
+from repro.errors import EmptyInputError
 from repro.geo import Point, Trajectory
 from repro.mapinference import (
     InferredMap,
-    MapInferenceConfig,
     TrajectoryMapInference,
     evaluate_inferred_map,
 )
@@ -31,16 +30,6 @@ def straight_network():
     net.add_node("b", Point(1000, 0))
     net.add_edge("a", "b")
     return net
-
-
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            MapInferenceConfig(cell_m=0.0)
-        with pytest.raises(ConfigError):
-            MapInferenceConfig(min_visits=0)
-        with pytest.raises(ConfigError):
-            MapInferenceConfig(rasterize_step_m=-1.0)
 
 
 class TestInference:

@@ -331,13 +331,19 @@ class TestNoDeadPublicNames:
 
 
 class TestConfigFieldsAreSet:
-    """A field of ``KamelConfig`` or ``ServeConfig`` is a setting some
-    program varies: code in ``src/repro``, the benchmark harness, a
-    benchmark or an example sets it — a keyword of that class, a keyword
-    of ``dataclasses.replace``, or a key of a ``perf/workloads.py`` config
-    dict. A value only tests set is a constant beside its reader, unless
-    the map below says why it stays a field."""
+    """A field of a config class (a ``@dataclass`` in ``src/repro`` whose
+    name ends in ``Config``) is a setting some program varies: code in
+    ``src/repro``, the benchmark harness, a benchmark or an example sets
+    it — an argument of that class, a keyword of ``dataclasses.replace``,
+    or a key of a ``perf/workloads.py`` config dict. A value only tests
+    set is a constant beside its reader, unless the map below says why it
+    stays a field."""
 
+    TIER1_BERT = "tier-1 trains BERTs small enough to finish in seconds, and a saved model restores its architecture through BertConfig(**header)"
+    TIER1_TRAINING = "tier-1 trains BERTs small enough to finish in seconds"
+    CHAOS = "a fault scenario the chaos tests drive"
+    CHAOS_SPAWNED = "a fault scenario the chaos tests drive inside spawned workers"
+    BROWNOUT = "the ladder's restatement (ROADMAP item 6) decides the brownout levels"
     EXEMPT = {
         "KamelConfig.pyramid_height": "tier-1's multi-leaf world and the planned bulk_city workload need other heights",
         "KamelConfig.pyramid_levels": "tier-1's multi-leaf world and the planned bulk_city workload need other level counts",
@@ -347,24 +353,68 @@ class TestConfigFieldsAreSet:
         "ServeConfig.metrics_every": "read inside spawned workers, where no test can patch a constant",
         "ServeConfig.span_batch": "read inside spawned workers, where no test can patch a constant",
         "ServeConfig.brownout": "the ladder's restatement (ROADMAP item 6) decides its settings",
+        "BertConfig.hidden_size": TIER1_BERT,
+        "BertConfig.num_layers": TIER1_BERT,
+        "BertConfig.num_heads": TIER1_BERT,
+        "BertConfig.max_seq_len": TIER1_BERT,
+        "BertConfig.seed": TIER1_BERT,
+        "TrainingConfig.batch_size": TIER1_TRAINING,
+        "TrainingConfig.lr": TIER1_TRAINING,
+        "TrainingConfig.seed": TIER1_TRAINING,
+        "TrainingConfig.max_steps": TIER1_TRAINING,
+        "ChaosConfig.corruption_rate": CHAOS,
+        "ChaosConfig.failure_sites": CHAOS,
+        "ChaosConfig.stall_after": CHAOS_SPAWNED,
+        "ChaosConfig.stall_s": CHAOS_SPAWNED,
+        "ChaosConfig.ipc_delay_rate": CHAOS_SPAWNED,
+        "ChaosConfig.ipc_delay_s": CHAOS_SPAWNED,
+        "ChaosConfig.ipc_sites": CHAOS_SPAWNED,
+        "BrownoutConfig.high_depth": BROWNOUT,
+        "BrownoutConfig.low_depth": BROWNOUT,
+        "BrownoutConfig.step_down_after": BROWNOUT,
+        "BrownoutConfig.step_up_after": BROWNOUT,
+        "BrownoutConfig.interval_s": BROWNOUT,
+        "BrownoutConfig.max_level": BROWNOUT,
     }
 
     @staticmethod
-    def _set_by_program() -> dict[str, set[str]]:
+    def _config_classes() -> dict[str, list[str]]:
+        """Field names of every config class under ``src/repro``, found by
+        scanning the source for ``@dataclass`` classes named ``*Config``."""
+        import ast
+        import dataclasses
+        import importlib
+
+        classes = {}
+        for path in sorted((ROOT / "src/repro").rglob("*.py")):
+            module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, ast.ClassDef) and node.name.endswith("Config"):
+                    cls = getattr(importlib.import_module(module), node.name)
+                    if dataclasses.is_dataclass(cls):
+                        classes[node.name] = [f.name for f in dataclasses.fields(cls)]
+        return classes
+
+    @staticmethod
+    def _set_by_program(classes: dict[str, list[str]]) -> dict[str, set[str]]:
         """Field names each config class is given by non-test code."""
         import ast
 
-        given = {"KamelConfig": set(), "ServeConfig": set(), "replace": set()}
+        given = {name: set() for name in classes}
+        replaced: set[str] = set()
         for top in ("src/repro", "perf", "benchmarks", "examples"):
             for path in sorted((ROOT / top).rglob("*.py")):
-                tree = ast.parse(path.read_text())
-                for node in ast.walk(tree):
+                for node in ast.walk(ast.parse(path.read_text())):
                     if not isinstance(node, ast.Call):
                         continue
                     func = node.func
                     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    keywords = {k.arg for k in node.keywords if k.arg}
                     if name in given:
-                        given[name].update(k.arg for k in node.keywords if k.arg)
+                        given[name] |= keywords
+                        given[name].update(classes[name][: len(node.args)])
+                    elif name == "replace":
+                        replaced |= keywords
                     if path.name == "workloads.py" and path.parent.name == "perf":
                         for k in node.keywords:
                             if k.arg == "config" and isinstance(k.value, ast.Dict):
@@ -372,27 +422,23 @@ class TestConfigFieldsAreSet:
                                     key.value for key in k.value.keys
                                     if isinstance(key, ast.Constant)
                                 )
-        return {
-            cls: given[cls] | given["replace"] for cls in ("KamelConfig", "ServeConfig")
-        }
+        return {name: fields | replaced for name, fields in given.items()}
 
     def test_every_field_is_set_by_a_program(self):
-        import dataclasses
-
-        from repro.core.config import KamelConfig
-        from repro.serve.protocol import ServeConfig
-
-        set_by = self._set_by_program()
+        classes = self._config_classes()
+        set_by = self._set_by_program(classes)
         unset, needless = [], []
-        for cls in (KamelConfig, ServeConfig):
-            for field in dataclasses.fields(cls):
-                key = f"{cls.__name__}.{field.name}"
-                if field.name not in set_by[cls.__name__] and key not in self.EXEMPT:
+        for cls, fields in classes.items():
+            for field in fields:
+                key = f"{cls}.{field}"
+                if field not in set_by[cls] and key not in self.EXEMPT:
                     unset.append(key)
-                if field.name in set_by[cls.__name__] and key in self.EXEMPT:
+                if field in set_by[cls] and key in self.EXEMPT:
                     needless.append(key)
+        stale = set(self.EXEMPT) - {f"{cls}.{f}" for cls, fields in classes.items() for f in fields}
         assert not unset, f"config fields only tests set (make them constants): {unset}"
         assert not needless, f"exempt fields a program sets: {needless}"
+        assert not stale, f"exempt fields that do not exist: {sorted(stale)}"
 
 
 class TestServeKnobs:

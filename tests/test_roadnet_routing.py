@@ -59,9 +59,7 @@ def assert_source_matches(net, s, cutoffs):
 @pytest.fixture(scope="module")
 def small_city() -> RoadNetwork:
     """Curved edges, two roundabouts and both diagonals on a 7 x 7 grid."""
-    net = generate_city(CityConfig(
-        width_m=1500.0, height_m=1500.0, n_roundabouts=2, n_diagonals=2, seed=3,
-    ))
+    net = generate_city(CityConfig(width_m=1500.0, height_m=1500.0, n_roundabouts=2, seed=3))
     assert any(node[0] == "r" for node in net.nodes())
     return net
 

@@ -23,17 +23,9 @@ def simulator(small_city):
 
 
 class TestConfigValidation:
-    def test_speed_positive(self):
-        with pytest.raises(ConfigError):
-            SimulatorConfig(speed_mean_mps=0.0)
-
     def test_interval_positive(self):
         with pytest.raises(ConfigError):
             SimulatorConfig(sample_interval_s=0.0)
-
-    def test_noise_non_negative(self):
-        with pytest.raises(ConfigError):
-            SimulatorConfig(gps_noise_std_m=-1.0)
 
     def test_empty_network_rejected(self):
         from repro.roadnet.network import RoadNetwork
@@ -132,34 +124,3 @@ class TestDatasetFactories:
         ds = make_porto_like(n_trajectories=10)
         assert ds.num_points == sum(len(t) for t in ds.trajectories)
 
-
-class TestHotspots:
-    def test_hotspot_fraction_validated(self):
-        with pytest.raises(ConfigError):
-            SimulatorConfig(hotspot_fraction=1.5)
-        with pytest.raises(ConfigError):
-            SimulatorConfig(n_hotspots=0)
-
-    def test_hotspots_skew_endpoints(self, small_city):
-        hubby = TrajectorySimulator(
-            small_city,
-            SimulatorConfig(
-                hotspot_fraction=0.9, n_hotspots=2, min_trip_length_m=400.0, seed=4
-            ),
-        )
-        hubs = {small_city.node_point(h) for h in hubby.hotspots}
-        trips = hubby.simulate(20)
-        near_hub = 0
-        for t in trips:
-            for endpoint in (t.points[0], t.points[-1]):
-                if any(endpoint.distance_to(h) < 60.0 for h in hubs):
-                    near_hub += 1
-        # With 90 % hub probability, most endpoints should sit at a hub.
-        assert near_hub >= 20
-
-    def test_zero_fraction_is_uniform_default(self, small_city):
-        sim = TrajectorySimulator(
-            small_city, SimulatorConfig(min_trip_length_m=400.0, seed=5)
-        )
-        trips = sim.simulate(5)
-        assert len(trips) == 5

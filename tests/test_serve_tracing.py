@@ -216,8 +216,6 @@ class TestFlightRecorder:
 
 
 class _FailingService:
-    stats = SimpleNamespace(quarantined=0)
-
     def process(self, trajectory, deadline=None, max_rung=None):
         raise RuntimeError("boom")
 
@@ -333,8 +331,6 @@ class TestWorkerEnvelope:
         clear_spans()
         try:
             class _Service:
-                stats = SimpleNamespace(quarantined=0)
-
                 def process(self, trajectory, deadline=None, max_rung=None):
                     for i in range(5):
                         with span(f"work.{i}"):
