@@ -44,7 +44,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, KamelError
 from repro.eval.figures import ALL_FIGURES, Scale, jakarta_workload, porto_workload
 from repro.eval.harness import ExperimentRunner
 from repro.eval.report import render_table
@@ -102,7 +102,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_impute(args: argparse.Namespace) -> int:
     from repro.core.config import KamelConfig
     from repro.core.kamel import Kamel
-    from repro.errors import KamelError
     from repro.geo.adapter import projection_for, trajectory_from_latlon
     from repro.io.csvio import imputed_point_flags, read_latlon_csv, write_latlon_csv
 
@@ -677,6 +676,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rows = [
             ["trajectories submitted", str(stats.submitted)],
             ["trajectories completed", str(stats.completed)],
+            ["trajectories shed", str(stats.shed)],
+            ["trajectories expired", str(stats.expired)],
             ["trajectories lost", str(stats.lost)],
             ["duplicate results", str(stats.duplicates)],
             ["segments imputed", str(stats.segments)],
@@ -897,8 +898,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     epilogue_rc = 0
     try:
         rc = args.func(args)
-    except ConfigError as exc:
-        # A bad flag value from any verb: one line, not a traceback.
+    except KamelError as exc:
+        # A bad flag value, unusable input or an unloadable model
+        # directory, from any verb: one line, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         rc = 2
     finally:

@@ -149,9 +149,14 @@ class Kamel(Imputer):
         self.detokenizer = Detokenizer(self.tokenizer)
 
     def fit(self, trajectories: Sequence[Trajectory]) -> "Kamel":
-        """Train the system from scratch on ``trajectories``."""
-        if not trajectories:
-            raise EmptyInputError("Kamel.fit needs at least one training trajectory")
+        """Train the system from scratch on ``trajectories``.
+
+        Raises :class:`~repro.errors.EmptyInputError` when no trajectory
+        has two points: there is no movement to learn from."""
+        if not any(len(t) >= 2 for t in trajectories):
+            raise EmptyInputError(
+                "Kamel.fit needs a training trajectory of at least two points"
+            )
         cfg = self.config
         with span("kamel.fit", trajectories=len(trajectories), backend=cfg.model_backend):
             with obs.stopwatch("repro.kamel.fit_seconds"):
@@ -295,10 +300,11 @@ class Kamel(Imputer):
         deadline degrades remaining segments to cheaper ladder rungs —
         ultimately straight lines — rather than hanging.
 
-        ``max_rung`` caps the *top* of the ladder (brownout control): a
-        rung name from :data:`~repro.resilience.ladder.ALL_RUNGS` below
-        which every segment must start.  Rungs above the cap are skipped
-        with fallback reason ``"brownout"``; ``linear`` is never capped.
+        ``max_rung`` caps the *top* of the ladder: a rung name from
+        :data:`~repro.resilience.ladder.ALL_RUNGS` at or below which every
+        segment must start (the serving tier passes its deadline cap
+        here).  Rungs above the cap are skipped with fallback reason
+        ``"brownout"``; ``linear`` is never capped.
 
         Raises :class:`~repro.errors.QuarantinedInputError` for inputs no
         rung can process (non-finite or absurd coordinates/timestamps).
@@ -465,8 +471,9 @@ class Kamel(Imputer):
                 if rung == RUNG_LINEAR:
                     break
                 if not ladder.allows(rung, max_rung):
-                    # Brownout cap: the pool told us to skip the expensive
-                    # rungs; the segment starts lower on the ladder instead.
+                    # Ladder cap (the serving tier's deadline cap or the
+                    # caller's max_rung): skip the expensive rungs; the
+                    # segment starts lower on the ladder instead.
                     obs.count("repro.resilience.brownout_skips_total")
                     reason = reason or "brownout"
                     continue

@@ -129,8 +129,8 @@ class StreamingImputationService:
         bounds the whole call — the serving tier propagates per-request
         deadlines here so a late request finishes on cheaper ladder
         rungs instead of missing entirely.  ``max_rung`` caps the top of
-        the degradation ladder (brownout control); both thread straight
-        into :meth:`Kamel.impute`.
+        the degradation ladder (the serving tier's deadline cap); both
+        thread straight into :meth:`Kamel.impute`.
 
         The wall time recorded into ``StreamStats.processing_seconds`` and
         the ``repro.streaming.process_seconds`` histogram come from the

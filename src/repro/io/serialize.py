@@ -264,6 +264,30 @@ def _stored_meta(stored: StoredModel, file_name: str) -> dict:
     }
 
 
+def load_config(directory: Union[str, pathlib.Path]) -> KamelConfig:
+    """The :class:`KamelConfig` a :func:`save_kamel` directory was written
+    with; reads ``config.json`` only, no model file.
+
+    Raises :class:`~repro.errors.KamelError` for a directory without a
+    readable ``config.json`` or one written in another format version.
+    """
+    path = pathlib.Path(directory, "config.json")
+    try:
+        payload = json.loads(path.read_text())
+    except OSError as exc:
+        raise KamelError(f"no saved system at {directory}: {exc}") from exc
+    version = payload.pop("version", None)
+    if version != _FORMAT_VERSION:
+        raise KamelError(
+            f"unsupported model directory version {version!r} in {path} "
+            f"(this build reads version {_FORMAT_VERSION})"
+        )
+    # JSON turns tuples into lists; KamelConfig fields that are tuples
+    # must be coerced back so the dataclass compares equal after a round trip.
+    payload["cell_size_candidates"] = tuple(payload["cell_size_candidates"])
+    return KamelConfig(**payload)
+
+
 def load_kamel(
     directory: Union[str, pathlib.Path],
     model_loader: Optional[ModelLoader] = None,
@@ -279,15 +303,7 @@ def load_kamel(
     the models its partition actually queries.
     """
     root = pathlib.Path(directory)
-    config_payload = json.loads(root.joinpath("config.json").read_text())
-    version = config_payload.pop("version", None)
-    if version != _FORMAT_VERSION:
-        raise KamelError(f"unsupported model directory version {version!r}")
-    # JSON turns tuples into lists; KamelConfig fields that are tuples
-    # must be coerced back so the dataclass compares equal after a round trip.
-    config_payload["cell_size_candidates"] = tuple(config_payload["cell_size_candidates"])
-    config = KamelConfig(**config_payload)
-
+    config = load_config(root)
     meta = json.loads(root.joinpath("system.json").read_text())
     system = Kamel(config)
     # The store and repository share the tokenizer, and a tokenizer keeps

@@ -55,7 +55,7 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.kamel.fallback.search_failed_total": "Fallbacks: search starved or budget exhausted.",
     "repro.kamel.fallback.deadline_total": "Fallbacks: the impute deadline expired mid-segment.",
     "repro.kamel.fallback.rung_error_total": "Fallbacks: a rung raised an error (a failed model lookup or inference, injected or real).",
-    "repro.kamel.fallback.brownout_total": "Fallbacks: the brownout cap skipped every rung above linear that had a model.",
+    "repro.kamel.fallback.brownout_total": "Fallbacks: a ladder cap (the deadline cap or a caller's max_rung) skipped every rung above linear that had a model.",
     "repro.kamel.rung.full_total": "Segments resolved by the full-strength imputer (top ladder rung).",
     "repro.kamel.rung.reduced_beam_total": "Segments resolved by the reduced-beam ladder rung.",
     "repro.kamel.rung.counting_total": "Segments resolved by the counting-fallback-model ladder rung.",
@@ -118,8 +118,6 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.serve.queue_depth": "Trajectories submitted to the serving pool with no result accepted or written off yet (all shards: queued plus in progress).",
     "repro.serve.shed_total": "Requests refused by admission control on a full shard (typed OverloadError results; accounted, not lost).",
     "repro.serve.expired_in_queue_total": "Tasks dropped by a worker at dequeue because their request deadline passed while queued.",
-    "repro.serve.brownout_level": "Current pool brownout level: 0 full ladder, 1 reduced-beam cap, 2 counting cap.",
-    "repro.serve.brownout_steps_total": "Brownout controller level changes (either direction).",
     "repro.serve.submitted_total": "Trajectories routed into worker task queues by the pool.",
     "repro.serve.results_total": "Trajectory results accepted from workers (after deduplication).",
     "repro.serve.duplicate_results_total": "Duplicate worker results dropped by the pool (at-least-once replay can resend).",
@@ -148,7 +146,7 @@ METRIC_CATALOG: dict[str, str] = {
     "repro.resilience.chaos.corruptions_total": "Grid-cell corruptions injected by the chaos harness.",
     "repro.resilience.chaos.stalls_total": "Injected worker stalls (the deterministic overload driver: one worker wedges, its queue backs up).",
     "repro.resilience.chaos.ipc_delays_total": "Injected IPC delays (slow dequeue / delayed result pipe).",
-    "repro.resilience.brownout_skips_total": "Ladder rungs skipped because a brownout cap was in force.",
+    "repro.resilience.brownout_skips_total": "Ladder rungs skipped because a ladder cap (the deadline cap or a caller's max_rung) was in force.",
     # -- evaluation harness (eval.harness) --------------------------------
     "repro.eval.train_seconds": "Harness: training one method on one workload.",
     "repro.eval.impute_seconds": "Harness: imputing one workload's test set.",

@@ -80,7 +80,7 @@ class ChaosConfig:
 
     A *stalled worker* is the pool-level overload driver: its shard's
     queue backs up deterministically while the process stays alive, which
-    is exactly the shape admission control and brownout must absorb.
+    is exactly the shape admission control and deadlines must absorb.
     """
     stall_s: float = 0.0
     ipc_delay_rate: float = 0.0

@@ -22,8 +22,11 @@ linear    straight-line interpolation — never fails, the paper's
           "failure" outcome
 ========  =====================================================
 
-:func:`rungs_for` names a system's rungs; :func:`allows` and
-:func:`tighter_cap` apply a brownout cap to them.
+:func:`rungs_for` names a system's rungs; :func:`allows` applies a
+ladder cap to them — the serving tier's deadline cap, or a caller's
+``max_rung``. A segment whose every rung above ``linear`` was skipped by
+the cap records the fallback reason ``"brownout"`` (the name is kept
+stable for the counters and reports that read it).
 
 Every segment records the rung that resolved it on its
 :class:`repro.core.result.SegmentOutcome`; only the ``linear`` rung
@@ -48,7 +51,6 @@ __all__ = [
     "DEGRADED_MAX_MODEL_CALLS",
     "rungs_for",
     "allows",
-    "tighter_cap",
     "record",
 ]
 
@@ -70,7 +72,9 @@ FALLBACK_REASONS = (
 )
 """Every ``SegmentOutcome.fallback_reason`` a segment can record — why it
 left the rung above — each counted as
-``repro.kamel.fallback.<reason>_total`` when the segment ends ``linear``."""
+``repro.kamel.fallback.<reason>_total`` when the segment ends ``linear``.
+``"brownout"`` means a ladder cap (the deadline cap or a caller's
+``max_rung``) skipped the rung."""
 
 DEGRADED_BEAM_SIZE = 3
 """Beam width of the reduced-beam rung (capped by the configured width)."""
@@ -93,7 +97,7 @@ def rungs_for(config) -> tuple[str, ...]:
 
 
 def allows(rung: str, cap: Optional[str]) -> bool:
-    """Whether ``rung`` may run under a brownout cap.
+    """Whether ``rung`` may run under a ladder cap.
 
     ``cap`` names the *most expensive* rung still permitted (``None``
     means uncapped).  Rungs above the cap are skipped; ``linear`` is
@@ -102,15 +106,6 @@ def allows(rung: str, cap: Optional[str]) -> bool:
     if cap is None or rung == RUNG_LINEAR:
         return True
     return ALL_RUNGS.index(rung) >= ALL_RUNGS.index(cap)
-
-
-def tighter_cap(a: Optional[str], b: Optional[str]) -> Optional[str]:
-    """The more restrictive (lower) of two rung caps; ``None`` = uncapped."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if ALL_RUNGS.index(a) >= ALL_RUNGS.index(b) else b
 
 
 def record(rung: str) -> None:

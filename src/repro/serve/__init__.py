@@ -34,24 +34,19 @@ five-stage latency breakdown (queue wait, model load, inference,
 detokenize, result transit) feeds ``repro.serve.stage.*`` histograms
 and ``kamel tail``. See docs/serving.md and docs/observability.md.
 
-The tier is overload-protected (:mod:`repro.serve.overload`): bounded
+The tier is overload-protected two ways, both off by default: bounded
 per-shard queues that shed the newcomer when full (refusals surface as
-results typed ``error_type="OverloadError"``), cross-process
+results typed ``error_type="OverloadError"``), and cross-process
 request deadlines (expired tasks dropped at dequeue, thin budgets finish
-on cheaper ladder rungs), and a brownout
-controller that caps every shard's degradation ladder under sustained
-pressure and recovers with hysteresis.
+on cheaper ladder rungs).
 """
 
 from repro.serve.modelstore import LazyModel, ModelLRU, load_kamel_lazy
-from repro.serve.overload import BrownoutConfig, BrownoutController
 from repro.serve.pool import PoolStats, ServingPool, stable_shard
 from repro.serve.protocol import ServeConfig, WorkerSpec
 from repro.serve.worker import worker_main
 
 __all__ = [
-    "BrownoutConfig",
-    "BrownoutController",
     "LazyModel",
     "ModelLRU",
     "PoolStats",

@@ -87,7 +87,7 @@ class Ledger:
         self.max_queue_depth = max_queue_depth
         self.depths = [0] * shards
         """Outstanding submissions per shard (queued plus the task its
-        worker is on): admission, brownout and the gauge read it."""
+        worker is on): admission and the gauge read it."""
         self.processed = {shard: 0 for shard in range(shards)}
         """Results accepted per shard."""
         self._current: dict[str, Submission] = {}

@@ -19,9 +19,9 @@ Results are accepted **when they arrive**, not when the client next
 calls in: one pool-owned receiver thread (``start()`` to ``stop()``)
 blocks on the result pipe and handles every message under the pool lock
 it shares with ``submit``; ``drain()`` and ``stop()`` sleep on that
-lock's condition. Worker liveness and brownout run on the receiver too,
-so a dead worker is revived and the telemetry stays current while the
-client is idle (docs/serving.md, "Threading model").
+lock's condition. Worker liveness runs on the receiver too, so a dead
+worker is revived and the telemetry stays current while the client is
+idle (docs/serving.md, "Threading model").
 
 The pool is also the fleet's observability point: per-worker registry
 snapshots arriving on the result queue are merged
@@ -48,7 +48,6 @@ synthetic ``serve.request`` root bracketed by ``serve.queue_wait`` and
 from __future__ import annotations
 
 import hashlib
-import json
 import multiprocessing as mp
 import pathlib
 import struct
@@ -61,6 +60,7 @@ from repro.core.tokenization import make_grid
 from repro.errors import ConfigError, PoolReceiverError
 from repro.geo import Trajectory
 from repro.grid.base import Cell
+from repro.io.serialize import load_config
 from repro.obs import instrument as obs
 from repro.obs.flight import FlightRecord, FlightRecorder, stage_breakdown
 from repro.obs.logging import get_logger
@@ -69,7 +69,6 @@ from repro.obs.server import ObservabilityServer
 from repro.obs.tracing import Span, clock_offset, new_trace_id
 from repro.serve.aggregate import pool_routes
 from repro.serve.ledger import OUTSTANDING, Ledger, PoolStats, Submission
-from repro.serve.overload import BrownoutController
 from repro.serve.protocol import TRACE_MAX_ROOTS, ServeConfig, TaskEnvelope, WorkerSpec
 from repro.serve.worker import worker_main
 
@@ -87,8 +86,8 @@ wedging the pool forever."""
 
 RECEIVER_TICK_S = 0.25
 """How often the receiver thread, traffic or not, wakes to check worker
-liveness and feed the brownout controller — how long a dead worker can
-go unnoticed, and the wake-up rate an idle pool costs."""
+liveness — how long a dead worker can go unnoticed, and the wake-up
+rate an idle pool costs."""
 
 
 class _SyncQueue:
@@ -148,9 +147,10 @@ class ServingPool:
         self.model_dir = str(model_dir)
         self.config = config or ServeConfig()
         # The router needs the grid only, read from the saved system's
-        # config — no model file is parsed in the parent.
-        saved = json.loads(pathlib.Path(model_dir, "config.json").read_text())
-        self._grid = make_grid(saved["grid_type"], saved["cell_edge_m"])
+        # config — no model file is parsed in the parent. A directory no
+        # worker could load fails here, before any process starts.
+        saved = load_config(model_dir)
+        self._grid = make_grid(saved.grid_type, saved.cell_edge_m)
         self.ledger = Ledger(self.config.workers, self.config.max_queue_depth)
         self.stats = self.ledger.stats
         self.worker_processed = self.ledger.processed
@@ -164,17 +164,11 @@ class ServingPool:
         self._revives: dict[int, int] = {}
         self._incarnations = 0
         self._byes: set[int] = set()
-        self._control = None
-        self.brownout: Optional[BrownoutController] = (
-            BrownoutController(self.config.brownout)
-            if self.config.brownout is not None
-            else None
-        )
         self._started = False
         self._stopping = False
         # One lock for all pool state: the receiver thread holds it while
         # it handles messages, callers while they submit or read; waiters
-        # (drain, stop, brownout_settle) sleep on its condition, which
+        # (drain, stop) sleep on its condition, which
         # the receiver notifies after every wake-up.
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
@@ -198,11 +192,6 @@ class ServingPool:
         if self._started:
             return self
         self._result_queue = _SyncQueue(self._ctx)
-        if self.brownout is not None:
-            # Workers read the current brownout level per task; writes
-            # are pool-only, reads are a single int — a shared Value is
-            # exactly enough machinery.
-            self._control = self._ctx.Value("i", 0)
         for shard in range(self.config.workers):
             self._task_queues.append(self._ctx.Queue())
             self._spawn(shard, recover=False)
@@ -239,7 +228,7 @@ class ServingPool:
         )
         proc = self._ctx.Process(
             target=worker_main,
-            args=(spec, self._task_queues[shard], self._result_queue, self._control),
+            args=(spec, self._task_queues[shard], self._result_queue),
             name=f"kamel-serve-{shard}",
             daemon=True,
         )
@@ -301,28 +290,6 @@ class ServingPool:
             )
             return shard
 
-    # -- brownout ------------------------------------------------------------
-
-    def _brownout_tick(self) -> None:
-        """Feed the brownout controller one pressure sample (rate-limited
-        by its own interval) and publish a level change to the workers."""
-        if self.brownout is None:
-            return
-        new_level = self.brownout.evaluate(max(self.ledger.depths))
-        if new_level is not None and self._control is not None:
-            self._control.value = new_level
-
-    def brownout_settle(self, timeout_s: float = 10.0) -> int:
-        """Wait for the controller to step back to level 0 on an idle
-        pool (or for the timeout); returns the final level. The
-        receiver's tick keeps feeding it; call this after draining so a
-        clean run shows the full step-down/step-up cycle."""
-        if self.brownout is None:
-            return 0
-        with self._lock:
-            self._wait_for(lambda: self.brownout.level == 0, timeout_s)
-            return self.brownout.level
-
     @property
     def outstanding(self) -> int:
         return self.ledger.outstanding
@@ -371,8 +338,7 @@ class ServingPool:
         wake whoever sleeps on the pool condition.
 
         Each wake-up — a batch of messages, or the tick on an idle pool
-        — handles everything already readable in one lock hold and
-        feeds the brownout controller once (it rate-limits itself). A
+        — handles everything already readable in one lock hold. A
         failure here is stored for the next ``submit`` / ``drain`` /
         ``stop`` to raise: a dead receiver must never look like a slow
         pool.
@@ -391,7 +357,6 @@ class ServingPool:
                     if time.monotonic() >= next_tick:
                         self._check_workers()
                         next_tick = time.monotonic() + RECEIVER_TICK_S
-                    self._brownout_tick()
                     self._cond.notify_all()
                 if self._wake_reader in woken:
                     return
@@ -658,7 +623,7 @@ class ServingPool:
             # In-flight work is not a fault: only a dead worker or work
             # written off makes the pool degraded.
             healthy = alive and self.stats.declared_lost == 0
-            doc = {
+            return {
                 "status": "ok" if healthy else "degraded",
                 "submitted": self.stats.submitted,
                 "completed": self.stats.completed,
@@ -676,6 +641,3 @@ class ServingPool:
                 },
                 "workers": workers,
             }
-            if self.brownout is not None:
-                doc["brownout"] = self.brownout.to_dict()
-            return doc

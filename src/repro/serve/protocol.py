@@ -25,7 +25,6 @@ from typing import Optional
 from repro.errors import ConfigError
 from repro.geo import Trajectory
 from repro.resilience.chaos import ChaosConfig
-from repro.serve.overload import BrownoutConfig
 
 __all__ = [
     "TRACE_MAX_ROOTS",
@@ -78,10 +77,6 @@ class ServeConfig:
     (counted ``expired``), thread the remaining budget into the
     degradation ladder, and cap the ladder for requests whose budget is
     mostly gone (``repro.serve.worker._rung_cap``)."""
-    brownout: Optional[BrownoutConfig] = None
-    """Enable the pool-side brownout controller: under sustained queue
-    pressure every shard's ladder is capped (full → reduced beam →
-    counting), stepping back up with hysteresis. None disables it."""
     worker_chaos: Optional[ChaosConfig] = None
     """Chaos injected into every worker (IPC delays, stalls). Its
     ``crash_after`` fires in shard 0's first incarnation only: every

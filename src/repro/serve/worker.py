@@ -57,9 +57,8 @@ from repro.obs.tracing import (
 from repro.resilience.chaos import ChaosMonkey, InjectedCrash
 from repro.resilience.deadline import Deadline
 from repro.resilience.journal import StreamJournal, trajectory_to_payload
-from repro.resilience.ladder import RUNG_COUNTING, RUNG_REDUCED_BEAM, tighter_cap
+from repro.resilience.ladder import RUNG_COUNTING, RUNG_REDUCED_BEAM
 from repro.serve.modelstore import load_kamel_lazy
-from repro.serve.overload import rung_cap_for
 from repro.serve.protocol import (
     TRACE_MAX_ROOTS,
     TaskEnvelope,
@@ -182,30 +181,23 @@ def _rebased_deadline(envelope: TaskEnvelope) -> Optional[Deadline]:
     return Deadline(expires_pc, envelope.deadline_budget_s, clock=time.perf_counter)
 
 
-def _rung_cap(control, deadline: Optional[Deadline]) -> Optional[str]:
-    """The ladder cap for one task: pool brownout level (shared
-    ``control`` Value) tightened by local deadline pressure — a request
-    whose remaining budget is already thin (<50% left: reduced beam at
-    most, <25%: counting at most) finishes late but cheaper instead of
-    missing its deadline entirely."""
-    cap: Optional[str] = None
-    if control is not None:
-        cap = rung_cap_for(int(control.value))
-    if deadline is not None and not deadline.is_unlimited and deadline.budget_s > 0:
-        frac = max(0.0, deadline.remaining()) / deadline.budget_s
-        if frac < 0.25:
-            cap = tighter_cap(cap, RUNG_COUNTING)
-        elif frac < 0.5:
-            cap = tighter_cap(cap, RUNG_REDUCED_BEAM)
-    return cap
+def _rung_cap(deadline: Optional[Deadline]) -> Optional[str]:
+    """The ladder cap for one task, from its deadline: a request whose
+    remaining budget is already thin (<50% left: reduced beam at most,
+    <25%: counting at most) finishes late but cheaper instead of missing
+    its deadline entirely. No deadline, or an unlimited one: no cap."""
+    if deadline is None or deadline.is_unlimited or deadline.budget_s <= 0:
+        return None
+    frac = max(0.0, deadline.remaining()) / deadline.budget_s
+    if frac < 0.25:
+        return RUNG_COUNTING
+    if frac < 0.5:
+        return RUNG_REDUCED_BEAM
+    return None
 
 
-def worker_main(spec: WorkerSpec, task_queue, result_queue, control=None) -> None:
-    """Entry point of one worker process (target of ``Process``).
-
-    ``control`` (optional) is a shared ``multiprocessing.Value('i')``
-    holding the pool's current brownout level; the worker reads it per
-    task and caps the degradation ladder accordingly."""
+def worker_main(spec: WorkerSpec, task_queue, result_queue) -> None:
+    """Entry point of one worker process (target of ``Process``)."""
     config = spec.config
     if config.trace:
         get_tracer().max_roots = TRACE_MAX_ROOTS
@@ -283,7 +275,7 @@ def worker_main(spec: WorkerSpec, task_queue, result_queue, control=None) -> Non
             spec, service, journal, result_queue, trajectory, False,
             envelope.trace_id,
             deadline=deadline,
-            max_rung=_rung_cap(control, deadline),
+            max_rung=_rung_cap(deadline),
             monkey=monkey,
         )
         processed += 1

@@ -208,6 +208,46 @@ class TestBadFlagValues:
         assert lines == [f"error: {feed}:3: traj_id 'a' repeats line 1"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("problem", ["missing", "wrong_version"])
+    def test_serve_an_unloadable_model_directory(
+        self, trained_kamel, tmp_path, capsys, problem
+    ):
+        """A directory ``load_kamel`` would refuse is one ``error:`` line
+        before any worker starts, not a traceback per worker death."""
+        from repro.io.serialize import save_kamel
+
+        model = tmp_path / "model"
+        if problem == "wrong_version":
+            save_kamel(trained_kamel, model)
+            payload = json.loads((model / "config.json").read_text())
+            payload["version"] = 4
+            (model / "config.json").write_text(json.dumps(payload))
+        feed = tmp_path / "one.jsonl"
+        feed.write_text(json.dumps(
+            {"traj_id": "a", "points": [[0.0, 0.0, 0.0], [100.0, 0.0, 60.0]]}
+        ) + "\n")
+        assert main(["serve", "--model-dir", str(model), "--input", str(feed)]) == 2
+        captured = _no_traceback(capsys)
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("error: ")
+        assert ("no saved system" if problem == "missing" else "version 4") in line
+        assert "serving" not in captured.err
+
+    def test_impute_training_without_movement(self, tmp_path, capsys):
+        """Every training trip a single fix: nothing to learn from."""
+        train = tmp_path / "train.csv"
+        train.write_text("traj_id,lat,lon,t\na,41.15,-8.61,0\nb,41.16,-8.62,60\n")
+        sparse = tmp_path / "sparse.csv"
+        sparse.write_text("traj_id,lat,lon,t\nc,41.15,-8.61,0\nc,41.16,-8.62,60\n")
+        args = ["impute", "--train", str(train), "--input", str(sparse),
+                "--output", str(tmp_path / "out.csv")]
+        assert main(args) == 2
+        captured = _no_traceback(capsys)
+        assert captured.err.strip().splitlines() == [
+            "error: Kamel.fit needs a training trajectory of at least two points"
+        ]
+        assert not (tmp_path / "out.csv").exists()
+
     def test_impute(self, tmp_path, capsys):
         csv = tmp_path / "trips.csv"
         csv.write_text("traj_id,lat,lon,t\na,41.15,-8.61,0\na,41.16,-8.62,60\n")

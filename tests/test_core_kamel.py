@@ -58,6 +58,24 @@ class TestLifecycle:
         with pytest.raises(EmptyInputError):
             Kamel().fit([])
 
+    def test_fit_without_a_two_point_trajectory_raises(self):
+        """Single fixes hold no movement to learn from: fit refuses them
+        and the system stays unfitted, rather than fitting without
+        constraints and failing on its first impute."""
+        system = Kamel()
+        singles = [Trajectory(name, (Point(0.0, 0.0, 0.0),)) for name in "ab"]
+        with pytest.raises(EmptyInputError, match="at least two points"):
+            system.fit(singles)
+        assert not system.is_fitted
+
+    def test_add_training_without_a_two_point_trajectory_is_a_no_op(self, small_split):
+        train, _ = small_split
+        system = Kamel(KamelConfig()).fit(train[:10])
+        vocabulary = len(system.tokenizer.vocabulary)
+        system.add_training([Trajectory("single", (Point(0.0, 0.0, 0.0),))])
+        assert len(system._training_trajectories) == 10
+        assert len(system.tokenizer.vocabulary) == vocabulary
+
     def test_fit_returns_self(self, small_split):
         train, _ = small_split
         system = Kamel(KamelConfig())

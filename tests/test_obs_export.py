@@ -134,7 +134,7 @@ class TestRenderPrometheus:
         """Each non-comment line: <name>[{labels}] <float>."""
         registry.counter("repro.kamel.trajectories_total").inc(2)
         registry.histogram("repro.kamel.impute_seconds").observe(0.5)
-        registry.gauge("repro.serve.brownout_level").set(-1.5)
+        registry.gauge("repro.serve.queue_depth").set(-1.5)
         for line in render_prometheus(registry.snapshot()).splitlines():
             if not line or line.startswith("#"):
                 continue

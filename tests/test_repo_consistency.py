@@ -215,7 +215,6 @@ class TestNoDeadPublicNames:
         "Vocabulary.real_token_ids": "test seam: property tests draw real tokens from it",
         "RoadNetwork.total_length": "test oracle: the generator tests compare two cities by it",
         "RoadNetwork.project": "test oracle: the tests that imputed points lie on the road network",
-        "ServingPool.brownout_settle": "test seam: the overload tests wait for the brownout to walk back through it",
     }
 
     @staticmethod
@@ -343,7 +342,6 @@ class TestConfigFieldsAreSet:
     TIER1_TRAINING = "tier-1 trains BERTs small enough to finish in seconds"
     CHAOS = "a fault scenario the chaos tests drive"
     CHAOS_SPAWNED = "a fault scenario the chaos tests drive inside spawned workers"
-    BROWNOUT = "the ladder's restatement (ROADMAP item 6) decides the brownout levels"
     EXEMPT = {
         "KamelConfig.pyramid_height": "tier-1's multi-leaf world and the planned bulk_city workload need other heights",
         "KamelConfig.pyramid_levels": "tier-1's multi-leaf world and the planned bulk_city workload need other level counts",
@@ -352,7 +350,6 @@ class TestConfigFieldsAreSet:
         "KamelConfig.cell_size_candidates": "the tuner's rework (ROADMAP item 2) varies the candidates",
         "ServeConfig.metrics_every": "read inside spawned workers, where no test can patch a constant",
         "ServeConfig.span_batch": "read inside spawned workers, where no test can patch a constant",
-        "ServeConfig.brownout": "the ladder's restatement (ROADMAP item 6) decides its settings",
         "BertConfig.hidden_size": TIER1_BERT,
         "BertConfig.num_layers": TIER1_BERT,
         "BertConfig.num_heads": TIER1_BERT,
@@ -369,12 +366,6 @@ class TestConfigFieldsAreSet:
         "ChaosConfig.ipc_delay_rate": CHAOS_SPAWNED,
         "ChaosConfig.ipc_delay_s": CHAOS_SPAWNED,
         "ChaosConfig.ipc_sites": CHAOS_SPAWNED,
-        "BrownoutConfig.high_depth": BROWNOUT,
-        "BrownoutConfig.low_depth": BROWNOUT,
-        "BrownoutConfig.step_down_after": BROWNOUT,
-        "BrownoutConfig.step_up_after": BROWNOUT,
-        "BrownoutConfig.interval_s": BROWNOUT,
-        "BrownoutConfig.max_level": BROWNOUT,
     }
 
     @staticmethod

@@ -86,6 +86,34 @@ class TestServeCommand:
             for trip in record["trips"]:
                 assert trip["points"]  # dense output, journal payload shape
 
+    def test_summary_accounts_for_every_request(self, capsys, saved_dir, input_jsonl):
+        """Five requests, two shards, one outstanding request per shard:
+        all five are submitted before a spawned worker has loaded its
+        model, so at least one shard sheds. The table shows where each
+        request went: submitted = completed + shed + expired + lost."""
+        rc = main(
+            [
+                "serve",
+                "--model-dir", str(saved_dir),
+                "--input", str(input_jsonl),
+                "--workers", "2",
+                "--max-queue-depth", "1",
+                "--request-deadline-ms", "60000",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        rows = {
+            name: int(value)
+            for name, value in re.findall(r"trajectories (\w+)\s+(\d+)", out)
+        }
+        assert set(rows) == {"submitted", "completed", "shed", "expired", "lost"}
+        assert rows["submitted"] == 5
+        assert rows["shed"] >= 1 and rows["lost"] == 0
+        assert rows["submitted"] == (
+            rows["completed"] + rows["shed"] + rows["expired"] + rows["lost"]
+        )
+
 
 @pytest.fixture()
 def flight_file(tmp_path):

@@ -1,14 +1,14 @@
-"""Overload protection: admission control, deadlines, brownout.
+"""Overload protection: admission control and deadlines.
 
-Unit scale: the brownout hysteresis state machine under a fake clock,
-the level→ladder-cap mapping, rung capping inside ``Kamel.impute``, and
-config validation. Multiprocess scale: a deliberately stalled worker
-(deterministic chaos, ``stall_after``) backs the queue up so shedding,
-the queue bound, deadline expiry, and the brownout cycle can be observed
-on a real pool — every scenario asserts the overload invariant:
+Unit scale: the deadline's ladder cap under a fake clock, rung capping
+inside ``Kamel.impute``, and config validation. Multiprocess scale: a
+deliberately stalled worker (deterministic chaos, ``stall_after``) backs
+the queue up so shedding, the queue bound and deadline expiry can be
+observed on a real pool — every scenario asserts the overload invariant:
 *submitted == completed + shed + expired*, refusals typed, nothing lost.
 """
 
+import math
 import time
 from dataclasses import replace
 
@@ -27,26 +27,10 @@ from repro.resilience.ladder import (
     RUNG_LINEAR,
     RUNG_REDUCED_BEAM,
     allows,
-    tighter_cap,
 )
+from repro.resilience.deadline import Deadline
 from repro.serve import ServeConfig, ServingPool
-from repro.serve.overload import (
-    LEVEL_RUNGS,
-    BrownoutConfig,
-    BrownoutController,
-    rung_cap_for,
-)
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, dt):
-        self.now += dt
+from repro.serve.worker import _rung_cap
 
 
 # ---------------------------------------------------------------------------
@@ -55,17 +39,6 @@ class FakeClock:
 
 
 class TestRungCapMapping:
-    def test_level_zero_is_uncapped(self):
-        assert rung_cap_for(0) is None
-        assert rung_cap_for(-3) is None
-
-    def test_levels_map_down_the_ladder(self):
-        assert rung_cap_for(1) == RUNG_REDUCED_BEAM
-        assert rung_cap_for(2) == RUNG_COUNTING
-
-    def test_deep_levels_clamp_to_last_cap(self):
-        assert rung_cap_for(99) == LEVEL_RUNGS[-1] == RUNG_COUNTING
-
     def test_allows_respects_cap_ordering(self):
         assert allows(RUNG_FULL, None)
         assert not allows(RUNG_FULL, RUNG_REDUCED_BEAM)
@@ -74,111 +47,36 @@ class TestRungCapMapping:
         for cap in (None, *ALL_RUNGS):
             assert allows(RUNG_LINEAR, cap)
 
-    def test_tighter_cap_picks_the_cheaper_rung(self):
-        assert tighter_cap(None, RUNG_COUNTING) == RUNG_COUNTING
-        assert tighter_cap(RUNG_COUNTING, None) == RUNG_COUNTING
-        assert (
-            tighter_cap(RUNG_REDUCED_BEAM, RUNG_COUNTING)
-            == RUNG_COUNTING
+class TestDeadlineCap:
+    """``serve.worker._rung_cap``: the ladder cap a task's remaining
+    deadline budget sets, on a fake clock. Boundaries are exact: a
+    budget of 8 s makes 0.5 and 0.25 of it representable."""
+
+    BUDGET_S = 8.0
+
+    def cap_at(self, fraction_left):
+        deadline = Deadline(
+            fraction_left * self.BUDGET_S, self.BUDGET_S, clock=lambda: 0.0
         )
-        assert tighter_cap(None, None) is None
-
-
-class TestBrownoutConfigValidation:
-    def test_defaults_valid(self):
-        BrownoutConfig()
+        assert deadline.remaining() / deadline.budget_s == fraction_left
+        return _rung_cap(deadline)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "fraction_left, cap",
         [
-            {"high_depth": 0},
-            {"low_depth": 8, "high_depth": 8},
-            {"low_depth": -1},
-            {"step_down_after": 0},
-            {"step_up_after": 0},
-            {"max_level": 0},
-            {"max_level": len(LEVEL_RUNGS)},
-            {"interval_s": -0.1},
+            (0.6, None),
+            (0.5, None),
+            (0.4, RUNG_REDUCED_BEAM),
+            (0.25, RUNG_REDUCED_BEAM),
+            (0.2, RUNG_COUNTING),
         ],
     )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            BrownoutConfig(**kwargs)
+    def test_cap_by_fraction_of_budget_left(self, fraction_left, cap):
+        assert self.cap_at(fraction_left) == cap
 
-
-class TestBrownoutController:
-    def controller(self, **kwargs):
-        clock = FakeClock()
-        defaults = dict(
-            high_depth=4, low_depth=1, step_down_after=2, step_up_after=3,
-            interval_s=0.25,
-        )
-        defaults.update(kwargs)
-        return BrownoutController(BrownoutConfig(**defaults), clock=clock), clock
-
-    def tick(self, ctl, clock, depth):
-        clock.advance(ctl.config.interval_s)
-        return ctl.evaluate(depth)
-
-    def test_steps_down_only_after_sustained_pressure(self):
-        ctl, clock = self.controller()
-        assert self.tick(ctl, clock, depth=10) is None
-        assert ctl.level == 0
-        assert self.tick(ctl, clock, depth=10) == 1
-        assert ctl.cap == RUNG_REDUCED_BEAM
-
-    def test_rate_limited_by_interval(self):
-        ctl, clock = self.controller(step_down_after=1)
-        assert self.tick(ctl, clock, depth=10) == 1
-        # same instant: ignored, no double step
-        assert ctl.evaluate(10) is None
-        assert ctl.level == 1
-
-    def test_one_step_per_evaluation_until_max_level(self):
-        ctl, clock = self.controller(step_down_after=1)
-        assert self.tick(ctl, clock, depth=10) == 1
-        assert self.tick(ctl, clock, depth=10) == 2
-        # clamped at max_level
-        assert self.tick(ctl, clock, depth=10) is None
-        assert ctl.level == 2 == ctl.config.max_level
-
-    def test_step_up_is_slower_than_step_down(self):
-        ctl, clock = self.controller(step_down_after=1, step_up_after=3)
-        self.tick(ctl, clock, depth=10)
-        assert ctl.level == 1
-        assert self.tick(ctl, clock, depth=0) is None
-        assert self.tick(ctl, clock, depth=0) is None
-        assert self.tick(ctl, clock, depth=0) == 0
-        assert ctl.level == 0
-
-    def test_dead_band_resets_both_streaks(self):
-        ctl, clock = self.controller(step_down_after=2)
-        self.tick(ctl, clock, depth=10)
-        # between low and high: holds, and the over-streak starts over
-        self.tick(ctl, clock, depth=2)
-        self.tick(ctl, clock, depth=10)
-        assert ctl.level == 0
-        assert self.tick(ctl, clock, depth=10) == 1
-
-    def test_full_cycle_recorded_and_reported(self):
-        ctl, clock = self.controller(step_down_after=1, step_up_after=1)
-        self.tick(ctl, clock, depth=10)
-        self.tick(ctl, clock, depth=10)
-        assert not ctl.completed_cycle()
-        self.tick(ctl, clock, depth=0)
-        self.tick(ctl, clock, depth=0)
-        assert ctl.level == 0
-        assert ctl.completed_cycle()
-        doc = ctl.to_dict()
-        assert doc["level"] == 0
-        assert doc["cap"] is None
-        assert doc["completed_cycle"] is True
-        assert [(t["from"], t["to"]) for t in doc["transitions"]] == [
-            (0, 1), (1, 2), (2, 1), (1, 0),
-        ]
-        assert {t["reason"] for t in doc["transitions"]} == {
-            "pressure", "recovered",
-        }
+    def test_no_deadline_or_an_unlimited_one_is_uncapped(self):
+        assert _rung_cap(None) is None
+        assert _rung_cap(Deadline(math.inf)) is None
 
 
 class TestImputeRungCap:
@@ -429,78 +327,31 @@ class TestDeadlineExpiry:
         assert histogram.count == pool.stats.completed
 
 
-class TestBrownoutOnPool:
-    @pytest.fixture(scope="class")
-    def run(self, saved_dir, sparse_feed):
-        get_registry().reset(prefix="repro.serve")
-        config = ServeConfig(
-            workers=1,
-            max_queue_depth=6,
-            worker_chaos=_stall(1.0),
-            brownout=BrownoutConfig(
-                high_depth=3, low_depth=1,
-                step_down_after=1, step_up_after=1, interval_s=0.0,
-            ),
-        )
-        pool = ServingPool(str(saved_dir), config)
-        with pool:
-            results = pool.process_all(sparse_feed, timeout=240)
-            level = pool.brownout_settle(timeout_s=10.0)
-        return pool, results, level
-
-    def test_stepped_down_under_pressure(self, run):
-        pool, _, _ = run
-        assert any(
-            t.to_level > t.from_level for t in pool.brownout.transitions
-        )
-
-    def test_recovered_after_drain(self, run):
-        pool, _, level = run
-        assert level == 0
-        assert pool.brownout.completed_cycle()
-
-    def test_healthz_exposes_brownout_state(self, run):
-        pool, _, _ = run
-        doc = pool.healthz()
-        assert doc["brownout"]["level"] == 0
-        assert doc["brownout"]["completed_cycle"] is True
-
-    def test_everything_still_accounted(self, run, sparse_feed):
-        pool, results, _ = run
-        _accounted(pool, sparse_feed, results)
-
-
 class TestEveryProtectionAtOnce:
-    """Admission bound, deadline and brownout on one 2-worker pool: a
-    single run sheds *and* expires, holds the bound, cycles the brownout
-    controller and still accounts for every request.
+    """Admission bound and deadline on one 2-worker pool: a single run
+    sheds *and* expires, holds the bound and still accounts for every
+    request.
 
     Eight trajectories over two shards put at least four on one of them,
     so a bound of 2 sheds at least two; each worker stalls on its first
     dequeue for longer than the deadline, so every admitted request has
     expired by the time its worker looks at it."""
 
-    def test_shed_expired_bounded_and_cycled_in_one_run(self, saved_dir, sparse_feed):
+    def test_shed_expired_and_bounded_in_one_run(self, saved_dir, sparse_feed):
         get_registry().reset(prefix="repro.serve")
         config = ServeConfig(
             workers=2,
             max_queue_depth=2,
             request_deadline_s=0.3,
-            brownout=BrownoutConfig(
-                high_depth=2, low_depth=1,
-                step_down_after=1, step_up_after=1, interval_s=0.0,
-            ),
             worker_chaos=_stall(0.8),
         )
         pool = ServingPool(str(saved_dir), config)
         with pool:
             results = pool.process_all(sparse_feed, timeout=240)
-            level = pool.brownout_settle(timeout_s=10.0)
         stats = pool.stats
         assert stats.shed >= 1
         assert stats.expired >= 1
         assert stats.peak_queue_depth <= 2
-        assert level == 0 and pool.brownout.completed_cycle()
         _accounted(pool, sparse_feed, results)
 
 

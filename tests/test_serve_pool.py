@@ -15,7 +15,7 @@ import urllib.request
 import pytest
 
 from repro.core.streaming import StreamingConfig, StreamingImputationService
-from repro.errors import ConfigError
+from repro.errors import ConfigError, KamelError
 from repro.io.serialize import load_kamel, save_kamel
 from repro.obs.metrics import MetricsRegistry, get_registry, merge_snapshots
 from repro.obs.export import render_prometheus
@@ -250,6 +250,18 @@ class TestServingPool:
         with pytest.raises(ConfigError, match="not started"):
             pool.submit(sparse_feed[0])
 
+    def test_refuses_a_model_directory_load_kamel_refuses(self, saved_dir, tmp_path):
+        """The parent reads ``config.json`` through the same version
+        check ``load_kamel`` makes, so a directory no worker could load
+        fails in the constructor, before any process starts."""
+        with pytest.raises(KamelError, match="no saved system"):
+            ServingPool(str(tmp_path / "missing"))
+        payload = json.loads((saved_dir / "config.json").read_text())
+        payload["version"] = 4
+        (tmp_path / "config.json").write_text(json.dumps(payload))
+        with pytest.raises(KamelError, match="version 4"):
+            ServingPool(str(tmp_path))
+
     def test_worker_count_validated(self):
         with pytest.raises(ConfigError, match="workers"):
             ServeConfig(workers=0)
@@ -312,12 +324,9 @@ class TestWriteOffAccounting:
     through ``pool.ledger``; the books are read off the pool."""
 
     @pytest.fixture
-    def make_pool(self, tmp_path):
-        (tmp_path / "config.json").write_text(
-            json.dumps({"grid_type": "hex", "cell_edge_m": 100.0})
-        )
+    def make_pool(self, saved_dir):
         return lambda **config: ServingPool(
-            str(tmp_path), ServeConfig(workers=1, **config)
+            str(saved_dir), ServeConfig(workers=1, **config)
         )
 
     @pytest.fixture

@@ -40,7 +40,7 @@ from repro.obs.tracing import (
 )
 from repro.resilience.chaos import ChaosConfig
 from repro.resilience.journal import trajectory_to_payload
-from repro.serve import BrownoutConfig, ServeConfig, ServingPool, WorkerSpec
+from repro.serve import ServeConfig, ServingPool, WorkerSpec
 from repro.serve.protocol import TaskEnvelope, result_message
 from repro.serve.worker import _process_one, _rebased_deadline, worker_main
 
@@ -318,7 +318,6 @@ class TestWorkerEnvelope:
             config=ServeConfig(
                 workers=2,
                 journal_dir="journals",
-                brownout=BrownoutConfig(),
                 worker_chaos=ChaosConfig(seed=5, crash_after=2, stall_after=2, stall_s=0.1),
             ),
         )
