@@ -426,6 +426,8 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     table plus the slowest retained requests."""
     from repro.obs.flight import STAGES
 
+    if args.slowest < 0:
+        raise ConfigError(f"--slowest must be >= 0, got {args.slowest}")
     try:
         payload = _load_flight_payload(args.source)
     except (OSError, ValueError) as exc:
@@ -526,12 +528,23 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_feed(args: argparse.Namespace, model_dir: str) -> list:
+def _is_point(value) -> bool:
+    """An ``[x, y, t]`` triple of numbers (``t`` may be null)."""
+    return (
+        isinstance(value, list)
+        and len(value) == 3
+        and all(isinstance(v, (int, float)) for v in value[:2])
+        and (value[2] is None or isinstance(value[2], (int, float)))
+    )
+
+
+def _serve_feed(args: argparse.Namespace) -> list:
     """The trajectories ``kamel serve`` will drive through the pool.
 
     ``--input`` JSONL wins (one journal-style payload per line:
-    ``{"traj_id": ..., "points": [[x, y, t], ...]}``); otherwise a demo
-    feed is simulated over the training city.
+    ``{"traj_id": ..., "points": [[x, y, t], ...]}``); a line that is not
+    such a payload is a :class:`ConfigError` naming the file and line.
+    Otherwise a demo feed is simulated over the training city.
     """
     from repro.resilience.journal import trajectory_from_payload
 
@@ -542,14 +555,23 @@ def _serve_feed(args: argparse.Namespace, model_dir: str) -> list:
                 line = line.strip()
                 if not line:
                     continue
-                trajectory = trajectory_from_payload(json.loads(line))
+                where = f"{args.input}:{number}"
+                try:
+                    payload = json.loads(line)
+                except ValueError:
+                    raise ConfigError(f"{where}: not JSON") from None
+                if not isinstance(payload, dict) or not {"traj_id", "points"} <= payload.keys():
+                    raise ConfigError(f"{where}: a payload needs traj_id and points")
+                points = payload["points"]
+                if not isinstance(points, list) or not all(map(_is_point, points)):
+                    raise ConfigError(f"{where}: points must be [x, y, t] triples")
+                trajectory = trajectory_from_payload(payload)
                 # The pool answers one result per id: a repeat would be
                 # refused in flight, or replace the first one's result.
                 seen = first_line.setdefault(trajectory.traj_id, number)
                 if seen != number:
                     raise ConfigError(
-                        f"{args.input}:{number}: traj_id "
-                        f"{trajectory.traj_id!r} repeats line {seen}"
+                        f"{where}: traj_id {trajectory.traj_id!r} repeats line {seen}"
                     )
                 feed.append(trajectory)
         return feed
@@ -594,7 +616,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     cleanup: Optional[tempfile.TemporaryDirectory] = None
     try:
-        # Bad flags fail here, before a demo system is trained.
+        # Bad flags and a bad --input fail here, before a demo system is
+        # trained.
         config = ServeConfig(
             workers=args.workers,
             lru_capacity=args.lru_capacity,
@@ -607,6 +630,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 else None
             ),
         )
+        feed = _serve_feed(args)
+        if not feed:
+            print("error: nothing to serve (empty input)", file=sys.stderr)
+            return 2
         model_dir = args.model_dir
         if model_dir is None:
             from repro.core.config import KamelConfig
@@ -625,10 +652,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             save_kamel(system, model_dir)
             del system  # workers load their own lazy copies
 
-        feed = _serve_feed(args, model_dir)
-        if not feed:
-            print("error: nothing to serve (empty input)", file=sys.stderr)
-            return 2
         pool = ServingPool(model_dir, config)
         print(
             f"serving {len(feed)} trajectories across {args.workers} "

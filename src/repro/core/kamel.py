@@ -73,12 +73,15 @@ from repro.resilience.validate import validate_trajectory
 _log = get_logger("core.kamel")
 
 
-def infer_max_speed(trajectories: Iterable[Trajectory], percentile: float = 95.0) -> float:
+SPEED_PERCENTILE = 95.0
+
+
+def infer_max_speed(trajectories: Iterable[Trajectory]) -> float:
     """The paper's "fixed speed inferred from training trajectory data".
 
-    Uses a high percentile of observed point-to-point speeds, robust to
-    GPS-noise spikes. Falls back to an urban 14 m/s when no timed segment
-    exists.
+    Uses the ``SPEED_PERCENTILE``-th percentile of observed point-to-point
+    speeds, robust to GPS-noise spikes. Falls back to an urban 14 m/s when
+    no timed segment exists.
     """
     speeds: list[float] = []
     for traj in trajectories:
@@ -88,7 +91,7 @@ def infer_max_speed(trajectories: Iterable[Trajectory], percentile: float = 95.0
             speeds.append(a.distance_to(b) / (b.t - a.t))
     if not speeds:
         return 14.0
-    return float(np.percentile(speeds, percentile))
+    return float(np.percentile(speeds, SPEED_PERCENTILE))
 
 
 class Kamel(Imputer):

@@ -200,13 +200,13 @@ class ModelRepository:
         store: TrajectoryStore,
         config: KamelConfig,
         model_factory: Callable[[], MaskedModel],
-        pyramid: Optional[PyramidIndex] = None,
     ) -> None:
         self.tokenizer = tokenizer
         self.store = store
         self.config = config
         self.model_factory = model_factory
-        self.pyramid = pyramid
+        self.pyramid: Optional[PyramidIndex] = None
+        """Built around the first point seen; a loaded system assigns it."""
         self._single: dict[CellKey, StoredModel] = {}
         self._neighbor: dict[PairKey, StoredModel] = {}
         self._token_counts: dict[CellKey, int] = {}

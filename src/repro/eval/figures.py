@@ -177,11 +177,14 @@ def fig10_threshold(
 # -- Figure 11: training and imputation time -----------------------------------
 
 
-def fig11_timing(
-    scale: Optional[Scale] = None, methods: Sequence[str] = ("KAMEL", "TrImpute", "MapMatch")
-) -> dict:
-    """Wall-clock training and imputation time per dataset and method."""
+FIG11_METHODS = ("KAMEL", "TrImpute", "MapMatch")
+
+
+def fig11_timing(scale: Optional[Scale] = None) -> dict:
+    """Wall-clock training and imputation time per dataset and method
+    (``FIG11_METHODS``)."""
     scale = scale or Scale.small()
+    methods = FIG11_METHODS
     out: dict = {"datasets": {}}
     for dataset_name, workload in (
         ("porto-like", porto_workload(scale)),
@@ -201,12 +204,14 @@ def fig11_timing(
 # -- Figure 12-I/II: impact of road type ----------------------------------------
 
 
-def fig12_road_type(
-    scale: Optional[Scale] = None,
-    methods: Sequence[str] = ("KAMEL", "TrImpute", "Linear"),
-) -> dict:
-    """Straight vs curved segment metrics across sparseness (Jakarta)."""
+FIG12_ROAD_TYPE_METHODS = ("KAMEL", "TrImpute", "Linear")
+
+
+def fig12_road_type(scale: Optional[Scale] = None) -> dict:
+    """Straight vs curved segment metrics across sparseness (Jakarta),
+    for ``FIG12_ROAD_TYPE_METHODS``."""
     scale = scale or Scale.small()
+    methods = FIG12_ROAD_TYPE_METHODS
     workload = jakarta_workload(scale)
     out: dict = {"sparseness_m": list(scale.sparseness_m), "classes": {}}
     for road_class in ("straight", "curved"):
@@ -262,14 +267,17 @@ def fig12_grid_type(scale: Optional[Scale] = None) -> dict:
 # -- Figure 12-IV/V: training data properties ----------------------------------------
 
 
-def fig12_training_size(
-    scale: Optional[Scale] = None, fractions: Sequence[float] = (1.0, 0.75, 0.5, 0.25)
-) -> dict:
-    """KAMEL trained on 100/75/50/25 % of the training trajectories."""
+TRAINING_FRACTIONS = (1.0, 0.75, 0.5, 0.25)
+TRAINING_SAMPLING_INTERVALS_S = (1.0, 15.0, 30.0, 60.0)
+
+
+def fig12_training_size(scale: Optional[Scale] = None) -> dict:
+    """KAMEL trained on 100/75/50/25 % of the training trajectories
+    (``TRAINING_FRACTIONS``)."""
     scale = scale or Scale.small()
     workload = jakarta_workload(scale)
-    out: dict = {"fractions": list(fractions), "series": {}}
-    for fraction in fractions:
+    out: dict = {"fractions": list(TRAINING_FRACTIONS), "series": {}}
+    for fraction in TRAINING_FRACTIONS:
         cut = max(1, int(round(fraction * len(workload.train))))
         scoped = workload.with_train(workload.train[:cut])
         runner = ExperimentRunner(scoped)
@@ -278,15 +286,13 @@ def fig12_training_size(
     return out
 
 
-def fig12_training_density(
-    scale: Optional[Scale] = None,
-    sampling_intervals_s: Sequence[float] = (1.0, 15.0, 30.0, 60.0),
-) -> dict:
-    """KAMEL trained on down-sampled (1/15/30/60 s) training trajectories."""
+def fig12_training_density(scale: Optional[Scale] = None) -> dict:
+    """KAMEL trained on down-sampled (1/15/30/60 s) training trajectories
+    (``TRAINING_SAMPLING_INTERVALS_S``)."""
     scale = scale or Scale.small()
     workload = jakarta_workload(scale)
-    out: dict = {"sampling_s": list(sampling_intervals_s), "series": {}}
-    for interval in sampling_intervals_s:
+    out: dict = {"sampling_s": list(TRAINING_SAMPLING_INTERVALS_S), "series": {}}
+    for interval in TRAINING_SAMPLING_INTERVALS_S:
         resampled = [t.resample_time(interval) for t in workload.train]
         scoped = workload.with_train(resampled)
         runner = ExperimentRunner(scoped)

@@ -76,12 +76,11 @@ def build_workload(
     sparse_distance_m: float = 1000.0,
     maxgap_m: float = 100.0,
     delta_m: float = 50.0,
-    train_fraction: float = 0.8,
-    seed: int = 0,
     max_test: Optional[int] = None,
 ) -> Workload:
-    """The paper's protocol: split, then sparsify the test trajectories."""
-    train, test = dataset.split(train_fraction, seed=seed)
+    """The paper's protocol: split 80/20 (:meth:`Dataset.split`'s seeded
+    default), then sparsify the test trajectories."""
+    train, test = dataset.split()
     test = [t for t in test if len(t) >= 2]
     if max_test is not None:
         test = test[:max_test]
@@ -252,15 +251,18 @@ def _denoised_arc_length(points: Sequence[Point], min_step_m: float = 75.0) -> f
     return arc
 
 
+STRAIGHTNESS_THRESHOLD_M = 15.0
+"""How much longer than the straight line a straight segment's travelled
+arc may be (see :func:`classify_segments`)."""
+
+
 def classify_segments(
-    workload: Workload,
-    results: Sequence[ImputationResult],
-    straightness_threshold_m: float = 15.0,
+    workload: Workload, results: Sequence[ImputationResult]
 ) -> list[SegmentRecord]:
     """Split every test trajectory into per-segment records.
 
     A segment is *straight* when the Euclidean distance between its
-    endpoints is within ``straightness_threshold_m`` of the distance
+    endpoints is within ``STRAIGHTNESS_THRESHOLD_M`` of the distance
     travelled along the (noise-coarsened) ground truth — the paper's
     criterion with the travelled arc standing in for the road-network
     distance (the simulated vehicle drives exactly on the network). The
@@ -283,7 +285,7 @@ def classify_segments(
                     truth_points=tuple(truth_points),
                     imputed_points=tuple(pieces[k]),
                     failed=failures.get(k),
-                    straight=(arc - euclid) <= straightness_threshold_m,
+                    straight=(arc - euclid) <= STRAIGHTNESS_THRESHOLD_M,
                 )
             )
     return records

@@ -21,17 +21,13 @@ from repro.geo.adapter import LatLonRecord
 PathLike = Union[str, pathlib.Path]
 
 
-def read_latlon_csv(
-    path: PathLike,
-    id_column: str = "traj_id",
-    lat_column: str = "lat",
-    lon_column: str = "lon",
-    time_column: str = "t",
-) -> list[tuple[str, list[LatLonRecord]]]:
+def read_latlon_csv(path: PathLike) -> list[tuple[str, list[LatLonRecord]]]:
     """Parse a CSV of GPS fixes into per-trajectory record lists.
 
-    Rows are grouped by ``id_column`` (first-appearance order) and sorted
-    by timestamp within each trajectory; a missing/empty time field
+    The columns are the ones :func:`write_latlon_csv` writes: ``traj_id``,
+    ``lat``, ``lon`` and an optional ``t``. Rows are grouped by
+    ``traj_id`` (first-appearance order) and sorted by timestamp within
+    each trajectory; a missing/empty time field
     yields ``None`` timestamps and preserves file order. A non-finite or
     out-of-range coordinate, or a non-finite timestamp, is a
     :class:`KamelError` naming the file and line.
@@ -42,28 +38,28 @@ def read_latlon_csv(
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise EmptyInputError(f"{path} has no header row")
-        missing = {id_column, lat_column, lon_column} - set(reader.fieldnames)
+        missing = {"traj_id", "lat", "lon"} - set(reader.fieldnames)
         if missing:
             raise KamelError(f"{path} lacks required columns: {sorted(missing)}")
-        has_time = time_column in reader.fieldnames
+        has_time = "t" in reader.fieldnames
         for line_no, row in enumerate(reader, start=2):
             try:
-                lat = float(row[lat_column])
-                lon = float(row[lon_column])
+                lat = float(row["lat"])
+                lon = float(row["lon"])
             except (TypeError, ValueError) as exc:
                 raise KamelError(f"{path}:{line_no}: bad coordinate") from exc
             # float() accepts "nan" and "inf"; the range test rejects both.
             if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
                 raise KamelError(f"{path}:{line_no}: bad coordinate")
             t = None
-            if has_time and row[time_column] not in (None, ""):
+            if has_time and row["t"] not in (None, ""):
                 try:
-                    t = float(row[time_column])
+                    t = float(row["t"])
                 except ValueError as exc:
                     raise KamelError(f"{path}:{line_no}: bad timestamp") from exc
                 if not math.isfinite(t):
                     raise KamelError(f"{path}:{line_no}: bad timestamp")
-            grouped.setdefault(row[id_column], []).append((lat, lon, t))
+            grouped.setdefault(row["traj_id"], []).append((lat, lon, t))
     if not grouped:
         raise EmptyInputError(f"{path} contains no data rows")
     out = []

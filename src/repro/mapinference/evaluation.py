@@ -1,14 +1,14 @@
 """GEO-style evaluation of an inferred map against the true network.
 
 Follows the standard map-construction evaluation idea (Biagioni &
-Eriksson's GEO metric): sample "marbles" every ``sample_step_m`` meters
+Eriksson's GEO metric): sample "marbles" every ``SAMPLE_STEP_M`` meters
 along the ground-truth network and "holes" at the inferred road cells,
 then measure
 
 * **recall** — the fraction of true-network samples that have an inferred
-  road cell within ``tolerance_m`` (did we find the roads?), and
+  road cell within ``TOLERANCE_M`` (did we find the roads?), and
 * **precision** — the fraction of inferred road cells within
-  ``tolerance_m`` of the true network (did we hallucinate roads?).
+  ``TOLERANCE_M`` of the true network (did we hallucinate roads?).
 """
 
 from __future__ import annotations
@@ -21,6 +21,11 @@ from repro.errors import EmptyInputError
 from repro.geo import Point, interpolate
 from repro.mapinference.inference import InferredMap
 from repro.roadnet.network import RoadNetwork
+
+TOLERANCE_M = 30.0
+"""How near a sample must lie to count as matched."""
+SAMPLE_STEP_M = 25.0
+"""Spacing of the samples along the ground-truth network."""
 
 
 @dataclass(frozen=True)
@@ -73,22 +78,16 @@ class _PointIndex:
 
 
 def evaluate_inferred_map(
-    inferred: InferredMap,
-    network: RoadNetwork,
-    tolerance_m: float = 30.0,
-    sample_step_m: float = 25.0,
-    min_visits: int = 2,
+    inferred: InferredMap, network: RoadNetwork, min_visits: int = 2
 ) -> MapScores:
     """Score ``inferred`` against the ground-truth ``network``."""
-    if tolerance_m <= 0 or sample_step_m <= 0:
-        raise ValueError("tolerance_m and sample_step_m must be positive")
-    truth_samples = _network_samples(network, sample_step_m)
+    truth_samples = _network_samples(network, SAMPLE_STEP_M)
     if not truth_samples:
         raise EmptyInputError("the ground-truth network has no edges")
     road_points = inferred.road_points(min_visits)
 
-    truth_index = _PointIndex(truth_samples, tolerance_m)
-    inferred_index = _PointIndex(road_points, tolerance_m)
+    truth_index = _PointIndex(truth_samples, TOLERANCE_M)
+    inferred_index = _PointIndex(road_points, TOLERANCE_M)
 
     if road_points:
         precision = sum(

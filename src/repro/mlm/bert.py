@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import ConfigError, NotFittedError
 from repro.mlm.base import MaskQuery, MaskedModel, TokenProb, validate_mask_query
 from repro.nn import Adam, Dropout, Embedding, LayerNorm, Linear, Module, clip_grad_norm
-from repro.nn.functional import cross_entropy, gelu, layernorm, softmax
+from repro.nn.functional import IGNORE_INDEX, cross_entropy, gelu, layernorm, softmax
 from repro.nn.tensor import Tensor
 from repro.obs import instrument as obs
 from repro.obs.tracing import span
@@ -84,7 +84,7 @@ def _affine(layer: Linear, x: np.ndarray) -> np.ndarray:
 
 
 def _norm(layer: LayerNorm, x: np.ndarray) -> np.ndarray:
-    return layernorm(x, layer.weight.data, layer.bias.data, layer.eps)
+    return layernorm(x, layer.weight.data, layer.bias.data, layer.EPS)
 
 
 class MultiHeadSelfAttention(Module):
@@ -242,7 +242,7 @@ def _mask_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply BERT's 80/10/10 masking. Returns (inputs, targets)."""
     inputs = batch.copy()
-    targets = np.full_like(batch, -100)
+    targets = np.full_like(batch, IGNORE_INDEX)
     maskable = batch >= _NUM_SPECIAL
     lottery = rng.random(batch.shape)
     chosen = maskable & (lottery < mask_prob)
@@ -270,13 +270,9 @@ class BertMaskedLM(MaskedModel):
         self,
         config: Optional[BertConfig] = None,
         training: Optional[TrainingConfig] = None,
-        vocab_size: Optional[int] = None,
     ) -> None:
-        if config is None and vocab_size is None:
-            # Deferred: built at fit() time when the vocab size is known.
-            self._config: Optional[BertConfig] = None
-        else:
-            self._config = config or BertConfig(vocab_size=int(vocab_size))  # type: ignore[arg-type]
+        # None defers the config to fit(), when the vocab size is known.
+        self._config = config
         self.training_config = training or TrainingConfig()
         self.model: Optional[BertModel] = None
         self._num_training_tokens = 0
@@ -349,7 +345,7 @@ class BertMaskedLM(MaskedModel):
             for batch in self._batches(chunks, rng):
                 inputs, targets = _mask_batch(batch, _MASK_PROB, cfg.vocab_size, rng)
                 targets = targets.reshape(-1)
-                rows = np.flatnonzero(targets != -100)
+                rows = np.flatnonzero(targets != IGNORE_INDEX)
                 if rows.size == 0:
                     continue
                 loss = cross_entropy(self.model(inputs, rows), targets[rows])

@@ -87,11 +87,11 @@ class Vocabulary:
                 for item in self._id_to_item[self.num_special:]]
 
     @classmethod
-    def from_list(cls, items: Sequence, tuple_items: bool = True) -> "Vocabulary":
-        """Rebuild from :meth:`to_list` output."""
+    def from_list(cls, items: Sequence) -> "Vocabulary":
+        """Rebuild from :meth:`to_list` output (a list item becomes a tuple)."""
         vocab = cls()
         for item in items:
-            vocab.add(tuple(item) if tuple_items and isinstance(item, list) else item)
+            vocab.add(tuple(item) if isinstance(item, list) else item)
         return vocab
 
     def __repr__(self) -> str:

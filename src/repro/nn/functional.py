@@ -83,10 +83,12 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return a._make(out_data, (a,), backward)
 
 
-def cross_entropy(
-    logits: Tensor, targets: np.ndarray, ignore_index: int = -100
-) -> Tensor:
-    """Mean cross-entropy over positions whose target != ``ignore_index``.
+IGNORE_INDEX = -100
+"""The target of a position the loss skips."""
+
+
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean cross-entropy over positions whose target != ``IGNORE_INDEX``.
 
     ``logits`` has shape ``(..., V)`` and ``targets`` the matching leading
     shape. This is the masked-LM loss: un-masked positions carry the
@@ -95,7 +97,7 @@ def cross_entropy(
     targets = np.asarray(targets, dtype=np.int64)
     flat_logits = logits.reshape(-1, logits.shape[-1])
     flat_targets = targets.reshape(-1)
-    active = flat_targets != ignore_index
+    active = flat_targets != IGNORE_INDEX
     n_active = int(active.sum())
     if n_active == 0:
         raise ValueError("cross_entropy: every target is the ignore index")

@@ -27,10 +27,10 @@ class Module:
         for value in vars(self).values():
             yield from _parameters_of(value, seen)
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
+    def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
         seen: set[int] = set()
         for name, value in vars(self).items():
-            yield from _named_parameters_of(f"{prefix}{name}", value, seen)
+            yield from _named_parameters_of(name, value, seen)
 
     def train(self) -> "Module":
         self._set_mode(True)
@@ -132,16 +132,17 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
-    """Layer normalization over the last axis."""
+    """Layer normalization over the last axis, ``EPS`` added to the variance."""
 
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
+    EPS = 1e-5
+
+    def __init__(self, dim: int) -> None:
         super().__init__()
         self.weight = Parameter(np.ones(dim))
         self.bias = Parameter(np.zeros(dim))
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return x.layernorm(self.weight, self.bias, self.eps)
+        return x.layernorm(self.weight, self.bias, self.EPS)
 
 
 class Dropout(Module):

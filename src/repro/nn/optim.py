@@ -25,7 +25,8 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
 
 
 class Adam:
-    """Adam with optional decoupled weight decay and linear warmup.
+    """Adam with linear warmup, moments decayed by ``BETAS`` and the
+    denominator kept off zero by ``EPS``.
 
     The learning-rate schedule follows BERT's: linear warmup for
     ``warmup_steps`` then constant (the runs here are short enough that
@@ -37,22 +38,19 @@ class Adam:
     slice: no parameter becomes a view into optimizer memory.
     """
 
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
+
     def __init__(
         self,
         parameters: Sequence[Parameter],
         lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
         warmup_steps: int = 0,
     ) -> None:
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr!r}")
         self.parameters = list(parameters)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.warmup_steps = warmup_steps
         self.t = 0
         self._sizes = [p.data.size for p in self.parameters]
@@ -73,7 +71,7 @@ class Adam:
         """
         lr = self.current_lr()
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         live = [p for p in self.parameters if p.grad is not None]
@@ -97,11 +95,9 @@ class Adam:
         v += np.multiply(tmp, g, out=tmp)
         # update = (m / bc1) / (sqrt(v / bc2) + eps), scaled by lr
         denom = np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
-        denom += self.eps
+        denom += self.EPS
         update = np.divide(m, bc1, out=g)
         update /= denom
-        if self.weight_decay:
-            update += self.weight_decay * np.concatenate([p.data.ravel() for p in live])
         update *= lr
         if moments is not None:
             self._m[moments], self._v[moments] = m, v

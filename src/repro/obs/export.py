@@ -80,22 +80,12 @@ def _format_number(value: float) -> str:
     return repr(float(value))
 
 
-def _label_str(labels: Optional[dict], extra: Optional[dict] = None) -> str:
-    pairs = dict(labels or {})
-    if extra:
-        pairs.update(extra)
-    if not pairs:
-        return ""
-    body = ",".join(
-        f'{key}="{_escape_label_value(str(value))}"'
-        for key, value in sorted(pairs.items())
-    )
-    return "{" + body + "}"
+def _label_str(key: str, value: str) -> str:
+    return f'{{{key}="{_escape_label_value(value)}"}}'
 
 
 def render_prometheus(
     snapshot: Mapping[str, Mapping],
-    labels: Optional[dict] = None,
     exclude: Sequence[str] = (),
 ) -> str:
     """A metrics snapshot in Prometheus text exposition format.
@@ -103,8 +93,7 @@ def render_prometheus(
     ``snapshot`` is a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
     dict or a :func:`~repro.obs.metrics.merge_snapshots` fleet merge — one
     process's ``/metrics`` and the serving pool's render the same way.
-    ``labels`` (e.g. ``{"worker": "2"}``) stamps every sample; names in
-    ``exclude`` are skipped (families the caller renders itself with
+    Names in ``exclude`` are skipped (families the caller renders itself with
     finer-grained labels). ``# HELP`` lines come from the instrument
     catalog when the name is known there. Deterministic (metrics sorted by
     name) and newline-terminated, as scrapers expect; an empty snapshot
@@ -120,7 +109,7 @@ def render_prometheus(
             lines.append(f"# HELP {name} {_escape_help(help_text)}")
         if kind in ("counter", "gauge"):
             lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{_label_str(labels)} {_format_number(data['value'])}")
+            lines.append(f"{name} {_format_number(data['value'])}")
         elif kind == "histogram":
             lines.append(f"# TYPE {name} histogram")
             buckets = sorted(
@@ -129,13 +118,9 @@ def render_prometheus(
             )
             for key, cumulative in buckets:
                 le = key if key == "+Inf" else _format_number(float(key))
-                lines.append(
-                    f"{name}_bucket{_label_str(labels, {'le': le})} {cumulative}"
-                )
-            lines.append(
-                f"{name}_sum{_label_str(labels)} {_format_number(data['sum'])}"
-            )
-            lines.append(f"{name}_count{_label_str(labels)} {data['count']}")
+                lines.append(f"{name}_bucket{_label_str('le', le)} {cumulative}")
+            lines.append(f"{name}_sum {_format_number(data['sum'])}")
+            lines.append(f"{name}_count {data['count']}")
             # The quantiles ride along as a separate gauge family — native
             # Prometheus histograms have no quantile series, and mixing
             # summary-style lines into a histogram family is invalid
@@ -146,7 +131,7 @@ def render_prometheus(
                     continue
                 quantile = _format_number(int(key.lstrip("p")) / 100.0)
                 quantile_lines.append(
-                    f"{name}_quantile{_label_str(labels, {'quantile': quantile})}"
+                    f"{name}_quantile{_label_str('quantile', quantile)}"
                     f" {_format_number(estimate)}"
                 )
             if quantile_lines:
@@ -169,20 +154,16 @@ def _span_args(span_obj: Span) -> dict[str, Any]:
     return args
 
 
-def spans_to_chrome_trace(
-    roots: Optional[Iterable[Span]] = None,
-    thread_names: Optional[dict[int, str]] = None,
-) -> dict[str, Any]:
+def spans_to_chrome_trace(roots: Optional[Iterable[Span]] = None) -> dict[str, Any]:
     """Finished span trees as a Chrome trace-event JSON document.
 
     Each span becomes one complete event (``ph: "X"``) with microsecond
     ``ts``/``dur``; parent/child nesting is preserved because a child's
     interval lies inside its parent's on the same ``tid`` lane (spans
     record the OS thread they ran on). Timestamps are rebased to the
-    earliest root so the trace starts at zero. ``thread_names`` maps a
-    span ``thread_id`` to a human lane label (``thread_name`` metadata
-    events) — the serving pool names its synthetic per-shard lanes this
-    way in the merged multi-worker trace.
+    earliest root so the trace starts at zero. A serving pool's request
+    trees carry one synthetic ``thread_id`` per shard, so they export one
+    lane per shard.
     """
     roots = finished_spans() if roots is None else list(roots)
     events: list[dict[str, Any]] = [
@@ -208,33 +189,11 @@ def spans_to_chrome_trace(
             if args:
                 event["args"] = args
             events.append(event)
-    if thread_names:
-        for thread_id, label in sorted(thread_names.items()):
-            tid = tids.get(thread_id)
-            if tid is None:
-                continue
-            events.append(
-                {
-                    "ph": "M",
-                    "pid": 1,
-                    "tid": tid,
-                    "name": "thread_name",
-                    "args": {"name": str(label)},
-                }
-            )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def chrome_trace_json(
-    roots: Optional[Iterable[Span]] = None,
-    indent: int = 2,
-    thread_names: Optional[dict[int, str]] = None,
-) -> str:
-    return json.dumps(
-        spans_to_chrome_trace(roots, thread_names=thread_names),
-        indent=indent,
-        default=str,
-    )
+def chrome_trace_json(roots: Optional[Iterable[Span]] = None) -> str:
+    return json.dumps(spans_to_chrome_trace(roots), indent=2, default=str)
 
 
 def spans_to_jsonl(roots: Optional[Iterable[Span]] = None) -> str:

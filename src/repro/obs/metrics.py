@@ -312,8 +312,8 @@ class MetricsRegistry:
             if name.startswith(prefix)
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, default=float)
+    def to_json(self) -> str:
+        return json.dumps(self.snapshot(), indent=2, default=float)
 
     def write_json(self, path) -> None:
         with open(path, "w") as handle:

@@ -35,6 +35,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 from urllib.parse import parse_qs, urlparse
 
+from repro.errors import ConfigError
 from repro.obs import instrument as obs
 from repro.obs.export import (
     CONTENT_TYPE_PROMETHEUS,
@@ -167,7 +168,13 @@ class ObservabilityServer:
     def start(self) -> "ObservabilityServer":
         if self._httpd is not None:
             return self
-        httpd = _ObsHTTPServer((self.host, self._requested_port), _Handler)
+        try:
+            httpd = _ObsHTTPServer((self.host, self._requested_port), _Handler)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot serve telemetry on {self.host}:{self._requested_port}: "
+                f"{exc.strerror or exc}"
+            ) from exc
         httpd.routes = self.routes
         if httpd.routes is None:
             # Explicit None check: an empty registry is falsy (it has __len__).

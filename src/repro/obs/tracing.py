@@ -257,9 +257,9 @@ class _DetachedSpanContext(_SpanContext):
 class Tracer:
     """Per-thread span stacks plus the finished root-span buffer."""
 
-    def __init__(self, max_roots: int = 1000) -> None:
+    def __init__(self) -> None:
         self.enabled = False
-        self.max_roots = max_roots
+        self.max_roots = 1000  # a serving worker sets it to TRACE_MAX_ROOTS
         self._local = threading.local()
         self._roots: list[Span] = []
         self._lock = threading.Lock()
@@ -381,18 +381,18 @@ def current_trace_id() -> Optional[str]:
 
 
 @contextmanager
-def trace_scope(trace_id: Optional[str] = None, *, inherit: bool = True):
+def trace_scope(trace_id: Optional[str] = None):
     """Bind a request id to the calling thread for the block's duration.
 
     Every span opened and every ``repro.*`` log record emitted inside the
-    block carries the id. With ``inherit`` (the default), entering a
-    scope inside another one keeps the outer id — so the streaming
-    service opens the scope and ``Kamel.impute`` joins it — while
-    ``inherit=False`` forces a fresh id. Yields the active id.
+    block carries the id. Without a ``trace_id``, entering a scope inside
+    another one keeps the outer id — so the streaming service opens the
+    scope and ``Kamel.impute`` joins it — and a scope outside any other
+    gets a fresh id. Yields the active id.
     """
     previous = _tracer.current_trace_id()
     if trace_id is None:
-        trace_id = previous if (inherit and previous is not None) else new_trace_id()
+        trace_id = previous if previous is not None else new_trace_id()
     _tracer.set_trace_id(trace_id)
     try:
         yield trace_id

@@ -31,24 +31,19 @@ def remove_outliers(
     return trajectory.with_points(kept)
 
 
-def split_by_time_gap(
-    trajectory: Trajectory,
-    max_gap_s: float = 300.0,
-    min_points: int = 2,
-) -> list[Trajectory]:
+def split_by_time_gap(trajectory: Trajectory, max_gap_s: float = 300.0) -> list[Trajectory]:
     """Cut the point stream wherever recording paused longer than the gap.
 
     A device that goes silent for minutes has usually ended one trip and
     begun another; feeding the concatenation to an imputer would invent a
-    road between the two parking spots.
+    road between the two parking spots. A piece of fewer than two points
+    is no trip and is dropped.
     """
     if max_gap_s <= 0:
         raise ValueError(f"max_gap_s must be positive, got {max_gap_s!r}")
-    if min_points < 1:
-        raise ValueError(f"min_points must be >= 1, got {min_points!r}")
     points = trajectory.points
     if len(points) < 2:
-        return [trajectory] if len(points) >= min_points else []
+        return []
     pieces: list[list[Point]] = [[points[0]]]
     for prev, cur in trajectory.segments():
         if prev.t is not None and cur.t is not None and cur.t - prev.t > max_gap_s:
@@ -56,7 +51,7 @@ def split_by_time_gap(
         pieces[-1].append(cur)
     out = []
     for k, piece in enumerate(pieces):
-        if len(piece) >= min_points:
+        if len(piece) >= 2:
             suffix = f"/{k}" if len(pieces) > 1 else ""
             out.append(Trajectory(f"{trajectory.traj_id}{suffix}", piece))
     return out

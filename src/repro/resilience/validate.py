@@ -30,9 +30,7 @@ Finite-but-absurd coordinates are "out of grid": the lattice is unbounded
 mathematically, but cell indices past this point stop being meaningful."""
 
 
-def validate_trajectory(
-    trajectory: Trajectory, max_coordinate_m: float = MAX_COORDINATE_M
-) -> None:
+def validate_trajectory(trajectory: Trajectory) -> None:
     """Raise :class:`QuarantinedInputError` if ``trajectory`` is malformed.
 
     Reasons: ``non_finite_coordinate``, ``coordinate_out_of_range``,
@@ -45,10 +43,10 @@ def validate_trajectory(
                 f"non-finite coordinate ({p.x!r}, {p.y!r})",
                 reason="non_finite_coordinate",
             )
-        if abs(p.x) > max_coordinate_m or abs(p.y) > max_coordinate_m:
+        if abs(p.x) > MAX_COORDINATE_M or abs(p.y) > MAX_COORDINATE_M:
             raise QuarantinedInputError(
                 f"trajectory {trajectory.traj_id!r} point {index} is outside "
-                f"the representable grid (|coord| > {max_coordinate_m:g} m)",
+                f"the representable grid (|coord| > {MAX_COORDINATE_M:g} m)",
                 reason="coordinate_out_of_range",
             )
         if p.t is not None and not math.isfinite(p.t):

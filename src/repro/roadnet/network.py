@@ -378,9 +378,9 @@ class RoadNetwork:
                 out.update(self._edge_index.get((ci + di, cj + dj), ()))
         return out
 
-    def project(self, p: Point, radius: float = 250.0) -> Optional[EdgePosition]:
-        """The closest network position to ``p`` within ``radius`` meters."""
-        candidates = self.nearest_edges(p, radius, limit=1)
+    def project(self, p: Point) -> Optional[EdgePosition]:
+        """The closest network position to ``p`` within 250 m."""
+        candidates = self.nearest_edges(p, limit=1)
         return candidates[0] if candidates else None
 
     def nearest_edges(

@@ -41,8 +41,10 @@ worker reports when it dequeued the task and how long it processed, and
 span trees; the pool rebases each tree onto its own timeline
 (:func:`~repro.obs.tracing.clock_offset` difference), grafts it under a
 synthetic ``serve.request`` root bracketed by ``serve.queue_wait`` and
-``serve.result_transit`` spans, and keeps the merged roots in
-``trace_roots`` for a fleet-wide Chrome trace (one lane per shard).
+``serve.result_transit`` spans, and keeps the merged tree on the
+request's flight record (``record.roots``): the slowest requests' trees
+are what ``/slow`` serves and ``kamel trace --from`` exports, one lane
+per shard.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from repro.obs.server import ObservabilityServer
 from repro.obs.tracing import Span, clock_offset, new_trace_id
 from repro.serve.aggregate import pool_routes
 from repro.serve.ledger import OUTSTANDING, Ledger, PoolStats, Submission
-from repro.serve.protocol import TRACE_MAX_ROOTS, ServeConfig, TaskEnvelope, WorkerSpec
+from repro.serve.protocol import ServeConfig, TaskEnvelope, WorkerSpec
 from repro.serve.worker import worker_main
 
 __all__ = ["PoolStats", "ServeConfig", "ServingPool", "stable_shard"]
@@ -180,11 +182,6 @@ class ServingPool:
         self.flight = FlightRecorder(
             capacity=self.config.flight_capacity, registry=get_registry()
         )
-        self.trace_roots: list[Span] = []
-        """Merged, clock-aligned ``serve.request`` trees (tracing on),
-        one Chrome-trace lane per shard; bounded by ``TRACE_MAX_ROOTS``."""
-        self.trace_lanes: dict[int, str] = {}
-        """Synthetic thread id -> lane name for the merged trace."""
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -402,7 +399,7 @@ class ServingPool:
     def _handle_result(self, message: dict) -> None:
         """Hand a result to the ledger; for a request settled in time,
         derive its stage breakdown, feed the flight recorder, and (tracing
-        on) merge the shipped span tree into ``trace_roots``."""
+        on) merge the shipped span tree into the record's ``roots``."""
         handle_epoch = time.time()
         pending = self.ledger.deliver(message)
         # Expired tasks are excluded from the latency histogram: the
@@ -443,8 +440,6 @@ class ServingPool:
                 record, pending, roots, process_s, start_epoch, handle_epoch
             )
             record.roots = [request_root]
-            self.trace_roots.append(request_root)
-            del self.trace_roots[:-TRACE_MAX_ROOTS]  # keep the newest
         self.flight.record(record)
 
     def _request_tree(
@@ -459,9 +454,8 @@ class ServingPool:
         """Graft the worker's (rebased) span trees under one synthetic
         ``serve.request`` root spanning submit-to-result, with synthetic
         ``serve.queue_wait`` / ``serve.result_transit`` brackets. The
-        whole tree lands on one lane per shard in the merged trace."""
+        whole tree lands on one lane per shard in an exported trace."""
         lane = pending.shard + 1
-        self.trace_lanes.setdefault(lane, f"shard {pending.shard}")
         submit_pc = pending.submit_epoch - self._clock_offset
         handle_pc = handle_epoch - self._clock_offset
         request = Span(

@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 TRACE_MAX_ROOTS = 1000
-"""Bound on both a worker tracer's finished-root buffer and the pool's
-merged ``trace_roots`` — tracing memory is O(this), not O(requests)."""
+"""Bound on a worker tracer's finished-root buffer — a worker's tracing
+memory is O(this), not O(requests)."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class ServeConfig:
     """Workers ship a registry snapshot every this many tasks."""
     trace: bool = False
     """Workers collect span trees and ship them with every result; the
-    pool merges them (clock-aligned) into ``trace_roots``. Stage
+    pool merges each (clock-aligned) into its request's flight record. Stage
     attribution and the flight recorder work with this off — only the
     span trees need it."""
     span_batch: int = 64
@@ -87,6 +87,8 @@ class ServeConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers!r}")
         if self.lru_capacity < 1:
             raise ConfigError(f"lru_capacity must be >= 1, got {self.lru_capacity!r}")
+        if self.metrics_port is not None and not 0 <= self.metrics_port <= 65535:
+            raise ConfigError(f"metrics_port must be in 0-65535, got {self.metrics_port!r}")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ConfigError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth!r}"

@@ -16,15 +16,17 @@ class SvgCanvas:
     """Accumulates SVG elements over a world-coordinate viewport.
 
     World coordinates are the library's local planar frame (meters, y up);
-    the canvas flips y so north is up in the rendered image.
+    the canvas flips y so north is up in the rendered image. The image is
+    ``WIDTH_PX`` wide and shows ``world`` plus a ``MARGIN_M`` border.
     """
 
-    def __init__(self, world: BoundingBox, width_px: int = 800, margin_m: float = 50.0):
-        if width_px <= 0:
-            raise ValueError(f"width_px must be positive, got {width_px!r}")
-        self.world = world.expand(margin_m)
-        self.width_px = width_px
-        self._scale = width_px / max(1e-9, self.world.width)
+    WIDTH_PX = 800
+    MARGIN_M = 50.0
+
+    def __init__(self, world: BoundingBox):
+        self.world = world.expand(self.MARGIN_M)
+        self.width_px = self.WIDTH_PX
+        self._scale = self.width_px / max(1e-9, self.world.width)
         self.height_px = max(1, int(self.world.height * self._scale))
         self._elements: list[str] = []
 
@@ -57,10 +59,11 @@ class SvgCanvas:
             f'r="{radius_px}" fill="{color}"/>'
         )
 
-    def text(self, anchor: Point, content: str, size_px: int = 12, color: str = "#000000") -> None:
+    def text(self, anchor: Point, content: str) -> None:
+        """12 px black text."""
         self._elements.append(
             f'<text x="{self._x(anchor.x):.1f}" y="{self._y(anchor.y):.1f}" '
-            f'font-size="{size_px}" fill="{color}">{escape(content)}</text>'
+            f'font-size="12" fill="#000000">{escape(content)}</text>'
         )
 
     def legend(self, entries: Sequence[tuple[str, str]]) -> None:
@@ -89,18 +92,14 @@ class SvgCanvas:
         return path
 
 
-def render_network(
-    network: RoadNetwork,
-    canvas: Optional[SvgCanvas] = None,
-    color: str = "#bbbbbb",
-) -> SvgCanvas:
-    """Draw every road edge; returns the canvas for further layers."""
+def render_network(network: RoadNetwork, canvas: Optional[SvgCanvas] = None) -> SvgCanvas:
+    """Draw every road edge in light grey; returns the canvas for further layers."""
     if network.num_nodes == 0:
         raise EmptyInputError("cannot render an empty network")
     if canvas is None:
         canvas = SvgCanvas(network.bbox())
     for u, v, data in network.graph.edges(data=True):
-        canvas.polyline(data["geometry"], color=color, width=2.0)
+        canvas.polyline(data["geometry"], color="#bbbbbb", width=2.0)
     return canvas
 
 

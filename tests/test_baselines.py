@@ -191,7 +191,7 @@ class TestMapMatch:
         assert result.trajectory.max_gap() <= 100.0 + 30.0
         # Imputed points lie on (or very near) the road network.
         for p in result.trajectory.points[:: max(1, len(result.trajectory) // 10)]:
-            projected = small_city.project(p, radius=100.0)
+            projected = small_city.project(p)
             assert projected is not None
             assert projected.distance_m <= 40.0
 

@@ -184,8 +184,9 @@ class TestBadFlagValues:
         [
             (["--workers", "0"], "workers must be >= 1"),
             (["--lru-capacity", "0"], "lru_capacity must be >= 1"),
+            (["--metrics-port", "70000"], "metrics_port must be in 0-65535"),
         ],
-        ids=["workers", "lru_capacity"],
+        ids=["workers", "lru_capacity", "metrics_port"],
     )
     def test_serve(self, capsys, flags, message):
         args = ["serve", "--demo", "--trajectories", "4", "--train-trajectories", "30"]
@@ -207,6 +208,33 @@ class TestBadFlagValues:
         lines = captured.err.strip().splitlines()
         assert lines == [f"error: {feed}:3: traj_id 'a' repeats line 1"]
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "second_line, message",
+        [
+            ("not json", "not JSON"),
+            ('{"traj_id": "b"}', "a payload needs traj_id and points"),
+            ('{"points": [[0.0, 0.0, 0.0]]}', "a payload needs traj_id and points"),
+            ('{"traj_id": "b", "points": [[0.0, 0.0]]}', "points must be [x, y, t] triples"),
+        ],
+        ids=["not_json", "no_points", "no_traj_id", "bad_point"],
+    )
+    def test_serve_malformed_input_line(self, tmp_path, capsys, second_line, message):
+        """A line of ``--input`` that is not a trajectory payload is one
+        ``error: <file>:<line>:`` line, read before the demo trains."""
+        feed = tmp_path / "feed.jsonl"
+        first = {"traj_id": "a", "points": [[0.0, 0.0, 0.0], [100.0, 0.0, 60.0]]}
+        feed.write_text(json.dumps(first) + "\n" + second_line + "\n")
+        assert main(["serve", "--demo", "--workers", "1", "--input", str(feed)]) == 2
+        captured = _no_traceback(capsys)
+        assert captured.err.strip().splitlines() == [f"error: {feed}:2: {message}"]
+
+    def test_tail_negative_slowest(self, tmp_path, capsys):
+        flight = tmp_path / "flight.json"
+        flight.write_text(json.dumps({"stages": {}, "slowest": []}))
+        assert main(["tail", str(flight), "--slowest", "-2"]) == 2
+        captured = _no_traceback(capsys)
+        assert captured.err.strip().splitlines() == ["error: --slowest must be >= 0, got -2"]
 
     @pytest.mark.parametrize("problem", ["missing", "wrong_version"])
     def test_serve_an_unloadable_model_directory(

@@ -76,16 +76,6 @@ class TestReadCsv:
         with pytest.raises(EmptyInputError):
             read_latlon_csv(path)
 
-    def test_custom_column_names(self, tmp_path):
-        path = tmp_path / "fixes.csv"
-        write_fixture_csv(
-            path, [("x", 41.15, -8.61, 5.0)], header=("id", "latitude", "longitude", "ts")
-        )
-        logs = read_latlon_csv(
-            path, id_column="id", lat_column="latitude", lon_column="longitude", time_column="ts"
-        )
-        assert logs[0][0] == "x"
-
 
 class TestWriteCsv:
     def test_round_trip(self, tmp_path):

@@ -113,11 +113,6 @@ class TestEvaluation:
         assert scores.recall == 0.0
         assert scores.f1 == 0.0
 
-    def test_validation(self, straight_network):
-        inferred = InferredMap(25.0, {(0, 0): 5})
-        with pytest.raises(ValueError):
-            evaluate_inferred_map(inferred, straight_network, tolerance_m=0.0)
-
     def test_empty_network_rejected(self):
         inferred = InferredMap(25.0, {(0, 0): 5})
         with pytest.raises(EmptyInputError):

@@ -160,13 +160,6 @@ class TestOptim:
         opt.step()  # no grad: must not move or crash
         np.testing.assert_allclose(p.data, np.ones(2))
 
-    def test_weight_decay_shrinks(self):
-        p = Parameter(np.full(2, 10.0))
-        opt = Adam([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.zeros(2)
-        opt.step()
-        assert (p.data < 10.0).all()
-
     def test_clip_grad_norm(self):
         p1 = Parameter(np.zeros(2))
         p2 = Parameter(np.zeros(2))

@@ -137,3 +137,19 @@ class TestLifecycle:
             assert status == 200
         finally:
             server.stop()
+
+    def test_a_port_in_use_is_a_config_error(self, registry):
+        """A bind that fails is one ``ConfigError`` naming host and port,
+        which ``kamel serve`` prints as one ``error:`` line."""
+        import socket
+
+        from repro.errors import ConfigError
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            server = ObservabilityServer(port=port, registry=registry)
+            with pytest.raises(ConfigError, match=f"127.0.0.1:{port}"):
+                server.start()
+        assert not server.running

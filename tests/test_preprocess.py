@@ -46,15 +46,13 @@ class TestSplitByTimeGap:
     def test_min_points_filters_fragments(self):
         pts = [Point(0, 0, t=0.0)]
         pts += [Point(1000 + i * 10.0, 0, t=1000.0 + i) for i in range(5)]
-        pieces = split_by_time_gap(Trajectory("t", pts), min_points=3)
+        pieces = split_by_time_gap(Trajectory("t", pts))
         assert len(pieces) == 1
         assert len(pieces[0]) == 5
 
     def test_empty_trajectory(self):
-        assert split_by_time_gap(Trajectory("e"), min_points=1) == []
+        assert split_by_time_gap(Trajectory("e")) == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
             split_by_time_gap(Trajectory("t"), max_gap_s=0.0)
-        with pytest.raises(ValueError):
-            split_by_time_gap(Trajectory("t"), min_points=0)

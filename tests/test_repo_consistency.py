@@ -432,6 +432,178 @@ class TestConfigFieldsAreSet:
         assert not stale, f"exempt fields that do not exist: {sorted(stale)}"
 
 
+class TestKeywordParametersAreSet:
+    """A defaulted parameter of a public function, method or constructor
+    in ``src/repro`` is one some program passes: a call in the program
+    sources of :class:`TestNoDeadPublicNames` to a callable of that name
+    passes it by keyword or by position, or forwards ``*args`` /
+    ``**kwargs``. A constructor is also called through a subclass's name
+    and through ``super().__init__``. Names are matched, not resolved — the
+    approximation :class:`TestConfigFieldsAreSet` makes. A value only tests
+    pass is a constant beside its reader, unless the map below says why it
+    stays a parameter."""
+
+    SEAM = "test seam: "
+    ITEM_2A = "varied by the tuner's rework (ROADMAP item 2 (a))"
+    ITEM_18A = "varied by the Jakarta-scale workload (ROADMAP item 18 (a))"
+    DURABLE = "durability: an fsync per append is the crash-safe default; tests relax it"
+    EXEMPT = {
+        "main.argv": SEAM + "tests drive the CLI in-process with an argument list",
+        "ServingPool.stop.timeout": SEAM + "tests bound how long a stop waits on a stalled worker",
+        "MetricsRegistry.reset.prefix": SEAM + "tests zero the repro.serve metrics before a pool run",
+        "counter.registry": SEAM + "tests count into a private registry",
+        "gauge.registry": SEAM + "tests set gauges in a private registry",
+        "ObservabilityServer.registry": SEAM + "tests serve a private registry",
+        "configure_logging.stream": SEAM + "tests capture log records in a buffer",
+        "configure_logging.force": SEAM + "tests replace a handler already installed",
+        "ChaosMonkey.sleep": SEAM + "tests record injected stalls instead of sleeping",
+        "SegmentImputer.impute_segment.deadline": SEAM + "tier-1 drives one segment's search under a deadline",
+        "SegmentImputer.impute_segment.search": SEAM + "tier-1 drives one segment's search with its own state",
+        "fig9_sparseness.methods": SEAM + "tier-1 runs a subset of methods to stay fast",
+        "fig10_threshold.methods": SEAM + "tier-1 runs a subset of methods to stay fast",
+        "Tensor.backward.grad": "test oracle: vector-Jacobian checks seed the backward pass",
+        "dbscan_labels.metric": "test oracle: the blockwise path is checked against the linear scan",
+        "chaos_scope.grid": "a fault scenario: the chaos tests corrupt the cells of a given grid",
+        "StreamJournal.sync": DURABLE,
+        "QuarantineStore.sync": DURABLE,
+        "ObservabilityServer.host": "deployment: an endpoint bound beyond localhost",
+        "tune_cell_size.sample_size": ITEM_2A,
+        "tune_cell_size.sparse_distance_m": ITEM_2A,
+        "tune_cell_size.seed": ITEM_2A,
+        "make_jakarta_like.scale": ITEM_18A,
+        "make_jakarta_like.seed": ITEM_18A,
+    }
+
+    @staticmethod
+    def _name(node) -> str:
+        """The name a call or a base class is written with (``""`` if none)."""
+        node = getattr(node, "func", node)
+        return getattr(node, "id", None) or getattr(node, "attr", "")
+
+    @classmethod
+    def _parameters(cls, modules: dict[str, str], subclasses: dict[str, set[str]]):
+        """``(key, parameter, names, position)`` for each defaulted parameter
+        of a public callable of ``modules``: ``key`` is ``func.param``,
+        ``Class.param`` (a constructor's) or ``Class.method.param``; a call
+        to one of ``names`` reaches it; ``position`` is its index among the
+        call's positional arguments (None if keyword-only)."""
+        import ast
+
+        def params(key, fn, names, bound):
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            for index in range(len(positional) - len(args.defaults), len(positional)):
+                yield f"{key}.{positional[index]}", positional[index], names, index - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{key}.{arg.arg}", arg.arg, names, None
+
+        def lineage(name):
+            names, todo = set(), [name]
+            while todo:
+                if (current := todo.pop()) not in names:
+                    names.add(current)
+                    todo.extend(subclasses.get(current, ()))
+            return names
+
+        for source in modules.values():
+            for node in ast.parse(source).body:
+                if getattr(node, "name", "_").startswith("_"):
+                    continue
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from params(node.name, node, {node.name}, 0)
+                elif isinstance(node, ast.ClassDef):
+                    for member in node.body:
+                        if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                            continue
+                        if member.name == "__init__":
+                            yield from params(node.name, member, lineage(node.name), 1)
+                        elif not member.name.startswith("_"):
+                            static = "staticmethod" in map(cls._name, member.decorator_list)
+                            key = f"{node.name}.{member.name}"
+                            yield from params(key, member, {member.name}, 0 if static else 1)
+
+    @classmethod
+    def _scan(cls, modules: dict[str, str], readers: list[str]) -> tuple[set[str], list[str]]:
+        """Every parameter key, and those no call in ``modules`` or
+        ``readers`` passes."""
+        import ast
+        from collections import defaultdict
+
+        keywords, positions = defaultdict(set), defaultdict(int)
+        forwarded, subclasses = set(), defaultdict(set)
+
+        def record(name, call):
+            keywords[name].update(k.arg for k in call.keywords)
+            positions[name] = max(positions[name], len(call.args))
+            if None in keywords[name] or any(isinstance(a, ast.Starred) for a in call.args):
+                forwarded.add(name)
+
+        for source in [*modules.values(), *readers]:
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.ClassDef):
+                    bases = [cls._name(base) for base in node.bases]
+                    for base in bases:
+                        subclasses[base].add(node.name)
+                    for call in ast.walk(node):
+                        if (
+                            isinstance(call, ast.Call)
+                            and cls._name(call) == "__init__"
+                            and cls._name(getattr(call.func, "value", None)) == "super"
+                        ):
+                            for base in bases:
+                                record(base, call)
+                elif isinstance(node, ast.Call):
+                    record(cls._name(node), node)
+        keys, unset = set(), []
+        for key, param, names, position in cls._parameters(modules, subclasses):
+            keys.add(key)
+            if not any(
+                name in forwarded
+                or param in keywords[name]
+                or (position is not None and position < positions[name])
+                for name in names
+            ):
+                unset.append(key)
+        return keys, unset
+
+    def test_every_parameter_is_passed_by_a_program(self):
+        _, unset = self._scan(*TestNoDeadPublicNames._program())
+        unset = [key for key in unset if key not in self.EXEMPT]
+        assert not unset, f"parameters only tests pass (make them constants): {unset}"
+
+    def test_every_exemption_is_needed(self):
+        keys, unset = self._scan(*TestNoDeadPublicNames._program())
+        stale = set(self.EXEMPT) - keys
+        needless = set(self.EXEMPT) & keys - set(unset)
+        assert not stale, f"exempt parameters that do not exist: {sorted(stale)}"
+        assert not needless, f"exempt parameters a program passes: {sorted(needless)}"
+
+    def test_a_parameter_only_a_test_passes_is_flagged(self):
+        modules = {"lib.py": "def scale(x, factor=2.0):\n    return x * factor\n"}
+        program = ["from lib import scale\nprint(scale(1.0))\n"]
+        a_test = "from lib import scale\nassert scale(1.0, factor=3.0) == 3.0\n"
+        assert self._scan(modules, program)[1] == ["scale.factor"]
+        assert self._scan(modules, [*program, a_test])[1] == []  # were it a program
+
+    def test_a_positional_program_call_keeps_a_parameter(self):
+        modules = {
+            "lib.py": (
+                "class Box:\n"
+                "    def __init__(self, size=1, label=''):\n"
+                "        self.size, self.label = size, label\n"
+                "    def grow(self, by=1):\n"
+                "        return Box(self.size + by)\n"
+                "class Crate(Box):\n"
+                "    def __init__(self, **kwargs):\n"
+                "        super().__init__(**kwargs)\n"
+            ),
+        }
+        program = ["from lib import Box\nBox(2).grow()\n"]
+        assert self._scan(modules, program)[1] == ["Box.grow.by"]
+        assert self._scan(modules, [*program, "Box(2).grow(3)\n"])[1] == []
+
+
 class TestServeKnobs:
     """Knob-creep guard for the pool↔worker contract: a field nobody
     reads, or a documented knob that does not exist, fails here."""

@@ -115,7 +115,7 @@ class TestSpatialQueries:
         assert pos.offset_m == pytest.approx(50.0)
 
     def test_project_out_of_radius(self, square_net):
-        assert square_net.project(Point(5000.0, 5000.0), radius=100.0) is None
+        assert square_net.project(Point(5000.0, 5000.0)) is None
 
     def test_nearest_edges_sorted_and_unique(self, square_net):
         candidates = square_net.nearest_edges(Point(100.0, 50.0), radius=120.0)

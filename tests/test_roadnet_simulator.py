@@ -54,7 +54,7 @@ class TestSimulation:
         """Samples deviate from the road only by GPS noise (5 m sigma)."""
         traj = simulator.simulate_one("t2")
         for p in traj.points[:: max(1, len(traj) // 10)]:
-            projected = small_city.project(p, radius=100.0)
+            projected = small_city.project(p)
             assert projected is not None
             assert projected.distance_m <= 30.0  # 6 sigma
 

@@ -157,11 +157,6 @@ class TestRenderPrometheusSnapshot:
         assert "repro_test_seconds_count 1" in body
         assert body.endswith("\n")
 
-    def test_labels_applied_to_every_sample(self):
-        body = render_prometheus(self._snapshot(), labels={"worker": "3"})
-        assert 'repro_test_ops_total{worker="3"} 7' in body
-        assert 'le="+Inf",worker="3"' in body or 'worker="3",le="+Inf"' in body
-
     def test_exclude(self):
         body = render_prometheus(
             self._snapshot(), exclude=("repro.test.ops_total",)

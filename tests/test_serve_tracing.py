@@ -22,7 +22,6 @@ import pytest
 from repro.cli import main
 from repro.core.streaming import StreamingConfig, StreamingImputationService
 from repro.io.serialize import load_kamel, save_kamel
-from repro.obs.export import spans_to_chrome_trace
 from repro.obs.flight import (
     STAGES,
     FlightRecord,
@@ -417,21 +416,12 @@ class TestTracedPool:
 
     def test_merged_trace_has_one_lane_per_shard(self, traced_run, sparse_feed):
         pool, _, _ = traced_run
-        assert len(pool.trace_roots) == len(sparse_feed)
-        lanes = {root.thread_id for root in pool.trace_roots}
-        assert lanes == set(pool.trace_lanes)
-        assert sorted(pool.trace_lanes.values()) == ["shard 0", "shard 1"]
-
-    def test_chrome_export_names_the_lanes(self, traced_run):
-        pool, _, _ = traced_run
-        doc = spans_to_chrome_trace(pool.trace_roots, thread_names=pool.trace_lanes)
-        metadata = [e for e in doc["traceEvents"] if e.get("ph") == "M"]
-        lane_names = {
-            e["args"]["name"] for e in metadata if e["name"] == "thread_name"
-        }
-        assert lane_names == {"shard 0", "shard 1"}
-        names = {e["name"] for e in doc["traceEvents"]}
-        assert {"serve.request", "serve.queue_wait", "serve.result_transit"} <= names
+        records = pool.flight.slowest()
+        assert len(records) == len(sparse_feed)
+        for record in records:
+            (request,) = record.roots
+            assert {s.thread_id for s in request.walk()} == {record.shard + 1}
+        assert {record.roots[0].thread_id for record in records} == {1, 2}
 
     def test_slow_route_serves_the_flight_payload(self, traced_run, sparse_feed):
         _, _, slow = traced_run
@@ -456,6 +446,22 @@ class TestTracedPool:
         assert main(["trace", "--from", str(path), "--export", "text"]) == 0
         out = capsys.readouterr().out
         assert out.count("serve.request") == len(slow["slowest"]) > 0
+
+    def test_trace_from_saved_slow_exports_one_lane_per_shard(
+        self, traced_run, tmp_path, capsys
+    ):
+        """``kamel trace --from`` on a saved ``/slow`` is the pool's Chrome
+        trace: one ``tid`` per shard, each request bracketed by its queue
+        wait and result transit."""
+        _, _, slow = traced_run
+        path = tmp_path / "flight.json"
+        path.write_text(json.dumps(slow))
+        assert main(["trace", "--from", str(path), "--export", "chrome"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert {e["tid"] for e in events} == {1, 2}
+        names = {e["name"] for e in events}
+        assert {"serve.request", "serve.queue_wait", "serve.result_transit"} <= names
 
     def test_stage_histograms_in_catalog_registry(self, traced_run, sparse_feed):
         _, _, _ = traced_run

@@ -28,12 +28,14 @@ class TestCanvas:
         root = parse(canvas.to_string())
         assert root.tag == f"{SVG_NS}svg"
 
-    def test_aspect_ratio_preserved(self):
-        canvas = SvgCanvas(self.world(), width_px=800, margin_m=0.0)
+    def test_aspect_ratio_preserved(self, monkeypatch):
+        monkeypatch.setattr(SvgCanvas, "MARGIN_M", 0.0)
+        canvas = SvgCanvas(self.world())
         assert canvas.height_px == 400  # 1000x500 world -> 800x400 pixels
 
-    def test_y_axis_flipped(self):
-        canvas = SvgCanvas(self.world(), margin_m=0.0)
+    def test_y_axis_flipped(self, monkeypatch):
+        monkeypatch.setattr(SvgCanvas, "MARGIN_M", 0.0)
+        canvas = SvgCanvas(self.world())
         canvas.circle(Point(0, 500))  # world top-left
         root = parse(canvas.to_string())
         circle = root.find(f"{SVG_NS}circle")
@@ -60,10 +62,6 @@ class TestCanvas:
         path = canvas.save(tmp_path / "out.svg")
         assert path.exists()
         parse(path.read_text())
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            SvgCanvas(self.world(), width_px=0)
 
 
 class TestRenderers:
